@@ -11,8 +11,9 @@ Layout (all integers little-endian):
             float64 little-endian payload
     digest  8 bytes  BLAKE2b-64 of everything above
 
-Loading verifies the digest before touching the payload and reconstructs the
-parameter dataclass for the stored kind. A human-readable sidecar
+Loading verifies the digest before touching the payload, checks the array
+names and shapes against the kind and meta, and reconstructs the parameter
+dataclass for the stored kind. A human-readable sidecar
 (`<path>.meta.txt`) summarizes the contents; it is informational only.
 """
 
@@ -43,6 +44,63 @@ def _meta_for(kind: str, params) -> dict:
                 "vocab": params.vocab, "pos_mode": params.pos_mode,
                 "max_len": params.max_len, "pool": params.pool}
     raise ArgumentError(f"unknown model kind: {kind}")
+
+
+def _layout(kind: str, meta: dict, path) -> dict:
+    """Array name -> shape a checkpoint of `kind` must hold. None matches any
+    extent: meta does not record the readout's query and class counts."""
+
+    def dim(key, least=0):
+        value = meta.get(key)
+        if type(value) is not int or value < least:
+            raise CorruptionError(f"{path}: metadata field {key!r} is {value!r}")
+        return value
+
+    if kind in (md.HOLONOMIC, md.RNN, md.NORMALIZED_RNN):
+        n, vocab = dim("n"), dim("vocab")
+        if kind == md.HOLONOMIC:
+            shapes = {"generators": (vocab, n, n), "h0": (n,)}
+        else:
+            shapes = {"w_rec": (n, n), "w_in": (vocab, n), "bias": (n,)}
+        shapes["readout"] = (None, None, n)
+        return shapes
+    if kind == md.TRANSFORMER:
+        dim("n_heads", least=1)
+        for key in ("pos_mode", "pool"):
+            if not isinstance(meta.get(key), str):
+                raise CorruptionError(
+                    f"{path}: metadata field {key!r} is {meta.get(key)!r}")
+        d, d_ff = dim("d_model"), dim("d_ff")
+        shapes = {"embed": (dim("vocab"), d), "ln_f_g": (d,), "ln_f_b": (d,),
+                  "readout": (None, None, d)}
+        if meta.get("pos_mode") == "learned":
+            shapes["pos"] = (dim("max_len"), d)
+        for i in range(dim("n_layers")):
+            pre = f"layer{i}."
+            for name in ("wq", "wk", "wv", "wo"):
+                shapes[pre + name] = (d, d)
+            for name in ("bq", "bk", "bv", "bo", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "b2"):
+                shapes[pre + name] = (d,)
+            shapes.update({pre + "w1": (d, d_ff), pre + "b1": (d_ff,),
+                           pre + "w2": (d_ff, d)})
+        return shapes
+    raise ArgumentError(f"unknown model kind: {kind}")
+
+
+def _check_layout(kind: str, meta: dict, arrays: dict, path) -> None:
+    expected = _layout(kind, meta, path)
+    missing = sorted(set(expected) - set(arrays))
+    extra = sorted(set(arrays) - set(expected))
+    if missing or extra:
+        raise CorruptionError(
+            f"{path}: {kind} checkpoint lacks arrays {missing} or has "
+            f"unexpected arrays {extra}")
+    for name, shape in expected.items():
+        got = arrays[name].shape
+        if len(got) != len(shape) or any(e is not None and e != g
+                                         for e, g in zip(shape, got)):
+            raise CorruptionError(
+                f"{path}: array {name} has shape {got}, expected {shape}")
 
 
 def _rebuild(kind: str, meta: dict, arrays: dict):
@@ -117,9 +175,14 @@ def load_checkpoint(path):
         raise VersionError(
             f"{path}: format version {version} needs migration (supported: {VERSION})")
     (kind_len,) = struct.unpack("<H", take(2))
-    kind = bytes(take(kind_len)).decode()
+    kind = bytes(take(kind_len)).decode(errors="replace")
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(bytes(take(meta_len)).decode())
+    try:
+        meta = json.loads(bytes(take(meta_len)).decode())
+    except ValueError as err:
+        raise CorruptionError(f"{path}: unreadable metadata ({err})")
+    if not isinstance(meta, dict):
+        raise CorruptionError(f"{path}: metadata is not a JSON object")
     (count,) = struct.unpack("<I", take(4))
     arrays = {}
     for _ in range(count):
@@ -132,4 +195,5 @@ def load_checkpoint(path):
         arrays[name] = data.astype(np.float64)
     if off != len(view):
         raise CorruptionError(f"{path}: trailing bytes after payload")
+    _check_layout(kind, meta, arrays, path)
     return kind, _rebuild(kind, meta, arrays)

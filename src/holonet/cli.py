@@ -93,7 +93,8 @@ def cmd_train(cfg: RunConfig) -> int:
     rng = RngState(cfg.seed).child(0)
     result = ex.train(cfg.model, cfg.task, cfg.curriculum, cfg.train, rng)
     rows = [{"step": r["step"], "max_len": r["max_len"],
-             "loss": f"{r['loss']:.6f}", "accuracy": f"{r['accuracy']:.6f}"}
+             "loss": f"{r['loss']:.6f}", "grad_norm": f"{r['grad_norm']:.6f}",
+             "accuracy": f"{r['accuracy']:.6f}"}
             for r in result.log]
     d = run_dir(cfg, "train")
     ckpt = Path(cfg.save) if cfg.save else d / "model.ckpt"
@@ -108,7 +109,8 @@ def cmd_train(cfg: RunConfig) -> int:
         f"checkpoint: {ckpt}",
         f"parameters: {total}",
     ] + [f"  {k}: {v}" for k, v in sorted(items.items())]
-    write_run(cfg, "train", ["step", "max_len", "loss", "accuracy"], rows, summary)
+    write_run(cfg, "train", ["step", "max_len", "loss", "grad_norm", "accuracy"],
+              rows, summary)
     if not result.converged:
         raise NonConvergence(
             f"training ended at accuracy {result.final_accuracy:.4f} "

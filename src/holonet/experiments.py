@@ -17,7 +17,7 @@ from . import grad_engine as ge
 from . import models as md
 from . import scan_engine as se
 from . import tensor_core as tc
-from .errors import ArgumentError
+from .errors import ArgumentError, NumericError
 from .group_tasks import (
     Curriculum,
     Episode,
@@ -229,7 +229,9 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
     Stepwise curricula gate on perfect accuracy at the current length; ramp
     curricula advance with the step fraction. Returns a non-convergence
     result (converged=False) carrying the best parameters if the step budget
-    runs out.
+    runs out. A non-finite loss or pre-clip gradient norm raises
+    NumericError before the update, so the parameters are never poisoned.
+    Each log entry carries that step's pre-clip gradient norm.
     """
     if model_cfg.kind == md.TRANSFORMER and model_cfg.pos_mode == "learned" \
             and curriculum.l_max > model_cfg.max_len:
@@ -251,9 +253,13 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
         tape = ge.Tape()
         leaves = {k: tape.leaf(v) for k, v in store.params.items()}
         loss = md.tape_batch_loss(model_cfg.kind, tape, leaves, batch, params)
+        if not np.isfinite(loss.value):
+            raise NumericError(f"training loss is {float(loss.value)} at step {step}")
         tape.backward(loss)
         grads = ge.collect_grads(tape, leaves)
-        ge.clip_global_norm(grads, cfg.clip)
+        grad_norm = ge.clip_global_norm(grads, cfg.clip)
+        if not np.isfinite(grad_norm):
+            raise NumericError(f"gradient norm is {grad_norm} at step {step}")
         ge.adam_step(store, grads, _lr_at(cfg, step), cfg.beta1, cfg.beta2, cfg.eps)
         if model_cfg.kind == md.HOLONOMIC:
             store.params["h0"] /= np.linalg.norm(store.params["h0"])
@@ -263,7 +269,8 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
             gate_acc = evaluate_accuracy(model_cfg.kind, params, task, gate_len,
                                          cfg.gate_episodes, rng.child(2, step))
             log.append({"step": step, "max_len": curriculum.max_len,
-                        "loss": float(loss.value), "accuracy": gate_acc})
+                        "loss": float(loss.value), "grad_norm": float(grad_norm),
+                        "accuracy": gate_acc})
             if curriculum.kind == "stepwise":
                 before = curriculum.max_len
                 curriculum = curriculum_advance(curriculum, gate_acc)

@@ -2,10 +2,17 @@
 
 A Tape records primitive applications in topological order; backward
 replays them in reverse, accumulating exact cotangents. The primitive set
-is the minimum needed by the four sequence models: dense products,
-elementwise ops, layer normalization, fused softmax cross-entropy, the
-matrix exponential (adjoint via the Frechet derivative), embedding lookup,
-concat/slice/transpose, and fused scaled-dot-product attention.
+is the minimum needed by the four sequence models:
+
+  * per-episode: dense products, elementwise ops, layer normalization,
+    fused softmax cross-entropy, the matrix exponential (adjoint via the
+    block Frechet derivative), embedding lookup, concat/slice/transpose and
+    fused scaled-dot-product attention;
+  * batched, for the trainer: broadcast matmul, multi-head attention, mean
+    pooling, readout gather, mean cross-entropy, `skew_exp` (exp(M - M^T)
+    for a whole generator stack by one eigendecomposition, Daleckii-Krein
+    adjoint) and `holonomic_scan` (the holonomic recurrence over a
+    left-padded (B, L) token matrix, one node per batch).
 
 Values are numpy arrays; a scalar is a 0-d array. Gradients are bitwise
 deterministic for identical tapes: the reverse sweep is a fixed-order
@@ -17,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor_core
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, NumericError
 
 
 class Var:
@@ -390,8 +397,9 @@ def _attention_bwd(t: Tape, idx: int, g):
 # ------------------------------------------------------------------ batched ops
 #
 # Fused batch-level variants used by the trainer: one node per batch instead
-# of one subgraph per episode. Each mirrors a scalar primitive above and is
-# finite-difference checked alongside them.
+# of one subgraph per episode. Each mirrors a scalar primitive (skew_exp:
+# mat_exp; holonomic_scan: a chain of matvecs) and is finite-difference
+# checked alongside them.
 
 
 def bmatmul(a: Var, b: Var) -> Var:
@@ -409,43 +417,94 @@ def _bmatmul_bwd(t: Tape, idx: int, g):
     t._accum(ib, np.einsum("bli,blj->ij", av, g))
 
 
-def stack(parts: list[Var]) -> Var:
-    """Stack equal-shape operands along a new leading axis."""
-    if not parts:
-        raise ArgumentError("stack: need at least one operand")
-    vals = [p.value for p in parts]
-    if any(v.shape != vals[0].shape for v in vals):
-        raise DimensionError("stack: operands must share a shape")
-    out = np.stack(vals, axis=0)
-    return parts[0].tape._push("stack", tuple(p.idx for p in parts), out, None)
+def skew_exp(generators: Var) -> Var:
+    """exp(M - M^T) for each matrix of a (V, n, n) stack of generators.
+
+    One batched eigendecomposition of the Hermitian i(M - M^T) = U diag(mu) U^H
+    gives exp(M - M^T) = U diag(e^{-i mu}) U^H; (U, mu) are kept for the
+    adjoint. The adjoint is the Daleckii-Krein form U ((U^H G U) o Phi) U^H with
+    Phi_jk = e^{i(mu_j + mu_k)/2} sinc((mu_j - mu_k)/2), the divided difference
+    of exp at the conjugate eigenvalues, which is exact at repeated angles.
+    """
+    gv = generators.value
+    if gv.ndim != 3 or gv.shape[1] != gv.shape[2]:
+        raise DimensionError(f"skew_exp: expected a (V, n, n) stack, got {gv.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = gv - gv.transpose(0, 2, 1)
+    if not np.all(np.isfinite(a)):
+        raise NumericError("skew_exp: M - M^T has non-finite entries")
+    try:
+        mu, u = np.linalg.eigh(1j * a)
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"skew_exp: eigendecomposition failed ({err})")
+    out = ((u * np.exp(-1j * mu)[:, None, :]) @ u.conj().transpose(0, 2, 1)).real
+    return generators.tape._push("skew_exp", (generators.idx,), out, (u, mu))
 
 
-def _stack_bwd(t: Tape, idx: int, g):
-    for slot, child in enumerate(t.inputs[idx]):
-        t._accum(child, g[slot])
+def _skew_exp_bwd(t: Tape, idx: int, g):
+    u, mu = t.aux[idx]
+    uh = u.conj().transpose(0, 2, 1)
+    phase = np.exp(0.5j * mu)
+    # np.sinc(x) = sin(pi x) / (pi x), so this is sin(d/2) / (d/2)
+    phi = (phase[:, :, None] * phase[:, None, :]
+           * np.sinc((mu[:, :, None] - mu[:, None, :]) / (2 * np.pi)))
+    da = (u @ ((uh @ g @ u) * phi) @ uh).real
+    t._accum(t.inputs[idx][0], da - da.transpose(0, 2, 1))
 
 
-def token_matvec(ops: Var, tokens, h: Var) -> Var:
-    """out[b] = ops[tokens[b]] @ h[b] for a stack of square operators."""
-    ov, hv = ops.value, h.value
-    toks = np.asarray(tokens, dtype=np.intp)
-    if ov.ndim != 3 or hv.ndim != 2 or toks.ndim != 1:
-        raise DimensionError("token_matvec: need (V,n,n) ops, (B,n) states, (B,) tokens")
-    if toks.shape[0] != hv.shape[0] or ov.shape[-1] != hv.shape[-1]:
+# Id of the identity step in holonomic_scan; left-pads rows shorter than L.
+IDENTITY_STEP = -1
+
+
+def holonomic_scan(ops: Var, ids, h0: Var) -> Var:
+    """Final states of h_t = ops[ids[b, t]] h_{t-1}, h_0 = h0, for a (B, L) id
+    matrix; returns (B, n).
+
+    An id of IDENTITY_STEP applies the identity, which leaves the state
+    bit-identical, so rows of different lengths share one node when left-padded
+    with it. The states (L + 1, B, n) are kept; the backward sweeps back
+    through time, then forms each operator's gradient
+    dU[v] = sum over (t, b) with ids[b, t] = v of g_t h_{t-1}^T as one matmul
+    over the rows sorted by token.
+    """
+    ov, hv = ops.value, h0.value
+    ids = np.asarray(ids, dtype=np.intp)
+    if ov.ndim != 3 or ov.shape[1] != ov.shape[2] or ids.ndim != 2 \
+            or hv.shape != ov.shape[-1:]:
         raise DimensionError(
-            f"token_matvec: shapes {ov.shape}, {hv.shape}, {toks.shape}")
-    out = np.einsum("bij,bj->bi", ov[toks], hv)
-    return ops.tape._push("token_matvec", (ops.idx, h.idx), out, toks)
+            f"holonomic_scan: need (V,n,n) ops, (B,L) ids, (n,) h0; got "
+            f"{ov.shape}, {ids.shape}, {hv.shape}")
+    if ids.size and (ids.min() < IDENTITY_STEP or ids.max() >= ov.shape[0]):
+        raise ArgumentError(
+            f"holonomic_scan: token outside vocabulary of size {ov.shape[0]}")
+    n = ov.shape[-1]
+    # the identity sits last, so IDENTITY_STEP = -1 indexes it directly
+    table = np.concatenate([ov, np.eye(n)[None]])
+    states = np.empty((ids.shape[1] + 1, ids.shape[0], n))
+    states[0] = hv
+    for t in range(ids.shape[1]):
+        states[t + 1] = np.einsum("bij,bj->bi", table[ids[:, t]], states[t])
+    return ops.tape._push("holonomic_scan", (ops.idx, h0.idx), states[-1].copy(),
+                          (table, ids, states))
 
 
-def _token_matvec_bwd(t: Tape, idx: int, g):
+def _holonomic_scan_bwd(t: Tape, idx: int, g):
     iops, ih = t.inputs[idx]
-    toks = t.aux[idx]
-    ov, hv = t.values[iops], t.values[ih]
-    dops = np.zeros_like(ov, dtype=np.float64)
-    np.add.at(dops, toks, g[:, :, None] * hv[:, None, :])
-    t._accum(iops, dops)
-    t._accum(ih, np.einsum("bij,bi->bj", ov[toks], g))
+    table, ids, states = t.aux[idx]
+    length, n = ids.shape[1], table.shape[-1]
+    cot = np.empty_like(states[1:])     # cot[t] is the cotangent of states[t + 1]
+    for step in range(length - 1, -1, -1):
+        cot[step] = g
+        g = np.einsum("bij,bi->bj", table[ids[:, step]], g)
+    t._accum(ih, g.sum(axis=0))
+    flat = ids.T.ravel()
+    order = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[order], np.arange(table.shape[0]))
+    rows_g = cot.reshape(-1, n)[order]
+    rows_h = states[:-1].reshape(-1, n)[order]
+    # an unused token's empty slice gives a zero block
+    t._accum(iops, np.stack([rows_g[lo:hi].T @ rows_h[lo:hi]
+                             for lo, hi in zip(bounds[:-1], bounds[1:])]))
 
 
 def mha(q: Var, k: Var, v: Var, n_heads: int, causal: bool = False) -> Var:
@@ -573,8 +632,8 @@ _BACKWARD = {
     "slice": _slice_bwd,
     "attention": _attention_bwd,
     "bmatmul": _bmatmul_bwd,
-    "stack": _stack_bwd,
-    "token_matvec": _token_matvec_bwd,
+    "skew_exp": _skew_exp_bwd,
+    "holonomic_scan": _holonomic_scan_bwd,
     "mha": _mha_bwd,
     "mean_axis1": _mean_axis1_bwd,
     "gather_readout": _gather_readout_bwd,

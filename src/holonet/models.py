@@ -436,9 +436,11 @@ def transformer_tape_loss(tape: ge.Tape, leaves: dict, episodes: list[Episode],
 
 # ===================================================================== batched tape losses
 #
-# Trainer-facing graphs: episodes grouped by length, one fused node per batch
-# step. The per-episode losses above are kept as the reference the batched
-# paths are tested against.
+# Trainer-facing graphs. The holonomic graph is one skew_exp node for the whole
+# operator stack and one holonomic_scan node over the left-padded batch, so its
+# size does not depend on the episode lengths. The RNN and transformer group
+# episodes by length, one fused node per batch step. The per-episode losses
+# above are kept as the reference the batched paths are tested against.
 
 
 def _grouped_by_length(episodes: list[Episode]) -> list[list[Episode]]:
@@ -461,28 +463,25 @@ def _queries_and_targets(group: list[Episode], n_queries: int):
     return qs, [e.target for e in group]
 
 
+def _left_padded(episodes: list[Episode], vocab: int) -> np.ndarray:
+    """(B, L_max) token ids; shorter episodes are left-padded with identity
+    steps, so they end at the last column with unchanged states."""
+    width = max(e.length for e in episodes)
+    ids = np.full((len(episodes), width), ge.IDENTITY_STEP, dtype=np.intp)
+    for row, e in zip(ids, episodes):
+        _check_tokens(e.tokens, vocab)
+        row[width - e.length:] = e.tokens
+    return ids
+
+
 def holonomic_tape_loss_batched(tape: ge.Tape, leaves: dict,
                                 episodes: list[Episode]) -> ge.Var:
-    distinct = sorted({tok for e in episodes for tok in e.tokens})
-    slot = {tok: i for i, tok in enumerate(distinct)}
-    exp_nodes = []
-    for tok in distinct:
-        m = leaves["generators"][tok]
-        exp_nodes.append(ge.mat_exp(m - m.T))
-    ops_stack = ge.stack(exp_nodes)
-    n = leaves["h0"].value.shape[0]
-    n_queries = leaves["readout"].value.shape[0]
-    parts = []
-    for group in _grouped_by_length(episodes):
-        b = len(group)
-        ids = np.array([[slot[tok] for tok in e.tokens] for e in group])
-        h = tape.leaf(np.zeros((b, n))) + leaves["h0"]
-        for t in range(ids.shape[1]):
-            h = ge.token_matvec(ops_stack, ids[:, t], h)
-        qs, targets = _queries_and_targets(group, n_queries)
-        logits = ge.gather_readout(leaves["readout"], h, qs)
-        parts.append((ge.softmax_xent_mean(logits, targets), b))
-    return _combine_group_losses(parts, len(episodes))
+    generators = leaves["generators"]
+    ids = _left_padded(episodes, generators.value.shape[0])
+    h = ge.holonomic_scan(ge.skew_exp(generators), ids, leaves["h0"])
+    qs, targets = _queries_and_targets(episodes, leaves["readout"].value.shape[0])
+    logits = ge.gather_readout(leaves["readout"], h, qs)
+    return ge.softmax_xent_mean(logits, targets)
 
 
 def rnn_tape_loss_batched(tape: ge.Tape, leaves: dict, episodes: list[Episode],

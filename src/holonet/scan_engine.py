@@ -59,12 +59,20 @@ def build_operators(p: HolonomicParams, precision: int = 64) -> np.ndarray:
     return ops.astype(np.float32) if precision == 32 else ops
 
 
+def _check_vocabulary(tokens, vocab: int) -> np.ndarray:
+    ids = np.asarray(tokens, dtype=np.intp)
+    if ids.min() < 0 or ids.max() >= vocab:
+        raise ArgumentError(f"token outside vocabulary of size {vocab}")
+    return ids
+
+
 def sequential_holonomy(p: HolonomicParams, tokens, plan: ScanPlan = ScanPlan(),
                         operators: np.ndarray | None = None) -> np.ndarray:
     """H_L = U_L ... U_1 with re-orthonormalization every K steps."""
     if len(tokens) == 0:
         raise ArgumentError("sequential_holonomy: empty token sequence")
     ops = operators if operators is not None else build_operators(p, plan.precision)
+    _check_vocabulary(tokens, ops.shape[0])
     h = np.eye(p.n, dtype=ops.dtype)
     for i, tok in enumerate(tokens):
         h = ops[tok] @ h
@@ -164,9 +172,7 @@ def tree_scan_holonomy(p: HolonomicParams, tokens, plan: ScanPlan = ScanPlan(),
     if workers < 1:
         raise ArgumentError("workers must be >= 1")
     ops = operators if operators is not None else build_operators(p, plan.precision)
-    ids = np.asarray(tokens, dtype=np.intp)
-    if ids.min() < 0 or ids.max() >= ops.shape[0]:
-        raise ArgumentError(f"token outside vocabulary of size {ops.shape[0]}")
+    ids = _check_vocabulary(tokens, ops.shape[0])
     scratch = np.empty((5, _BLOCK) + ops.shape[1:], ops.dtype)
     table, ids, span = _share_pairs(ops, ids, plan, scratch)
     while True:

@@ -65,6 +65,14 @@ def check_adjoint_pairing(seed):
     _, adj = tc.mat_exp_frechet(a.T, gbar)
     gap = abs(np.sum(l * gbar) - np.sum(e * adj))
     assert gap < 1e-10, f"adjoint pairing defect {gap:.3e}"
+    # skew_exp's eigendecomposition adjoint against the block Frechet derivative
+    m, e, gbar = gen.standard_normal((3, 8, 8))
+    tape = ge.Tape()
+    leaf = tape.leaf(m[None])
+    grads = tape.vjp(ge.skew_exp(leaf), gbar[None])
+    _, l = tc.mat_exp_frechet(tc.skew(m), tc.skew(e))
+    gap = abs(np.sum(l * gbar) - np.sum(e * grads[leaf.idx][0]))
+    assert gap < 1e-10, f"skew_exp adjoint pairing defect {gap:.3e}"
 
 
 def check_gradients(seed):
@@ -73,6 +81,12 @@ def check_gradients(seed):
     err = ge.grad_check(lambda t, lv: md.holonomic_tape_loss(t, lv, eps),
                         ge.ParamStore(params.to_dict()), eps=1e-6)
     assert err < 1e-5, f"holonomic grad error {err:.3e}"
+    # the training graph on a mixed-length batch: padded rows, one scan node
+    mixed = [s3_sample_episode(RngState(seed).child(10, i), 1 + i) for i in range(4)]
+    err = ge.grad_check(
+        lambda t, lv: md.tape_batch_loss(md.HOLONOMIC, t, lv, mixed),
+        ge.ParamStore(params.to_dict()), eps=1e-6)
+    assert err < 1e-5, f"holonomic training-graph grad error {err:.3e}"
     rnn = md.init_rnn(RngState(seed + 1), 6, 6, 6)
     err = ge.grad_check(
         lambda t, lv: md.rnn_tape_loss(t, lv, eps, normalized=True),

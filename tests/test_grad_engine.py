@@ -5,7 +5,7 @@ import pytest
 
 from holonet import grad_engine as ge
 from holonet import tensor_core as tc
-from holonet.errors import ArgumentError, DimensionError
+from holonet.errors import ArgumentError, DimensionError, NumericError
 
 
 def ssum(var):
@@ -224,12 +224,20 @@ def _c_bmatmul(gen):
         lambda t, lv: wsum(ge.bmatmul(lv["a"], lv["b"]))
 
 
-@case("stack_token_matvec")
-def _c_token_matvec(gen):
-    return {"m0": gen.standard_normal((3, 3)), "m1": gen.standard_normal((3, 3)),
-            "h": gen.standard_normal((4, 3))}, \
-        lambda t, lv: wsum(ge.token_matvec(ge.stack([lv["m0"], lv["m1"]]),
-                                           [0, 1, 1, 0], lv["h"]))
+@case("skew_exp")
+def _c_skew_exp(gen):
+    return {"m": 0.5 * gen.standard_normal((3, 4, 4))}, \
+        lambda t, lv: wsum(ge.skew_exp(lv["m"]))
+
+
+# padded rows, a length-1 row, and token 3 unused
+SCAN_IDS = [[-1, -1, 0, 2], [1, 0, 2, 1], [-1, -1, -1, 2]]
+
+
+@case("holonomic_scan")
+def _c_holonomic_scan(gen):
+    return {"u": gen.standard_normal((4, 3, 3)), "h0": gen.standard_normal(3)}, \
+        lambda t, lv: wsum(ge.holonomic_scan(lv["u"], SCAN_IDS, lv["h0"]))
 
 
 @case("mha")
@@ -301,6 +309,76 @@ def test_node_reuse_accumulates_cotangents():
         return ssum(ge.hadamard(h2, h2))
 
     assert ge.grad_check(build, ge.ParamStore({"a": a0}), eps=1e-6) < 1e-6
+
+
+# ---------------------------------------------------------------- skew_exp, holonomic_scan
+
+
+def test_skew_exp_matches_pade_and_is_orthogonal():
+    m = tc.RngState(20).generator().standard_normal((2, 128, 128)) / math.sqrt(128)
+    out = ge.skew_exp(ge.Tape().leaf(m)).value
+    for v in range(2):
+        ref = tc.mat_exp(tc.skew(m[v]))
+        assert np.max(np.abs(out[v] - ref)) < 1e-13
+        assert np.linalg.norm(out[v].T @ out[v] - np.eye(128)) < 1e-12
+
+
+def frechet_adjoint_wrt_m(m, gbar):
+    """d<exp(M - M^T), gbar>/dM through the block Frechet derivative."""
+    _, da = tc.mat_exp_frechet(tc.skew(m).T, gbar)
+    return da - da.T
+
+
+def rotation_block_generator(angles):
+    """M with M - M^T block-diagonal 2x2 rotations by the given angles."""
+    m = np.zeros((2 * len(angles),) * 2)
+    for k, theta in enumerate(angles):
+        m[2 * k, 2 * k + 1] = theta
+    return m
+
+
+@pytest.mark.parametrize("spectrum", ["random", "zero", "repeated-angles"])
+def test_skew_exp_adjoint_matches_frechet(spectrum):
+    gen = tc.RngState(21).generator()
+    if spectrum == "random":
+        m = gen.standard_normal((6, 6))
+    elif spectrum == "zero":
+        m = np.zeros((6, 6))
+    else:
+        m = rotation_block_generator([0.7, 0.7, 0.7])
+    gbar = gen.standard_normal((6, 6))
+    tape = ge.Tape()
+    leaf = tape.leaf(m[None])
+    grads = tape.vjp(ge.skew_exp(leaf), gbar[None])
+    assert np.allclose(grads[leaf.idx][0], frechet_adjoint_wrt_m(m, gbar), atol=1e-12)
+
+
+def test_skew_exp_rejects_non_finite():
+    m = np.zeros((2, 3, 3))
+    m[1, 0, 2] = np.nan
+    with pytest.raises(NumericError):
+        ge.skew_exp(ge.Tape().leaf(m))
+    with pytest.raises(NumericError):
+        ge.skew_exp(ge.Tape().leaf(np.full((1, 2, 2), np.inf)))
+
+
+def test_holonomic_scan_identity_padding_is_bit_exact():
+    gen = tc.RngState(22).generator()
+    u = ge.skew_exp(ge.Tape().leaf(gen.standard_normal((3, 5, 5))))
+    h0 = u.tape.leaf(gen.standard_normal(5))
+    padded = ge.holonomic_scan(u, [[-1, -1, 2, 0, 1], [1, 1, 0, 2, 2]], h0).value
+    alone = ge.holonomic_scan(u, [[2, 0, 1]], h0).value
+    assert np.array_equal(padded[0], alone[0])
+
+
+def test_holonomic_scan_rejects_tokens_outside_vocabulary():
+    t = ge.Tape()
+    u, h0 = t.leaf(np.ones((3, 2, 2))), t.leaf(np.ones(2))
+    for bad in (-2, 3):
+        with pytest.raises(ArgumentError):
+            ge.holonomic_scan(u, [[0, bad]], h0)
+    with pytest.raises(DimensionError):
+        ge.holonomic_scan(u, [0, 1], h0)
 
 
 # ---------------------------------------------------------------- grad_check harness

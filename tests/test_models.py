@@ -254,6 +254,42 @@ def test_tape_loss_matches_numpy_forward(kind):
     assert float(loss.value) == pytest.approx(expected, rel=1e-12)
 
 
+def binding_batch(seed, lengths):
+    return [sv_sample_episode(RngState(seed).child(i), 4, length)
+            for i, length in enumerate(lengths)]
+
+
+def test_mixed_length_holonomic_loss_matches_numpy_forward():
+    params = md.init_holonomic(RngState(35), 8, 6, 4, n_queries=4)
+    eps = binding_batch(36, [1, 7, 3, 7, 12, 2])
+    tape = ge.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+    loss = md.tape_batch_loss(md.HOLONOMIC, tape, leaves, eps)
+    expected = np.mean([ce_from_logits(md.forward_logits(md.HOLONOMIC, params, e),
+                                       e.target) for e in eps])
+    assert float(loss.value) == pytest.approx(expected, rel=1e-12)
+
+
+def test_holonomic_tape_size_does_not_depend_on_lengths():
+    params = md.init_holonomic(RngState(37), 8, 6, 4, n_queries=4)
+
+    def nodes(eps):
+        tape = ge.Tape()
+        leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+        md.tape_batch_loss(md.HOLONOMIC, tape, leaves, eps)
+        return len(tape)
+
+    assert nodes(binding_batch(38, [1, 4, 9, 16, 25])) == nodes(binding_batch(39, [9] * 5))
+
+
+def test_holonomic_tape_loss_rejects_token_outside_vocabulary():
+    params = md.init_holonomic(RngState(40), 8, 6, 6)
+    tape = ge.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+    with pytest.raises(ArgumentError):
+        md.tape_batch_loss(md.HOLONOMIC, tape, leaves, [Episode((0, -1), 0, 2)])
+
+
 # ---------------------------------------------------------------- gradient fidelity
 
 

@@ -148,6 +148,13 @@ def test_tree_rejects_token_outside_vocabulary():
             se.tree_scan_holonomy(p, bad)
 
 
+def test_sequential_rejects_token_outside_vocabulary():
+    p = make_params(21)
+    for bad in ([0, p.vocab], [-1, 0]):
+        with pytest.raises(ArgumentError):
+            se.sequential_holonomy(p, bad)
+
+
 def test_tree_speedup_over_sequential():
     # soft performance bound: tree at least 2x sequential. Both paths are
     # warmed, then each mode is timed as the best of 5 interleaved calls, so a
