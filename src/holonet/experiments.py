@@ -1,8 +1,12 @@
 """Experiment pipelines: training plus the four paper-scale studies.
 
 Every pipeline is a pure function of (config, RngState) and is therefore
-bit-reproducible; episode streams, noise draws, bootstrap resamples and
-optimizer batches all pull from named child streams of one master seed.
+bit-reproducible: the same seed and call give the same bits. Randomness
+comes from named child streams of one master seed, one stream per batch:
+each training step draws its lengths and episodes from one generator, each
+evaluation its episodes from one and its noise from another, and each noise
+level of a sweep likewise. Bootstrap resamples have their own streams.
+Recurrent inference runs through `models.forward_batch`.
 """
 
 from __future__ import annotations
@@ -19,16 +23,22 @@ from . import scan_engine as se
 from . import tensor_core as tc
 from .errors import ArgumentError, NumericError
 from .group_tasks import (
+    Batch,
     Curriculum,
-    Episode,
     curriculum_advance,
-    s3_sample_episode,
-    sample_length,
-    sv_sample_episode,
+    s3_sample_batch,
+    s3_targets,
+    sample_lengths,
+    sv_sample_batch,
 )
+# perfbench/tracing.py wraps the per-episode samplers under these names here
+from .group_tasks import s3_sample_episode, sample_length, sv_sample_episode  # noqa: F401
 
 S3 = "s3"
 BINDING = "binding"
+# S3 validation scores every length-l_max sequence when there are at most this many
+EXHAUSTIVE_S3_LIMIT = 8192
+SCORE_BLOCK = 1024      # rows per forward when scoring every sequence
 
 
 @dataclass(frozen=True)
@@ -48,10 +58,10 @@ class TaskConfig:
     def n_queries(self) -> int:
         return 1 if self.kind == S3 else self.variables
 
-    def sample(self, rng: tc.RngState, length: int) -> Episode:
+    def sample_batch(self, gen: np.random.Generator, lengths) -> Batch:
         if self.kind == S3:
-            return s3_sample_episode(rng, length)
-        return sv_sample_episode(rng, self.variables, length)
+            return s3_sample_batch(gen, lengths)
+        return sv_sample_batch(gen, self.variables, lengths)
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,15 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer, evaluation and stopping settings.
+
+    Validation (the early-stop check once the gate passes at the top length,
+    and the final `converged` evaluation) scores fresh episodes: S3 at l_max,
+    binding across [l_min, l_max], `val_episodes` of them. On S3 with
+    6^l_max <= EXHAUSTIVE_S3_LIMIT it instead scores every length-l_max
+    sequence once, so "converged" is exact there.
+    """
+
     steps: int = 3000
     batch: int = 64
     lr: float = 1e-3
@@ -170,46 +189,58 @@ class MassGapResult:
 # ===================================================================== evaluation
 
 
-def predictions(kind: str, params, episodes: list[Episode],
+def predictions(kind: str, params, batch: Batch,
                 noise: md.NoiseConfig = md.NoiseConfig(),
                 rng: tc.RngState | None = None) -> np.ndarray:
-    """Predicted labels, one per episode; per-episode noise streams."""
-    if kind == md.TRANSFORMER:
-        by_len: dict[int, list[int]] = {}
-        for i, e in enumerate(episodes):
-            by_len.setdefault(e.length, []).append(i)
-        out = np.empty(len(episodes), dtype=int)
-        for _, idxs in sorted(by_len.items()):
-            batch = [episodes[i] for i in idxs]
-            rngs = [rng.child(i) for i in idxs] if noise.enabled else None
-            logits = md.transformer_forward_batch(params, batch, noise, rngs)
-            out[idxs] = np.argmax(logits, axis=1)
-        return out
-    operators = params.operators() if kind == md.HOLONOMIC else None
+    """Predicted labels, one per episode. Recurrent models draw the batch's
+    noise from `rng`; the transformer draws episode i's from rng.child(i)."""
+    if kind != md.TRANSFORMER:
+        _, logits = md.forward_batch(kind, params, batch.ids, batch.queries, noise, rng)
+        return np.argmax(logits, axis=1)
+    episodes = batch.episodes()
     out = np.empty(len(episodes), dtype=int)
-    for i, e in enumerate(episodes):
-        erng = rng.child(i) if noise.enabled else None
-        if kind == md.HOLONOMIC:
-            _, logits = md.holonomic_forward(params, e, noise, erng, operators)
-        else:
-            _, logits = md.rnn_forward(params, e, noise, erng,
-                                       normalized=(kind == md.NORMALIZED_RNN))
-        out[i] = int(np.argmax(logits))
+    for length in np.unique(batch.lengths):
+        idxs = np.flatnonzero(batch.lengths == length).tolist()
+        rngs = [rng.child(i) for i in idxs] if noise.enabled else None
+        logits = md.transformer_forward_batch(params, [episodes[i] for i in idxs],
+                                              noise, rngs)
+        out[idxs] = np.argmax(logits, axis=1)
     return out
 
 
 def evaluate_accuracy(kind: str, params, task: TaskConfig, lengths,
                       episodes: int, rng: tc.RngState,
                       noise: md.NoiseConfig = md.NoiseConfig()) -> float:
-    """Fresh-episode accuracy; lengths is an int or a sampled-from list."""
-    lengths = [lengths] if isinstance(lengths, int) else list(lengths)
-    eps = []
-    for i in range(episodes):
-        lrng = rng.child(0, i)
-        length = lengths[i % len(lengths)] if len(lengths) > 1 else lengths[0]
-        eps.append(task.sample(lrng, length))
-    preds = predictions(kind, params, eps, noise, rng.child(1))
-    return float(np.mean([p == e.target for p, e in zip(preds, eps)]))
+    """Accuracy on `episodes` fresh episodes drawn from one stream; episode i
+    has length lengths[i % len(lengths)] (lengths: an int or a list)."""
+    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
+    batch = task.sample_batch(rng.child(0).generator(),
+                              lengths[np.arange(episodes) % lengths.size])
+    preds = predictions(kind, params, batch, noise, rng.child(1))
+    return float(np.mean(preds == batch.targets))
+
+
+def exhaustive_s3_accuracy(kind: str, params, length: int) -> float:
+    """Accuracy over every S3 sequence of `length`, scored in blocks."""
+    ids = np.indices((6,) * length).reshape(length, -1).T
+    correct = 0
+    for lo in range(0, ids.shape[0], SCORE_BLOCK):
+        block = ids[lo:lo + SCORE_BLOCK]
+        batch = Batch(block, np.full(block.shape[0], length), s3_targets(block))
+        correct += int(np.sum(predictions(kind, params, batch) == batch.targets))
+    return correct / ids.shape[0]
+
+
+def validation_accuracy(kind: str, params, task: TaskConfig, curriculum: Curriculum,
+                        episodes: int, rng: tc.RngState) -> float:
+    """The accuracy `train` calls converged at; see TrainConfig."""
+    if task.kind == S3:
+        if 6 ** curriculum.l_max <= EXHAUSTIVE_S3_LIMIT:
+            return exhaustive_s3_accuracy(kind, params, curriculum.l_max)
+        lengths = curriculum.l_max
+    else:
+        lengths = list(range(curriculum.l_min, curriculum.l_max + 1))
+    return evaluate_accuracy(kind, params, task, lengths, episodes, rng)
 
 
 # ===================================================================== training
@@ -245,14 +276,11 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
     for step in range(1, cfg.steps + 1):
         if curriculum.kind == "ramp":
             curriculum = curriculum_advance(curriculum, step / cfg.steps)
-        batch = []
-        for i in range(cfg.batch):
-            erng = rng.child(1, step, i)
-            length = sample_length(curriculum, erng.child(0))
-            batch.append(task.sample(erng.child(1), length))
+        gen = rng.child(1, step).generator()
+        batch = task.sample_batch(gen, sample_lengths(curriculum, gen, cfg.batch))
         tape = ge.Tape()
         leaves = {k: tape.leaf(v) for k, v in store.params.items()}
-        loss = md.tape_batch_loss(model_cfg.kind, tape, leaves, batch, params)
+        loss = md.tape_batch_loss(model_cfg.kind, tape, leaves, batch.episodes(), params)
         if not np.isfinite(loss.value):
             raise NumericError(f"training loss is {float(loss.value)} at step {step}")
         tape.backward(loss)
@@ -278,11 +306,8 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
             else:
                 at_top = curriculum.progress >= curriculum.ramp_fraction
             if at_top and gate_acc >= cfg.target_accuracy:
-                val_lengths = (curriculum.l_max if task.kind == S3
-                               else list(range(curriculum.l_min, curriculum.l_max + 1)))
-                accuracy = evaluate_accuracy(model_cfg.kind, params, task,
-                                             val_lengths, cfg.val_episodes,
-                                             rng.child(3, step))
+                accuracy = validation_accuracy(model_cfg.kind, params, task, curriculum,
+                                               cfg.val_episodes, rng.child(3, step))
                 if accuracy >= cfg.target_accuracy:
                     converged = True
                     if cfg.early_stop:
@@ -290,11 +315,8 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
     params = params.replace_from(store.params)
     if not (cfg.early_stop and converged):
         # convergence must describe the returned parameters
-        accuracy = evaluate_accuracy(
-            model_cfg.kind, params, task,
-            curriculum.l_max if task.kind == S3
-            else list(range(curriculum.l_min, curriculum.l_max + 1)),
-            cfg.val_episodes, rng.child(4))
+        accuracy = validation_accuracy(model_cfg.kind, params, task, curriculum,
+                                       cfg.val_episodes, rng.child(4))
         converged = accuracy >= cfg.target_accuracy
     return TrainResult(model_cfg.kind, params, converged, step, accuracy, log)
 
@@ -306,30 +328,17 @@ def noise_sweep(kind: str, params, task: TaskConfig, t_grid, episodes: int,
                 rng: tc.RngState, length: int = 5, site: str | None = None,
                 model_tag: str | None = None,
                 bootstrap: int = 1000) -> SweepResult:
-    """Accuracy versus noise temperature over fresh length-`length` episodes."""
+    """Accuracy versus noise temperature over fresh length-`length` episodes;
+    noise level i draws its episodes from rng.child(0, i) and its noise from
+    rng.child(1, i)."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     site = site or ("residual-stream" if kind == md.TRANSFORMER else "recurrent-state")
     outcomes = np.zeros((t_grid.size, episodes), dtype=bool)
-    operators = params.operators() if kind == md.HOLONOMIC else None
     for ti, temp in enumerate(t_grid):
-        eps = [task.sample(rng.child(0, ti, i), length) for i in range(episodes)]
+        batch = task.sample_batch(rng.child(0, ti).generator(), np.full(episodes, length))
         noise = md.NoiseConfig(temperature=float(temp), enabled=temp > 0, site=site)
-        if kind == md.TRANSFORMER:
-            rngs = [rng.child(1, ti, i) for i in range(episodes)] if noise.enabled else None
-            logits = md.transformer_forward_batch(params, eps, noise, rngs)
-            preds = np.argmax(logits, axis=1)
-        else:
-            preds = np.empty(episodes, dtype=int)
-            for i, e in enumerate(eps):
-                erng = rng.child(1, ti, i) if noise.enabled else None
-                if kind == md.HOLONOMIC:
-                    _, logits = md.holonomic_forward(params, e, noise, erng, operators)
-                else:
-                    _, logits = md.rnn_forward(
-                        params, e, noise, erng,
-                        normalized=(kind == md.NORMALIZED_RNN))
-                preds[i] = int(np.argmax(logits))
-        outcomes[ti] = [p == e.target for p, e in zip(preds, eps)]
+        outcomes[ti] = predictions(kind, params, batch, noise, rng.child(1, ti)) \
+            == batch.targets
     acc = outcomes.mean(axis=1)
     lo = np.empty_like(acc)
     hi = np.empty_like(acc)
@@ -446,41 +455,27 @@ def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
     if kind == md.HOLONOMIC:
         operators = se.build_operators(params, precision)
     for li, length in enumerate(lengths):
-        eps = [task.sample(rng.child(li, i), int(length)) for i in range(episodes)]
         if kind == md.TRANSFORMER and params.pos_mode == "learned" \
                 and length > params.max_len:
             rows.append({"L": int(length), "acc": float("nan"),
                          "episodes": episodes, "precision": precision,
                          "note": "capacity-exceeded"})
             continue
+        batch = task.sample_batch(rng.child(li).generator(), np.full(episodes, length))
         if kind == md.HOLONOMIC:
-            correct = 0
-            target_norm = float(np.linalg.norm(params.h0))
-            for e in eps:
-                h = params.h0.astype(operators.dtype, copy=True)
-                for t, tok in enumerate(e.tokens):
-                    h = operators[tok] @ h
-                    if (t + 1) % renorm_interval == 0:
-                        norm = float(np.linalg.norm(h))
-                        if norm > 0:
-                            h *= target_norm / norm
-                q = 0 if e.query is None else e.query
-                correct += int(np.argmax(params.readout[q] @ h) == e.target)
-            acc = correct / episodes
+            _, logits = md.forward_batch(kind, params, batch.ids, batch.queries,
+                                         operators=operators,
+                                         renorm_interval=renorm_interval)
+            preds = np.argmax(logits, axis=1)
         else:
-            preds = predictions(kind, params, eps)
-            acc = float(np.mean([p == e.target for p, e in zip(preds, eps)]))
+            preds = predictions(kind, params, batch)
+        acc = float(np.mean(preds == batch.targets))
         rows.append({"L": int(length), "acc": acc, "episodes": episodes,
                      "precision": precision, "note": ""})
     return rows
 
 
 # ===================================================================== memory horizon
-
-
-def _holonomic_step_jacobians(params, tokens):
-    ops = params.operators()
-    return [ops[tok] for tok in tokens]
 
 
 def _rnn_step_jacobians(params, tokens, normalized: bool):
@@ -523,9 +518,10 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
     tokens = [int(t) for t in rng.child(0).generator().integers(0, vocab, size=horizon)]
     wanted = set(t_grid)
     j_values = []
+    ops = params.operators() if kind == md.HOLONOMIC else None
     if method == "operator-norm":
         if kind == md.HOLONOMIC:
-            steps = _holonomic_step_jacobians(params, tokens)
+            steps = [ops[tok] for tok in tokens]
         else:
             steps = _rnn_step_jacobians(params, tokens, kind == md.NORMALIZED_RNN)
         acc = np.eye(params.n)
@@ -537,16 +533,15 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
     else:
         tape = ge.Tape()
         if kind == md.HOLONOMIC:
-            leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-            exp_nodes = {}
-            h = leaves["h0"]
-            h0 = leaves["h0"]
+            # dh_t/dh_0 does not depend on the generators: operators are leaves
+            op_leaves = {}
+            h0 = tape.leaf(params.h0)
+            h = h0
             states = {}
             for t, tok in enumerate(tokens, start=1):
-                if tok not in exp_nodes:
-                    m = leaves["generators"][tok]
-                    exp_nodes[tok] = ge.mat_exp(m - m.T)
-                h = ge.matvec(exp_nodes[tok], h)
+                if tok not in op_leaves:
+                    op_leaves[tok] = tape.leaf(ops[tok])
+                h = ge.matvec(op_leaves[tok], h)
                 if t in wanted:
                     states[t] = h
         else:
@@ -589,26 +584,17 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
 # ===================================================================== diagnostics
 
 
-def final_states(kind: str, params, episodes: list[Episode],
+def final_states(kind: str, params, batch: Batch,
                  noise: md.NoiseConfig = md.NoiseConfig(),
                  rng: tc.RngState | None = None) -> np.ndarray:
     """Final hidden representation per episode (pooled encoding for the
-    transformer)."""
+    transformer, which needs equal lengths); noise streams as in
+    `predictions`."""
     if kind == md.TRANSFORMER:
-        rngs = [rng.child(i) for i in range(len(episodes))] if noise.enabled else None
-        return md.transformer_forward_batch(params, episodes, noise, rngs,
+        rngs = [rng.child(i) for i in range(len(batch.targets))] if noise.enabled else None
+        return md.transformer_forward_batch(params, batch.episodes(), noise, rngs,
                                             return_repr=True)
-    operators = params.operators() if kind == md.HOLONOMIC else None
-    out = []
-    for i, e in enumerate(episodes):
-        erng = rng.child(i) if noise.enabled else None
-        if kind == md.HOLONOMIC:
-            traj, _ = md.holonomic_forward(params, e, noise, erng, operators)
-        else:
-            traj, _ = md.rnn_forward(params, e, noise, erng,
-                                     normalized=(kind == md.NORMALIZED_RNN))
-        out.append(traj[-1])
-    return np.asarray(out)
+    return md.forward_batch(kind, params, batch.ids, batch.queries, noise, rng)[0]
 
 
 def mass_gap(kind: str, params, task: TaskConfig, rng: tc.RngState,
@@ -616,28 +602,25 @@ def mass_gap(kind: str, params, task: TaskConfig, rng: tc.RngState,
     """Minimum geodesic separation between unit-normalized class centroids of
     zero-noise final states."""
     budget = episodes_per_class * task.n_classes * 2
-    eps = [task.sample(rng.child(0, i), length) for i in range(budget)]
-    states = final_states(kind, params, eps)
-    groups: dict[int, list[np.ndarray]] = {}
-    for e, h in zip(eps, states):
-        groups.setdefault(e.target, []).append(h)
-    if len(groups) < 2:
+    batch = task.sample_batch(rng.child(0).generator(), np.full(budget, length))
+    states = final_states(kind, params, batch)
+    found, counts = np.unique(batch.targets, return_counts=True)
+    if found.size < 2:
         raise ArgumentError("fewer than 2 classes reached; cannot measure a gap")
+    labels = found.tolist()
     centroids = {}
-    for label, members in sorted(groups.items()):
-        c = np.mean(members, axis=0)
+    for label in labels:
+        c = states[batch.targets == label].mean(axis=0)
         norm = np.linalg.norm(c)
         if norm == 0:
             raise ArgumentError(f"class {label} centroid degenerate (zero vector)")
         centroids[label] = c / norm
-    labels = sorted(centroids)
     delta = math.pi
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
             cosang = float(np.clip(centroids[a] @ centroids[b], -1.0, 1.0))
             delta = min(delta, math.acos(cosang))
-    counts = {label: len(members) for label, members in groups.items()}
-    return MassGapResult(delta, centroids, counts)
+    return MassGapResult(delta, centroids, dict(zip(labels, counts.tolist())))
 
 
 def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
@@ -668,10 +651,10 @@ def pca_snapshot(entries, task: TaskConfig, temperature: float, episodes: int,
     result = {}
     for mi, (tag, kind, params) in enumerate(entries):
         mrng = rng.child(mi)
-        eps = [task.sample(mrng.child(0, i), length) for i in range(episodes)]
+        batch = task.sample_batch(mrng.child(0).generator(), np.full(episodes, length))
         noise = md.NoiseConfig(temperature=temperature, enabled=temperature > 0)
-        states = final_states(kind, params, eps, noise, mrng.child(1))
-        labels = np.array([e.target for e in eps])
+        states = final_states(kind, params, batch, noise, mrng.child(1))
+        labels = batch.targets
         _, proj2 = tc.pca_project(states, 2)
         _, proj3 = tc.pca_project(states, 3)
         entry = {"labels": labels, "k2": np.asarray(proj2), "k3": np.asarray(proj3)}

@@ -4,6 +4,10 @@ Each model exposes:
   * a numpy inference forward (with the energy-normalized noise hook), and
   * a tape forward that builds the training graph on a grad_engine.Tape.
 
+Experiments run recurrent inference through `forward_batch`, one batched
+numpy forward over a left-padded id block; the per-episode forwards are its
+B = 1 reference. The transformer keeps its own length-grouped batch forward.
+
 Parameters are small dataclasses convertible to/from flat name->array dicts
 so the optimizer and checkpoints share one representation. Readouts are
 stored as (n_queries, n_classes, n): the S3 task uses a single map
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import grad_engine as ge
 from . import tensor_core as tc
-from .errors import ArgumentError, CapacityError, DimensionError
+from .errors import ArgumentError, CapacityError, DimensionError, NumericError
 from .group_tasks import Episode
 
 HOLONOMIC = "holonomic"
@@ -548,6 +552,95 @@ def transformer_tape_loss_batched(tape: ge.Tape, leaves: dict,
 
 
 # ===================================================================== dispatch
+
+
+def _unit_rows(h: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    return np.divide(h, norms, out=h.copy(), where=norms > 0)
+
+
+def _apply_tokens(h: np.ndarray, col: np.ndarray, mats: np.ndarray) -> None:
+    """h[b] <- h[b] @ mats[col[b]] in place, one matmul per token over the rows
+    that hold it; rows with IDENTITY_STEP are left alone."""
+    order = np.argsort(col, kind="stable")
+    cuts = np.searchsorted(col[order], np.arange(mats.shape[0] + 1))
+    rows = order[cuts[0]:]
+    hs = h[rows]
+    cuts = (cuts - cuts[0]).tolist()
+    for tok, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        if hi > lo:
+            hs[lo:hi] = hs[lo:hi] @ mats[tok]
+    h[rows] = hs
+
+
+def forward_batch(kind: str, params, ids, queries=None,
+                  noise: NoiseConfig = NoiseConfig(),
+                  rng: tc.RngState | None = None, *,
+                  operators: np.ndarray | None = None,
+                  renorm_interval: int = 0):
+    """Final states (B, n) and logits (B, C) of the holonomic model, the RNN or
+    the normalized RNN over a (B, L) id block left-padded with IDENTITY_STEP.
+
+    Padded steps leave a row's state unchanged, so each row matches its
+    per-episode forward. With noise enabled, one (L, B, n) Gaussian block is
+    drawn step by step from the single generator of `rng`, and only live
+    steps get the energy-normalized update. `queries` selects each row's
+    readout (None: readout 0). Holonomic inference may take precomputed
+    `operators` (float32 for low-precision runs) and rescale each state to
+    ||h0|| after every `renorm_interval` of its own steps (0: never).
+    Raises NumericError on non-finite logits.
+    """
+    if kind not in (HOLONOMIC, RNN, NORMALIZED_RNN):
+        raise ArgumentError(f"forward_batch has no path for model kind {kind!r}")
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 2:
+        raise DimensionError(f"forward_batch: need a (B, L) id block, got {ids.shape}")
+    b = ids.shape[0]
+    if ids.size and (ids.min() < ge.IDENTITY_STEP or ids.max() >= params.vocab):
+        raise ArgumentError(f"token outside vocabulary of size {params.vocab}")
+    n_queries = params.readout.shape[0]
+    queries = np.zeros(b, dtype=np.intp) if queries is None \
+        else np.asarray(queries, dtype=np.intp)
+    if queries.shape != (b,) or (b and (queries.min() < 0 or queries.max() >= n_queries)):
+        raise ArgumentError(f"queries must be {b} ids in [0, {n_queries})")
+    if noise.enabled and rng is None:
+        raise ArgumentError("noise enabled but no rng supplied")
+    if kind == HOLONOMIC:
+        ops = params.operators() if operators is None else operators
+        mats = ops.transpose(0, 2, 1)   # row states: (U h)^T = h^T U^T
+        h = np.tile(params.h0.astype(ops.dtype), (b, 1))
+        h0_norm = np.linalg.norm(params.h0)
+    else:
+        h = np.zeros((b, params.n))
+        w_rec_t = params.w_rec.T
+    gen = rng.generator() if noise.enabled else None
+    scale = noise.temperature / math.sqrt(params.n)
+    steps = np.zeros(b, dtype=np.intp)
+    for col in ids.T:
+        live = np.flatnonzero(col != ge.IDENTITY_STEP)
+        steps[live] += 1
+        if kind == HOLONOMIC:
+            _apply_tokens(h, col, mats)
+            if renorm_interval:
+                due = live[steps[live] % renorm_interval == 0]
+                norms = np.linalg.norm(h[due], axis=1, keepdims=True)
+                h[due] *= np.divide(h0_norm, norms, out=np.ones_like(norms),
+                                    where=norms > 0)
+        else:
+            hl = np.tanh(h[live] @ w_rec_t + params.w_in[col[live]] + params.bias)
+            h[live] = _unit_rows(hl) if kind == NORMALIZED_RNN else hl
+        if gen is not None:
+            hl = h[live]
+            if noise.temperature > 0:
+                g = gen.standard_normal(h.shape)[live]
+                hl = hl + g * scale * np.linalg.norm(hl, axis=1, keepdims=True)
+            h[live] = hl if kind == RNN else _unit_rows(hl)
+    readout = params.readout
+    q, c, n = readout.shape
+    logits = (h @ readout.reshape(q * c, n).T).reshape(b, q, c)[np.arange(b), queries]
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("forward_batch: non-finite logits")
+    return h, logits
 
 
 def forward_logits(kind: str, params, episode: Episode,

@@ -41,9 +41,11 @@ class RngState:
     """Immutable handle on a counter-based random stream.
 
     The same (seed, path) always yields the same samples; `child` derives
-    statistically independent substreams, one per (experiment, episode,
-    timestep, ...) coordinate, so work can be parallelized without sharing
-    mutable generator state.
+    statistically independent substreams, so work can be parallelized
+    without sharing mutable generator state. Building a generator costs
+    tens of microseconds, so callers take one stream per batch (a training
+    step, an evaluation, a noise level) and draw the whole batch from its
+    one generator: the same seed and call give the same bits.
     """
 
     seed: int
@@ -105,7 +107,8 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Pade core.
 
     For skew-symmetric input the diagonal Pade approximant is orthogonal up
-    to roundoff, so exp(A) lands on SO(N) to ~1e-14 Frobenius.
+    to roundoff, so exp(A) lands on SO(N) to ~1e-14 Frobenius. Raises
+    NumericError on non-finite input and on a result that overflowed.
     """
     a = np.asarray(a, dtype=np.float64)
     _require_square(a, "mat_exp")
@@ -116,16 +119,16 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     norm1 = float(np.max(np.sum(np.abs(a), axis=0)))
     if not np.isfinite(norm1):
         raise NumericError("mat_exp: 1-norm overflowed")
-    for degree in (3, 5, 7, 9):
-        if norm1 <= _PADE_THETA[degree]:
-            u, v = _pade(a, degree)
-            return np.linalg.solve(v - u, v + u)
-    squarings = max(0, int(np.ceil(np.log2(norm1 / _PADE_THETA[13]))))
-    scaled = a / (2.0 ** squarings)
-    u, v = _pade(scaled, 13)
-    e = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        e = e @ e
+    degree = next((d for d in (3, 5, 7, 9) if norm1 <= _PADE_THETA[d]), 13)
+    squarings = 0 if degree < 13 else max(0, int(np.ceil(np.log2(norm1 / _PADE_THETA[13]))))
+    u, v = _pade(a / (2.0 ** squarings), degree)
+    # the squarings may overflow; the result check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.linalg.solve(v - u, v + u)
+        for _ in range(squarings):
+            e = e @ e
+    if not np.all(np.isfinite(e)):
+        raise NumericError("mat_exp: result is not finite (overflow while squaring)")
     return e
 
 

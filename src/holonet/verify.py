@@ -23,8 +23,9 @@ from .group_tasks import (
     naive_s3_target,
     perm_compose,
     s3_id,
+    s3_sample_batch,
     s3_sample_episode,
-    sv_sample_episode,
+    sv_sample_batch,
     swap_token,
     swap_vocabulary,
 )
@@ -106,13 +107,16 @@ def check_cayley_table(_seed):
 
 
 def check_episode_oracles(seed):
-    for i in range(10_000):
-        ep = s3_sample_episode(RngState(seed).child(0, i), 1 + i % 8)
-        assert ep.target == naive_s3_target(ep.tokens), f"s3 mismatch at {i}"
-    for i in range(10_000):
-        ep = sv_sample_episode(RngState(seed).child(1, i), 10, 1 + i % 60)
-        assert ep.target == naive_binding_target(ep.tokens, 10, ep.query), \
-            f"binding mismatch at {i}"
+    # 10 batches of 1000 per task, lengths mixed within each batch
+    for b in range(10):
+        mix = np.arange(1000) + 7 * b
+        batch = s3_sample_batch(RngState(seed).child(0, b).generator(), 1 + mix % 8)
+        for i, ep in enumerate(batch.episodes()):
+            assert ep.target == naive_s3_target(ep.tokens), f"s3 mismatch at {b}/{i}"
+        batch = sv_sample_batch(RngState(seed).child(1, b).generator(), 10, 1 + mix % 60)
+        for i, ep in enumerate(batch.episodes()):
+            assert ep.target == naive_binding_target(ep.tokens, 10, ep.query), \
+                f"binding mismatch at {b}/{i}"
 
 
 def check_swap_symmetry(_seed):
@@ -135,6 +139,12 @@ def check_noise_silence(seed):
     _, a = md.holonomic_forward(p, ep, md.NoiseConfig(), None)
     _, b = md.holonomic_forward(p, ep, md.NoiseConfig(), RngState(12345))
     assert np.array_equal(a, b), "noise hook fired while disabled"
+    # the batched forward, on a block with a padded row
+    ids = np.array([(ge.IDENTITY_STEP, ge.IDENTITY_STEP) + ep.tokens[:3], ep.tokens])
+    for kind, params in ((md.HOLONOMIC, p), (md.RNN, md.init_rnn(RngState(seed), 8, 6, 6))):
+        _, c = md.forward_batch(kind, params, ids)
+        _, d = md.forward_batch(kind, params, ids, None, md.NoiseConfig(), RngState(12345))
+        assert np.array_equal(c, d), f"{kind} batched noise hook fired while disabled"
 
 
 def check_param_counts(seed):

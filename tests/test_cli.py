@@ -6,6 +6,7 @@ import pytest
 from holonet import cli
 from holonet import experiments as ex
 from holonet import models as md
+from holonet.checkpoint import save_checkpoint
 from holonet.errors import NumericError
 from holonet.group_tasks import Curriculum
 from holonet.tensor_core import RngState
@@ -57,3 +58,19 @@ def test_train_raises_on_non_finite_loss_or_gradient(kind):
     with pytest.raises(NumericError):
         ex.train(ex.ModelConfig(kind=kind, n=8, layers=1, heads=2), ex.TaskConfig(),
                  Curriculum(kind="stepwise", l_min=1, l_max=2), cfg, RngState(7))
+
+
+@pytest.mark.parametrize("command", ["sweep", "genlen", "massgap"])
+def test_non_finite_operators_exit_numeric(tmp_path, command):
+    # finite generators so large that exp(M - M^T) overflows: evaluation must
+    # stop with exit 3 instead of scoring NaN logits as class 0
+    params = md.init_holonomic(RngState(8), 8, 6, 6)
+    params.generators *= 1e300
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(ckpt, md.HOLONOMIC, params)
+    config = tmp_path / "probe.ini"
+    config.write_text(f"[noise]\npoints = 2\nepisodes = 4\ncheckpoint = {ckpt}\n"
+                      f"[genlen]\nlengths = 5\nepisodes = 4\ncheckpoint = {ckpt}\n"
+                      f"[massgap]\nepisodes_per_class = 2\ncheckpoint = {ckpt}\n")
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_NUMERIC

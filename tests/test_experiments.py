@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from holonet import experiments as ex
+from holonet import grad_engine as ge
 from holonet import models as md
 from holonet.errors import ArgumentError
-from holonet.group_tasks import Curriculum
+from holonet.group_tasks import Curriculum, Episode, s3_target
 from holonet.tensor_core import RngState, mat_exp, skew
 
 
@@ -151,6 +153,29 @@ def test_horizon_holonomic_unity_both_methods():
     assert np.max(np.abs(op.j_values - ad.j_values)) < 1e-6
 
 
+# J(t) of the autodiff horizon when its tape differentiated through mat_exp
+# nodes of the generators; taking the operators as leaves must reproduce it
+PARENT_AUTODIFF_J = [1.0, 0.9999999999999998, 0.9999999999999978,
+                     0.9999999999999916, 0.9999999999999686]
+
+
+def test_horizon_autodiff_reproduces_generator_graph_without_mat_exp(monkeypatch):
+    tapes = []
+
+    class RecordingTape(ge.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(ge, "Tape", RecordingTape)
+    p = md.init_holonomic(RngState(10), 12, 6, 6)
+    p.generators *= 3.0
+    curve = ex.jacobian_horizon(md.HOLONOMIC, p, [1, 5, 20, 100, 400], "autodiff",
+                                RngState(11))
+    assert np.max(np.abs(curve.j_values - PARENT_AUTODIFF_J)) <= 1e-12
+    assert len(tapes) == 1 and "mat_exp" not in tapes[0].ops
+
+
 def test_horizon_rejects_transformer():
     p = md.init_transformer(RngState(12), 8, 1, 2, 8, 6, 6)
     with pytest.raises(ArgumentError):
@@ -200,6 +225,8 @@ def test_mass_gap_on_random_model_reaches_all_classes():
     result = ex.mass_gap(md.HOLONOMIC, p, ex.TaskConfig(), RngState(17),
                          episodes_per_class=40)
     assert len(result.centroids) == 6
+    assert sum(result.counts.values()) == 40 * 6 * 2
+    assert all(type(k) is int for k in result.counts)
     assert 0.0 <= result.delta <= math.pi
     rotated = {k: v for k, v in rotate_all(result.centroids, 18).items()}
     assert abs(min_geodesic(rotated) - result.delta) < 1e-10
@@ -243,6 +270,106 @@ def test_noise_sweep_bit_reproducible():
     assert np.array_equal(a.acc_lo, b.acc_lo)
 
 
+def test_noise_sweep_holonomic_same_seed_same_bits_and_noise_matters():
+    p = md.init_holonomic(RngState(24), 8, 6, 6)
+    grid = [0.0, 0.4, 3.0]
+    a = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), grid, 96, RngState(25))
+    b = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), grid, 96, RngState(25))
+    c = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), grid, 96, RngState(26))
+    assert np.array_equal(a.outcomes, b.outcomes) and np.array_equal(a.acc_hi, b.acc_hi)
+    assert not np.array_equal(a.outcomes, c.outcomes)
+    # level i scores its batch from rng.child(0, i) with noise from rng.child(1, i)
+    for ti, temp in enumerate(grid):
+        batch = ex.TaskConfig().sample_batch(RngState(25).child(0, ti).generator(),
+                                             np.full(96, 5))
+        noise = md.NoiseConfig(temperature=temp, enabled=temp > 0)
+        preds = ex.predictions(md.HOLONOMIC, p, batch, noise, RngState(25).child(1, ti))
+        assert np.array_equal(a.outcomes[ti], preds == batch.targets)
+
+
+@pytest.mark.parametrize("precision", [64, 32])
+@pytest.mark.parametrize("task", [ex.TaskConfig(), ex.TaskConfig(kind="binding", variables=4)])
+def test_length_generalization_matches_per_episode_loop(precision, task):
+    p = md.init_holonomic(RngState(40), 8, task.vocab, task.n_classes,
+                          n_queries=task.n_queries)
+    lengths = [3, 40] if precision == 32 else [3, 40, 300]
+    rows = ex.length_generalization_eval(md.HOLONOMIC, p, task, lengths, 32,
+                                         precision, RngState(41), renorm_interval=8)
+    again = ex.length_generalization_eval(md.HOLONOMIC, p, task, lengths, 32,
+                                          precision, RngState(41), renorm_interval=8)
+    assert rows == again
+    ops = p.operators().astype(np.float32 if precision == 32 else np.float64)
+    norm0 = float(np.linalg.norm(p.h0))
+    for li, (length, row) in enumerate(zip(lengths, rows)):
+        batch = task.sample_batch(RngState(41).child(li).generator(), np.full(32, length))
+        correct = 0
+        for e in batch.episodes():   # the loop the experiment ran before batching
+            h = p.h0.astype(ops.dtype, copy=True)
+            for t, tok in enumerate(e.tokens):
+                h = ops[tok] @ h
+                if (t + 1) % 8 == 0:
+                    h *= norm0 / float(np.linalg.norm(h))
+            correct += int(np.argmax(p.readout[e.query or 0] @ h) == e.target)
+        assert row["acc"] == correct / 32
+
+
+def test_length_generalization_rnn_and_transformer_score_the_same_batch():
+    task = ex.TaskConfig()
+    rnn = md.init_rnn(RngState(42), 8, 6, 6)
+    tr = md.init_transformer(RngState(43), 8, 1, 2, 8, 6, 6, pos_mode="sinusoidal")
+    for kind, params in ((md.RNN, rnn), (md.TRANSFORMER, tr)):
+        rows = ex.length_generalization_eval(kind, params, task, [4, 9], 24, 64,
+                                             RngState(44))
+        for li, row in enumerate(rows):
+            batch = task.sample_batch(RngState(44).child(li).generator(),
+                                      np.full(24, row["L"]))
+            expected = np.mean([np.argmax(md.forward_logits(kind, params, e)) == e.target
+                                for e in batch.episodes()])
+            assert row["acc"] == expected
+
+
+@pytest.mark.parametrize("kind", [md.HOLONOMIC, md.NORMALIZED_RNN, md.TRANSFORMER])
+def test_exhaustive_s3_accuracy_scores_every_sequence(kind, monkeypatch):
+    if kind == md.TRANSFORMER:
+        p = md.init_transformer(RngState(45), 8, 1, 2, 8, 6, 6)
+    else:
+        p = md.init_holonomic(RngState(45), 8, 6, 6) if kind == md.HOLONOMIC \
+            else md.init_rnn(RngState(45), 8, 6, 6)
+    monkeypatch.setattr(ex, "SCORE_BLOCK", 50)   # several blocks, one ragged
+    correct = 0
+    for tokens in itertools.product(range(6), repeat=3):
+        e = Episode(tokens, s3_target(tokens), 3)
+        correct += int(np.argmax(md.forward_logits(kind, p, e)) == e.target)
+    assert ex.exhaustive_s3_accuracy(kind, p, 3) == correct / 216
+
+
+def test_validation_is_exhaustive_for_small_s3_and_sampled_otherwise():
+    p = md.init_holonomic(RngState(46), 8, 6, 6)
+    s3 = ex.TaskConfig()
+    for l_max in (1, 5):
+        cur = Curriculum(kind="stepwise", l_min=1, l_max=l_max)
+        assert ex.validation_accuracy(md.HOLONOMIC, p, s3, cur, 16, RngState(47)) == \
+            ex.exhaustive_s3_accuracy(md.HOLONOMIC, p, l_max)
+    cur = Curriculum(kind="stepwise", l_min=1, l_max=6)   # 6^6 > 8192 sequences
+    assert ex.validation_accuracy(md.HOLONOMIC, p, s3, cur, 16, RngState(47)) == \
+        ex.evaluate_accuracy(md.HOLONOMIC, p, s3, 6, 16, RngState(47))
+    binding = ex.TaskConfig(kind="binding", variables=4)
+    pb = md.init_holonomic(RngState(48), 8, 6, 4, n_queries=4)
+    cur = Curriculum(kind="stepwise", l_min=2, l_max=3)
+    assert ex.validation_accuracy(md.HOLONOMIC, pb, binding, cur, 16, RngState(49)) == \
+        ex.evaluate_accuracy(md.HOLONOMIC, pb, binding, [2, 3], 16, RngState(49))
+
+
+def test_evaluate_accuracy_cycles_lengths_from_one_stream():
+    p = md.init_rnn(RngState(50), 8, 6, 6)
+    task = ex.TaskConfig()
+    acc = ex.evaluate_accuracy(md.RNN, p, task, [2, 5, 3], 30, RngState(51))
+    batch = task.sample_batch(RngState(51).child(0).generator(), [2, 5, 3] * 10)
+    expected = np.mean([np.argmax(md.forward_logits(md.RNN, p, e)) == e.target
+                        for e in batch.episodes()])
+    assert acc == expected
+
+
 def test_length_generalization_guards():
     p = md.init_holonomic(RngState(26), 8, 6, 6)
     with pytest.raises(ArgumentError):
@@ -268,6 +395,23 @@ def test_train_smoke_converges_tiny_holonomic():
                    cur, cfg, RngState(30))
     assert res.converged
     assert res.final_accuracy == 1.0
+
+
+def test_train_same_seed_same_bits():
+    cur = Curriculum(kind="ramp", l_min=1, l_max=4, ramp_fraction=0.5)
+    cfg = ex.TrainConfig(steps=6, batch=8, eval_interval=3, gate_episodes=16,
+                         val_episodes=16)
+
+    def run(seed):
+        return ex.train(ex.ModelConfig(kind=md.HOLONOMIC, n=8),
+                        ex.TaskConfig(kind="binding", variables=4), cur, cfg,
+                        RngState(seed))
+
+    a, b, c = run(32), run(32), run(33)
+    assert a.log == b.log and a.final_accuracy == b.final_accuracy
+    for name, value in a.params.to_dict().items():
+        assert np.array_equal(value, b.params.to_dict()[name]), name
+    assert not np.array_equal(a.params.generators, c.params.generators)
 
 
 def test_train_nonconvergence_carries_params():

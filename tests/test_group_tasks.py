@@ -3,11 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from holonet import grad_engine as ge
 from holonet.errors import ArgumentError
 from holonet.group_tasks import (
+    PAD_ID,
+    S3_CAYLEY,
+    S3_ELEMENTS,
     Curriculum,
     Episode,
-    S3_ELEMENTS,
     Perm,
     binding_target,
     curriculum_advance,
@@ -19,9 +22,11 @@ from holonet.group_tasks import (
     perm_identity,
     perm_inverse,
     s3_id,
+    s3_sample_batch,
     s3_sample_episode,
     s3_target,
-    sample_length,
+    sample_lengths,
+    sv_sample_batch,
     sv_sample_episode,
     swap_token,
     swap_vocabulary,
@@ -104,6 +109,67 @@ def test_s3_sampling_deterministic():
     a = s3_sample_episode(RngState(9), 7)
     b = s3_sample_episode(RngState(9), 7)
     assert a == b
+
+
+# Episodes the per-episode samplers drew before they became B = 1 batches
+# (one generator, integers then query); the batch sampler keeps these bits.
+PINNED_S3 = [((9,), 7, (1, 2, 5, 0, 2, 5, 0), 5),
+             ((123,), 3, (1, 5, 2), 5)]
+PINNED_BINDING = [((4,), 6, (43, 18, 38, 32, 43, 41), 2, 6),
+                  ((5,), 4, (38, 38, 6, 41), 8, 8)]
+
+
+def test_per_episode_samplers_keep_their_bits():
+    for seed, length, tokens, target in PINNED_S3:
+        assert s3_sample_episode(RngState(*seed), length) == \
+            Episode(tokens, target, length)
+    for seed, length, tokens, target, query in PINNED_BINDING:
+        assert sv_sample_episode(RngState(*seed), 10, length) == \
+            Episode(tokens, target, length, query)
+    ep = s3_sample_episode(RngState(9), 7)
+    assert all(type(t) is int for t in ep.tokens) and type(ep.target) is int
+
+
+def test_pad_id_is_the_training_graph_identity_step():
+    assert PAD_ID == ge.IDENTITY_STEP
+
+
+def test_cayley_table_matches_perm_composition():
+    for a, b in itertools.product(range(6), range(6)):
+        assert S3_CAYLEY[a, b] == s3_id(perm_compose(S3_ELEMENTS[a], S3_ELEMENTS[b]))
+
+
+@pytest.mark.parametrize("lengths", [[1], [1, 1, 1], [3, 1, 7, 1, 12, 5, 7], [2] * 5])
+def test_batch_sampler_matches_naive_oracles(lengths):
+    for seed in range(20):
+        batch = s3_sample_batch(RngState(seed).generator(), lengths)
+        assert batch.ids.shape == (len(lengths), max(lengths))
+        eps = batch.episodes()
+        assert [e.length for e in eps] == list(lengths)
+        for row, e in zip(batch.ids, eps):
+            assert np.all(row[:max(lengths) - e.length] == PAD_ID)
+            assert e.target == naive_s3_target(e.tokens)
+        batch = sv_sample_batch(RngState(seed).child(1).generator(), 6, lengths)
+        for e in batch.episodes():
+            assert 0 <= e.query < 6 and e.query is not None
+            assert e.target == naive_binding_target(e.tokens, 6, e.query)
+
+
+def test_batch_row_keeps_the_first_tokens_of_its_draw():
+    # row i uses the first lengths[i] tokens of row i of one (B, L_max) draw
+    lengths = [4, 1, 6]
+    raw = RngState(3).generator().integers(0, 6, size=(3, 6))
+    eps = s3_sample_batch(RngState(3).generator(), lengths).episodes()
+    for row, e in zip(raw, eps):
+        assert e.tokens == tuple(row[:e.length])
+
+
+def test_batch_sampler_rejects_bad_lengths():
+    for lengths in ([], [0, 3], [[2, 3]]):
+        with pytest.raises(ArgumentError):
+            s3_sample_batch(RngState(0).generator(), lengths)
+    with pytest.raises(ArgumentError):
+        sv_sample_batch(RngState(0).generator(), 1, [3])
 
 
 # ---------------------------------------------------------------- binding episodes
@@ -194,15 +260,29 @@ def test_ramp_interpolation():
 
 def test_ramp_terminal_bias_frequency():
     c = curriculum_advance(Curriculum(kind="ramp", l_min=10, l_max=50), 0.9)
-    draws = np.array([sample_length(c, RngState(5).child(i)) for i in range(10_000)])
+    draws = sample_lengths(c, RngState(5).generator(), 10_000)
     assert np.all((draws >= 10) & (draws <= 50))
-    assert abs(np.mean(draws == 50) - 0.5) < 0.02
+    # P(50) = 0.5 + 0.5 / 41; the rest uniform on [10, 50]
+    assert abs(np.mean(draws == 50) - (0.5 + 0.5 / 41)) < 0.02
+    below = draws[draws < 50]
+    assert abs(below.mean() - 29.5) < 0.5
 
 
 def test_ramp_sampling_respects_cap_mid_ramp():
     c = curriculum_advance(Curriculum(kind="ramp", l_min=10, l_max=50), 0.35)
-    draws = [sample_length(c, RngState(6).child(i)) for i in range(2000)]
-    assert max(draws) <= 30 and min(draws) >= 10
+    draws = sample_lengths(c, RngState(6).generator(), 2000)
+    assert draws.max() == 30 and draws.min() == 10
+    counts = np.bincount(draws - 10)
+    assert np.all(np.abs(counts - 2000 / 21) < 4 * np.sqrt(2000 / 21))
+
+
+def test_stepwise_sampling_concentrates_on_gated_length():
+    c = Curriculum(kind="stepwise", l_min=1, l_max=5, max_len=3)
+    draws = sample_lengths(c, RngState(8).generator(), 20_000)
+    assert set(np.unique(draws).tolist()) == {1, 2, 3}
+    # max_bias 0.5 on the gated length, the other half uniform on [1, 3]
+    freq = np.bincount(draws, minlength=4)[1:] / draws.size
+    assert np.allclose(freq, [1 / 6, 1 / 6, 2 / 3], atol=0.015)
 
 
 def test_curriculum_max_len_monotone():
@@ -217,8 +297,8 @@ def test_curriculum_max_len_monotone():
 def test_sample_floor_allows_shorter_than_ramp_start():
     c = Curriculum(kind="ramp", l_min=5, l_max=50, ramp_start=10)
     assert c.max_len == 10
-    draws = [sample_length(c, RngState(7).child(i)) for i in range(500)]
-    assert min(draws) == 5 and max(draws) <= 10
+    draws = sample_lengths(c, RngState(7).generator(), 500)
+    assert draws.min() == 5 and draws.max() <= 10
 
 
 # ---------------------------------------------------------------- serialization

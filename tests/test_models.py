@@ -5,8 +5,14 @@ import pytest
 
 from holonet import grad_engine as ge
 from holonet import models as md
-from holonet.errors import ArgumentError, CapacityError, DimensionError
-from holonet.group_tasks import Episode, s3_sample_episode, sv_sample_episode
+from holonet.errors import ArgumentError, CapacityError, DimensionError, NumericError
+from holonet.group_tasks import (
+    Episode,
+    s3_sample_batch,
+    s3_sample_episode,
+    sv_sample_batch,
+    sv_sample_episode,
+)
 from holonet.tensor_core import RngState
 
 
@@ -191,6 +197,120 @@ def test_transformer_residual_noise_deterministic():
     a = md.transformer_forward(p, ep, noise, RngState(7))
     b = md.transformer_forward(p, ep, noise, RngState(7))
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------- batched forward
+
+MIXED = [3, 1, 7, 1, 12, 5, 7, 2]
+
+
+def recurrent_params(kind, seed, n=10, vocab=6, classes=6, queries=1):
+    if kind == md.HOLONOMIC:
+        return md.init_holonomic(RngState(seed), n, vocab, classes, n_queries=queries)
+    return md.init_rnn(RngState(seed), n, vocab, classes, n_queries=queries)
+
+
+@pytest.mark.parametrize("kind", [md.HOLONOMIC, md.RNN, md.NORMALIZED_RNN])
+@pytest.mark.parametrize("task", ["s3", "binding"])
+def test_forward_batch_matches_per_episode_forward(kind, task):
+    if task == "s3":
+        params = recurrent_params(kind, 70)
+        batch = s3_sample_batch(RngState(71).generator(), MIXED)
+    else:
+        params = recurrent_params(kind, 72, vocab=10, classes=5, queries=5)
+        batch = sv_sample_batch(RngState(73).generator(), 5, MIXED)
+    states, logits = md.forward_batch(kind, params, batch.ids, batch.queries)
+    for i, e in enumerate(batch.episodes()):
+        if kind == md.HOLONOMIC:
+            traj, ref = md.holonomic_forward(params, e)
+        else:
+            traj, ref = md.rnn_forward(params, e, normalized=kind == md.NORMALIZED_RNN)
+        assert np.max(np.abs(states[i] - traj[-1])) <= 1e-12
+        assert np.max(np.abs(logits[i] - ref)) <= 1e-12
+
+
+def test_forward_batch_float32_with_renormalization_matches_per_episode_loop():
+    # the per-episode loop length generalization ran before it was batched;
+    # operators 1% off orthogonal make every missed rescaling visible
+    params = md.init_holonomic(RngState(74), 16, 6, 6)
+    ops = (1.01 * params.operators()).astype(np.float32)
+    batch = s3_sample_batch(RngState(75).generator(), [200, 37, 130, 1, 200])
+    states, logits = md.forward_batch(md.HOLONOMIC, params, batch.ids,
+                                      operators=ops, renorm_interval=16)
+    assert states.dtype == np.float32
+    target_norm = float(np.linalg.norm(params.h0))
+    for i, e in enumerate(batch.episodes()):
+        h = params.h0.astype(np.float32, copy=True)
+        for t, tok in enumerate(e.tokens):
+            h = ops[tok] @ h
+            if (t + 1) % 16 == 0:
+                h *= target_norm / float(np.linalg.norm(h))
+        # float32 roundoff over 200 steps; the orders of summation differ
+        assert np.max(np.abs(states[i] - h)) < 1e-5
+        assert np.argmax(logits[i]) == np.argmax(params.readout[0] @ h)
+
+
+def test_forward_batch_noise_touches_only_live_steps():
+    # row 0 has one live step, so its state is h0 until the last column
+    params = md.init_holonomic(RngState(76), 8, 6, 6)
+    ids = np.array([[-1, -1, -1, 4], [0, 1, 2, 3]])
+    temp = 0.6
+    noise = md.NoiseConfig(temperature=temp, enabled=True)
+    states, _ = md.forward_batch(md.HOLONOMIC, params, ids, None, noise, RngState(77))
+    gen = RngState(77).generator()
+    g = [gen.standard_normal((2, 8)) for _ in range(4)][-1][0]
+    h = params.operators()[4] @ params.h0
+    h = h + g * temp / math.sqrt(8) * np.linalg.norm(h)
+    assert np.allclose(states[0], h / np.linalg.norm(h), atol=1e-13)
+    again, _ = md.forward_batch(md.HOLONOMIC, params, ids, None, noise, RngState(77))
+    assert np.array_equal(states, again)
+
+
+def test_forward_batch_noise_energy_scaling():
+    # one step from h0 on a batch: E ||eta||^2 = T^2 ||h||^2, as for inject_noise
+    n, temp, b = 16, 0.7, 6000
+    params = md.init_rnn(RngState(78), n, 6, 6)
+    ids = np.full((b, 1), 2)
+    clean, _ = md.forward_batch(md.RNN, params, ids)
+    noisy, _ = md.forward_batch(md.RNN, params, ids, None,
+                                md.NoiseConfig(temperature=temp, enabled=True), RngState(79))
+    base = np.linalg.norm(clean[0]) ** 2
+    measured = np.mean(np.sum((noisy - clean) ** 2, axis=1))
+    assert abs(measured - temp ** 2 * base) / (temp ** 2 * base) < 0.03
+
+
+def test_forward_batch_normalized_rnn_stays_on_sphere_under_noise():
+    params = md.init_rnn(RngState(80), 12, 6, 6)
+    batch = s3_sample_batch(RngState(81).generator(), MIXED)
+    states, _ = md.forward_batch(md.NORMALIZED_RNN, params, batch.ids, None,
+                                 md.NoiseConfig(temperature=2.0, enabled=True),
+                                 RngState(82))
+    assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
+
+
+def test_forward_batch_rejects_bad_input():
+    params = md.init_holonomic(RngState(83), 8, 6, 6, n_queries=2)
+    with pytest.raises(ArgumentError):
+        md.forward_batch(md.HOLONOMIC, params, np.array([[0, 6]]))
+    with pytest.raises(ArgumentError):
+        md.forward_batch(md.HOLONOMIC, params, np.array([[-2, 0]]))
+    with pytest.raises(ArgumentError):
+        md.forward_batch(md.HOLONOMIC, params, np.array([[0, 1]]), np.array([2]))
+    with pytest.raises(DimensionError):
+        md.forward_batch(md.HOLONOMIC, params, np.array([0, 1]))
+    with pytest.raises(ArgumentError):
+        md.forward_batch(md.HOLONOMIC, params, np.array([[0, 1]]), None,
+                         md.NoiseConfig(temperature=0.1, enabled=True))
+    with pytest.raises(ArgumentError):
+        md.forward_batch(md.TRANSFORMER, small_transformer(), np.array([[0, 1]]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_forward_batch_raises_on_non_finite_logits():
+    params = md.init_rnn(RngState(84), 8, 6, 6)
+    params.readout[0, 0, 0] = np.inf
+    with pytest.raises(NumericError):
+        md.forward_batch(md.RNN, params, np.array([[0, 1, 2]]))
 
 
 # ---------------------------------------------------------------- tape vs numpy

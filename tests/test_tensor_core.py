@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holonet.errors import ArgumentError, ConvergenceError, DimensionError
+from holonet.errors import ArgumentError, ConvergenceError, DimensionError, NumericError
 from holonet.tensor_core import (
     RngState,
     gaussian,
@@ -126,6 +126,15 @@ def test_mat_exp_large_norm_scaling_path():
     a = skew(m)
     u = mat_exp(a)
     assert np.linalg.norm(u.T @ u - np.eye(6), "fro") < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e3])
+def test_mat_exp_raises_when_squaring_overflows(scale):
+    # finite input whose exponential (or its scaling-and-squaring) overflows
+    m = RngState(13).generator().standard_normal((6, 6))
+    a = scale * (skew(m) if scale > 1e100 else m)
+    with pytest.raises(NumericError):
+        mat_exp(a)
 
 
 def test_mat_exp_rejects_nonsquare():
