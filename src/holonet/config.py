@@ -12,16 +12,24 @@ L=5). All randomness derives from [run] seed. Cross-field constraints are
 checked before any compute: the binding task requires a state dimension of
 at least the variable count, and learned positional tables must cover the
 curriculum's maximum length.
+
+The keys are derived from the dataclasses: each section fills one RunConfig
+attribute (`_SECTIONS`), and each field of that attribute's dataclass is a
+key, parsed by its type hint. A new setting is added to its dataclass only.
+Two fields are exceptions: `Curriculum.max_len` and `Curriculum.progress`
+are training state and are rejected as keys, and `RunConfig.save` is read
+and written under [train].
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from . import models as md
-from .errors import ConfigError
+from .errors import ArgumentError, ConfigError
 from .experiments import BINDING, S3, ModelConfig, TaskConfig, TrainConfig
 from .group_tasks import Curriculum
 
@@ -45,12 +53,12 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScalingSpec:
-    widths: tuple = (8, 16, 32, 64, 128)
+    widths: tuple[int, ...] = (8, 16, 32, 64, 128)
 
 
 @dataclass(frozen=True)
 class GenlenSpec:
-    lengths: tuple = (50, 100, 200, 500, 1000, 2000, 5000)
+    lengths: tuple[int, ...] = (50, 100, 200, 500, 1000, 2000, 5000)
     episodes: int = 512
     checkpoint: str = ""
 
@@ -81,15 +89,22 @@ class PcaSpec:
     temperature: float = 0.0
     episodes: int = 1200
     length: int = 5
-    checkpoints: tuple = ()
-    tags: tuple = ()
+    checkpoints: tuple[str, ...] = ()
+    tags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class BenchSpec:
-    lengths: tuple = (256, 1024, 4096, 16384)
+    lengths: tuple[int, ...] = (256, 1024, 4096, 16384)
     n: int = 32
     vocab: int = 6
+
+
+# Curriculum defaults by task kind, where the config leaves them unset.
+_CURRICULUM_DEFAULTS = {
+    S3: {"kind": "stepwise", "l_min": 1, "l_max": 5},
+    BINDING: {"kind": "ramp", "l_min": 5, "l_max": 50, "ramp_start": 10},
+}
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,7 @@ class RunConfig:
     precision: int = 64
     model: ModelConfig = ModelConfig()
     task: TaskConfig = TaskConfig()
-    curriculum: Curriculum = Curriculum(kind="stepwise", l_min=1, l_max=5)
+    curriculum: Curriculum = Curriculum(**_CURRICULUM_DEFAULTS[S3])
     train: TrainConfig = TrainConfig()
     save: str = ""
     sweep: SweepSpec = SweepSpec()
@@ -122,172 +137,87 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_tuple(cast):
-    def parse(text: str):
-        items = [p.strip() for p in text.split(",") if p.strip()]
-        return tuple(cast(p) for p in items)
-    return parse
+# INI section -> the RunConfig attribute it fills ("" for RunConfig's own
+# fields); a key is named as its field unless _RENAMED says otherwise.
+# Exceptions: Curriculum.max_len and .progress are training state, not
+# settings (_STATE); RunConfig.save lives under [train] (_MOVED).
+_SECTIONS = {"run": "", "model": "model", "task": "task", "curriculum": "curriculum",
+             "train": "train", "noise": "sweep", "scaling": "scaling",
+             "genlen": "genlen", "horizon": "horizon", "massgap": "massgap",
+             "pca": "pca", "bench": "bench"}
+_RENAMED = {("model", "pos_mode"): "positional"}
+_STATE = {("curriculum", "max_len"), ("curriculum", "progress")}
+_MOVED = {"save": "train"}
+_SPECS = get_type_hints(RunConfig)   # field -> type; a section's type is its dataclass
 
 
-# section -> key -> (target dataclass attr path, parser)
-_SCHEMA = {
-    "run": {
-        "experiment": ("experiment", str),
-        "seed": ("seed", int),
-        "out": ("out", str),
-        "workers": ("workers", int),
-        "precision": ("precision", int),
-    },
-    "model": {
-        "kind": ("model.kind", str),
-        "n": ("model.n", int),
-        "layers": ("model.layers", int),
-        "heads": ("model.heads", int),
-        "d_ff": ("model.d_ff", int),
-        "positional": ("model.pos_mode", str),
-        "max_len": ("model.max_len", int),
-        "pool": ("model.pool", str),
-        "gen_scale": ("model.gen_scale", float),
-    },
-    "task": {
-        "kind": ("task.kind", str),
-        "variables": ("task.variables", int),
-    },
-    "curriculum": {
-        "kind": ("curriculum.kind", str),
-        "l_min": ("curriculum.l_min", int),
-        "l_max": ("curriculum.l_max", int),
-        "ramp_start": ("curriculum.ramp_start", int),
-        "ramp_fraction": ("curriculum.ramp_fraction", float),
-        "max_bias": ("curriculum.max_bias", float),
-        "gate_threshold": ("curriculum.gate_threshold", float),
-    },
-    "train": {
-        "steps": ("train.steps", int),
-        "batch": ("train.batch", int),
-        "lr": ("train.lr", float),
-        "beta1": ("train.beta1", float),
-        "beta2": ("train.beta2", float),
-        "eps": ("train.eps", float),
-        "clip": ("train.clip", float),
-        "eval_interval": ("train.eval_interval", int),
-        "gate_episodes": ("train.gate_episodes", int),
-        "val_episodes": ("train.val_episodes", int),
-        "target_accuracy": ("train.target_accuracy", float),
-        "lr_schedule": ("train.lr_schedule", str),
-        "lr_floor": ("train.lr_floor", float),
-        "early_stop": ("train.early_stop", _parse_bool),
-        "save": ("save", str),
-    },
-    "noise": {
-        "t_max": ("sweep.t_max", float),
-        "points": ("sweep.points", int),
-        "episodes": ("sweep.episodes", int),
-        "threshold": ("sweep.threshold", float),
-        "length": ("sweep.length", int),
-        "site": ("sweep.site", str),
-        "checkpoint": ("sweep.checkpoint", str),
-    },
-    "scaling": {
-        "widths": ("scaling.widths", _parse_tuple(int)),
-    },
-    "genlen": {
-        "lengths": ("genlen.lengths", _parse_tuple(int)),
-        "episodes": ("genlen.episodes", int),
-        "checkpoint": ("genlen.checkpoint", str),
-    },
-    "horizon": {
-        "t_max": ("horizon.t_max", int),
-        "points": ("horizon.points", int),
-        "method": ("horizon.method", str),
-        "fit_min_t": ("horizon.fit_min_t", int),
-        "checkpoint": ("horizon.checkpoint", str),
-    },
-    "massgap": {
-        "episodes_per_class": ("massgap.episodes_per_class", int),
-        "length": ("massgap.length", int),
-        "checkpoint": ("massgap.checkpoint", str),
-    },
-    "pca": {
-        "temperature": ("pca.temperature", float),
-        "episodes": ("pca.episodes", int),
-        "length": ("pca.length", int),
-        "checkpoints": ("pca.checkpoints", _parse_tuple(str)),
-        "tags": ("pca.tags", _parse_tuple(str)),
-    },
-    "bench": {
-        "lengths": ("bench.lengths", _parse_tuple(int)),
-        "n": ("bench.n", int),
-        "vocab": ("bench.vocab", int),
-    },
-}
+def _parser(hint):
+    if hint is bool:
+        return _parse_bool
+    if get_origin(hint) is tuple:
+        cast = get_args(hint)[0]
+        return lambda text: tuple(cast(p.strip()) for p in text.split(",") if p.strip())
+    return hint
 
 
-def _task_defaults(values: dict) -> dict:
-    """Fill curriculum defaults from the task when not explicitly set."""
-    task_kind = values.get("task.kind", S3)
-    if task_kind == BINDING:
-        values.setdefault("curriculum.kind", "ramp")
-        values.setdefault("curriculum.l_min", 5)
-        values.setdefault("curriculum.l_max", 50)
-        values.setdefault("curriculum.ramp_start", 10)
-    else:
-        values.setdefault("curriculum.kind", "stepwise")
-        values.setdefault("curriculum.l_min", 1)
-        values.setdefault("curriculum.l_max", 5)
-    return values
+def _key_table() -> dict:
+    """section -> INI key -> (RunConfig attribute, field name, parser)."""
+    table = {section: {} for section in _SECTIONS}
+    for section, attr in _SECTIONS.items():
+        cls = _SPECS[attr] if attr else RunConfig
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if (section, f.name) in _STATE or is_dataclass(hints[f.name]) \
+                    or (not attr and f.name in _MOVED):
+                continue
+            key = _RENAMED.get((section, f.name), f.name)
+            table[section][key] = (attr, f.name, _parser(hints[f.name]))
+    for name, section in _MOVED.items():
+        table[section][name] = ("", name, _parser(_SPECS[name]))
+    return table
+
+
+_KEYS = _key_table()
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the INI config text into a fully-defaulted RunConfig."""
     if not text.strip():
         raise ConfigError("empty configuration")
-    parser = configparser.ConfigParser(strict=True, interpolation=None,
+    # default_section="" makes [DEFAULT] an ordinary, and so unknown, section
+    # instead of defaults merged into every other section.
+    parser = configparser.ConfigParser(strict=True, interpolation=None, default_section="",
                                        inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"parse error: {err}") from err
-    values: dict = {}
+    values = {attr: {} for attr in _SECTIONS.values()}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            target, cast = _SCHEMA[section][key]
+            attr, name, cast = _KEYS[section][key]
             try:
-                values[target] = cast(raw)
+                values[attr][name] = cast(raw)
             except ConfigError:
                 raise
             except (TypeError, ValueError) as err:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {raw!r} ({err})") from err
-    values = _task_defaults(values)
-
-    def build(prefix, cls):
-        kwargs = {k.split(".", 1)[1]: v for k, v in values.items()
-                  if k.startswith(prefix + ".")}
-        try:
-            return cls(**kwargs)
-        except Exception as err:
-            raise ConfigError(f"invalid [{prefix}] settings: {err}") from err
-
-    top = {k: v for k, v in values.items() if "." not in k}
-    cfg = RunConfig(
-        **top,
-        model=build("model", ModelConfig),
-        task=build("task", TaskConfig),
-        curriculum=build("curriculum", Curriculum),
-        train=build("train", TrainConfig),
-        sweep=build("sweep", SweepSpec),
-        scaling=build("scaling", ScalingSpec),
-        genlen=build("genlen", GenlenSpec),
-        horizon=build("horizon", HorizonSpec),
-        massgap=build("massgap", MassGapSpec),
-        pca=build("pca", PcaSpec),
-        bench=build("bench", BenchSpec),
-    )
+    task_kind = values["task"].get("kind", S3)
+    values["curriculum"] = {**_CURRICULUM_DEFAULTS.get(task_kind, _CURRICULUM_DEFAULTS[S3]),
+                            **values["curriculum"]}
+    specs = {}
+    for section, attr in _SECTIONS.items():
+        if attr:
+            try:
+                specs[attr] = _SPECS[attr](**values[attr])
+            except ArgumentError as err:
+                raise ConfigError(f"invalid [{section}] settings: {err}") from err
+    cfg = RunConfig(**values[""], **specs)
     validate_config(cfg)
     return cfg
 
@@ -319,6 +249,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"learned positional table (max_len={cfg.model.max_len}) smaller "
             f"than curriculum maximum length {cfg.curriculum.l_max}")
+    if cfg.train.eval_interval < 1:
+        raise ConfigError("train eval_interval must be >= 1")
+    if cfg.train.lr_schedule not in ("constant", "cosine"):
+        raise ConfigError("train lr_schedule must be constant or cosine")
+    if cfg.sweep.points < 2:
+        raise ConfigError("noise points must be >= 2")
     if cfg.sweep.threshold <= 0 or cfg.sweep.threshold > 1:
         raise ConfigError("sweep threshold must lie in (0, 1]")
     if cfg.horizon.method not in ("autodiff", "operator-norm", "both"):
@@ -334,50 +270,12 @@ def validate_config(cfg: RunConfig) -> None:
 def render_config(cfg: RunConfig) -> str:
     """Serialize the resolved config back to INI text (the run snapshot)."""
     parser = configparser.ConfigParser(interpolation=None)
-
-    def put(section, mapping):
-        parser[section] = {k: str(v) for k, v in mapping.items()}
-
-    put("run", {"experiment": cfg.experiment, "seed": cfg.seed, "out": cfg.out,
-                "workers": cfg.workers, "precision": cfg.precision})
-    m = cfg.model
-    put("model", {"kind": m.kind, "n": m.n, "layers": m.layers, "heads": m.heads,
-                  "d_ff": m.d_ff, "positional": m.pos_mode, "max_len": m.max_len,
-                  "pool": m.pool, "gen_scale": m.gen_scale})
-    put("task", {"kind": cfg.task.kind, "variables": cfg.task.variables})
-    c = cfg.curriculum
-    put("curriculum", {"kind": c.kind, "l_min": c.l_min, "l_max": c.l_max,
-                       "ramp_start": c.ramp_start, "ramp_fraction": c.ramp_fraction,
-                       "max_bias": c.max_bias, "gate_threshold": c.gate_threshold})
-    t = cfg.train
-    put("train", {"steps": t.steps, "batch": t.batch, "lr": t.lr,
-                  "beta1": t.beta1, "beta2": t.beta2, "eps": t.eps,
-                  "clip": t.clip, "eval_interval": t.eval_interval,
-                  "gate_episodes": t.gate_episodes, "val_episodes": t.val_episodes,
-                  "target_accuracy": t.target_accuracy,
-                  "lr_schedule": t.lr_schedule, "lr_floor": t.lr_floor,
-                  "early_stop": t.early_stop, "save": cfg.save})
-    s = cfg.sweep
-    put("noise", {"t_max": s.t_max, "points": s.points, "episodes": s.episodes,
-                  "threshold": s.threshold, "length": s.length, "site": s.site,
-                  "checkpoint": s.checkpoint})
-    put("scaling", {"widths": ",".join(str(w) for w in cfg.scaling.widths)})
-    g = cfg.genlen
-    put("genlen", {"lengths": ",".join(str(x) for x in g.lengths),
-                   "episodes": g.episodes, "checkpoint": g.checkpoint})
-    h = cfg.horizon
-    put("horizon", {"t_max": h.t_max, "points": h.points, "method": h.method,
-                    "fit_min_t": h.fit_min_t, "checkpoint": h.checkpoint})
-    mg = cfg.massgap
-    put("massgap", {"episodes_per_class": mg.episodes_per_class,
-                    "length": mg.length, "checkpoint": mg.checkpoint})
-    p = cfg.pca
-    put("pca", {"temperature": p.temperature, "episodes": p.episodes,
-                "length": p.length,
-                "checkpoints": ",".join(p.checkpoints), "tags": ",".join(p.tags)})
-    b = cfg.bench
-    put("bench", {"lengths": ",".join(str(x) for x in b.lengths), "n": b.n,
-                  "vocab": b.vocab})
+    for section, keys in _KEYS.items():
+        parser[section] = {}
+        for key, (attr, name, _) in keys.items():
+            value = getattr(getattr(cfg, attr) if attr else cfg, name)
+            parser[section][key] = ",".join(map(str, value)) if isinstance(value, tuple) \
+                else str(value)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -25,13 +25,10 @@ from .models import HolonomicParams
 
 @dataclass(frozen=True)
 class ScanPlan:
-    mode: str = "sequential"      # sequential | tree | streaming
     renorm_interval: int = 64     # K
     precision: int = 64
 
     def __post_init__(self):
-        if self.mode not in ("sequential", "tree", "streaming"):
-            raise ArgumentError(f"unknown scan mode: {self.mode}")
         if self.renorm_interval < 1:
             raise ArgumentError("renorm interval must be >= 1")
         if self.precision not in (32, 64):
