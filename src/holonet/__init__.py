@@ -6,7 +6,7 @@ Modules:
     grad_engine   tape-based reverse-mode autodiff, Adam, gradient checker
     group_tasks   S3 composition and variable-binding episode generators
     models        the four sequence classifiers and the noise hook
-    scan_engine   sequential / tree / streaming holonomy evaluation
+    scan_engine   sequential and tree holonomy products
     experiments   training plus the four experiment pipelines
     config        run configuration parsing and validation
     checkpoint    binary parameter persistence

@@ -257,8 +257,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("noise points must be >= 2")
     if cfg.sweep.threshold <= 0 or cfg.sweep.threshold > 1:
         raise ConfigError("sweep threshold must lie in (0, 1]")
+    if cfg.horizon.t_max < 1 or cfg.horizon.points < 1:
+        raise ConfigError("horizon t_max and points must be >= 1")
     if cfg.horizon.method not in ("autodiff", "operator-norm", "both"):
         raise ConfigError("horizon method must be autodiff, operator-norm or both")
+    if not cfg.genlen.lengths or not cfg.scaling.widths:
+        raise ConfigError("genlen lengths and scaling widths must not be empty")
     if cfg.experiment == "genlen" and cfg.precision != 64 \
             and any(length > 50 for length in cfg.genlen.lengths):
         raise ConfigError("genlen beyond L=50 requires precision = 64")

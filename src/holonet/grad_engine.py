@@ -2,17 +2,17 @@
 
 A Tape records primitive applications in topological order; backward
 replays them in reverse, accumulating exact cotangents. The primitive set
-is the minimum needed by the four sequence models:
+is the minimum needed by the models' training graphs and the autodiff
+Jacobian horizon:
 
-  * per-episode: dense products, elementwise ops, layer normalization,
-    fused softmax cross-entropy, the matrix exponential (adjoint via the
-    block Frechet derivative), embedding lookup, concat/slice/transpose and
-    fused scaled-dot-product attention;
-  * batched, for the trainer: broadcast matmul, multi-head attention, mean
-    pooling, readout gather, mean cross-entropy, `skew_exp` (exp(M - M^T)
-    for a whole generator stack by one eigendecomposition, Daleckii-Krein
-    adjoint) and `holonomic_scan` (the holonomic recurrence over a
-    left-padded (B, L) token matrix, one node per batch).
+  * dense and elementwise: matmul, matvec, add, scale, hadamard (also the
+    RNN's padding mask), tanh, unit, transpose, slice, layer normalization
+    and embedding lookup;
+  * fused batch nodes: broadcast matmul, multi-head attention, mean pooling,
+    readout gather, mean cross-entropy, `skew_exp` (exp(M - M^T) for a whole
+    generator stack by one eigendecomposition, Daleckii-Krein adjoint) and
+    `holonomic_scan` (the holonomic recurrence over a left-padded (B, L)
+    token matrix, one node per batch).
 
 Values are numpy arrays; a scalar is a 0-d array. Gradients are bitwise
 deterministic for identical tapes: the reverse sweep is a fixed-order
@@ -269,39 +269,6 @@ def _layer_norm_bwd(t: Tape, idx: int, g):
     t._accum(ib, g.sum(axis=axes) if axes else g)
 
 
-def softmax_cross_entropy(logits: Var, label: int) -> Var:
-    """Fused, shift-stabilized -log softmax(logits)[label]; scalar output."""
-    z = logits.value
-    if z.ndim != 1:
-        raise DimensionError(f"softmax_cross_entropy: logits must be 1-d, got {z.shape}")
-    if not 0 <= label < z.shape[0]:
-        raise ArgumentError(f"softmax_cross_entropy: label {label} out of range")
-    m = z.max()
-    exp = np.exp(z - m)
-    total = exp.sum()
-    loss = np.asarray(np.log(total) + m - z[label])
-    probs = exp / total
-    return logits.tape._push("softmax_xent", (logits.idx,), loss, (probs, label))
-
-
-def _softmax_xent_bwd(t: Tape, idx: int, g):
-    probs, label = t.aux[idx]
-    d = probs.copy()
-    d[label] -= 1.0
-    t._accum(t.inputs[idx][0], float(g) * d)
-
-
-def mat_exp(a: Var) -> Var:
-    """Matrix exponential node; adjoint is the Frechet derivative at A^T."""
-    return a.tape._push("mat_exp", (a.idx,), tensor_core.mat_exp(a.value), None)
-
-
-def _mat_exp_bwd(t: Tape, idx: int, g):
-    ia = t.inputs[idx][0]
-    _, adj = tensor_core.mat_exp_frechet(t.values[ia].T, g)
-    t._accum(ia, adj)
-
-
 def embed_lookup(table: Var, ids) -> Var:
     """Gather rows of `table`; an int id yields a vector, a sequence a matrix."""
     tv = table.value
@@ -325,26 +292,6 @@ def _embed_bwd(t: Tape, idx: int, g):
     t._accum(ia, out)
 
 
-def concat(parts: list[Var], axis: int = 0) -> Var:
-    if not parts:
-        raise ArgumentError("concat: need at least one operand")
-    vals = [p.value for p in parts]
-    out = np.concatenate(vals, axis=axis)
-    sizes = [v.shape[axis] for v in vals]
-    return parts[0].tape._push(
-        "concat", tuple(p.idx for p in parts), out, (axis, sizes))
-
-
-def _concat_bwd(t: Tape, idx: int, g):
-    axis, sizes = t.aux[idx]
-    offset = 0
-    for child, size in zip(t.inputs[idx], sizes):
-        sl = [slice(None)] * g.ndim
-        sl[axis] = slice(offset, offset + size)
-        t._accum(child, g[tuple(sl)])
-        offset += size
-
-
 def slice_of(a: Var, key) -> Var:
     out = a.value[key]
     return a.tape._push("slice", (a.idx,), out, key)
@@ -357,49 +304,11 @@ def _slice_bwd(t: Tape, idx: int, g):
     t._accum(ia, out)
 
 
-def attention(q: Var, k: Var, v: Var, causal: bool = False) -> Var:
-    """Fused scaled-dot-product attention over one head.
-
-    q, k: (L, d_k); v: (L, d_v); returns softmax(q k^T / sqrt(d_k)) v with
-    an optional causal mask.
-    """
-    qv, kv, vv = q.value, k.value, v.value
-    if qv.ndim != 2 or kv.ndim != 2 or vv.ndim != 2:
-        raise DimensionError("attention: operands must be matrices")
-    if qv.shape[1] != kv.shape[1] or qv.shape[0] != kv.shape[0] != vv.shape[0]:
-        raise DimensionError(
-            f"attention: incompatible shapes {qv.shape}, {kv.shape}, {vv.shape}")
-    inv_sqrt = 1.0 / np.sqrt(qv.shape[1])
-    scores = (qv @ kv.T) * inv_sqrt
-    if causal:
-        mask = np.triu(np.ones(scores.shape, dtype=bool), k=1)
-        scores = np.where(mask, -np.inf, scores)
-    scores = scores - scores.max(axis=1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=1, keepdims=True)
-    out = probs @ vv
-    return q.tape._push(
-        "attention", (q.idx, k.idx, v.idx), out, (probs, inv_sqrt))
-
-
-def _attention_bwd(t: Tape, idx: int, g):
-    iq, ik, iv = t.inputs[idx]
-    probs, inv_sqrt = t.aux[idx]
-    qv, kv, vv = t.values[iq], t.values[ik], t.values[iv]
-    dv = probs.T @ g
-    dp = g @ vv.T
-    ds = probs * (dp - (dp * probs).sum(axis=1, keepdims=True))
-    t._accum(iq, (ds @ kv) * inv_sqrt)
-    t._accum(ik, (ds.T @ qv) * inv_sqrt)
-    t._accum(iv, dv)
-
-
 # ------------------------------------------------------------------ batched ops
 #
-# Fused batch-level variants used by the trainer: one node per batch instead
-# of one subgraph per episode. Each mirrors a scalar primitive (skew_exp:
-# mat_exp; holonomic_scan: a chain of matvecs) and is finite-difference
-# checked alongside them.
+# Fused batch-level nodes used by the trainer: one node per batch instead of
+# one subgraph per episode. Like every primitive, each is finite-difference
+# checked.
 
 
 def bmatmul(a: Var, b: Var) -> Var:
@@ -507,7 +416,7 @@ def _holonomic_scan_bwd(t: Tape, idx: int, g):
                              for lo, hi in zip(bounds[:-1], bounds[1:])]))
 
 
-def mha(q: Var, k: Var, v: Var, n_heads: int, causal: bool = False) -> Var:
+def mha(q: Var, k: Var, v: Var, n_heads: int) -> Var:
     """Fused multi-head scaled-dot-product attention on (B, L, d) operands."""
     qv, kv, vv = q.value, k.value, v.value
     if qv.shape != kv.shape or qv.shape != vv.shape or qv.ndim != 3:
@@ -522,9 +431,6 @@ def mha(q: Var, k: Var, v: Var, n_heads: int, causal: bool = False) -> Var:
 
     qh, kh, vh = split(qv), split(kv), split(vv)
     scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dk)
-    if causal:
-        mask = np.triu(np.ones((length, length), dtype=bool), k=1)
-        scores = np.where(mask, -np.inf, scores)
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -625,12 +531,8 @@ _BACKWARD = {
     "unit": _unit_bwd,
     "transpose": _transpose_bwd,
     "layer_norm": _layer_norm_bwd,
-    "softmax_xent": _softmax_xent_bwd,
-    "mat_exp": _mat_exp_bwd,
     "embed": _embed_bwd,
-    "concat": _concat_bwd,
     "slice": _slice_bwd,
-    "attention": _attention_bwd,
     "bmatmul": _bmatmul_bwd,
     "skew_exp": _skew_exp_bwd,
     "holonomic_scan": _holonomic_scan_bwd,

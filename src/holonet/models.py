@@ -1,12 +1,17 @@
 """The four sequence classifiers behind a single interface.
 
-Each model exposes:
-  * a numpy inference forward (with the energy-normalized noise hook), and
-  * a tape forward that builds the training graph on a grad_engine.Tape.
+Each model exposes a numpy inference forward (with the energy-normalized
+noise hook) and a training graph on a grad_engine.Tape (`tape_batch_loss`).
 
 Experiments run recurrent inference through `forward_batch`, one batched
 numpy forward over a left-padded id block; the per-episode forwards are its
 B = 1 reference. The transformer keeps its own length-grouped batch forward.
+
+Training builds one graph per batch. The holonomic model and the RNNs run
+over the left-padded (B, L_max) block, so their tape size does not depend on
+the length mix. The transformer keeps one graph per distinct length: padding
+its rows to L_max roughly doubles a step (190 -> 374 ms for one binding batch,
+B = 64, d = 64, lengths 5..50), because attention is quadratic in L.
 
 Parameters are small dataclasses convertible to/from flat name->array dicts
 so the optimizer and checkpoints share one representation. Readouts are
@@ -133,30 +138,6 @@ def holonomic_forward(p: HolonomicParams, episode: Episode,
     return trajectory, p.readout[q] @ h
 
 
-def holonomic_tape_loss(tape: ge.Tape, leaves: dict, episodes: list[Episode]) -> ge.Var:
-    """Mean cross-entropy over a batch, one shared exp node per token."""
-    exp_nodes: dict[int, ge.Var] = {}
-
-    def operator(tok: int) -> ge.Var:
-        if tok not in exp_nodes:
-            m = leaves["generators"][tok]
-            exp_nodes[tok] = ge.mat_exp(m - m.T)
-        return exp_nodes[tok]
-
-    losses = []
-    for ep in episodes:
-        h = leaves["h0"]
-        for tok in ep.tokens:
-            h = ge.matvec(operator(tok), h)
-        q = _readout_query(ep, leaves["readout"].value.shape[0])
-        logits = ge.matvec(leaves["readout"][q], h)
-        losses.append(ge.softmax_cross_entropy(logits, ep.target))
-    total = losses[0]
-    for extra in losses[1:]:
-        total = total + extra
-    return ge.scale(total, 1.0 / len(episodes))
-
-
 # ===================================================================== rnn
 
 
@@ -215,27 +196,6 @@ def rnn_forward(p: RnnParams, episode: Episode,
         trajectory.append(h.copy())
     q = _readout_query(episode, p.readout.shape[0])
     return trajectory, p.readout[q] @ h
-
-
-def rnn_tape_loss(tape: ge.Tape, leaves: dict, episodes: list[Episode],
-                  normalized: bool = False) -> ge.Var:
-    losses = []
-    zero = tape.leaf(np.zeros(leaves["bias"].value.shape[0]))
-    for ep in episodes:
-        h = zero
-        for tok in ep.tokens:
-            pre = ge.matvec(leaves["w_rec"], h) + ge.embed_lookup(leaves["w_in"], tok) \
-                + leaves["bias"]
-            h = ge.tanh(pre)
-            if normalized:
-                h = ge.unit(h)
-        q = _readout_query(ep, leaves["readout"].value.shape[0])
-        logits = ge.matvec(leaves["readout"][q], h)
-        losses.append(ge.softmax_cross_entropy(logits, ep.target))
-    total = losses[0]
-    for extra in losses[1:]:
-        total = total + extra
-    return ge.scale(total, 1.0 / len(episodes))
 
 
 # ===================================================================== transformer
@@ -391,60 +351,16 @@ def transformer_forward(p: TransformerParams, episode: Episode,
         p, [episode], noise, None if rng is None else [rng])[0]
 
 
-def transformer_tape_loss(tape: ge.Tape, leaves: dict, episodes: list[Episode],
-                          p: TransformerParams) -> ge.Var:
-    d, heads = p.d_model, p.n_heads
-    dk = d // heads
-    losses = []
-    for ep in episodes:
-        length = ep.length
-        if p.pos_mode == "learned":
-            if length > p.max_len:
-                raise CapacityError(
-                    f"sequence length {length} exceeds learned positional table")
-            pos = leaves["pos"][0:length]
-        else:
-            pos = tape.leaf(sinusoidal_table(length, d))
-        x = ge.embed_lookup(leaves["embed"], list(ep.tokens)) + pos
-        for i in range(p.n_layers):
-            pre = f"layer{i}."
-            y = ge.layer_norm(x, leaves[pre + "ln1_g"], leaves[pre + "ln1_b"])
-            q = ge.matmul(y, leaves[pre + "wq"]) + leaves[pre + "bq"]
-            k = ge.matmul(y, leaves[pre + "wk"]) + leaves[pre + "bk"]
-            v = ge.matmul(y, leaves[pre + "wv"]) + leaves[pre + "bv"]
-            heads_out = []
-            for h in range(heads):
-                sl = (slice(None), slice(h * dk, (h + 1) * dk))
-                heads_out.append(ge.attention(q[sl], k[sl], v[sl]))
-            att = ge.concat(heads_out, axis=1)
-            x = x + ge.matmul(att, leaves[pre + "wo"]) + leaves[pre + "bo"]
-            y = ge.layer_norm(x, leaves[pre + "ln2_g"], leaves[pre + "ln2_b"])
-            mlp = ge.matmul(ge.tanh(ge.matmul(y, leaves[pre + "w1"])
-                                    + leaves[pre + "b1"]), leaves[pre + "w2"]) \
-                + leaves[pre + "b2"]
-            x = x + mlp
-        x = ge.layer_norm(x, leaves["ln_f_g"], leaves["ln_f_b"])
-        if p.pool == "mean":
-            ones = tape.leaf(np.full((1, length), 1.0 / length))
-            pooled = ge.matmul(ones, x)[0]
-        else:
-            pooled = x[length - 1]
-        qix = _readout_query(ep, leaves["readout"].value.shape[0])
-        logits = ge.matvec(leaves["readout"][qix], pooled)
-        losses.append(ge.softmax_cross_entropy(logits, ep.target))
-    total = losses[0]
-    for extra in losses[1:]:
-        total = total + extra
-    return ge.scale(total, 1.0 / len(episodes))
-
-
 # ===================================================================== batched tape losses
 #
-# Trainer-facing graphs. The holonomic graph is one skew_exp node for the whole
-# operator stack and one holonomic_scan node over the left-padded batch, so its
-# size does not depend on the episode lengths. The RNN and transformer group
-# episodes by length, one fused node per batch step. The per-episode losses
-# above are kept as the reference the batched paths are tested against.
+# Trainer-facing graphs, one per batch. The holonomic model and the RNNs run
+# over the left-padded (B, L_max) block, so their tape size depends on L_max
+# only, not on the length mix: the holonomic graph is one skew_exp node for the
+# operator stack and one holonomic_scan node, the RNN one masked step per
+# column. The transformer keeps one graph per distinct length, because
+# padding its rows to L_max makes every row pay L_max^2 attention: one
+# binding step (B = 64, d = 64, lengths 5..50) took 190 ms grouped and 374 ms
+# with every row at L = 50.
 
 
 def _grouped_by_length(episodes: list[Episode]) -> list[list[Episode]]:
@@ -462,9 +378,12 @@ def _combine_group_losses(parts: list[tuple[ge.Var, int]], total: int) -> ge.Var
     return out
 
 
-def _queries_and_targets(group: list[Episode], n_queries: int):
-    qs = [0 if e.query is None else _readout_query(e, n_queries) for e in group]
-    return qs, [e.target for e in group]
+def _readout_loss(leaves: dict, states: ge.Var, episodes: list[Episode]) -> ge.Var:
+    """Mean cross-entropy of each row's queried readout of its final state."""
+    readout = leaves["readout"]
+    qs = [_readout_query(e, readout.value.shape[0]) for e in episodes]
+    return ge.softmax_xent_mean(ge.gather_readout(readout, states, qs),
+                                [e.target for e in episodes])
 
 
 def _left_padded(episodes: list[Episode], vocab: int) -> np.ndarray:
@@ -483,40 +402,36 @@ def holonomic_tape_loss_batched(tape: ge.Tape, leaves: dict,
     generators = leaves["generators"]
     ids = _left_padded(episodes, generators.value.shape[0])
     h = ge.holonomic_scan(ge.skew_exp(generators), ids, leaves["h0"])
-    qs, targets = _queries_and_targets(episodes, leaves["readout"].value.shape[0])
-    logits = ge.gather_readout(leaves["readout"], h, qs)
-    return ge.softmax_xent_mean(logits, targets)
+    return _readout_loss(leaves, h, episodes)
 
 
 def rnn_tape_loss_batched(tape: ge.Tape, leaves: dict, episodes: list[Episode],
                           normalized: bool = False) -> ge.Var:
-    n = leaves["bias"].value.shape[0]
-    n_queries = leaves["readout"].value.shape[0]
+    """Each column is one matmul + embed + bias -> tanh (-> unit) step over all
+    rows, its new state multiplied by a constant 0/1 row mask of the live
+    steps. Left padding puts a row's pad steps before its first token, where
+    its state is still zero, so zeroing it again is exact. Every column gets
+    its mask, so the tape size depends on L_max only."""
+    w_in = leaves["w_in"]
+    ids = _left_padded(episodes, w_in.value.shape[0])
+    live = ids != ge.IDENTITY_STEP
+    masks = live.T[:, :, None].astype(np.float64)     # (L_max, B, 1)
+    shape = (ids.shape[0], leaves["bias"].value.shape[0])
     w_rec_t = leaves["w_rec"].T
-    parts = []
-    for group in _grouped_by_length(episodes):
-        b = len(group)
-        ids = np.array([e.tokens for e in group])
-        h = tape.leaf(np.zeros((b, n)))
-        for t in range(ids.shape[1]):
-            pre = ge.matmul(h, w_rec_t) + ge.embed_lookup(leaves["w_in"], ids[:, t]) \
-                + leaves["bias"]
-            h = ge.tanh(pre)
-            if normalized:
-                h = ge.unit(h)
-        qs, targets = _queries_and_targets(group, n_queries)
-        logits = ge.gather_readout(leaves["readout"], h, qs)
-        parts.append((ge.softmax_xent_mean(logits, targets), b))
-    return _combine_group_losses(parts, len(episodes))
+    h = tape.leaf(np.zeros(shape))
+    for col, mask in zip(np.where(live, ids, 0).T, masks):
+        h = ge.tanh(ge.matmul(h, w_rec_t) + ge.embed_lookup(w_in, col) + leaves["bias"])
+        if normalized:
+            h = ge.unit(h)
+        h = ge.hadamard(h, tape.leaf(np.broadcast_to(mask, shape)))
+    return _readout_loss(leaves, h, episodes)
 
 
 def transformer_tape_loss_batched(tape: ge.Tape, leaves: dict,
                                   episodes: list[Episode],
                                   p: TransformerParams) -> ge.Var:
-    n_queries = leaves["readout"].value.shape[0]
     parts = []
     for group in _grouped_by_length(episodes):
-        b = len(group)
         length = group[0].length
         if p.pos_mode == "learned":
             if length > p.max_len:
@@ -545,9 +460,7 @@ def transformer_tape_loss_batched(tape: ge.Tape, leaves: dict,
             pooled = ge.mean_axis1(x)
         else:
             pooled = x[:, length - 1, :]
-        qs, targets = _queries_and_targets(group, n_queries)
-        logits = ge.gather_readout(leaves["readout"], pooled, qs)
-        parts.append((ge.softmax_xent_mean(logits, targets), b))
+        parts.append((_readout_loss(leaves, pooled, group), len(group)))
     return _combine_group_losses(parts, len(episodes))
 
 

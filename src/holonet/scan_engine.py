@@ -1,12 +1,12 @@
-"""Path-ordered products of orthogonal operators, three ways.
+"""Path-ordered products of orthogonal operators, two ways.
 
 sequential: one operator product with polar re-orthonormalization every K
 steps. tree: pairwise associative reduction (log-depth) with batched
 matmuls; early levels multiply each distinct adjacent pair once, later
 levels fold cache-sized blocks, and levels whose sub-products span at least
 K tokens get one inverse-free Newton-Schulz orthogonalization pass.
-streaming: state-only evolution with O(1) auxiliary memory, tracked by an
-explicit allocation meter.
+State-only evolution (h_L = H_L h0 without forming H_L) is
+`models.forward_batch`.
 
 Operators are memoized per vocabulary token, so a run computes at most
 |vocab| matrix exponentials regardless of sequence length.
@@ -14,7 +14,7 @@ Operators are memoized per vocabulary token, so a run computes at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +33,6 @@ class ScanPlan:
             raise ArgumentError("renorm interval must be >= 1")
         if self.precision not in (32, 64):
             raise ArgumentError("precision must be 32 or 64")
-
-
-@dataclass
-class StreamStats:
-    steps: int = 0
-    renorms: int = 0
-    peak_aux_floats: int = 0
-    _live: int = field(default=0, repr=False)
-
-    def alloc(self, count: int) -> None:
-        self._live += count
-        self.peak_aux_floats = max(self.peak_aux_floats, self._live)
-
-    def free(self, count: int) -> None:
-        self._live -= count
 
 
 def build_operators(p: HolonomicParams, precision: int = 64) -> np.ndarray:
@@ -180,51 +165,6 @@ def tree_scan_holonomy(p: HolonomicParams, tokens, plan: ScanPlan = ScanPlan(),
         if nblocks == 1:
             return partial[0]
         table, ids, span = partial, np.arange(nblocks), span * _BLOCK
-
-
-def streaming_infer(p: HolonomicParams, token_stream,
-                    plan: ScanPlan = ScanPlan(),
-                    operators: np.ndarray | None = None,
-                    track_operator: bool = False):
-    """Consume tokens one at a time, keeping only the current state.
-
-    Returns (state, stats) or (state, operator, stats) when the accumulated
-    operator is requested (needed for Jacobian measurement). The stats meter
-    counts live auxiliary floats; its peak is independent of stream length.
-    """
-    stats = StreamStats()
-    ops = operators if operators is not None else build_operators(p, plan.precision)
-    stats.alloc(ops.size)
-    h = p.h0.astype(ops.dtype, copy=True)
-    stats.alloc(h.size)
-    target_norm = float(np.linalg.norm(h))
-    acc = None
-    if track_operator:
-        acc = np.eye(p.n, dtype=ops.dtype)
-        stats.alloc(acc.size)
-    for tok in token_stream:
-        if not 0 <= tok < p.vocab:
-            raise ArgumentError(f"token {tok} outside vocabulary of size {p.vocab}")
-        nxt = ops[tok] @ h
-        stats.alloc(nxt.size)
-        stats.free(h.size)
-        h = nxt
-        if track_operator:
-            nacc = ops[tok] @ acc
-            stats.alloc(nacc.size)
-            stats.free(acc.size)
-            acc = nacc
-        stats.steps += 1
-        if stats.steps % plan.renorm_interval == 0:
-            norm = float(np.linalg.norm(h))
-            if norm > 0:
-                h = h * (target_norm / norm)
-            if track_operator:
-                acc = tc.reorthonormalize(acc.astype(np.float64)).astype(ops.dtype)
-            stats.renorms += 1
-    if track_operator:
-        return h, acc, stats
-    return h, stats
 
 
 def orthogonality_drift(h: np.ndarray) -> float:

@@ -77,22 +77,13 @@ def check_adjoint_pairing(seed):
 
 
 def check_gradients(seed):
-    params = md.init_holonomic(RngState(seed), 6, 6, 6)
-    eps = [s3_sample_episode(RngState(seed).child(9), 3)]
-    err = ge.grad_check(lambda t, lv: md.holonomic_tape_loss(t, lv, eps),
-                        ge.ParamStore(params.to_dict()), eps=1e-6)
-    assert err < 1e-5, f"holonomic grad error {err:.3e}"
-    # the training graph on a mixed-length batch: padded rows, one scan node
+    # the training graphs on one mixed-length batch: padded rows, masked steps
     mixed = [s3_sample_episode(RngState(seed).child(10, i), 1 + i) for i in range(4)]
-    err = ge.grad_check(
-        lambda t, lv: md.tape_batch_loss(md.HOLONOMIC, t, lv, mixed),
-        ge.ParamStore(params.to_dict()), eps=1e-6)
-    assert err < 1e-5, f"holonomic training-graph grad error {err:.3e}"
-    rnn = md.init_rnn(RngState(seed + 1), 6, 6, 6)
-    err = ge.grad_check(
-        lambda t, lv: md.rnn_tape_loss(t, lv, eps, normalized=True),
-        ge.ParamStore(rnn.to_dict()), eps=1e-6)
-    assert err < 1e-5, f"normalized rnn grad error {err:.3e}"
+    for kind, params in ((md.HOLONOMIC, md.init_holonomic(RngState(seed), 6, 6, 6)),
+                         (md.NORMALIZED_RNN, md.init_rnn(RngState(seed + 1), 6, 6, 6))):
+        err = ge.grad_check(lambda t, lv: md.tape_batch_loss(kind, t, lv, mixed),
+                            ge.ParamStore(params.to_dict()), eps=1e-6)
+        assert err < 1e-5, f"{kind} training-graph grad error {err:.3e}"
 
 
 def check_cayley_table(_seed):
@@ -162,11 +153,9 @@ def check_scan_equivalence(seed):
     h_seq = se.sequential_holonomy(p, tokens)
     h_tree = se.tree_scan_holonomy(p, tokens, workers=2)
     assert np.linalg.norm(h_seq - h_tree, "fro") < 1e-9, "tree != sequential"
-    h_stream, stats = se.streaming_infer(p, iter(tokens.tolist()))
-    assert np.max(np.abs(h_stream - h_seq @ p.h0)) < 1e-9, "stream != sequential"
-    _, short_stats = se.streaming_infer(p, iter(tokens[:64].tolist()))
-    assert stats.peak_aux_floats == short_stats.peak_aux_floats, \
-        "streaming memory grows with length"
+    h_state, _ = md.forward_batch(md.HOLONOMIC, p, tokens[None])
+    assert np.max(np.abs(h_state[0] - h_seq @ p.h0)) < 1e-9, \
+        "forward_batch != sequential"
 
 
 def check_tc_estimator(_seed):

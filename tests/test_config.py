@@ -190,7 +190,13 @@ def test_default_section_is_rejected(text):
     ("train", "[train]\neval_interval = -1\n", "eval_interval"),
     ("sweep", "[noise]\npoints = 1\n", "points"),
     ("train", "[train]\nlr_schedule = cosin\n", "lr_schedule"),
-], ids=["eval-interval-zero", "eval-interval-negative", "one-point", "lr-schedule"])
+    ("horizon", "[horizon]\npoints = 0\n", "points"),
+    ("horizon", "[horizon]\nt_max = 0\n", "t_max"),
+    ("genlen", "[genlen]\nlengths =\n", "lengths"),
+    ("scaling", "[scaling]\nwidths =\n", "widths"),
+], ids=["eval-interval-zero", "eval-interval-negative", "one-point", "lr-schedule",
+        "horizon-no-points", "horizon-zero-t-max", "genlen-no-lengths",
+        "scaling-no-widths"])
 def test_counts_and_schedule_are_validated(tmp_path, command, text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)

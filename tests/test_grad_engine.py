@@ -47,7 +47,7 @@ def test_tanh_zero():
 
 def test_cross_entropy_uniform_logits():
     t = ge.Tape()
-    loss = ge.softmax_cross_entropy(t.leaf(np.zeros(6)), 3)
+    loss = ge.softmax_xent_mean(t.leaf(np.zeros((2, 6))), [3, 0])
     assert float(loss.value) == pytest.approx(math.log(6.0), abs=1e-12)
 
 
@@ -81,15 +81,15 @@ def test_shape_errors():
 
 
 def test_exp_matvec_loss_matches_finite_differences_at_zero():
+    # at the zero generator every rotation angle is 0, so all are repeated
     n = 4
-    a0 = np.zeros((n, n))
+    m0 = np.zeros((1, n, n))
     v0 = tc.RngState(77).generator().standard_normal(n)
 
     def build(tape, leaves):
-        h = ge.matvec(ge.mat_exp(leaves["a"]), tape.leaf(v0))
-        return ssum(ge.hadamard(h, h))
+        return wsum(ge.matvec(ge.skew_exp(leaves["m"])[0], tape.leaf(v0)))
 
-    store = ge.ParamStore({"a": a0})
+    store = ge.ParamStore({"m": m0})
     assert ge.grad_check(build, store, eps=1e-6) < 1e-6
 
 
@@ -171,18 +171,6 @@ def _c_layer_norm(gen):
         lambda t, lv: wsum(ge.layer_norm(lv["x"], lv["g"], lv["b"]))
 
 
-@case("softmax_xent")
-def _c_xent(gen):
-    return {"z": gen.standard_normal(6)}, \
-        lambda t, lv: ge.softmax_cross_entropy(lv["z"], 2)
-
-
-@case("mat_exp")
-def _c_mat_exp(gen):
-    return {"a": 0.5 * gen.standard_normal((4, 4))}, \
-        lambda t, lv: wsum(ge.mat_exp(lv["a"]))
-
-
 @case("embed")
 def _c_embed(gen):
     # repeated ids exercise scatter-add in the backward rule
@@ -190,32 +178,10 @@ def _c_embed(gen):
         lambda t, lv: wsum(ge.embed_lookup(lv["tab"], [0, 2, 2, 4]))
 
 
-@case("concat")
-def _c_concat(gen):
-    return {"a": gen.standard_normal((2, 3)), "b": gen.standard_normal((2, 2))}, \
-        lambda t, lv: wsum(ge.concat([lv["a"], lv["b"]], axis=1))
-
-
 @case("slice")
 def _c_slice(gen):
     return {"x": gen.standard_normal((4, 5))}, \
         lambda t, lv: wsum(lv["x"][1:3, 2:5]) + wsum(lv["x"][0], seed=1)
-
-
-@case("attention")
-def _c_attention(gen):
-    return {"q": gen.standard_normal((5, 3)),
-            "k": gen.standard_normal((5, 3)),
-            "v": gen.standard_normal((5, 4))}, \
-        lambda t, lv: wsum(ge.attention(lv["q"], lv["k"], lv["v"]))
-
-
-@case("attention_causal")
-def _c_attention_causal(gen):
-    return {"q": gen.standard_normal((5, 3)),
-            "k": gen.standard_normal((5, 3)),
-            "v": gen.standard_normal((5, 4))}, \
-        lambda t, lv: wsum(ge.attention(lv["q"], lv["k"], lv["v"], causal=True))
 
 
 @case("bmatmul")
@@ -281,15 +247,24 @@ def test_primitive_gradients(name, seed):
     assert err < 1e-5, f"{name}: max rel grad error {err}"
 
 
+def test_every_backward_rule_has_a_finite_difference_case():
+    seen = set()
+    for make in PRIMITIVE_CASES.values():
+        params, build = make(tc.RngState(0).generator())
+        tape = ge.Tape()
+        build(tape, {k: tape.leaf(v) for k, v in params.items()})
+        seen.update(tape.ops)
+    assert not set(ge._BACKWARD) - seen, sorted(set(ge._BACKWARD) - seen)
+
+
 def test_backward_bitwise_deterministic():
     def run():
         gen = tc.RngState(9).generator()
         t = ge.Tape()
-        a = t.leaf(gen.standard_normal((6, 6)))
+        a = t.leaf(gen.standard_normal((2, 6, 6)))
         v = t.leaf(gen.standard_normal(6))
-        h = ge.matvec(ge.mat_exp(a), v)
-        loss = ssum(ge.hadamard(h, h))
-        t.backward(loss)
+        u = ge.skew_exp(a)
+        t.backward(wsum(ge.matvec(u[1], ge.matvec(u[0], v))))
         return a.grad.copy(), v.grad.copy()
 
     ga1, gv1 = run()
@@ -298,17 +273,17 @@ def test_backward_bitwise_deterministic():
 
 
 def test_node_reuse_accumulates_cotangents():
-    # one mat_exp node consumed twice must sum both contributions
-    a0 = 0.3 * tc.RngState(10).generator().standard_normal((3, 3))
+    # one skew_exp node consumed twice must sum both contributions
+    m0 = 0.3 * tc.RngState(10).generator().standard_normal((1, 3, 3))
 
     def build(tape, lv):
-        u = ge.mat_exp(lv["a"])
+        u = ge.skew_exp(lv["m"])
         x = tape.leaf(np.array([1.0, 0.0, -1.0]))
-        h1 = ge.matvec(u, x)
-        h2 = ge.matvec(u, h1)
-        return ssum(ge.hadamard(h2, h2))
+        h1 = ge.matvec(u[0], x)
+        h2 = ge.matvec(u[0], h1)
+        return wsum(h2)
 
-    assert ge.grad_check(build, ge.ParamStore({"a": a0}), eps=1e-6) < 1e-6
+    assert ge.grad_check(build, ge.ParamStore({"m": m0}), eps=1e-6) < 1e-6
 
 
 # ---------------------------------------------------------------- skew_exp, holonomic_scan

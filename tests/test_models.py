@@ -321,40 +321,33 @@ def ce_from_logits(logits, label):
     return float(np.log(np.exp(logits - m).sum()) + m - logits[label])
 
 
+def binding_params(kind, seed, n=10, **transformer_kw):
+    """Parameters for 4-variable binding episodes: vocab 6, 4 classes, 4 queries."""
+    if kind == md.TRANSFORMER:
+        return small_transformer(seed, n_classes=4, n_queries=4, **transformer_kw)
+    return recurrent_params(kind, seed, n=n, classes=4, queries=4)
+
+
+def loss_and_grads(kind, params, eps):
+    tape = ge.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+    loss = md.tape_batch_loss(kind, tape, leaves, eps, params)
+    tape.backward(loss)
+    return float(loss.value), ge.collect_grads(tape, leaves)
+
+
 @pytest.mark.parametrize("kind", md.MODEL_KINDS)
 def test_batched_tape_loss_matches_per_episode_reference(kind):
-    if kind == md.TRANSFORMER:
-        params = small_transformer()
-    elif kind == md.HOLONOMIC:
-        params = md.init_holonomic(RngState(33), 10, 6, 6)
-    else:
-        params = md.init_rnn(RngState(34), 10, 6, 6)
-    # mixed lengths exercise the grouping path
-    eps = [s3_episode(60 + i, 3 + i % 3) for i in range(7)]
-
-    def loss_with(fn):
-        tape = ge.Tape()
-        leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-        loss = fn(tape, leaves)
-        tape.backward(loss)
-        return float(loss.value), ge.collect_grads(tape, leaves)
-
-    if kind == md.HOLONOMIC:
-        ref = lambda t, lv: md.holonomic_tape_loss(t, lv, eps)
-        bat = lambda t, lv: md.holonomic_tape_loss_batched(t, lv, eps)
-    elif kind == md.TRANSFORMER:
-        ref = lambda t, lv: md.transformer_tape_loss(t, lv, eps, params)
-        bat = lambda t, lv: md.transformer_tape_loss_batched(t, lv, eps, params)
-    else:
-        norm = kind == md.NORMALIZED_RNN
-        ref = lambda t, lv: md.rnn_tape_loss(t, lv, eps, normalized=norm)
-        bat = lambda t, lv: md.rnn_tape_loss_batched(t, lv, eps, normalized=norm)
-
-    ref_loss, ref_grads = loss_with(ref)
-    bat_loss, bat_grads = loss_with(bat)
-    assert bat_loss == pytest.approx(ref_loss, rel=1e-12)
-    for name in ref_grads:
-        assert np.allclose(bat_grads[name], ref_grads[name], atol=1e-12), name
+    # the reference is each episode as a batch of one: padding (or grouping)
+    # must not leak into any row's loss or gradient
+    params = binding_params(kind, 33)
+    eps = binding_batch(34, [1, 7, 3, 7, 12, 2])
+    loss, grads = loss_and_grads(kind, params, eps)
+    singles = [loss_and_grads(kind, params, [e]) for e in eps]
+    assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-12
+    for name, g in grads.items():
+        mean = np.mean([s[1][name] for s in singles], axis=0)
+        assert np.max(np.abs(g - mean)) <= 1e-12, name
 
 
 @pytest.mark.parametrize("kind", md.MODEL_KINDS)
@@ -390,16 +383,26 @@ def test_mixed_length_holonomic_loss_matches_numpy_forward():
     assert float(loss.value) == pytest.approx(expected, rel=1e-12)
 
 
+def tape_size(kind, params, eps):
+    tape = ge.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+    md.tape_batch_loss(kind, tape, leaves, eps)
+    return len(tape)
+
+
 def test_holonomic_tape_size_does_not_depend_on_lengths():
-    params = md.init_holonomic(RngState(37), 8, 6, 4, n_queries=4)
+    # not even on L_max: one skew_exp and one holonomic_scan node
+    params = binding_params(md.HOLONOMIC, 37)
+    assert tape_size(md.HOLONOMIC, params, binding_batch(38, [1, 4, 9, 16, 25])) \
+        == tape_size(md.HOLONOMIC, params, binding_batch(39, [9] * 5))
 
-    def nodes(eps):
-        tape = ge.Tape()
-        leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-        md.tape_batch_loss(md.HOLONOMIC, tape, leaves, eps)
-        return len(tape)
 
-    assert nodes(binding_batch(38, [1, 4, 9, 16, 25])) == nodes(binding_batch(39, [9] * 5))
+@pytest.mark.parametrize("kind", [md.RNN, md.NORMALIZED_RNN])
+def test_rnn_tape_size_does_not_depend_on_length_mix(kind):
+    # one masked step per column: the size follows L_max only
+    params = binding_params(kind, 37)
+    assert tape_size(kind, params, binding_batch(38, [1, 4, 9, 16, 25])) \
+        == tape_size(kind, params, binding_batch(39, [25] * 5))
 
 
 def test_holonomic_tape_loss_rejects_token_outside_vocabulary():
@@ -413,37 +416,28 @@ def test_holonomic_tape_loss_rejects_token_outside_vocabulary():
 # ---------------------------------------------------------------- gradient fidelity
 
 
+def training_graph_grad_error(kind, seed):
+    """grad_check of tape_batch_loss on one mixed-length batch (L = 1..5)."""
+    params = binding_params(kind, seed, n=6, d_model=8, n_layers=1, n_heads=2, d_ff=12)
+    eps = binding_batch(seed + 1, [1, 2, 3, 4, 5])
+    return ge.grad_check(lambda t, lv: md.tape_batch_loss(kind, t, lv, eps, params),
+                         ge.ParamStore(params.to_dict()), eps=1e-6)
+
+
 def test_holonomic_full_gradient_check():
-    params = md.init_holonomic(RngState(50), 6, 6, 6)
-    eps = [s3_episode(51, 3)]
+    assert training_graph_grad_error(md.HOLONOMIC, 50) < 1e-5
 
-    def build(tape, leaves):
-        return md.holonomic_tape_loss(tape, leaves, eps)
 
-    err = ge.grad_check(build, ge.ParamStore(params.to_dict()), eps=1e-6)
-    assert err < 1e-5
+def test_rnn_gradient_check():
+    assert training_graph_grad_error(md.RNN, 52) < 1e-5
 
 
 def test_normalized_rnn_gradient_check():
-    params = md.init_rnn(RngState(52), 6, 6, 6)
-    eps = [s3_episode(53, 4)]
-
-    def build(tape, leaves):
-        return md.rnn_tape_loss(tape, leaves, eps, normalized=True)
-
-    err = ge.grad_check(build, ge.ParamStore(params.to_dict()), eps=1e-6)
-    assert err < 1e-5
+    assert training_graph_grad_error(md.NORMALIZED_RNN, 52) < 1e-5
 
 
 def test_transformer_gradient_check():
-    params = small_transformer(d_model=8, n_layers=1, n_heads=2, d_ff=12)
-    eps = [s3_episode(54, 4)]
-
-    def build(tape, leaves):
-        return md.transformer_tape_loss(tape, leaves, eps, params)
-
-    err = ge.grad_check(build, ge.ParamStore(params.to_dict()), eps=1e-6)
-    assert err < 1e-4
+    assert training_graph_grad_error(md.TRANSFORMER, 54) < 1e-4
 
 
 # ---------------------------------------------------------------- param counts

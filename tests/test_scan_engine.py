@@ -102,35 +102,19 @@ def test_tree_operand_order_matters():
     assert np.linalg.norm(good - bad, "fro") > 1e-6
 
 
-def test_streaming_identity_generator_stream():
+def test_forward_batch_zero_generator_keeps_h0():
     p = make_params(14)
     fixed = md.HolonomicParams(p.n, 1, np.zeros((1, p.n, p.n)), p.h0, p.readout)
-    h, stats = se.streaming_infer(fixed, iter([0] * 50))
-    assert np.allclose(h, p.h0, atol=1e-14)
-    assert stats.steps == 50
+    h, _ = md.forward_batch(md.HOLONOMIC, fixed, np.zeros((1, 50), dtype=int))
+    assert np.allclose(h[0], p.h0, atol=1e-14)
 
 
-def test_streaming_matches_sequential_at_5000():
+def test_forward_batch_matches_sequential_at_5000():
     p = make_params(15, n=16)
     tokens = random_tokens(16, 5000)
-    h_stream, _ = se.streaming_infer(p, iter(tokens.tolist()))
+    h_state, _ = md.forward_batch(md.HOLONOMIC, p, tokens[None])
     h_op = se.sequential_holonomy(p, tokens) @ p.h0
-    assert np.max(np.abs(h_stream - h_op)) < 1e-9
-
-
-def test_streaming_memory_counter_is_length_independent():
-    p = make_params(17)
-    _, s100 = se.streaming_infer(p, iter(random_tokens(18, 100).tolist()))
-    _, s5000 = se.streaming_infer(p, iter(random_tokens(18, 5000).tolist()))
-    assert s100.peak_aux_floats == s5000.peak_aux_floats
-
-
-def test_streaming_tracked_operator_matches_sequential():
-    p = make_params(19, n=8)
-    tokens = random_tokens(20, 513)
-    h, acc, _ = se.streaming_infer(p, iter(tokens.tolist()), track_operator=True)
-    h_seq = se.sequential_holonomy(p, tokens)
-    assert np.linalg.norm(acc - h_seq, "fro") < 1e-9
+    assert np.max(np.abs(h_state[0] - h_op)) < 1e-9
 
 
 def test_empty_sequence_rejected():
