@@ -7,17 +7,25 @@ for the grammar), optionally overridden by --seed/--out/--workers/
 `<out>/<experiment>/seed<seed>/`, and exits 0 on success, 2 on
 configuration errors, 3 on numeric failures, 4 on training
 non-convergence.
+
+The models' matrices are small (n <= 128), so BLAS runs one thread unless
+the environment says otherwise: parallel runs then do not oversubscribe the
+cores.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")   # read when numpy loads, just below
+
+import numpy as np  # noqa: E402
 
 from . import experiments as ex
 from . import models as md
@@ -121,9 +129,8 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     kind, params = _load_params(cfg.sweep.checkpoint)
     rng = RngState(cfg.seed).child(1)
-    site = None if cfg.sweep.site == "auto" else cfg.sweep.site
     sweep = ex.noise_sweep(kind, params, cfg.task, cfg.sweep.grid(),
-                           cfg.sweep.episodes, rng, cfg.sweep.length, site)
+                           cfg.sweep.episodes, rng, cfg.sweep.length)
     tc = ex.estimate_tc(sweep, cfg.sweep.threshold, rng.child(99))
     rows = [{"T": f"{t:.6f}", "acc_mean": f"{m:.6f}", "acc_lo": f"{lo:.6f}",
              "acc_hi": f"{hi:.6f}", "episodes": sweep.episodes}
@@ -181,8 +188,14 @@ def cmd_genlen(cfg: RunConfig) -> int:
                  "acc": "nan" if np.isnan(r["acc"]) else f"{r['acc']:.6f}",
                  "episodes": r["episodes"], "precision": r["precision"]}
                 for r in rows]
-    notes = [f"L={r['L']}: {r['note']}" for r in rows if r["note"]]
-    summary = [f"model: {kind}"] + (notes or ["all lengths scored"])
+    scored = [r["acc"] for r in rows if not np.isnan(r["acc"])]
+    chance = 1.0 / cfg.task.n_classes
+    below = [str(r["L"]) for r in rows if r["acc"] <= chance]   # NaN compares False
+    summary = [f"model: {kind}",
+               f"acc_min: {min(scored, default=float('nan')):.6f}",
+               f"acc_max: {max(scored, default=float('nan')):.6f}",
+               f"below_chance: {','.join(below) or 'none'}"] \
+        + [f"L={r['L']}: {r['note']}" for r in rows if r["note"]]
     write_run(cfg, "genlen", ["L", "acc", "episodes", "precision"],
               out_rows, summary)
     return EXIT_OK

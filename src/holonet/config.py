@@ -44,7 +44,6 @@ class SweepSpec:
     episodes: int = 512
     threshold: float = 0.99
     length: int = 5
-    site: str = "auto"
     checkpoint: str = ""
 
     def grid(self):

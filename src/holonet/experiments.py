@@ -4,9 +4,11 @@ Every pipeline is a pure function of (config, RngState) and is therefore
 bit-reproducible: the same seed and call give the same bits. Randomness
 comes from named child streams of one master seed, one stream per batch:
 each training step draws its lengths and episodes from one generator, each
-evaluation its episodes from one and its noise from another, and each noise
-level of a sweep likewise. Bootstrap resamples have their own streams.
-Recurrent inference runs through `models.forward_batch`.
+evaluation its episodes from one, and each noise level of a sweep its
+episodes from one and its noise from another. Bootstrap resamples have their
+own streams.
+Inference for all four model kinds runs through `models.forward_batch`, so
+a batch's noise, recurrent-state or residual-stream, comes from one stream.
 """
 
 from __future__ import annotations
@@ -91,9 +93,6 @@ class ModelConfig:
                 rng, self.n, self.layers, self.heads, d_ff, task.vocab,
                 task.n_classes, task.n_queries, self.pos_mode, self.max_len, pool)
         raise ArgumentError(f"unknown model kind: {self.kind}")
-
-    def noise_site(self) -> str:
-        return "residual-stream" if self.kind == md.TRANSFORMER else "recurrent-state"
 
 
 @dataclass(frozen=True)
@@ -189,34 +188,21 @@ class MassGapResult:
 # ===================================================================== evaluation
 
 
-def predictions(kind: str, params, batch: Batch,
-                noise: md.NoiseConfig = md.NoiseConfig(),
+def predictions(kind: str, params, batch: Batch, temperature: float = 0.0,
                 rng: tc.RngState | None = None) -> np.ndarray:
-    """Predicted labels, one per episode. Recurrent models draw the batch's
-    noise from `rng`; the transformer draws episode i's from rng.child(i)."""
-    if kind != md.TRANSFORMER:
-        _, logits = md.forward_batch(kind, params, batch.ids, batch.queries, noise, rng)
-        return np.argmax(logits, axis=1)
-    episodes = batch.episodes()
-    out = np.empty(len(episodes), dtype=int)
-    for length in np.unique(batch.lengths):
-        idxs = np.flatnonzero(batch.lengths == length).tolist()
-        rngs = [rng.child(i) for i in idxs] if noise.enabled else None
-        logits = md.transformer_forward_batch(params, [episodes[i] for i in idxs],
-                                              noise, rngs)
-        out[idxs] = np.argmax(logits, axis=1)
-    return out
+    """Predicted labels, one per episode; the batch's noise comes from `rng`."""
+    _, logits = md.forward_batch(kind, params, batch.ids, batch.queries, temperature, rng)
+    return np.argmax(logits, axis=1)
 
 
 def evaluate_accuracy(kind: str, params, task: TaskConfig, lengths,
-                      episodes: int, rng: tc.RngState,
-                      noise: md.NoiseConfig = md.NoiseConfig()) -> float:
+                      episodes: int, rng: tc.RngState) -> float:
     """Accuracy on `episodes` fresh episodes drawn from one stream; episode i
     has length lengths[i % len(lengths)] (lengths: an int or a list)."""
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
     batch = task.sample_batch(rng.child(0).generator(),
                               lengths[np.arange(episodes) % lengths.size])
-    preds = predictions(kind, params, batch, noise, rng.child(1))
+    preds = predictions(kind, params, batch)
     return float(np.mean(preds == batch.targets))
 
 
@@ -325,19 +311,16 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
 
 
 def noise_sweep(kind: str, params, task: TaskConfig, t_grid, episodes: int,
-                rng: tc.RngState, length: int = 5, site: str | None = None,
-                model_tag: str | None = None,
+                rng: tc.RngState, length: int = 5, model_tag: str | None = None,
                 bootstrap: int = 1000) -> SweepResult:
     """Accuracy versus noise temperature over fresh length-`length` episodes;
     noise level i draws its episodes from rng.child(0, i) and its noise from
     rng.child(1, i)."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
-    site = site or ("residual-stream" if kind == md.TRANSFORMER else "recurrent-state")
     outcomes = np.zeros((t_grid.size, episodes), dtype=bool)
     for ti, temp in enumerate(t_grid):
         batch = task.sample_batch(rng.child(0, ti).generator(), np.full(episodes, length))
-        noise = md.NoiseConfig(temperature=float(temp), enabled=temp > 0, site=site)
-        outcomes[ti] = predictions(kind, params, batch, noise, rng.child(1, ti)) \
+        outcomes[ti] = predictions(kind, params, batch, float(temp), rng.child(1, ti)) \
             == batch.targets
     acc = outcomes.mean(axis=1)
     lo = np.empty_like(acc)
@@ -451,9 +434,7 @@ def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
     if precision != 64 and any(length > 50 for length in lengths):
         raise ArgumentError("lengths beyond 50 require 64-bit inference")
     rows = []
-    operators = None
-    if kind == md.HOLONOMIC:
-        operators = se.build_operators(params, precision)
+    operators = se.build_operators(params, precision) if kind == md.HOLONOMIC else None
     for li, length in enumerate(lengths):
         if kind == md.TRANSFORMER and params.pos_mode == "learned" \
                 and length > params.max_len:
@@ -462,14 +443,9 @@ def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
                          "note": "capacity-exceeded"})
             continue
         batch = task.sample_batch(rng.child(li).generator(), np.full(episodes, length))
-        if kind == md.HOLONOMIC:
-            _, logits = md.forward_batch(kind, params, batch.ids, batch.queries,
-                                         operators=operators,
-                                         renorm_interval=renorm_interval)
-            preds = np.argmax(logits, axis=1)
-        else:
-            preds = predictions(kind, params, batch)
-        acc = float(np.mean(preds == batch.targets))
+        _, logits = md.forward_batch(kind, params, batch.ids, batch.queries,
+                                     operators=operators, renorm_interval=renorm_interval)
+        acc = float(np.mean(np.argmax(logits, axis=1) == batch.targets))
         rows.append({"L": int(length), "acc": acc, "episodes": episodes,
                      "precision": precision, "note": ""})
     return rows
@@ -584,17 +560,11 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
 # ===================================================================== diagnostics
 
 
-def final_states(kind: str, params, batch: Batch,
-                 noise: md.NoiseConfig = md.NoiseConfig(),
+def final_states(kind: str, params, batch: Batch, temperature: float = 0.0,
                  rng: tc.RngState | None = None) -> np.ndarray:
-    """Final hidden representation per episode (pooled encoding for the
-    transformer, which needs equal lengths); noise streams as in
-    `predictions`."""
-    if kind == md.TRANSFORMER:
-        rngs = [rng.child(i) for i in range(len(batch.targets))] if noise.enabled else None
-        return md.transformer_forward_batch(params, batch.episodes(), noise, rngs,
-                                            return_repr=True)
-    return md.forward_batch(kind, params, batch.ids, batch.queries, noise, rng)[0]
+    """Final hidden representation per episode (the transformer's pooled
+    encoding); noise as in `predictions`."""
+    return md.forward_batch(kind, params, batch.ids, batch.queries, temperature, rng)[0]
 
 
 def mass_gap(kind: str, params, task: TaskConfig, rng: tc.RngState,
@@ -652,8 +622,7 @@ def pca_snapshot(entries, task: TaskConfig, temperature: float, episodes: int,
     for mi, (tag, kind, params) in enumerate(entries):
         mrng = rng.child(mi)
         batch = task.sample_batch(mrng.child(0).generator(), np.full(episodes, length))
-        noise = md.NoiseConfig(temperature=temperature, enabled=temperature > 0)
-        states = final_states(kind, params, batch, noise, mrng.child(1))
+        states = final_states(kind, params, batch, temperature, mrng.child(1))
         labels = batch.targets
         _, proj2 = tc.pca_project(states, 2)
         _, proj3 = tc.pca_project(states, 3)

@@ -97,14 +97,17 @@ class Tape:
         return Var(self, len(self.ops) - 1)
 
     def backward(self, loss: Var) -> dict[int, np.ndarray]:
-        """Reverse sweep from a scalar loss; returns grads keyed by node id."""
+        """Reverse sweep from a scalar loss; returns leaf grads keyed by node id."""
         if loss.value.ndim != 0:
             raise ArgumentError(
                 f"backward: loss must be scalar, got shape {loss.value.shape}")
         return self.vjp(loss, np.asarray(1.0))
 
     def vjp(self, node: Var, cotangent: np.ndarray) -> dict[int, np.ndarray]:
-        """Vector-Jacobian product seeded with an arbitrary cotangent."""
+        """Vector-Jacobian product seeded with an arbitrary cotangent.
+
+        Returns the gradients of the leaves only: a non-leaf node's cotangent
+        is dropped once its backward rule has run."""
         cotangent = np.asarray(cotangent, dtype=np.float64)
         if cotangent.shape != node.value.shape:
             raise DimensionError(
@@ -116,6 +119,7 @@ class Tape:
             if g is None or self.ops[idx] == "leaf":
                 continue
             _BACKWARD[self.ops[idx]](self, idx, g)
+            self.grads[idx] = None
         return {i: g for i, g in enumerate(self.grads) if g is not None}
 
     def _accum(self, idx: int, g: np.ndarray) -> None:

@@ -1,11 +1,16 @@
 """The four sequence classifiers behind a single interface.
 
-Each model exposes a numpy inference forward (with the energy-normalized
-noise hook) and a training graph on a grad_engine.Tape (`tape_batch_loss`).
+Each model exposes a numpy inference forward and a training graph on a
+grad_engine.Tape (`tape_batch_loss`). Noise is one temperature T: the
+energy-normalized update h + g * (T / sqrt(N)) * ||h|| hits the recurrent
+state of the holonomic model and the RNNs and the residual stream of the
+transformer.
 
-Experiments run recurrent inference through `forward_batch`, one batched
-numpy forward over a left-padded id block; the per-episode forwards are its
-B = 1 reference. The transformer keeps its own length-grouped batch forward.
+Experiments run inference for all four kinds through `forward_batch`, one
+batched numpy forward over a left-padded id block. The recurrent models step
+through its columns; the transformer runs the unpadded rows of each length as
+one block (`transformer_forward_batch`). The per-episode recurrent forwards
+are its B = 1 reference.
 
 Training builds one graph per batch. The holonomic model and the RNNs run
 over the left-padded (B, L_max) block, so their tape size does not depend on
@@ -38,17 +43,17 @@ TRANSFORMER = "transformer"
 MODEL_KINDS = (HOLONOMIC, RNN, NORMALIZED_RNN, TRANSFORMER)
 
 
-@dataclass
-class NoiseConfig:
-    temperature: float = 0.0
-    enabled: bool = False
-    site: str = "recurrent-state"  # or "residual-stream"
+def _check_noise(temperature: float, rng) -> None:
+    if temperature < 0:
+        raise ArgumentError("noise temperature must be >= 0")
+    if temperature > 0 and rng is None:
+        raise ArgumentError("noise temperature > 0 but no rng supplied")
 
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ArgumentError("noise temperature must be >= 0")
-        if self.site not in ("recurrent-state", "residual-stream"):
-            raise ArgumentError(f"unknown noise site: {self.site}")
+
+def _unit(h: np.ndarray) -> np.ndarray:
+    """h (or each row of h) scaled to unit norm; zero vectors stay zero."""
+    norms = np.linalg.norm(h, axis=-1, keepdims=True)
+    return np.divide(h, norms, out=h.copy(), where=norms > 0)
 
 
 def inject_noise(h: np.ndarray, temperature: float, n: int, rng: tc.RngState) -> np.ndarray:
@@ -112,27 +117,22 @@ def init_holonomic(rng: tc.RngState, n: int, vocab: int, n_classes: int,
 
 
 def holonomic_forward(p: HolonomicParams, episode: Episode,
-                      noise: NoiseConfig = NoiseConfig(),
-                      rng: tc.RngState | None = None,
-                      operators: np.ndarray | None = None):
+                      temperature: float = 0.0, rng: tc.RngState | None = None):
     """Multiplicative update h_t = exp(M(x_t) - M(x_t)^T) h_{t-1}.
 
-    Returns (trajectory, logits); trajectory[0] is h0. With noise enabled the
-    state is renormalized to unit norm after every injection.
+    Returns (trajectory, logits); trajectory[0] is h0. With temperature > 0
+    step t draws its noise from rng.child(t), and the state is renormalized
+    to unit norm after every injection.
     """
     _check_tokens(episode.tokens, p.vocab)
-    if noise.enabled and rng is None:
-        raise ArgumentError("noise enabled but no rng supplied")
-    ops = operators if operators is not None else p.operators()
+    _check_noise(temperature, rng)
+    ops = p.operators()
     h = p.h0.astype(np.float64, copy=True)
     trajectory = [h.copy()]
     for t, tok in enumerate(episode.tokens):
         h = ops[tok] @ h
-        if noise.enabled:
-            h = inject_noise(h, noise.temperature, p.n, rng.child(t))
-            norm = np.linalg.norm(h)
-            if norm > 0:
-                h = h / norm
+        if temperature > 0:
+            h = _unit(inject_noise(h, temperature, p.n, rng.child(t)))
         trajectory.append(h.copy())
     q = _readout_query(episode, p.readout.shape[0])
     return trajectory, p.readout[q] @ h
@@ -170,29 +170,23 @@ def init_rnn(rng: tc.RngState, n: int, vocab: int, n_classes: int,
     return RnnParams(n, vocab, w_rec, w_in, bias, readout)
 
 
-def rnn_forward(p: RnnParams, episode: Episode,
-                noise: NoiseConfig = NoiseConfig(),
-                rng: tc.RngState | None = None,
-                normalized: bool = False):
+def rnn_forward(p: RnnParams, episode: Episode, temperature: float = 0.0,
+                rng: tc.RngState | None = None, normalized: bool = False):
     """tanh recurrence; the normalized variant projects onto the unit sphere
-    after every timestep and after every noise injection."""
+    after every timestep and after every noise injection (noise as in
+    `holonomic_forward`)."""
     _check_tokens(episode.tokens, p.vocab)
-    if noise.enabled and rng is None:
-        raise ArgumentError("noise enabled but no rng supplied")
+    _check_noise(temperature, rng)
     h = np.zeros(p.n)
     trajectory = [h.copy()]
     for t, tok in enumerate(episode.tokens):
         h = np.tanh(p.w_rec @ h + p.w_in[tok] + p.bias)
         if normalized:
-            norm = np.linalg.norm(h)
-            if norm > 0:
-                h = h / norm
-        if noise.enabled:
-            h = inject_noise(h, noise.temperature, p.n, rng.child(t))
+            h = _unit(h)
+        if temperature > 0:
+            h = inject_noise(h, temperature, p.n, rng.child(t))
             if normalized:
-                norm = np.linalg.norm(h)
-                if norm > 0:
-                    h = h / norm
+                h = _unit(h)
         trajectory.append(h.copy())
     q = _readout_query(episode, p.readout.shape[0])
     return trajectory, p.readout[q] @ h
@@ -287,30 +281,19 @@ def _positional(p: TransformerParams, length: int) -> np.ndarray:
     return sinusoidal_table(length, p.d_model)
 
 
-def transformer_forward_batch(p: TransformerParams, episodes: list[Episode],
-                              noise: NoiseConfig = NoiseConfig(),
-                              rngs: list[tc.RngState] | None = None,
-                              return_repr: bool = False) -> np.ndarray:
-    """Batched encoder forward over same-length episodes; returns (B, C) logits
-    (or the pooled (B, d) representation when return_repr is set).
+def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
+                              temperature: float = 0.0,
+                              gen: np.random.Generator | None = None) -> np.ndarray:
+    """Pooled (B, d) encodings of an unpadded, equal-length (B, L) id block.
 
-    Noise (when enabled) is drawn from one stream per episode so results are
-    independent of batch composition.
+    With temperature > 0, each layer's residual stream x then takes
+    x + g * (T / sqrt(d)) * ||x|| per position, g one (B, L, d) Gaussian
+    block drawn from `gen`.
     """
-    if not episodes:
-        raise ArgumentError("empty episode batch")
-    length = episodes[0].length
-    if any(e.length != length for e in episodes):
-        raise ArgumentError("batched forward requires equal-length episodes")
-    for e in episodes:
-        _check_tokens(e.tokens, p.vocab)
-    if noise.enabled and rngs is None:
-        raise ArgumentError("noise enabled but no rng supplied")
     w = p.weights
     d, heads = p.d_model, p.n_heads
     dk = d // heads
-    ids = np.array([e.tokens for e in episodes])
-    x = w["embed"][ids] + _positional(p, length)[None, :, :]
+    x = w["embed"][ids] + _positional(p, ids.shape[1])[None, :, :]
     for i in range(p.n_layers):
         pre = f"layer{i}."
         y = _layer_norm_np(x, w[pre + "ln1_g"], w[pre + "ln1_b"])
@@ -328,27 +311,11 @@ def transformer_forward_batch(p: TransformerParams, episodes: list[Episode],
         x = x + out @ w[pre + "wo"] + w[pre + "bo"]
         y = _layer_norm_np(x, w[pre + "ln2_g"], w[pre + "ln2_b"])
         x = x + np.tanh(y @ w[pre + "w1"] + w[pre + "b1"]) @ w[pre + "w2"] + w[pre + "b2"]
-        if noise.enabled and noise.site == "residual-stream":
-            for b in range(len(episodes)):
-                g = rngs[b].child(i).generator().standard_normal((length, d))
-                norms = np.linalg.norm(x[b], axis=-1, keepdims=True)
-                x[b] = x[b] + g * (noise.temperature / math.sqrt(d)) * norms
+        if temperature > 0:
+            g = gen.standard_normal(x.shape)
+            x = x + g * (temperature / math.sqrt(d)) * np.linalg.norm(x, axis=-1, keepdims=True)
     x = _layer_norm_np(x, w["ln_f_g"], w["ln_f_b"])
-    pooled = x.mean(axis=1) if p.pool == "mean" else x[:, -1, :]
-    if return_repr:
-        return pooled
-    readout = w["readout"]
-    logits = np.empty((len(episodes), readout.shape[1]))
-    for b, e in enumerate(episodes):
-        logits[b] = readout[_readout_query(e, readout.shape[0])] @ pooled[b]
-    return logits
-
-
-def transformer_forward(p: TransformerParams, episode: Episode,
-                        noise: NoiseConfig = NoiseConfig(),
-                        rng: tc.RngState | None = None) -> np.ndarray:
-    return transformer_forward_batch(
-        p, [episode], noise, None if rng is None else [rng])[0]
+    return x.mean(axis=1) if p.pool == "mean" else x[:, -1, :]
 
 
 # ===================================================================== batched tape losses
@@ -363,19 +330,17 @@ def transformer_forward(p: TransformerParams, episode: Episode,
 # with every row at L = 50.
 
 
-def _grouped_by_length(episodes: list[Episode]) -> list[list[Episode]]:
-    groups: dict[int, list[Episode]] = {}
-    for e in episodes:
-        groups.setdefault(e.length, []).append(e)
-    return [groups[k] for k in sorted(groups)]
-
-
-def _combine_group_losses(parts: list[tuple[ge.Var, int]], total: int) -> ge.Var:
-    out = None
-    for loss, count in parts:
-        term = ge.scale(loss, count / total)
-        out = term if out is None else out + term
-    return out
+def _length_groups(ids: np.ndarray):
+    """(rows, unpadded id block) per distinct row length of a left-padded
+    block, lengths ascending; a row takes padding on the left only."""
+    live = ids != ge.IDENTITY_STEP
+    lengths = live.sum(axis=1)
+    if np.any(live[:, :-1] > live[:, 1:]) or not lengths.all():
+        raise ArgumentError("transformer rows must be padded on the left only "
+                            "and hold at least one token")
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        yield rows, ids[rows, ids.shape[1] - length:]
 
 
 def _readout_loss(leaves: dict, states: ge.Var, episodes: list[Episode]) -> ge.Var:
@@ -430,9 +395,9 @@ def rnn_tape_loss_batched(tape: ge.Tape, leaves: dict, episodes: list[Episode],
 def transformer_tape_loss_batched(tape: ge.Tape, leaves: dict,
                                   episodes: list[Episode],
                                   p: TransformerParams) -> ge.Var:
-    parts = []
-    for group in _grouped_by_length(episodes):
-        length = group[0].length
+    loss = None
+    for rows, ids in _length_groups(_left_padded(episodes, p.vocab)):
+        length = ids.shape[1]
         if p.pos_mode == "learned":
             if length > p.max_len:
                 raise CapacityError(
@@ -440,7 +405,6 @@ def transformer_tape_loss_batched(tape: ge.Tape, leaves: dict,
             pos = leaves["pos"][0:length]
         else:
             pos = tape.leaf(sinusoidal_table(length, p.d_model))
-        ids = np.array([e.tokens for e in group])
         x = ge.embed_lookup(leaves["embed"], ids) + pos
         for i in range(p.n_layers):
             pre = f"layer{i}."
@@ -460,16 +424,13 @@ def transformer_tape_loss_batched(tape: ge.Tape, leaves: dict,
             pooled = ge.mean_axis1(x)
         else:
             pooled = x[:, length - 1, :]
-        parts.append((_readout_loss(leaves, pooled, group), len(group)))
-    return _combine_group_losses(parts, len(episodes))
+        term = ge.scale(_readout_loss(leaves, pooled, [episodes[i] for i in rows]),
+                        rows.size / len(episodes))
+        loss = term if loss is None else loss + term
+    return loss
 
 
 # ===================================================================== dispatch
-
-
-def _unit_rows(h: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(h, axis=1, keepdims=True)
-    return np.divide(h, norms, out=h.copy(), where=norms > 0)
 
 
 def _apply_tokens(h: np.ndarray, col: np.ndarray, mats: np.ndarray) -> None:
@@ -486,38 +447,11 @@ def _apply_tokens(h: np.ndarray, col: np.ndarray, mats: np.ndarray) -> None:
     h[rows] = hs
 
 
-def forward_batch(kind: str, params, ids, queries=None,
-                  noise: NoiseConfig = NoiseConfig(),
-                  rng: tc.RngState | None = None, *,
-                  operators: np.ndarray | None = None,
-                  renorm_interval: int = 0):
-    """Final states (B, n) and logits (B, C) of the holonomic model, the RNN or
-    the normalized RNN over a (B, L) id block left-padded with IDENTITY_STEP.
-
-    Padded steps leave a row's state unchanged, so each row matches its
-    per-episode forward. With noise enabled, one (L, B, n) Gaussian block is
-    drawn step by step from the single generator of `rng`, and only live
-    steps get the energy-normalized update. `queries` selects each row's
-    readout (None: readout 0). Holonomic inference may take precomputed
-    `operators` (float32 for low-precision runs) and rescale each state to
-    ||h0|| after every `renorm_interval` of its own steps (0: never).
-    Raises NumericError on non-finite logits.
-    """
-    if kind not in (HOLONOMIC, RNN, NORMALIZED_RNN):
-        raise ArgumentError(f"forward_batch has no path for model kind {kind!r}")
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 2:
-        raise DimensionError(f"forward_batch: need a (B, L) id block, got {ids.shape}")
+def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
+                      gen: np.random.Generator | None,
+                      operators: np.ndarray | None, renorm_interval: int) -> np.ndarray:
+    """Final states of the holonomic model or an RNN, one column at a time."""
     b = ids.shape[0]
-    if ids.size and (ids.min() < ge.IDENTITY_STEP or ids.max() >= params.vocab):
-        raise ArgumentError(f"token outside vocabulary of size {params.vocab}")
-    n_queries = params.readout.shape[0]
-    queries = np.zeros(b, dtype=np.intp) if queries is None \
-        else np.asarray(queries, dtype=np.intp)
-    if queries.shape != (b,) or (b and (queries.min() < 0 or queries.max() >= n_queries)):
-        raise ArgumentError(f"queries must be {b} ids in [0, {n_queries})")
-    if noise.enabled and rng is None:
-        raise ArgumentError("noise enabled but no rng supplied")
     if kind == HOLONOMIC:
         ops = params.operators() if operators is None else operators
         mats = ops.transpose(0, 2, 1)   # row states: (U h)^T = h^T U^T
@@ -526,8 +460,7 @@ def forward_batch(kind: str, params, ids, queries=None,
     else:
         h = np.zeros((b, params.n))
         w_rec_t = params.w_rec.T
-    gen = rng.generator() if noise.enabled else None
-    scale = noise.temperature / math.sqrt(params.n)
+    scale = temperature / math.sqrt(params.n)
     steps = np.zeros(b, dtype=np.intp)
     for col in ids.T:
         live = np.flatnonzero(col != ge.IDENTITY_STEP)
@@ -541,33 +474,72 @@ def forward_batch(kind: str, params, ids, queries=None,
                                     where=norms > 0)
         else:
             hl = np.tanh(h[live] @ w_rec_t + params.w_in[col[live]] + params.bias)
-            h[live] = _unit_rows(hl) if kind == NORMALIZED_RNN else hl
+            h[live] = _unit(hl) if kind == NORMALIZED_RNN else hl
         if gen is not None:
             hl = h[live]
-            if noise.temperature > 0:
-                g = gen.standard_normal(h.shape)[live]
-                hl = hl + g * scale * np.linalg.norm(hl, axis=1, keepdims=True)
-            h[live] = hl if kind == RNN else _unit_rows(hl)
-    readout = params.readout
-    q, c, n = readout.shape
-    logits = (h @ readout.reshape(q * c, n).T).reshape(b, q, c)[np.arange(b), queries]
+            g = gen.standard_normal(h.shape)[live]
+            hl = hl + g * scale * np.linalg.norm(hl, axis=1, keepdims=True)
+            h[live] = hl if kind == RNN else _unit(hl)
+    return h
+
+
+def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0,
+                  rng: tc.RngState | None = None, *,
+                  operators: np.ndarray | None = None,
+                  renorm_interval: int = 0):
+    """Final states (B, n) and logits (B, C) of any model kind over a (B, L)
+    id block left-padded with IDENTITY_STEP; the transformer's state is its
+    pooled encoding.
+
+    Padded steps leave a recurrent row's state unchanged, so each row matches
+    its per-episode forward; a transformer row takes padding on the left
+    only. With temperature > 0 all noise comes from the single generator of
+    `rng`: for recurrent models one (B, n) Gaussian block per column, of
+    which only live steps get the energy-normalized update, for the
+    transformer one block per layer per length. `queries` selects each row's
+    readout (None: readout 0). Holonomic inference may take precomputed
+    `operators` (float32 for low-precision runs) and rescale each state to
+    ||h0|| after every `renorm_interval` of its own steps (0: never).
+    Raises NumericError on non-finite logits.
+    """
+    if kind not in MODEL_KINDS:
+        raise ArgumentError(f"unknown model kind: {kind}")
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 2:
+        raise DimensionError(f"forward_batch: need a (B, L) id block, got {ids.shape}")
+    b = ids.shape[0]
+    if ids.size and (ids.min() < ge.IDENTITY_STEP or ids.max() >= params.vocab):
+        raise ArgumentError(f"token outside vocabulary of size {params.vocab}")
+    readout = params.weights["readout"] if kind == TRANSFORMER else params.readout
+    n_queries = readout.shape[0]
+    queries = np.zeros(b, dtype=np.intp) if queries is None \
+        else np.asarray(queries, dtype=np.intp)
+    if queries.shape != (b,) or (b and (queries.min() < 0 or queries.max() >= n_queries)):
+        raise ArgumentError(f"queries must be {b} ids in [0, {n_queries})")
+    _check_noise(temperature, rng)
+    gen = rng.generator() if temperature > 0 else None
+    if kind == TRANSFORMER:
+        h = np.empty((b, params.d_model))
+        for rows, block in _length_groups(ids):
+            h[rows] = transformer_forward_batch(params, block, temperature, gen)
+    else:
+        h = _recurrent_states(kind, params, ids, temperature, gen, operators,
+                              renorm_interval)
+    # a row's logits do not depend on the other rows, bit for bit
+    logits = np.einsum("bn,bcn->bc", h, readout[queries])
     if not np.all(np.isfinite(logits)):
         raise NumericError("forward_batch: non-finite logits")
     return h, logits
 
 
-def forward_logits(kind: str, params, episode: Episode,
-                   noise: NoiseConfig = NoiseConfig(),
-                   rng: tc.RngState | None = None) -> np.ndarray:
+def forward_logits(kind: str, params, episode: Episode) -> np.ndarray:
+    """Noiseless logits of one episode: the per-episode forward of a recurrent
+    model, a one-row `forward_batch` for the transformer."""
     if kind == HOLONOMIC:
-        return holonomic_forward(params, episode, noise, rng)[1]
-    if kind == RNN:
-        return rnn_forward(params, episode, noise, rng, normalized=False)[1]
-    if kind == NORMALIZED_RNN:
-        return rnn_forward(params, episode, noise, rng, normalized=True)[1]
-    if kind == TRANSFORMER:
-        return transformer_forward(params, episode, noise, rng)
-    raise ArgumentError(f"unknown model kind: {kind}")
+        return holonomic_forward(params, episode)[1]
+    if kind in (RNN, NORMALIZED_RNN):
+        return rnn_forward(params, episode, normalized=kind == NORMALIZED_RNN)[1]
+    return forward_batch(kind, params, [episode.tokens], [episode.query or 0])[1][0]
 
 
 def tape_batch_loss(kind: str, tape: ge.Tape, leaves: dict,

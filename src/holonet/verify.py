@@ -127,14 +127,14 @@ def check_isometry(seed):
 def check_noise_silence(seed):
     p = md.init_holonomic(RngState(seed), 8, 6, 6)
     ep = s3_sample_episode(RngState(seed).child(4), 5)
-    _, a = md.holonomic_forward(p, ep, md.NoiseConfig(), None)
-    _, b = md.holonomic_forward(p, ep, md.NoiseConfig(), RngState(12345))
+    _, a = md.holonomic_forward(p, ep, 0.0, None)
+    _, b = md.holonomic_forward(p, ep, 0.0, RngState(12345))
     assert np.array_equal(a, b), "noise hook fired while disabled"
     # the batched forward, on a block with a padded row
     ids = np.array([(ge.IDENTITY_STEP, ge.IDENTITY_STEP) + ep.tokens[:3], ep.tokens])
     for kind, params in ((md.HOLONOMIC, p), (md.RNN, md.init_rnn(RngState(seed), 8, 6, 6))):
         _, c = md.forward_batch(kind, params, ids)
-        _, d = md.forward_batch(kind, params, ids, None, md.NoiseConfig(), RngState(12345))
+        _, d = md.forward_batch(kind, params, ids, None, 0.0, RngState(12345))
         assert np.array_equal(c, d), f"{kind} batched noise hook fired while disabled"
 
 

@@ -1,6 +1,11 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from holonet import cli
@@ -74,3 +79,44 @@ def test_non_finite_operators_exit_numeric(tmp_path, command):
                       f"[massgap]\nepisodes_per_class = 2\ncheckpoint = {ckpt}\n")
     code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERIC
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+def test_cli_import_pins_blas_to_one_thread_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, holonet.cli; print(*(os.environ[v] for v in %r))" % (BLAS_VARS,)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == [preset or "1", "1", "1"]
+
+
+@pytest.mark.parametrize("kind", [md.HOLONOMIC, md.TRANSFORMER])
+def test_genlen_summary_states_accuracy_range_and_lengths_below_chance(tmp_path, kind):
+    if kind == md.HOLONOMIC:
+        params = md.init_holonomic(RngState(9), 8, 6, 6)
+    else:   # a learned table of 8 positions cannot score L = 20
+        params = md.init_transformer(RngState(9), 8, 1, 2, 8, 6, 6, max_len=8)
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(ckpt, kind, params)
+    config = tmp_path / "genlen.ini"
+    config.write_text(f"[genlen]\nlengths = 1,3,20\nepisodes = 24\ncheckpoint = {ckpt}\n")
+    out = tmp_path / "out"
+    assert cli.main(["genlen", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    run = out / "genlen" / "seed0"
+    with open(run / "curve.csv") as fh:
+        acc = {int(r["L"]): float(r["acc"]) for r in csv.DictReader(fh)}
+    summary = dict(line.split(": ", 1) for line in
+                   (run / "summary.txt").read_text().splitlines())
+    scored = [a for a in acc.values() if not math.isnan(a)]
+    assert float(summary["acc_min"]) == pytest.approx(min(scored), abs=1e-6)
+    assert float(summary["acc_max"]) == pytest.approx(max(scored), abs=1e-6)
+    below = [str(n) for n, a in acc.items() if a <= round(1 / 6, 6)]   # csv has 6 digits
+    assert summary["below_chance"] == (",".join(below) or "none")
+    assert ("L=20" in summary) == (kind == md.TRANSFORMER)
+    assert np.isnan(acc[20]) == (kind == md.TRANSFORMER)

@@ -23,7 +23,7 @@ DEFAULT_SNAPSHOT = {
               "lr_schedule": "constant", "lr_floor": "0.0001", "early_stop": "True",
               "save": ""},
     "noise": {"t_max": "2.0", "points": "41", "episodes": "512", "threshold": "0.99",
-              "length": "5", "site": "auto", "checkpoint": ""},
+              "length": "5", "checkpoint": ""},
     "scaling": {"widths": "8,16,32,64,128"},
     "genlen": {"lengths": "50,100,200,500,1000,2000,5000", "episodes": "512",
                "checkpoint": ""},
@@ -51,7 +51,7 @@ S3_EVERY_KEY = {
               "val_episodes": "32", "target_accuracy": "0.95", "lr_schedule": "cosine",
               "lr_floor": "1e-05", "early_stop": "False", "save": "s3.npz"},
     "noise": {"t_max": "1.5", "points": "5", "episodes": "16", "threshold": "0.9",
-              "length": "4", "site": "residual-stream", "checkpoint": "a.npz"},
+              "length": "4", "checkpoint": "a.npz"},
     "scaling": {"widths": "4,8"},
     "genlen": {"lengths": "10,20", "episodes": "8", "checkpoint": "b.npz"},
     "horizon": {"t_max": "100", "points": "6", "method": "autodiff", "fit_min_t": "2",
@@ -77,7 +77,7 @@ BINDING_EVERY_KEY = {
               "lr_schedule": "cosine", "lr_floor": "2e-05", "early_stop": "False",
               "save": "binding.npz"},
     "noise": {"t_max": "0.5", "points": "3", "episodes": "32", "threshold": "0.8",
-              "length": "6", "site": "recurrent-state", "checkpoint": "g.npz"},
+              "length": "6", "checkpoint": "g.npz"},
     "scaling": {"widths": "12"},
     "genlen": {"lengths": "20,30,40", "episodes": "16", "checkpoint": "h.npz"},
     "horizon": {"t_max": "50", "points": "4", "method": "operator-norm",
@@ -101,7 +101,7 @@ def triples(text: str) -> dict:
 
 
 def test_default_render_writes_every_accepted_key():
-    assert sum(len(keys) for keys in DEFAULT_SNAPSHOT.values()) == 65
+    assert sum(len(keys) for keys in DEFAULT_SNAPSHOT.values()) == 64
     assert triples(render_config(RunConfig())) == DEFAULT_SNAPSHOT
 
 
@@ -129,7 +129,7 @@ def test_render_parse_round_trip(snapshot):
     if snapshot is not DEFAULT_SNAPSHOT:
         differ = {(s, k) for s, keys in snapshot.items() for k, v in keys.items()
                   if v != DEFAULT_SNAPSHOT[s][k]}
-        assert len(differ) >= 64
+        assert len(differ) >= 63
     cfg = parse_config(as_ini(snapshot))
     assert triples(render_config(cfg)) == snapshot
     assert parse_config(render_config(cfg)) == cfg
@@ -165,6 +165,7 @@ BAD_CONFIGS = {
     "bad-float": "[train]\nlr = fast\n",
     "bad-bool": "[train]\nearly_stop = maybe\n",
     "bad-tuple": "[genlen]\nlengths = 10,x\n",
+    "noise-site": "[noise]\nsite = auto\n",
 }
 
 

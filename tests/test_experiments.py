@@ -251,6 +251,15 @@ def test_pca_snapshot_shapes_and_silhouette():
         assert entry["silhouette"] is not None
 
 
+def test_pca_snapshot_noise_reaches_the_transformer():
+    # the transformer's residual stream takes the noise; the batch is the same
+    p = md.init_transformer(RngState(22), 16, 1, 2, 16, 6, 6)
+    points = [ex.pca_snapshot([("tr", md.TRANSFORMER, p)], ex.TaskConfig(), temp, 60,
+                              RngState(21))["tr"] for temp in (0.0, 5.0)]
+    assert np.array_equal(points[0]["labels"], points[1]["labels"])
+    assert not np.allclose(points[0]["k3"], points[1]["k3"])
+
+
 # ---------------------------------------------------------------- sweeps & eval
 
 
@@ -282,8 +291,7 @@ def test_noise_sweep_holonomic_same_seed_same_bits_and_noise_matters():
     for ti, temp in enumerate(grid):
         batch = ex.TaskConfig().sample_batch(RngState(25).child(0, ti).generator(),
                                              np.full(96, 5))
-        noise = md.NoiseConfig(temperature=temp, enabled=temp > 0)
-        preds = ex.predictions(md.HOLONOMIC, p, batch, noise, RngState(25).child(1, ti))
+        preds = ex.predictions(md.HOLONOMIC, p, batch, temp, RngState(25).child(1, ti))
         assert np.array_equal(a.outcomes[ti], preds == batch.targets)
 
 

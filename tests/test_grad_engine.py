@@ -264,7 +264,10 @@ def test_backward_bitwise_deterministic():
         a = t.leaf(gen.standard_normal((2, 6, 6)))
         v = t.leaf(gen.standard_normal(6))
         u = ge.skew_exp(a)
-        t.backward(wsum(ge.matvec(u[1], ge.matvec(u[0], v))))
+        grads = t.backward(wsum(ge.matvec(u[1], ge.matvec(u[0], v))))
+        # the sweep frees every non-leaf cotangent once its rule has run
+        assert all(t.ops[i] == "leaf" for i in grads)
+        assert all(g is None for g, op in zip(t.grads, t.ops) if op != "leaf")
         return a.grad.copy(), v.grad.copy()
 
     ga1, gv1 = run()

@@ -49,10 +49,14 @@ def test_inject_noise_energy_scaling():
 
 
 def test_noise_config_validation():
-    with pytest.raises(ArgumentError):
-        md.NoiseConfig(temperature=-0.1)
-    with pytest.raises(ArgumentError):
-        md.NoiseConfig(site="everywhere")
+    # noise is one temperature; T > 0 needs an rng
+    p = md.init_holonomic(RngState(0), 4, 6, 6)
+    ids = np.array([[0, 1]])
+    for temp, rng in ((-0.1, RngState(1)), (0.1, None)):
+        with pytest.raises(ArgumentError):
+            md.forward_batch(md.HOLONOMIC, p, ids, None, temp, rng)
+        with pytest.raises(ArgumentError):
+            md.holonomic_forward(p, s3_episode(1), temp, rng)
 
 
 # ---------------------------------------------------------------- holonomic
@@ -85,8 +89,7 @@ def test_holonomic_order_sensitivity():
 
 def test_holonomic_noise_renormalizes_to_unit():
     p = md.init_holonomic(RngState(7), 12, 6, 6)
-    noise = md.NoiseConfig(temperature=0.8, enabled=True)
-    traj, _ = md.holonomic_forward(p, s3_episode(8, 10), noise, RngState(9))
+    traj, _ = md.holonomic_forward(p, s3_episode(8, 10), 0.8, RngState(9))
     for h in traj[1:]:
         assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
 
@@ -94,8 +97,8 @@ def test_holonomic_noise_renormalizes_to_unit():
 def test_holonomic_noise_hook_silent_when_disabled():
     p = md.init_holonomic(RngState(10), 8, 6, 6)
     ep = s3_episode(11)
-    _, a = md.holonomic_forward(p, ep, md.NoiseConfig(), None)
-    _, b = md.holonomic_forward(p, ep, md.NoiseConfig(), RngState(99))
+    _, a = md.holonomic_forward(p, ep, 0.0, None)
+    _, b = md.holonomic_forward(p, ep, 0.0, RngState(99))
     assert np.array_equal(a, b)
 
 
@@ -108,10 +111,9 @@ def test_holonomic_vocabulary_overflow():
 def test_holonomic_noisy_forward_deterministic_per_seed():
     p = md.init_holonomic(RngState(13), 8, 6, 6)
     ep = s3_episode(14)
-    noise = md.NoiseConfig(temperature=0.5, enabled=True)
-    _, a = md.holonomic_forward(p, ep, noise, RngState(1).child(3))
-    _, b = md.holonomic_forward(p, ep, noise, RngState(1).child(3))
-    _, c = md.holonomic_forward(p, ep, noise, RngState(1).child(4))
+    _, a = md.holonomic_forward(p, ep, 0.5, RngState(1).child(3))
+    _, b = md.holonomic_forward(p, ep, 0.5, RngState(1).child(3))
+    _, c = md.holonomic_forward(p, ep, 0.5, RngState(1).child(4))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -130,9 +132,7 @@ def test_rnn_zero_weights_zero_trajectory():
 
 def test_normalized_rnn_unit_sphere_under_noise():
     p = md.init_rnn(RngState(17), 16, 6, 6)
-    noise = md.NoiseConfig(temperature=2.0, enabled=True)
-    traj, _ = md.rnn_forward(p, s3_episode(18, 10), noise, RngState(19),
-                             normalized=True)
+    traj, _ = md.rnn_forward(p, s3_episode(18, 10), 2.0, RngState(19), normalized=True)
     for h in traj[1:]:
         assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
 
@@ -151,8 +151,8 @@ def test_transformer_zero_weights_constant_logits():
     p = small_transformer(n_layers=1)
     for arr in p.weights.values():
         arr[:] = 0.0
-    a = md.transformer_forward(p, s3_episode(21))
-    b = md.transformer_forward(p, s3_episode(22))
+    a = md.forward_logits(md.TRANSFORMER, p, s3_episode(21))
+    b = md.forward_logits(md.TRANSFORMER, p, s3_episode(22))
     assert np.array_equal(a, b)
 
 
@@ -160,7 +160,7 @@ def test_transformer_capacity_error_on_learned_positions():
     p = small_transformer()
     long_ep = s3_sample_episode(RngState(23), 13)
     with pytest.raises(CapacityError):
-        md.transformer_forward(p, long_ep)
+        md.forward_logits(md.TRANSFORMER, p, long_ep)
 
 
 def test_transformer_head_divisibility():
@@ -173,30 +173,40 @@ def test_transformer_permutation_invariance_without_positions():
     p.weights["pos"][:] = 0.0
     ep = Episode(tokens=(0, 1, 2, 3, 4, 5), target=0, length=6)
     perm = Episode(tokens=(5, 3, 1, 0, 4, 2), target=0, length=6)
-    a = md.transformer_forward(p, ep)
-    b = md.transformer_forward(p, perm)
+    a = md.forward_logits(md.TRANSFORMER, p, ep)
+    b = md.forward_logits(md.TRANSFORMER, p, perm)
     assert np.allclose(a, b, atol=1e-10)
     # restoring the positional table breaks the symmetry
     p2 = small_transformer(pool="mean")
-    assert not np.allclose(md.transformer_forward(p2, ep),
-                           md.transformer_forward(p2, perm), atol=1e-6)
+    assert not np.allclose(md.forward_logits(md.TRANSFORMER, p2, ep),
+                           md.forward_logits(md.TRANSFORMER, p2, perm), atol=1e-6)
 
 
 def test_transformer_batch_matches_single():
-    p = small_transformer()
-    eps = [s3_episode(s, 7) for s in range(6)]
-    batch = md.transformer_forward_batch(p, eps)
-    for i, e in enumerate(eps):
-        assert np.allclose(batch[i], md.transformer_forward(p, e), atol=1e-12)
+    # a left-padded mixed-length block gives, bit for bit, the logits of each
+    # length's unpadded block, and each row those of its episode alone
+    p = small_transformer(vocab=10, n_classes=5, n_queries=5)
+    batch = sv_sample_batch(RngState(29).generator(), 5, MIXED)
+    _, logits = md.forward_batch(md.TRANSFORMER, p, batch.ids, batch.queries)
+    width = batch.ids.shape[1]
+    for length in set(MIXED):
+        rows = batch.lengths == length
+        _, alone = md.forward_batch(md.TRANSFORMER, p, batch.ids[rows, width - length:],
+                                    batch.queries[rows])
+        assert np.array_equal(logits[rows], alone)
+    for i, e in enumerate(batch.episodes()):
+        assert np.allclose(logits[i], md.forward_logits(md.TRANSFORMER, p, e), atol=1e-12)
 
 
 def test_transformer_residual_noise_deterministic():
     p = small_transformer()
-    ep = s3_episode(30, 6)
-    noise = md.NoiseConfig(temperature=0.4, enabled=True, site="residual-stream")
-    a = md.transformer_forward(p, ep, noise, RngState(7))
-    b = md.transformer_forward(p, ep, noise, RngState(7))
+    batch = s3_sample_batch(RngState(30).generator(), MIXED)
+    clean, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids)
+    a, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids, None, 0.4, RngState(7))
+    b, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids, None, 0.4, RngState(7))
+    c, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids, None, 0.4, RngState(8))
     assert np.array_equal(a, b)
+    assert not np.any(np.all(a == c, axis=1)) and not np.any(np.all(a == clean, axis=1))
 
 
 # ---------------------------------------------------------------- batched forward
@@ -255,14 +265,13 @@ def test_forward_batch_noise_touches_only_live_steps():
     params = md.init_holonomic(RngState(76), 8, 6, 6)
     ids = np.array([[-1, -1, -1, 4], [0, 1, 2, 3]])
     temp = 0.6
-    noise = md.NoiseConfig(temperature=temp, enabled=True)
-    states, _ = md.forward_batch(md.HOLONOMIC, params, ids, None, noise, RngState(77))
+    states, _ = md.forward_batch(md.HOLONOMIC, params, ids, None, temp, RngState(77))
     gen = RngState(77).generator()
     g = [gen.standard_normal((2, 8)) for _ in range(4)][-1][0]
     h = params.operators()[4] @ params.h0
     h = h + g * temp / math.sqrt(8) * np.linalg.norm(h)
     assert np.allclose(states[0], h / np.linalg.norm(h), atol=1e-13)
-    again, _ = md.forward_batch(md.HOLONOMIC, params, ids, None, noise, RngState(77))
+    again, _ = md.forward_batch(md.HOLONOMIC, params, ids, None, temp, RngState(77))
     assert np.array_equal(states, again)
 
 
@@ -272,8 +281,7 @@ def test_forward_batch_noise_energy_scaling():
     params = md.init_rnn(RngState(78), n, 6, 6)
     ids = np.full((b, 1), 2)
     clean, _ = md.forward_batch(md.RNN, params, ids)
-    noisy, _ = md.forward_batch(md.RNN, params, ids, None,
-                                md.NoiseConfig(temperature=temp, enabled=True), RngState(79))
+    noisy, _ = md.forward_batch(md.RNN, params, ids, None, temp, RngState(79))
     base = np.linalg.norm(clean[0]) ** 2
     measured = np.mean(np.sum((noisy - clean) ** 2, axis=1))
     assert abs(measured - temp ** 2 * base) / (temp ** 2 * base) < 0.03
@@ -282,8 +290,7 @@ def test_forward_batch_noise_energy_scaling():
 def test_forward_batch_normalized_rnn_stays_on_sphere_under_noise():
     params = md.init_rnn(RngState(80), 12, 6, 6)
     batch = s3_sample_batch(RngState(81).generator(), MIXED)
-    states, _ = md.forward_batch(md.NORMALIZED_RNN, params, batch.ids, None,
-                                 md.NoiseConfig(temperature=2.0, enabled=True),
+    states, _ = md.forward_batch(md.NORMALIZED_RNN, params, batch.ids, None, 2.0,
                                  RngState(82))
     assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
 
@@ -299,10 +306,11 @@ def test_forward_batch_rejects_bad_input():
     with pytest.raises(DimensionError):
         md.forward_batch(md.HOLONOMIC, params, np.array([0, 1]))
     with pytest.raises(ArgumentError):
-        md.forward_batch(md.HOLONOMIC, params, np.array([[0, 1]]), None,
-                         md.NoiseConfig(temperature=0.1, enabled=True))
-    with pytest.raises(ArgumentError):
-        md.forward_batch(md.TRANSFORMER, small_transformer(), np.array([[0, 1]]))
+        md.forward_batch("lstm", params, np.array([[0, 1]]))
+    # a transformer row is padded on the left only and holds a token
+    for ids in ([[0, -1, 1]], [[0, 1, -1]], [[-1, -1]]):
+        with pytest.raises(ArgumentError):
+            md.forward_batch(md.TRANSFORMER, small_transformer(), np.array(ids))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
