@@ -14,8 +14,7 @@ a batch's noise, recurrent-state or residual-stream, comes from one stream.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,10 +187,18 @@ class MassGapResult:
 # ===================================================================== evaluation
 
 
+def _operators(kind: str, params) -> np.ndarray | None:
+    """The holonomic operators, for an evaluation that runs many batches."""
+    return params.operators() if kind == md.HOLONOMIC else None
+
+
 def predictions(kind: str, params, batch: Batch, temperature: float = 0.0,
-                rng: tc.RngState | None = None) -> np.ndarray:
-    """Predicted labels, one per episode; the batch's noise comes from `rng`."""
-    _, logits = md.forward_batch(kind, params, batch.ids, batch.queries, temperature, rng)
+                rng: tc.RngState | None = None,
+                operators: np.ndarray | None = None) -> np.ndarray:
+    """Predicted labels, one per episode; the batch's noise comes from `rng`.
+    Holonomic `operators` built once by the caller skip their rebuild."""
+    _, logits = md.forward_batch(kind, params, batch.ids, batch.queries, temperature, rng,
+                                 operators=operators)
     return np.argmax(logits, axis=1)
 
 
@@ -209,11 +216,13 @@ def evaluate_accuracy(kind: str, params, task: TaskConfig, lengths,
 def exhaustive_s3_accuracy(kind: str, params, length: int) -> float:
     """Accuracy over every S3 sequence of `length`, scored in blocks."""
     ids = np.indices((6,) * length).reshape(length, -1).T
+    ops = _operators(kind, params)
     correct = 0
     for lo in range(0, ids.shape[0], SCORE_BLOCK):
         block = ids[lo:lo + SCORE_BLOCK]
         batch = Batch(block, np.full(block.shape[0], length), s3_targets(block))
-        correct += int(np.sum(predictions(kind, params, batch) == batch.targets))
+        correct += int(np.sum(predictions(kind, params, batch, operators=ops)
+                              == batch.targets))
     return correct / ids.shape[0]
 
 
@@ -269,7 +278,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
         loss = md.tape_batch_loss(model_cfg.kind, tape, leaves, batch.episodes(), params)
         if not np.isfinite(loss.value):
             raise NumericError(f"training loss is {float(loss.value)} at step {step}")
-        tape.backward(loss)
+        tape.backward(loss, wrt=leaves.values())
         grads = ge.collect_grads(tape, leaves)
         grad_norm = ge.clip_global_norm(grads, cfg.clip)
         if not np.isfinite(grad_norm):
@@ -318,10 +327,11 @@ def noise_sweep(kind: str, params, task: TaskConfig, t_grid, episodes: int,
     rng.child(1, i)."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     outcomes = np.zeros((t_grid.size, episodes), dtype=bool)
+    ops = _operators(kind, params)
     for ti, temp in enumerate(t_grid):
         batch = task.sample_batch(rng.child(0, ti).generator(), np.full(episodes, length))
-        outcomes[ti] = predictions(kind, params, batch, float(temp), rng.child(1, ti)) \
-            == batch.targets
+        outcomes[ti] = predictions(kind, params, batch, float(temp), rng.child(1, ti),
+                                   ops) == batch.targets
     acc = outcomes.mean(axis=1)
     lo = np.empty_like(acc)
     hi = np.empty_like(acc)
@@ -473,13 +483,46 @@ def _rnn_step_jacobians(params, tokens, normalized: bool):
     return jacs
 
 
+def _horizon_tape(kind: str, params, ops, tokens, wanted):
+    """Tape of a recurrent model along `tokens` from a leaf h_0; returns the
+    tape, h_0 and the state nodes at the steps in `wanted`."""
+    tape = ge.Tape()
+    states = {}
+    if kind == md.HOLONOMIC:
+        # dh_t/dh_0 does not depend on the generators: operators are leaves
+        op_leaves = {}
+        h0 = tape.leaf(params.h0)
+        h = h0
+        for t, tok in enumerate(tokens, start=1):
+            if tok not in op_leaves:
+                op_leaves[tok] = tape.leaf(ops[tok])
+            h = ge.matvec(op_leaves[tok], h)
+            if t in wanted:
+                states[t] = h
+    else:
+        leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+        h0 = tape.leaf(np.zeros(params.n))
+        h = h0
+        for t, tok in enumerate(tokens, start=1):
+            pre = ge.matvec(leaves["w_rec"], h) \
+                + ge.embed_lookup(leaves["w_in"], tok) + leaves["bias"]
+            h = ge.tanh(pre)
+            if kind == md.NORMALIZED_RNN:
+                h = ge.unit(h)
+            if t in wanted:
+                states[t] = h
+    return tape, h0, states
+
+
 def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
                      fit_min_t: int = 5, model_tag: str | None = None,
                      task: TaskConfig | None = None) -> HorizonCurve:
     """J(t) = ||dh_t / dh_0||_2 along one random episode.
 
-    operator-norm accumulates the exact linear map; autodiff materializes the
-    Jacobian row-by-row with tape VJPs and takes its spectral norm.
+    operator-norm accumulates the exact linear map. autodiff, an independent
+    reverse-mode check on it, materializes the whole Jacobian at each grid
+    point with one tape VJP seeded by the identity block (restricted to h_0)
+    and takes its spectral norm.
     """
     if method not in ("autodiff", "operator-norm"):
         raise ArgumentError(f"unknown method: {method}")
@@ -494,7 +537,7 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
     tokens = [int(t) for t in rng.child(0).generator().integers(0, vocab, size=horizon)]
     wanted = set(t_grid)
     j_values = []
-    ops = params.operators() if kind == md.HOLONOMIC else None
+    ops = _operators(kind, params)
     if method == "operator-norm":
         if kind == md.HOLONOMIC:
             steps = [ops[tok] for tok in tokens]
@@ -507,41 +550,12 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
                 j_values.append(tc.spectral_norm(acc, tol=1e-12,
                                                  rng=rng.child(1, t)))
     else:
-        tape = ge.Tape()
-        if kind == md.HOLONOMIC:
-            # dh_t/dh_0 does not depend on the generators: operators are leaves
-            op_leaves = {}
-            h0 = tape.leaf(params.h0)
-            h = h0
-            states = {}
-            for t, tok in enumerate(tokens, start=1):
-                if tok not in op_leaves:
-                    op_leaves[tok] = tape.leaf(ops[tok])
-                h = ge.matvec(op_leaves[tok], h)
-                if t in wanted:
-                    states[t] = h
-        else:
-            leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-            h0 = tape.leaf(np.zeros(params.n))
-            h = h0
-            states = {}
-            for t, tok in enumerate(tokens, start=1):
-                pre = ge.matvec(leaves["w_rec"], h) \
-                    + ge.embed_lookup(leaves["w_in"], tok) + leaves["bias"]
-                h = ge.tanh(pre)
-                if kind == md.NORMALIZED_RNN:
-                    h = ge.unit(h)
-                if t in wanted:
-                    states[t] = h
-        n = params.n
+        tape, h0, states = _horizon_tape(kind, params, ops, tokens, wanted)
+        eye = np.eye(params.n)
         for t in t_grid:
-            rows = np.empty((n, n))
-            basis = np.eye(n)
-            for i in range(n):
-                grads = tape.vjp(states[t], basis[i])
-                g = grads.get(h0.idx)
-                rows[i] = 0.0 if g is None else g
-            j_values.append(tc.spectral_norm(rows, tol=1e-12, rng=rng.child(1, t)))
+            # row i of the block is the VJP of e_i, so this is dh_t/dh_0 itself
+            jac = tape.vjp(states[t], eye, wrt={h0}).get(h0.idx, 0.0 * eye)
+            j_values.append(tc.spectral_norm(jac, tol=1e-12, rng=rng.child(1, t)))
     j_values = np.asarray(j_values)
     mask = (np.asarray(t_grid) >= fit_min_t) & (j_values > 1e-280)
     lam, r2 = float("nan"), float("nan")

@@ -17,6 +17,14 @@ Jacobian horizon:
 Values are numpy arrays; a scalar is a 0-d array. Gradients are bitwise
 deterministic for identical tapes: the reverse sweep is a fixed-order
 sequential accumulation.
+
+A sweep can be narrowed and widened. `wrt=` names the leaves wanted: only
+nodes on a path to one of them get a cotangent, so constant leaves (padding
+masks, zero states, sinusoidal tables) get none, and matvec skips the outer
+product for a pruned matrix. A cotangent block of shape (k, *node.shape)
+runs k independent VJPs in one sweep, e.g. a whole Jacobian from an
+identity block; the rules in `_BLOCK_RULES` carry the leading axis, and a
+block that reaches any other rule raises DimensionError.
 """
 
 from __future__ import annotations
@@ -82,6 +90,7 @@ class Tape:
         self.values: list[np.ndarray] = []
         self.aux: list = []
         self.grads: list = []
+        self.live: list[bool] = []
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -96,33 +105,65 @@ class Tape:
         self.aux.append(aux)
         return Var(self, len(self.ops) - 1)
 
-    def backward(self, loss: Var) -> dict[int, np.ndarray]:
-        """Reverse sweep from a scalar loss; returns leaf grads keyed by node id."""
+    def backward(self, loss: Var, wrt=None) -> dict[int, np.ndarray]:
+        """Reverse sweep from a scalar loss; returns leaf grads keyed by node id
+        (see `vjp` for `wrt`)."""
         if loss.value.ndim != 0:
             raise ArgumentError(
                 f"backward: loss must be scalar, got shape {loss.value.shape}")
-        return self.vjp(loss, np.asarray(1.0))
+        return self.vjp(loss, np.asarray(1.0), wrt=wrt)
 
-    def vjp(self, node: Var, cotangent: np.ndarray) -> dict[int, np.ndarray]:
+    def vjp(self, node: Var, cotangent: np.ndarray, wrt=None) -> dict[int, np.ndarray]:
         """Vector-Jacobian product seeded with an arbitrary cotangent.
 
-        Returns the gradients of the leaves only: a non-leaf node's cotangent
+        The cotangent has the node's shape, or (k, *node.shape) for a block of
+        k independent VJPs swept at once, in which case every gradient carries
+        the leading k axis; a block reaching a rule outside `_BLOCK_RULES`
+        raises DimensionError. `wrt` is an iterable of leaf Vars (None: every
+        leaf); nodes with no path to one of them are skipped. Returns the
+        gradients of the requested leaves only: a non-leaf node's cotangent
         is dropped once its backward rule has run."""
         cotangent = np.asarray(cotangent, dtype=np.float64)
-        if cotangent.shape != node.value.shape:
+        shape = node.value.shape
+        block = cotangent.ndim == len(shape) + 1 and cotangent.shape[1:] == shape
+        if cotangent.shape != shape and not block:
             raise DimensionError(
-                f"vjp: cotangent shape {cotangent.shape} != node shape {node.value.shape}")
+                f"vjp: cotangent shape {cotangent.shape} != node shape {shape} "
+                f"or (k, *{shape})")
+        self.live = self._live(node.idx, wrt)
         self.grads = [None] * len(self.ops)
-        self.grads[node.idx] = cotangent
+        if self.live[node.idx]:
+            self.grads[node.idx] = cotangent
         for idx in range(node.idx, -1, -1):
             g = self.grads[idx]
-            if g is None or self.ops[idx] == "leaf":
+            op = self.ops[idx]
+            if g is None or op == "leaf":
                 continue
-            _BACKWARD[self.ops[idx]](self, idx, g)
+            if block and op not in _BLOCK_RULES:
+                raise DimensionError(f"vjp: rule {op!r} cannot carry a cotangent block")
+            _BACKWARD[op](self, idx, g)
             self.grads[idx] = None
         return {i: g for i, g in enumerate(self.grads) if g is not None}
 
+    def _live(self, last: int, wrt) -> list[bool]:
+        """live[i]: node i is a requested leaf or has a path from one."""
+        if wrt is None:
+            return [True] * len(self.ops)
+        wanted = set()
+        for var in wrt:
+            if var.tape is not self or self.ops[var.idx] != "leaf":
+                raise ArgumentError("vjp: wrt must hold leaves of this tape")
+            wanted.add(var.idx)
+        live = [False] * len(self.ops)
+        is_live = live.__getitem__
+        for i in range(last + 1):
+            live[i] = i in wanted if self.ops[i] == "leaf" \
+                else any(map(is_live, self.inputs[i]))
+        return live
+
     def _accum(self, idx: int, g: np.ndarray) -> None:
+        if not self.live[idx]:      # no path to a requested leaf
+            return
         if self.grads[idx] is None:
             self.grads[idx] = g.astype(np.float64, copy=True)
         else:
@@ -132,13 +173,19 @@ class Tape:
 # ------------------------------------------------------------------ helpers
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
+def _unbroadcast(g: np.ndarray, shape: tuple, lead: int = 0) -> np.ndarray:
+    """Sum `g` down to `shape`, keeping its first `lead` (block) axes."""
+    while g.ndim > len(shape) + lead:
+        g = g.sum(axis=lead)
+    for axis, size in enumerate(shape, start=lead):
         if size == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
+
+
+def _lead(t: Tape, idx: int, g: np.ndarray) -> int:
+    """Block axes on the cotangent `g` of node idx: 0 or 1."""
+    return g.ndim - t.values[idx].ndim
 
 
 # ------------------------------------------------------------------ primitives
@@ -165,9 +212,11 @@ def matvec(a: Var, v: Var) -> Var:
 
 
 def _matvec_bwd(t: Tape, idx: int, g):
+    # g is (m,) or a (k, m) block; the horizon prunes the matrix (an operator)
     ia, iv = t.inputs[idx]
-    t._accum(ia, np.outer(g, t.values[iv]))
-    t._accum(iv, t.values[ia].T @ g)
+    if t.live[ia]:
+        t._accum(ia, g[..., :, None] * t.values[iv])
+    t._accum(iv, g @ t.values[ia])
 
 
 def add(a: Var, b: Var) -> Var:
@@ -181,8 +230,9 @@ def add(a: Var, b: Var) -> Var:
 
 def _add_bwd(t: Tape, idx: int, g):
     ia, ib = t.inputs[idx]
-    t._accum(ia, _unbroadcast(g, t.values[ia].shape))
-    t._accum(ib, _unbroadcast(g, t.values[ib].shape))
+    lead = _lead(t, idx, g)
+    t._accum(ia, _unbroadcast(g, t.values[ia].shape, lead))
+    t._accum(ib, _unbroadcast(g, t.values[ib].shape, lead))
 
 
 def scale(a: Var, c: float) -> Var:
@@ -291,8 +341,9 @@ def embed_lookup(table: Var, ids) -> Var:
 
 def _embed_bwd(t: Tape, idx: int, g):
     ia = t.inputs[idx][0]
-    out = np.zeros_like(t.values[ia], dtype=np.float64)
-    np.add.at(out, t.aux[idx], g)
+    lead = _lead(t, idx, g)
+    out = np.zeros(g.shape[:lead] + t.values[ia].shape)
+    np.add.at(out, (slice(None),) * lead + (t.aux[idx],), g)
     t._accum(ia, out)
 
 
@@ -303,8 +354,10 @@ def slice_of(a: Var, key) -> Var:
 
 def _slice_bwd(t: Tape, idx: int, g):
     ia = t.inputs[idx][0]
-    out = np.zeros_like(t.values[ia], dtype=np.float64)
-    out[t.aux[idx]] += g
+    key = t.aux[idx]
+    lead = _lead(t, idx, g)
+    out = np.zeros(g.shape[:lead] + t.values[ia].shape)
+    out[(slice(None),) * lead + (key if isinstance(key, tuple) else (key,))] += g
     t._accum(ia, out)
 
 
@@ -525,6 +578,10 @@ def _softmax_xent_mean_bwd(t: Tape, idx: int, g):
     t._accum(t.inputs[idx][0], float(g) * d / d.shape[0])
 
 
+# Rules whose arithmetic carries a leading block axis on the cotangent
+# (see Tape.vjp); the horizon graphs use only these.
+_BLOCK_RULES = frozenset({"matvec", "add", "scale", "tanh", "unit", "slice", "embed"})
+
 _BACKWARD = {
     "matmul": _matmul_bwd,
     "matvec": _matvec_bwd,
@@ -630,7 +687,7 @@ def grad_check(build, store: ParamStore, eps: float = 1e-6,
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in work.items()}
     loss = build(tape, leaves)
-    tape.backward(loss)
+    tape.backward(loss, wrt=leaves.values())
     analytic = collect_grads(tape, leaves)
 
     sizes = [(name, arr.size) for name, arr in work.items()]

@@ -16,7 +16,7 @@ from . import grad_engine as ge
 from . import models as md
 from . import scan_engine as se
 from . import tensor_core as tc
-from .experiments import SweepResult, TaskConfig, estimate_tc, fit_log_scaling
+from .experiments import SweepResult, estimate_tc, fit_log_scaling
 from .group_tasks import (
     S3_ELEMENTS,
     naive_binding_target,

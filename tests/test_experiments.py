@@ -176,6 +176,52 @@ def test_horizon_autodiff_reproduces_generator_graph_without_mat_exp(monkeypatch
     assert len(tapes) == 1 and "mat_exp" not in tapes[0].ops
 
 
+def random_recurrent(kind, seed, n=12):
+    """A random model with non-zero inputs and bias, so tanh' varies per step."""
+    if kind == md.HOLONOMIC:
+        p = md.init_holonomic(RngState(seed), n, 6, 6)
+        p.generators *= 3.0
+        return p
+    p = md.init_rnn(RngState(seed), n, 6, 6)
+    p.bias = 0.3 * RngState(seed + 1).generator().standard_normal(n)
+    return p
+
+
+@pytest.mark.parametrize("kind", [md.HOLONOMIC, md.RNN, md.NORMALIZED_RNN])
+@pytest.mark.parametrize("only_h0", [True, False])
+def test_horizon_block_vjp_is_the_stack_of_single_vjps(kind, only_h0):
+    p = random_recurrent(kind, 60)
+    tokens = [int(t) for t in RngState(61).generator().integers(0, 6, size=40)]
+    ops = p.operators() if kind == md.HOLONOMIC else None
+    tape, h0, states = ex._horizon_tape(kind, p, ops, tokens, {7, 40})
+    block = RngState(62).generator().standard_normal((5, p.n))
+    wrt = {h0} if only_h0 else None
+    for t in (7, 40):
+        grads = tape.vjp(states[t], block, wrt=wrt)
+        singles = [tape.vjp(states[t], row, wrt=wrt) for row in block]
+        assert set(grads) == set(singles[0]) and h0.idx in grads
+        if only_h0:
+            assert set(grads) == {h0.idx}
+        for i, g in grads.items():
+            stacked = np.stack([single[i] for single in singles])
+            assert g.shape == stacked.shape == (5,) + tape.values[i].shape
+            # one matmul against k matvecs: an ulp per step, a random walk in t
+            bound = 1e-15 * math.sqrt(t) * max(1.0, np.abs(stacked).max())
+            assert np.max(np.abs(g - stacked)) <= bound
+
+
+@pytest.mark.parametrize("kind", [md.RNN, md.NORMALIZED_RNN])
+def test_horizon_methods_agree_on_random_rnn_with_inputs(kind):
+    # non-zero w_in and bias move tanh' off 1 at every step, unlike the
+    # contractive linear case above
+    p = random_recurrent(kind, 63)
+    grid = [1, 2, 5, 10, 30, 60]
+    op = ex.jacobian_horizon(kind, p, grid, "operator-norm", RngState(64))
+    ad = ex.jacobian_horizon(kind, p, grid, "autodiff", RngState(64))
+    assert np.all(op.j_values < 1.0) and op.j_values[-1] < 1e-6 * op.j_values[0]
+    assert np.max(np.abs(ad.j_values / op.j_values - 1.0)) <= 1e-12
+
+
 def test_horizon_rejects_transformer():
     p = md.init_transformer(RngState(12), 8, 1, 2, 8, 6, 6)
     with pytest.raises(ArgumentError):
@@ -279,10 +325,24 @@ def test_noise_sweep_bit_reproducible():
     assert np.array_equal(a.acc_lo, b.acc_lo)
 
 
-def test_noise_sweep_holonomic_same_seed_same_bits_and_noise_matters():
+def count_operator_builds(monkeypatch):
+    builds = []
+    build = md.HolonomicParams.operators
+
+    def counted(self):
+        builds.append(1)
+        return build(self)
+
+    monkeypatch.setattr(md.HolonomicParams, "operators", counted)
+    return builds
+
+
+def test_noise_sweep_holonomic_same_seed_same_bits_and_noise_matters(monkeypatch):
     p = md.init_holonomic(RngState(24), 8, 6, 6)
     grid = [0.0, 0.4, 3.0]
+    builds = count_operator_builds(monkeypatch)
     a = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), grid, 96, RngState(25))
+    assert len(builds) == 1     # once per sweep, not once per noise level
     b = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), grid, 96, RngState(25))
     c = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), grid, 96, RngState(26))
     assert np.array_equal(a.outcomes, b.outcomes) and np.array_equal(a.acc_hi, b.acc_hi)
@@ -348,7 +408,9 @@ def test_exhaustive_s3_accuracy_scores_every_sequence(kind, monkeypatch):
     for tokens in itertools.product(range(6), repeat=3):
         e = Episode(tokens, s3_target(tokens), 3)
         correct += int(np.argmax(md.forward_logits(kind, p, e)) == e.target)
+    builds = count_operator_builds(monkeypatch)
     assert ex.exhaustive_s3_accuracy(kind, p, 3) == correct / 216
+    assert len(builds) == (kind == md.HOLONOMIC)    # once, not once per block
 
 
 def test_validation_is_exhaustive_for_small_s3_and_sampled_otherwise():

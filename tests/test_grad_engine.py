@@ -289,6 +289,71 @@ def test_node_reuse_accumulates_cotangents():
     assert ge.grad_check(build, ge.ParamStore({"m": m0}), eps=1e-6) < 1e-6
 
 
+# ---------------------------------------------------------------- block cotangents, wrt
+
+
+def block_graph(tape, gen):
+    """Every rule in _BLOCK_RULES, with a broadcasting add and row-wise unit."""
+    table = tape.leaf(gen.standard_normal((5, 4)))
+    bias = tape.leaf(gen.standard_normal(4))
+    w = tape.leaf(gen.standard_normal((3, 4)))
+    rows = ge.unit(ge.tanh(ge.scale(ge.embed_lookup(table, [0, 3, 3]) + bias, 0.7)))
+    h = ge.matvec(w, rows[1]) + ge.matvec(w, ge.embed_lookup(table, 2))
+    return ge.unit(h), (table, bias, w)
+
+
+def test_block_vjp_is_the_stack_of_single_vjps_through_every_block_rule():
+    gen = tc.RngState(12).generator()
+    t = ge.Tape()
+    out, leaves = block_graph(t, gen)
+    assert set(t.ops) - {"leaf"} == ge._BLOCK_RULES
+    block = gen.standard_normal((4, 3))
+    grads = t.vjp(out, block)
+    singles = [t.vjp(out, row) for row in block]
+    assert set(grads) == {v.idx for v in leaves}
+    for i, g in grads.items():
+        stacked = np.stack([single[i] for single in singles])
+        assert g.shape == stacked.shape
+        assert np.max(np.abs(g - stacked)) <= 1e-15
+
+
+def test_block_cotangent_rejected_by_rules_that_cannot_carry_it():
+    gen = tc.RngState(13).generator()
+    t = ge.Tape()
+    x = t.leaf(gen.standard_normal((2, 3, 4)))
+    out = ge.mha(x, x, x, 2)
+    with pytest.raises(DimensionError):
+        t.vjp(out, np.ones((5, 2, 3, 4)))
+    # neither the node's shape nor (k, *shape)
+    with pytest.raises(DimensionError):
+        t.vjp(out, np.ones((2, 3, 5)))
+
+
+def test_wrt_returns_only_requested_leaves_bit_for_bit():
+    gen = tc.RngState(14).generator()
+    t = ge.Tape()
+    out, (table, bias, w) = block_graph(t, gen)
+    loss = wsum(out)
+    full = t.backward(loss)
+    for wanted in ([bias], [table, w]):
+        pruned = t.backward(loss, wrt=wanted)
+        assert set(pruned) == {v.idx for v in wanted}
+        assert all(np.array_equal(pruned[i], full[i]) for i in pruned)
+    # a pruned leaf keeps no gradient, and nothing is swept for an empty set
+    assert table.grad is not None and bias.grad is None
+    assert t.backward(loss, wrt=[]) == {}
+
+
+def test_wrt_must_name_leaves_of_the_same_tape():
+    t = ge.Tape()
+    x = t.leaf(np.ones(3))
+    y = ge.tanh(x)
+    with pytest.raises(ArgumentError):
+        t.vjp(y, np.ones(3), wrt=[y])
+    with pytest.raises(ArgumentError):
+        t.vjp(y, np.ones(3), wrt=[ge.Tape().leaf(np.ones(3))])
+
+
 # ---------------------------------------------------------------- skew_exp, holonomic_scan
 
 

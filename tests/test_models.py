@@ -359,6 +359,24 @@ def test_batched_tape_loss_matches_per_episode_reference(kind):
 
 
 @pytest.mark.parametrize("kind", md.MODEL_KINDS)
+def test_backward_wrt_parameters_skips_constants_and_keeps_every_bit(kind):
+    # what train does: padding masks, the zero state and sinusoidal tables
+    # are leaves of the graph but get no gradient
+    params = binding_params(kind, 33, pos_mode="sinusoidal") if kind == md.TRANSFORMER \
+        else binding_params(kind, 33)
+    eps = binding_batch(34, [1, 7, 3, 7, 12, 2])
+    tape = ge.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+    loss = md.tape_batch_loss(kind, tape, leaves, eps, params)
+    full = tape.backward(loss)
+    pruned = tape.backward(loss, wrt=leaves.values())
+    assert set(pruned) == set(full) & {v.idx for v in leaves.values()}
+    assert all(np.array_equal(pruned[i], full[i]) for i in pruned)
+    if kind != md.HOLONOMIC:
+        assert len(full) > len(pruned)
+
+
+@pytest.mark.parametrize("kind", md.MODEL_KINDS)
 def test_tape_loss_matches_numpy_forward(kind):
     if kind == md.TRANSFORMER:
         params = small_transformer()
