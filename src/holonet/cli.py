@@ -2,8 +2,8 @@
 
 Subcommands: train, sweep, scaling, genlen, horizon, massgap, pca,
 scan-bench, report, verify. Every run reads one INI config (see config.py
-for the grammar), optionally overridden by --seed/--out/--workers/
---precision, writes `config.snapshot`, `curve.csv` and `summary.txt` under
+for the grammar), optionally overridden by --seed/--out/--precision,
+writes `config.snapshot`, `curve.csv` and `summary.txt` under
 `<out>/<experiment>/seed<seed>/`, and exits 0 on success, 2 on
 configuration errors, 3 on numeric failures, 4 on training
 non-convergence.
@@ -352,7 +352,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="path to an INI run configuration")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--precision", type=int, default=None, choices=(32, 64))
     return parser
 
@@ -368,7 +367,7 @@ def _resolve_config(args) -> RunConfig:
     else:
         cfg = RunConfig()
     overrides = {}
-    for name in ("seed", "out", "workers", "precision"):
+    for name in ("seed", "out", "precision"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value

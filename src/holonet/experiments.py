@@ -275,7 +275,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
         batch = task.sample_batch(gen, sample_lengths(curriculum, gen, cfg.batch))
         tape = ge.Tape()
         leaves = {k: tape.leaf(v) for k, v in store.params.items()}
-        loss = md.tape_batch_loss(model_cfg.kind, tape, leaves, batch.episodes(), params)
+        loss = md.tape_batch_loss(model_cfg.kind, tape, leaves, batch, params)
         if not np.isfinite(loss.value):
             raise NumericError(f"training loss is {float(loss.value)} at step {step}")
         tape.backward(loss, wrt=leaves.values())
@@ -515,8 +515,7 @@ def _horizon_tape(kind: str, params, ops, tokens, wanted):
 
 
 def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
-                     fit_min_t: int = 5, model_tag: str | None = None,
-                     task: TaskConfig | None = None) -> HorizonCurve:
+                     fit_min_t: int = 5, model_tag: str | None = None) -> HorizonCurve:
     """J(t) = ||dh_t / dh_0||_2 along one random episode.
 
     operator-norm accumulates the exact linear map. autodiff, an independent

@@ -55,24 +55,6 @@ class Var:
     def __add__(self, other: "Var") -> "Var":
         return add(self, other)
 
-    def __matmul__(self, other: "Var") -> "Var":
-        if other.value.ndim == 1:
-            return matvec(self, other)
-        return matmul(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            return hadamard(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Var":
-        return scale(self, -1.0)
-
-    def __sub__(self, other: "Var") -> "Var":
-        return add(self, scale(other, -1.0))
-
     def __getitem__(self, key) -> "Var":
         return slice_of(self, key)
 
@@ -615,9 +597,6 @@ class ParamStore:
         self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.step = 0
-
-    def leaves(self, tape: Tape) -> dict[str, Var]:
-        return {k: tape.leaf(v) for k, v in self.params.items()}
 
 
 def adam_step(store: ParamStore, grads: dict[str, np.ndarray],

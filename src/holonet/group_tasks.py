@@ -7,7 +7,10 @@ a different route: point tracking instead of table folding / array replay).
 
 Episodes are sampled a batch at a time from one generator: a (B, L_max)
 token block, of which row i keeps its first lengths[i] tokens, then (binding)
-a (B,) query vector. The per-episode samplers are the B = 1 case.
+a (B,) query vector. That `Batch` is the one batch format from sampling to
+the loss: training and inference read its arrays, and iterating it yields
+its rows as `Episode`s for the oracles. The per-episode samplers are the
+B = 1 case.
 
 Composition convention: later sequence elements act on the left, so an
 episode's product is g_L . ... . g_1 applied left-to-right onto a point.
@@ -47,22 +50,11 @@ class Perm:
         return self.image[point]
 
 
-def perm_identity(v: int) -> Perm:
-    return Perm(tuple(range(v)))
-
-
 def perm_compose(a: Perm, b: Perm) -> Perm:
     """(a . b).image[i] = a.image[b.image[i]]  (b acts first)."""
     if a.size != b.size:
         raise ArgumentError(f"perm_compose: size mismatch {a.size} vs {b.size}")
     return Perm(tuple(a.image[b.image[i]] for i in range(a.size)))
-
-
-def perm_inverse(a: Perm) -> Perm:
-    inv = [0] * a.size
-    for i, j in enumerate(a.image):
-        inv[j] = i
-    return Perm(tuple(inv))
 
 
 # S3 elements in lexicographic image order; ids are indices into this list.
@@ -102,13 +94,14 @@ class Batch:
     targets: np.ndarray   # (B,)
     queries: np.ndarray | None = None
 
-    def episodes(self) -> list[Episode]:
+    def __iter__(self):
+        """The rows as `Episode`s, in order."""
         width = self.ids.shape[1]
         queries = [None] * len(self.targets) if self.queries is None \
             else self.queries.tolist()
-        return [Episode(tuple(row[width - n:]), target, n, q)
-                for row, n, target, q in zip(self.ids.tolist(), self.lengths.tolist(),
-                                             self.targets.tolist(), queries)]
+        for row, n, target, q in zip(self.ids.tolist(), self.lengths.tolist(),
+                                     self.targets.tolist(), queries):
+            yield Episode(tuple(row[width - n:]), target, n, q)
 
 
 def _token_block(gen: np.random.Generator, vocab: int, lengths) -> tuple:
@@ -127,10 +120,6 @@ def _token_block(gen: np.random.Generator, vocab: int, lengths) -> tuple:
     return lengths, ids
 
 
-def _one_row(tokens) -> np.ndarray:
-    return np.asarray(tokens, dtype=np.intp).reshape(1, -1)
-
-
 # ------------------------------------------------------------------ S3 task
 
 
@@ -141,11 +130,6 @@ def s3_targets(ids: np.ndarray) -> np.ndarray:
     for col in np.where(ids == PAD_ID, 0, ids).T:   # id 0 is the identity
         acc = S3_CAYLEY[col, acc]
     return acc
-
-
-def s3_target(tokens) -> int:
-    """Path-ordered product class id of one episode."""
-    return int(s3_targets(_one_row(tokens))[0])
 
 
 def naive_s3_target(tokens) -> int:
@@ -167,7 +151,7 @@ def s3_sample_batch(gen: np.random.Generator, lengths) -> Batch:
 def s3_sample_episode(rng: RngState, length: int) -> Episode:
     if length < 1:
         raise ArgumentError(f"episode length must be >= 1, got {length}")
-    return s3_sample_batch(rng.generator(), [length]).episodes()[0]
+    return next(iter(s3_sample_batch(rng.generator(), [length])))
 
 
 # ------------------------------------------------------------------ binding task
@@ -202,11 +186,6 @@ def binding_targets(ids: np.ndarray, v: int, queries: np.ndarray) -> np.ndarray:
     return values[base[:, 0] + queries]
 
 
-def binding_target(tokens, v: int, query: int) -> int:
-    """Answer of one episode: the value in slot `query` after all swaps."""
-    return int(binding_targets(_one_row(tokens), v, np.array([query]))[0])
-
-
 def naive_binding_target(tokens, v: int, query: int) -> int:
     """Independent oracle: trace the query slot backwards through the swaps."""
     pairs = swap_vocabulary(v)
@@ -231,7 +210,7 @@ def sv_sample_batch(gen: np.random.Generator, v: int, lengths) -> Batch:
 def sv_sample_episode(rng: RngState, v: int, length: int) -> Episode:
     if v < 2 or length < 1:
         raise ArgumentError(f"need v >= 2 and length >= 1, got v={v}, L={length}")
-    return sv_sample_batch(rng.generator(), v, [length]).episodes()[0]
+    return next(iter(sv_sample_batch(rng.generator(), v, [length])))
 
 
 # ------------------------------------------------------------------ curricula
@@ -241,7 +220,8 @@ def sv_sample_episode(rng: RngState, v: int, length: int) -> Episode:
 class Curriculum:
     """Length scheduler: stepwise accuracy gate or linear ramp with end bias.
 
-    `ramp_start` is where the ramp begins (defaults to l_min); sampling is
+    `ramp_start` is where the ramp begins, in [l_min, l_max] (0: l_min), and
+    `ramp_fraction`, in (0, 1], the share of training it takes; sampling is
     uniform on [l_min, max_len] until the ramp completes, after which the
     maximum length is drawn with probability `max_bias`.
     """
@@ -261,6 +241,11 @@ class Curriculum:
             raise ArgumentError(f"unknown curriculum kind: {self.kind}")
         if not 1 <= self.l_min <= self.l_max:
             raise ArgumentError(f"bad length range [{self.l_min}, {self.l_max}]")
+        if self.ramp_start and not self.l_min <= self.ramp_start <= self.l_max:
+            raise ArgumentError(f"ramp_start {self.ramp_start} outside "
+                                f"[{self.l_min}, {self.l_max}]")
+        if not 0 < self.ramp_fraction <= 1:
+            raise ArgumentError(f"ramp_fraction {self.ramp_fraction} outside (0, 1]")
         if self.max_len == 0:
             start = self.ramp_start or self.l_min
             object.__setattr__(self, "max_len", self.l_min if self.kind == "stepwise" else start)
@@ -296,25 +281,3 @@ def sample_lengths(c: Curriculum, gen: np.random.Generator, size: int) -> np.nda
 
 def sample_length(c: Curriculum, rng: RngState) -> int:
     return int(sample_lengths(c, rng.generator(), 1)[0])
-
-
-# ------------------------------------------------------------------ serialization
-
-
-def episode_to_line(e: Episode) -> str:
-    """`L;tok,tok,...;query;target` with an empty query field for S3."""
-    toks = ",".join(str(t) for t in e.tokens)
-    query = "" if e.query is None else str(e.query)
-    return f"{e.length};{toks};{query};{e.target}"
-
-
-def episode_from_line(line: str) -> Episode:
-    parts = line.strip().split(";")
-    if len(parts) != 4:
-        raise ArgumentError(f"malformed episode line: {line!r}")
-    length = int(parts[0])
-    tokens = tuple(int(t) for t in parts[1].split(",")) if parts[1] else ()
-    if len(tokens) != length:
-        raise ArgumentError(f"length field {length} != {len(tokens)} tokens")
-    query = int(parts[2]) if parts[2] else None
-    return Episode(tokens=tokens, target=int(parts[3]), length=length, query=query)

@@ -1,16 +1,18 @@
 """The four sequence classifiers behind a single interface.
 
-Each model exposes a numpy inference forward and a training graph on a
-grad_engine.Tape (`tape_batch_loss`). Noise is one temperature T: the
-energy-normalized update h + g * (T / sqrt(N)) * ||h|| hits the recurrent
-state of the holonomic model and the RNNs and the residual stream of the
-transformer.
+Each model has one numpy inference forward (`forward_batch`) and one training
+graph on a grad_engine.Tape (`tape_batch_loss`). Both read a batch as the
+sampler holds it: a (B, L) id block left-padded with IDENTITY_STEP and one
+readout id per row (None: readout 0), under one row-layout rule
+(`_checked_block`). Noise is one temperature T and one function,
+`inject_noise`: the energy-normalized update x + g * (T / sqrt(N)) * ||x||
+hits the recurrent state of the holonomic model and the RNNs and the residual
+stream of the transformer.
 
-Experiments run inference for all four kinds through `forward_batch`, one
-batched numpy forward over a left-padded id block. The recurrent models step
-through its columns; the transformer runs the unpadded rows of each length as
-one block (`transformer_forward_batch`). The per-episode recurrent forwards
-are its B = 1 reference.
+At inference the recurrent models step through the block's columns; the
+transformer runs the unpadded rows of each length as one block
+(`transformer_forward_batch`). `holonomic_forward` and `rnn_forward` are its
+noiseless per-episode (B = 1) references.
 
 Training builds one graph per batch. The holonomic model and the RNNs run
 over the left-padded (B, L_max) block, so their tape size does not depend on
@@ -34,7 +36,7 @@ import numpy as np
 from . import grad_engine as ge
 from . import tensor_core as tc
 from .errors import ArgumentError, CapacityError, DimensionError, NumericError
-from .group_tasks import Episode
+from .group_tasks import Batch, Episode
 
 HOLONOMIC = "holonomic"
 RNN = "rnn"
@@ -43,41 +45,42 @@ TRANSFORMER = "transformer"
 MODEL_KINDS = (HOLONOMIC, RNN, NORMALIZED_RNN, TRANSFORMER)
 
 
-def _check_noise(temperature: float, rng) -> None:
-    if temperature < 0:
-        raise ArgumentError("noise temperature must be >= 0")
-    if temperature > 0 and rng is None:
-        raise ArgumentError("noise temperature > 0 but no rng supplied")
-
-
 def _unit(h: np.ndarray) -> np.ndarray:
     """h (or each row of h) scaled to unit norm; zero vectors stay zero."""
     norms = np.linalg.norm(h, axis=-1, keepdims=True)
     return np.divide(h, norms, out=h.copy(), where=norms > 0)
 
 
-def inject_noise(h: np.ndarray, temperature: float, n: int, rng: tc.RngState) -> np.ndarray:
-    """Energy-normalized perturbation h + g * (T / sqrt(N)) * ||h||."""
-    if temperature < 0:
-        raise ArgumentError("noise temperature must be >= 0")
-    if temperature == 0.0:
-        return h
-    g = tc.gaussian(rng, h.shape[0])
-    return h + g * (temperature / math.sqrt(n)) * float(np.linalg.norm(h))
+def inject_noise(x: np.ndarray, temperature: float, g: np.ndarray) -> np.ndarray:
+    """Energy-normalized perturbation x + g * (T / sqrt(N)) * ||x||, row-wise
+    over the last axis (N = x.shape[-1]); g is a Gaussian draw shaped like x."""
+    return x + g * (temperature / math.sqrt(x.shape[-1])) \
+        * np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _check_tokens(tokens, vocab: int) -> None:
-    for t in tokens:
-        if not 0 <= t < vocab:
-            raise ArgumentError(f"token {t} outside vocabulary of size {vocab}")
+def _checked_block(ids, queries, vocab: int, n_queries: int) -> tuple:
+    """A batch's (B, L) id block and (B,) readout ids as intp arrays.
 
-
-def _readout_query(episode: Episode, n_queries: int) -> int:
-    if episode.query is None:
-        return 0
-    if not 0 <= episode.query < n_queries:
-        raise ArgumentError(f"query {episode.query} outside readout bank")
-    return episode.query
+    The one row-layout rule of inference and training: every id is a token
+    or IDENTITY_STEP, each row is padded on the left only and holds at least
+    one token, and each readout id indexes the bank (None: readout 0).
+    Otherwise raises ArgumentError (DimensionError for a block not 2-d).
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 2:
+        raise DimensionError(f"need a (B, L) id block, got shape {ids.shape}")
+    if ids.size and (ids.min() < ge.IDENTITY_STEP or ids.max() >= vocab):
+        raise ArgumentError(f"token outside vocabulary of size {vocab}")
+    live = ids != ge.IDENTITY_STEP
+    if np.any(live[:, :-1] > live[:, 1:]) or not live.any(axis=1).all():
+        raise ArgumentError("rows must be padded on the left only and hold at "
+                            "least one token")
+    b = ids.shape[0]
+    queries = np.zeros(b, dtype=np.intp) if queries is None \
+        else np.asarray(queries, dtype=np.intp)
+    if queries.shape != (b,) or (b and (queries.min() < 0 or queries.max() >= n_queries)):
+        raise ArgumentError(f"queries must be {b} ids in [0, {n_queries})")
+    return ids, queries
 
 
 # ===================================================================== holonomic
@@ -116,26 +119,21 @@ def init_holonomic(rng: tc.RngState, n: int, vocab: int, n_classes: int,
     return HolonomicParams(n, vocab, generators, h0, readout)
 
 
-def holonomic_forward(p: HolonomicParams, episode: Episode,
-                      temperature: float = 0.0, rng: tc.RngState | None = None):
-    """Multiplicative update h_t = exp(M(x_t) - M(x_t)^T) h_{t-1}.
+def holonomic_forward(p: HolonomicParams, episode: Episode):
+    """Multiplicative update h_t = exp(M(x_t) - M(x_t)^T) h_{t-1}, the
+    noiseless per-episode reference for `forward_batch`.
 
-    Returns (trajectory, logits); trajectory[0] is h0. With temperature > 0
-    step t draws its noise from rng.child(t), and the state is renormalized
-    to unit norm after every injection.
+    Returns (trajectory, logits); trajectory[0] is h0.
     """
-    _check_tokens(episode.tokens, p.vocab)
-    _check_noise(temperature, rng)
+    ids, queries = _checked_block([episode.tokens], [episode.query or 0], p.vocab,
+                                  p.readout.shape[0])
     ops = p.operators()
     h = p.h0.astype(np.float64, copy=True)
-    trajectory = [h.copy()]
-    for t, tok in enumerate(episode.tokens):
+    trajectory = [h]
+    for tok in ids[ids != ge.IDENTITY_STEP]:
         h = ops[tok] @ h
-        if temperature > 0:
-            h = _unit(inject_noise(h, temperature, p.n, rng.child(t)))
-        trajectory.append(h.copy())
-    q = _readout_query(episode, p.readout.shape[0])
-    return trajectory, p.readout[q] @ h
+        trajectory.append(h)
+    return trajectory, p.readout[queries[0]] @ h
 
 
 # ===================================================================== rnn
@@ -170,26 +168,20 @@ def init_rnn(rng: tc.RngState, n: int, vocab: int, n_classes: int,
     return RnnParams(n, vocab, w_rec, w_in, bias, readout)
 
 
-def rnn_forward(p: RnnParams, episode: Episode, temperature: float = 0.0,
-                rng: tc.RngState | None = None, normalized: bool = False):
-    """tanh recurrence; the normalized variant projects onto the unit sphere
-    after every timestep and after every noise injection (noise as in
-    `holonomic_forward`)."""
-    _check_tokens(episode.tokens, p.vocab)
-    _check_noise(temperature, rng)
+def rnn_forward(p: RnnParams, episode: Episode, normalized: bool = False):
+    """tanh recurrence, the noiseless per-episode reference for
+    `forward_batch`; the normalized variant projects onto the unit sphere
+    after every timestep."""
+    ids, queries = _checked_block([episode.tokens], [episode.query or 0], p.vocab,
+                                  p.readout.shape[0])
     h = np.zeros(p.n)
-    trajectory = [h.copy()]
-    for t, tok in enumerate(episode.tokens):
+    trajectory = [h]
+    for tok in ids[ids != ge.IDENTITY_STEP]:
         h = np.tanh(p.w_rec @ h + p.w_in[tok] + p.bias)
         if normalized:
             h = _unit(h)
-        if temperature > 0:
-            h = inject_noise(h, temperature, p.n, rng.child(t))
-            if normalized:
-                h = _unit(h)
-        trajectory.append(h.copy())
-    q = _readout_query(episode, p.readout.shape[0])
-    return trajectory, p.readout[q] @ h
+        trajectory.append(h)
+    return trajectory, p.readout[queries[0]] @ h
 
 
 # ===================================================================== transformer
@@ -287,8 +279,8 @@ def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
     """Pooled (B, d) encodings of an unpadded, equal-length (B, L) id block.
 
     With temperature > 0, each layer's residual stream x then takes
-    x + g * (T / sqrt(d)) * ||x|| per position, g one (B, L, d) Gaussian
-    block drawn from `gen`.
+    `inject_noise` per position, g one (B, L, d) Gaussian block drawn from
+    `gen`.
     """
     w = p.weights
     d, heads = p.d_model, p.n_heads
@@ -312,8 +304,7 @@ def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
         y = _layer_norm_np(x, w[pre + "ln2_g"], w[pre + "ln2_b"])
         x = x + np.tanh(y @ w[pre + "w1"] + w[pre + "b1"]) @ w[pre + "w2"] + w[pre + "b2"]
         if temperature > 0:
-            g = gen.standard_normal(x.shape)
-            x = x + g * (temperature / math.sqrt(d)) * np.linalg.norm(x, axis=-1, keepdims=True)
+            x = inject_noise(x, temperature, gen.standard_normal(x.shape))
     x = _layer_norm_np(x, w["ln_f_g"], w["ln_f_b"])
     return x.mean(axis=1) if p.pool == "mean" else x[:, -1, :]
 
@@ -331,73 +322,47 @@ def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
 
 
 def _length_groups(ids: np.ndarray):
-    """(rows, unpadded id block) per distinct row length of a left-padded
-    block, lengths ascending; a row takes padding on the left only."""
-    live = ids != ge.IDENTITY_STEP
-    lengths = live.sum(axis=1)
-    if np.any(live[:, :-1] > live[:, 1:]) or not lengths.all():
-        raise ArgumentError("transformer rows must be padded on the left only "
-                            "and hold at least one token")
+    """(rows, unpadded id block) per distinct row length of a checked
+    left-padded block, lengths ascending."""
+    lengths = (ids != ge.IDENTITY_STEP).sum(axis=1)
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
         yield rows, ids[rows, ids.shape[1] - length:]
 
 
-def _readout_loss(leaves: dict, states: ge.Var, episodes: list[Episode]) -> ge.Var:
+def _readout_loss(leaves: dict, states: ge.Var, queries, targets) -> ge.Var:
     """Mean cross-entropy of each row's queried readout of its final state."""
-    readout = leaves["readout"]
-    qs = [_readout_query(e, readout.value.shape[0]) for e in episodes]
-    return ge.softmax_xent_mean(ge.gather_readout(readout, states, qs),
-                                [e.target for e in episodes])
+    return ge.softmax_xent_mean(ge.gather_readout(leaves["readout"], states, queries),
+                                targets)
 
 
-def _left_padded(episodes: list[Episode], vocab: int) -> np.ndarray:
-    """(B, L_max) token ids; shorter episodes are left-padded with identity
-    steps, so they end at the last column with unchanged states."""
-    width = max(e.length for e in episodes)
-    ids = np.full((len(episodes), width), ge.IDENTITY_STEP, dtype=np.intp)
-    for row, e in zip(ids, episodes):
-        _check_tokens(e.tokens, vocab)
-        row[width - e.length:] = e.tokens
-    return ids
-
-
-def holonomic_tape_loss_batched(tape: ge.Tape, leaves: dict,
-                                episodes: list[Episode]) -> ge.Var:
-    generators = leaves["generators"]
-    ids = _left_padded(episodes, generators.value.shape[0])
-    h = ge.holonomic_scan(ge.skew_exp(generators), ids, leaves["h0"])
-    return _readout_loss(leaves, h, episodes)
-
-
-def rnn_tape_loss_batched(tape: ge.Tape, leaves: dict, episodes: list[Episode],
-                          normalized: bool = False) -> ge.Var:
+def _rnn_tape_states(tape: ge.Tape, leaves: dict, ids: np.ndarray,
+                     normalized: bool) -> ge.Var:
     """Each column is one matmul + embed + bias -> tanh (-> unit) step over all
     rows, its new state multiplied by a constant 0/1 row mask of the live
     steps. Left padding puts a row's pad steps before its first token, where
     its state is still zero, so zeroing it again is exact. Every column gets
     its mask, so the tape size depends on L_max only."""
-    w_in = leaves["w_in"]
-    ids = _left_padded(episodes, w_in.value.shape[0])
     live = ids != ge.IDENTITY_STEP
     masks = live.T[:, :, None].astype(np.float64)     # (L_max, B, 1)
     shape = (ids.shape[0], leaves["bias"].value.shape[0])
     w_rec_t = leaves["w_rec"].T
     h = tape.leaf(np.zeros(shape))
     for col, mask in zip(np.where(live, ids, 0).T, masks):
-        h = ge.tanh(ge.matmul(h, w_rec_t) + ge.embed_lookup(w_in, col) + leaves["bias"])
+        h = ge.tanh(ge.matmul(h, w_rec_t) + ge.embed_lookup(leaves["w_in"], col)
+                    + leaves["bias"])
         if normalized:
             h = ge.unit(h)
         h = ge.hadamard(h, tape.leaf(np.broadcast_to(mask, shape)))
-    return _readout_loss(leaves, h, episodes)
+    return h
 
 
-def transformer_tape_loss_batched(tape: ge.Tape, leaves: dict,
-                                  episodes: list[Episode],
-                                  p: TransformerParams) -> ge.Var:
+def _transformer_tape_loss(tape: ge.Tape, leaves: dict, ids: np.ndarray,
+                           queries: np.ndarray, targets: np.ndarray,
+                           p: TransformerParams) -> ge.Var:
     loss = None
-    for rows, ids in _length_groups(_left_padded(episodes, p.vocab)):
-        length = ids.shape[1]
+    for rows, block in _length_groups(ids):
+        length = block.shape[1]
         if p.pos_mode == "learned":
             if length > p.max_len:
                 raise CapacityError(
@@ -405,7 +370,7 @@ def transformer_tape_loss_batched(tape: ge.Tape, leaves: dict,
             pos = leaves["pos"][0:length]
         else:
             pos = tape.leaf(sinusoidal_table(length, p.d_model))
-        x = ge.embed_lookup(leaves["embed"], ids) + pos
+        x = ge.embed_lookup(leaves["embed"], block) + pos
         for i in range(p.n_layers):
             pre = f"layer{i}."
             y = ge.layer_norm(x, leaves[pre + "ln1_g"], leaves[pre + "ln1_b"])
@@ -424,8 +389,8 @@ def transformer_tape_loss_batched(tape: ge.Tape, leaves: dict,
             pooled = ge.mean_axis1(x)
         else:
             pooled = x[:, length - 1, :]
-        term = ge.scale(_readout_loss(leaves, pooled, [episodes[i] for i in rows]),
-                        rows.size / len(episodes))
+        term = ge.scale(_readout_loss(leaves, pooled, queries[rows], targets[rows]),
+                        rows.size / ids.shape[0])
         loss = term if loss is None else loss + term
     return loss
 
@@ -460,7 +425,6 @@ def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
     else:
         h = np.zeros((b, params.n))
         w_rec_t = params.w_rec.T
-    scale = temperature / math.sqrt(params.n)
     steps = np.zeros(b, dtype=np.intp)
     for col in ids.T:
         live = np.flatnonzero(col != ge.IDENTITY_STEP)
@@ -476,9 +440,7 @@ def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
             hl = np.tanh(h[live] @ w_rec_t + params.w_in[col[live]] + params.bias)
             h[live] = _unit(hl) if kind == NORMALIZED_RNN else hl
         if gen is not None:
-            hl = h[live]
-            g = gen.standard_normal(h.shape)[live]
-            hl = hl + g * scale * np.linalg.norm(hl, axis=1, keepdims=True)
+            hl = inject_noise(h[live], temperature, gen.standard_normal(h.shape)[live])
             h[live] = hl if kind == RNN else _unit(hl)
     return h
 
@@ -488,14 +450,13 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
                   operators: np.ndarray | None = None,
                   renorm_interval: int = 0):
     """Final states (B, n) and logits (B, C) of any model kind over a (B, L)
-    id block left-padded with IDENTITY_STEP; the transformer's state is its
-    pooled encoding.
+    id block left-padded with IDENTITY_STEP (see `_checked_block`); the
+    transformer's state is its pooled encoding.
 
     Padded steps leave a recurrent row's state unchanged, so each row matches
-    its per-episode forward; a transformer row takes padding on the left
-    only. With temperature > 0 all noise comes from the single generator of
-    `rng`: for recurrent models one (B, n) Gaussian block per column, of
-    which only live steps get the energy-normalized update, for the
+    its per-episode forward. With temperature > 0 all noise comes from the
+    single generator of `rng`: for recurrent models one (B, n) Gaussian block
+    per column, of which only live steps get `inject_noise`, for the
     transformer one block per layer per length. `queries` selects each row's
     readout (None: readout 0). Holonomic inference may take precomputed
     `operators` (float32 for low-precision runs) and rescale each state to
@@ -504,22 +465,15 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     """
     if kind not in MODEL_KINDS:
         raise ArgumentError(f"unknown model kind: {kind}")
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 2:
-        raise DimensionError(f"forward_batch: need a (B, L) id block, got {ids.shape}")
-    b = ids.shape[0]
-    if ids.size and (ids.min() < ge.IDENTITY_STEP or ids.max() >= params.vocab):
-        raise ArgumentError(f"token outside vocabulary of size {params.vocab}")
     readout = params.weights["readout"] if kind == TRANSFORMER else params.readout
-    n_queries = readout.shape[0]
-    queries = np.zeros(b, dtype=np.intp) if queries is None \
-        else np.asarray(queries, dtype=np.intp)
-    if queries.shape != (b,) or (b and (queries.min() < 0 or queries.max() >= n_queries)):
-        raise ArgumentError(f"queries must be {b} ids in [0, {n_queries})")
-    _check_noise(temperature, rng)
+    ids, queries = _checked_block(ids, queries, params.vocab, readout.shape[0])
+    if temperature < 0:
+        raise ArgumentError("noise temperature must be >= 0")
+    if temperature > 0 and rng is None:
+        raise ArgumentError("noise temperature > 0 but no rng supplied")
     gen = rng.generator() if temperature > 0 else None
     if kind == TRANSFORMER:
-        h = np.empty((b, params.d_model))
+        h = np.empty((ids.shape[0], params.d_model))
         for rows, block in _length_groups(ids):
             h[rows] = transformer_forward_batch(params, block, temperature, gen)
     else:
@@ -532,27 +486,29 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     return h, logits
 
 
-def forward_logits(kind: str, params, episode: Episode) -> np.ndarray:
-    """Noiseless logits of one episode: the per-episode forward of a recurrent
-    model, a one-row `forward_batch` for the transformer."""
-    if kind == HOLONOMIC:
-        return holonomic_forward(params, episode)[1]
-    if kind in (RNN, NORMALIZED_RNN):
-        return rnn_forward(params, episode, normalized=kind == NORMALIZED_RNN)[1]
-    return forward_batch(kind, params, [episode.tokens], [episode.query or 0])[1][0]
+# the leaf whose first axis is the vocabulary, per model kind
+_VOCAB_LEAF = {HOLONOMIC: "generators", RNN: "w_in", NORMALIZED_RNN: "w_in",
+               TRANSFORMER: "embed"}
 
 
-def tape_batch_loss(kind: str, tape: ge.Tape, leaves: dict,
-                    episodes: list[Episode], params=None) -> ge.Var:
-    if kind == HOLONOMIC:
-        return holonomic_tape_loss_batched(tape, leaves, episodes)
-    if kind == RNN:
-        return rnn_tape_loss_batched(tape, leaves, episodes, normalized=False)
-    if kind == NORMALIZED_RNN:
-        return rnn_tape_loss_batched(tape, leaves, episodes, normalized=True)
+def tape_batch_loss(kind: str, tape: ge.Tape, leaves: dict, batch: Batch,
+                    params=None) -> ge.Var:
+    """Mean cross-entropy of a sampler `Batch`: each row's target against the
+    queried readout of its final state (the transformer's pooled encoding).
+    The batch is checked as `forward_batch` checks its block; `params` is read
+    by the transformer only."""
+    if kind not in MODEL_KINDS:
+        raise ArgumentError(f"unknown model kind: {kind}")
+    ids, queries = _checked_block(batch.ids, batch.queries,
+                                  leaves[_VOCAB_LEAF[kind]].value.shape[0],
+                                  leaves["readout"].value.shape[0])
     if kind == TRANSFORMER:
-        return transformer_tape_loss_batched(tape, leaves, episodes, params)
-    raise ArgumentError(f"unknown model kind: {kind}")
+        return _transformer_tape_loss(tape, leaves, ids, queries, batch.targets, params)
+    if kind == HOLONOMIC:
+        h = ge.holonomic_scan(ge.skew_exp(leaves["generators"]), ids, leaves["h0"])
+    else:
+        h = _rnn_tape_states(tape, leaves, ids, normalized=kind == NORMALIZED_RNN)
+    return _readout_loss(leaves, h, queries, batch.targets)
 
 
 def param_count(params) -> tuple[int, dict]:

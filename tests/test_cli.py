@@ -120,3 +120,12 @@ def test_genlen_summary_states_accuracy_range_and_lengths_below_chance(tmp_path,
     assert summary["below_chance"] == (",".join(below) or "none")
     assert ("L=20" in summary) == (kind == md.TRANSFORMER)
     assert np.isnan(acc[20]) == (kind == md.TRANSFORMER)
+
+
+def test_no_subcommand_takes_workers_on_the_command_line():
+    # `[run] workers` stays a config key; the flag changed nothing
+    parser = cli.build_arg_parser()
+    for command in cli._COMMANDS:
+        with pytest.raises(SystemExit) as err:
+            parser.parse_args([command, "--workers", "2"])
+        assert err.value.code == 2

@@ -166,6 +166,10 @@ BAD_CONFIGS = {
     "bad-bool": "[train]\nearly_stop = maybe\n",
     "bad-tuple": "[genlen]\nlengths = 10,x\n",
     "noise-site": "[noise]\nsite = auto\n",
+    "ramp-start-below-l_min": "[task]\nkind = binding\n[curriculum]\nramp_start = 2\n",
+    "ramp-start-above-l_max": "[task]\nkind = binding\n[curriculum]\nramp_start = 80\n",
+    "ramp-fraction-zero": "[curriculum]\nramp_fraction = 0\n",
+    "ramp-fraction-above-one": "[curriculum]\nramp_fraction = 1.5\n",
 }
 
 

@@ -8,8 +8,13 @@ from holonet import experiments as ex
 from holonet import grad_engine as ge
 from holonet import models as md
 from holonet.errors import ArgumentError
-from holonet.group_tasks import Curriculum, Episode, s3_target
+from holonet.group_tasks import Curriculum, naive_s3_target
 from holonet.tensor_core import RngState, mat_exp, skew
+
+
+def row_label(kind, params, tokens):
+    """Predicted label of one S3 token sequence, a one-row forward_batch."""
+    return int(np.argmax(md.forward_batch(kind, params, [tokens])[1][0]))
 
 
 def synthetic_sweep(acc_per_t, episodes=400, seed=0):
@@ -371,7 +376,7 @@ def test_length_generalization_matches_per_episode_loop(precision, task):
     for li, (length, row) in enumerate(zip(lengths, rows)):
         batch = task.sample_batch(RngState(41).child(li).generator(), np.full(32, length))
         correct = 0
-        for e in batch.episodes():   # the loop the experiment ran before batching
+        for e in batch:   # the loop the experiment ran before batching
             h = p.h0.astype(ops.dtype, copy=True)
             for t, tok in enumerate(e.tokens):
                 h = ops[tok] @ h
@@ -391,8 +396,8 @@ def test_length_generalization_rnn_and_transformer_score_the_same_batch():
         for li, row in enumerate(rows):
             batch = task.sample_batch(RngState(44).child(li).generator(),
                                       np.full(24, row["L"]))
-            expected = np.mean([np.argmax(md.forward_logits(kind, params, e)) == e.target
-                                for e in batch.episodes()])
+            expected = np.mean([row_label(kind, params, e.tokens) == e.target
+                                for e in batch])
             assert row["acc"] == expected
 
 
@@ -406,8 +411,7 @@ def test_exhaustive_s3_accuracy_scores_every_sequence(kind, monkeypatch):
     monkeypatch.setattr(ex, "SCORE_BLOCK", 50)   # several blocks, one ragged
     correct = 0
     for tokens in itertools.product(range(6), repeat=3):
-        e = Episode(tokens, s3_target(tokens), 3)
-        correct += int(np.argmax(md.forward_logits(kind, p, e)) == e.target)
+        correct += int(row_label(kind, p, tokens) == naive_s3_target(tokens))
     builds = count_operator_builds(monkeypatch)
     assert ex.exhaustive_s3_accuracy(kind, p, 3) == correct / 216
     assert len(builds) == (kind == md.HOLONOMIC)    # once, not once per block
@@ -435,8 +439,7 @@ def test_evaluate_accuracy_cycles_lengths_from_one_stream():
     task = ex.TaskConfig()
     acc = ex.evaluate_accuracy(md.RNN, p, task, [2, 5, 3], 30, RngState(51))
     batch = task.sample_batch(RngState(51).child(0).generator(), [2, 5, 3] * 10)
-    expected = np.mean([np.argmax(md.forward_logits(md.RNN, p, e)) == e.target
-                        for e in batch.episodes()])
+    expected = np.mean([row_label(md.RNN, p, e.tokens) == e.target for e in batch])
     assert acc == expected
 
 

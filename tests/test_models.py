@@ -7,11 +7,11 @@ from holonet import grad_engine as ge
 from holonet import models as md
 from holonet.errors import ArgumentError, CapacityError, DimensionError, NumericError
 from holonet.group_tasks import (
+    Batch,
     Episode,
     s3_sample_batch,
     s3_sample_episode,
     sv_sample_batch,
-    sv_sample_episode,
 )
 from holonet.tensor_core import RngState
 
@@ -20,43 +20,51 @@ def s3_episode(seed, length=5):
     return s3_sample_episode(RngState(seed), length)
 
 
+def one_row(e):
+    """Episode e as a batch of one."""
+    return Batch(np.array([e.tokens]), np.array([e.length]), np.array([e.target]),
+                 None if e.query is None else np.array([e.query]))
+
+
+def row_logits(kind, params, tokens):
+    """Noiseless logits of one token sequence, a one-row forward_batch."""
+    return md.forward_batch(kind, params, [tokens])[1][0]
+
+
 # ---------------------------------------------------------------- noise hook
 
 
 def test_inject_noise_zero_temperature_identity():
-    h = np.array([1.0, 2.0])
-    assert md.inject_noise(h, 0.0, 2, RngState(0)) is h
+    h = np.array([[1.0, 2.0], [0.5, -3.0]])
+    g = RngState(0).generator().standard_normal(h.shape)
+    assert np.array_equal(md.inject_noise(h, 0.0, g), h)
 
 
 def test_inject_noise_zero_state_fixed_point():
-    h = np.zeros(8)
-    out = md.inject_noise(h, 3.0, 8, RngState(1))
+    h = np.zeros((3, 8))
+    out = md.inject_noise(h, 3.0, RngState(1).generator().standard_normal(h.shape))
     assert np.array_equal(out, h)
 
 
 def test_inject_noise_energy_scaling():
-    # E ||eta||^2 = T^2 ||h||^2 under the 1/sqrt(N) normalization
-    n, temp = 16, 0.7
+    # E ||eta||^2 = T^2 ||h||^2 under the 1/sqrt(N) normalization, row by row
+    n, temp, draws = 16, 0.7, 100_000 // 16
     h = RngState(2).generator().standard_normal(n)
+    rows = np.tile(h, (draws, 1))
+    eta = md.inject_noise(rows, temp, RngState(3).generator().standard_normal(rows.shape)) \
+        - rows
     base = np.linalg.norm(h) ** 2
-    total = 0.0
-    draws = 100_000 // n
-    for i in range(draws):
-        eta = md.inject_noise(h, temp, n, RngState(3).child(i)) - h
-        total += np.linalg.norm(eta) ** 2
-    measured = total / draws
+    measured = np.mean(np.sum(eta ** 2, axis=1))
     assert abs(measured - temp ** 2 * base) / (temp ** 2 * base) < 0.02
 
 
 def test_noise_config_validation():
     # noise is one temperature; T > 0 needs an rng
-    p = md.init_holonomic(RngState(0), 4, 6, 6)
     ids = np.array([[0, 1]])
-    for temp, rng in ((-0.1, RngState(1)), (0.1, None)):
-        with pytest.raises(ArgumentError):
-            md.forward_batch(md.HOLONOMIC, p, ids, None, temp, rng)
-        with pytest.raises(ArgumentError):
-            md.holonomic_forward(p, s3_episode(1), temp, rng)
+    for kind in md.MODEL_KINDS:
+        for temp, rng in ((-0.1, RngState(1)), (0.1, None)):
+            with pytest.raises(ArgumentError):
+                md.forward_batch(kind, binding_params(kind, 0), ids, None, temp, rng)
 
 
 # ---------------------------------------------------------------- holonomic
@@ -89,17 +97,17 @@ def test_holonomic_order_sensitivity():
 
 def test_holonomic_noise_renormalizes_to_unit():
     p = md.init_holonomic(RngState(7), 12, 6, 6)
-    traj, _ = md.holonomic_forward(p, s3_episode(8, 10), 0.8, RngState(9))
-    for h in traj[1:]:
-        assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
+    batch = s3_sample_batch(RngState(8).generator(), MIXED)
+    states, _ = md.forward_batch(md.HOLONOMIC, p, batch.ids, None, 0.8, RngState(9))
+    assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_holonomic_noise_hook_silent_when_disabled():
     p = md.init_holonomic(RngState(10), 8, 6, 6)
-    ep = s3_episode(11)
-    _, a = md.holonomic_forward(p, ep, 0.0, None)
-    _, b = md.holonomic_forward(p, ep, 0.0, RngState(99))
-    assert np.array_equal(a, b)
+    ids = s3_sample_batch(RngState(11).generator(), MIXED).ids
+    a = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.0, None)
+    b = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.0, RngState(99))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_holonomic_vocabulary_overflow():
@@ -110,12 +118,12 @@ def test_holonomic_vocabulary_overflow():
 
 def test_holonomic_noisy_forward_deterministic_per_seed():
     p = md.init_holonomic(RngState(13), 8, 6, 6)
-    ep = s3_episode(14)
-    _, a = md.holonomic_forward(p, ep, 0.5, RngState(1).child(3))
-    _, b = md.holonomic_forward(p, ep, 0.5, RngState(1).child(3))
-    _, c = md.holonomic_forward(p, ep, 0.5, RngState(1).child(4))
+    ids = s3_sample_batch(RngState(14).generator(), MIXED).ids
+    _, a = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.5, RngState(1).child(3))
+    _, b = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.5, RngState(1).child(3))
+    _, c = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.5, RngState(1).child(4))
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    assert not np.any(np.all(a == c, axis=1))
 
 
 # ---------------------------------------------------------------- rnn
@@ -128,13 +136,6 @@ def test_rnn_zero_weights_zero_trajectory():
     traj, logits = md.rnn_forward(p, s3_episode(16))
     assert all(np.array_equal(h, np.zeros(8)) for h in traj)
     assert np.array_equal(logits, np.zeros(6))
-
-
-def test_normalized_rnn_unit_sphere_under_noise():
-    p = md.init_rnn(RngState(17), 16, 6, 6)
-    traj, _ = md.rnn_forward(p, s3_episode(18, 10), 2.0, RngState(19), normalized=True)
-    for h in traj[1:]:
-        assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- transformer
@@ -151,8 +152,8 @@ def test_transformer_zero_weights_constant_logits():
     p = small_transformer(n_layers=1)
     for arr in p.weights.values():
         arr[:] = 0.0
-    a = md.forward_logits(md.TRANSFORMER, p, s3_episode(21))
-    b = md.forward_logits(md.TRANSFORMER, p, s3_episode(22))
+    a = row_logits(md.TRANSFORMER, p, s3_episode(21).tokens)
+    b = row_logits(md.TRANSFORMER, p, s3_episode(22).tokens)
     assert np.array_equal(a, b)
 
 
@@ -160,7 +161,7 @@ def test_transformer_capacity_error_on_learned_positions():
     p = small_transformer()
     long_ep = s3_sample_episode(RngState(23), 13)
     with pytest.raises(CapacityError):
-        md.forward_logits(md.TRANSFORMER, p, long_ep)
+        row_logits(md.TRANSFORMER, p, long_ep.tokens)
 
 
 def test_transformer_head_divisibility():
@@ -171,15 +172,14 @@ def test_transformer_head_divisibility():
 def test_transformer_permutation_invariance_without_positions():
     p = small_transformer(pool="mean")
     p.weights["pos"][:] = 0.0
-    ep = Episode(tokens=(0, 1, 2, 3, 4, 5), target=0, length=6)
-    perm = Episode(tokens=(5, 3, 1, 0, 4, 2), target=0, length=6)
-    a = md.forward_logits(md.TRANSFORMER, p, ep)
-    b = md.forward_logits(md.TRANSFORMER, p, perm)
+    tokens, perm = (0, 1, 2, 3, 4, 5), (5, 3, 1, 0, 4, 2)
+    a = row_logits(md.TRANSFORMER, p, tokens)
+    b = row_logits(md.TRANSFORMER, p, perm)
     assert np.allclose(a, b, atol=1e-10)
     # restoring the positional table breaks the symmetry
     p2 = small_transformer(pool="mean")
-    assert not np.allclose(md.forward_logits(md.TRANSFORMER, p2, ep),
-                           md.forward_logits(md.TRANSFORMER, p2, perm), atol=1e-6)
+    assert not np.allclose(row_logits(md.TRANSFORMER, p2, tokens),
+                           row_logits(md.TRANSFORMER, p2, perm), atol=1e-6)
 
 
 def test_transformer_batch_matches_single():
@@ -194,8 +194,9 @@ def test_transformer_batch_matches_single():
         _, alone = md.forward_batch(md.TRANSFORMER, p, batch.ids[rows, width - length:],
                                     batch.queries[rows])
         assert np.array_equal(logits[rows], alone)
-    for i, e in enumerate(batch.episodes()):
-        assert np.allclose(logits[i], md.forward_logits(md.TRANSFORMER, p, e), atol=1e-12)
+    for i, e in enumerate(batch):
+        _, alone = md.forward_batch(md.TRANSFORMER, p, [e.tokens], [e.query])
+        assert np.allclose(logits[i], alone[0], atol=1e-12)
 
 
 def test_transformer_residual_noise_deterministic():
@@ -230,7 +231,7 @@ def test_forward_batch_matches_per_episode_forward(kind, task):
         params = recurrent_params(kind, 72, vocab=10, classes=5, queries=5)
         batch = sv_sample_batch(RngState(73).generator(), 5, MIXED)
     states, logits = md.forward_batch(kind, params, batch.ids, batch.queries)
-    for i, e in enumerate(batch.episodes()):
+    for i, e in enumerate(batch):
         if kind == md.HOLONOMIC:
             traj, ref = md.holonomic_forward(params, e)
         else:
@@ -249,7 +250,7 @@ def test_forward_batch_float32_with_renormalization_matches_per_episode_loop():
                                       operators=ops, renorm_interval=16)
     assert states.dtype == np.float32
     target_norm = float(np.linalg.norm(params.h0))
-    for i, e in enumerate(batch.episodes()):
+    for i, e in enumerate(batch):
         h = params.h0.astype(np.float32, copy=True)
         for t, tok in enumerate(e.tokens):
             h = ops[tok] @ h
@@ -307,10 +308,21 @@ def test_forward_batch_rejects_bad_input():
         md.forward_batch(md.HOLONOMIC, params, np.array([0, 1]))
     with pytest.raises(ArgumentError):
         md.forward_batch("lstm", params, np.array([[0, 1]]))
-    # a transformer row is padded on the left only and holds a token
-    for ids in ([[0, -1, 1]], [[0, 1, -1]], [[-1, -1]]):
-        with pytest.raises(ArgumentError):
-            md.forward_batch(md.TRANSFORMER, small_transformer(), np.array(ids))
+    # one rule for every kind, at inference and in training: a row is padded
+    # on the left only and holds a token, and its query indexes the bank
+    bad = [(ids, None) for ids in ([[0, -1, 1]], [[0, 1, -1]], [[-1, -1]])] \
+        + [([[-1, 0]], [4]), ([[-1, 0]], [-1])]
+    for kind in md.MODEL_KINDS:
+        params = binding_params(kind, 83)
+        tape = ge.Tape()
+        leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+        for ids, queries in bad:
+            with pytest.raises(ArgumentError):
+                md.forward_batch(kind, params, np.array(ids), queries)
+            batch = Batch(np.array(ids), np.array([1]), np.array([0]),
+                          None if queries is None else np.array(queries))
+            with pytest.raises(ArgumentError):
+                md.tape_batch_loss(kind, tape, leaves, batch, params)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -336,10 +348,10 @@ def binding_params(kind, seed, n=10, **transformer_kw):
     return recurrent_params(kind, seed, n=n, classes=4, queries=4)
 
 
-def loss_and_grads(kind, params, eps):
+def loss_and_grads(kind, params, batch):
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    loss = md.tape_batch_loss(kind, tape, leaves, eps, params)
+    loss = md.tape_batch_loss(kind, tape, leaves, batch, params)
     tape.backward(loss)
     return float(loss.value), ge.collect_grads(tape, leaves)
 
@@ -349,9 +361,9 @@ def test_batched_tape_loss_matches_per_episode_reference(kind):
     # the reference is each episode as a batch of one: padding (or grouping)
     # must not leak into any row's loss or gradient
     params = binding_params(kind, 33)
-    eps = binding_batch(34, [1, 7, 3, 7, 12, 2])
-    loss, grads = loss_and_grads(kind, params, eps)
-    singles = [loss_and_grads(kind, params, [e]) for e in eps]
+    batch = binding_batch(34, [1, 7, 3, 7, 12, 2])
+    loss, grads = loss_and_grads(kind, params, batch)
+    singles = [loss_and_grads(kind, params, one_row(e)) for e in batch]
     assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-12
     for name, g in grads.items():
         mean = np.mean([s[1][name] for s in singles], axis=0)
@@ -364,10 +376,10 @@ def test_backward_wrt_parameters_skips_constants_and_keeps_every_bit(kind):
     # are leaves of the graph but get no gradient
     params = binding_params(kind, 33, pos_mode="sinusoidal") if kind == md.TRANSFORMER \
         else binding_params(kind, 33)
-    eps = binding_batch(34, [1, 7, 3, 7, 12, 2])
+    batch = binding_batch(34, [1, 7, 3, 7, 12, 2])
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    loss = md.tape_batch_loss(kind, tape, leaves, eps, params)
+    loss = md.tape_batch_loss(kind, tape, leaves, batch, params)
     full = tape.backward(loss)
     pruned = tape.backward(loss, wrt=leaves.values())
     assert set(pruned) == set(full) & {v.idx for v in leaves.values()}
@@ -384,35 +396,34 @@ def test_tape_loss_matches_numpy_forward(kind):
         params = md.init_holonomic(RngState(31), 10, 6, 6)
     else:
         params = md.init_rnn(RngState(32), 10, 6, 6)
-    eps = [s3_episode(40 + i, 5) for i in range(3)]
+    batch = s3_sample_batch(RngState(40).generator(), [5, 5, 5])
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    loss = md.tape_batch_loss(kind, tape, leaves, eps, params)
-    expected = np.mean([
-        ce_from_logits(md.forward_logits(kind, params, e), e.target) for e in eps])
+    loss = md.tape_batch_loss(kind, tape, leaves, batch, params)
+    _, logits = md.forward_batch(kind, params, batch.ids)
+    expected = np.mean([ce_from_logits(z, y) for z, y in zip(logits, batch.targets)])
     assert float(loss.value) == pytest.approx(expected, rel=1e-12)
 
 
 def binding_batch(seed, lengths):
-    return [sv_sample_episode(RngState(seed).child(i), 4, length)
-            for i, length in enumerate(lengths)]
+    return sv_sample_batch(RngState(seed).generator(), 4, lengths)
 
 
 def test_mixed_length_holonomic_loss_matches_numpy_forward():
     params = md.init_holonomic(RngState(35), 8, 6, 4, n_queries=4)
-    eps = binding_batch(36, [1, 7, 3, 7, 12, 2])
+    batch = binding_batch(36, [1, 7, 3, 7, 12, 2])
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    loss = md.tape_batch_loss(md.HOLONOMIC, tape, leaves, eps)
-    expected = np.mean([ce_from_logits(md.forward_logits(md.HOLONOMIC, params, e),
-                                       e.target) for e in eps])
+    loss = md.tape_batch_loss(md.HOLONOMIC, tape, leaves, batch)
+    expected = np.mean([ce_from_logits(md.holonomic_forward(params, e)[1], e.target)
+                        for e in batch])
     assert float(loss.value) == pytest.approx(expected, rel=1e-12)
 
 
-def tape_size(kind, params, eps):
+def tape_size(kind, params, batch):
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    md.tape_batch_loss(kind, tape, leaves, eps)
+    md.tape_batch_loss(kind, tape, leaves, batch)
     return len(tape)
 
 
@@ -435,8 +446,10 @@ def test_holonomic_tape_loss_rejects_token_outside_vocabulary():
     params = md.init_holonomic(RngState(40), 8, 6, 6)
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    with pytest.raises(ArgumentError):
-        md.tape_batch_loss(md.HOLONOMIC, tape, leaves, [Episode((0, -1), 0, 2)])
+    for ids in ([[0, 6]], [[0, -1]], [[0, -2]]):
+        with pytest.raises(ArgumentError):
+            md.tape_batch_loss(md.HOLONOMIC, tape, leaves,
+                               Batch(np.array(ids), np.array([2]), np.array([0])))
 
 
 # ---------------------------------------------------------------- gradient fidelity
@@ -445,8 +458,8 @@ def test_holonomic_tape_loss_rejects_token_outside_vocabulary():
 def training_graph_grad_error(kind, seed):
     """grad_check of tape_batch_loss on one mixed-length batch (L = 1..5)."""
     params = binding_params(kind, seed, n=6, d_model=8, n_layers=1, n_heads=2, d_ff=12)
-    eps = binding_batch(seed + 1, [1, 2, 3, 4, 5])
-    return ge.grad_check(lambda t, lv: md.tape_batch_loss(kind, t, lv, eps, params),
+    batch = binding_batch(seed + 1, [1, 2, 3, 4, 5])
+    return ge.grad_check(lambda t, lv: md.tape_batch_loss(kind, t, lv, batch, params),
                          ge.ParamStore(params.to_dict()), eps=1e-6)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "holonet"
+BENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -32,3 +33,42 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Identifiers a parsed file reads: names, attributes, imported names and
+    string constants (perfbench wraps functions by their names as strings),
+    outside the subtree `skip`."""
+    hidden = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in hidden:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unreferenced_definitions(package: Path, bench: Path) -> list[str]:
+    """Module-level functions and classes of `package` that no file of the
+    package (outside the definition itself) or of `bench` reads by name."""
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted(package.glob("*.py")) + sorted(bench.rglob("*.py"))}
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        others = set().union(*(names_read(t) for p, t in trees.items() if p != path))
+        dead += [f"{path.name}:{node.name}" for node in trees[path].body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name not in others | names_read(trees[path], node)]
+    return dead
+
+
+def test_every_module_level_definition_is_referenced():
+    # tests do not count as readers: code only they call is dead
+    assert unreferenced_definitions(PACKAGE, BENCH) == []
