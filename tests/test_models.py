@@ -138,6 +138,16 @@ def test_rnn_zero_weights_zero_trajectory():
     assert np.array_equal(logits, np.zeros(6))
 
 
+def test_normalized_rnn_unit_sphere_under_noise():
+    # every prefix of one episode ends on the unit sphere, noise or not
+    p = md.init_rnn(RngState(17), 16, 6, 6)
+    tokens = s3_episode(18, 10).tokens
+    for t in range(1, len(tokens) + 1):
+        h, _ = md.forward_batch(md.NORMALIZED_RNN, p, np.array([tokens[:t]]), None,
+                                2.0, RngState(19))
+        assert np.linalg.norm(h[0]) == pytest.approx(1.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------- transformer
 
 
