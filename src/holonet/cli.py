@@ -189,8 +189,8 @@ def cmd_genlen(cfg: RunConfig) -> int:
                  "episodes": r["episodes"], "precision": r["precision"]}
                 for r in rows]
     scored = [r["acc"] for r in rows if not np.isnan(r["acc"])]
-    chance = 1.0 / cfg.task.n_classes
-    below = [str(r["L"]) for r in rows if r["acc"] <= chance]   # NaN compares False
+    below = [str(r["L"]) for r in rows   # NaN compares False
+             if r["acc"] <= cfg.task.trivial_accuracy(r["L"])]
     summary = [f"model: {kind}",
                f"acc_min: {min(scored, default=float('nan')):.6f}",
                f"acc_max: {max(scored, default=float('nan')):.6f}",

@@ -99,7 +99,8 @@ class BenchSpec:
     vocab: int = 6
 
 
-# Curriculum defaults by task kind, where the config leaves them unset.
+# Curriculum defaults by task kind, where the config leaves them unset; a
+# default ramp_start is capped at the resolved l_max.
 _CURRICULUM_DEFAULTS = {
     S3: {"kind": "stepwise", "l_min": 1, "l_max": 5},
     BINDING: {"kind": "ramp", "l_min": 5, "l_max": 50, "ramp_start": 10},
@@ -207,8 +208,11 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {raw!r} ({err})") from err
     task_kind = values["task"].get("kind", S3)
-    values["curriculum"] = {**_CURRICULUM_DEFAULTS.get(task_kind, _CURRICULUM_DEFAULTS[S3]),
-                            **values["curriculum"]}
+    defaults = _CURRICULUM_DEFAULTS.get(task_kind, _CURRICULUM_DEFAULTS[S3])
+    curriculum = {**defaults, **values["curriculum"]}
+    if "ramp_start" in defaults and "ramp_start" not in values["curriculum"]:
+        curriculum["ramp_start"] = min(defaults["ramp_start"], curriculum["l_max"])
+    values["curriculum"] = curriculum
     specs = {}
     for section, attr in _SECTIONS.items():
         if attr:

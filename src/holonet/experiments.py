@@ -59,6 +59,20 @@ class TaskConfig:
     def n_queries(self) -> int:
         return 1 if self.kind == S3 else self.variables
 
+    def trivial_accuracy(self, length: int) -> float:
+        """Accuracy at one length of the best answer that ignores the tokens.
+
+        S3: 1/6. Binding: one swap moves the queried slot's own value with
+        probability 2/v, to a uniform other slot, so it is back home after L
+        swaps with probability p = 1/v + (1 - 1/v)(1 - 2/(v - 1))^L, and every
+        other value with (1 - p)/(v - 1); p is the larger one for v >= 3.
+        """
+        if self.kind == S3:
+            return 1.0 / 6.0
+        v = self.variables
+        home = 1.0 / v + (1.0 - 1.0 / v) * (1.0 - 2.0 / (v - 1)) ** length
+        return max(home, (1.0 - home) / (v - 1))
+
     def sample_batch(self, gen: np.random.Generator, lengths) -> Batch:
         if self.kind == S3:
             return s3_sample_batch(gen, lengths)

@@ -14,6 +14,12 @@ Jacobian horizon:
     `holonomic_scan` (the holonomic recurrence over a left-padded (B, L)
     token matrix, one node per batch).
 
+The holonomic step has one kernel, `token_step`: it multiplies each row of a
+state block by its token's matrix, one matmul per token present, in the
+order a block's `token_schedule` (one argsort and one bincount per block)
+fixes. `holonomic_scan` runs it forward and backward, and
+`models.forward_batch` runs it at inference, so the two give the same bits.
+
 Values are numpy arrays; a scalar is a 0-d array. Gradients are bitwise
 deterministic for identical tapes: the reverse sweep is a fixed-order
 sequential accumulation.
@@ -362,7 +368,8 @@ def _bmatmul_bwd(t: Tape, idx: int, g):
     ia, ib = t.inputs[idx]
     av = t.values[ia]
     t._accum(ia, g @ t.values[ib].T)
-    t._accum(ib, np.einsum("bli,blj->ij", av, g))
+    # one GEMM over the flattened (B * L) rows
+    t._accum(ib, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
 
 def skew_exp(generators: Var) -> Var:
@@ -404,16 +411,54 @@ def _skew_exp_bwd(t: Tape, idx: int, g):
 IDENTITY_STEP = -1
 
 
+def token_schedule(ids, vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column token order of a (B, L) id block, for `token_step`.
+
+    Returns `order` (L, B), the rows of each column sorted by token with the
+    IDENTITY_STEP rows first and ties in row order (one stable argsort), and
+    `cuts` (L, vocab + 1), the running count of pads and tokens (one
+    bincount): order[t, cuts[t, v]:cuts[t, v + 1]] are the rows holding token
+    v in column t, and cuts[t, 0] counts its pads.
+    """
+    keys = np.asarray(ids, dtype=np.intp).T + 1     # pad 0, token v at v + 1
+    length, width = keys.shape[0], vocab + 1
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys += width * np.arange(length)[:, None]      # one bin per (column, key)
+    cuts = np.bincount(keys.ravel(order="K"),
+                       minlength=length * width).reshape(length, width)
+    return order, np.cumsum(cuts, axis=1, out=cuts)
+
+
+def token_step(h: np.ndarray, order: np.ndarray, cuts: np.ndarray,
+               mats: np.ndarray) -> None:
+    """h[b] <- h[b] @ mats[ids[b, t]] in place for one column t of a
+    `token_schedule` (order[t], cuts[t]): one matmul per token present, over
+    the rows that hold it; pad rows are left alone, bit for bit."""
+    cuts = cuts.tolist()
+    first = cuts[0]
+    if first == len(order):
+        return
+    rows = order[first:]
+    hs = h[rows]
+    for tok in range(len(cuts) - 1):
+        lo, hi = cuts[tok] - first, cuts[tok + 1] - first
+        if hi > lo:
+            hs[lo:hi] = hs[lo:hi] @ mats[tok]
+    h[rows] = hs
+
+
 def holonomic_scan(ops: Var, ids, h0: Var) -> Var:
     """Final states of h_t = ops[ids[b, t]] h_{t-1}, h_0 = h0, for a (B, L) id
     matrix; returns (B, n).
 
     An id of IDENTITY_STEP applies the identity, which leaves the state
     bit-identical, so rows of different lengths share one node when left-padded
-    with it. The states (L + 1, B, n) are kept; the backward sweeps back
-    through time, then forms each operator's gradient
-    dU[v] = sum over (t, b) with ids[b, t] = v of g_t h_{t-1}^T as one matmul
-    over the rows sorted by token.
+    with it. The forward runs `token_step` over the block's `token_schedule`
+    with the row-state operators U^T, the same arithmetic as the holonomic
+    `models.forward_batch`, and keeps the states (L + 1, B, n). The backward
+    sweeps the cotangent back through time by the same kernel with U, then
+    forms each operator's gradient dU[v] = sum over (t, b) with ids[b, t] = v
+    of g_t h_{t-1}^T as one matmul over the rows sorted by token.
     """
     ov, hv = ops.value, h0.value
     ids = np.asarray(ids, dtype=np.intp)
@@ -425,34 +470,38 @@ def holonomic_scan(ops: Var, ids, h0: Var) -> Var:
     if ids.size and (ids.min() < IDENTITY_STEP or ids.max() >= ov.shape[0]):
         raise ArgumentError(
             f"holonomic_scan: token outside vocabulary of size {ov.shape[0]}")
-    n = ov.shape[-1]
-    # the identity sits last, so IDENTITY_STEP = -1 indexes it directly
-    table = np.concatenate([ov, np.eye(n)[None]])
-    states = np.empty((ids.shape[1] + 1, ids.shape[0], n))
+    order, cuts = token_schedule(ids, ov.shape[0])
+    mats = ov.transpose(0, 2, 1)    # row states: (U h)^T = h^T U^T
+    states = np.empty((ids.shape[1] + 1, ids.shape[0], ov.shape[-1]))
     states[0] = hv
     for t in range(ids.shape[1]):
-        states[t + 1] = np.einsum("bij,bj->bi", table[ids[:, t]], states[t])
+        states[t + 1] = states[t]
+        token_step(states[t + 1], order[t], cuts[t], mats)
     return ops.tape._push("holonomic_scan", (ops.idx, h0.idx), states[-1].copy(),
-                          (table, ids, states))
+                          (ids, order, cuts, states))
 
 
 def _holonomic_scan_bwd(t: Tape, idx: int, g):
     iops, ih = t.inputs[idx]
-    table, ids, states = t.aux[idx]
-    length, n = ids.shape[1], table.shape[-1]
+    ids, order, cuts, states = t.aux[idx]
+    ov = t.values[iops]
+    n = ov.shape[-1]
+    g = np.array(g, dtype=np.float64)
     cot = np.empty_like(states[1:])     # cot[t] is the cotangent of states[t + 1]
-    for step in range(length - 1, -1, -1):
+    for step in range(ids.shape[1] - 1, -1, -1):
         cot[step] = g
-        g = np.einsum("bij,bi->bj", table[ids[:, step]], g)
+        token_step(g, order[step], cuts[step], ov)
     t._accum(ih, g.sum(axis=0))
     flat = ids.T.ravel()
-    order = np.argsort(flat, kind="stable")
-    bounds = np.searchsorted(flat[order], np.arange(table.shape[0]))
-    rows_g = cot.reshape(-1, n)[order]
-    rows_h = states[:-1].reshape(-1, n)[order]
-    # an unused token's empty slice gives a zero block
-    t._accum(iops, np.stack([rows_g[lo:hi].T @ rows_h[lo:hi]
-                             for lo, hi in zip(bounds[:-1], bounds[1:])]))
+    rank = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[rank], np.arange(ov.shape[0] + 1))
+    rows_g = cot.reshape(-1, n)[rank]
+    rows_h = states[:-1].reshape(-1, n)[rank]
+    du = np.zeros(ov.shape)     # an unused token keeps its zero block
+    for v, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi > lo:
+            np.matmul(rows_g[lo:hi].T, rows_h[lo:hi], out=du[v])
+    t._accum(iops, du)
 
 
 def mha(q: Var, k: Var, v: Var, n_heads: int) -> Var:

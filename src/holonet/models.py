@@ -10,9 +10,11 @@ hits the recurrent state of the holonomic model and the RNNs and the residual
 stream of the transformer.
 
 At inference the recurrent models step through the block's columns; the
-transformer runs the unpadded rows of each length as one block
-(`transformer_forward_batch`). `holonomic_forward` and `rnn_forward` are its
-noiseless per-episode (B = 1) references.
+holonomic step is `grad_engine.token_step`, the kernel of the training node
+`holonomic_scan`, over a token schedule and renormalization columns computed
+once per block. The transformer runs the unpadded rows of each length as one
+block (`transformer_forward_batch`). `holonomic_forward` and `rnn_forward`
+are its noiseless per-episode (B = 1) references.
 
 Training builds one graph per batch. The holonomic model and the RNNs run
 over the left-padded (B, L_max) block, so their tape size does not depend on
@@ -398,48 +400,54 @@ def _transformer_tape_loss(tape: ge.Tape, leaves: dict, ids: np.ndarray,
 # ===================================================================== dispatch
 
 
-def _apply_tokens(h: np.ndarray, col: np.ndarray, mats: np.ndarray) -> None:
-    """h[b] <- h[b] @ mats[col[b]] in place, one matmul per token over the rows
-    that hold it; rows with IDENTITY_STEP are left alone."""
-    order = np.argsort(col, kind="stable")
-    cuts = np.searchsorted(col[order], np.arange(mats.shape[0] + 1))
-    rows = order[cuts[0]:]
-    hs = h[rows]
-    cuts = (cuts - cuts[0]).tolist()
-    for tok, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        if hi > lo:
-            hs[lo:hi] = hs[lo:hi] @ mats[tok]
-    h[rows] = hs
+def _renorm_schedule(ids: np.ndarray, interval: int) -> tuple[list, np.ndarray]:
+    """Rows due for renormalization per column: a row's own step at column t
+    is t - (L - len) + 1, and it is due after every `interval` of them (0:
+    never). Returns column bounds into the due rows, sorted by column then
+    row."""
+    length = ids.shape[1]
+    if not interval:
+        return [0] * (length + 1), np.empty(0, dtype=np.intp)
+    start = length - (ids != ge.IDENTITY_STEP).sum(axis=1)
+    own = np.arange(1, length + 1)[:, None] - start     # (L, B)
+    due = own > 0
+    due &= np.remainder(own, interval, out=own) == 0
+    cols, rows = np.nonzero(due)
+    return np.searchsorted(cols, np.arange(length + 1)).tolist(), rows
 
 
 def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
                       gen: np.random.Generator | None,
                       operators: np.ndarray | None, renorm_interval: int) -> np.ndarray:
-    """Final states of the holonomic model or an RNN, one column at a time."""
+    """Final states of the holonomic model or an RNN, one column at a time;
+    the holonomic step is `grad_engine.token_step` over the block's token
+    schedule, the kernel of the `holonomic_scan` training node."""
     b = ids.shape[0]
     if kind == HOLONOMIC:
         ops = params.operators() if operators is None else operators
         mats = ops.transpose(0, 2, 1)   # row states: (U h)^T = h^T U^T
         h = np.tile(params.h0.astype(ops.dtype), (b, 1))
         h0_norm = np.linalg.norm(params.h0)
+        # built one after the other, so their (L, B) temporaries never overlap
+        bounds, due_rows = _renorm_schedule(ids, renorm_interval)
+        order, cuts = ge.token_schedule(ids, ops.shape[0])
     else:
         h = np.zeros((b, params.n))
         w_rec_t = params.w_rec.T
-    steps = np.zeros(b, dtype=np.intp)
-    for col in ids.T:
-        live = np.flatnonzero(col != ge.IDENTITY_STEP)
-        steps[live] += 1
+    for t, col in enumerate(ids.T):
         if kind == HOLONOMIC:
-            _apply_tokens(h, col, mats)
-            if renorm_interval:
-                due = live[steps[live] % renorm_interval == 0]
+            ge.token_step(h, order[t], cuts[t], mats)
+            if bounds[t + 1] > bounds[t]:
+                due = due_rows[bounds[t]:bounds[t + 1]]
                 norms = np.linalg.norm(h[due], axis=1, keepdims=True)
                 h[due] *= np.divide(h0_norm, norms, out=np.ones_like(norms),
                                     where=norms > 0)
         else:
+            live = np.flatnonzero(col != ge.IDENTITY_STEP)
             hl = np.tanh(h[live] @ w_rec_t + params.w_in[col[live]] + params.bias)
             h[live] = _unit(hl) if kind == NORMALIZED_RNN else hl
         if gen is not None:
+            live = np.flatnonzero(col != ge.IDENTITY_STEP)
             hl = inject_noise(h[live], temperature, gen.standard_normal(h.shape)[live])
             h[live] = hl if kind == RNN else _unit(hl)
     return h
@@ -499,6 +507,8 @@ def tape_batch_loss(kind: str, tape: ge.Tape, leaves: dict, batch: Batch,
     by the transformer only."""
     if kind not in MODEL_KINDS:
         raise ArgumentError(f"unknown model kind: {kind}")
+    if kind == TRANSFORMER and params is None:
+        raise ArgumentError("tape_batch_loss: the transformer graph needs params")
     ids, queries = _checked_block(batch.ids, batch.queries,
                                   leaves[_VOCAB_LEAF[kind]].value.shape[0],
                                   leaves["readout"].value.shape[0])

@@ -153,6 +153,13 @@ def check_scan_equivalence(seed):
     h_state, _ = md.forward_batch(md.HOLONOMIC, p, tokens[None])
     assert np.max(np.abs(h_state[0] - h_seq @ p.h0)) < 1e-9, \
         "forward_batch != sequential"
+    # the training node and inference share one kernel: the same bits
+    ids = s3_sample_batch(RngState(seed).child(6).generator(), [1, 40, 17, 64]).ids
+    ops = p.operators()
+    tape = ge.Tape()
+    h_scan = ge.holonomic_scan(tape.leaf(ops), ids, tape.leaf(p.h0)).value
+    h_batch, _ = md.forward_batch(md.HOLONOMIC, p, ids, operators=ops)
+    assert np.array_equal(h_scan, h_batch), "holonomic_scan != forward_batch"
 
 
 def check_tc_estimator(_seed):

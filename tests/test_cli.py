@@ -122,6 +122,28 @@ def test_genlen_summary_states_accuracy_range_and_lengths_below_chance(tmp_path,
     assert np.isnan(acc[20]) == (kind == md.TRANSFORMER)
 
 
+def test_genlen_below_chance_takes_the_binding_baseline_per_length(tmp_path):
+    # 4-variable binding: the token-blind baseline is 0.5 at L = 1, ~0.28 at
+    # L = 3 and ~0.25 at L = 20, not 1/4 everywhere
+    task = ex.TaskConfig(kind=ex.BINDING, variables=4)
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(ckpt, md.HOLONOMIC, md.init_holonomic(RngState(2), 8, 6, 4, 4))
+    config = tmp_path / "genlen.ini"
+    config.write_text(f"[task]\nkind = binding\nvariables = 4\n[model]\nn = 8\n"
+                      f"[genlen]\nlengths = 1,3,20\nepisodes = 48\ncheckpoint = {ckpt}\n")
+    out = tmp_path / "out"
+    assert cli.main(["genlen", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    run = out / "genlen" / "seed0"
+    with open(run / "curve.csv") as fh:
+        acc = {int(r["L"]): float(r["acc"]) for r in csv.DictReader(fh)}
+    summary = dict(line.split(": ", 1) for line in
+                   (run / "summary.txt").read_text().splitlines())
+    below = [str(n) for n, a in acc.items() if a <= task.trivial_accuracy(n)]
+    assert summary["below_chance"] == (",".join(below) or "none")
+    # this random model beats 1/4 at L = 1 but not the baseline 0.5 there
+    assert acc[1] > 0.25 and below == ["1", "20"]
+
+
 def test_no_subcommand_takes_workers_on_the_command_line():
     # `[run] workers` stays a config key; the flag changed nothing
     parser = cli.build_arg_parser()

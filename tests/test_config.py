@@ -147,8 +147,10 @@ def test_binding_round_trip_keeps_its_fields():
 @pytest.mark.parametrize("text,expected", [
     ("[task]\nkind = binding\n", ("ramp", 5, 50, 10)),
     ("[task]\nkind = binding\n[curriculum]\nl_max = 20\n", ("ramp", 5, 20, 10)),
+    # the default ramp_start follows an l_max below it
+    ("[task]\nkind = binding\n[curriculum]\nl_max = 8\n", ("ramp", 5, 8, 8)),
     ("[task]\nkind = s3\n", ("stepwise", 1, 5, 1)),
-], ids=["binding", "binding-l_max", "s3"])
+], ids=["binding", "binding-l_max", "binding-l_max-below-ramp_start", "s3"])
 def test_curriculum_defaults_follow_the_task(text, expected):
     c = parse_config(text).curriculum
     assert (c.kind, c.l_min, c.l_max, c.ramp_start) == expected

@@ -8,7 +8,7 @@ from holonet import experiments as ex
 from holonet import grad_engine as ge
 from holonet import models as md
 from holonet.errors import ArgumentError
-from holonet.group_tasks import Curriculum, naive_s3_target
+from holonet.group_tasks import Curriculum, naive_binding_target, naive_s3_target
 from holonet.tensor_core import RngState, mat_exp, skew
 
 
@@ -441,6 +441,22 @@ def test_evaluate_accuracy_cycles_lengths_from_one_stream():
     batch = task.sample_batch(RngState(51).child(0).generator(), [2, 5, 3] * 10)
     expected = np.mean([row_label(md.RNN, p, e.tokens) == e.target for e in batch])
     assert acc == expected
+
+
+def test_trivial_accuracy_is_the_best_token_blind_answer():
+    # brute force over all 6^L swap sequences of v = 4: the share of the most
+    # frequent answer to each query, whatever the tokens
+    task = ex.TaskConfig(kind=ex.BINDING, variables=4)
+    for length in range(5):
+        seqs = list(itertools.product(range(task.vocab), repeat=length))
+        best = [max(np.bincount([naive_binding_target(s, 4, q) for s in seqs],
+                                minlength=4)) / len(seqs) for q in range(4)]
+        assert np.allclose(best, task.trivial_accuracy(length), rtol=0, atol=1e-12)
+        assert ex.TaskConfig().trivial_accuracy(length) == 1 / 6
+    ten = ex.TaskConfig(kind=ex.BINDING, variables=10)
+    assert ten.trivial_accuracy(1) == pytest.approx(0.8, abs=1e-12)
+    assert ten.trivial_accuracy(5) == pytest.approx(0.356, abs=1e-3)
+    assert ten.trivial_accuracy(50) == pytest.approx(0.1, abs=1e-5)
 
 
 def test_length_generalization_guards():

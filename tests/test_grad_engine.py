@@ -196,8 +196,8 @@ def _c_skew_exp(gen):
         lambda t, lv: wsum(ge.skew_exp(lv["m"]))
 
 
-# padded rows, a length-1 row, and token 3 unused
-SCAN_IDS = [[-1, -1, 0, 2], [1, 0, 2, 1], [-1, -1, -1, 2]]
+# padded rows, a length-1 row, an all-pad column, and token 3 unused
+SCAN_IDS = [[-1, -1, -1, 0, 2], [-1, 1, 0, 2, 1], [-1, -1, -1, -1, 2]]
 
 
 @case("holonomic_scan")

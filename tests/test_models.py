@@ -269,6 +269,15 @@ def test_forward_batch_float32_with_renormalization_matches_per_episode_loop():
         # float32 roundoff over 200 steps; the orders of summation differ
         assert np.max(np.abs(states[i] - h)) < 1e-5
         assert np.argmax(logits[i]) == np.argmax(params.readout[0] @ h)
+    # the precomputed rescaling columns against a per-step counter
+    live = batch.ids != ge.IDENTITY_STEP
+    for interval in (1, 3, 64):
+        bounds, rows = md._renorm_schedule(batch.ids, interval)
+        steps = np.zeros(len(batch.ids), dtype=int)
+        for t in range(batch.ids.shape[1]):
+            steps += live[:, t]
+            due = np.flatnonzero(live[:, t] & (steps % interval == 0))
+            assert np.array_equal(rows[bounds[t]:bounds[t + 1]], due), (interval, t)
 
 
 def test_forward_batch_noise_touches_only_live_steps():
@@ -333,6 +342,13 @@ def test_forward_batch_rejects_bad_input():
                           None if queries is None else np.array(queries))
             with pytest.raises(ArgumentError):
                 md.tape_batch_loss(kind, tape, leaves, batch, params)
+    # the transformer graph reads its positional mode and pooling from params
+    params = binding_params(md.TRANSFORMER, 83)
+    tape = ge.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+    batch = Batch(np.array([[-1, 0]]), np.array([1]), np.array([0]), np.array([0]))
+    with pytest.raises(ArgumentError):
+        md.tape_batch_loss(md.TRANSFORMER, tape, leaves, batch)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -428,6 +444,14 @@ def test_mixed_length_holonomic_loss_matches_numpy_forward():
     expected = np.mean([ce_from_logits(md.holonomic_forward(params, e)[1], e.target)
                         for e in batch])
     assert float(loss.value) == pytest.approx(expected, rel=1e-12)
+    # the training node runs forward_batch's kernel: the same bits, here with
+    # a length-1 row, a leading all-pad column and token 5 unused
+    ids = np.pad(np.where(batch.ids == 5, 0, batch.ids), ((0, 0), (1, 0)),
+                 constant_values=ge.IDENTITY_STEP)
+    ops = ge.skew_exp(tape.leaf(params.generators))
+    scanned = ge.holonomic_scan(ops, ids, tape.leaf(params.h0)).value
+    states, _ = md.forward_batch(md.HOLONOMIC, params, ids, operators=ops.value)
+    assert np.array_equal(scanned, states)
 
 
 def tape_size(kind, params, batch):
