@@ -131,7 +131,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     rng = RngState(cfg.seed).child(1)
     sweep = ex.noise_sweep(kind, params, cfg.task, cfg.sweep.grid(),
                            cfg.sweep.episodes, rng, cfg.sweep.length)
-    tc = ex.estimate_tc(sweep, cfg.sweep.threshold, rng.child(99))
+    chance = cfg.task.trivial_accuracy(cfg.sweep.length)
+    tc = ex.estimate_tc(sweep, cfg.sweep.threshold, rng.child(99), chance=chance)
     rows = [{"T": f"{t:.6f}", "acc_mean": f"{m:.6f}", "acc_lo": f"{lo:.6f}",
              "acc_hi": f"{hi:.6f}", "episodes": sweep.episodes}
             for t, m, lo, hi in zip(sweep.grid, sweep.acc_mean,
@@ -139,6 +140,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     summary = [
         f"model: {kind}",
         f"threshold: {cfg.sweep.threshold}",
+        f"chance: {chance:.6f}",
         f"Tc: {tc.value:.6f}",
         f"Tc_ci: [{tc.lo:.6f}, {tc.hi:.6f}]",
         f"censored: {tc.censored or 'no'}",
@@ -153,7 +155,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
     results = ex.finite_size_scan(cfg.scaling.widths, cfg.task, cfg.curriculum,
                                   cfg.train, cfg.sweep.grid(),
                                   cfg.sweep.episodes, rng, cfg.sweep.threshold,
-                                  cfg.model.kind)
+                                  cfg.model.kind, cfg.sweep.length)
     rows = []
     points = []
     flagged = []

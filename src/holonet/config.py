@@ -258,8 +258,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("train lr_schedule must be constant or cosine")
     if cfg.sweep.points < 2:
         raise ConfigError("noise points must be >= 2")
-    if cfg.sweep.threshold <= 0 or cfg.sweep.threshold > 1:
-        raise ConfigError("sweep threshold must lie in (0, 1]")
+    # a T_c threshold at or below the token-blind accuracy would measure nothing
+    chance = cfg.task.trivial_accuracy(cfg.sweep.length) \
+        if cfg.experiment in ("sweep", "scaling") else 0.0
+    if not chance < cfg.sweep.threshold <= 1:
+        raise ConfigError(f"sweep threshold must lie in ({chance:.6g}, 1], above the "
+                          f"trivial accuracy at [noise] length {cfg.sweep.length}")
     if cfg.horizon.t_max < 1 or cfg.horizon.points < 1:
         raise ConfigError("horizon t_max and points must be >= 1")
     if cfg.horizon.method not in ("autodiff", "operator-norm", "both"):

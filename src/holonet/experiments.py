@@ -423,9 +423,9 @@ def fit_log_scaling(points) -> ScalingFit:
 def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
                      train_cfg: TrainConfig, sweep_grid, sweep_episodes: int,
                      rng: tc.RngState, threshold: float = 0.99,
-                     model_kind: str = md.HOLONOMIC) -> list[dict]:
-    """Independent train + sweep + T_c per width; non-converged widths are
-    flagged and excluded from downstream fits."""
+                     model_kind: str = md.HOLONOMIC, length: int = 5) -> list[dict]:
+    """Independent train + sweep (at episode length `length`) + T_c per width;
+    non-converged widths are flagged and excluded from downstream fits."""
     ns = [int(n) for n in n_grid]
     if len(set(ns)) != len(ns):
         raise ArgumentError("duplicate N in width grid")
@@ -437,8 +437,9 @@ def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
         row = {"N": n, "converged": result.converged, "tc": None}
         if result.converged:
             sweep = noise_sweep(model_kind, result.params, task, sweep_grid,
-                                sweep_episodes, nrng.child(1))
-            row["tc"] = estimate_tc(sweep, threshold, nrng.child(2))
+                                sweep_episodes, nrng.child(1), length)
+            row["tc"] = estimate_tc(sweep, threshold, nrng.child(2),
+                                    chance=task.trivial_accuracy(length))
             row["sweep"] = sweep
         rows.append(row)
     return rows

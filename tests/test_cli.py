@@ -144,6 +144,57 @@ def test_genlen_below_chance_takes_the_binding_baseline_per_length(tmp_path):
     assert acc[1] > 0.25 and below == ["1", "20"]
 
 
+def binding_sweep_config(tmp_path, noise=""):
+    """A sweep config over a random 10-variable binding checkpoint."""
+    ckpt = tmp_path / "binding.ckpt"
+    save_checkpoint(ckpt, md.HOLONOMIC, md.init_holonomic(RngState(3), 10, 45, 10, 10))
+    config = tmp_path / "sweep.ini"
+    config.write_text(f"[task]\nkind = binding\n[model]\nn = 10\n"
+                      f"[noise]\npoints = 2\nepisodes = 8\ncheckpoint = {ckpt}\n{noise}")
+    return config
+
+
+def test_binding_sweep_summary_states_its_chance_baseline(tmp_path):
+    out = tmp_path / "out"
+    config = binding_sweep_config(tmp_path)
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    summary = dict(line.split(": ", 1) for line in
+                   (out / "sweep" / "seed0" / "summary.txt").read_text().splitlines())
+    # v = 10 at the default [noise] length 5: 1/10 + 9/10 (7/9)^5
+    assert float(summary["chance"]) == pytest.approx(0.1 + 0.9 * (7 / 9) ** 5, abs=1e-6)
+    assert round(float(summary["chance"]), 2) == 0.36
+
+
+@pytest.mark.parametrize("threshold", [0.3, ex.TaskConfig(ex.BINDING).trivial_accuracy(5)],
+                         ids=["below", "at"])
+def test_sweep_threshold_not_above_chance_exits_config(tmp_path, threshold):
+    config = binding_sweep_config(tmp_path, f"threshold = {threshold!r}\n")
+    code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_scaling_sweeps_at_the_configured_noise_length(tmp_path, monkeypatch):
+    lengths = []
+    real_sweep = ex.noise_sweep
+
+    def spy(kind, params, task, grid, episodes, rng, length=5, **kw):
+        lengths.append(length)
+        return real_sweep(kind, params, task, grid, episodes, rng, length, **kw)
+
+    def converged(model_cfg, task, curriculum, train_cfg, rng):
+        params = md.init_holonomic(rng, model_cfg.n, task.vocab, task.n_classes)
+        return ex.TrainResult(model_cfg.kind, params, True, 1, 1.0)
+
+    monkeypatch.setattr(ex, "noise_sweep", spy)
+    monkeypatch.setattr(ex, "train", converged)
+    config = tmp_path / "scaling.ini"
+    config.write_text("[noise]\nlength = 7\npoints = 2\nepisodes = 8\n"
+                      "[scaling]\nwidths = 8\n")
+    code = cli.main(["scaling", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert lengths == [7]
+
+
 def test_no_subcommand_takes_workers_on_the_command_line():
     # `[run] workers` stays a config key; the flag changed nothing
     parser = cli.build_arg_parser()

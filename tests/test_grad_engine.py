@@ -372,15 +372,38 @@ def frechet_adjoint_wrt_m(m, gbar):
     return da - da.T
 
 
-def rotation_block_generator(angles):
-    """M with M - M^T block-diagonal 2x2 rotations by the given angles."""
+def rotation_block_generator(angles, gen=None):
+    """M with M - M^T block-diagonal 2x2 rotations by the given angles, in a
+    random orthonormal basis when `gen` is given."""
     m = np.zeros((2 * len(angles),) * 2)
     for k, theta in enumerate(angles):
         m[2 * k, 2 * k + 1] = theta
+    if gen is not None:
+        q, _ = np.linalg.qr(gen.standard_normal(m.shape))
+        m = q @ m @ q.T
     return m
 
 
-@pytest.mark.parametrize("spectrum", ["random", "zero", "repeated-angles"])
+# rotation angles for the adjoint test: each skew_exp branch threshold
+# (the direct/near gap in lam = theta^2, the near-pair product below which the
+# lam series runs, the largest angle before halving) is straddled
+SKEW_SPECTRA = {
+    "repeated-angles": [0.7, 0.7, 0.7],
+    "gap-1e-9": [1.0, 1.0 + 1e-9, 2.0],
+    "gap-1e-6": [1.0, 1.0 + 1e-6, 2.0],
+    "tiny": [1e-6, 1e-6, 2e-6],
+    "near-gap": [1.0] + [math.sqrt(1.0 + ge._DD_GAP * r) for r in (0.999, 1.001)],
+    "near-gap-small": [0.01] + [math.sqrt(1e-4 + ge._DD_GAP * r) for r in (0.999, 1.001)],
+    "series-product": [math.sqrt(ge._DD_PROD) * r for r in (0.999, 1.0, 1.001)],
+    "pi-multiples": [math.pi, math.pi, 2 * math.pi],
+    "tiny-beside-large": [1e-6, 1.0, 6.0],
+    "below-halving": [ge._MAX_ANGLE * (1 - 1e-6), 1.0, 1e-3],
+    "above-halving": [ge._MAX_ANGLE * (1 + 1e-6), 1.0, 1e-3],
+    "halved-twice": [3.5 * ge._MAX_ANGLE, 2 * math.pi, 0.3],
+}
+
+
+@pytest.mark.parametrize("spectrum", ["random", "zero", *SKEW_SPECTRA])
 def test_skew_exp_adjoint_matches_frechet(spectrum):
     gen = tc.RngState(21).generator()
     if spectrum == "random":
@@ -388,12 +411,23 @@ def test_skew_exp_adjoint_matches_frechet(spectrum):
     elif spectrum == "zero":
         m = np.zeros((6, 6))
     else:
-        m = rotation_block_generator([0.7, 0.7, 0.7])
+        m = rotation_block_generator(SKEW_SPECTRA[spectrum], gen)
     gbar = gen.standard_normal((6, 6))
     tape = ge.Tape()
     leaf = tape.leaf(m[None])
     grads = tape.vjp(ge.skew_exp(leaf), gbar[None])
-    assert np.allclose(grads[leaf.idx][0], frechet_adjoint_wrt_m(m, gbar), atol=1e-12)
+    assert np.allclose(grads[leaf.idx][0], frechet_adjoint_wrt_m(m, gbar), rtol=0, atol=1e-12)
+
+
+def test_skew_exp_stays_orthogonal_at_large_norms():
+    m = tc.RngState(23).generator().standard_normal((3, 32, 32))
+    a = m - m.transpose(0, 2, 1)
+    norms = np.array([1e2, 1e3, 1e4])
+    a *= (norms / np.linalg.norm(a, 2, axis=(1, 2)))[:, None, None]
+    out = ge.skew_exp(ge.Tape().leaf(0.5 * a)).value   # M = A/2: M - M^T = A
+    defect = np.linalg.norm(out.transpose(0, 2, 1) @ out - np.eye(32), axis=(1, 2))
+    assert defect[0] <= 1e-12
+    assert np.all(defect < 1e-10)
 
 
 def test_skew_exp_rejects_non_finite():

@@ -1,6 +1,7 @@
 """Static checks on the package source (no linter is a dependency)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,38 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+# the package depends on numpy alone; scipy being installed must not leak in
+ALLOWED_IMPORTS = sys.stdlib_module_names | {"numpy", "holonet"}
+
+
+def foreign_imports(path: Path) -> list[str]:
+    """Absolute imports anywhere in a module (function bodies too) of anything
+    outside the standard library, numpy and holonet."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in ALLOWED_IMPORTS]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_holonet(path):
+    assert foreign_imports(path) == []
+
+
+def test_foreign_import_check_sees_nested_scipy(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("import numpy as np\nfrom . import tensor_core\n\n"
+                      "def f():\n    from scipy.linalg import expm\n    import os, mpmath\n")
+    assert foreign_imports(module) == ["scipy.linalg (line 5)", "mpmath (line 6)"]
 
 
 def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
