@@ -217,20 +217,23 @@ def predictions(kind: str, params, batch: Batch, temperature: float = 0.0,
 
 
 def evaluate_accuracy(kind: str, params, task: TaskConfig, lengths,
-                      episodes: int, rng: tc.RngState) -> float:
+                      episodes: int, rng: tc.RngState,
+                      operators: np.ndarray | None = None) -> float:
     """Accuracy on `episodes` fresh episodes drawn from one stream; episode i
-    has length lengths[i % len(lengths)] (lengths: an int or a list)."""
+    has length lengths[i % len(lengths)] (lengths: an int or a list).
+    Holonomic `operators` built once by the caller skip their rebuild."""
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
     batch = task.sample_batch(rng.child(0).generator(),
                               lengths[np.arange(episodes) % lengths.size])
-    preds = predictions(kind, params, batch)
+    preds = predictions(kind, params, batch, operators=operators)
     return float(np.mean(preds == batch.targets))
 
 
-def exhaustive_s3_accuracy(kind: str, params, length: int) -> float:
+def exhaustive_s3_accuracy(kind: str, params, length: int,
+                           operators: np.ndarray | None = None) -> float:
     """Accuracy over every S3 sequence of `length`, scored in blocks."""
     ids = np.indices((6,) * length).reshape(length, -1).T
-    ops = _operators(kind, params)
+    ops = _operators(kind, params) if operators is None else operators
     correct = 0
     for lo in range(0, ids.shape[0], SCORE_BLOCK):
         block = ids[lo:lo + SCORE_BLOCK]
@@ -241,15 +244,16 @@ def exhaustive_s3_accuracy(kind: str, params, length: int) -> float:
 
 
 def validation_accuracy(kind: str, params, task: TaskConfig, curriculum: Curriculum,
-                        episodes: int, rng: tc.RngState) -> float:
+                        episodes: int, rng: tc.RngState,
+                        operators: np.ndarray | None = None) -> float:
     """The accuracy `train` calls converged at; see TrainConfig."""
     if task.kind == S3:
         if 6 ** curriculum.l_max <= EXHAUSTIVE_S3_LIMIT:
-            return exhaustive_s3_accuracy(kind, params, curriculum.l_max)
+            return exhaustive_s3_accuracy(kind, params, curriculum.l_max, operators)
         lengths = curriculum.l_max
     else:
         lengths = list(range(curriculum.l_min, curriculum.l_max + 1))
-    return evaluate_accuracy(kind, params, task, lengths, episodes, rng)
+    return evaluate_accuracy(kind, params, task, lengths, episodes, rng, operators)
 
 
 # ===================================================================== training
@@ -282,6 +286,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
     converged = False
     accuracy = 0.0
     step = 0
+    ops, ops_step = None, -1    # holonomic operators of the last eval point
     for step in range(1, cfg.steps + 1):
         if curriculum.kind == "ramp":
             curriculum = curriculum_advance(curriculum, step / cfg.steps)
@@ -302,9 +307,10 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
             store.params["h0"] /= np.linalg.norm(store.params["h0"])
         if step % cfg.eval_interval == 0 or step == cfg.steps:
             params = params.replace_from(store.params)
+            ops, ops_step = _operators(model_cfg.kind, params), step
             gate_len = curriculum.max_len
             gate_acc = evaluate_accuracy(model_cfg.kind, params, task, gate_len,
-                                         cfg.gate_episodes, rng.child(2, step))
+                                         cfg.gate_episodes, rng.child(2, step), ops)
             log.append({"step": step, "max_len": curriculum.max_len,
                         "loss": float(loss.value), "grad_norm": float(grad_norm),
                         "accuracy": gate_acc})
@@ -316,7 +322,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
                 at_top = curriculum.progress >= curriculum.ramp_fraction
             if at_top and gate_acc >= cfg.target_accuracy:
                 accuracy = validation_accuracy(model_cfg.kind, params, task, curriculum,
-                                               cfg.val_episodes, rng.child(3, step))
+                                               cfg.val_episodes, rng.child(3, step), ops)
                 if accuracy >= cfg.target_accuracy:
                     converged = True
                     if cfg.early_stop:
@@ -325,7 +331,8 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
     if not (cfg.early_stop and converged):
         # convergence must describe the returned parameters
         accuracy = validation_accuracy(model_cfg.kind, params, task, curriculum,
-                                       cfg.val_episodes, rng.child(4))
+                                       cfg.val_episodes, rng.child(4),
+                                       ops if ops_step == step else None)
         converged = accuracy >= cfg.target_accuracy
     return TrainResult(model_cfg.kind, params, converged, step, accuracy, log)
 

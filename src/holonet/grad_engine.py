@@ -8,18 +8,20 @@ Jacobian horizon:
   * dense and elementwise: matmul, matvec, add, scale, hadamard (also the
     RNN's padding mask), tanh, unit, transpose, slice, layer normalization
     and embedding lookup;
-  * fused batch nodes: broadcast matmul, multi-head attention, mean pooling,
-    readout gather, mean cross-entropy, `skew_exp` (exp(M - M^T) for a whole
-    generator stack by one real symmetric eigendecomposition, Daleckii-Krein
-    adjoint) and
+  * fused batch nodes: mean pooling, readout gather, mean cross-entropy,
+    `skew_exp` (exp(M - M^T) for a whole generator stack by one real
+    symmetric eigendecomposition, Daleckii-Krein adjoint),
     `holonomic_scan` (the holonomic recurrence over a left-padded (B, L)
-    token matrix, one node per batch).
+    token matrix, one node per batch) and `encoder_layer` (one pre-LN
+    transformer layer on a (B, L, d) block, its 16 weights as inputs).
 
 The holonomic step has one kernel, `token_step`: it multiplies each row of a
 state block by its token's matrix, one matmul per token present, in the
 order a block's `token_schedule` (one argsort and one bincount per block)
 fixes. `holonomic_scan` runs it forward and backward, and
 `models.forward_batch` runs it at inference, so the two give the same bits.
+The transformer layer likewise has one kernel, `encoder_layer_kernel`, which
+the `encoder_layer` node and `models.transformer_forward_batch` both run.
 
 Values are numpy arrays; a scalar is a 0-d array. Gradients are bitwise
 deterministic for identical tapes: the reverse sweep is a fixed-order
@@ -283,33 +285,47 @@ def _transpose_bwd(t: Tape, idx: int, g):
     t._accum(t.inputs[idx][0], g.T)
 
 
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, xhat, inv) of a layer normalization over the last axis: xhat the
+    normalized input, inv the reciprocal standard deviation, y = xhat * gain
+    + bias. The arithmetic of `layer_norm`, `encoder_layer` and the
+    transformer's numpy forward."""
+    d = x.shape[-1]
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y, xhat, inv
+
+
+def _layer_norm_dx(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                   gain: np.ndarray) -> np.ndarray:
+    """Input cotangent of a layer normalization, for the output cotangent g."""
+    d = xhat.shape[-1]
+    dxhat = g * gain
+    return (inv / d) * (d * dxhat
+                        - dxhat.sum(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+
+
 def layer_norm(x: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
     """Normalize over the last axis, then apply elementwise gain and bias."""
-    xv = x.value
-    d = xv.shape[-1]
+    d = x.value.shape[-1]
     if gain.value.shape != (d,) or bias.value.shape != (d,):
         raise DimensionError(
             f"layer_norm: gain/bias must have shape ({d},), got "
             f"{gain.value.shape}/{bias.value.shape}")
-    mu = xv.mean(axis=-1, keepdims=True)
-    var = ((xv - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu) * inv
-    y = xhat * gain.value + bias.value
+    y, xhat, inv = layer_norm_kernel(x.value, gain.value, bias.value, eps)
     return x.tape._push("layer_norm", (x.idx, gain.idx, bias.idx), y, (xhat, inv))
 
 
 def _layer_norm_bwd(t: Tape, idx: int, g):
     ix, ig, ib = t.inputs[idx]
     xhat, inv = t.aux[idx]
-    d = xhat.shape[-1]
-    gv = t.values[ig]
-    dxhat = g * gv
-    dx = (inv / d) * (d * dxhat
-                      - dxhat.sum(axis=-1, keepdims=True)
-                      - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
     axes = tuple(range(xhat.ndim - 1))
-    t._accum(ix, dx)
+    t._accum(ix, _layer_norm_dx(g, xhat, inv, t.values[ig]))
     t._accum(ig, (g * xhat).sum(axis=axes) if axes else g * xhat)
     t._accum(ib, g.sum(axis=axes) if axes else g)
 
@@ -333,9 +349,12 @@ def embed_lookup(table: Var, ids) -> Var:
 def _embed_bwd(t: Tape, idx: int, g):
     ia = t.inputs[idx][0]
     lead = _lead(t, idx, g)
-    out = np.zeros(g.shape[:lead] + t.values[ia].shape)
-    np.add.at(out, (slice(None),) * lead + (t.aux[idx],), g)
-    t._accum(ia, out)
+    vocab, d = t.values[ia].shape
+    keys = np.ravel(t.aux[idx])
+    # the scatter-add of the rows as one GEMM: a (V, n) one-hot of the ids
+    # times the (n, d) cotangent rows (a block: (k, n, d), one GEMM each)
+    onehot = np.equal.outer(np.arange(vocab), keys).astype(np.float64)
+    t._accum(ia, onehot @ g.reshape(g.shape[:lead] + (keys.size, d)))
 
 
 def slice_of(a: Var, key) -> Var:
@@ -357,22 +376,6 @@ def _slice_bwd(t: Tape, idx: int, g):
 # Fused batch-level nodes used by the trainer: one node per batch instead of
 # one subgraph per episode. Like every primitive, each is finite-difference
 # checked.
-
-
-def bmatmul(a: Var, b: Var) -> Var:
-    """(B, L, d) @ (d, k) broadcast matmul (weights on the right)."""
-    av, bv = a.value, b.value
-    if av.ndim != 3 or bv.ndim != 2 or av.shape[-1] != bv.shape[0]:
-        raise DimensionError(f"bmatmul: {av.shape} @ {bv.shape}")
-    return a.tape._push("bmatmul", (a.idx, b.idx), av @ bv, None)
-
-
-def _bmatmul_bwd(t: Tape, idx: int, g):
-    ia, ib = t.inputs[idx]
-    av = t.values[ia]
-    t._accum(ia, g @ t.values[ib].T)
-    # one GEMM over the flattened (B * L) rows
-    t._accum(ib, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
 
 # Branches of the skew_exp adjoint's divided differences, and its halving.
@@ -623,50 +626,118 @@ def _holonomic_scan_bwd(t: Tape, idx: int, g):
     t._accum(iops, du)
 
 
-def mha(q: Var, k: Var, v: Var, n_heads: int) -> Var:
-    """Fused multi-head scaled-dot-product attention on (B, L, d) operands."""
-    qv, kv, vv = q.value, k.value, v.value
-    if qv.shape != kv.shape or qv.shape != vv.shape or qv.ndim != 3:
-        raise DimensionError(f"mha: shapes {qv.shape}, {kv.shape}, {vv.shape}")
-    b, length, d = qv.shape
-    if d % n_heads:
-        raise DimensionError(f"mha: d={d} not divisible by {n_heads} heads")
+# The 16 weights of one pre-LN encoder layer, in the order of the node's inputs.
+ENCODER_WEIGHTS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                   "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
+
+
+def encoder_layer_kernel(x: np.ndarray, w: dict, n_heads: int):
+    """One pre-LN encoder layer (Vaswani et al., 2017) on a (B, L, d) block:
+
+        y = LN1(x);  q, k, v = y Wq + bq, y Wk + bk, y Wv + bv;
+        x += MHA(q, k, v) Wo + bo;  y = LN2(x);  x += tanh(y W1 + b1) W2 + b2.
+
+    `w` maps ENCODER_WEIGHTS to arrays. Every projection is one GEMM over the
+    flattened (B L) rows, q, k and v one over the concatenated weights, and
+    the softmax runs in place. Returns (out, saved), `saved` what the
+    `encoder_layer` backward needs. The training node and
+    `models.transformer_forward_batch` both run this kernel, so the two give
+    the same bits.
+    """
+    b, length, d = x.shape
     dk = d // n_heads
-
-    def split(x):  # (B, L, d) -> (B, H, L, dk)
-        return x.reshape(b, length, n_heads, dk).transpose(0, 2, 1, 3)
-
-    qh, kh, vh = split(qv), split(kv), split(vv)
-    scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dk)
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
+    rows = b * length
+    y1, xhat1, inv1 = layer_norm_kernel(x.reshape(rows, d), w["ln1_g"], w["ln1_b"])
+    wqkv = np.concatenate((w["wq"], w["wk"], w["wv"]), axis=1)
+    qkv = y1 @ wqkv
+    qkv += np.concatenate((w["bq"], w["bk"], w["bv"]))
+    qkv[:, :d] /= math.sqrt(dk)     # q / sqrt(dk): the scores need no rescaling
+    q, k, v = qkv.reshape(b, length, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
+    probs = q @ k.transpose(0, 1, 3, 2)     # (B, H, L, L)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = (probs @ vh).transpose(0, 2, 1, 3).reshape(b, length, d)
-    return q.tape._push("mha", (q.idx, k.idx, v.idx), out, (probs, n_heads))
+    att = np.empty((b, length, n_heads, dk))
+    np.matmul(probs, v, out=att.transpose(0, 2, 1, 3))
+    att = att.reshape(rows, d)
+    x1 = att @ w["wo"]
+    x1 += x.reshape(rows, d)
+    x1 += w["bo"]
+    y2, xhat2, inv2 = layer_norm_kernel(x1, w["ln2_g"], w["ln2_b"])
+    hid = y2 @ w["w1"]
+    hid += w["b1"]
+    np.tanh(hid, out=hid)
+    out = hid @ w["w2"]
+    out += w["b2"]
+    out += x1
+    return out.reshape(b, length, d), (wqkv, xhat1, inv1, y1, qkv, probs, att,
+                                       xhat2, inv2, y2, hid)
 
 
-def _mha_bwd(t: Tape, idx: int, g):
-    iq, ik, iv = t.inputs[idx]
-    probs, n_heads = t.aux[idx]
-    b, h, length, _ = probs.shape
-    d = t.values[iq].shape[-1]
+def encoder_layer(x: Var, weights: dict, n_heads: int) -> Var:
+    """One pre-LN encoder layer as a single node (see `encoder_layer_kernel`);
+    `weights` maps ENCODER_WEIGHTS to Vars."""
+    xv = x.value
+    if xv.ndim != 3:
+        raise DimensionError(f"encoder_layer: expected a (B, L, d) block, got {xv.shape}")
+    d = xv.shape[-1]
+    if d % n_heads:
+        raise DimensionError(f"encoder_layer: d={d} not divisible by {n_heads} heads")
+    w = {name: weights[name].value for name in ENCODER_WEIGHTS}
+    d_ff = w["w1"].shape[-1]
+    shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+              "w1": (d, d_ff), "b1": (d_ff,), "w2": (d_ff, d)}
+    bad = [name for name, arr in w.items() if arr.shape != shapes.get(name, (d,))]
+    if bad:
+        raise DimensionError(f"encoder_layer: bad weight shapes for {bad} at d={d}")
+    out, saved = encoder_layer_kernel(xv, w, n_heads)
+    inputs = (x.idx, *(weights[name].idx for name in ENCODER_WEIGHTS))
+    return x.tape._push("encoder_layer", inputs, out, (n_heads, saved))
+
+
+def _encoder_layer_bwd(t: Tape, idx: int, g):
+    ix, *iw = t.inputs[idx]
+    w = dict(zip(ENCODER_WEIGHTS, (t.values[i] for i in iw)))
+    n_heads, (wqkv, xhat1, inv1, y1, qkv, probs, att, xhat2, inv2, y2, hid) = t.aux[idx]
+    b, length, d = g.shape
     dk = d // n_heads
-
-    def split(x):
-        return x.reshape(b, length, n_heads, dk).transpose(0, 2, 1, 3)
-
-    def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(b, length, d)
-
-    qh, kh, vh = split(t.values[iq]), split(t.values[ik]), split(t.values[iv])
-    gh = split(g)
-    dv = probs.transpose(0, 1, 3, 2) @ gh
-    dp = gh @ vh.transpose(0, 1, 3, 2)
-    ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-    scalefac = 1.0 / np.sqrt(dk)
-    t._accum(iq, merge(ds @ kh * scalefac))
-    t._accum(ik, merge(ds.transpose(0, 1, 3, 2) @ qh * scalefac))
-    t._accum(iv, merge(dv))
+    rows = b * length
+    gf = g.reshape(rows, d)
+    grads = {"w2": hid.T @ gf, "b2": gf.sum(axis=0)}
+    dpre = gf @ w["w2"].T
+    dpre *= 1.0 - hid ** 2
+    grads["w1"], grads["b1"] = y2.T @ dpre, dpre.sum(axis=0)
+    dy2 = dpre @ w["w1"].T
+    grads["ln2_g"], grads["ln2_b"] = (dy2 * xhat2).sum(axis=0), dy2.sum(axis=0)
+    dx1 = _layer_norm_dx(dy2, xhat2, inv2, w["ln2_g"])
+    dx1 += gf
+    grads["wo"], grads["bo"] = att.T @ dx1, dx1.sum(axis=0)
+    # attention, per head: o = P v, S = q k^T / sqrt(dk), P = softmax(S) by rows
+    datt = (dx1 @ w["wo"].T).reshape(b, length, n_heads, dk).transpose(0, 2, 1, 3)
+    q, k, v = qkv.reshape(b, length, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
+    o = att.reshape(b, length, n_heads, dk).transpose(0, 2, 1, 3)
+    dqkv = np.empty((b, length, 3, n_heads, dk))
+    dq, dkey, dv = dqkv.transpose(2, 0, 3, 1, 4)
+    np.matmul(probs.transpose(0, 1, 3, 2), datt, out=dv)
+    ds = datt @ v.transpose(0, 1, 3, 2)     # dP
+    # the softmax's row term sum_j P_ij dP_ij is do_i . o_i (Dao et al., 2022)
+    ds -= (datt * o).sum(axis=-1, keepdims=True)
+    ds *= probs
+    np.matmul(ds, k, out=dq)
+    np.matmul(ds.transpose(0, 1, 3, 2), q, out=dkey)
+    dqkv = dqkv.reshape(rows, 3 * d)
+    dqkv[:, :d] /= math.sqrt(dk)
+    dw, db = y1.T @ dqkv, dqkv.sum(axis=0)
+    for j, name in enumerate(("q", "k", "v")):
+        grads["w" + name] = dw[:, j * d:(j + 1) * d]
+        grads["b" + name] = db[j * d:(j + 1) * d]
+    dy1 = dqkv @ wqkv.T
+    grads["ln1_g"], grads["ln1_b"] = (dy1 * xhat1).sum(axis=0), dy1.sum(axis=0)
+    dx = _layer_norm_dx(dy1, xhat1, inv1, w["ln1_g"])
+    dx += dx1
+    t._accum(ix, dx.reshape(b, length, d))
+    for name, i in zip(ENCODER_WEIGHTS, iw):
+        t._accum(i, grads[name])
 
 
 def mean_axis1(x: Var) -> Var:
@@ -746,10 +817,9 @@ _BACKWARD = {
     "layer_norm": _layer_norm_bwd,
     "embed": _embed_bwd,
     "slice": _slice_bwd,
-    "bmatmul": _bmatmul_bwd,
     "skew_exp": _skew_exp_bwd,
     "holonomic_scan": _holonomic_scan_bwd,
-    "mha": _mha_bwd,
+    "encoder_layer": _encoder_layer_bwd,
     "mean_axis1": _mean_axis1_bwd,
     "gather_readout": _gather_readout_bwd,
     "softmax_xent_mean": _softmax_xent_mean_bwd,

@@ -13,14 +13,20 @@ At inference the recurrent models step through the block's columns; the
 holonomic step is `grad_engine.token_step`, the kernel of the training node
 `holonomic_scan`, over a token schedule and renormalization columns computed
 once per block. The transformer runs the unpadded rows of each length as one
-block (`transformer_forward_batch`). `holonomic_forward` and `rnn_forward`
-are its noiseless per-episode (B = 1) references.
+block (`transformer_forward_batch`), each layer one call of
+`grad_engine.encoder_layer_kernel`, the kernel of the training node
+`encoder_layer`, so training and inference run one layer path.
+`holonomic_forward` and `rnn_forward` are the recurrent models' noiseless
+per-episode (B = 1) references.
 
 Training builds one graph per batch. The holonomic model and the RNNs run
 over the left-padded (B, L_max) block, so their tape size does not depend on
-the length mix. The transformer keeps one graph per distinct length: padding
-its rows to L_max roughly doubles a step (190 -> 374 ms for one binding batch,
-B = 64, d = 64, lengths 5..50), because attention is quadratic in L.
+the length mix. The transformer keeps one graph per distinct length, one
+`encoder_layer` node per layer in each: attention is quadratic in L, so
+padding every row to L_max costs more than the extra nodes of the groups.
+On one binding batch (B = 64, d = 64, 3 layers, lengths 5..50, one BLAS
+thread) a step with every row at L = 50, before the key mask that padding
+would also need, took ~20% longer than the grouped step.
 
 Parameters are small dataclasses convertible to/from flat name->array dicts
 so the optimizer and checkpoints share one representation. Readouts are
@@ -265,12 +271,6 @@ def init_transformer(rng: tc.RngState, d_model: int, n_layers: int, n_heads: int
                              pos_mode, max_len, pool, w)
 
 
-def _layer_norm_np(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps=1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * g + b
-
-
 def _positional(p: TransformerParams, length: int) -> np.ndarray:
     if p.pos_mode == "learned":
         if length > p.max_len:
@@ -279,6 +279,12 @@ def _positional(p: TransformerParams, length: int) -> np.ndarray:
                 f"of {p.max_len}")
         return p.weights["pos"][:length]
     return sinusoidal_table(length, p.d_model)
+
+
+def _layer_weights(source: dict, i: int) -> dict:
+    """Layer i's entries of a flat weight dict (arrays or leaves), keyed by
+    grad_engine.ENCODER_WEIGHTS."""
+    return {name: source[f"layer{i}.{name}"] for name in ge.ENCODER_WEIGHTS}
 
 
 def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
@@ -291,29 +297,12 @@ def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
     `gen`.
     """
     w = p.weights
-    d, heads = p.d_model, p.n_heads
-    dk = d // heads
     x = w["embed"][ids] + _positional(p, ids.shape[1])[None, :, :]
     for i in range(p.n_layers):
-        pre = f"layer{i}."
-        y = _layer_norm_np(x, w[pre + "ln1_g"], w[pre + "ln1_b"])
-        q = y @ w[pre + "wq"] + w[pre + "bq"]
-        k = y @ w[pre + "wk"] + w[pre + "bk"]
-        v = y @ w[pre + "wv"] + w[pre + "bv"]
-        out = np.empty_like(q)
-        for h in range(heads):
-            sl = slice(h * dk, (h + 1) * dk)
-            scores = q[:, :, sl] @ k[:, :, sl].transpose(0, 2, 1) / math.sqrt(dk)
-            scores -= scores.max(axis=-1, keepdims=True)
-            probs = np.exp(scores)
-            probs /= probs.sum(axis=-1, keepdims=True)
-            out[:, :, sl] = probs @ v[:, :, sl]
-        x = x + out @ w[pre + "wo"] + w[pre + "bo"]
-        y = _layer_norm_np(x, w[pre + "ln2_g"], w[pre + "ln2_b"])
-        x = x + np.tanh(y @ w[pre + "w1"] + w[pre + "b1"]) @ w[pre + "w2"] + w[pre + "b2"]
+        x = ge.encoder_layer_kernel(x, _layer_weights(w, i), p.n_heads)[0]
         if temperature > 0:
             x = inject_noise(x, temperature, gen.standard_normal(x.shape))
-    x = _layer_norm_np(x, w["ln_f_g"], w["ln_f_b"])
+    x = ge.layer_norm_kernel(x, w["ln_f_g"], w["ln_f_b"])[0]
     return x.mean(axis=1) if p.pool == "mean" else x[:, -1, :]
 
 
@@ -323,10 +312,8 @@ def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
 # over the left-padded (B, L_max) block, so their tape size depends on L_max
 # only, not on the length mix: the holonomic graph is one skew_exp node for the
 # operator stack and one holonomic_scan node, the RNN one masked step per
-# column. The transformer keeps one graph per distinct length, because
-# padding its rows to L_max makes every row pay L_max^2 attention: one
-# binding step (B = 64, d = 64, lengths 5..50) took 190 ms grouped and 374 ms
-# with every row at L = 50.
+# column. The transformer keeps one graph per distinct length (see the
+# module docstring), one encoder_layer node per layer in each.
 
 
 def _length_groups(ids: np.ndarray):
@@ -380,18 +367,7 @@ def _transformer_tape_loss(tape: ge.Tape, leaves: dict, ids: np.ndarray,
             pos = tape.leaf(sinusoidal_table(length, p.d_model))
         x = ge.embed_lookup(leaves["embed"], block) + pos
         for i in range(p.n_layers):
-            pre = f"layer{i}."
-            y = ge.layer_norm(x, leaves[pre + "ln1_g"], leaves[pre + "ln1_b"])
-            q = ge.bmatmul(y, leaves[pre + "wq"]) + leaves[pre + "bq"]
-            k = ge.bmatmul(y, leaves[pre + "wk"]) + leaves[pre + "bk"]
-            v = ge.bmatmul(y, leaves[pre + "wv"]) + leaves[pre + "bv"]
-            att = ge.mha(q, k, v, p.n_heads)
-            x = x + ge.bmatmul(att, leaves[pre + "wo"]) + leaves[pre + "bo"]
-            y = ge.layer_norm(x, leaves[pre + "ln2_g"], leaves[pre + "ln2_b"])
-            mlp = ge.bmatmul(ge.tanh(ge.bmatmul(y, leaves[pre + "w1"])
-                                     + leaves[pre + "b1"]), leaves[pre + "w2"]) \
-                + leaves[pre + "b2"]
-            x = x + mlp
+            x = ge.encoder_layer(x, _layer_weights(leaves, i), p.n_heads)
         x = ge.layer_norm(x, leaves["ln_f_g"], leaves["ln_f_b"])
         if p.pool == "mean":
             pooled = ge.mean_axis1(x)

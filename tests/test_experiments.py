@@ -503,6 +503,20 @@ def test_train_same_seed_same_bits():
     assert not np.array_equal(a.params.generators, c.params.generators)
 
 
+def test_train_builds_the_operators_once_per_eval_point(monkeypatch):
+    # the last step is an eval step: the final validation reuses its operators
+    calls = []
+    build = md.HolonomicParams.operators
+    monkeypatch.setattr(md.HolonomicParams, "operators",
+                        lambda self: calls.append(1) or build(self))
+    cur = Curriculum(kind="ramp", l_min=5, l_max=8, ramp_fraction=0.001)
+    cfg = ex.TrainConfig(steps=2, batch=8, gate_episodes=16, val_episodes=16)
+    res = ex.train(ex.ModelConfig(kind=md.HOLONOMIC, n=8),
+                   ex.TaskConfig(kind="binding", variables=4), cur, cfg, RngState(34))
+    assert res.steps_used == 2 and len(res.log) == 1
+    assert len(calls) == 1
+
+
 def test_train_nonconvergence_carries_params():
     cur = Curriculum(kind="stepwise", l_min=1, l_max=5)
     cfg = ex.TrainConfig(steps=8, batch=8, eval_interval=4, gate_episodes=16,

@@ -184,12 +184,6 @@ def _c_slice(gen):
         lambda t, lv: wsum(lv["x"][1:3, 2:5]) + wsum(lv["x"][0], seed=1)
 
 
-@case("bmatmul")
-def _c_bmatmul(gen):
-    return {"a": gen.standard_normal((2, 3, 4)), "b": gen.standard_normal((4, 5))}, \
-        lambda t, lv: wsum(ge.bmatmul(lv["a"], lv["b"]))
-
-
 @case("skew_exp")
 def _c_skew_exp(gen):
     return {"m": 0.5 * gen.standard_normal((3, 4, 4))}, \
@@ -206,12 +200,40 @@ def _c_holonomic_scan(gen):
         lambda t, lv: wsum(ge.holonomic_scan(lv["u"], SCAN_IDS, lv["h0"]))
 
 
-@case("mha")
-def _c_mha(gen):
-    return {"q": gen.standard_normal((2, 5, 6)),
-            "k": gen.standard_normal((2, 5, 6)),
-            "v": gen.standard_normal((2, 5, 6))}, \
-        lambda t, lv: wsum(ge.mha(lv["q"], lv["k"], lv["v"], n_heads=2))
+def encoder_weights(gen, d=6, d_ff=5):
+    shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+              "w1": (d, d_ff), "b1": (d_ff,), "w2": (d_ff, d)}
+    w = {name: 0.5 * gen.standard_normal(shapes.get(name, (d,)))
+         for name in ge.ENCODER_WEIGHTS}
+    w["ln1_g"] += 1.0
+    w["ln2_g"] += 1.0
+    return w
+
+
+# (B, L) of the blocks that share one layer's weights: B = 1, L = 1, equal
+# lengths in a block, and mixed lengths across blocks, as in length groups
+ENCODER_BLOCKS = [(1, 1), (2, 2), (1, 3)]
+
+
+@case("encoder_layer")
+def _c_encoder_layer(gen):
+    # the key bias is a constant: its exact gradient is 0 (a softmax row does
+    # not move under a shift), which central differences cannot resolve
+    params = encoder_weights(gen)
+    bk = params.pop("bk")
+    for j, (b, length) in enumerate(ENCODER_BLOCKS):
+        params[f"x{j}"] = gen.standard_normal((b, length, 6))
+
+    def build(t, lv):
+        w = {name: lv[name] for name in ge.ENCODER_WEIGHTS if name != "bk"}
+        w["bk"] = t.leaf(bk)
+        loss = None
+        for j in range(len(ENCODER_BLOCKS)):
+            term = wsum(ge.encoder_layer(lv[f"x{j}"], w, n_heads=2), seed=j)
+            loss = term if loss is None else loss + term
+        return loss
+
+    return params, build
 
 
 @case("mean_axis1")
@@ -289,6 +311,46 @@ def test_node_reuse_accumulates_cotangents():
     assert ge.grad_check(build, ge.ParamStore({"m": m0}), eps=1e-6) < 1e-6
 
 
+def test_encoder_layer_key_bias_gradient_vanishes():
+    gen = tc.RngState(11).generator()
+    t = ge.Tape()
+    w = {name: t.leaf(v) for name, v in encoder_weights(gen).items()}
+    out = ge.encoder_layer(t.leaf(gen.standard_normal((3, 4, 6))), w, n_heads=2)
+    t.vjp(out, gen.standard_normal(out.value.shape))
+    assert np.max(np.abs(w["bk"].grad)) < 1e-13
+    assert np.max(np.abs(w["bq"].grad)) > 1e-3
+
+
+def test_encoder_layer_rejects_bad_shapes():
+    gen = tc.RngState(15).generator()
+    t = ge.Tape()
+    w = {name: t.leaf(v) for name, v in encoder_weights(gen).items()}
+    with pytest.raises(DimensionError):
+        ge.encoder_layer(t.leaf(np.ones((4, 6))), w, n_heads=2)
+    with pytest.raises(DimensionError):
+        ge.encoder_layer(t.leaf(np.ones((1, 4, 6))), w, n_heads=4)
+    w["wo"] = t.leaf(np.ones((6, 5)))
+    with pytest.raises(DimensionError):
+        ge.encoder_layer(t.leaf(np.ones((1, 4, 6))), w, n_heads=2)
+
+
+def test_embed_backward_is_the_scatter_add():
+    # the one-hot GEMM against np.add.at, repeated ids, single and block
+    # cotangents, one id and an id block
+    gen = tc.RngState(16).generator()
+    for ids, k in ((gen.integers(0, 45, 64), 0), (gen.integers(0, 45, (8, 50)), 0),
+                   (7, 0), (gen.integers(0, 45, 64), 3), (7, 2)):
+        t = ge.Tape()
+        table = t.leaf(gen.standard_normal((45, 16)))
+        out = ge.embed_lookup(table, ids)
+        g = gen.standard_normal(((k,) if k else ()) + out.value.shape)
+        ref = np.zeros(g.shape[:g.ndim - out.value.ndim] + table.value.shape)
+        np.add.at(ref, (slice(None),) * (g.ndim - out.value.ndim) + (ids,), g)
+        got = t.vjp(out, g)[table.idx]
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------- block cotangents, wrt
 
 
@@ -321,7 +383,7 @@ def test_block_cotangent_rejected_by_rules_that_cannot_carry_it():
     gen = tc.RngState(13).generator()
     t = ge.Tape()
     x = t.leaf(gen.standard_normal((2, 3, 4)))
-    out = ge.mha(x, x, x, 2)
+    out = ge.layer_norm(x, t.leaf(np.ones(4)), t.leaf(np.zeros(4)))
     with pytest.raises(DimensionError):
         t.vjp(out, np.ones((5, 2, 3, 4)))
     # neither the node's shape nor (k, *shape)
@@ -490,7 +552,7 @@ def test_adam_first_step_is_signed_lr():
     g = np.array([0.5, -0.25, 4.0])
     ge.adam_step(store, {"w": g}, lr=1e-3)
     expected = -1e-3 * g / (np.abs(g) + 1e-8)
-    assert np.allclose(store.params["w"], expected, atol=1e-9)
+    assert np.allclose(store.params["w"], expected, rtol=0, atol=1e-9)
 
 
 def test_adam_quadratic_descent():

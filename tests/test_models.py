@@ -74,7 +74,7 @@ def test_holonomic_zero_generators_identity_flow():
     p = md.init_holonomic(RngState(0), 8, 6, 6)
     p.generators[:] = 0.0
     traj, _ = md.holonomic_forward(p, s3_episode(1, 20))
-    assert np.allclose(traj[-1], p.h0, atol=1e-14)
+    assert np.allclose(traj[-1], p.h0, rtol=0, atol=1e-14)
 
 
 def test_holonomic_isometry_long_sequence():
@@ -185,7 +185,7 @@ def test_transformer_permutation_invariance_without_positions():
     tokens, perm = (0, 1, 2, 3, 4, 5), (5, 3, 1, 0, 4, 2)
     a = row_logits(md.TRANSFORMER, p, tokens)
     b = row_logits(md.TRANSFORMER, p, perm)
-    assert np.allclose(a, b, atol=1e-10)
+    assert np.allclose(a, b, rtol=0, atol=1e-10)
     # restoring the positional table breaks the symmetry
     p2 = small_transformer(pool="mean")
     assert not np.allclose(row_logits(md.TRANSFORMER, p2, tokens),
@@ -206,7 +206,27 @@ def test_transformer_batch_matches_single():
         assert np.array_equal(logits[rows], alone)
     for i, e in enumerate(batch):
         _, alone = md.forward_batch(md.TRANSFORMER, p, [e.tokens], [e.query])
-        assert np.allclose(logits[i], alone[0], atol=1e-12)
+        assert np.allclose(logits[i], alone[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pool", ["final", "mean"])
+def test_transformer_training_graph_runs_the_inference_layers_bit_for_bit(pool):
+    # each length group's pooled encoding on the tape, through one
+    # encoder_layer node per layer, equals transformer_forward_batch's on the
+    # group's unpadded block: the two share the layer kernel
+    p = small_transformer(pool=pool, n_classes=4, n_queries=4)
+    batch = binding_batch(42, [1, 7, 3, 7, 12, 2])
+    tape = ge.Tape()
+    leaves = {k: tape.leaf(v) for k, v in p.to_dict().items()}
+    md.tape_batch_loss(md.TRANSFORMER, tape, leaves, batch, p)
+    lengths = sorted(set(batch.lengths.tolist()))
+    assert tape.ops.count("encoder_layer") == p.n_layers * len(lengths)
+    pooled = [tape.values[tape.inputs[i][1]] for i, op in enumerate(tape.ops)
+              if op == "gather_readout"]
+    width = batch.ids.shape[1]
+    for length, value in zip(lengths, pooled):
+        block = batch.ids[batch.lengths == length, width - length:]
+        assert np.array_equal(value, md.transformer_forward_batch(p, block))
 
 
 def test_transformer_residual_noise_deterministic():
@@ -290,7 +310,7 @@ def test_forward_batch_noise_touches_only_live_steps():
     g = [gen.standard_normal((2, 8)) for _ in range(4)][-1][0]
     h = params.operators()[4] @ params.h0
     h = h + g * temp / math.sqrt(8) * np.linalg.norm(h)
-    assert np.allclose(states[0], h / np.linalg.norm(h), atol=1e-13)
+    assert np.allclose(states[0], h / np.linalg.norm(h), rtol=0, atol=1e-13)
     again, _ = md.forward_batch(md.HOLONOMIC, params, ids, None, temp, RngState(77))
     assert np.array_equal(states, again)
 
@@ -312,7 +332,7 @@ def test_forward_batch_normalized_rnn_stays_on_sphere_under_noise():
     batch = s3_sample_batch(RngState(81).generator(), MIXED)
     states, _ = md.forward_batch(md.NORMALIZED_RNN, params, batch.ids, None, 2.0,
                                  RngState(82))
-    assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_forward_batch_rejects_bad_input():

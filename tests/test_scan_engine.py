@@ -21,7 +21,7 @@ def test_single_token_equals_operator():
     p = make_params(1)
     h = se.sequential_holonomy(p, [3])
     expected = mat_exp(skew(p.generators[3]))
-    assert np.allclose(h, expected, atol=1e-14)
+    assert np.allclose(h, expected, rtol=0, atol=1e-14)
 
 
 def test_token_then_inverse_generator_is_identity():
@@ -106,7 +106,7 @@ def test_forward_batch_zero_generator_keeps_h0():
     p = make_params(14)
     fixed = md.HolonomicParams(p.n, 1, np.zeros((1, p.n, p.n)), p.h0, p.readout)
     h, _ = md.forward_batch(md.HOLONOMIC, fixed, np.zeros((1, 50), dtype=int))
-    assert np.allclose(h[0], p.h0, atol=1e-14)
+    assert np.allclose(h[0], p.h0, rtol=0, atol=1e-14)
 
 
 def test_forward_batch_matches_sequential_at_5000():

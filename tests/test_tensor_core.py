@@ -103,14 +103,14 @@ def test_skew_rejects_nonsquare():
 
 
 def test_mat_exp_zero_is_identity():
-    assert np.allclose(mat_exp(np.zeros((4, 4))), np.eye(4), atol=1e-15)
+    assert np.allclose(mat_exp(np.zeros((4, 4))), np.eye(4), rtol=0, atol=1e-15)
 
 
 def test_mat_exp_2d_rotation():
     theta = math.pi / 2
     a = np.array([[0.0, -theta], [theta, 0.0]])
     expected = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(mat_exp(a), expected, atol=1e-14)
+    assert np.allclose(mat_exp(a), expected, rtol=0, atol=1e-14)
 
 
 def test_mat_exp_matches_taylor_oracle():
@@ -164,8 +164,8 @@ def test_mat_exp_inverse_property():
 def test_frechet_at_zero_is_direction():
     e = RngState(3).generator().standard_normal((5, 5))
     expa, l = mat_exp_frechet(np.zeros((5, 5)), e)
-    assert np.allclose(expa, np.eye(5), atol=1e-14)
-    assert np.allclose(l, e, atol=1e-12)
+    assert np.allclose(expa, np.eye(5), rtol=0, atol=1e-14)
+    assert np.allclose(l, e, rtol=0, atol=1e-12)
 
 
 def test_frechet_zero_direction():
@@ -210,7 +210,7 @@ def test_reorthonormalize_fixed_point():
 
 
 def test_reorthonormalize_scaled_identity():
-    assert np.allclose(reorthonormalize(1.01 * np.eye(4)), np.eye(4), atol=1e-13)
+    assert np.allclose(reorthonormalize(1.01 * np.eye(4)), np.eye(4), rtol=0, atol=1e-13)
 
 
 def test_reorthonormalize_drifted_product():
