@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -118,29 +119,49 @@ def _rebuild(kind: str, meta: dict, arrays: dict):
     raise ArgumentError(f"unknown model kind: {kind}")
 
 
-def save_checkpoint(path, kind: str, params) -> None:
-    if kind not in md.MODEL_KINDS:
-        raise ArgumentError(f"unknown model kind: {kind}")
-    path = Path(path)
+def _write_body(out, kind: str, params) -> None:
+    """Write everything the digest covers to `out(chunk)`, one chunk at a
+    time; each array's payload goes out as a view of its buffer."""
     meta = json.dumps(_meta_for(kind, params), sort_keys=True).encode()
     kind_b = kind.encode()
-    chunks = [MAGIC, struct.pack("<I", VERSION),
-              struct.pack("<H", len(kind_b)), kind_b,
-              struct.pack("<I", len(meta)), meta]
+    for chunk in (MAGIC, struct.pack("<I", VERSION), struct.pack("<H", len(kind_b)),
+                  kind_b, struct.pack("<I", len(meta)), meta):
+        out(chunk)
     arrays = params.to_dict()
-    chunks.append(struct.pack("<I", len(arrays)))
+    out(struct.pack("<I", len(arrays)))
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         name_b = name.encode()
-        chunks.append(struct.pack("<H", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.tobytes())
-    body = b"".join(chunks)
-    digest = hashlib.blake2b(body, digest_size=8).digest()
+        out(struct.pack("<H", len(name_b)))
+        out(name_b)
+        out(struct.pack("<B", arr.ndim))
+        out(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        out(arr.reshape(-1).data)
+
+
+def save_checkpoint(path, kind: str, params) -> None:
+    """Write the checkpoint and its sidecar. The body streams into a temporary
+    file beside `path`, hashed as it goes, which then replaces `path` in one
+    rename: a write that fails midway leaves the previous checkpoint as it was
+    and no temporary file behind."""
+    if kind not in md.MODEL_KINDS:
+        raise ArgumentError(f"unknown model kind: {kind}")
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(body + digest)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    digest = hashlib.blake2b(digest_size=8)
+    try:
+        with open(tmp, "wb") as f:
+
+            def out(chunk):
+                digest.update(chunk)
+                f.write(chunk)
+
+            _write_body(out, kind, params)
+            f.write(digest.digest())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)     # gone already once replaced
     total, items = md.param_count(params)
     lines = [f"model: {kind}"]
     lines += [f"{k}: {v}" for k, v in sorted(_meta_for(kind, params).items())]

@@ -266,6 +266,26 @@ def _lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.lr
 
 
+def _train_step(kind: str, store: ge.ParamStore, batch: Batch, params,
+                cfg: TrainConfig, step: int) -> tuple[float, float]:
+    """One optimizer step on `batch`; returns (loss, pre-clip gradient norm).
+    The step's tape, loss Var and gradients are locals of this frame, so they
+    are freed on return: one tape is alive at a time, never the last step's
+    beside the next one's."""
+    tape = ge.Tape()
+    leaves = {k: tape.leaf(v) for k, v in store.params.items()}
+    loss = md.tape_batch_loss(kind, tape, leaves, batch, params)
+    if not np.isfinite(loss.value):
+        raise NumericError(f"training loss is {float(loss.value)} at step {step}")
+    tape.backward(loss, wrt=leaves.values())
+    grads = ge.collect_grads(tape, leaves)
+    grad_norm = ge.clip_global_norm(grads, cfg.clip)
+    if not np.isfinite(grad_norm):
+        raise NumericError(f"gradient norm is {grad_norm} at step {step}")
+    ge.adam_step(store, grads, _lr_at(cfg, step), cfg.beta1, cfg.beta2, cfg.eps)
+    return float(loss.value), grad_norm
+
+
 def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
           cfg: TrainConfig, rng: tc.RngState) -> TrainResult:
     """Curriculum training to the task's convergence target.
@@ -292,17 +312,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
             curriculum = curriculum_advance(curriculum, step / cfg.steps)
         gen = rng.child(1, step).generator()
         batch = task.sample_batch(gen, sample_lengths(curriculum, gen, cfg.batch))
-        tape = ge.Tape()
-        leaves = {k: tape.leaf(v) for k, v in store.params.items()}
-        loss = md.tape_batch_loss(model_cfg.kind, tape, leaves, batch, params)
-        if not np.isfinite(loss.value):
-            raise NumericError(f"training loss is {float(loss.value)} at step {step}")
-        tape.backward(loss, wrt=leaves.values())
-        grads = ge.collect_grads(tape, leaves)
-        grad_norm = ge.clip_global_norm(grads, cfg.clip)
-        if not np.isfinite(grad_norm):
-            raise NumericError(f"gradient norm is {grad_norm} at step {step}")
-        ge.adam_step(store, grads, _lr_at(cfg, step), cfg.beta1, cfg.beta2, cfg.eps)
+        loss, grad_norm = _train_step(model_cfg.kind, store, batch, params, cfg, step)
         if model_cfg.kind == md.HOLONOMIC:
             store.params["h0"] /= np.linalg.norm(store.params["h0"])
         if step % cfg.eval_interval == 0 or step == cfg.steps:
@@ -312,7 +322,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
             gate_acc = evaluate_accuracy(model_cfg.kind, params, task, gate_len,
                                          cfg.gate_episodes, rng.child(2, step), ops)
             log.append({"step": step, "max_len": curriculum.max_len,
-                        "loss": float(loss.value), "grad_norm": float(grad_norm),
+                        "loss": loss, "grad_norm": float(grad_norm),
                         "accuracy": gate_acc})
             if curriculum.kind == "stepwise":
                 before = curriculum.max_len

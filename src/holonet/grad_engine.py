@@ -27,6 +27,14 @@ Values are numpy arrays; a scalar is a 0-d array. Gradients are bitwise
 deterministic for identical tapes: the reverse sweep is a fixed-order
 sequential accumulation.
 
+Memory follows two rules. One tape is alive per training step: the trainer
+frees a step's tape, loss and gradients before the next step's graph is
+built. And a node saves only what its backward reads: a cheap elementwise
+value is recomputed instead (`encoder_layer` rebuilds its LayerNorm outputs
+xhat * gain + bias and its [Wq Wk Wv] concatenation by the forward's own
+arithmetic, so the bits do not change), and the fused backward rules write
+their products into buffers they no longer need.
+
 A sweep can be narrowed and widened. `wrt=` names the leaves wanted: only
 nodes on a path to one of them get a cotangent, so constant leaves (padding
 masks, zero states, sinusoidal tables) get none, and matvec skips the outer
@@ -295,9 +303,15 @@ def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + eps)
     xhat *= inv
+    return _layer_norm_out(xhat, gain, bias), xhat, inv
+
+
+def _layer_norm_out(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """y = xhat * gain + bias, the arithmetic of `layer_norm_kernel`: a
+    backward that did not keep y rebuilds it bit for bit."""
     y = xhat * gain
     y += bias
-    return y, xhat, inv
+    return y
 
 
 def _layer_norm_dx(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
@@ -477,12 +491,14 @@ def _skew_exp_divided_differences(theta: np.ndarray):
     cos, sinc = np.cos(theta), _sinc(theta)
     lam = theta * theta
     dl = lam[:, :, None] - lam[:, None, :]
-    near = np.flatnonzero(np.abs(dl) < _DD_GAP)
+    gc = np.abs(dl)
+    near = np.flatnonzero(gc < _DD_GAP)
     dl.flat[near] = 1.0
-    gc = cos[:, :, None] - cos[:, None, :]
+    np.subtract(cos[:, :, None], cos[:, None, :], out=gc)
     gc /= dl
     gs = sinc[:, :, None] - sinc[:, None, :]
     gs /= dl
+    del dl
     # near[i] is entry (m, j, k): its angles are theta.flat[m n + j] and [m n + k]
     tj, tk = theta.flat[near // n], theta.flat[near // (n * n) * n + near % n]
     sig, dlt = 0.5 * (tj + tk), 0.5 * (tj - tk)
@@ -506,27 +522,33 @@ def _skew_exp_divided_differences(theta: np.ndarray):
 
 
 def _skew_exp_bwd(t: Tape, idx: int, g):
+    # five (V, n, n) buffers at most: every product goes into a dead one, and
+    # the dead ones are dropped before _accum copies the result
     v, av, theta, halvings, squarings = t.aux[idx]
     if squarings:
         g = g.copy()
     for sel, q in reversed(squarings):
         qt = q.transpose(0, 2, 1)
         gq = g[sel]
-        g[sel] = gq @ qt + qt @ gq
+        gsq = gq @ qt
+        gsq += qt @ gq
+        g[sel] = gsq
     gc, gs, sinc = _skew_exp_divided_differences(theta)
     vt = v.transpose(0, 2, 1)
     gv = g @ v
     x = vt @ gv
     x *= gc
-    r = av.transpose(0, 2, 1) @ gv
+    r = np.matmul(av.transpose(0, 2, 1), gv, out=gc)
     r *= gs
     x += r
     gv *= sinc[:, None, :]
-    gv += np.matmul(av, x + x.transpose(0, 2, 1), out=r)
-    da = gv @ vt
+    gv += np.matmul(av, np.add(x, x.transpose(0, 2, 1), out=gs), out=r)
+    da = np.matmul(gv, vt, out=x)
     if squarings:
         da *= np.ldexp(1.0, -halvings)[:, None, None]
-    t._accum(t.inputs[idx][0], da - da.transpose(0, 2, 1))
+    dm = np.subtract(da, da.transpose(0, 2, 1), out=gv)
+    del gc, gs, r, x, da
+    t._accum(t.inputs[idx][0], dm)
 
 
 # Id of the identity step in holonomic_scan; left-pads rows shorter than L.
@@ -631,6 +653,11 @@ ENCODER_WEIGHTS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "
                    "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
 
 
+def _qkv_weights(w: dict) -> np.ndarray:
+    """The (d, 3d) concatenation [Wq Wk Wv]: q, k and v in one GEMM."""
+    return np.concatenate((w["wq"], w["wk"], w["wv"]), axis=1)
+
+
 def encoder_layer_kernel(x: np.ndarray, w: dict, n_heads: int):
     """One pre-LN encoder layer (Vaswani et al., 2017) on a (B, L, d) block:
 
@@ -640,7 +667,9 @@ def encoder_layer_kernel(x: np.ndarray, w: dict, n_heads: int):
     `w` maps ENCODER_WEIGHTS to arrays. Every projection is one GEMM over the
     flattened (B L) rows, q, k and v one over the concatenated weights, and
     the softmax runs in place. Returns (out, saved), `saved` what the
-    `encoder_layer` backward needs. The training node and
+    `encoder_layer` backward reads and cannot cheaply rebuild: not the weight
+    concatenation, nor the LayerNorm outputs, which are xhat * gain + bias
+    again (see `_layer_norm_out`). The training node and
     `models.transformer_forward_batch` both run this kernel, so the two give
     the same bits.
     """
@@ -648,8 +677,7 @@ def encoder_layer_kernel(x: np.ndarray, w: dict, n_heads: int):
     dk = d // n_heads
     rows = b * length
     y1, xhat1, inv1 = layer_norm_kernel(x.reshape(rows, d), w["ln1_g"], w["ln1_b"])
-    wqkv = np.concatenate((w["wq"], w["wk"], w["wv"]), axis=1)
-    qkv = y1 @ wqkv
+    qkv = y1 @ _qkv_weights(w)
     qkv += np.concatenate((w["bq"], w["bk"], w["bv"]))
     qkv[:, :d] /= math.sqrt(dk)     # q / sqrt(dk): the scores need no rescaling
     q, k, v = qkv.reshape(b, length, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
@@ -670,8 +698,7 @@ def encoder_layer_kernel(x: np.ndarray, w: dict, n_heads: int):
     out = hid @ w["w2"]
     out += w["b2"]
     out += x1
-    return out.reshape(b, length, d), (wqkv, xhat1, inv1, y1, qkv, probs, att,
-                                       xhat2, inv2, y2, hid)
+    return out.reshape(b, length, d), (xhat1, inv1, qkv, probs, att, xhat2, inv2, hid)
 
 
 def encoder_layer(x: Var, weights: dict, n_heads: int) -> Var:
@@ -698,7 +725,7 @@ def encoder_layer(x: Var, weights: dict, n_heads: int) -> Var:
 def _encoder_layer_bwd(t: Tape, idx: int, g):
     ix, *iw = t.inputs[idx]
     w = dict(zip(ENCODER_WEIGHTS, (t.values[i] for i in iw)))
-    n_heads, (wqkv, xhat1, inv1, y1, qkv, probs, att, xhat2, inv2, y2, hid) = t.aux[idx]
+    n_heads, (xhat1, inv1, qkv, probs, att, xhat2, inv2, hid) = t.aux[idx]
     b, length, d = g.shape
     dk = d // n_heads
     rows = b * length
@@ -706,7 +733,9 @@ def _encoder_layer_bwd(t: Tape, idx: int, g):
     grads = {"w2": hid.T @ gf, "b2": gf.sum(axis=0)}
     dpre = gf @ w["w2"].T
     dpre *= 1.0 - hid ** 2
+    y2 = _layer_norm_out(xhat2, w["ln2_g"], w["ln2_b"])
     grads["w1"], grads["b1"] = y2.T @ dpre, dpre.sum(axis=0)
+    del y2
     dy2 = dpre @ w["w1"].T
     grads["ln2_g"], grads["ln2_b"] = (dy2 * xhat2).sum(axis=0), dy2.sum(axis=0)
     dx1 = _layer_norm_dx(dy2, xhat2, inv2, w["ln2_g"])
@@ -727,11 +756,11 @@ def _encoder_layer_bwd(t: Tape, idx: int, g):
     np.matmul(ds.transpose(0, 1, 3, 2), q, out=dkey)
     dqkv = dqkv.reshape(rows, 3 * d)
     dqkv[:, :d] /= math.sqrt(dk)
-    dw, db = y1.T @ dqkv, dqkv.sum(axis=0)
+    dw, db = _layer_norm_out(xhat1, w["ln1_g"], w["ln1_b"]).T @ dqkv, dqkv.sum(axis=0)
     for j, name in enumerate(("q", "k", "v")):
         grads["w" + name] = dw[:, j * d:(j + 1) * d]
         grads["b" + name] = db[j * d:(j + 1) * d]
-    dy1 = dqkv @ wqkv.T
+    dy1 = dqkv @ _qkv_weights(w).T
     grads["ln1_g"], grads["ln1_b"] = (dy1 * xhat1).sum(axis=0), dy1.sum(axis=0)
     dx = _layer_norm_dx(dy1, xhat1, inv1, w["ln1_g"])
     dx += dx1
@@ -832,8 +861,8 @@ _BACKWARD = {
 class ParamStore:
     """Named parameter tensors plus per-tensor Adam state."""
 
-    def __init__(self, params: dict[str, np.ndarray], dtype=np.float64):
-        self.params = {k: np.asarray(v, dtype=dtype) for k, v in params.items()}
+    def __init__(self, params: dict[str, np.ndarray]):
+        self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
         self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.step = 0
@@ -852,13 +881,21 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray],
                 f"adam_step: grad shape {g.shape} != param shape {p.shape} for {name}")
         m = store.m[name]
         v = store.v[name]
+        # p -= lr * mhat / (sqrt(vhat) + eps) in that operation order, on two
+        # scratch buffers: the same bits as the expression, no temporaries
+        delta, denom = np.empty_like(p), np.empty_like(p)
         m *= beta1
-        m += (1 - beta1) * g
+        m += np.multiply(1 - beta1, g, out=delta)
         v *= beta2
-        v += (1 - beta2) * g * g
-        mhat = m / (1 - beta1 ** t)
-        vhat = v / (1 - beta2 ** t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        np.multiply(1 - beta2, g, out=delta)
+        v += np.multiply(delta, g, out=delta)
+        np.divide(m, 1 - beta1 ** t, out=delta)    # mhat
+        np.multiply(lr, delta, out=delta)
+        np.divide(v, 1 - beta2 ** t, out=denom)    # vhat
+        np.sqrt(denom, out=denom)
+        denom += eps
+        delta /= denom
+        p -= delta
     return store
 
 
@@ -885,14 +922,23 @@ def collect_grads(tape: Tape, leaves: dict[str, Var]) -> dict[str, np.ndarray]:
 # ------------------------------------------------------------------ checker
 
 
+# ulps of |loss| by which one forward of a grad_check may round off
+_FD_NOISE_ULPS = 64
+
+
 def grad_check(build, store: ParamStore, eps: float = 1e-6,
                samples: int = 200, seed: int = 0) -> float:
     """Max relative error between tape gradients and central differences.
 
     `build(tape, leaves)` must return a scalar loss Var and be deterministic
     in the leaf values. At least `samples` coordinates are probed, sampled
-    without replacement across all parameters with a seeded stream. Runs in
-    float64 regardless of the store's training dtype.
+    without replacement across all parameters with a seeded stream.
+
+    A central difference cannot resolve a derivative below its own rounding
+    noise, about machine-eps |loss| / eps, so a coordinate where both the
+    analytic and the numeric value lie below the floor _FD_NOISE_ULPS times
+    that counts as agreeing (an exactly zero gradient, say); everywhere else
+    the error is relative, |a - n| / max(|a|, |n|).
     """
     if not 1e-8 <= eps <= 1e-4:
         raise ArgumentError(f"grad_check: eps {eps} outside [1e-8, 1e-4]")
@@ -908,6 +954,7 @@ def grad_check(build, store: ParamStore, eps: float = 1e-6,
     loss = build(tape, leaves)
     tape.backward(loss, wrt=leaves.values())
     analytic = collect_grads(tape, leaves)
+    floor = _FD_NOISE_ULPS * np.finfo(np.float64).eps * abs(float(loss.value)) / eps
 
     sizes = [(name, arr.size) for name, arr in work.items()]
     total = sum(s for _, s in sizes)
@@ -929,6 +976,6 @@ def grad_check(build, store: ParamStore, eps: float = 1e-6,
         arr.flat[local] = orig
         numeric = (up - down) / (2 * eps)
         exact = float(analytic[name].flat[local])
-        err = abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-12)
-        worst = max(worst, err)
+        if max(abs(exact), abs(numeric)) > floor:
+            worst = max(worst, abs(exact - numeric) / max(abs(exact), abs(numeric)))
     return worst

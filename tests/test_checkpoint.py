@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holonet
 from holonet import checkpoint, cli
 from holonet import models as md
 from holonet.checkpoint import load_checkpoint, save_checkpoint
@@ -82,3 +87,29 @@ def test_checkpoint_with_bad_metadata_is_corrupt(tmp_path, monkeypatch, field, v
     save_checkpoint(path, md.TRANSFORMER, p)
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
+
+
+def test_a_write_failing_midway_keeps_the_previous_checkpoint(tmp_path):
+    pytest.importorskip("resource")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+    before = path.read_bytes()
+    # the next save runs in a process whose files may not grow past half a
+    # checkpoint, so its write fails midway (EFBIG), as on a full disk
+    script = f"""
+import resource, signal
+from holonet import models as md
+from holonet.checkpoint import save_checkpoint
+from holonet.tensor_core import RngState
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, ({len(before) // 2}, hard))
+save_checkpoint({str(path)!r}, md.HOLONOMIC, md.init_holonomic(RngState(9), 6, 6, 6))
+"""
+    src = str(Path(holonet.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert run.returncode != 0 and "File too large" in run.stderr, run.stderr
+    assert path.read_bytes() == before
+    load_checkpoint(path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.meta.txt"]

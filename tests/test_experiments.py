@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -515,6 +517,47 @@ def test_train_builds_the_operators_once_per_eval_point(monkeypatch):
                    ex.TaskConfig(kind="binding", variables=4), cur, cfg, RngState(34))
     assert res.steps_used == 2 and len(res.log) == 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", [md.HOLONOMIC, md.RNN, md.TRANSFORMER])
+def test_train_holds_one_tape_at_a_time(monkeypatch, kind):
+    alive_at_build = []
+    tapes = []
+
+    class RecordingTape(ge.Tape):
+        def __init__(self):
+            super().__init__()
+            alive_at_build.append(sum(ref() is not None for ref in tapes))
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(ex.ge, "Tape", RecordingTape)
+    cur = Curriculum(kind="ramp", l_min=5, l_max=8, ramp_fraction=0.001)
+    cfg = ex.TrainConfig(steps=3, batch=8, eval_interval=2, gate_episodes=8,
+                         val_episodes=8)
+    ex.train(ex.ModelConfig(kind=kind, n=8, layers=1, heads=2),
+             ex.TaskConfig(kind="binding", variables=4), cur, cfg, RngState(35))
+    assert alive_at_build == [0, 0, 0]
+
+
+def binding_train_peak(steps):
+    """tracemalloc peak (bytes) of a transformer binding train: B = 64,
+    lengths 5..50, d = 16."""
+    cur = Curriculum(kind="ramp", l_min=5, l_max=50, ramp_fraction=0.001)
+    cfg = ex.TrainConfig(steps=steps, batch=64, gate_episodes=8, val_episodes=8)
+    tracemalloc.start()
+    try:
+        ex.train(ex.ModelConfig(kind=md.TRANSFORMER, n=16, layers=2, heads=4),
+                 ex.TaskConfig(kind="binding", variables=10), cur, cfg, RngState(36))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_peak_memory_does_not_grow_with_steps():
+    # a second live tape (the last step's, kept through the next step's
+    # forward and backward) would put the 3-step peak 1.4 times the 1-step one
+    binding_train_peak(1)   # one-time allocations out of the measured runs
+    assert binding_train_peak(3) <= 1.25 * binding_train_peak(1)
 
 
 def test_train_nonconvergence_carries_params():

@@ -217,16 +217,14 @@ ENCODER_BLOCKS = [(1, 1), (2, 2), (1, 3)]
 
 @case("encoder_layer")
 def _c_encoder_layer(gen):
-    # the key bias is a constant: its exact gradient is 0 (a softmax row does
-    # not move under a shift), which central differences cannot resolve
+    # the key bias's exact gradient is 0 (a softmax row does not move under a
+    # shift): grad_check's noise floor passes it
     params = encoder_weights(gen)
-    bk = params.pop("bk")
     for j, (b, length) in enumerate(ENCODER_BLOCKS):
         params[f"x{j}"] = gen.standard_normal((b, length, 6))
 
     def build(t, lv):
-        w = {name: lv[name] for name in ge.ENCODER_WEIGHTS if name != "bk"}
-        w["bk"] = t.leaf(bk)
+        w = {name: lv[name] for name in ge.ENCODER_WEIGHTS}
         loss = None
         for j in range(len(ENCODER_BLOCKS)):
             term = wsum(ge.encoder_layer(lv[f"x{j}"], w, n_heads=2), seed=j)
@@ -319,6 +317,21 @@ def test_encoder_layer_key_bias_gradient_vanishes():
     t.vjp(out, gen.standard_normal(out.value.shape))
     assert np.max(np.abs(w["bk"].grad)) < 1e-13
     assert np.max(np.abs(w["bq"].grad)) > 1e-3
+
+
+def test_encoder_layer_saves_no_weight_concatenation_nor_layer_norm_outputs():
+    # the backward rebuilds [Wq Wk Wv] and y = xhat * gain + bias itself
+    gen = tc.RngState(12).generator()
+    t = ge.Tape()
+    weights = encoder_weights(gen)
+    w = {name: t.leaf(v) for name, v in weights.items()}
+    out = ge.encoder_layer(t.leaf(gen.standard_normal((2, 4, 6))), w, n_heads=2)
+    _, saved = t.aux[out.idx]
+    assert all(a.shape != (6, 18) for a in saved)
+    for xhat in (a for a in saved if a.shape == (8, 6)):
+        for ln in ("ln1", "ln2"):
+            y = xhat * weights[ln + "_g"] + weights[ln + "_b"]
+            assert not any(a.shape == y.shape and np.array_equal(a, y) for a in saved)
 
 
 def test_encoder_layer_rejects_bad_shapes():
@@ -531,6 +544,24 @@ def test_grad_check_quadratic_is_exact():
     assert err < 1e-9
 
 
+def test_grad_check_floor_passes_exact_zero_but_not_a_wrong_gradient():
+    # z enters the loss as a constant leaf, so its tape gradient is exactly 0;
+    # its true derivative is c. Below the noise floor that agrees, above not.
+    def store():
+        return ge.ParamStore({"w": np.array([1.0, -0.5]), "z": np.array([0.25])})
+
+    def check(c):
+        def build(tape, lv):
+            detached = tape.leaf(lv["z"].value.copy())
+            return ssum(ge.hadamard(lv["w"], lv["w"])) + ge.scale(ssum(detached), c)
+        return ge.grad_check(build, store(), eps=1e-6)
+
+    floor = ge._FD_NOISE_ULPS * np.finfo(np.float64).eps * 1.25 / 1e-6  # loss 1.25
+    assert check(0.0) < 1e-9
+    assert check(floor / 100) < 1e-9
+    assert check(4 * floor) > 0.5
+
+
 def test_grad_check_eps_bounds():
     with pytest.raises(ArgumentError):
         ge.grad_check(lambda t, lv: ssum(lv["x"]), ge.ParamStore({"x": np.ones(3)}),
@@ -564,6 +595,24 @@ def test_adam_quadratic_descent():
         ge.adam_step(store, {"p": np.array([2.0 * (p - 3.0)])}, lr=1e-2)
     for a, b in zip(losses[5:], losses[6:]):
         assert b < a
+
+
+def test_adam_step_matches_the_reference_expression_bit_for_bit():
+    gen = tc.RngState(16).generator()
+    p0 = gen.standard_normal((4, 3))
+    store = ge.ParamStore({"w": p0})
+    p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+    lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        g = gen.standard_normal(p0.shape)
+        ge.adam_step(store, {"w": g}, lr, beta1, beta2, eps)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        mhat = m / (1 - beta1 ** t)
+        vhat = v / (1 - beta2 ** t)
+        p = p - lr * mhat / (np.sqrt(vhat) + eps)
+        assert np.array_equal(store.params["w"], p)
+        assert np.array_equal(store.m["w"], m) and np.array_equal(store.v["w"], v)
 
 
 def test_adam_shape_mismatch():
