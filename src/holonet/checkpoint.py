@@ -19,6 +19,7 @@ dataclass for the stored kind. A human-readable sidecar
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -139,35 +140,44 @@ def _write_body(out, kind: str, params) -> None:
         out(arr.reshape(-1).data)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside `path` that replaces `path` in one rename
+    when the block exits cleanly: a write that fails midway leaves the
+    previous file as it was and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)     # gone already once replaced
+
+
 def save_checkpoint(path, kind: str, params) -> None:
-    """Write the checkpoint and its sidecar. The body streams into a temporary
-    file beside `path`, hashed as it goes, which then replaces `path` in one
-    rename: a write that fails midway leaves the previous checkpoint as it was
-    and no temporary file behind."""
+    """Write the checkpoint, its body hashed as it streams out, and then its
+    sidecar, each through `atomic_open`."""
     if kind not in md.MODEL_KINDS:
         raise ArgumentError(f"unknown model kind: {kind}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     digest = hashlib.blake2b(digest_size=8)
-    try:
-        with open(tmp, "wb") as f:
+    with atomic_open(path, "wb") as f:
 
-            def out(chunk):
-                digest.update(chunk)
-                f.write(chunk)
+        def out(chunk):
+            digest.update(chunk)
+            f.write(chunk)
 
-            _write_body(out, kind, params)
-            f.write(digest.digest())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)     # gone already once replaced
+        _write_body(out, kind, params)
+        f.write(digest.digest())
     total, items = md.param_count(params)
     lines = [f"model: {kind}"]
     lines += [f"{k}: {v}" for k, v in sorted(_meta_for(kind, params).items())]
     lines.append(f"parameters: {total}")
     lines += [f"  {name}: {count}" for name, count in sorted(items.items())]
-    Path(str(path) + ".meta.txt").write_text("\n".join(lines) + "\n")
+    with atomic_open(str(path) + ".meta.txt") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def load_checkpoint(path):

@@ -30,7 +30,7 @@ import numpy as np  # noqa: E402
 from . import experiments as ex
 from . import models as md
 from . import scan_engine as se
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config, render_config
 from .errors import (
     ArgumentError,
@@ -64,7 +64,7 @@ def run_dir(cfg: RunConfig, experiment: str) -> Path:
 
 
 def write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
@@ -73,13 +73,15 @@ def write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
 
 def write_run(cfg: RunConfig, experiment: str, header: list[str],
               rows: list[dict], summary_lines: list[str]) -> Path:
+    """Config snapshot, curve and summary, each replaced whole (`atomic_open`)."""
     d = run_dir(cfg, experiment)
-    (d / "config.snapshot").write_text(render_config(cfg))
+    with atomic_open(d / "config.snapshot") as fh:
+        fh.write(render_config(cfg))
     write_csv(d / "curve.csv", header, rows)
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
-    (d / "summary.txt").write_text(
-        "\n".join([f"experiment: {experiment}", f"written: {stamp}"]
-                  + summary_lines) + "\n")
+    with atomic_open(d / "summary.txt") as fh:
+        fh.write("\n".join([f"experiment: {experiment}", f"written: {stamp}"]
+                           + summary_lines) + "\n")
     return d
 
 
@@ -316,7 +318,8 @@ def cmd_report(cfg: RunConfig) -> int:
                              f"({body[0] if body else 'empty'})")
             lines.append("")
     report = "\n".join(lines) + "\n"
-    (root / "report.md").write_text(report)
+    with atomic_open(root / "report.md") as fh:
+        fh.write(report)
     sys.stdout.write(report)
     return EXIT_OK
 

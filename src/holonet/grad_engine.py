@@ -2,18 +2,18 @@
 
 A Tape records primitive applications in topological order; backward
 replays them in reverse, accumulating exact cotangents. The primitive set
-is the minimum needed by the models' training graphs and the autodiff
-Jacobian horizon:
+covers the models' training graphs and the autodiff Jacobian horizon:
 
-  * dense and elementwise: matmul, matvec, add, scale, hadamard (also the
-    RNN's padding mask), tanh, unit, transpose, slice, layer normalization
-    and embedding lookup;
-  * fused batch nodes: mean pooling, readout gather, mean cross-entropy,
-    `skew_exp` (exp(M - M^T) for a whole generator stack by one real
-    symmetric eigendecomposition, Daleckii-Krein adjoint),
-    `holonomic_scan` (the holonomic recurrence over a left-padded (B, L)
-    token matrix, one node per batch) and `encoder_layer` (one pre-LN
-    transformer layer on a (B, L, d) block, its 16 weights as inputs).
+  * dense and elementwise: matmul, matvec, add, hadamard (also the RNN's
+    padding mask), tanh, unit, transpose, layer normalization and embedding
+    lookup, and scale and slice, which no model graph uses;
+  * fused batch nodes: readout gather, mean cross-entropy, `skew_exp`
+    (exp(M - M^T) for a whole generator stack by one real symmetric
+    eigendecomposition, Daleckii-Krein adjoint), `holonomic_scan` (the
+    holonomic recurrence over a left-padded (B, L) token matrix, one node
+    per batch), `encoder_layer` (one pre-LN transformer layer, its 16
+    weights as inputs) and `segment_pool` (each sequence's last token or
+    mean), both on a packed (T, d) token stream of any length mix.
 
 The holonomic step has one kernel, `token_step`: it multiplies each row of a
 state block by its token's matrix, one matmul per token present, in the
@@ -381,7 +381,8 @@ def _slice_bwd(t: Tape, idx: int, g):
     key = t.aux[idx]
     lead = _lead(t, idx, g)
     out = np.zeros(g.shape[:lead] + t.values[ia].shape)
-    out[(slice(None),) * lead + (key if isinstance(key, tuple) else (key,))] += g
+    # add.at, not +=: an index array that repeats an entry adds every share
+    np.add.at(out, (slice(None),) * lead + (key if isinstance(key, tuple) else (key,)), g)
     t._accum(ia, out)
 
 
@@ -658,38 +659,59 @@ def _qkv_weights(w: dict) -> np.ndarray:
     return np.concatenate((w["wq"], w["wk"], w["wv"]), axis=1)
 
 
-def encoder_layer_kernel(x: np.ndarray, w: dict, n_heads: int):
-    """One pre-LN encoder layer (Vaswani et al., 2017) on a (B, L, d) block:
+def _check_segments(segments, tokens: int) -> None:
+    """Segments (token offset, rows, length) must tile a stream of `tokens`."""
+    off, rows, length = np.array(segments, dtype=np.intp).reshape(-1, 3).T
+    sizes = rows * length
+    if (rows < 1).any() or (length < 1).any() or sizes.sum() != tokens \
+            or (np.cumsum(sizes) - sizes != off).any():
+        raise DimensionError(f"segments {segments} do not tile a stream of {tokens} tokens")
+
+
+def _heads(a: np.ndarray, segment, n_heads: int, dk: int) -> np.ndarray:
+    """The (m, rows, H, length, dk) head views of one segment of a packed
+    (T, m H dk) array: q, k and v of qkv (m = 3), or an attention output."""
+    off, rows, length = segment
+    span = a[off:off + rows * length].reshape(rows, length, -1, n_heads, dk)
+    return span.transpose(2, 0, 3, 1, 4)
+
+
+def encoder_layer_kernel(x: np.ndarray, segments, w: dict, n_heads: int):
+    """One pre-LN encoder layer (Vaswani et al., 2017) on a packed (T, d)
+    token stream:
 
         y = LN1(x);  q, k, v = y Wq + bq, y Wk + bk, y Wv + bv;
         x += MHA(q, k, v) Wo + bo;  y = LN2(x);  x += tanh(y W1 + b1) W2 + b2.
 
-    `w` maps ENCODER_WEIGHTS to arrays. Every projection is one GEMM over the
-    flattened (B L) rows, q, k and v one over the concatenated weights, and
-    the softmax runs in place. Returns (out, saved), `saved` what the
-    `encoder_layer` backward reads and cannot cheaply rebuild: not the weight
-    concatenation, nor the LayerNorm outputs, which are xhat * gain + bias
-    again (see `_layer_norm_out`). The training node and
-    `models.transformer_forward_batch` both run this kernel, so the two give
-    the same bits.
+    The stream is the unpadded "varlen" layout (Dao et al., 2022): segment
+    (token offset, rows, length) holds `rows` sequences of `length` tokens,
+    and a token attends to its own sequence only. `w` maps ENCODER_WEIGHTS to
+    arrays. Both LayerNorms and every projection, q, k and v in one, are one
+    GEMM over all T tokens; only attention, its softmax in place, loops over
+    the segments. Returns (out, saved), `saved` what the `encoder_layer`
+    backward reads and cannot cheaply rebuild: not the weight concatenation,
+    nor the LayerNorm outputs, which are xhat * gain + bias again (see
+    `_layer_norm_out`). The training node and
+    `models.transformer_forward_batch` both run this kernel: the same bits.
     """
-    b, length, d = x.shape
+    d = x.shape[1]
     dk = d // n_heads
-    rows = b * length
-    y1, xhat1, inv1 = layer_norm_kernel(x.reshape(rows, d), w["ln1_g"], w["ln1_b"])
+    y1, xhat1, inv1 = layer_norm_kernel(x, w["ln1_g"], w["ln1_b"])
     qkv = y1 @ _qkv_weights(w)
     qkv += np.concatenate((w["bq"], w["bk"], w["bv"]))
     qkv[:, :d] /= math.sqrt(dk)     # q / sqrt(dk): the scores need no rescaling
-    q, k, v = qkv.reshape(b, length, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
-    probs = q @ k.transpose(0, 1, 3, 2)     # (B, H, L, L)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    att = np.empty((b, length, n_heads, dk))
-    np.matmul(probs, v, out=att.transpose(0, 2, 1, 3))
-    att = att.reshape(rows, d)
+    att = np.empty(x.shape)
+    probs = []
+    for segment in segments:
+        q, k, v = _heads(qkv, segment, n_heads, dk)
+        p = q @ k.transpose(0, 1, 3, 2)     # (rows, H, length, length)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, v, out=_heads(att, segment, n_heads, dk)[0])
+        probs.append(p)
     x1 = att @ w["wo"]
-    x1 += x.reshape(rows, d)
+    x1 += x
     x1 += w["bo"]
     y2, xhat2, inv2 = layer_norm_kernel(x1, w["ln2_g"], w["ln2_b"])
     hid = y2 @ w["w1"]
@@ -698,15 +720,17 @@ def encoder_layer_kernel(x: np.ndarray, w: dict, n_heads: int):
     out = hid @ w["w2"]
     out += w["b2"]
     out += x1
-    return out.reshape(b, length, d), (xhat1, inv1, qkv, probs, att, xhat2, inv2, hid)
+    return out, (xhat1, inv1, qkv, probs, att, xhat2, inv2, hid)
 
 
-def encoder_layer(x: Var, weights: dict, n_heads: int) -> Var:
-    """One pre-LN encoder layer as a single node (see `encoder_layer_kernel`);
-    `weights` maps ENCODER_WEIGHTS to Vars."""
+def encoder_layer(x: Var, segments, weights: dict, n_heads: int) -> Var:
+    """One pre-LN encoder layer as a single node on a packed (T, d) stream
+    and its segments (see `encoder_layer_kernel`); `weights` maps
+    ENCODER_WEIGHTS to Vars."""
     xv = x.value
-    if xv.ndim != 3:
-        raise DimensionError(f"encoder_layer: expected a (B, L, d) block, got {xv.shape}")
+    if xv.ndim != 2:
+        raise DimensionError(f"encoder_layer: expected a (T, d) stream, got {xv.shape}")
+    _check_segments(segments, xv.shape[0])
     d = xv.shape[-1]
     if d % n_heads:
         raise DimensionError(f"encoder_layer: d={d} not divisible by {n_heads} heads")
@@ -717,21 +741,19 @@ def encoder_layer(x: Var, weights: dict, n_heads: int) -> Var:
     bad = [name for name, arr in w.items() if arr.shape != shapes.get(name, (d,))]
     if bad:
         raise DimensionError(f"encoder_layer: bad weight shapes for {bad} at d={d}")
-    out, saved = encoder_layer_kernel(xv, w, n_heads)
+    out, saved = encoder_layer_kernel(xv, segments, w, n_heads)
     inputs = (x.idx, *(weights[name].idx for name in ENCODER_WEIGHTS))
-    return x.tape._push("encoder_layer", inputs, out, (n_heads, saved))
+    return x.tape._push("encoder_layer", inputs, out, (segments, n_heads, saved))
 
 
 def _encoder_layer_bwd(t: Tape, idx: int, g):
     ix, *iw = t.inputs[idx]
     w = dict(zip(ENCODER_WEIGHTS, (t.values[i] for i in iw)))
-    n_heads, (xhat1, inv1, qkv, probs, att, xhat2, inv2, hid) = t.aux[idx]
-    b, length, d = g.shape
+    segments, n_heads, (xhat1, inv1, qkv, probs, att, xhat2, inv2, hid) = t.aux[idx]
+    d = g.shape[1]
     dk = d // n_heads
-    rows = b * length
-    gf = g.reshape(rows, d)
-    grads = {"w2": hid.T @ gf, "b2": gf.sum(axis=0)}
-    dpre = gf @ w["w2"].T
+    grads = {"w2": hid.T @ g, "b2": g.sum(axis=0)}
+    dpre = g @ w["w2"].T
     dpre *= 1.0 - hid ** 2
     y2 = _layer_norm_out(xhat2, w["ln2_g"], w["ln2_b"])
     grads["w1"], grads["b1"] = y2.T @ dpre, dpre.sum(axis=0)
@@ -739,22 +761,24 @@ def _encoder_layer_bwd(t: Tape, idx: int, g):
     dy2 = dpre @ w["w1"].T
     grads["ln2_g"], grads["ln2_b"] = (dy2 * xhat2).sum(axis=0), dy2.sum(axis=0)
     dx1 = _layer_norm_dx(dy2, xhat2, inv2, w["ln2_g"])
-    dx1 += gf
+    dx1 += g
     grads["wo"], grads["bo"] = att.T @ dx1, dx1.sum(axis=0)
-    # attention, per head: o = P v, S = q k^T / sqrt(dk), P = softmax(S) by rows
-    datt = (dx1 @ w["wo"].T).reshape(b, length, n_heads, dk).transpose(0, 2, 1, 3)
-    q, k, v = qkv.reshape(b, length, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
-    o = att.reshape(b, length, n_heads, dk).transpose(0, 2, 1, 3)
-    dqkv = np.empty((b, length, 3, n_heads, dk))
-    dq, dkey, dv = dqkv.transpose(2, 0, 3, 1, 4)
-    np.matmul(probs.transpose(0, 1, 3, 2), datt, out=dv)
-    ds = datt @ v.transpose(0, 1, 3, 2)     # dP
-    # the softmax's row term sum_j P_ij dP_ij is do_i . o_i (Dao et al., 2022)
-    ds -= (datt * o).sum(axis=-1, keepdims=True)
-    ds *= probs
-    np.matmul(ds, k, out=dq)
-    np.matmul(ds.transpose(0, 1, 3, 2), q, out=dkey)
-    dqkv = dqkv.reshape(rows, 3 * d)
+    datt = dx1 @ w["wo"].T
+    # attention, per segment and head: o = P v, S = q k^T / sqrt(dk),
+    # P = softmax(S) by rows; the softmax's row term sum_j P_ij dP_ij is
+    # do_i . o_i (Dao et al., 2022), for every token and head at once
+    rowterm = (datt * att).reshape(len(g), n_heads, dk).sum(axis=-1)
+    dqkv = np.empty(qkv.shape)
+    for segment, p in zip(segments, probs):
+        (do,) = _heads(datt, segment, n_heads, dk)
+        q, k, v = _heads(qkv, segment, n_heads, dk)
+        dq, dkey, dv = _heads(dqkv, segment, n_heads, dk)
+        np.matmul(p.transpose(0, 1, 3, 2), do, out=dv)
+        ds = do @ v.transpose(0, 1, 3, 2)     # dP
+        ds -= _heads(rowterm, segment, n_heads, 1)[0]
+        ds *= p
+        np.matmul(ds, k, out=dq)
+        np.matmul(ds.transpose(0, 1, 3, 2), q, out=dkey)
     dqkv[:, :d] /= math.sqrt(dk)
     dw, db = _layer_norm_out(xhat1, w["ln1_g"], w["ln1_b"]).T @ dqkv, dqkv.sum(axis=0)
     for j, name in enumerate(("q", "k", "v")):
@@ -764,22 +788,45 @@ def _encoder_layer_bwd(t: Tape, idx: int, g):
     grads["ln1_g"], grads["ln1_b"] = (dy1 * xhat1).sum(axis=0), dy1.sum(axis=0)
     dx = _layer_norm_dx(dy1, xhat1, inv1, w["ln1_g"])
     dx += dx1
-    t._accum(ix, dx.reshape(b, length, d))
+    t._accum(ix, dx)
     for name, i in zip(ENCODER_WEIGHTS, iw):
         t._accum(i, grads[name])
 
 
-def mean_axis1(x: Var) -> Var:
-    """Mean over the middle axis of a (B, L, d) tensor."""
-    if x.value.ndim != 3:
-        raise DimensionError(f"mean_axis1: expected 3-d input, got {x.value.shape}")
-    return x.tape._push("mean_axis1", (x.idx,), x.value.mean(axis=1),
-                        x.value.shape[1])
+def segment_pool_kernel(x: np.ndarray, lengths: np.ndarray, rows: np.ndarray,
+                        mean: bool) -> np.ndarray:
+    """(B, d) pooled rows of a packed (T, d) stream of B sequences, the i-th
+    lengths[i] tokens long: row rows[i] of the result is that sequence's last
+    token, or with `mean` the mean of its tokens."""
+    ends = np.cumsum(lengths)
+    out = np.empty((lengths.size, x.shape[1]))
+    out[rows] = np.add.reduceat(x, ends - lengths) / lengths[:, None] if mean \
+        else x[ends - 1]
+    return out
 
 
-def _mean_axis1_bwd(t: Tape, idx: int, g):
-    length = t.aux[idx]
-    t._accum(t.inputs[idx][0], np.repeat(g[:, None, :], length, axis=1) / length)
+def segment_pool(x: Var, lengths, rows, mean: bool) -> Var:
+    """Pooling of a packed stream as one node (see `segment_pool_kernel`)."""
+    lengths, rows = np.asarray(lengths, dtype=np.intp), np.asarray(rows, dtype=np.intp)
+    if lengths.min(initial=1) < 1 or lengths.sum() != len(x.value) \
+            or not np.array_equal(np.sort(rows), np.arange(lengths.size)):
+        raise DimensionError(f"segment_pool: lengths {lengths} or rows {rows} do not "
+                             f"pool a stream of {len(x.value)} tokens")
+    return x.tape._push("segment_pool", (x.idx,),
+                        segment_pool_kernel(x.value, lengths, rows, mean),
+                        (lengths, rows, mean))
+
+
+def _segment_pool_bwd(t: Tape, idx: int, g):
+    lengths, rows, mean = t.aux[idx]
+    ix = t.inputs[idx][0]
+    g = g[rows]
+    if mean:
+        dx = np.repeat(g / lengths[:, None], lengths, axis=0)
+    else:
+        dx = np.zeros(t.values[ix].shape)
+        dx[np.cumsum(lengths) - 1] = g
+    t._accum(ix, dx)
 
 
 def gather_readout(readout: Var, pooled: Var, queries) -> Var:
@@ -849,7 +896,7 @@ _BACKWARD = {
     "skew_exp": _skew_exp_bwd,
     "holonomic_scan": _holonomic_scan_bwd,
     "encoder_layer": _encoder_layer_bwd,
-    "mean_axis1": _mean_axis1_bwd,
+    "segment_pool": _segment_pool_bwd,
     "gather_readout": _gather_readout_bwd,
     "softmax_xent_mean": _softmax_xent_mean_bwd,
 }

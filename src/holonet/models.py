@@ -12,21 +12,21 @@ stream of the transformer.
 At inference the recurrent models step through the block's columns; the
 holonomic step is `grad_engine.token_step`, the kernel of the training node
 `holonomic_scan`, over a token schedule and renormalization columns computed
-once per block. The transformer runs the unpadded rows of each length as one
-block (`transformer_forward_batch`), each layer one call of
-`grad_engine.encoder_layer_kernel`, the kernel of the training node
+once per block. The transformer packs the block once (`_pack`): the live
+tokens of the rows, sorted by length, as one (T, d) stream with equal-length
+segments, and each layer is one call of `grad_engine.encoder_layer_kernel`
+over it (`transformer_forward_batch`), the kernel of the training node
 `encoder_layer`, so training and inference run one layer path.
 `holonomic_forward` and `rnn_forward` are the recurrent models' noiseless
 per-episode (B = 1) references.
 
-Training builds one graph per batch. The holonomic model and the RNNs run
-over the left-padded (B, L_max) block, so their tape size does not depend on
-the length mix. The transformer keeps one graph per distinct length, one
-`encoder_layer` node per layer in each: attention is quadratic in L, so
-padding every row to L_max costs more than the extra nodes of the groups.
-On one binding batch (B = 64, d = 64, 3 layers, lengths 5..50, one BLAS
-thread) a step with every row at L = 50, before the key mask that padding
-would also need, took ~20% longer than the grouped step.
+Training builds one graph per batch, and its size does not depend on the
+length mix: the holonomic model and the RNNs run over the left-padded
+(B, L_max) block, the transformer over the packed stream. There every
+LayerNorm and GEMM runs once over all T tokens and only attention loops over
+the segments, the unpadded "varlen" layout of FlashAttention (Dao et al.,
+2022) that packs sequences without cross-contamination (Krell et al., 2021):
+no pad token costs attention's L^2 and no key mask is needed.
 
 Parameters are small dataclasses convertible to/from flat name->array dicts
 so the optimizer and checkpoints share one representation. Readouts are
@@ -271,14 +271,26 @@ def init_transformer(rng: tc.RngState, d_model: int, n_layers: int, n_heads: int
                              pos_mode, max_len, pool, w)
 
 
-def _positional(p: TransformerParams, length: int) -> np.ndarray:
-    if p.pos_mode == "learned":
-        if length > p.max_len:
-            raise CapacityError(
-                f"sequence length {length} exceeds learned positional table "
-                f"of {p.max_len}")
-        return p.weights["pos"][:length]
-    return sinusoidal_table(length, p.d_model)
+def _pack(p: TransformerParams, ids: np.ndarray) -> tuple:
+    """A checked left-padded block's live tokens as one stream, the layout of
+    `grad_engine.encoder_layer_kernel`, its rows sorted by length, stably:
+    (tokens, each token's position in its row, the segments, each packed
+    row's length and its block row). Raises CapacityError for a row longer
+    than a learned positional table."""
+    lengths = (ids != ge.IDENTITY_STEP).sum(axis=1)
+    if p.pos_mode == "learned" and lengths.max(initial=0) > p.max_len:
+        raise CapacityError(
+            f"sequence length {lengths.max()} exceeds learned positional table "
+            f"of {p.max_len}")
+    rows = np.argsort(lengths, kind="stable")
+    lengths, block = lengths[rows], ids[rows]
+    live = block != ge.IDENTITY_STEP
+    positions = live.cumsum(axis=1)[live] - 1
+    lens, counts = np.unique(lengths, return_counts=True)
+    sizes = lens * counts
+    segments = tuple(zip((np.cumsum(sizes) - sizes).tolist(), counts.tolist(),
+                         lens.tolist()))
+    return block[live], positions, segments, lengths, rows
 
 
 def _layer_weights(source: dict, i: int) -> dict:
@@ -290,39 +302,34 @@ def _layer_weights(source: dict, i: int) -> dict:
 def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
                               temperature: float = 0.0,
                               gen: np.random.Generator | None = None) -> np.ndarray:
-    """Pooled (B, d) encodings of an unpadded, equal-length (B, L) id block.
+    """Pooled (B, d) encodings of a checked left-padded (B, L) id block,
+    packed once (`_pack`): each layer is one `encoder_layer_kernel` call over
+    the (T, d) token stream.
 
-    With temperature > 0, each layer's residual stream x then takes
-    `inject_noise` per position, g one (B, L, d) Gaussian block drawn from
-    `gen`.
+    With temperature > 0, each layer's output x then takes `inject_noise`
+    per token, g one (T, d) Gaussian block drawn from `gen`.
     """
     w = p.weights
-    x = w["embed"][ids] + _positional(p, ids.shape[1])[None, :, :]
+    tokens, positions, segments, lengths, rows = _pack(p, ids)
+    table = w["pos"] if p.pos_mode == "learned" \
+        else sinusoidal_table(ids.shape[1], p.d_model)
+    x = w["embed"][tokens] + table[positions]
     for i in range(p.n_layers):
-        x = ge.encoder_layer_kernel(x, _layer_weights(w, i), p.n_heads)[0]
+        x = ge.encoder_layer_kernel(x, segments, _layer_weights(w, i),
+                                    p.n_heads)[0]
         if temperature > 0:
             x = inject_noise(x, temperature, gen.standard_normal(x.shape))
     x = ge.layer_norm_kernel(x, w["ln_f_g"], w["ln_f_b"])[0]
-    return x.mean(axis=1) if p.pool == "mean" else x[:, -1, :]
+    return ge.segment_pool_kernel(x, lengths, rows, p.pool == "mean")
 
 
 # ===================================================================== batched tape losses
 #
-# Trainer-facing graphs, one per batch. The holonomic model and the RNNs run
-# over the left-padded (B, L_max) block, so their tape size depends on L_max
-# only, not on the length mix: the holonomic graph is one skew_exp node for the
-# operator stack and one holonomic_scan node, the RNN one masked step per
-# column. The transformer keeps one graph per distinct length (see the
-# module docstring), one encoder_layer node per layer in each.
-
-
-def _length_groups(ids: np.ndarray):
-    """(rows, unpadded id block) per distinct row length of a checked
-    left-padded block, lengths ascending."""
-    lengths = (ids != ge.IDENTITY_STEP).sum(axis=1)
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        yield rows, ids[rows, ids.shape[1] - length:]
+# Trainer-facing graphs, one per batch, whose size does not depend on the
+# length mix. The holonomic model and the RNNs run over the left-padded
+# (B, L_max) block: the holonomic graph is one skew_exp node for the operator
+# stack and one holonomic_scan node, the RNN one masked step per column. The
+# transformer runs the packed stream: one encoder_layer node per layer.
 
 
 def _readout_loss(leaves: dict, states: ge.Var, queries, targets) -> ge.Var:
@@ -352,31 +359,20 @@ def _rnn_tape_states(tape: ge.Tape, leaves: dict, ids: np.ndarray,
     return h
 
 
-def _transformer_tape_loss(tape: ge.Tape, leaves: dict, ids: np.ndarray,
-                           queries: np.ndarray, targets: np.ndarray,
-                           p: TransformerParams) -> ge.Var:
-    loss = None
-    for rows, block in _length_groups(ids):
-        length = block.shape[1]
-        if p.pos_mode == "learned":
-            if length > p.max_len:
-                raise CapacityError(
-                    f"sequence length {length} exceeds learned positional table")
-            pos = leaves["pos"][0:length]
-        else:
-            pos = tape.leaf(sinusoidal_table(length, p.d_model))
-        x = ge.embed_lookup(leaves["embed"], block) + pos
-        for i in range(p.n_layers):
-            x = ge.encoder_layer(x, _layer_weights(leaves, i), p.n_heads)
-        x = ge.layer_norm(x, leaves["ln_f_g"], leaves["ln_f_b"])
-        if p.pool == "mean":
-            pooled = ge.mean_axis1(x)
-        else:
-            pooled = x[:, length - 1, :]
-        term = ge.scale(_readout_loss(leaves, pooled, queries[rows], targets[rows]),
-                        rows.size / ids.shape[0])
-        loss = term if loss is None else loss + term
-    return loss
+def _transformer_tape_states(tape: ge.Tape, leaves: dict, ids: np.ndarray,
+                             p: TransformerParams) -> ge.Var:
+    """The embedding and one positional gather of the packed stream, one
+    encoder_layer node per layer, the final LayerNorm and one segment_pool
+    node: the arithmetic of `transformer_forward_batch`, noiseless."""
+    tokens, positions, segments, lengths, rows = _pack(p, ids)
+    table = leaves["pos"] if p.pos_mode == "learned" \
+        else tape.leaf(sinusoidal_table(ids.shape[1], p.d_model))
+    x = ge.embed_lookup(leaves["embed"], tokens) \
+        + ge.embed_lookup(table, positions)
+    for i in range(p.n_layers):
+        x = ge.encoder_layer(x, segments, _layer_weights(leaves, i), p.n_heads)
+    x = ge.layer_norm(x, leaves["ln_f_g"], leaves["ln_f_b"])
+    return ge.segment_pool(x, lengths, rows, p.pool == "mean")
 
 
 # ===================================================================== dispatch
@@ -447,11 +443,11 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     its per-episode forward. With temperature > 0 all noise comes from the
     single generator of `rng`: for recurrent models one (B, n) Gaussian block
     per column, of which only live steps get `inject_noise`, for the
-    transformer one block per layer per length. `queries` selects each row's
-    readout (None: readout 0). Holonomic inference may take precomputed
-    `operators` (float32 for low-precision runs) and rescale each state to
-    ||h0|| after every `renorm_interval` of its own steps (0: never).
-    Raises NumericError on non-finite logits.
+    transformer one (T, d) block per layer over the T live tokens. `queries`
+    selects each row's readout (None: readout 0). Holonomic inference may
+    take precomputed `operators` (float32 for low-precision runs) and rescale
+    each state to ||h0|| after every `renorm_interval` of its own steps (0:
+    never). Raises NumericError on non-finite logits.
     """
     if kind not in MODEL_KINDS:
         raise ArgumentError(f"unknown model kind: {kind}")
@@ -463,9 +459,7 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
         raise ArgumentError("noise temperature > 0 but no rng supplied")
     gen = rng.generator() if temperature > 0 else None
     if kind == TRANSFORMER:
-        h = np.empty((ids.shape[0], params.d_model))
-        for rows, block in _length_groups(ids):
-            h[rows] = transformer_forward_batch(params, block, temperature, gen)
+        h = transformer_forward_batch(params, ids, temperature, gen)
     else:
         h = _recurrent_states(kind, params, ids, temperature, gen, operators,
                               renorm_interval)
@@ -495,8 +489,8 @@ def tape_batch_loss(kind: str, tape: ge.Tape, leaves: dict, batch: Batch,
                                   leaves[_VOCAB_LEAF[kind]].value.shape[0],
                                   leaves["readout"].value.shape[0])
     if kind == TRANSFORMER:
-        return _transformer_tape_loss(tape, leaves, ids, queries, batch.targets, params)
-    if kind == HOLONOMIC:
+        h = _transformer_tape_states(tape, leaves, ids, params)
+    elif kind == HOLONOMIC:
         h = ge.holonomic_scan(ge.skew_exp(leaves["generators"]), ids, leaves["h0"])
     else:
         h = _rnn_tape_states(tape, leaves, ids, normalized=kind == NORMALIZED_RNN)

@@ -78,7 +78,7 @@ def check_adjoint_pairing(seed):
 
 def check_gradients(seed):
     # the training graphs on one mixed-length batch: padded rows, masked
-    # steps, one transformer graph per length
+    # steps, the transformer's packed stream of four segments
     mixed = s3_sample_batch(RngState(seed).child(10).generator(), [1, 2, 3, 4])
     for kind, params in (
             (md.HOLONOMIC, md.init_holonomic(RngState(seed), 6, 6, 6)),
@@ -90,7 +90,9 @@ def check_gradients(seed):
         def build(tape, leaves):
             return md.tape_batch_loss(kind, tape, leaves, mixed, params)
 
-        err = ge.grad_check(build, ge.ParamStore(params.to_dict()), eps=1e-6)
+        # central differences round off by ~eps_mach |loss| / eps: over seeds
+        # 0-9 the error read up to 8.1e-6 at eps = 1e-6, 1.4e-6 at 1e-5
+        err = ge.grad_check(build, ge.ParamStore(params.to_dict()), eps=1e-5)
         assert err < 1e-5, f"{kind} training-graph grad error {err:.3e}"
 
 

@@ -89,27 +89,81 @@ def test_checkpoint_with_bad_metadata_is_corrupt(tmp_path, monkeypatch, field, v
         load_checkpoint(path)
 
 
+def run_under_file_limit(script: str, limit: int) -> None:
+    """Run `script` in a fresh interpreter whose files may not grow past
+    `limit` bytes, so a write past it fails midway (EFBIG), as on a full
+    disk; the script must fail so."""
+    prelude = f"""
+import resource, signal
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))
+"""
+    src = str(Path(holonet.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", prelude + script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert run.returncode != 0 and "File too large" in run.stderr, run.stderr
+
+
+def snapshot(directory: Path) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
 def test_a_write_failing_midway_keeps_the_previous_checkpoint(tmp_path):
     pytest.importorskip("resource")
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
-    before = path.read_bytes()
-    # the next save runs in a process whose files may not grow past half a
-    # checkpoint, so its write fails midway (EFBIG), as on a full disk
-    script = f"""
-import resource, signal
+    before = snapshot(tmp_path)
+    # the next save may not grow a file past half a checkpoint
+    run_under_file_limit(f"""
 from holonet import models as md
 from holonet.checkpoint import save_checkpoint
 from holonet.tensor_core import RngState
-signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
-resource.setrlimit(resource.RLIMIT_FSIZE, ({len(before) // 2}, hard))
 save_checkpoint({str(path)!r}, md.HOLONOMIC, md.init_holonomic(RngState(9), 6, 6, 6))
-"""
-    src = str(Path(holonet.__file__).parents[1])
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert run.returncode != 0 and "File too large" in run.stderr, run.stderr
-    assert path.read_bytes() == before
+""", len(before["model.ckpt"]) // 2)
+    assert snapshot(tmp_path) == before
     load_checkpoint(path)
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.meta.txt"]
+    assert sorted(before) == ["model.ckpt", "model.ckpt.meta.txt"]
+
+
+def test_a_sidecar_write_failing_midway_keeps_the_previous_sidecar(tmp_path):
+    pytest.importorskip("resource")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+    before = snapshot(tmp_path)
+    # the same body again, then a sidecar itemizing past the file limit
+    run_under_file_limit(f"""
+from holonet import models as md
+from holonet.checkpoint import save_checkpoint
+from holonet.tensor_core import RngState
+md.param_count = lambda params: (1, {{"x" * 100000: 1}})
+save_checkpoint({str(path)!r}, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+""", len(before["model.ckpt"]) + 1000)
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("artifact", ["config.snapshot", "curve.csv", "summary.txt"])
+def test_a_run_artifact_write_failing_midway_keeps_the_previous_files(tmp_path, artifact):
+    # write_run writes the snapshot, the curve and the summary in that order;
+    # the rerun writes the same files before `artifact`, and `artifact` past
+    # the file limit
+    pytest.importorskip("resource")
+    cfg = dataclasses.replace(cli.RunConfig(), out=str(tmp_path))
+    rows = [{"step": i, "loss": 1.0 / (i + 1)} for i in range(3)]
+    run = cli.write_run(cfg, "train", ["step", "loss"], rows, ["converged: no"])
+    before = snapshot(run)
+    limit = len(before["config.snapshot"]) + 1000
+    if artifact == "config.snapshot":
+        limit = 16
+    many = artifact == "curve.csv"
+    long = artifact == "summary.txt"
+    run_under_file_limit(f"""
+import dataclasses
+from holonet import cli
+cfg = dataclasses.replace(cli.RunConfig(), out={str(tmp_path)!r})
+rows = [{{"step": i, "loss": 1.0 / (i + 1)}} for i in range({limit} if {many} else 3)]
+summary = ["x" * {limit}] if {long} else ["converged: no"]
+cli.write_run(cfg, "train", ["step", "loss"], rows, summary)
+""", limit)
+    assert snapshot(run) == before
+    assert sorted(before) == ["config.snapshot", "curve.csv", "summary.txt"]

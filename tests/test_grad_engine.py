@@ -18,7 +18,10 @@ def ssum(var):
         ones = t.leaf(np.ones((1, v.shape[0])))
         return ge.matvec(ones, var)[0]
     if v.ndim == 3:
-        return ssum(ge.scale(ge.mean_axis1(var), float(v.shape[1])))
+        total = ssum(var[0])
+        for i in range(1, v.shape[0]):
+            total = total + ssum(var[i])
+        return total
     rows = t.leaf(np.ones((1, v.shape[0])))
     cols = t.leaf(np.ones(v.shape[1]))
     return ge.matvec(ge.matmul(rows, var), cols)[0]
@@ -184,6 +187,13 @@ def _c_slice(gen):
         lambda t, lv: wsum(lv["x"][1:3, 2:5]) + wsum(lv["x"][0], seed=1)
 
 
+@case("slice_repeated")
+def _c_slice_repeated(gen):
+    # an index array that repeats a row: its gradient must add both shares
+    return {"x": gen.standard_normal((4, 5))}, \
+        lambda t, lv: wsum(lv["x"][np.array([0, 0, 2])]) + wsum(lv["x"][:, [1, 1]], seed=1)
+
+
 @case("skew_exp")
 def _c_skew_exp(gen):
     return {"m": 0.5 * gen.standard_normal((3, 4, 4))}, \
@@ -210,9 +220,10 @@ def encoder_weights(gen, d=6, d_ff=5):
     return w
 
 
-# (B, L) of the blocks that share one layer's weights: B = 1, L = 1, equal
-# lengths in a block, and mixed lengths across blocks, as in length groups
-ENCODER_BLOCKS = [(1, 1), (2, 2), (1, 3)]
+# (offset, rows, length) of a packed stream: a single length-1 row, two rows
+# of length 2, one of length 3 and two of length 4
+SEGMENTS = ((0, 1, 1), (1, 2, 2), (5, 1, 3), (8, 2, 4))
+STREAM = 16
 
 
 @case("encoder_layer")
@@ -220,24 +231,22 @@ def _c_encoder_layer(gen):
     # the key bias's exact gradient is 0 (a softmax row does not move under a
     # shift): grad_check's noise floor passes it
     params = encoder_weights(gen)
-    for j, (b, length) in enumerate(ENCODER_BLOCKS):
-        params[f"x{j}"] = gen.standard_normal((b, length, 6))
+    params["x"] = gen.standard_normal((STREAM, 6))
 
     def build(t, lv):
         w = {name: lv[name] for name in ge.ENCODER_WEIGHTS}
-        loss = None
-        for j in range(len(ENCODER_BLOCKS)):
-            term = wsum(ge.encoder_layer(lv[f"x{j}"], w, n_heads=2), seed=j)
-            loss = term if loss is None else loss + term
-        return loss
+        return wsum(ge.encoder_layer(lv["x"], SEGMENTS, w, n_heads=2))
 
     return params, build
 
 
-@case("mean_axis1")
-def _c_mean_axis1(gen):
-    return {"x": gen.standard_normal((3, 4, 5))}, \
-        lambda t, lv: wsum(ge.mean_axis1(lv["x"]))
+@case("segment_pool")
+def _c_segment_pool(gen):
+    # both modes over SEGMENTS' sequences; packed sequence i is block row rows[i]
+    lengths, rows = np.array([1, 2, 2, 3, 4, 4]), np.array([3, 0, 5, 1, 2, 4])
+    return {"x": gen.standard_normal((STREAM, 5))}, \
+        lambda t, lv: wsum(ge.segment_pool(lv["x"], lengths, rows, mean=True)) \
+        + wsum(ge.segment_pool(lv["x"], lengths, rows, mean=False), seed=1)
 
 
 @case("gather_readout")
@@ -313,7 +322,8 @@ def test_encoder_layer_key_bias_gradient_vanishes():
     gen = tc.RngState(11).generator()
     t = ge.Tape()
     w = {name: t.leaf(v) for name, v in encoder_weights(gen).items()}
-    out = ge.encoder_layer(t.leaf(gen.standard_normal((3, 4, 6))), w, n_heads=2)
+    out = ge.encoder_layer(t.leaf(gen.standard_normal((STREAM, 6))), SEGMENTS, w,
+                           n_heads=2)
     t.vjp(out, gen.standard_normal(out.value.shape))
     assert np.max(np.abs(w["bk"].grad)) < 1e-13
     assert np.max(np.abs(w["bq"].grad)) > 1e-3
@@ -325,8 +335,11 @@ def test_encoder_layer_saves_no_weight_concatenation_nor_layer_norm_outputs():
     t = ge.Tape()
     weights = encoder_weights(gen)
     w = {name: t.leaf(v) for name, v in weights.items()}
-    out = ge.encoder_layer(t.leaf(gen.standard_normal((2, 4, 6))), w, n_heads=2)
-    _, saved = t.aux[out.idx]
+    out = ge.encoder_layer(t.leaf(gen.standard_normal((8, 6))), ((0, 1, 2), (2, 2, 3)),
+                           w, n_heads=2)
+    _, _, saved = t.aux[out.idx]
+    # the attention probabilities are a list, one array per segment
+    saved = [a for item in saved for a in (item if isinstance(item, list) else [item])]
     assert all(a.shape != (6, 18) for a in saved)
     for xhat in (a for a in saved if a.shape == (8, 6)):
         for ln in ("ln1", "ln2"):
@@ -338,13 +351,30 @@ def test_encoder_layer_rejects_bad_shapes():
     gen = tc.RngState(15).generator()
     t = ge.Tape()
     w = {name: t.leaf(v) for name, v in encoder_weights(gen).items()}
+    one = ((0, 1, 4),)
     with pytest.raises(DimensionError):
-        ge.encoder_layer(t.leaf(np.ones((4, 6))), w, n_heads=2)
+        ge.encoder_layer(t.leaf(np.ones((1, 4, 6))), one, w, n_heads=2)
     with pytest.raises(DimensionError):
-        ge.encoder_layer(t.leaf(np.ones((1, 4, 6))), w, n_heads=4)
+        ge.encoder_layer(t.leaf(np.ones((4, 6))), one, w, n_heads=4)
+    # segments must tile the stream: a gap, an overlap, a short or long cover
+    for segments in (((0, 1, 1), (2, 1, 2)), ((0, 1, 2), (1, 1, 3)), ((0, 1, 3),),
+                     ((0, 1, 5),), ((0, 0, 4),)):
+        with pytest.raises(DimensionError):
+            ge.encoder_layer(t.leaf(np.ones((4, 6))), segments, w, n_heads=2)
     w["wo"] = t.leaf(np.ones((6, 5)))
     with pytest.raises(DimensionError):
-        ge.encoder_layer(t.leaf(np.ones((1, 4, 6))), w, n_heads=2)
+        ge.encoder_layer(t.leaf(np.ones((4, 6))), one, w, n_heads=2)
+
+
+def test_segment_pool_rejects_lengths_or_rows_that_do_not_pool_the_stream():
+    t = ge.Tape()
+    x = t.leaf(np.ones((4, 3)))
+    # lengths short or long of the stream, an empty sequence, rows not a
+    # permutation of the sequences
+    for lengths, rows in (([1, 2], [0, 1]), ([2, 3], [0, 1]), ([0, 4], [0, 1]),
+                          ([1, 3], [0, 0]), ([1, 3], [1])):
+        with pytest.raises(DimensionError):
+            ge.segment_pool(x, lengths, rows, mean=True)
 
 
 def test_embed_backward_is_the_scatter_add():

@@ -211,22 +211,18 @@ def test_transformer_batch_matches_single():
 
 @pytest.mark.parametrize("pool", ["final", "mean"])
 def test_transformer_training_graph_runs_the_inference_layers_bit_for_bit(pool):
-    # each length group's pooled encoding on the tape, through one
-    # encoder_layer node per layer, equals transformer_forward_batch's on the
-    # group's unpadded block: the two share the layer kernel
+    # the tape's pooled encodings of a mixed-length batch, one encoder_layer
+    # node per layer over the packed stream, equal forward_batch's on the same
+    # block: the two share the layer and pooling kernels
     p = small_transformer(pool=pool, n_classes=4, n_queries=4)
     batch = binding_batch(42, [1, 7, 3, 7, 12, 2])
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in p.to_dict().items()}
     md.tape_batch_loss(md.TRANSFORMER, tape, leaves, batch, p)
-    lengths = sorted(set(batch.lengths.tolist()))
-    assert tape.ops.count("encoder_layer") == p.n_layers * len(lengths)
-    pooled = [tape.values[tape.inputs[i][1]] for i, op in enumerate(tape.ops)
-              if op == "gather_readout"]
-    width = batch.ids.shape[1]
-    for length, value in zip(lengths, pooled):
-        block = batch.ids[batch.lengths == length, width - length:]
-        assert np.array_equal(value, md.transformer_forward_batch(p, block))
+    assert tape.ops.count("encoder_layer") == p.n_layers
+    (pooled,) = [tape.values[i] for i, op in enumerate(tape.ops) if op == "segment_pool"]
+    h, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids, batch.queries)
+    assert pooled.shape == h.shape and np.array_equal(pooled, h)
 
 
 def test_transformer_residual_noise_deterministic():
@@ -474,11 +470,15 @@ def test_mixed_length_holonomic_loss_matches_numpy_forward():
     assert np.array_equal(scanned, states)
 
 
-def tape_size(kind, params, batch):
+def tape_ops(kind, params, batch):
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    md.tape_batch_loss(kind, tape, leaves, batch)
-    return len(tape)
+    md.tape_batch_loss(kind, tape, leaves, batch, params)
+    return tape.ops
+
+
+def tape_size(kind, params, batch):
+    return len(tape_ops(kind, params, batch))
 
 
 def test_holonomic_tape_size_does_not_depend_on_lengths():
@@ -494,6 +494,16 @@ def test_rnn_tape_size_does_not_depend_on_length_mix(kind):
     params = binding_params(kind, 37)
     assert tape_size(kind, params, binding_batch(38, [1, 4, 9, 16, 25])) \
         == tape_size(kind, params, binding_batch(39, [25] * 5))
+
+
+@pytest.mark.parametrize("pos_mode", ["learned", "sinusoidal"])
+def test_transformer_tape_size_does_not_depend_on_length_mix(pos_mode):
+    # one packed graph: every row at one length, or every row at its own
+    params = binding_params(md.TRANSFORMER, 37, pos_mode=pos_mode)
+    equal = tape_ops(md.TRANSFORMER, params, binding_batch(38, [9] * 6))
+    distinct = tape_ops(md.TRANSFORMER, params, binding_batch(39, [1, 2, 4, 7, 9, 12]))
+    assert equal == distinct
+    assert distinct.count("encoder_layer") == params.n_layers
 
 
 def test_holonomic_tape_loss_rejects_token_outside_vocabulary():
