@@ -375,39 +375,44 @@ def noise_sweep(kind: str, params, task: TaskConfig, t_grid, episodes: int,
 
 
 def _plugin_tc(grid: np.ndarray, acc: np.ndarray, qualifies: np.ndarray,
-               threshold: float) -> tuple[float, str | None]:
-    if not qualifies.any():
-        return 0.0, "all-fail"
-    i = int(np.max(np.nonzero(qualifies)[0]))
-    if i == grid.size - 1:
-        return float(grid[-1]), "right"
-    lo_acc, hi_acc = acc[i], acc[i + 1]
-    if lo_acc <= threshold:
-        return float(grid[i]), None
-    if hi_acc >= threshold:
-        return float(grid[i + 1]), None
-    frac = (lo_acc - threshold) / (lo_acc - hi_acc)
-    return float(grid[i] + frac * (grid[i + 1] - grid[i])), None
+               threshold: float) -> np.ndarray:
+    """Plug-in T_c of each row of (k, G) accuracies: the largest level that
+    qualifies, refined by linear interpolation toward the threshold crossing
+    when the next level falls below it; 0 where no level qualifies, the last
+    level where it does."""
+    last = grid.size - 1
+    top = last - np.argmax(qualifies[:, ::-1], axis=1)     # largest qualifying
+    nxt = np.minimum(top + 1, last)
+    rows = np.arange(len(acc))
+    lo_acc, hi_acc = acc[rows, top], acc[rows, nxt]
+    with np.errstate(divide="ignore", invalid="ignore"):    # rows np.select drops
+        frac = (lo_acc - threshold) / (lo_acc - hi_acc)
+        crossing = grid[top] + frac * (grid[nxt] - grid[top])
+    return np.select([~qualifies.any(axis=1), top == last, lo_acc <= threshold,
+                      hi_acc >= threshold],
+                     [0.0, grid[last], grid[top], grid[nxt]], crossing)
 
 
 def estimate_tc(sweep: SweepResult, threshold: float = 0.99,
                 rng: tc.RngState | None = None, bootstrap: int = 1000,
                 chance: float = 0.0) -> TcEstimate:
     """Largest noise level whose CI lower bound clears the fidelity threshold,
-    refined by linear interpolation toward the crossing."""
+    refined by linear interpolation toward the crossing. The CI resamples
+    the episodes `bootstrap` times (one draw of n indices each) and takes
+    every resample's plug-in T_c at once."""
     if not chance < threshold <= 1.0:
         raise ArgumentError(f"threshold must lie in ({chance}, 1]")
-    value, censored = _plugin_tc(sweep.grid, sweep.acc_mean,
-                                 sweep.acc_lo >= threshold, threshold)
+    qualifies = sweep.acc_lo >= threshold
+    value = float(_plugin_tc(sweep.grid, sweep.acc_mean[None], qualifies[None],
+                             threshold)[0])
+    censored = "all-fail" if not qualifies.any() else "right" if qualifies[-1] else None
     if sweep.outcomes is None:
         return TcEstimate(value, value, value, censored)
     gen = (rng or tc.RngState(0)).generator()
     n = sweep.outcomes.shape[1]
-    samples = np.empty(bootstrap)
-    for b in range(bootstrap):
-        idx = gen.integers(0, n, size=n)
-        acc_b = sweep.outcomes[:, idx].mean(axis=1)
-        samples[b], _ = _plugin_tc(sweep.grid, acc_b, acc_b >= threshold, threshold)
+    idx = np.stack([gen.integers(0, n, size=n) for _ in range(bootstrap)])
+    acc = sweep.outcomes[:, idx].mean(axis=2).T     # (bootstrap, G)
+    samples = _plugin_tc(sweep.grid, acc, acc >= threshold, threshold)
     lo, hi = np.percentile(samples, [2.5, 97.5])
     return TcEstimate(value, float(lo), float(hi), censored)
 

@@ -6,7 +6,7 @@ covers the models' training graphs and the autodiff Jacobian horizon:
 
   * dense and elementwise: matmul, matvec, add, hadamard (also the RNN's
     padding mask), tanh, unit, transpose, layer normalization and embedding
-    lookup, and scale and slice, which no model graph uses;
+    lookup;
   * fused batch nodes: readout gather, mean cross-entropy, `skew_exp`
     (exp(M - M^T) for a whole generator stack by one real symmetric
     eigendecomposition, Daleckii-Krein adjoint), `holonomic_scan` (the
@@ -16,10 +16,19 @@ covers the models' training graphs and the autodiff Jacobian horizon:
     mean), both on a packed (T, d) token stream of any length mix.
 
 The holonomic step has one kernel, `token_step`: it multiplies each row of a
-state block by its token's matrix, one matmul per token present, in the
-order a block's `token_schedule` (one argsort and one bincount per block)
-fixes. `holonomic_scan` runs it forward and backward, and
-`models.forward_batch` runs it at inference, so the two give the same bits.
+state block by its token's matrix in one of two layouts, which a block's
+`token_schedule` (one argsort and one bincount per block) picks once for the
+whole block. The grouped layout runs one matmul per token present over the
+rows that hold it. The padded layout scatters the rows into a (V, m_t, n)
+buffer, m_t the column's largest token count, runs one batched matmul
+against the (V, n, n) bank and gathers the rows back: three numpy calls
+whatever V, for the multiply-adds of the padding rows. The block goes padded
+when those multiply-adds cost less than the calls they save, each call valued
+at GEMM_CALL_MACS of them (a measured exchange rate): S3's vocabulary of 6
+goes padded at n = 32, binding's 45 stays grouped at n = 128.
+`holonomic_scan` runs the kernel forward and backward, and
+`models.forward_batch` runs it at inference, on the same schedule, so the two
+give the same bits in either layout.
 The transformer layer likewise has one kernel, `encoder_layer_kernel`, which
 the `encoder_layer` node and `models.transformer_forward_batch` both run.
 
@@ -73,9 +82,6 @@ class Var:
 
     def __add__(self, other: "Var") -> "Var":
         return add(self, other)
-
-    def __getitem__(self, key) -> "Var":
-        return slice_of(self, key)
 
     @property
     def T(self) -> "Var":
@@ -236,14 +242,6 @@ def _add_bwd(t: Tape, idx: int, g):
     t._accum(ib, _unbroadcast(g, t.values[ib].shape, lead))
 
 
-def scale(a: Var, c: float) -> Var:
-    return a.tape._push("scale", (a.idx,), c * a.value, c)
-
-
-def _scale_bwd(t: Tape, idx: int, g):
-    t._accum(t.inputs[idx][0], t.aux[idx] * g)
-
-
 def hadamard(a: Var, b: Var) -> Var:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"hadamard: {a.value.shape} vs {b.value.shape}")
@@ -369,21 +367,6 @@ def _embed_bwd(t: Tape, idx: int, g):
     # times the (n, d) cotangent rows (a block: (k, n, d), one GEMM each)
     onehot = np.equal.outer(np.arange(vocab), keys).astype(np.float64)
     t._accum(ia, onehot @ g.reshape(g.shape[:lead] + (keys.size, d)))
-
-
-def slice_of(a: Var, key) -> Var:
-    out = a.value[key]
-    return a.tape._push("slice", (a.idx,), out, key)
-
-
-def _slice_bwd(t: Tape, idx: int, g):
-    ia = t.inputs[idx][0]
-    key = t.aux[idx]
-    lead = _lead(t, idx, g)
-    out = np.zeros(g.shape[:lead] + t.values[ia].shape)
-    # add.at, not +=: an index array that repeats an entry adds every share
-    np.add.at(out, (slice(None),) * lead + (key if isinstance(key, tuple) else (key,)), g)
-    t._accum(ia, out)
 
 
 # ------------------------------------------------------------------ batched ops
@@ -555,31 +538,111 @@ def _skew_exp_bwd(t: Tape, idx: int, g):
 # Id of the identity step in holonomic_scan; left-pads rows shorter than L.
 IDENTITY_STEP = -1
 
+# What one numpy GEMM call is worth in multiply-adds of padding: a block takes
+# the padded layout of `token_schedule` when the multiply-adds its padding adds
+# stay below this many per GEMM call it removes. Per-column times of both
+# layouts over 14 shapes (one BLAS thread, OpenBLAS 0.3.31, x86-64) break even
+# near 2.7e4 per call at a vocabulary of 45 (n = 64, B = 16: 62-68 us either
+# way), since numpy's batched matmul still makes one BLAS call per token, and
+# past 4.7e4 at one of 6 (n = 128, B = 16: padded 34-45 us, grouped 37-52 us).
+# S3 blocks sit near 3e3 per call, binding's at n = 128 above 6e4.
+GEMM_CALL_MACS = 2 ** 15
 
-def token_schedule(ids, vocab: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column token order of a (B, L) id block, for `token_step`.
 
-    Returns `order` (L, B), the rows of each column sorted by token with the
-    IDENTITY_STEP rows first and ties in row order (one stable argsort), and
-    `cuts` (L, vocab + 1), the running count of pads and tokens (one
-    bincount): order[t, cuts[t, v]:cuts[t, v + 1]] are the rows holding token
-    v in column t, and cuts[t, 0] counts its pads.
+class TokenSchedule:
+    """A (B, L) id block's per-column row order for `token_step`, in the one
+    layout `token_schedule` picked for the whole block.
+
+    grouped: `index` (L, B) holds each column's rows sorted by token, the
+    IDENTITY_STEP rows first and ties in row order, and `cuts` (L, vocab + 1)
+    the running count of pads and tokens: index[t, cuts[t, v]:cuts[t, v + 1]]
+    are the rows holding token v in column t, and cuts[t, 0] counts its pads.
+
+    padded: `index` (L, B) holds each row's slot in a (vocab m_t + pads_t, n)
+    buffer, m_t the column's largest token count: token v's rows fill slots
+    v m_t onwards in row order, the pads the slots after vocab m_t; `cuts`
+    holds the (m_t, pads_t) of each column. `buffers` are the two scratch
+    buffers the step scatters into and multiplies into, zeroed once, so the
+    rows a column leaves unused hold finite stale states; `blocks` caches
+    their (vocab, m_t, n) token views by m_t.
     """
-    keys = np.asarray(ids, dtype=np.intp).T + 1     # pad 0, token v at v + 1
-    length, width = keys.shape[0], vocab + 1
+
+    def __init__(self, padded: bool, index: np.ndarray, cuts, buffers: tuple = ()):
+        self.padded, self.index, self.cuts = padded, index, cuts
+        self.buffers, self.blocks = buffers, {}
+
+
+def token_schedule(ids, ops: np.ndarray) -> TokenSchedule:
+    """The `TokenSchedule` of a (B, L) id block for steps by the (vocab, n, n)
+    bank `ops` (only its shape and dtype are read).
+
+    One stable argsort and one bincount per block give each column's token
+    counts. The padded layout spends (vocab m_t - live_t) n^2 multiply-adds
+    on padding in column t (live_t its non-pad rows) and saves present_t - 1
+    GEMM calls (present_t the tokens present); the block takes it when
+    sum_t (vocab m_t - live_t) n^2 < GEMM_CALL_MACS sum_t (present_t - 1),
+    and the grouped layout otherwise. A small vocabulary (S3 at n = 32) goes
+    padded; binding's vocabulary of 45 at n = 128 stays grouped.
+    """
+    vocab, n = ops.shape[0], ops.shape[-1]
+    # pad 0, token v at v + 1; C order, so each column's keys are one row
+    keys = np.add(np.asarray(ids, dtype=np.intp).T, 1, order="C")
+    length, batch = keys.shape
+    width = vocab + 1
     order = np.argsort(keys, axis=1, kind="stable")
     keys += width * np.arange(length)[:, None]      # one bin per (column, key)
-    cuts = np.bincount(keys.ravel(order="K"),
-                       minlength=length * width).reshape(length, width)
-    return order, np.cumsum(cuts, axis=1, out=cuts)
+    counts = np.bincount(keys.ravel(), minlength=length * width).reshape(length, width)
+    del keys
+    tallest = counts[:, 1:].max(axis=1, initial=0)
+    waste = (vocab * int(tallest.sum()) + int(counts[:, 0].sum()) - length * batch) * n * n
+    saved = np.count_nonzero(counts[:, 1:]) - np.count_nonzero(tallest)
+    if waste >= GEMM_CALL_MACS * saved:
+        return TokenSchedule(False, order, np.cumsum(counts, axis=1, out=counts))
+    # first[t, k] + j is the slot of sorted position j holding key k: token
+    # v's block starts at v m_t, the pads' after the vocab m_t token slots
+    first = np.empty_like(counts)
+    first[:, 0] = vocab * tallest
+    np.multiply(np.arange(vocab), tallest[:, None], out=first[:, 1:])
+    first += counts
+    first -= np.cumsum(counts, axis=1)
+    columns = list(zip(tallest.tolist(), counts[:, 0].tolist()))
+    # the sorted positions of key k in column t are a run of counts[t, k]
+    slots = np.repeat(first.ravel(), counts.ravel()).reshape(length, batch)
+    del first, counts
+    slots += np.arange(batch)
+    index = np.empty_like(slots)
+    index[np.arange(length)[:, None], order] = slots    # each row's slot
+    rows = max(vocab * m + pads for m, pads in columns)
+    return TokenSchedule(True, index, columns, tuple(np.zeros((2, rows, n), ops.dtype)))
 
 
-def token_step(h: np.ndarray, order: np.ndarray, cuts: np.ndarray,
-               mats: np.ndarray) -> None:
-    """h[b] <- h[b] @ mats[ids[b, t]] in place for one column t of a
-    `token_schedule` (order[t], cuts[t]): one matmul per token present, over
-    the rows that hold it; pad rows are left alone, bit for bit."""
-    cuts = cuts.tolist()
+def token_step(h: np.ndarray, schedule: TokenSchedule, t: int, mats: np.ndarray) -> None:
+    """h[b] <- h[b] @ mats[ids[b, t]] in place for column t of a
+    `token_schedule`; pad rows are left alone, bit for bit.
+
+    grouped: one matmul per token present, over the rows that hold it.
+    padded: the rows scattered into their slots, one batched matmul of the
+    (vocab, m_t, n) token block against the whole bank, and the rows gathered
+    back: three numpy calls whatever the vocabulary (and a copy of the pad
+    rows in a column that has some).
+    """
+    if schedule.padded:
+        m, pads = schedule.cuts[t]
+        if not m:
+            return
+        top = len(mats) * m
+        if m not in schedule.blocks:
+            schedule.blocks[m] = tuple(b[:top].reshape(len(mats), m, -1)
+                                       for b in schedule.buffers)
+        (src, dst), (src_block, dst_block) = schedule.buffers, schedule.blocks[m]
+        slots = schedule.index[t]
+        src[slots] = h
+        np.matmul(src_block, mats, out=dst_block)
+        if pads:
+            dst[top:top + pads] = src[top:top + pads]
+        dst.take(slots, axis=0, out=h, mode="clip")
+        return
+    order, cuts = schedule.index[t], schedule.cuts[t].tolist()
     first = cuts[0]
     if first == len(order):
         return
@@ -615,27 +678,27 @@ def holonomic_scan(ops: Var, ids, h0: Var) -> Var:
     if ids.size and (ids.min() < IDENTITY_STEP or ids.max() >= ov.shape[0]):
         raise ArgumentError(
             f"holonomic_scan: token outside vocabulary of size {ov.shape[0]}")
-    order, cuts = token_schedule(ids, ov.shape[0])
+    schedule = token_schedule(ids, ov)
     mats = ov.transpose(0, 2, 1)    # row states: (U h)^T = h^T U^T
     states = np.empty((ids.shape[1] + 1, ids.shape[0], ov.shape[-1]))
     states[0] = hv
     for t in range(ids.shape[1]):
         states[t + 1] = states[t]
-        token_step(states[t + 1], order[t], cuts[t], mats)
+        token_step(states[t + 1], schedule, t, mats)
     return ops.tape._push("holonomic_scan", (ops.idx, h0.idx), states[-1].copy(),
-                          (ids, order, cuts, states))
+                          (ids, schedule, states))
 
 
 def _holonomic_scan_bwd(t: Tape, idx: int, g):
     iops, ih = t.inputs[idx]
-    ids, order, cuts, states = t.aux[idx]
+    ids, schedule, states = t.aux[idx]
     ov = t.values[iops]
     n = ov.shape[-1]
     g = np.array(g, dtype=np.float64)
     cot = np.empty_like(states[1:])     # cot[t] is the cotangent of states[t + 1]
     for step in range(ids.shape[1] - 1, -1, -1):
         cot[step] = g
-        token_step(g, order[step], cuts[step], ov)
+        token_step(g, schedule, step, ov)
     t._accum(ih, g.sum(axis=0))
     flat = ids.T.ravel()
     rank = np.argsort(flat, kind="stable")
@@ -879,20 +942,18 @@ def _softmax_xent_mean_bwd(t: Tape, idx: int, g):
 
 # Rules whose arithmetic carries a leading block axis on the cotangent
 # (see Tape.vjp); the horizon graphs use only these.
-_BLOCK_RULES = frozenset({"matvec", "add", "scale", "tanh", "unit", "slice", "embed"})
+_BLOCK_RULES = frozenset({"matvec", "add", "tanh", "unit", "embed"})
 
 _BACKWARD = {
     "matmul": _matmul_bwd,
     "matvec": _matvec_bwd,
     "add": _add_bwd,
-    "scale": _scale_bwd,
     "hadamard": _hadamard_bwd,
     "tanh": _tanh_bwd,
     "unit": _unit_bwd,
     "transpose": _transpose_bwd,
     "layer_norm": _layer_norm_bwd,
     "embed": _embed_bwd,
-    "slice": _slice_bwd,
     "skew_exp": _skew_exp_bwd,
     "holonomic_scan": _holonomic_scan_bwd,
     "encoder_layer": _encoder_layer_bwd,

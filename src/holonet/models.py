@@ -12,7 +12,13 @@ stream of the transformer.
 At inference the recurrent models step through the block's columns; the
 holonomic step is `grad_engine.token_step`, the kernel of the training node
 `holonomic_scan`, over a token schedule and renormalization columns computed
-once per block. The transformer packs the block once (`_pack`): the live
+once per block. The schedule fixes the kernel's layout for the whole block:
+grouped, one GEMM per token present in a column, or padded, one batched GEMM
+per column over a (V, m_t, n) buffer, whichever `grad_engine.token_schedule`
+rates cheaper from the block's token counts. Inference and training run the
+same schedule, so they agree bit for bit in either layout, and float32
+operators (genlen at precision 32) keep their dtype: the padded buffers take
+the operators'. The transformer packs the block once (`_pack`): the live
 tokens of the rows, sorted by length, as one (T, d) stream with equal-length
 segments, and each layer is one call of `grad_engine.encoder_layer_kernel`
 over it (`transformer_forward_batch`), the kernel of the training node
@@ -399,7 +405,8 @@ def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
                       operators: np.ndarray | None, renorm_interval: int) -> np.ndarray:
     """Final states of the holonomic model or an RNN, one column at a time;
     the holonomic step is `grad_engine.token_step` over the block's token
-    schedule, the kernel of the `holonomic_scan` training node."""
+    schedule, in the layout it picked, the kernel of the `holonomic_scan`
+    training node."""
     b = ids.shape[0]
     if kind == HOLONOMIC:
         ops = params.operators() if operators is None else operators
@@ -408,13 +415,13 @@ def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
         h0_norm = np.linalg.norm(params.h0)
         # built one after the other, so their (L, B) temporaries never overlap
         bounds, due_rows = _renorm_schedule(ids, renorm_interval)
-        order, cuts = ge.token_schedule(ids, ops.shape[0])
+        schedule = ge.token_schedule(ids, ops)
     else:
         h = np.zeros((b, params.n))
         w_rec_t = params.w_rec.T
     for t, col in enumerate(ids.T):
         if kind == HOLONOMIC:
-            ge.token_step(h, order[t], cuts[t], mats)
+            ge.token_step(h, schedule, t, mats)
             if bounds[t + 1] > bounds[t]:
                 due = due_rows[bounds[t]:bounds[t + 1]]
                 norms = np.linalg.norm(h[due], axis=1, keepdims=True)

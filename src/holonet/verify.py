@@ -163,13 +163,25 @@ def check_scan_equivalence(seed):
     h_state, _ = md.forward_batch(md.HOLONOMIC, p, tokens[None])
     assert np.max(np.abs(h_state[0] - h_seq @ p.h0)) < 1e-9, \
         "forward_batch != sequential"
-    # the training node and inference share one kernel: the same bits
-    ids = s3_sample_batch(RngState(seed).child(6).generator(), [1, 40, 17, 64]).ids
-    ops = p.operators()
-    tape = ge.Tape()
-    h_scan = ge.holonomic_scan(tape.leaf(ops), ids, tape.leaf(p.h0)).value
-    h_batch, _ = md.forward_batch(md.HOLONOMIC, p, ids, operators=ops)
-    assert np.array_equal(h_scan, h_batch), "holonomic_scan != forward_batch"
+    # each layout of the holonomic step on a mixed-length block: every row
+    # against sequential_holonomy, and the training node's bits against
+    # forward_batch's (they share one kernel)
+    lengths = [1, 40, 17, 64]
+    for n, vocab, padded in ((16, 6, True), (64, 45, False)):
+        gen = RngState(seed).child(6, n).generator()
+        ids = s3_sample_batch(gen, lengths).ids if vocab == 6 \
+            else sv_sample_batch(gen, 10, lengths).ids
+        params = md.init_holonomic(RngState(seed).child(7, n), n, vocab, 6)
+        ops = params.operators()
+        layout = "padded" if padded else "grouped"
+        assert ge.token_schedule(ids, ops).padded == padded, f"n={n} not {layout}"
+        h_batch, _ = md.forward_batch(md.HOLONOMIC, params, ids, operators=ops)
+        for row, h in zip(ids, h_batch):
+            h_seq = se.sequential_holonomy(params, row[row != ge.IDENTITY_STEP]) @ params.h0
+            assert np.max(np.abs(h - h_seq)) < 1e-9, f"{layout} forward_batch != sequential"
+        tape = ge.Tape()
+        h_scan = ge.holonomic_scan(tape.leaf(ops), ids, tape.leaf(params.h0)).value
+        assert np.array_equal(h_scan, h_batch), f"{layout} holonomic_scan != forward_batch"
 
 
 def check_tc_estimator(_seed):

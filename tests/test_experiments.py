@@ -70,6 +70,54 @@ def test_tc_monotone_in_pointwise_accuracy():
     assert t_better >= t_base
 
 
+def loop_tc(sweep, threshold, rng, bootstrap=1000):
+    """(value, censored, lo, hi) as estimate_tc once computed them, one
+    bootstrap sample per loop step: the oracle for its vectorized form."""
+    grid = sweep.grid
+
+    def plugin(acc, qualifies):
+        if not qualifies.any():
+            return 0.0, "all-fail"
+        i = int(np.max(np.nonzero(qualifies)[0]))
+        if i == grid.size - 1:
+            return float(grid[-1]), "right"
+        if acc[i] <= threshold:
+            return float(grid[i]), None
+        if acc[i + 1] >= threshold:
+            return float(grid[i + 1]), None
+        frac = (acc[i] - threshold) / (acc[i] - acc[i + 1])
+        return float(grid[i] + frac * (grid[i + 1] - grid[i])), None
+
+    value, censored = plugin(sweep.acc_mean, sweep.acc_lo >= threshold)
+    gen = rng.generator()
+    n = sweep.outcomes.shape[1]
+    samples = np.empty(bootstrap)
+    for b in range(bootstrap):
+        acc = sweep.outcomes[:, gen.integers(0, n, size=n)].mean(axis=1)
+        samples[b], _ = plugin(acc, acc >= threshold)
+    lo, hi = np.percentile(samples, [2.5, 97.5])
+    return value, censored, float(lo), float(hi)
+
+
+TC_SWEEPS = {
+    "all-pass": ([1.0] * 6, 64),
+    "all-fail": ([0.1] * 6, 64),
+    "step": ([1.0 if t < 0.3 else 1.0 / 6.0 for t in np.linspace(0, 1.0, 11)], 600),
+    "decay": ([1.0, 1.0, 0.8, 0.5, 0.2, 0.1], 64),
+    "gentle": ([1.0, 0.999, 0.995, 0.99, 0.97, 0.9, 0.6], 301),
+    "last-dips": ([1.0, 1.0, 1.0, 1.0, 0.985], 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TC_SWEEPS))
+@pytest.mark.parametrize("threshold", [0.9, 0.99, 1.0])
+def test_tc_bootstrap_matches_the_per_sample_loop_bit_for_bit(name, threshold):
+    probs, episodes = TC_SWEEPS[name]
+    sweep = synthetic_sweep(probs, episodes=episodes, seed=len(name))
+    tc = ex.estimate_tc(sweep, threshold, RngState(8))
+    assert (tc.value, tc.censored, tc.lo, tc.hi) == loop_tc(sweep, threshold, RngState(8))
+
+
 def test_tc_threshold_validation():
     sweep = synthetic_sweep([1.0, 0.5])
     with pytest.raises(ArgumentError):

@@ -8,9 +8,11 @@ from holonet import models as md
 from holonet.errors import ArgumentError, CapacityError, DimensionError, NumericError
 from holonet.group_tasks import (
     Batch,
+    Curriculum,
     Episode,
     s3_sample_batch,
     s3_sample_episode,
+    sample_lengths,
     sv_sample_batch,
 )
 from holonet.tensor_core import RngState
@@ -468,6 +470,64 @@ def test_mixed_length_holonomic_loss_matches_numpy_forward():
     scanned = ge.holonomic_scan(ops, ids, tape.leaf(params.h0)).value
     states, _ = md.forward_batch(md.HOLONOMIC, params, ids, operators=ops.value)
     assert np.array_equal(scanned, states)
+
+
+# rows of lengths 1-6 behind a leading all-pad column; token 4 is alone in
+# column 1, and token 5 (of vocabulary 6, and the rest of 45) is never used
+LAYOUT_IDS = np.array([[-1, -1, -1, -1, -1, -1, 2],
+                       [-1, -1, -1, -1, -1, 0, 2],
+                       [-1, -1, -1, -1, 1, 0, 2],
+                       [-1, -1, -1, 3, 1, 0, 4],
+                       [-1, -1, 0, 3, 1, 4, 1],
+                       [-1, 4, 0, 3, 2, 0, 1]])
+
+
+@pytest.mark.parametrize("n, vocab, padded", [(8, 6, True), (64, 45, False)])
+def test_both_holonomic_step_layouts_match_the_per_episode_oracle(n, vocab, padded):
+    params = md.init_holonomic(RngState(81), n, vocab, 6)
+    assert ge.token_schedule(LAYOUT_IDS, params.operators()).padded is padded
+    states, logits = md.forward_batch(md.HOLONOMIC, params, LAYOUT_IDS)
+    for b, row in enumerate(LAYOUT_IDS):
+        tokens = tuple(int(t) for t in row[row != ge.IDENTITY_STEP])
+        trajectory, ref = md.holonomic_forward(params, Episode(tokens, 0, len(tokens)))
+        assert np.max(np.abs(states[b] - trajectory[-1])) <= 1e-12
+        assert np.max(np.abs(logits[b] - ref)) <= 1e-12
+    # the training node runs the same schedule: the same bits
+    tape = ge.Tape()
+    scanned = ge.holonomic_scan(tape.leaf(params.operators()), LAYOUT_IDS,
+                                tape.leaf(params.h0)).value
+    assert np.array_equal(scanned, states)
+    # float32 operators keep their dtype in either layout
+    single, _ = md.forward_batch(md.HOLONOMIC, params, LAYOUT_IDS,
+                                 operators=params.operators().astype(np.float32))
+    assert single.dtype == np.float32
+    assert np.max(np.abs(single - states)) < 1e-5
+
+
+def test_each_benchmark_block_shape_takes_its_layout():
+    gen = RngState(82).generator()
+
+    def s3(lengths):
+        return s3_sample_batch(gen, lengths).ids
+
+    s3_top = Curriculum("stepwise", 1, 5, max_len=5)
+    binding_top = Curriculum("ramp", 5, 50, ramp_start=10, progress=1.0, max_len=50)
+    blocks = {   # (ids, vocab, n, padded)
+        "genlen L=50": (s3(np.full(16, 50)), 6, 32, True),
+        "genlen L=5000": (s3(np.full(16, 5000)), 6, 32, True),
+        "sweep": (s3(np.full(64, 5)), 6, 32, True),
+        "massgap": (s3(np.full(600, 5)), 6, 32, True),
+        "s3 training": (s3(sample_lengths(s3_top, gen, 64)), 6, 32, True),
+        "binding training": (sv_sample_batch(gen, 10, sample_lengths(binding_top, gen, 64)).ids,
+                             45, 128, False),
+    }
+    for name, (ids, vocab, n, padded) in blocks.items():
+        schedule = ge.token_schedule(ids, np.empty((vocab, n, n)))
+        assert schedule.padded is padded, name
+        # one (L, B) array per schedule, in either layout
+        held = [a for a in vars(schedule).values()
+                if isinstance(a, np.ndarray) and a.size >= ids.size]
+        assert len(held) == 1, name
 
 
 def tape_ops(kind, params, batch):
