@@ -15,22 +15,19 @@ covers the models' training graphs and the autodiff Jacobian horizon:
     weights as inputs) and `segment_pool` (each sequence's last token or
     mean), both on a packed (T, d) token stream of any length mix.
 
-The holonomic step has one kernel, `token_step`: it multiplies each row of a
-state block by its token's matrix in one of two layouts, which a block's
-`token_schedule` (one argsort and one bincount per block) picks once for the
-whole block. The grouped layout runs one matmul per token present over the
-rows that hold it. The padded layout scatters the rows into a (V, m_t, n)
-buffer, m_t the column's largest token count, runs one batched matmul
-against the (V, n, n) bank and gathers the rows back: three numpy calls
-whatever V, for the multiply-adds of the padding rows. The block goes padded
-when those multiply-adds cost less than the calls they save, each call valued
-at GEMM_CALL_MACS of them (a measured exchange rate): S3's vocabulary of 6
-goes padded at n = 32, binding's 45 stays grouped at n = 128.
-`holonomic_scan` runs the kernel forward and backward, and
-`models.forward_batch` runs it at inference, on the same schedule, so the two
-give the same bits in either layout.
-The transformer layer likewise has one kernel, `encoder_layer_kernel`, which
-the `encoder_layer` node and `models.transformer_forward_batch` both run.
+Training and inference share one numpy kernel per piece of a model, so the
+two give the same bits: `skew_exp_kernel` (run by the `skew_exp` node and by
+`models.HolonomicParams.operators`, so by every probe and scan), `token_step`
+(the holonomic step, run by `holonomic_scan` forward and backward and by
+`models.forward_batch`) and `encoder_layer_kernel` (run by the
+`encoder_layer` node and by `models.transformer_forward_batch`). `token_step`
+multiplies each row of a state block by its token's matrix in the layout the
+block's `token_schedule` (one argsort and one bincount) picks once: grouped,
+one matmul per token present over the rows that hold it, or padded, one
+batched matmul of a (V, m_t, n) buffer against the (V, n, n) bank, whichever
+costs less when a GEMM call is valued at GEMM_CALL_MACS multiply-adds of
+padding (a measured exchange rate): S3's vocabulary of 6 goes padded at
+n = 32, binding's 45 stays grouped at n = 128.
 
 Values are numpy arrays; a scalar is a 0-d array. Gradients are bitwise
 deterministic for identical tapes: the reverse sweep is a fixed-order
@@ -388,8 +385,9 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
 
 
-def skew_exp(generators: Var) -> Var:
-    """exp(M - M^T) for each matrix of a (V, n, n) stack of generators.
+def skew_exp_kernel(generators: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """exp(M - M^T) for each matrix of a (V, n, n) stack of generators, and
+    what the `skew_exp` backward reads: (out, saved).
 
     Real arithmetic throughout. For skew A = M - M^T, W = A^T A = -A^2 is
     symmetric positive semi-definite; one batched real eigh gives
@@ -406,26 +404,11 @@ def skew_exp(generators: Var) -> Var:
     s times (A / 2^s has W / 4^s: the same V and lam / 4^s, so the one eigh
     serves) and its exponential squared s times, so the defect grows like
     eps ||A||_2 instead: about 1e-13 at ||A||_2 = 100 and 1e-11 at 1e4.
-
-    The adjoint, for the output cotangent G after the squarings' adjoint
-    (G <- G Q^T + Q^T G for each squaring Q -> Q^2), is
-
-        dA = G sinc(sqrt(W)) + A (G_W + G_W^T),
-        G_W = V ((V^T G V) o Gc + ((A V)^T G V) o Gs) V^T,
-
-    five real matmuls on the kept (V, A V, theta); the generators get
-    dA - dA^T. Gc and Gs are the divided differences of cos(sqrt(l)) and
-    sinc(sqrt(l)) at lam (the Daleckii-Krein form; Higham, Functions of
-    Matrices, 2008), each to about 1e-13 absolute (see
-    `_skew_exp_divided_differences`), so the adjoint matches the block
-    Frechet derivative to 1e-12 on near-repeated, tiny, large and
-    branch-straddling angles.
     """
-    gv = generators.value
-    if gv.ndim != 3 or gv.shape[1] != gv.shape[2]:
-        raise DimensionError(f"skew_exp: expected a (V, n, n) stack, got {gv.shape}")
+    if generators.ndim != 3 or generators.shape[1] != generators.shape[2]:
+        raise DimensionError(f"skew_exp: need a (V, n, n) stack, got {generators.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        a = gv - gv.transpose(0, 2, 1)
+        a = generators - generators.transpose(0, 2, 1)
         w = a.transpose(0, 2, 1) @ a
     if not np.all(np.isfinite(w)):
         raise NumericError("skew_exp: (M - M^T)^T (M - M^T) has non-finite entries")
@@ -433,8 +416,10 @@ def skew_exp(generators: Var) -> Var:
         lam, v = np.linalg.eigh(w)
     except np.linalg.LinAlgError as err:
         raise NumericError(f"skew_exp: eigendecomposition failed ({err})")
+    del w
     theta = np.sqrt(np.maximum(lam, 0.0))
     av = a @ v
+    del a
     # eigh sorts lam, so theta[:, -1] is each matrix's largest angle
     halvings = np.maximum(np.frexp(theta[:, -1] / _MAX_ANGLE)[1], 0)
     if halvings.any():
@@ -450,8 +435,28 @@ def skew_exp(generators: Var) -> Var:
         q = out[sel]
         squarings.append((sel, q))
         out[sel] = q @ q
-    return generators.tape._push("skew_exp", (generators.idx,), out,
-                                 (v, av, theta, halvings, squarings))
+    return out, (v, av, theta, halvings, squarings)
+
+
+def skew_exp(generators: Var) -> Var:
+    """`skew_exp_kernel` as one node.
+
+    The adjoint, for the output cotangent G after the squarings' adjoint
+    (G <- G Q^T + Q^T G for each squaring Q -> Q^2), is
+
+        dA = G sinc(sqrt(W)) + A (G_W + G_W^T),
+        G_W = V ((V^T G V) o Gc + ((A V)^T G V) o Gs) V^T,
+
+    five real matmuls on the kept (V, A V, theta); the generators get
+    dA - dA^T. Gc and Gs are the divided differences of cos(sqrt(l)) and
+    sinc(sqrt(l)) at lam (the Daleckii-Krein form; Higham, Functions of
+    Matrices, 2008), each to about 1e-13 absolute (see
+    `_skew_exp_divided_differences`), so the adjoint matches the block
+    Frechet derivative to 1e-12 on near-repeated, tiny, large and
+    branch-straddling angles.
+    """
+    out, saved = skew_exp_kernel(generators.value)
+    return generators.tape._push("skew_exp", (generators.idx,), out, saved)
 
 
 def _skew_exp_divided_differences(theta: np.ndarray):

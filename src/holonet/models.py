@@ -9,20 +9,16 @@ readout id per row (None: readout 0), under one row-layout rule
 hits the recurrent state of the holonomic model and the RNNs and the residual
 stream of the transformer.
 
-At inference the recurrent models step through the block's columns; the
-holonomic step is `grad_engine.token_step`, the kernel of the training node
-`holonomic_scan`, over a token schedule and renormalization columns computed
-once per block. The schedule fixes the kernel's layout for the whole block:
-grouped, one GEMM per token present in a column, or padded, one batched GEMM
-per column over a (V, m_t, n) buffer, whichever `grad_engine.token_schedule`
-rates cheaper from the block's token counts. Inference and training run the
-same schedule, so they agree bit for bit in either layout, and float32
-operators (genlen at precision 32) keep their dtype: the padded buffers take
-the operators'. The transformer packs the block once (`_pack`): the live
-tokens of the rows, sorted by length, as one (T, d) stream with equal-length
-segments, and each layer is one call of `grad_engine.encoder_layer_kernel`
-over it (`transformer_forward_batch`), the kernel of the training node
-`encoder_layer`, so training and inference run one layer path.
+At inference each model runs its training nodes' kernels, so the two agree
+bit for bit. The holonomic operators are `HolonomicParams.operators`, the
+`skew_exp` kernel over the whole vocabulary, and the holonomic step is
+`grad_engine.token_step` (the `holonomic_scan` kernel) over a token schedule
+and renormalization columns computed once per block, in the layout, grouped
+or padded, that `grad_engine.token_schedule` picks; float32 operators (genlen
+at precision 32) keep their dtype. The transformer packs the block once
+(`_pack`): the live tokens of the rows, sorted by length, as one (T, d) stream
+with equal-length segments, and each layer is one call of
+`grad_engine.encoder_layer_kernel` over it (`transformer_forward_batch`).
 `holonomic_forward` and `rnn_forward` are the recurrent models' noiseless
 per-episode (B = 1) references.
 
@@ -109,17 +105,9 @@ class HolonomicParams:
     readout: np.ndarray        # (n_queries, n_classes, n)
 
     def operators(self) -> np.ndarray:
-        """exp(M - M^T) per vocabulary token, stacked (vocab, n, n).
-
-        Inference keeps the per-token Pade exponential, not the training
-        graph's `skew_exp`: the eigh route wins by sharing its
-        eigendecomposition with the adjoint, and forward-only it is no faster
-        (45 operators at n = 128, one BLAS thread: ~126 ms Pade against
-        ~130 ms eigh), while Pade keeps every probe's bits unchanged."""
-        out = np.empty_like(self.generators, dtype=np.float64)
-        for t in range(self.vocab):
-            out[t] = tc.mat_exp(tc.skew(self.generators[t]))
-        return out
+        """exp(M - M^T) per vocabulary token, stacked (vocab, n, n) in float64
+        by the training graph's `skew_exp` kernel: the trained bits."""
+        return ge.skew_exp_kernel(np.asarray(self.generators, dtype=np.float64))[0]
 
     def to_dict(self):
         return {"generators": self.generators, "h0": self.h0, "readout": self.readout}

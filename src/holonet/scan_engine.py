@@ -8,8 +8,8 @@ K tokens get one inverse-free Newton-Schulz orthogonalization pass.
 State-only evolution (h_L = H_L h0 without forming H_L) is
 `models.forward_batch`.
 
-Operators are memoized per vocabulary token, so a run computes at most
-|vocab| matrix exponentials regardless of sequence length.
+A run builds its operators once, with one batched eigh over the whole
+vocabulary: the training graph's `skew_exp` kernel (`build_operators`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class ScanPlan:
 
 
 def build_operators(p: HolonomicParams, precision: int = 64) -> np.ndarray:
-    """exp(M_t - M_t^T) per vocabulary token, in the requested precision."""
+    """`HolonomicParams.operators`, in the requested precision."""
     ops = p.operators()
     return ops.astype(np.float32) if precision == 32 else ops
 

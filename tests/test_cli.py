@@ -65,7 +65,7 @@ def test_train_raises_on_non_finite_loss_or_gradient(kind):
                  Curriculum(kind="stepwise", l_min=1, l_max=2), cfg, RngState(7))
 
 
-@pytest.mark.parametrize("command", ["sweep", "genlen", "massgap"])
+@pytest.mark.parametrize("command", ["sweep", "genlen", "horizon", "massgap"])
 def test_non_finite_operators_exit_numeric(tmp_path, command):
     # finite generators so large that exp(M - M^T) overflows: evaluation must
     # stop with exit 3 instead of scoring NaN logits as class 0
@@ -76,6 +76,7 @@ def test_non_finite_operators_exit_numeric(tmp_path, command):
     config = tmp_path / "probe.ini"
     config.write_text(f"[noise]\npoints = 2\nepisodes = 4\ncheckpoint = {ckpt}\n"
                       f"[genlen]\nlengths = 5\nepisodes = 4\ncheckpoint = {ckpt}\n"
+                      f"[horizon]\nt_max = 5\npoints = 2\ncheckpoint = {ckpt}\n"
                       f"[massgap]\nepisodes_per_class = 2\ncheckpoint = {ckpt}\n")
     code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERIC

@@ -538,12 +538,22 @@ def test_skew_exp_rejects_non_finite():
 
 
 def test_holonomic_scan_identity_padding_is_bit_exact():
+    # row 0 with four leading pads against the block without those columns:
+    # its later columns hold the same token counts, so both blocks take one
+    # layout (the two layouts differ in the last bits at V = 6, n = 32)
     gen = tc.RngState(22).generator()
-    u = ge.skew_exp(ge.Tape().leaf(gen.standard_normal((3, 5, 5))))
-    h0 = u.tape.leaf(gen.standard_normal(5))
-    padded = ge.holonomic_scan(u, [[-1, -1, 2, 0, 1], [1, 1, 0, 2, 2]], h0).value
-    alone = ge.holonomic_scan(u, [[2, 0, 1]], h0).value
-    assert np.array_equal(padded[0], alone[0])
+    for n, padded in ((32, True), (128, False)):
+        u = ge.skew_exp(ge.Tape().leaf(0.1 * gen.standard_normal((6, n, n))))
+        h0 = u.tape.leaf(gen.standard_normal(n))
+        tail = gen.integers(0, 6, size=(16, 12))
+        head = gen.integers(0, 6, size=(16, 4))
+        head[0] = ge.IDENTITY_STEP
+        ids = np.concatenate([head, tail], axis=1)
+        assert ge.token_schedule(ids, u.value).padded is padded
+        assert ge.token_schedule(tail, u.value).padded is padded
+        with_pads = ge.holonomic_scan(u, ids, h0).value
+        alone = ge.holonomic_scan(u, tail, h0).value
+        assert np.array_equal(with_pads[0], alone[0]), f"n={n}"
 
 
 def test_scan_cases_take_both_layouts():

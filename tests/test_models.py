@@ -5,6 +5,7 @@ import pytest
 
 from holonet import grad_engine as ge
 from holonet import models as md
+from holonet import scan_engine as se
 from holonet.errors import ArgumentError, CapacityError, DimensionError, NumericError
 from holonet.group_tasks import (
     Batch,
@@ -95,6 +96,18 @@ def test_holonomic_order_sensitivity():
     a = md.holonomic_forward(p, Episode(tokens=(0, 1), target=0, length=2))[0][-1]
     b = md.holonomic_forward(p, Episode(tokens=(1, 0), target=0, length=2))[0][-1]
     assert np.linalg.norm(a - b) > 1e-8
+
+
+@pytest.mark.parametrize("n, vocab, n_queries, gen_scale",
+                         [(32, 6, 1, None), (128, 45, 10, 1.0)], ids=["s3", "binding"])
+def test_operators_are_the_training_graphs_bits(n, vocab, n_queries, gen_scale):
+    # inference builds the operators with the skew_exp node's kernel; the
+    # binding case's angles exceed 8, so it also takes the halve-and-square path
+    p = md.init_holonomic(RngState(50), n, vocab, 6, n_queries, gen_scale)
+    ops = p.operators()
+    assert ops.dtype == np.float64
+    assert np.array_equal(ops, ge.skew_exp(ge.Tape().leaf(p.generators)).value)
+    assert se.build_operators(p, 32).dtype == np.float32
 
 
 def test_holonomic_noise_renormalizes_to_unit():
