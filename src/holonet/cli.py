@@ -220,6 +220,8 @@ def cmd_horizon(cfg: RunConfig) -> int:
     summary = [f"model: {kind}", f"method: {methods[0]}",
                f"lambda_max: {primary.lambda_max:.6e}",
                f"fit_r_squared: {primary.fit_r_squared:.6f}"]
+    if primary.note:
+        summary.append(f"fit_note: {primary.note}")
     if len(methods) == 2:
         other = curves[methods[1]]
         write_csv(d / "curve_autodiff.csv", ["t", "J"],

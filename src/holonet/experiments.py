@@ -185,6 +185,7 @@ class HorizonCurve:
     j_values: np.ndarray
     lambda_max: float
     fit_r_squared: float
+    note: str = ""      # "flat": log J spread below HORIZON_FLAT_SPREAD, nothing fit
 
     def __post_init__(self):
         if np.any(self.j_values < 0):
@@ -501,6 +502,13 @@ def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
 # ===================================================================== memory horizon
 
 
+# The rounding floor of the horizon fit: J(t) whose log spreads less than
+# this over the fitted points is flat (lambda_max 0, no r^2). curve.csv
+# writes J to ten significant digits, so no smaller spread shows there; a
+# trained S3 model's J(t) = 1 spreads 1.5e-14-4.8e-14 in log up to t = 5000.
+HORIZON_FLAT_SPREAD = 1e-9
+
+
 def _rnn_step_jacobians(params, tokens, normalized: bool):
     """Exact per-step Jacobians of the (optionally normalized) tanh recurrence."""
     jacs = []
@@ -594,17 +602,20 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
             j_values.append(tc.spectral_norm(jac, tol=1e-12, rng=rng.child(1, t)))
     j_values = np.asarray(j_values)
     mask = (np.asarray(t_grid) >= fit_min_t) & (j_values > 1e-280)
-    lam, r2 = float("nan"), float("nan")
+    lam, r2, note = float("nan"), float("nan"), ""
     if mask.sum() >= 2:
         x = np.asarray(t_grid, dtype=float)[mask]
         y = np.log(j_values[mask])
-        design = np.stack([x, np.ones_like(x)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        lam = float(coef[0])
-        resid = y - design @ coef
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - float(resid @ resid) / ss_tot
-    return HorizonCurve(model_tag or kind, np.asarray(t_grid), j_values, lam, r2)
+        if np.ptp(y) < HORIZON_FLAT_SPREAD:
+            lam, note = 0.0, "flat"
+        else:
+            design = np.stack([x, np.ones_like(x)], axis=1)
+            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+            lam = float(coef[0])
+            resid = y - design @ coef
+            ss_tot = float(np.sum((y - y.mean()) ** 2))
+            r2 = 1.0 - float(resid @ resid) / ss_tot
+    return HorizonCurve(model_tag or kind, np.asarray(t_grid), j_values, lam, r2, note)
 
 
 # ===================================================================== diagnostics

@@ -8,8 +8,9 @@ covers the models' training graphs and the autodiff Jacobian horizon:
     padding mask), tanh, unit, transpose, layer normalization and embedding
     lookup;
   * fused batch nodes: readout gather, mean cross-entropy, `skew_exp`
-    (exp(M - M^T) for a whole generator stack by one real symmetric
-    eigendecomposition, Daleckii-Krein adjoint), `holonomic_scan` (the
+    (exp(M - M^T) for a whole generator stack: a small one by a scaled
+    Taylor polynomial, matmuls only, a large one by one real symmetric
+    eigendecomposition with the Daleckii-Krein adjoint), `holonomic_scan` (the
     holonomic recurrence over a left-padded (B, L) token matrix, one node
     per batch), `encoder_layer` (one pre-LN transformer layer, its 16
     weights as inputs) and `segment_pool` (each sequence's last token or
@@ -373,11 +374,34 @@ def _embed_bwd(t: Tape, idx: int, g):
 # checked.
 
 
-# Branches of the skew_exp adjoint's divided differences, and its halving.
+# skew_exp's eigh algorithm: branches of its adjoint's divided differences,
+# and its halving.
 _DD_GAP = 1e-2          # |lam_j - lam_k| below this: a near pair, |del| < 0.05
 _DD_PROD = 1.0 / 16     # near pairs with theta_j theta_k below this: lam < 0.07
 _DD_TERMS = 6           # terms of the lam series there
 _MAX_ANGLE = 8.0        # larger angles are halved, and the exponential squared back
+
+# skew_exp's Taylor algorithm: the degree-23 Taylor polynomial of exp(X) after
+# s halvings bring ||X||_2 to at most _TAYLOR_NORM. X is normal, so its
+# truncation error is at most sum_{k > 23} 2^k / k! = 2.9e-17 in the 2-norm.
+# Its even and odd halves are C(B) and X S(B), B = X^2: C's coefficient of
+# B^(4j + i) is 1 / (2 (4j + i))! and S's 1 / (2 (4j + i) + 1)!, held at
+# [j, 0, i] and [j, 1, i] for the three Paterson-Stockmeyer chunks j.
+_TAYLOR_NORM = 2.0
+_TAYLOR_COEFFS = np.array([[[1.0 / math.factorial(2 * (4 * j + i) + odd) for i in range(4)]
+                            for odd in (0, 1)] for j in range(3)])
+
+# The largest stack, in entries V n^2, that skew_exp takes by the Taylor
+# polynomial; a larger one goes by eigh. Forward plus adjoint of one `skew_exp` node, Taylor over eigh, at
+# ||A||_2 = 3 (trained S3's scale), one BLAS thread, OpenBLAS 0.3.31, x86-64,
+# two runs: 0.56-0.62 at (V, n) = (6, 32), 0.63-0.70 at (8, 32) and (32, 16),
+# 0.82-0.89 at (2, 64); 0.83-0.97 at (10, 32), 1.01-1.17 at (12, 32), 1.5-1.6
+# at (6, 64) and (45, 32). The adjoint loses first: the forward alone still
+# wins 2.4-fold at (6, 64). The scale does not move the choice: at (6, 32),
+# ||A||_2 = 40-1e4 (5-13 Taylor squarings) reads 0.63-0.83, and Taylor's
+# orthogonality defect stays below eigh's. S3 and scan-bench stacks (6, 32)
+# go Taylor; binding's (45, 128) stays eigh.
+TAYLOR_MAX_ENTRIES = 2 ** 13
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -389,10 +413,113 @@ def skew_exp_kernel(generators: np.ndarray) -> tuple[np.ndarray, tuple]:
     """exp(M - M^T) for each matrix of a (V, n, n) stack of generators, and
     what the `skew_exp` backward reads: (out, saved).
 
-    Real arithmetic throughout. For skew A = M - M^T, W = A^T A = -A^2 is
-    symmetric positive semi-definite; one batched real eigh gives
-    W = V diag(lam) V^T, and the rotation angles theta = sqrt(max(lam, 0))
-    (each twice). Since cos(sqrt(l)) and sinc(sqrt(l)) are entire in l,
+    One algorithm per stack, chosen from its shape alone: a stack of at most
+    TAYLOR_MAX_ENTRIES entries goes by the Taylor polynomial (matmuls only,
+    `_taylor_exp`) unless its B^4 overflows, any other by one real symmetric
+    eigendecomposition (`_eigh_exp`). Both halve a large matrix s times and
+    square its exponential back s times. Real arithmetic throughout.
+    """
+    if generators.ndim != 3 or generators.shape[1] != generators.shape[2]:
+        raise DimensionError(f"skew_exp: need a (V, n, n) stack, got {generators.shape}")
+    if generators.size <= TAYLOR_MAX_ENTRIES:
+        taylor = _taylor_exp(generators)
+        if taylor is not None:
+            return taylor
+    return _eigh_exp(generators)
+
+
+def _square_back(out: np.ndarray, halvings: np.ndarray) -> list:
+    """Square out[v] in place halvings[v] times; the squarings the backward
+    reads."""
+    squarings = []
+    for level in range(halvings.max(initial=0)):
+        sel = np.flatnonzero(halvings > level)
+        q = out[sel]
+        squarings.append((sel, q))
+        out[sel] = q @ q
+    return squarings
+
+
+def _taylor_exp(generators: np.ndarray):
+    """The Taylor algorithm, or None if B^4 = A^8 is not finite.
+
+    With B = A^2, Paterson-Stockmeyer needs B^2, B^3 and B^4. A = M - M^T is
+    normal, so ||A||_2^8 = ||B^4||_2 <= ||B^4||_1 bounds each matrix's scale
+    before any halving, and halving A scales the powers by powers of two,
+    exactly. Then exp(X) = C(B) + X S(B) for X = A / 2^s: every chunk
+    sum_i c_i B^i (i < 4) of C and S in one GEMM, Horner in B^4 over the
+    chunks of C and S side by side, and X S(B): nine matmuls.
+    """
+    powers = np.empty((4,) + generators.shape)  # B, B^2, B^3, B^4
+    b, b2, b3, b4 = powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = generators - generators.transpose(0, 2, 1)
+        np.matmul(x, x, out=b)
+        np.matmul(b, b, out=b2)
+        np.matmul(b2, b, out=b3)
+        np.matmul(b2, b2, out=b4)
+        bound = np.abs(b4).sum(axis=1).max(axis=1, initial=0.0) ** 0.125
+    if not np.all(np.isfinite(bound)):
+        return None
+    halvings = np.maximum(np.frexp(bound / _TAYLOR_NORM)[1], 0)
+    x *= np.ldexp(1.0, -halvings)[:, None, None]
+    powers *= np.ldexp(1.0, -np.multiply.outer((2, 4, 6, 8), halvings))[:, :, None, None]
+    # horner[j, 0] and horner[j, 1]: the jth chunk of C and of S, then the
+    # Horner sums from chunk j up, in place
+    n = b.shape[-1]
+    horner = np.dot(_TAYLOR_COEFFS[..., 1:].reshape(6, 3), powers[:3].reshape(3, -1))
+    horner = horner.reshape((3, 2) + b.shape)
+    horner.reshape(6, -1, n * n)[:, :, ::n + 1] += _TAYLOR_COEFFS[..., :1].reshape(6, 1, 1)
+    for j in (1, 0):
+        horner[j] += horner[j + 1] @ b4
+    c, s = horner[0]
+    out = x @ s
+    out += c
+    squarings = _square_back(out, halvings)
+    return out, (_taylor_adjoint, (x, powers, horner), halvings, squarings)
+
+
+def _taylor_adjoint(g: np.ndarray, x, powers, horner) -> np.ndarray:
+    """dX for the cotangent g of `_taylor_exp`'s exp(X), by reverse mode
+    through its products: eighteen matmuls. X^T is taken as -X (exact, X
+    is skew); numpy multiplies a transposed right operand slowly, so the
+    other right operands that need it are transposed by a copy."""
+    def tr(m):
+        return np.ascontiguousarray(m.swapaxes(-1, -2))
+
+    dx = g @ tr(horner[0, 1])
+    # dts[j]: the cotangents of C's and S's Horner sums from chunk j up
+    dts = np.empty((3, 2) + g.shape)
+    dts[0, 0] = g
+    np.negative(x @ g, out=dts[0, 1])
+    b4t = tr(powers[3])
+    db4 = np.zeros_like(g)
+    for j in (1, 2):
+        prod = horner[j].swapaxes(-1, -2) @ dts[j - 1]
+        db4 += prod[0]
+        db4 += prod[1]
+        np.matmul(dts[j - 1], b4t, out=dts[j])
+    dpow = np.dot(_TAYLOR_COEFFS[..., 1:].reshape(6, 3).T, dts.reshape(6, -1))
+    (b, b2, _, _), (db, db2, db3) = powers, dpow.reshape((3,) + g.shape)
+    bt, b2t = tr(b), tr(b2)
+    db2 += db4 @ b2t
+    db2 += b2.swapaxes(-1, -2) @ db4
+    db2 += db3 @ bt
+    db += b2.swapaxes(-1, -2) @ db3
+    db += db2 @ bt
+    db += b.swapaxes(-1, -2) @ db2
+    dx -= db @ x
+    dx -= x @ db
+    return dx
+
+
+def _eigh_exp(generators: np.ndarray):
+    """The eigh algorithm.
+
+    For skew A = M - M^T, W = A^T A = -A^2 is symmetric positive
+    semi-definite; one batched real eigh gives W = V diag(lam) V^T, and the
+    rotation angles theta = sqrt(max(lam, 0)) (each twice). Since
+    cos(sqrt(l)) and sinc(sqrt(l)) are entire in l,
 
         exp(A) = cos(sqrt(W)) + A sinc(sqrt(W))
                = (V diag(cos theta) + (A V) diag(sinc theta)) V^T
@@ -403,10 +530,9 @@ def skew_exp_kernel(generators: np.ndarray) -> tuple[np.ndarray, tuple]:
     eps ||A||_2^2. A matrix whose largest angle exceeds _MAX_ANGLE is halved
     s times (A / 2^s has W / 4^s: the same V and lam / 4^s, so the one eigh
     serves) and its exponential squared s times, so the defect grows like
-    eps ||A||_2 instead: about 1e-13 at ||A||_2 = 100 and 1e-11 at 1e4.
+    eps ||A||_2 instead: about 1e-13 at ||A||_2 = 100 and 1e-11 at 1e4. A
+    forward holds at most four (V, n, n) arrays besides the generators.
     """
-    if generators.ndim != 3 or generators.shape[1] != generators.shape[2]:
-        raise DimensionError(f"skew_exp: need a (V, n, n) stack, got {generators.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         a = generators - generators.transpose(0, 2, 1)
         w = a.transpose(0, 2, 1) @ a
@@ -429,25 +555,21 @@ def skew_exp_kernel(generators: np.ndarray) -> tuple[np.ndarray, tuple]:
     out = v * np.cos(theta)[:, None, :]
     out += av * _sinc(theta)[:, None, :]
     out = out @ v.transpose(0, 2, 1)
-    squarings = []
-    for level in range(halvings.max(initial=0)):
-        sel = np.flatnonzero(halvings > level)
-        q = out[sel]
-        squarings.append((sel, q))
-        out[sel] = q @ q
-    return out, (v, av, theta, halvings, squarings)
+    squarings = _square_back(out, halvings)
+    return out, (_eigh_adjoint, (v, av, theta), halvings, squarings)
 
 
 def skew_exp(generators: Var) -> Var:
     """`skew_exp_kernel` as one node.
 
-    The adjoint, for the output cotangent G after the squarings' adjoint
-    (G <- G Q^T + Q^T G for each squaring Q -> Q^2), is
+    The backward first takes the squarings' adjoint (G <- G Q^T + Q^T G for
+    each squaring Q -> Q^2), then the algorithm's: reverse mode through the
+    Taylor algorithm's products (`_taylor_adjoint`), or for eigh
 
         dA = G sinc(sqrt(W)) + A (G_W + G_W^T),
         G_W = V ((V^T G V) o Gc + ((A V)^T G V) o Gs) V^T,
 
-    five real matmuls on the kept (V, A V, theta); the generators get
+    five real matmuls on the kept (V, A V, theta). The generators get
     dA - dA^T. Gc and Gs are the divided differences of cos(sqrt(l)) and
     sinc(sqrt(l)) at lam (the Daleckii-Krein form; Higham, Functions of
     Matrices, 2008), each to about 1e-13 absolute (see
@@ -511,9 +633,7 @@ def _skew_exp_divided_differences(theta: np.ndarray):
 
 
 def _skew_exp_bwd(t: Tape, idx: int, g):
-    # five (V, n, n) buffers at most: every product goes into a dead one, and
-    # the dead ones are dropped before _accum copies the result
-    v, av, theta, halvings, squarings = t.aux[idx]
+    adjoint, core, halvings, squarings = t.aux[idx]
     if squarings:
         g = g.copy()
     for sel, q in reversed(squarings):
@@ -522,6 +642,17 @@ def _skew_exp_bwd(t: Tape, idx: int, g):
         gsq = gq @ qt
         gsq += qt @ gq
         g[sel] = gsq
+    da = adjoint(g, *core)
+    if squarings:
+        da *= np.ldexp(1.0, -halvings)[:, None, None]
+    dm = da - da.transpose(0, 2, 1)
+    del da
+    t._accum(t.inputs[idx][0], dm)
+
+
+def _eigh_adjoint(g: np.ndarray, v, av, theta) -> np.ndarray:
+    """dA for the cotangent g of `_eigh_exp`'s exp(A) (see `skew_exp`)."""
+    # five (V, n, n) buffers at most: every product goes into a dead one
     gc, gs, sinc = _skew_exp_divided_differences(theta)
     vt = v.transpose(0, 2, 1)
     gv = g @ v
@@ -532,12 +663,7 @@ def _skew_exp_bwd(t: Tape, idx: int, g):
     x += r
     gv *= sinc[:, None, :]
     gv += np.matmul(av, np.add(x, x.transpose(0, 2, 1), out=gs), out=r)
-    da = np.matmul(gv, vt, out=x)
-    if squarings:
-        da *= np.ldexp(1.0, -halvings)[:, None, None]
-    dm = np.subtract(da, da.transpose(0, 2, 1), out=gv)
-    del gc, gs, r, x, da
-    t._accum(t.inputs[idx][0], dm)
+    return np.matmul(gv, vt, out=x)
 
 
 # Id of the identity step in holonomic_scan; left-pads rows shorter than L.

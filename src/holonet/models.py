@@ -106,7 +106,8 @@ class HolonomicParams:
 
     def operators(self) -> np.ndarray:
         """exp(M - M^T) per vocabulary token, stacked (vocab, n, n) in float64
-        by the training graph's `skew_exp` kernel: the trained bits."""
+        by the training graph's `skew_exp` kernel, which picks its algorithm
+        from the stack's shape and scale alone: the trained bits."""
         return ge.skew_exp_kernel(np.asarray(self.generators, dtype=np.float64))[0]
 
     def to_dict(self):

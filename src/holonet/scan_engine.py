@@ -8,8 +8,9 @@ K tokens get one inverse-free Newton-Schulz orthogonalization pass.
 State-only evolution (h_L = H_L h0 without forming H_L) is
 `models.forward_batch`.
 
-A run builds its operators once, with one batched eigh over the whole
-vocabulary: the training graph's `skew_exp` kernel (`build_operators`).
+A run builds its operators once, over the whole vocabulary, with the
+training graph's `skew_exp` kernel (`build_operators`): matmuls only for
+scan-bench's 6 tokens at n = 32, one batched eigh for a large stack.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ be split hierarchically so parallel sweeps stay bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +163,16 @@ def reorthonormalize(u: np.ndarray, tol: float = 1e-13, max_iter: int = 30) -> n
     """
     u = np.asarray(u, dtype=np.float64)
     _require_square(u, "reorthonormalize")
-    eye = np.eye(u.shape[0])
-    gram = u.T @ u - eye
-    defect = np.linalg.norm(gram)
+    step = u.shape[0] + 1   # the diagonal's stride in the flat Gram matrix
+
+    def gram_defect(x):
+        # X^T X - I and its Frobenius norm, the ddot np.linalg.norm runs
+        gram = x.T @ x
+        flat = gram.ravel()
+        flat[::step] -= 1.0
+        return gram, math.sqrt(flat @ flat)
+
+    gram, defect = gram_defect(u)
     if not np.isfinite(defect) or defect >= 0.5:
         raise ConvergenceError(
             f"reorthonormalize: input too far from orthogonal (defect {defect:.3g})",
@@ -174,8 +182,7 @@ def reorthonormalize(u: np.ndarray, tol: float = 1e-13, max_iter: int = 30) -> n
         if defect < tol:
             return x
         x = x - 0.5 * (x @ gram)
-        gram = x.T @ x - eye
-        defect = np.linalg.norm(gram)
+        gram, defect = gram_defect(x)
     raise ConvergenceError(
         f"reorthonormalize: no convergence after {max_iter} iterations "
         f"(defect {defect:.3g})", best=x)

@@ -33,9 +33,14 @@ from .tensor_core import RngState
 
 
 def check_orthogonality(seed):
-    for n in (8, 32, 128):
+    # one matrix at n = 8 and 32 is small enough for skew_exp's Taylor
+    # algorithm, at n = 128 it goes by eigh
+    for n, algorithm in ((8, "taylor"), (32, "taylor"), (128, "eigh")):
         m = RngState(seed).child(n).generator().standard_normal((n, n))
-        pade, u = tc.mat_exp(tc.skew(m)), ge.skew_exp_kernel(m[None])[0][0]
+        out, saved = ge.skew_exp_kernel(m[None])
+        assert saved[0].__name__ == f"_{algorithm}_adjoint", \
+            f"n={n} took {saved[0].__name__}, not {algorithm}"
+        pade, u = tc.mat_exp(tc.skew(m)), out[0]
         gap = np.max(np.abs(u - pade))
         assert gap < 1e-13, f"n={n} skew_exp differs from mat_exp by {gap:.3e}"
         for route, x in (("mat_exp", pade), ("skew_exp", u)):
@@ -43,6 +48,10 @@ def check_orthogonality(seed):
             assert defect < 1e-12, f"n={n} {route} defect {defect:.3e}"
             sign, _ = np.linalg.slogdet(x)
             assert sign == 1.0, f"n={n} {route} determinant sign {sign}"
+    # both algorithms on one S3-sized stack at a trained model's scale
+    stack = 0.2 * RngState(seed).child(0).generator().standard_normal((6, 32, 32))
+    gap = np.max(np.abs(ge._taylor_exp(stack)[0] - ge._eigh_exp(stack)[0]))
+    assert gap < 1e-13, f"skew_exp's Taylor and eigh differ by {gap:.3e}"
 
 
 def check_exp_inverse(seed):
@@ -69,7 +78,8 @@ def check_adjoint_pairing(seed):
     _, adj = tc.mat_exp_frechet(a.T, gbar)
     gap = abs(np.sum(l * gbar) - np.sum(e * adj))
     assert gap < 1e-10, f"adjoint pairing defect {gap:.3e}"
-    # skew_exp's eigendecomposition adjoint against the block Frechet derivative
+    # skew_exp's adjoint (its Taylor algorithm at n = 8) against the block
+    # Frechet derivative
     m, e, gbar = gen.standard_normal((3, 8, 8))
     tape = ge.Tape()
     leaf = tape.leaf(m[None])

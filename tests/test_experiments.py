@@ -9,6 +9,7 @@ import pytest
 from holonet import experiments as ex
 from holonet import grad_engine as ge
 from holonet import models as md
+from holonet.config import parse_config
 from holonet.errors import ArgumentError
 from holonet.group_tasks import Curriculum, naive_binding_target, naive_s3_target
 from holonet.tensor_core import RngState, mat_exp, skew
@@ -206,6 +207,27 @@ def test_horizon_holonomic_unity_both_methods():
     assert np.all(np.abs(op.j_values - 1.0) < 1e-6)
     assert np.all(np.abs(ad.j_values - 1.0) < 1e-6)
     assert np.max(np.abs(op.j_values - ad.j_values)) < 1e-6
+
+
+@pytest.mark.parametrize("method", ["operator-norm", "autodiff"])
+def test_horizon_fit_ignores_rounding_in_orthogonal_operators(method, monkeypatch):
+    # J(t) = 1 to rounding for orthogonal operators: the summary must not
+    # move when the operators move by 1e-15
+    p = md.init_holonomic(RngState(10), 32, 6, 6)
+    grid = sorted({int(t) for t in np.geomspace(1, 1000, 12)})
+    ops = p.operators()
+
+    def summary(operators):
+        monkeypatch.setattr(md.HolonomicParams, "operators", lambda self: operators)
+        curve = ex.jacobian_horizon(md.HOLONOMIC, p, grid, method, RngState(11))
+        return curve.lambda_max, curve.fit_r_squared, curve.note, curve.j_values
+
+    lam, r2, note, j = summary(ops)
+    assert (lam, note) == (0.0, "flat") and math.isnan(r2)
+    noise = 1e-15 * RngState(12).generator().standard_normal(ops.shape)
+    lam2, r2b, note2, j2 = summary(ops + noise)
+    assert not np.array_equal(j, j2)    # the rounding did reach J(t)
+    assert (lam2, note2) == (lam, note) and math.isnan(r2b)
 
 
 # J(t) of the autodiff horizon when its tape differentiated through mat_exp
@@ -534,6 +556,19 @@ def test_train_smoke_converges_tiny_holonomic():
                    cur, cfg, RngState(30))
     assert res.converged
     assert res.final_accuracy == 1.0
+
+
+def test_default_s3_training_and_its_operators_need_no_eigh(monkeypatch):
+    # S3's (6, 32, 32) stack goes by the Taylor polynomial from init to
+    # convergence: training and the trained model's operators call no LAPACK
+    def eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    cfg = parse_config("[run]\nexperiment = train\n")
+    res = ex.train(cfg.model, cfg.task, cfg.curriculum, cfg.train, RngState(0).child(0))
+    assert res.converged
+    assert ge.skew_exp_kernel(res.params.generators)[1][0] is ge._taylor_adjoint
 
 
 def test_train_same_seed_same_bits():

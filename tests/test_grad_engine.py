@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +35,27 @@ def wsum(var, seed=0):
     direction-sensitive."""
     w = var.tape.leaf(tc.RngState(seed).generator().standard_normal(var.value.shape))
     return softplus_sum(ge.hadamard(var, w))
+
+
+# the module constants that force each skew_exp algorithm onto any stack
+SKEW_ALGORITHMS = {
+    "taylor": {"TAYLOR_MAX_ENTRIES": 2 ** 62},
+    "eigh": {"TAYLOR_MAX_ENTRIES": -1},
+}
+
+
+def skew_algorithms(monkeypatch):
+    """Yields each skew_exp algorithm's name with the kernel forced onto it."""
+    for name, constants in SKEW_ALGORITHMS.items():
+        with monkeypatch.context() as patch:
+            for attr, value in constants.items():
+                patch.setattr(ge, attr, value)
+            yield name
+
+
+def algorithm_of(node):
+    """The algorithm a skew_exp node ran: its saved adjoint's name."""
+    return node.tape.aux[node.idx][0].__name__.split("_")[1]
 
 
 # ---------------------------------------------------------------- forward values
@@ -88,7 +110,7 @@ def test_shape_errors():
 # ---------------------------------------------------------------- exp(A)v oracle
 
 
-def test_exp_matvec_loss_matches_finite_differences_at_zero():
+def test_exp_matvec_loss_matches_finite_differences_at_zero(monkeypatch):
     # at the zero generator every rotation angle is 0, so all are repeated
     n = 4
     m0 = np.zeros((1, n, n))
@@ -97,8 +119,9 @@ def test_exp_matvec_loss_matches_finite_differences_at_zero():
     def build(tape, leaves):
         return wsum(ge.holonomic_scan(ge.skew_exp(leaves["m"]), [[0]], tape.leaf(v0)))
 
-    store = ge.ParamStore({"m": m0})
-    assert ge.grad_check(build, store, eps=1e-6) < 1e-6
+    for algorithm in skew_algorithms(monkeypatch):
+        store = ge.ParamStore({"m": m0})
+        assert ge.grad_check(build, store, eps=1e-6) < 1e-6, algorithm
 
 
 def test_mat_exp_adjoint_pairing():
@@ -270,6 +293,16 @@ def test_primitive_gradients(name, seed):
     assert err < 1e-5, f"{name}: max rel grad error {err}"
 
 
+def test_skew_exp_gradients_on_both_algorithms(monkeypatch):
+    # the skew_exp case at its own scale, and past the eigh halving
+    for algorithm in skew_algorithms(monkeypatch):
+        for seed, scale in itertools.product(range(4), (1.0, 12.0)):
+            params, build = PRIMITIVE_CASES["skew_exp"](tc.RngState(1000 + seed).generator())
+            params["m"] *= scale
+            err = ge.grad_check(build, ge.ParamStore(params), eps=1e-6, seed=seed)
+            assert err < 1e-5, f"{algorithm} seed {seed} x{scale}: max rel grad error {err}"
+
+
 def test_every_backward_rule_has_a_finite_difference_case():
     seen = set()
     for make in PRIMITIVE_CASES.values():
@@ -280,7 +313,7 @@ def test_every_backward_rule_has_a_finite_difference_case():
     assert not set(ge._BACKWARD) - seen, sorted(set(ge._BACKWARD) - seen)
 
 
-def test_backward_bitwise_deterministic():
+def test_backward_bitwise_deterministic(monkeypatch):
     def run():
         gen = tc.RngState(9).generator()
         t = ge.Tape()
@@ -292,9 +325,10 @@ def test_backward_bitwise_deterministic():
         assert all(g is None for g, op in zip(t.grads, t.ops) if op != "leaf")
         return a.grad.copy(), v.grad.copy()
 
-    ga1, gv1 = run()
-    ga2, gv2 = run()
-    assert np.array_equal(ga1, ga2) and np.array_equal(gv1, gv2)
+    for algorithm in skew_algorithms(monkeypatch):
+        ga1, gv1 = run()
+        ga2, gv2 = run()
+        assert np.array_equal(ga1, ga2) and np.array_equal(gv1, gv2), algorithm
 
 
 def test_node_reuse_accumulates_cotangents():
@@ -455,13 +489,15 @@ def test_wrt_must_name_leaves_of_the_same_tape():
 # ---------------------------------------------------------------- skew_exp, holonomic_scan
 
 
-def test_skew_exp_matches_pade_and_is_orthogonal():
+def test_skew_exp_matches_pade_and_is_orthogonal(monkeypatch):
     m = tc.RngState(20).generator().standard_normal((2, 128, 128)) / math.sqrt(128)
-    out = ge.skew_exp(ge.Tape().leaf(m)).value
-    for v in range(2):
-        ref = tc.mat_exp(tc.skew(m[v]))
-        assert np.max(np.abs(out[v] - ref)) < 1e-13
-        assert np.linalg.norm(out[v].T @ out[v] - np.eye(128)) < 1e-12
+    for algorithm in skew_algorithms(monkeypatch):
+        node = ge.skew_exp(ge.Tape().leaf(m))
+        assert algorithm_of(node) == algorithm
+        for v in range(2):
+            ref = tc.mat_exp(tc.skew(m[v]))
+            assert np.max(np.abs(node.value[v] - ref)) < 1e-13, algorithm
+            assert np.linalg.norm(node.value[v].T @ node.value[v] - np.eye(128)) < 1e-12
 
 
 def frechet_adjoint_wrt_m(m, gbar):
@@ -502,7 +538,7 @@ SKEW_SPECTRA = {
 
 
 @pytest.mark.parametrize("spectrum", ["random", "zero", *SKEW_SPECTRA])
-def test_skew_exp_adjoint_matches_frechet(spectrum):
+def test_skew_exp_adjoint_matches_frechet(spectrum, monkeypatch):
     gen = tc.RngState(21).generator()
     if spectrum == "random":
         m = gen.standard_normal((6, 6))
@@ -511,30 +547,85 @@ def test_skew_exp_adjoint_matches_frechet(spectrum):
     else:
         m = rotation_block_generator(SKEW_SPECTRA[spectrum], gen)
     gbar = gen.standard_normal((6, 6))
-    tape = ge.Tape()
-    leaf = tape.leaf(m[None])
-    grads = tape.vjp(ge.skew_exp(leaf), gbar[None])
-    assert np.allclose(grads[leaf.idx][0], frechet_adjoint_wrt_m(m, gbar), rtol=0, atol=1e-12)
+    expected = frechet_adjoint_wrt_m(m, gbar)
+    for algorithm in skew_algorithms(monkeypatch):
+        tape = ge.Tape()
+        leaf = tape.leaf(m[None])
+        node = ge.skew_exp(leaf)
+        assert algorithm_of(node) == algorithm
+        grads = tape.vjp(node, gbar[None])
+        assert np.allclose(grads[leaf.idx][0], expected, rtol=0, atol=1e-12), algorithm
 
 
-def test_skew_exp_stays_orthogonal_at_large_norms():
+def test_skew_exp_stays_orthogonal_at_large_norms(monkeypatch):
     m = tc.RngState(23).generator().standard_normal((3, 32, 32))
     a = m - m.transpose(0, 2, 1)
     norms = np.array([1e2, 1e3, 1e4])
     a *= (norms / np.linalg.norm(a, 2, axis=(1, 2)))[:, None, None]
-    out = ge.skew_exp(ge.Tape().leaf(0.5 * a)).value   # M = A/2: M - M^T = A
-    defect = np.linalg.norm(out.transpose(0, 2, 1) @ out - np.eye(32), axis=(1, 2))
-    assert defect[0] <= 1e-12
-    assert np.all(defect < 1e-10)
+    for algorithm in skew_algorithms(monkeypatch):
+        node = ge.skew_exp(ge.Tape().leaf(0.5 * a))   # M = A/2: M - M^T = A
+        assert algorithm_of(node) == algorithm
+        out = node.value
+        defect = np.linalg.norm(out.transpose(0, 2, 1) @ out - np.eye(32), axis=(1, 2))
+        assert defect[0] <= 1e-12, algorithm
+        assert np.all(defect < 1e-10), algorithm
 
 
-def test_skew_exp_rejects_non_finite():
+def test_skew_exp_rejects_non_finite(monkeypatch):
     m = np.zeros((2, 3, 3))
     m[1, 0, 2] = np.nan
-    with pytest.raises(NumericError):
-        ge.skew_exp(ge.Tape().leaf(m))
-    with pytest.raises(NumericError):
-        ge.skew_exp(ge.Tape().leaf(np.full((1, 2, 2), np.inf)))
+    for _ in skew_algorithms(monkeypatch):
+        with pytest.raises(NumericError):
+            ge.skew_exp(ge.Tape().leaf(m))
+        with pytest.raises(NumericError):
+            ge.skew_exp(ge.Tape().leaf(np.full((1, 2, 2), np.inf)))
+
+
+def rotation(theta):
+    """A (1, 2, 2) generator whose M - M^T rotates by theta: ||A||_2 = theta."""
+    return np.array([[[0.0, theta], [0.0, 0.0]]])
+
+
+def test_skew_exp_algorithm_rule_boundary():
+    # shape: V n^2 up to TAYLOR_MAX_ENTRIES goes Taylor, past it eigh
+    n = 32
+    v = ge.TAYLOR_MAX_ENTRIES // n ** 2
+    m = 0.01 * tc.RngState(24).generator().standard_normal((v + 1, n, n))
+    assert algorithm_of(ge.skew_exp(ge.Tape().leaf(m[:v]))) == "taylor"
+    assert algorithm_of(ge.skew_exp(ge.Tape().leaf(m))) == "eigh"
+    # scale does not choose: for one rotation the bound ||B^4||_1^(1/8) is the
+    # angle itself, and angles up to _TAYLOR_NORM 2^s take s halvings
+    for theta, halvings in ((ge._TAYLOR_NORM * (1 - 1e-6), 0),
+                            (ge._TAYLOR_NORM * (1 + 1e-6), 1),
+                            (ge._TAYLOR_NORM * 2.0 ** 9 * (1 - 1e-6), 9)):
+        node = ge.skew_exp(ge.Tape().leaf(rotation(theta)))
+        assert algorithm_of(node) == "taylor", theta
+        assert node.tape.aux[node.idx][2][0] == halvings, theta
+        c, s = math.cos(theta), math.sin(theta)
+        assert np.max(np.abs(node.value[0] - [[c, s], [-s, c]])) < 1e-13, theta
+
+
+def test_skew_exp_taylor_truncation_is_below_1e16():
+    # the tail of exp's Taylor series past the polynomial's degree, at the
+    # largest scaled norm, bounds the truncation error of a normal X
+    degree = ge._TAYLOR_COEFFS.size - 1     # 12 even and 12 odd coefficients
+    assert degree == 23
+    tail = sum(ge._TAYLOR_NORM ** k / math.factorial(k) for k in range(degree + 1, degree + 40))
+    assert tail < 1e-16
+    for j, i, odd in itertools.product(range(3), range(4), range(2)):
+        assert ge._TAYLOR_COEFFS[j, odd, i] == 1.0 / math.factorial(2 * (4 * j + i) + odd)
+
+
+@pytest.mark.parametrize("workload, shape, scale, algorithm", [
+    # S3 training and probes and scan-bench: n = 32 over 6 tokens, at init
+    # and at a trained model's ||A||_2 of about 3
+    ("s3-init", (6, 32, 32), 0.4 / math.sqrt(32), "taylor"),
+    ("s3-trained", (6, 32, 32), 1.1 / math.sqrt(32), "taylor"),
+    ("binding", (45, 128, 128), 0.4 / math.sqrt(128), "eigh"),
+])
+def test_benchmark_stacks_take_their_algorithm(workload, shape, scale, algorithm):
+    m = scale * tc.RngState(25).generator().standard_normal(shape)
+    assert algorithm_of(ge.skew_exp(ge.Tape().leaf(m))) == algorithm
 
 
 def test_holonomic_scan_identity_padding_is_bit_exact():

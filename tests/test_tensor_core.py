@@ -240,6 +240,36 @@ def test_reorthonormalize_is_the_polar_factor():
         assert np.max(np.abs(reorthonormalize(drifted) - left @ right)) < 1e-14
 
 
+def reorthonormalize_reference(u, tol=1e-13, max_iter=30):
+    """Newton-Schulz with the identity built by np.eye and the defect taken
+    by np.linalg.norm: the formula reorthonormalize computes in place."""
+    eye = np.eye(u.shape[0])
+    gram = u.T @ u - eye
+    defect = np.linalg.norm(gram)
+    x = u
+    for _ in range(max_iter):
+        if defect < tol:
+            return x
+        x = x - 0.5 * (x @ gram)
+        gram = x.T @ x - eye
+        defect = np.linalg.norm(gram)
+    raise AssertionError("reference did not converge")
+
+
+def test_reorthonormalize_bits_match_the_eye_and_norm_formula():
+    gen = RngState(17).generator()
+    u = mat_exp(skew(0.2 * gen.standard_normal((32, 32))))
+    for defect in (0.3, 1e-6, 1e-14):
+        e = gen.standard_normal((32, 32))
+        e += e.T
+        e *= 0.5 * defect / np.linalg.norm(e)    # (U (I + E))^T U (I + E) - I ~ 2E
+        drifted = u @ (np.eye(32) + e)
+        start = np.linalg.norm(drifted.T @ drifted - np.eye(32))
+        assert defect / 3 < start < 3 * defect
+        expected = reorthonormalize_reference(drifted)
+        assert np.array_equal(reorthonormalize(drifted), expected), defect
+
+
 def test_reorthonormalize_rejects_far_input():
     with pytest.raises(ConvergenceError):
         reorthonormalize(3.0 * np.eye(4))
