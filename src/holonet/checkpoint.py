@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -218,12 +219,15 @@ def load_checkpoint(path):
     arrays = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode()
+        name = bytes(take(name_len))
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
-        arrays[name] = data.astype(np.float64)
+        # exact: an element count past int64 reads as the end of the data
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:    # a name not UTF-8, or an extent numpy cannot hold
+            arrays[name.decode()] = data.reshape(shape).astype(np.float64)
+        except ValueError as err:
+            raise CorruptionError(f"{path}: unreadable array record {name!r} ({err})")
     if off != len(view):
         raise CorruptionError(f"{path}: trailing bytes after payload")
     _check_layout(kind, meta, arrays, path)

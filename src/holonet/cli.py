@@ -157,7 +157,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
     results = ex.finite_size_scan(cfg.scaling.widths, cfg.task, cfg.curriculum,
                                   cfg.train, cfg.sweep.grid(),
                                   cfg.sweep.episodes, rng, cfg.sweep.threshold,
-                                  cfg.model.kind, cfg.sweep.length)
+                                  cfg.model, cfg.sweep.length)
     rows = []
     points = []
     flagged = []

@@ -14,7 +14,7 @@ a batch's noise, recurrent-state or residual-stream, comes from one stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -446,20 +446,20 @@ def fit_log_scaling(points) -> ScalingFit:
 def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
                      train_cfg: TrainConfig, sweep_grid, sweep_episodes: int,
                      rng: tc.RngState, threshold: float = 0.99,
-                     model_kind: str = md.HOLONOMIC, length: int = 5) -> list[dict]:
-    """Independent train + sweep (at episode length `length`) + T_c per width;
-    non-converged widths are flagged and excluded from downstream fits."""
+                     model: ModelConfig = ModelConfig(), length: int = 5) -> list[dict]:
+    """Independent train + sweep (at episode length `length`) + T_c per width,
+    each width trained as `model` with its `n` replaced; non-converged widths
+    are flagged and excluded from downstream fits."""
     ns = [int(n) for n in n_grid]
     if len(set(ns)) != len(ns):
         raise ArgumentError("duplicate N in width grid")
     rows = []
     for n in ns:
         nrng = rng.child(n)
-        result = train(ModelConfig(kind=model_kind, n=n), task, curriculum,
-                       train_cfg, nrng.child(0))
+        result = train(replace(model, n=n), task, curriculum, train_cfg, nrng.child(0))
         row = {"N": n, "converged": result.converged, "tc": None}
         if result.converged:
-            sweep = noise_sweep(model_kind, result.params, task, sweep_grid,
+            sweep = noise_sweep(model.kind, result.params, task, sweep_grid,
                                 sweep_episodes, nrng.child(1), length)
             row["tc"] = estimate_tc(sweep, threshold, nrng.child(2),
                                     chance=task.trivial_accuracy(length))
@@ -473,8 +473,7 @@ def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
 
 def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
                                episodes: int, precision: int,
-                               rng: tc.RngState,
-                               renorm_interval: int = 64) -> list[dict]:
+                               rng: tc.RngState) -> list[dict]:
     """Accuracy per length on fresh episodes; learned-positional overflow is
     recorded explicitly instead of silently scored."""
     if precision not in (32, 64):
@@ -492,7 +491,7 @@ def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
             continue
         batch = task.sample_batch(rng.child(li).generator(), np.full(episodes, length))
         _, logits = md.forward_batch(kind, params, batch.ids, batch.queries,
-                                     operators=operators, renorm_interval=renorm_interval)
+                                     operators=operators)
         acc = float(np.mean(np.argmax(logits, axis=1) == batch.targets))
         rows.append({"L": int(length), "acc": acc, "episodes": episodes,
                      "precision": precision, "note": ""})
@@ -510,21 +509,17 @@ HORIZON_FLAT_SPREAD = 1e-9
 
 
 def _rnn_step_jacobians(params, tokens, normalized: bool):
-    """Exact per-step Jacobians of the (optionally normalized) tanh recurrence."""
+    """Exact per-step Jacobians of the (optionally normalized) tanh recurrence
+    along the states of its step kernel, `grad_engine.rnn_step`."""
     jacs = []
-    h = np.zeros(params.n)
+    h = np.zeros((1, params.n))
     for tok in tokens:
-        pre = params.w_rec @ h + params.w_in[tok] + params.bias
-        a = np.tanh(pre)
-        step = (1.0 - a ** 2)[:, None] * params.w_rec
-        if normalized:
-            norm = np.linalg.norm(a)
-            if norm > 0:
-                y = a / norm
-                step = (np.eye(params.n) - np.outer(y, y)) / norm @ step
-                a = y
+        h, a = ge.rnn_step(h, [0], [tok], params.w_rec.T, params.w_in, params.bias,
+                           normalized)
+        step = (1.0 - a[0] ** 2)[:, None] * params.w_rec
+        if normalized and np.any(a):
+            step = (np.eye(params.n) - np.outer(h, h)) / np.linalg.norm(a) @ step
         jacs.append(step)
-        h = a
     return jacs
 
 

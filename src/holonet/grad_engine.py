@@ -4,31 +4,33 @@ A Tape records primitive applications in topological order; backward
 replays them in reverse, accumulating exact cotangents. The primitive set
 covers the models' training graphs and the autodiff Jacobian horizon:
 
-  * dense and elementwise: matmul, matvec, add, hadamard (also the RNN's
-    padding mask), tanh, unit, transpose, layer normalization and embedding
-    lookup;
+  * dense and elementwise: matvec, add, tanh, unit, layer normalization and
+    embedding lookup;
   * fused batch nodes: readout gather, mean cross-entropy, `skew_exp`
     (exp(M - M^T) for a whole generator stack: a small one by a scaled
     Taylor polynomial, matmuls only, a large one by one real symmetric
-    eigendecomposition with the Daleckii-Krein adjoint), `holonomic_scan` (the
-    holonomic recurrence over a left-padded (B, L) token matrix, one node
-    per batch), `encoder_layer` (one pre-LN transformer layer, its 16
-    weights as inputs) and `segment_pool` (each sequence's last token or
-    mean), both on a packed (T, d) token stream of any length mix.
+    eigendecomposition with the Daleckii-Krein adjoint), `holonomic_scan` and
+    `rnn_scan` (the holonomic recurrence, and the tanh RNN plain or
+    normalized, over a left-padded (B, L) token matrix, one node per batch),
+    `encoder_layer` (one pre-LN transformer layer, its 16 weights as inputs)
+    and `segment_pool` (each sequence's last token or mean), both on a packed
+    (T, d) token stream of any length mix.
 
 Training and inference share one numpy kernel per piece of a model, so the
 two give the same bits: `skew_exp_kernel` (run by the `skew_exp` node and by
 `models.HolonomicParams.operators`, so by every probe and scan), `token_step`
 (the holonomic step, run by `holonomic_scan` forward and backward and by
-`models.forward_batch`) and `encoder_layer_kernel` (run by the
-`encoder_layer` node and by `models.transformer_forward_batch`). `token_step`
-multiplies each row of a state block by its token's matrix in the layout the
-block's `token_schedule` (one argsort and one bincount) picks once: grouped,
-one matmul per token present over the rows that hold it, or padded, one
-batched matmul of a (V, m_t, n) buffer against the (V, n, n) bank, whichever
-costs less when a GEMM call is valued at GEMM_CALL_MACS multiply-adds of
-padding (a measured exchange rate): S3's vocabulary of 6 goes padded at
-n = 32, binding's 45 stays grouped at n = 128.
+`models.forward_batch`), `rnn_step` (the RNN step, run by `rnn_scan` and by
+`models.forward_batch`, and along the horizon's step Jacobians) and
+`encoder_layer_kernel` (run by the `encoder_layer` node and by
+`models.transformer_forward_batch`). `token_step` multiplies each row of a
+state block by its token's matrix in the layout the block's `token_schedule`
+(one argsort and one bincount) picks once: grouped, one matmul per token
+present over the rows that hold it, or padded, one batched matmul of a
+(V, m_t, n) buffer against the (V, n, n) bank, whichever costs less when a
+GEMM call is valued at GEMM_CALL_MACS multiply-adds of padding (a measured
+exchange rate): S3's vocabulary of 6 goes padded at n = 32, binding's 45
+stays grouped at n = 128.
 
 Values are numpy arrays; a scalar is a 0-d array. Gradients are bitwise
 deterministic for identical tapes: the reverse sweep is a fixed-order
@@ -43,8 +45,8 @@ arithmetic, so the bits do not change), and the fused backward rules write
 their products into buffers they no longer need.
 
 A sweep can be narrowed and widened. `wrt=` names the leaves wanted: only
-nodes on a path to one of them get a cotangent, so constant leaves (padding
-masks, zero states, sinusoidal tables) get none, and matvec skips the outer
+nodes on a path to one of them get a cotangent, so constant leaves (the
+horizon's operators, sinusoidal tables) get none, and matvec skips the outer
 product for a pruned matrix. A cotangent block of shape (k, *node.shape)
 runs k independent VJPs in one sweep, e.g. a whole Jacobian from an
 identity block; the rules in `_BLOCK_RULES` carry the leading axis, and a
@@ -80,10 +82,6 @@ class Var:
 
     def __add__(self, other: "Var") -> "Var":
         return add(self, other)
-
-    @property
-    def T(self) -> "Var":
-        return transpose(self)
 
 
 class Tape:
@@ -196,19 +194,6 @@ def _lead(t: Tape, idx: int, g: np.ndarray) -> int:
 # ------------------------------------------------------------------ primitives
 
 
-def matmul(a: Var, b: Var) -> Var:
-    av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise DimensionError(f"matmul: {av.shape} @ {bv.shape}")
-    return a.tape._push("matmul", (a.idx, b.idx), av @ bv, None)
-
-
-def _matmul_bwd(t: Tape, idx: int, g):
-    ia, ib = t.inputs[idx]
-    t._accum(ia, g @ t.values[ib].T)
-    t._accum(ib, t.values[ia].T @ g)
-
-
 def matvec(a: Var, v: Var) -> Var:
     av, vv = a.value, v.value
     if av.ndim != 2 or vv.ndim != 1 or av.shape[1] != vv.shape[0]:
@@ -240,18 +225,6 @@ def _add_bwd(t: Tape, idx: int, g):
     t._accum(ib, _unbroadcast(g, t.values[ib].shape, lead))
 
 
-def hadamard(a: Var, b: Var) -> Var:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"hadamard: {a.value.shape} vs {b.value.shape}")
-    return a.tape._push("hadamard", (a.idx, b.idx), a.value * b.value, None)
-
-
-def _hadamard_bwd(t: Tape, idx: int, g):
-    ia, ib = t.inputs[idx]
-    t._accum(ia, g * t.values[ib])
-    t._accum(ib, g * t.values[ia])
-
-
 def tanh(a: Var) -> Var:
     y = np.tanh(a.value)
     return a.tape._push("tanh", (a.idx,), y, None)
@@ -261,32 +234,31 @@ def _tanh_bwd(t: Tape, idx: int, g):
     t._accum(t.inputs[idx][0], g * (1.0 - t.values[idx] ** 2))
 
 
+def unit_kernel(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, norm): v, or each row of v, projected onto the unit sphere, a zero
+    row kept at zero, and the norms it was divided by (0 read as 1). The
+    arithmetic of `unit`, of `rnn_step` and of the models' noisy states."""
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    norm[norm == 0.0] = 1.0
+    return v / norm, norm
+
+
+def _unit_dx(g: np.ndarray, y: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Input cotangent of a unit projection y, for the output cotangent g."""
+    return (g - y * (y * g).sum(axis=-1, keepdims=True)) / norm
+
+
 def unit(a: Var) -> Var:
-    """Project onto the unit sphere (rows of a matrix are normalized
-    independently); zero vectors pass through unchanged."""
+    """`unit_kernel` as a node, on a vector or the rows of a matrix."""
     v = a.value
     if v.ndim not in (1, 2):
         raise DimensionError(f"unit: expected vector or row batch, got {v.shape}")
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    safe = np.where(norm == 0.0, 1.0, norm)
-    y = v / safe
-    return a.tape._push("unit", (a.idx,), y, (y, safe))
+    y, norm = unit_kernel(v)
+    return a.tape._push("unit", (a.idx,), y, (y, norm))
 
 
 def _unit_bwd(t: Tape, idx: int, g):
-    y, norm = t.aux[idx]
-    dot = (y * g).sum(axis=-1, keepdims=True)
-    t._accum(t.inputs[idx][0], (g - y * dot) / norm)
-
-
-def transpose(a: Var) -> Var:
-    if a.value.ndim != 2:
-        raise DimensionError(f"transpose: expected matrix, got {a.value.shape}")
-    return a.tape._push("transpose", (a.idx,), a.value.T.copy(), None)
-
-
-def _transpose_bwd(t: Tape, idx: int, g):
-    t._accum(t.inputs[idx][0], g.T)
+    t._accum(t.inputs[idx][0], _unit_dx(g, *t.aux[idx]))
 
 
 def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -843,6 +815,75 @@ def _holonomic_scan_bwd(t: Tape, idx: int, g):
     t._accum(iops, du)
 
 
+def rnn_step(h: np.ndarray, live, tokens, w_rec_t: np.ndarray, w_in: np.ndarray,
+             bias: np.ndarray, normalized: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One tanh RNN step for the rows `live` of a (B, n) state block, which
+    read `tokens`: a = tanh(h[live] @ w_rec_t + w_in[tokens] + bias), with
+    w_rec_t = W_rec^T. Returns (y, a), y the rows' new states: a itself, or
+    with `normalized` a projected onto the unit sphere, a zero row kept at
+    zero. The step of the `rnn_scan` node, of the RNN `models.forward_batch`
+    and of the horizon's step Jacobians."""
+    a = np.tanh(h[live] @ w_rec_t + w_in[tokens] + bias)
+    return (unit_kernel(a)[0] if normalized else a), a
+
+
+def rnn_scan(w_rec: Var, w_in: Var, bias: Var, ids, normalized: bool) -> Var:
+    """Final states of the tanh RNN h_t = tanh(W_rec h_{t-1} + W_in[ids[b, t]]
+    + bias), projected onto the unit sphere after every step if `normalized`,
+    from h_0 = 0 over a (B, L) id matrix; returns (B, n). An id of
+    IDENTITY_STEP leaves its row's state alone, so left-padded rows of
+    different lengths share one node.
+
+    The forward runs `rnn_step` over each column's live rows, the arithmetic
+    of the RNN `models.forward_batch`, and keeps the states (L + 1, B, n). The
+    backward is backpropagation through time (Werbos, 1990): each column's
+    pre-activation cotangents dpre reach the previous states as dpre W_rec,
+    and the weights' gradients gather over all live steps at once, dW_rec as
+    the one GEMM dpre^T h_prev, dW_in as one one-hot GEMM (as `embed`'s).
+    """
+    wv, iv, bv = w_rec.value, w_in.value, bias.value
+    ids = np.asarray(ids, dtype=np.intp)
+    n = bv.shape[0] if bv.ndim == 1 else -1
+    if wv.shape != (n, n) or iv.ndim != 2 or iv.shape[1] != n or ids.ndim != 2:
+        raise DimensionError(
+            f"rnn_scan: need (n,n) w_rec, (V,n) w_in, (n,) bias, (B,L) ids; got "
+            f"{wv.shape}, {iv.shape}, {bv.shape}, {ids.shape}")
+    if ids.size and (ids.min() < IDENTITY_STEP or ids.max() >= iv.shape[0]):
+        raise ArgumentError(f"rnn_scan: token outside vocabulary of size {iv.shape[0]}")
+    # the live steps column by column: column t's are [bounds[t], bounds[t + 1])
+    cols, rows = np.nonzero(ids.T != IDENTITY_STEP)
+    bounds = np.searchsorted(cols, np.arange(ids.shape[1] + 1))
+    tokens = ids[rows, cols]
+    states = np.zeros((ids.shape[1] + 1, ids.shape[0], n))
+    acts = np.empty((rows.size, n))     # each live step's tanh output
+    w_rec_t = wv.T
+    for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        states[t + 1] = states[t]
+        states[t + 1, rows[lo:hi]], acts[lo:hi] = rnn_step(
+            states[t], rows[lo:hi], tokens[lo:hi], w_rec_t, iv, bv, normalized)
+    return w_rec.tape._push("rnn_scan", (w_rec.idx, w_in.idx, bias.idx), states[-1].copy(),
+                            (cols, rows, bounds, tokens, states, acts, normalized))
+
+
+def _rnn_scan_bwd(t: Tape, idx: int, g):
+    iw, ii, ib = t.inputs[idx]
+    cols, rows, bounds, tokens, states, acts, normalized = t.aux[idx]
+    w_rec = t.values[iw]
+    g = np.array(g, dtype=np.float64)     # the cotangent of the current states
+    dpre = np.empty(acts.shape)
+    for step in range(len(bounds) - 2, -1, -1):
+        lo, hi = bounds[step], bounds[step + 1]
+        live, a = rows[lo:hi], acts[lo:hi]
+        d = _unit_dx(g[live], *unit_kernel(a)) if normalized else g[live]
+        d *= 1.0 - a * a
+        dpre[lo:hi] = d
+        g[live] = d @ w_rec
+    t._accum(iw, dpre.T @ states[cols, rows])
+    onehot = np.equal.outer(np.arange(t.values[ii].shape[0]), tokens).astype(np.float64)
+    t._accum(ii, onehot @ dpre)
+    t._accum(ib, dpre.sum(axis=0))
+
+
 # The 16 weights of one pre-LN encoder layer, in the order of the node's inputs.
 ENCODER_WEIGHTS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
                    "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
@@ -1076,17 +1117,15 @@ def _softmax_xent_mean_bwd(t: Tape, idx: int, g):
 _BLOCK_RULES = frozenset({"matvec", "add", "tanh", "unit", "embed"})
 
 _BACKWARD = {
-    "matmul": _matmul_bwd,
     "matvec": _matvec_bwd,
     "add": _add_bwd,
-    "hadamard": _hadamard_bwd,
     "tanh": _tanh_bwd,
     "unit": _unit_bwd,
-    "transpose": _transpose_bwd,
     "layer_norm": _layer_norm_bwd,
     "embed": _embed_bwd,
     "skew_exp": _skew_exp_bwd,
     "holonomic_scan": _holonomic_scan_bwd,
+    "rnn_scan": _rnn_scan_bwd,
     "encoder_layer": _encoder_layer_bwd,
     "segment_pool": _segment_pool_bwd,
     "gather_readout": _gather_readout_bwd,

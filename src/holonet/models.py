@@ -13,22 +13,24 @@ At inference each model runs its training nodes' kernels, so the two agree
 bit for bit. The holonomic operators are `HolonomicParams.operators`, the
 `skew_exp` kernel over the whole vocabulary, and the holonomic step is
 `grad_engine.token_step` (the `holonomic_scan` kernel) over a token schedule
-and renormalization columns computed once per block, in the layout, grouped
-or padded, that `grad_engine.token_schedule` picks; float32 operators (genlen
-at precision 32) keep their dtype. The transformer packs the block once
+computed once per block, in the layout, grouped or padded, that
+`grad_engine.token_schedule` picks; float32 operators (genlen at precision
+32) keep their dtype. The RNN step is `grad_engine.rnn_step` (the `rnn_scan`
+kernel) over each column's live rows. The transformer packs the block once
 (`_pack`): the live tokens of the rows, sorted by length, as one (T, d) stream
 with equal-length segments, and each layer is one call of
 `grad_engine.encoder_layer_kernel` over it (`transformer_forward_batch`).
 `holonomic_forward` and `rnn_forward` are the recurrent models' noiseless
 per-episode (B = 1) references.
 
-Training builds one graph per batch, and its size does not depend on the
-length mix: the holonomic model and the RNNs run over the left-padded
-(B, L_max) block, the transformer over the packed stream. There every
-LayerNorm and GEMM runs once over all T tokens and only attention loops over
-the segments, the unpadded "varlen" layout of FlashAttention (Dao et al.,
-2022) that packs sequences without cross-contamination (Krell et al., 2021):
-no pad token costs attention's L^2 and no key mask is needed.
+Training builds one graph per batch, and its size depends on neither the
+length mix nor L_max: the holonomic model and the RNNs run one scan node over
+the left-padded (B, L_max) block, the transformer one node per layer over the
+packed stream. There every LayerNorm and GEMM runs once over all T tokens and
+only attention loops over the segments, the unpadded "varlen" layout of
+FlashAttention (Dao et al., 2022) that packs sequences without
+cross-contamination (Krell et al., 2021): no pad token costs attention's L^2
+and no key mask is needed.
 
 Parameters are small dataclasses convertible to/from flat name->array dicts
 so the optimizer and checkpoints share one representation. Readouts are
@@ -53,12 +55,6 @@ RNN = "rnn"
 NORMALIZED_RNN = "normalized-rnn"
 TRANSFORMER = "transformer"
 MODEL_KINDS = (HOLONOMIC, RNN, NORMALIZED_RNN, TRANSFORMER)
-
-
-def _unit(h: np.ndarray) -> np.ndarray:
-    """h (or each row of h) scaled to unit norm; zero vectors stay zero."""
-    norms = np.linalg.norm(h, axis=-1, keepdims=True)
-    return np.divide(h, norms, out=h.copy(), where=norms > 0)
 
 
 def inject_noise(x: np.ndarray, temperature: float, g: np.ndarray) -> np.ndarray:
@@ -188,7 +184,7 @@ def rnn_forward(p: RnnParams, episode: Episode, normalized: bool = False):
     for tok in ids[ids != ge.IDENTITY_STEP]:
         h = np.tanh(p.w_rec @ h + p.w_in[tok] + p.bias)
         if normalized:
-            h = _unit(h)
+            h = ge.unit_kernel(h)[0]
         trajectory.append(h)
     return trajectory, p.readout[queries[0]] @ h
 
@@ -320,38 +316,17 @@ def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
 
 # ===================================================================== batched tape losses
 #
-# Trainer-facing graphs, one per batch, whose size does not depend on the
-# length mix. The holonomic model and the RNNs run over the left-padded
-# (B, L_max) block: the holonomic graph is one skew_exp node for the operator
-# stack and one holonomic_scan node, the RNN one masked step per column. The
-# transformer runs the packed stream: one encoder_layer node per layer.
+# Trainer-facing graphs, one per batch, whose size depends on neither the
+# length mix nor L_max. The holonomic model and the RNNs run over the
+# left-padded (B, L_max) block: the holonomic graph is one skew_exp node for
+# the operator stack and one holonomic_scan node, the RNN one rnn_scan node.
+# The transformer runs the packed stream: one encoder_layer node per layer.
 
 
 def _readout_loss(leaves: dict, states: ge.Var, queries, targets) -> ge.Var:
     """Mean cross-entropy of each row's queried readout of its final state."""
     return ge.softmax_xent_mean(ge.gather_readout(leaves["readout"], states, queries),
                                 targets)
-
-
-def _rnn_tape_states(tape: ge.Tape, leaves: dict, ids: np.ndarray,
-                     normalized: bool) -> ge.Var:
-    """Each column is one matmul + embed + bias -> tanh (-> unit) step over all
-    rows, its new state multiplied by a constant 0/1 row mask of the live
-    steps. Left padding puts a row's pad steps before its first token, where
-    its state is still zero, so zeroing it again is exact. Every column gets
-    its mask, so the tape size depends on L_max only."""
-    live = ids != ge.IDENTITY_STEP
-    masks = live.T[:, :, None].astype(np.float64)     # (L_max, B, 1)
-    shape = (ids.shape[0], leaves["bias"].value.shape[0])
-    w_rec_t = leaves["w_rec"].T
-    h = tape.leaf(np.zeros(shape))
-    for col, mask in zip(np.where(live, ids, 0).T, masks):
-        h = ge.tanh(ge.matmul(h, w_rec_t) + ge.embed_lookup(leaves["w_in"], col)
-                    + leaves["bias"])
-        if normalized:
-            h = ge.unit(h)
-        h = ge.hadamard(h, tape.leaf(np.broadcast_to(mask, shape)))
-    return h
 
 
 def _transformer_tape_states(tape: ge.Tape, leaves: dict, ids: np.ndarray,
@@ -373,37 +348,18 @@ def _transformer_tape_states(tape: ge.Tape, leaves: dict, ids: np.ndarray,
 # ===================================================================== dispatch
 
 
-def _renorm_schedule(ids: np.ndarray, interval: int) -> tuple[list, np.ndarray]:
-    """Rows due for renormalization per column: a row's own step at column t
-    is t - (L - len) + 1, and it is due after every `interval` of them (0:
-    never). Returns column bounds into the due rows, sorted by column then
-    row."""
-    length = ids.shape[1]
-    if not interval:
-        return [0] * (length + 1), np.empty(0, dtype=np.intp)
-    start = length - (ids != ge.IDENTITY_STEP).sum(axis=1)
-    own = np.arange(1, length + 1)[:, None] - start     # (L, B)
-    due = own > 0
-    due &= np.remainder(own, interval, out=own) == 0
-    cols, rows = np.nonzero(due)
-    return np.searchsorted(cols, np.arange(length + 1)).tolist(), rows
-
-
 def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
                       gen: np.random.Generator | None,
-                      operators: np.ndarray | None, renorm_interval: int) -> np.ndarray:
-    """Final states of the holonomic model or an RNN, one column at a time;
-    the holonomic step is `grad_engine.token_step` over the block's token
-    schedule, in the layout it picked, the kernel of the `holonomic_scan`
-    training node."""
+                      operators: np.ndarray | None) -> np.ndarray:
+    """Final states of the holonomic model or an RNN, one column at a time,
+    by the step kernels of their training nodes: `grad_engine.token_step` over
+    the block's token schedule, in the layout it picked (`holonomic_scan`),
+    or `grad_engine.rnn_step` over the column's live rows (`rnn_scan`)."""
     b = ids.shape[0]
     if kind == HOLONOMIC:
         ops = params.operators() if operators is None else operators
         mats = ops.transpose(0, 2, 1)   # row states: (U h)^T = h^T U^T
         h = np.tile(params.h0.astype(ops.dtype), (b, 1))
-        h0_norm = np.linalg.norm(params.h0)
-        # built one after the other, so their (L, B) temporaries never overlap
-        bounds, due_rows = _renorm_schedule(ids, renorm_interval)
         schedule = ge.token_schedule(ids, ops)
     else:
         h = np.zeros((b, params.n))
@@ -411,26 +367,20 @@ def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
     for t, col in enumerate(ids.T):
         if kind == HOLONOMIC:
             ge.token_step(h, schedule, t, mats)
-            if bounds[t + 1] > bounds[t]:
-                due = due_rows[bounds[t]:bounds[t + 1]]
-                norms = np.linalg.norm(h[due], axis=1, keepdims=True)
-                h[due] *= np.divide(h0_norm, norms, out=np.ones_like(norms),
-                                    where=norms > 0)
         else:
             live = np.flatnonzero(col != ge.IDENTITY_STEP)
-            hl = np.tanh(h[live] @ w_rec_t + params.w_in[col[live]] + params.bias)
-            h[live] = _unit(hl) if kind == NORMALIZED_RNN else hl
+            h[live] = ge.rnn_step(h, live, col[live], w_rec_t, params.w_in, params.bias,
+                                  kind == NORMALIZED_RNN)[0]
         if gen is not None:
             live = np.flatnonzero(col != ge.IDENTITY_STEP)
             hl = inject_noise(h[live], temperature, gen.standard_normal(h.shape)[live])
-            h[live] = hl if kind == RNN else _unit(hl)
+            h[live] = hl if kind == RNN else ge.unit_kernel(hl)[0]
     return h
 
 
 def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0,
                   rng: tc.RngState | None = None, *,
-                  operators: np.ndarray | None = None,
-                  renorm_interval: int = 0):
+                  operators: np.ndarray | None = None):
     """Final states (B, n) and logits (B, C) of any model kind over a (B, L)
     id block left-padded with IDENTITY_STEP (see `_checked_block`); the
     transformer's state is its pooled encoding.
@@ -441,9 +391,8 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     per column, of which only live steps get `inject_noise`, for the
     transformer one (T, d) block per layer over the T live tokens. `queries`
     selects each row's readout (None: readout 0). Holonomic inference may
-    take precomputed `operators` (float32 for low-precision runs) and rescale
-    each state to ||h0|| after every `renorm_interval` of its own steps (0:
-    never). Raises NumericError on non-finite logits.
+    take precomputed `operators` (float32 for low-precision runs). Raises
+    NumericError on non-finite logits.
     """
     if kind not in MODEL_KINDS:
         raise ArgumentError(f"unknown model kind: {kind}")
@@ -457,8 +406,7 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     if kind == TRANSFORMER:
         h = transformer_forward_batch(params, ids, temperature, gen)
     else:
-        h = _recurrent_states(kind, params, ids, temperature, gen, operators,
-                              renorm_interval)
+        h = _recurrent_states(kind, params, ids, temperature, gen, operators)
     # a row's logits do not depend on the other rows, bit for bit
     logits = np.einsum("bn,bcn->bc", h, readout[queries])
     if not np.all(np.isfinite(logits)):
@@ -489,7 +437,8 @@ def tape_batch_loss(kind: str, tape: ge.Tape, leaves: dict, batch: Batch,
     elif kind == HOLONOMIC:
         h = ge.holonomic_scan(ge.skew_exp(leaves["generators"]), ids, leaves["h0"])
     else:
-        h = _rnn_tape_states(tape, leaves, ids, normalized=kind == NORMALIZED_RNN)
+        h = ge.rnn_scan(leaves["w_rec"], leaves["w_in"], leaves["bias"], ids,
+                        kind == NORMALIZED_RNN)
     return _readout_loss(leaves, h, queries, batch.targets)
 
 

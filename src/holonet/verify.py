@@ -90,11 +90,12 @@ def check_adjoint_pairing(seed):
 
 
 def check_gradients(seed):
-    # the training graphs on one mixed-length batch: padded rows, masked
-    # steps, the transformer's packed stream of four segments
+    # the training graphs on one mixed-length batch: padded rows, both
+    # branches of rnn_scan, the transformer's packed stream of four segments
     mixed = s3_sample_batch(RngState(seed).child(10).generator(), [1, 2, 3, 4])
     for kind, params in (
             (md.HOLONOMIC, md.init_holonomic(RngState(seed), 6, 6, 6)),
+            (md.RNN, md.init_rnn(RngState(seed + 3), 6, 6, 6)),
             (md.NORMALIZED_RNN, md.init_rnn(RngState(seed + 1), 6, 6, 6)),
             (md.TRANSFORMER, md.init_transformer(RngState(seed + 2), 8, 2, 2, 8, 6, 6,
                                                  max_len=8))):

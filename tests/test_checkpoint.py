@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +89,36 @@ def test_checkpoint_with_bad_metadata_is_corrupt(tmp_path, monkeypatch, field, v
     save_checkpoint(path, md.TRANSFORMER, p)
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
+
+
+def rewrite_h0_record(path, record: bytes) -> None:
+    """Replace the h0 record (name, ndim, shape) of a saved n = 6 holonomic
+    checkpoint, keeping its payload, and re-sign the body: the digest is
+    valid, so only the parser can refuse the file."""
+    body = path.read_bytes()[:-8]
+    old = struct.pack("<H", 2) + b"h0" + struct.pack("<BQ", 1, 6)
+    assert body.count(old) == 1
+    body = body.replace(old, record)
+    path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+
+
+@pytest.mark.parametrize("record", [
+    struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BQ", 1, 6),
+    struct.pack("<H", 2) + b"h0" + struct.pack("<B2Q", 2, 2 ** 32, 2 ** 32),
+    struct.pack("<H", 2) + b"h0" + struct.pack("<B2Q", 2, 2 ** 63, 0),
+], ids=["name-not-utf8", "count-past-int64", "extent-past-int64"])
+def test_checkpoint_with_unreadable_array_record_is_corrupt(tmp_path, record):
+    # a 2^64-element shape wraps to 0 in int64 arithmetic, and an extent of
+    # 2^63 exceeds the largest array numpy can describe
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+    rewrite_h0_record(path, record)
+    with pytest.raises(CorruptionError):
+        load_checkpoint(path)
+    config = tmp_path / "genlen.ini"
+    config.write_text(f"[genlen]\ncheckpoint = {path}\nlengths = 5\n")
+    code = cli.main(["genlen", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
 
 
 def run_under_file_limit(script: str, limit: int) -> None:

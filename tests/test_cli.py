@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from holonet import cli
 from holonet import experiments as ex
 from holonet import models as md
 from holonet.checkpoint import save_checkpoint
+from holonet.config import parse_config
 from holonet.errors import NumericError
 from holonet.group_tasks import Curriculum
 from holonet.tensor_core import RngState
@@ -194,6 +196,26 @@ def test_scaling_sweeps_at_the_configured_noise_length(tmp_path, monkeypatch):
     code = cli.main(["scaling", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_OK
     assert lengths == [7]
+
+
+def test_scaling_trains_every_width_with_the_configured_model(tmp_path, monkeypatch):
+    # every [model] key reaches training; only n changes from width to width
+    seen = []
+
+    def not_converged(model_cfg, task, curriculum, train_cfg, rng):
+        seen.append(model_cfg)
+        return ex.TrainResult(model_cfg.kind, model_cfg.build(rng, task), False, 1, 0.0)
+
+    monkeypatch.setattr(ex, "train", not_converged)
+    text = ("[model]\nkind = transformer\nn = 12\nlayers = 1\nheads = 2\nd_ff = 10\n"
+            "positional = sinusoidal\nmax_len = 20\npool = mean\ngen_scale = 0.3\n"
+            "[scaling]\nwidths = 8,16\n")
+    config = tmp_path / "scaling.ini"
+    config.write_text(text)
+    code = cli.main(["scaling", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    model = parse_config(text).model
+    assert seen == [dataclasses.replace(model, n=8), dataclasses.replace(model, n=16)]
 
 
 def test_no_subcommand_takes_workers_on_the_command_line():

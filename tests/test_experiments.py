@@ -439,21 +439,18 @@ def test_length_generalization_matches_per_episode_loop(precision, task):
                           n_queries=task.n_queries)
     lengths = [3, 40] if precision == 32 else [3, 40, 300]
     rows = ex.length_generalization_eval(md.HOLONOMIC, p, task, lengths, 32,
-                                         precision, RngState(41), renorm_interval=8)
+                                         precision, RngState(41))
     again = ex.length_generalization_eval(md.HOLONOMIC, p, task, lengths, 32,
-                                          precision, RngState(41), renorm_interval=8)
+                                          precision, RngState(41))
     assert rows == again
     ops = p.operators().astype(np.float32 if precision == 32 else np.float64)
-    norm0 = float(np.linalg.norm(p.h0))
     for li, (length, row) in enumerate(zip(lengths, rows)):
         batch = task.sample_batch(RngState(41).child(li).generator(), np.full(32, length))
         correct = 0
         for e in batch:   # the loop the experiment ran before batching
             h = p.h0.astype(ops.dtype, copy=True)
-            for t, tok in enumerate(e.tokens):
+            for tok in e.tokens:
                 h = ops[tok] @ h
-                if (t + 1) % 8 == 0:
-                    h *= norm0 / float(np.linalg.norm(h))
             correct += int(np.argmax(p.readout[e.query or 0] @ h) == e.target)
         assert row["acc"] == correct / 32
 

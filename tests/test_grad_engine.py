@@ -11,10 +11,10 @@ from holonet.errors import ArgumentError, DimensionError, NumericError
 
 def softplus_sum(var):
     """Scalar log(1 + e^|s|), s the sum of a Var's entries, from the model
-    graphs' own primitives: the entries reduce to a (1, 2) logit row [s, 0],
-    scored by cross-entropy against its smaller logit. The loss is at least
-    log 2, so it keeps its relative precision (log(1 + e^s) at s << 0 would
-    not)."""
+    graphs' own primitives: the entries reduce by matvecs against ones to s,
+    which a readout gather turns into a (1, 2) logit row [s, 0], scored by
+    cross-entropy against its smaller logit. The loss is at least log 2, so it
+    keeps its relative precision (log(1 + e^s) at s << 0 would not)."""
     t = var.tape
     v = var.value
     if v.ndim == 0:
@@ -22,19 +22,35 @@ def softplus_sum(var):
     if v.ndim == 3:     # (Q, C, d): each d-row summed by a readout gather
         var = ge.gather_readout(var, t.leaf(np.ones((v.shape[0], v.shape[2]))),
                                 np.arange(v.shape[0]))
-    elif v.ndim == 1:   # (n,) broadcast to a (1, n) row
-        var = var + t.leaf(np.zeros((1, v.shape[0])))
-    rows, cols = var.value.shape
-    total = ge.matmul(t.leaf(np.ones((1, rows))), var)
-    pair = ge.matmul(total, t.leaf(np.stack([np.ones(cols), np.zeros(cols)], axis=1)))
+    if var.value.ndim == 2:     # row sums
+        var = ge.matvec(var, t.leaf(np.ones(var.value.shape[1])))
+    total = ge.matvec(t.leaf(np.ones((1, var.value.shape[0]))), var)
+    pair = ge.gather_readout(t.leaf(np.array([[[1.0], [0.0]]])),
+                             total + t.leaf(np.zeros((1, 1))), [0])
     return ge.softmax_xent_mean(pair, [int(pair.value[0, 0] >= 0)])
 
 
 def wsum(var, seed=0):
-    """softplus_sum of a seeded weighted sum, so gradients are
-    direction-sensitive."""
-    w = var.tape.leaf(tc.RngState(seed).generator().standard_normal(var.value.shape))
-    return softplus_sum(ge.hadamard(var, w))
+    """softplus_sum of a seeded random linear function of a Var's entries, so
+    gradients are direction-sensitive. A row block is weighted row by row by
+    a readout gather; a (Q, C, d) stack is first read out along d random
+    directions per matrix, so each matrix's weights have full rank."""
+    gen = tc.RngState(seed).generator()
+    t = var.tape
+    if var.value.ndim == 1:
+        var = var + t.leaf(np.zeros((1, var.value.shape[0])))
+    if var.value.ndim == 3:
+        q, _, d = var.value.shape
+        var = ge.gather_readout(var, t.leaf(gen.standard_normal((q * d, d))),
+                                np.repeat(np.arange(q), d))
+    rows, cols = var.value.shape
+    return softplus_sum(ge.gather_readout(t.leaf(gen.standard_normal((rows, 1, cols))),
+                                          var, np.arange(rows)))
+
+
+def dot(x, y):
+    """x . y of two (n,) Vars, a matvec of x as a (1, n) row."""
+    return ge.matvec(x + x.tape.leaf(np.zeros((1, x.value.shape[0]))), y)
 
 
 # the module constants that force each skew_exp algorithm onto any stack
@@ -84,7 +100,7 @@ def test_inner_product_grad_is_other_factor():
     t = ge.Tape()
     x = np.array([0.5, -1.0, 2.0])
     w = t.leaf(np.array([1.0, 1.0, 1.0]))
-    loss = softplus_sum(ge.hadamard(w, t.leaf(x)))
+    loss = softplus_sum(dot(t.leaf(x), w))
     assert float(loss.value) == pytest.approx(math.log1p(math.exp(1.5)), abs=1e-15)
     t.backward(loss)
     assert np.allclose(w.grad, x / (1.0 + math.exp(-1.5)), rtol=0, atol=1e-15)
@@ -100,11 +116,9 @@ def test_backward_requires_scalar():
 def test_shape_errors():
     t = ge.Tape()
     with pytest.raises(DimensionError):
-        ge.matmul(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 3))))
-    with pytest.raises(DimensionError):
-        ge.hadamard(t.leaf(np.ones(3)), t.leaf(np.ones(4)))
-    with pytest.raises(DimensionError):
         ge.matvec(t.leaf(np.ones((2, 3))), t.leaf(np.ones(2)))
+    with pytest.raises(DimensionError):
+        ge.add(t.leaf(np.ones(3)), t.leaf(np.ones(4)))
 
 
 # ---------------------------------------------------------------- exp(A)v oracle
@@ -146,12 +160,6 @@ def case(name):
     return reg
 
 
-@case("matmul")
-def _c_matmul(gen):
-    return {"a": gen.standard_normal((3, 4)), "b": gen.standard_normal((4, 2))}, \
-        lambda t, lv: wsum(ge.matmul(lv["a"], lv["b"]))
-
-
 @case("matvec")
 def _c_matvec(gen):
     return {"a": gen.standard_normal((3, 4)), "v": gen.standard_normal(4)}, \
@@ -164,12 +172,6 @@ def _c_add(gen):
         lambda t, lv: wsum(ge.add(lv["x"], lv["b"]))
 
 
-@case("hadamard")
-def _c_hadamard(gen):
-    return {"a": gen.standard_normal((3, 4)), "b": gen.standard_normal((3, 4))}, \
-        lambda t, lv: wsum(ge.hadamard(lv["a"], lv["b"]))
-
-
 @case("tanh")
 def _c_tanh(gen):
     return {"x": gen.standard_normal((3, 4))}, \
@@ -180,12 +182,6 @@ def _c_tanh(gen):
 def _c_unit(gen):
     return {"x": gen.standard_normal(5)}, \
         lambda t, lv: wsum(ge.unit(lv["x"]))
-
-
-@case("transpose")
-def _c_transpose(gen):
-    return {"x": gen.standard_normal((3, 4))}, \
-        lambda t, lv: wsum(ge.transpose(lv["x"]))
 
 
 @case("layer_norm")
@@ -211,6 +207,20 @@ def _c_skew_exp(gen):
 
 # padded rows, a length-1 row, an all-pad column, and token 3 unused
 SCAN_IDS = [[-1, -1, -1, 0, 2], [-1, 1, 0, 2, 1], [-1, -1, -1, -1, 2]]
+
+
+def rnn_scan_case(normalized):
+    def make(gen):
+        # n = 4 over SCAN_IDS' vocabulary of 4; token 3's row of w_in is unused
+        return {"w_rec": gen.standard_normal((4, 4)), "w_in": gen.standard_normal((4, 4)),
+                "bias": 0.5 * gen.standard_normal(4)}, \
+            lambda t, lv: wsum(ge.rnn_scan(lv["w_rec"], lv["w_in"], lv["bias"], SCAN_IDS,
+                                           normalized))
+    return make
+
+
+case("rnn_scan")(rnn_scan_case(False))
+case("rnn_scan_normalized")(rnn_scan_case(True))
 
 
 @case("holonomic_scan")
@@ -693,12 +703,26 @@ def test_holonomic_scan_rejects_tokens_outside_vocabulary():
         ge.holonomic_scan(u, [0, 1], h0)
 
 
+def test_rnn_scan_rejects_tokens_outside_vocabulary_and_bad_shapes():
+    t = ge.Tape()
+    w_rec, w_in, bias = t.leaf(np.ones((2, 2))), t.leaf(np.ones((3, 2))), t.leaf(np.ones(2))
+    for bad in (-2, 3):
+        with pytest.raises(ArgumentError):
+            ge.rnn_scan(w_rec, w_in, bias, [[0, bad]], False)
+    with pytest.raises(DimensionError):
+        ge.rnn_scan(w_rec, w_in, bias, [0, 1], False)
+    with pytest.raises(DimensionError):
+        ge.rnn_scan(w_rec, t.leaf(np.ones((3, 3))), bias, [[0, 1]], True)
+    with pytest.raises(DimensionError):
+        ge.rnn_scan(w_rec, w_in, t.leaf(np.asarray(1.0)), [[0, 1]], True)
+
+
 # ---------------------------------------------------------------- grad_check harness
 
 
 def test_grad_check_quadratic_is_exact():
     def build(tape, lv):
-        return softplus_sum(ge.hadamard(lv["x"], lv["x"]))
+        return softplus_sum(dot(lv["x"], lv["x"]))
 
     err = ge.grad_check(build, ge.ParamStore({"x": np.arange(1.0, 10.0)}), eps=1e-5)
     assert err < 1e-9
@@ -715,8 +739,8 @@ def test_grad_check_floor_passes_exact_zero_but_not_a_wrong_gradient():
     def check(c):
         def build(tape, lv):
             detached = tape.leaf(lv["z"].value.copy())
-            return softplus_sum(ge.hadamard(lv["w"], lv["w"])) \
-                + softplus_sum(ge.hadamard(detached, tape.leaf(np.array([c]))))
+            return softplus_sum(dot(lv["w"], lv["w"])) \
+                + softplus_sum(dot(detached, tape.leaf(np.array([c]))))
         return ge.grad_check(build, store(), eps=1e-6)
 
     loss = math.log1p(math.exp(1.25)) + math.log(2.0)

@@ -240,6 +240,25 @@ def test_transformer_training_graph_runs_the_inference_layers_bit_for_bit(pool):
     assert pooled.shape == h.shape and np.array_equal(pooled, h)
 
 
+@pytest.mark.parametrize("kind", [md.RNN, md.NORMALIZED_RNN])
+@pytest.mark.parametrize("n, vocab", [(32, 6), (128, 45)], ids=["s3", "binding"])
+def test_rnn_training_node_runs_the_inference_step_bit_for_bit(kind, n, vocab):
+    # the tape's final states of a mixed-length batch, one rnn_scan node,
+    # equal forward_batch's on the same block: the two share rnn_step
+    gen = RngState(43).generator()
+    lengths = np.concatenate([[1, 50], gen.integers(1, 51, 62)])
+    batch = s3_sample_batch(gen, lengths) if vocab == 6 \
+        else sv_sample_batch(gen, 10, lengths)
+    params = md.init_rnn(RngState(44), n, vocab, 6 if vocab == 6 else 10,
+                         n_queries=1 if vocab == 6 else 10)
+    tape = ge.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
+    md.tape_batch_loss(kind, tape, leaves, batch)
+    (scanned,) = [tape.values[i] for i, op in enumerate(tape.ops) if op == "rnn_scan"]
+    h, _ = md.forward_batch(kind, params, batch.ids, batch.queries)
+    assert np.array_equal(scanned, h)
+
+
 def test_transformer_residual_noise_deterministic():
     p = small_transformer()
     batch = s3_sample_batch(RngState(30).generator(), MIXED)
@@ -281,34 +300,21 @@ def test_forward_batch_matches_per_episode_forward(kind, task):
         assert np.max(np.abs(logits[i] - ref)) <= 1e-12
 
 
-def test_forward_batch_float32_with_renormalization_matches_per_episode_loop():
-    # the per-episode loop length generalization ran before it was batched;
-    # operators 1% off orthogonal make every missed rescaling visible
+def test_forward_batch_float32_matches_per_episode_loop():
+    # the per-episode loop length generalization ran before it was batched,
+    # on float32 operators over long rows of mixed lengths
     params = md.init_holonomic(RngState(74), 16, 6, 6)
-    ops = (1.01 * params.operators()).astype(np.float32)
+    ops = params.operators().astype(np.float32)
     batch = s3_sample_batch(RngState(75).generator(), [200, 37, 130, 1, 200])
-    states, logits = md.forward_batch(md.HOLONOMIC, params, batch.ids,
-                                      operators=ops, renorm_interval=16)
+    states, logits = md.forward_batch(md.HOLONOMIC, params, batch.ids, operators=ops)
     assert states.dtype == np.float32
-    target_norm = float(np.linalg.norm(params.h0))
     for i, e in enumerate(batch):
         h = params.h0.astype(np.float32, copy=True)
-        for t, tok in enumerate(e.tokens):
+        for tok in e.tokens:
             h = ops[tok] @ h
-            if (t + 1) % 16 == 0:
-                h *= target_norm / float(np.linalg.norm(h))
         # float32 roundoff over 200 steps; the orders of summation differ
         assert np.max(np.abs(states[i] - h)) < 1e-5
         assert np.argmax(logits[i]) == np.argmax(params.readout[0] @ h)
-    # the precomputed rescaling columns against a per-step counter
-    live = batch.ids != ge.IDENTITY_STEP
-    for interval in (1, 3, 64):
-        bounds, rows = md._renorm_schedule(batch.ids, interval)
-        steps = np.zeros(len(batch.ids), dtype=int)
-        for t in range(batch.ids.shape[1]):
-            steps += live[:, t]
-            due = np.flatnonzero(live[:, t] & (steps % interval == 0))
-            assert np.array_equal(rows[bounds[t]:bounds[t + 1]], due), (interval, t)
 
 
 def test_forward_batch_noise_touches_only_live_steps():
@@ -429,8 +435,8 @@ def test_batched_tape_loss_matches_per_episode_reference(kind):
 
 @pytest.mark.parametrize("kind", md.MODEL_KINDS)
 def test_backward_wrt_parameters_skips_constants_and_keeps_every_bit(kind):
-    # what train does: padding masks, the zero state and sinusoidal tables
-    # are leaves of the graph but get no gradient
+    # what train does: a sinusoidal table is a leaf of the graph but gets no
+    # gradient
     params = binding_params(kind, 33, pos_mode="sinusoidal") if kind == md.TRANSFORMER \
         else binding_params(kind, 33)
     batch = binding_batch(34, [1, 7, 3, 7, 12, 2])
@@ -441,8 +447,8 @@ def test_backward_wrt_parameters_skips_constants_and_keeps_every_bit(kind):
     pruned = tape.backward(loss, wrt=leaves.values())
     assert set(pruned) == set(full) & {v.idx for v in leaves.values()}
     assert all(np.array_equal(pruned[i], full[i]) for i in pruned)
-    if kind != md.HOLONOMIC:
-        assert len(full) > len(pruned)
+    # only the transformer's sinusoidal table is a constant leaf
+    assert (len(full) > len(pruned)) == (kind == md.TRANSFORMER)
 
 
 @pytest.mark.parametrize("kind", md.MODEL_KINDS)
@@ -563,10 +569,11 @@ def test_holonomic_tape_size_does_not_depend_on_lengths():
 
 @pytest.mark.parametrize("kind", [md.RNN, md.NORMALIZED_RNN])
 def test_rnn_tape_size_does_not_depend_on_length_mix(kind):
-    # one masked step per column: the size follows L_max only
+    # not even on L_max: one rnn_scan node
     params = binding_params(kind, 37)
-    assert tape_size(kind, params, binding_batch(38, [1, 4, 9, 16, 25])) \
-        == tape_size(kind, params, binding_batch(39, [25] * 5))
+    ops = tape_ops(kind, params, binding_batch(38, [1, 4, 9, 16, 25]))
+    assert ops == tape_ops(kind, params, binding_batch(39, [3] * 5))
+    assert ops.count("rnn_scan") == 1 and len(ops) == 7
 
 
 @pytest.mark.parametrize("pos_mode", ["learned", "sinusoidal"])

@@ -1,6 +1,7 @@
 """Static checks on the package source (no linter is a dependency)."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -105,3 +106,24 @@ def unreferenced_definitions(package: Path, bench: Path) -> list[str]:
 def test_every_module_level_definition_is_referenced():
     # tests do not count as readers: code only they call is dead
     assert unreferenced_definitions(PACKAGE, BENCH) == []
+
+
+def benchmark_tracing():
+    """perfbench/tracing.py, loaded from its file: perfbench is not a package
+    on the test path. Its dataclasses look their module up while loading."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_traced_name_is_where_the_tracer_looks_it_up():
+    # the tracer wraps owner.__dict__[attribute]; without this a deleted or
+    # moved name would fail only a traced benchmark run
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in benchmark_tracing().TARGETS
+               if attr not in owner.__dict__]
+    assert missing == []
