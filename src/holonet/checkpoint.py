@@ -12,9 +12,10 @@ Layout (all integers little-endian):
     digest  8 bytes  BLAKE2b-64 of everything above
 
 Loading verifies the digest before touching the payload, checks the array
-names and shapes against the kind and meta, and reconstructs the parameter
-dataclass for the stored kind. A human-readable sidecar
-(`<path>.meta.txt`) summarizes the contents; it is informational only.
+names (each stored once) and shapes against the kind and meta, and
+reconstructs the parameter dataclass for the stored kind. A human-readable
+sidecar (`<path>.meta.txt`) summarizes the contents; it is informational
+only.
 """
 
 from __future__ import annotations
@@ -225,9 +226,12 @@ def load_checkpoint(path):
         # exact: an element count past int64 reads as the end of the data
         data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
         try:    # a name not UTF-8, or an extent numpy cannot hold
-            arrays[name.decode()] = data.reshape(shape).astype(np.float64)
+            key, arr = name.decode(), data.reshape(shape).astype(np.float64)
         except ValueError as err:
             raise CorruptionError(f"{path}: unreadable array record {name!r} ({err})")
+        if key in arrays:
+            raise CorruptionError(f"{path}: array {key!r} is stored twice")
+        arrays[key] = arr
     if off != len(view):
         raise CorruptionError(f"{path}: trailing bytes after payload")
     _check_layout(kind, meta, arrays, path)

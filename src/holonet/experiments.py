@@ -278,7 +278,7 @@ def _train_step(kind: str, store: ge.ParamStore, batch: Batch, params,
     loss = md.tape_batch_loss(kind, tape, leaves, batch, params)
     if not np.isfinite(loss.value):
         raise NumericError(f"training loss is {float(loss.value)} at step {step}")
-    tape.backward(loss, wrt=leaves.values())
+    tape.backward(loss)
     grads = ge.collect_grads(tape, leaves)
     grad_norm = ge.clip_global_norm(grads, cfg.clip)
     if not np.isfinite(grad_norm):
@@ -508,60 +508,21 @@ def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
 HORIZON_FLAT_SPREAD = 1e-9
 
 
-def _rnn_step_jacobians(params, tokens, normalized: bool):
-    """Exact per-step Jacobians of the (optionally normalized) tanh recurrence
-    along the states of its step kernel, `grad_engine.rnn_step`."""
-    jacs = []
-    h = np.zeros((1, params.n))
-    for tok in tokens:
-        h, a = ge.rnn_step(h, [0], [tok], params.w_rec.T, params.w_in, params.bias,
-                           normalized)
-        step = (1.0 - a[0] ** 2)[:, None] * params.w_rec
-        if normalized and np.any(a):
-            step = (np.eye(params.n) - np.outer(h, h)) / np.linalg.norm(a) @ step
-        jacs.append(step)
-    return jacs
-
-
-def _horizon_tape(kind: str, params, ops, tokens, wanted):
-    """Tape of a recurrent model along `tokens` from a leaf h_0; returns the
-    tape, h_0 and the state nodes at the steps in `wanted`."""
-    tape = ge.Tape()
-    states = {}
-    if kind == md.HOLONOMIC:
-        # dh_t/dh_0 does not depend on the generators: operators are leaves
-        op_leaves = {}
-        h0 = tape.leaf(params.h0)
-        h = h0
-        for t, tok in enumerate(tokens, start=1):
-            if tok not in op_leaves:
-                op_leaves[tok] = tape.leaf(ops[tok])
-            h = ge.matvec(op_leaves[tok], h)
-            if t in wanted:
-                states[t] = h
-    else:
-        leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-        h0 = tape.leaf(np.zeros(params.n))
-        h = h0
-        for t, tok in enumerate(tokens, start=1):
-            pre = ge.matvec(leaves["w_rec"], h) \
-                + ge.embed_lookup(leaves["w_in"], tok) + leaves["bias"]
-            h = ge.tanh(pre)
-            if kind == md.NORMALIZED_RNN:
-                h = ge.unit(h)
-            if t in wanted:
-                states[t] = h
-    return tape, h0, states
-
-
 def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
                      fit_min_t: int = 5, model_tag: str | None = None) -> HorizonCurve:
     """J(t) = ||dh_t / dh_0||_2 along one random episode.
 
-    operator-norm accumulates the exact linear map. autodiff, an independent
-    reverse-mode check on it, materializes the whole Jacobian at each grid
-    point with one tape VJP seeded by the identity block (restricted to h_0)
-    and takes its spectral norm.
+    An RNN's trajectory is one pass of its step kernel, `grad_engine.rnn_step`,
+    which keeps each step's tanh output a_t. operator-norm multiplies the step
+    Jacobians forward, each built as it is needed: U_tok for the holonomic
+    model, diag(1 - a_t^2) W_rec for the tanh RNN, and (I - h_t h_t^T) /
+    ||a_t|| times that when normalized. autodiff, an independent reverse-mode
+    check on it, sweeps an (n, n) identity block back from each grid point
+    through the step adjoints that train the model: g U_tok, as the
+    `holonomic_scan` backward applies, or `grad_engine.rnn_step_adjoint`, as
+    the `rnn_scan` backward runs. Row i of the swept block is the VJP of e_i,
+    so the block is dh_t/dh_0 itself. Either method takes the exact spectral
+    norm of each Jacobian.
     """
     if method not in ("autodiff", "operator-norm"):
         raise ArgumentError(f"unknown method: {method}")
@@ -572,29 +533,38 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
     if t_grid[0] < 1:
         raise ArgumentError("t grid must start at 1 or later")
     horizon = t_grid[-1]
-    vocab = params.vocab
-    tokens = [int(t) for t in rng.child(0).generator().integers(0, vocab, size=horizon)]
-    wanted = set(t_grid)
-    j_values = []
+    tokens = rng.child(0).generator().integers(0, params.vocab, size=horizon)
     ops = _operators(kind, params)
+    normalized = kind == md.NORMALIZED_RNN
+    if ops is None:
+        acts = np.empty((horizon, params.n))
+        h = np.zeros((1, params.n))
+        for t, tok in enumerate(tokens):
+            h, acts[t] = ge.rnn_step(h, [0], [tok], params.w_rec.T, params.w_in,
+                                     params.bias, normalized)
+    eye = np.eye(params.n)
+    j_values = []
     if method == "operator-norm":
-        if kind == md.HOLONOMIC:
-            steps = [ops[tok] for tok in tokens]
-        else:
-            steps = _rnn_step_jacobians(params, tokens, kind == md.NORMALIZED_RNN)
-        acc = np.eye(params.n)
-        for t, step in enumerate(steps, start=1):
+        acc, wanted = eye, set(t_grid)
+        for t, tok in enumerate(tokens, start=1):
+            if ops is not None:
+                step = ops[tok]
+            else:
+                a = acts[t - 1]
+                step = (1.0 - a ** 2)[:, None] * params.w_rec
+                if normalized and np.any(a):
+                    y = ge.unit_kernel(a)[0]
+                    step = (eye - np.outer(y, y)) / np.linalg.norm(a) @ step
             acc = step @ acc
             if t in wanted:
-                j_values.append(tc.spectral_norm(acc, tol=1e-12,
-                                                 rng=rng.child(1, t)))
+                j_values.append(tc.spectral_norm(acc))
     else:
-        tape, h0, states = _horizon_tape(kind, params, ops, tokens, wanted)
-        eye = np.eye(params.n)
         for t in t_grid:
-            # row i of the block is the VJP of e_i, so this is dh_t/dh_0 itself
-            jac = tape.vjp(states[t], eye, wrt={h0}).get(h0.idx, 0.0 * eye)
-            j_values.append(tc.spectral_norm(jac, tol=1e-12, rng=rng.child(1, t)))
+            g = eye
+            for s in range(t - 1, -1, -1):
+                g = g @ ops[tokens[s]] if ops is not None \
+                    else ge.rnn_step_adjoint(g, acts[s], params.w_rec, normalized)[1]
+            j_values.append(tc.spectral_norm(g))
     j_values = np.asarray(j_values)
     mask = (np.asarray(t_grid) >= fit_min_t) & (j_values > 1e-280)
     lam, r2, note = float("nan"), float("nan"), ""

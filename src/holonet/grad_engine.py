@@ -2,10 +2,9 @@
 
 A Tape records primitive applications in topological order; backward
 replays them in reverse, accumulating exact cotangents. The primitive set
-covers the models' training graphs and the autodiff Jacobian horizon:
+is what the models' training graphs build, and nothing else:
 
-  * dense and elementwise: matvec, add, tanh, unit, layer normalization and
-    embedding lookup;
+  * add (of equal shapes), layer normalization and embedding lookup;
   * fused batch nodes: readout gather, mean cross-entropy, `skew_exp`
     (exp(M - M^T) for a whole generator stack: a small one by a scaled
     Taylor polynomial, matmuls only, a large one by one real symmetric
@@ -20,8 +19,9 @@ Training and inference share one numpy kernel per piece of a model, so the
 two give the same bits: `skew_exp_kernel` (run by the `skew_exp` node and by
 `models.HolonomicParams.operators`, so by every probe and scan), `token_step`
 (the holonomic step, run by `holonomic_scan` forward and backward and by
-`models.forward_batch`), `rnn_step` (the RNN step, run by `rnn_scan` and by
-`models.forward_batch`, and along the horizon's step Jacobians) and
+`models.forward_batch`), `rnn_step` and `rnn_step_adjoint` (the RNN step and
+its adjoint, run by `rnn_scan` forward and backward, by
+`models.forward_batch` and by the Jacobian horizon) and
 `encoder_layer_kernel` (run by the `encoder_layer` node and by
 `models.transformer_forward_batch`). `token_step` multiplies each row of a
 state block by its token's matrix in the layout the block's `token_schedule`
@@ -43,14 +43,6 @@ value is recomputed instead (`encoder_layer` rebuilds its LayerNorm outputs
 xhat * gain + bias and its [Wq Wk Wv] concatenation by the forward's own
 arithmetic, so the bits do not change), and the fused backward rules write
 their products into buffers they no longer need.
-
-A sweep can be narrowed and widened. `wrt=` names the leaves wanted: only
-nodes on a path to one of them get a cotangent, so constant leaves (the
-horizon's operators, sinusoidal tables) get none, and matvec skips the outer
-product for a pruned matrix. A cotangent block of shape (k, *node.shape)
-runs k independent VJPs in one sweep, e.g. a whole Jacobian from an
-identity block; the rules in `_BLOCK_RULES` carry the leading axis, and a
-block that reaches any other rule raises DimensionError.
 """
 
 from __future__ import annotations
@@ -93,7 +85,6 @@ class Tape:
         self.values: list[np.ndarray] = []
         self.aux: list = []
         self.grads: list = []
-        self.live: list[bool] = []
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -108,136 +99,59 @@ class Tape:
         self.aux.append(aux)
         return Var(self, len(self.ops) - 1)
 
-    def backward(self, loss: Var, wrt=None) -> dict[int, np.ndarray]:
-        """Reverse sweep from a scalar loss; returns leaf grads keyed by node id
-        (see `vjp` for `wrt`)."""
+    def backward(self, loss: Var) -> dict[int, np.ndarray]:
+        """Reverse sweep from a scalar loss; returns leaf grads keyed by node id."""
         if loss.value.ndim != 0:
             raise ArgumentError(
                 f"backward: loss must be scalar, got shape {loss.value.shape}")
-        return self.vjp(loss, np.asarray(1.0), wrt=wrt)
+        return self.vjp(loss, np.asarray(1.0))
 
-    def vjp(self, node: Var, cotangent: np.ndarray, wrt=None) -> dict[int, np.ndarray]:
-        """Vector-Jacobian product seeded with an arbitrary cotangent.
-
-        The cotangent has the node's shape, or (k, *node.shape) for a block of
-        k independent VJPs swept at once, in which case every gradient carries
-        the leading k axis; a block reaching a rule outside `_BLOCK_RULES`
-        raises DimensionError. `wrt` is an iterable of leaf Vars (None: every
-        leaf); nodes with no path to one of them are skipped. Returns the
-        gradients of the requested leaves only: a non-leaf node's cotangent
-        is dropped once its backward rule has run."""
+    def vjp(self, node: Var, cotangent: np.ndarray) -> dict[int, np.ndarray]:
+        """Vector-Jacobian product seeded with a cotangent of the node's shape.
+        Returns the leaves' gradients keyed by node id: a non-leaf node's
+        cotangent is dropped once its backward rule has run."""
         cotangent = np.asarray(cotangent, dtype=np.float64)
-        shape = node.value.shape
-        block = cotangent.ndim == len(shape) + 1 and cotangent.shape[1:] == shape
-        if cotangent.shape != shape and not block:
+        if cotangent.shape != node.value.shape:
             raise DimensionError(
-                f"vjp: cotangent shape {cotangent.shape} != node shape {shape} "
-                f"or (k, *{shape})")
-        self.live = self._live(node.idx, wrt)
+                f"vjp: cotangent shape {cotangent.shape} != node shape {node.value.shape}")
         self.grads = [None] * len(self.ops)
-        if self.live[node.idx]:
-            self.grads[node.idx] = cotangent
+        self.grads[node.idx] = cotangent
         for idx in range(node.idx, -1, -1):
             g = self.grads[idx]
             op = self.ops[idx]
             if g is None or op == "leaf":
                 continue
-            if block and op not in _BLOCK_RULES:
-                raise DimensionError(f"vjp: rule {op!r} cannot carry a cotangent block")
             _BACKWARD[op](self, idx, g)
             self.grads[idx] = None
         return {i: g for i, g in enumerate(self.grads) if g is not None}
 
-    def _live(self, last: int, wrt) -> list[bool]:
-        """live[i]: node i is a requested leaf or has a path from one."""
-        if wrt is None:
-            return [True] * len(self.ops)
-        wanted = set()
-        for var in wrt:
-            if var.tape is not self or self.ops[var.idx] != "leaf":
-                raise ArgumentError("vjp: wrt must hold leaves of this tape")
-            wanted.add(var.idx)
-        live = [False] * len(self.ops)
-        is_live = live.__getitem__
-        for i in range(last + 1):
-            live[i] = i in wanted if self.ops[i] == "leaf" \
-                else any(map(is_live, self.inputs[i]))
-        return live
-
     def _accum(self, idx: int, g: np.ndarray) -> None:
-        if not self.live[idx]:      # no path to a requested leaf
-            return
         if self.grads[idx] is None:
             self.grads[idx] = g.astype(np.float64, copy=True)
         else:
             self.grads[idx] = self.grads[idx] + g
 
 
-# ------------------------------------------------------------------ helpers
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple, lead: int = 0) -> np.ndarray:
-    """Sum `g` down to `shape`, keeping its first `lead` (block) axes."""
-    while g.ndim > len(shape) + lead:
-        g = g.sum(axis=lead)
-    for axis, size in enumerate(shape, start=lead):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def _lead(t: Tape, idx: int, g: np.ndarray) -> int:
-    """Block axes on the cotangent `g` of node idx: 0 or 1."""
-    return g.ndim - t.values[idx].ndim
-
-
 # ------------------------------------------------------------------ primitives
-
-
-def matvec(a: Var, v: Var) -> Var:
-    av, vv = a.value, v.value
-    if av.ndim != 2 or vv.ndim != 1 or av.shape[1] != vv.shape[0]:
-        raise DimensionError(f"matvec: {av.shape} @ {vv.shape}")
-    return a.tape._push("matvec", (a.idx, v.idx), av @ vv, None)
-
-
-def _matvec_bwd(t: Tape, idx: int, g):
-    # g is (m,) or a (k, m) block; the horizon prunes the matrix (an operator)
-    ia, iv = t.inputs[idx]
-    if t.live[ia]:
-        t._accum(ia, g[..., :, None] * t.values[iv])
-    t._accum(iv, g @ t.values[ia])
 
 
 def add(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
-    try:
-        out = av + bv
-    except ValueError:
+    if av.shape != bv.shape:
         raise DimensionError(f"add: {av.shape} + {bv.shape}")
-    return a.tape._push("add", (a.idx, b.idx), out, None)
+    return a.tape._push("add", (a.idx, b.idx), av + bv, None)
 
 
 def _add_bwd(t: Tape, idx: int, g):
     ia, ib = t.inputs[idx]
-    lead = _lead(t, idx, g)
-    t._accum(ia, _unbroadcast(g, t.values[ia].shape, lead))
-    t._accum(ib, _unbroadcast(g, t.values[ib].shape, lead))
-
-
-def tanh(a: Var) -> Var:
-    y = np.tanh(a.value)
-    return a.tape._push("tanh", (a.idx,), y, None)
-
-
-def _tanh_bwd(t: Tape, idx: int, g):
-    t._accum(t.inputs[idx][0], g * (1.0 - t.values[idx] ** 2))
+    t._accum(ia, g)
+    t._accum(ib, g)
 
 
 def unit_kernel(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(y, norm): v, or each row of v, projected onto the unit sphere, a zero
     row kept at zero, and the norms it was divided by (0 read as 1). The
-    arithmetic of `unit`, of `rnn_step` and of the models' noisy states."""
+    arithmetic of `rnn_step` and of the models' noisy states."""
     norm = np.linalg.norm(v, axis=-1, keepdims=True)
     norm[norm == 0.0] = 1.0
     return v / norm, norm
@@ -246,19 +160,6 @@ def unit_kernel(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _unit_dx(g: np.ndarray, y: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """Input cotangent of a unit projection y, for the output cotangent g."""
     return (g - y * (y * g).sum(axis=-1, keepdims=True)) / norm
-
-
-def unit(a: Var) -> Var:
-    """`unit_kernel` as a node, on a vector or the rows of a matrix."""
-    v = a.value
-    if v.ndim not in (1, 2):
-        raise DimensionError(f"unit: expected vector or row batch, got {v.shape}")
-    y, norm = unit_kernel(v)
-    return a.tape._push("unit", (a.idx,), y, (y, norm))
-
-
-def _unit_bwd(t: Tape, idx: int, g):
-    t._accum(t.inputs[idx][0], _unit_dx(g, *t.aux[idx]))
 
 
 def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -313,15 +214,10 @@ def _layer_norm_bwd(t: Tape, idx: int, g):
 
 
 def embed_lookup(table: Var, ids) -> Var:
-    """Gather rows of `table`; an int id yields a vector, a sequence a matrix."""
+    """Gather the rows of `table` at an array of ids."""
     tv = table.value
     if tv.ndim != 2:
         raise DimensionError(f"embed_lookup: table must be 2-d, got {tv.shape}")
-    if np.isscalar(ids) or isinstance(ids, (int, np.integer)):
-        key = int(ids)
-        if not 0 <= key < tv.shape[0]:
-            raise ArgumentError(f"embed_lookup: id {key} out of range")
-        return table.tape._push("embed", (table.idx,), tv[key].copy(), key)
     key = np.asarray(ids, dtype=np.intp)
     if key.size and (key.min() < 0 or key.max() >= tv.shape[0]):
         raise ArgumentError("embed_lookup: id out of range")
@@ -330,13 +226,12 @@ def embed_lookup(table: Var, ids) -> Var:
 
 def _embed_bwd(t: Tape, idx: int, g):
     ia = t.inputs[idx][0]
-    lead = _lead(t, idx, g)
     vocab, d = t.values[ia].shape
     keys = np.ravel(t.aux[idx])
     # the scatter-add of the rows as one GEMM: a (V, n) one-hot of the ids
-    # times the (n, d) cotangent rows (a block: (k, n, d), one GEMM each)
+    # times the (n, d) cotangent rows
     onehot = np.equal.outer(np.arange(vocab), keys).astype(np.float64)
-    t._accum(ia, onehot @ g.reshape(g.shape[:lead] + (keys.size, d)))
+    t._accum(ia, onehot @ g.reshape(keys.size, d))
 
 
 # ------------------------------------------------------------------ batched ops
@@ -822,9 +717,22 @@ def rnn_step(h: np.ndarray, live, tokens, w_rec_t: np.ndarray, w_in: np.ndarray,
     w_rec_t = W_rec^T. Returns (y, a), y the rows' new states: a itself, or
     with `normalized` a projected onto the unit sphere, a zero row kept at
     zero. The step of the `rnn_scan` node, of the RNN `models.forward_batch`
-    and of the horizon's step Jacobians."""
+    and of the Jacobian horizon's trajectory."""
     a = np.tanh(h[live] @ w_rec_t + w_in[tokens] + bias)
     return (unit_kernel(a)[0] if normalized else a), a
+
+
+def rnn_step_adjoint(g: np.ndarray, a: np.ndarray, w_rec: np.ndarray,
+                     normalized: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoint of `rnn_step` for the cotangents g of its new states and
+    its tanh outputs a (rows of a, or one (n,) output shared by every row of
+    g): (dpre, dpre @ w_rec), the cotangents of the pre-activations and of
+    the previous states. The step of the `rnn_scan` backward and of the
+    horizon's reverse sweep."""
+    if normalized:
+        g = _unit_dx(g, *unit_kernel(a))
+    dpre = g * (1.0 - a * a)
+    return dpre, dpre @ w_rec
 
 
 def rnn_scan(w_rec: Var, w_in: Var, bias: Var, ids, normalized: bool) -> Var:
@@ -873,11 +781,8 @@ def _rnn_scan_bwd(t: Tape, idx: int, g):
     dpre = np.empty(acts.shape)
     for step in range(len(bounds) - 2, -1, -1):
         lo, hi = bounds[step], bounds[step + 1]
-        live, a = rows[lo:hi], acts[lo:hi]
-        d = _unit_dx(g[live], *unit_kernel(a)) if normalized else g[live]
-        d *= 1.0 - a * a
-        dpre[lo:hi] = d
-        g[live] = d @ w_rec
+        live = rows[lo:hi]
+        dpre[lo:hi], g[live] = rnn_step_adjoint(g[live], acts[lo:hi], w_rec, normalized)
     t._accum(iw, dpre.T @ states[cols, rows])
     onehot = np.equal.outer(np.arange(t.values[ii].shape[0]), tokens).astype(np.float64)
     t._accum(ii, onehot @ dpre)
@@ -1112,15 +1017,8 @@ def _softmax_xent_mean_bwd(t: Tape, idx: int, g):
     t._accum(t.inputs[idx][0], float(g) * d / d.shape[0])
 
 
-# Rules whose arithmetic carries a leading block axis on the cotangent
-# (see Tape.vjp); the horizon graphs use only these.
-_BLOCK_RULES = frozenset({"matvec", "add", "tanh", "unit", "embed"})
-
 _BACKWARD = {
-    "matvec": _matvec_bwd,
     "add": _add_bwd,
-    "tanh": _tanh_bwd,
-    "unit": _unit_bwd,
     "layer_norm": _layer_norm_bwd,
     "embed": _embed_bwd,
     "skew_exp": _skew_exp_bwd,
@@ -1230,7 +1128,7 @@ def grad_check(build, store: ParamStore, eps: float = 1e-6,
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in work.items()}
     loss = build(tape, leaves)
-    tape.backward(loss, wrt=leaves.values())
+    tape.backward(loss)
     analytic = collect_grads(tape, leaves)
     floor = _FD_NOISE_ULPS * np.finfo(np.float64).eps * abs(float(loss.value)) / eps
 

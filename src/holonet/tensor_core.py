@@ -60,13 +60,6 @@ class RngState:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def gaussian(rng: RngState, n: int) -> np.ndarray:
-    """n i.i.d. standard normal samples, reproducible per (seed, path)."""
-    if n < 1:
-        raise ArgumentError(f"need n >= 1, got {n}")
-    return rng.generator().standard_normal(n)
-
-
 def _require_square(m: np.ndarray, who: str) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{who}: expected a square matrix, got shape {m.shape}")
@@ -188,42 +181,18 @@ def reorthonormalize(u: np.ndarray, tol: float = 1e-13, max_iter: int = 30) -> n
         f"(defect {defect:.3g})", best=x)
 
 
-def spectral_norm(m: np.ndarray, tol: float = 1e-10,
-                  rng: RngState | None = None, max_iter: int = 5000) -> float:
-    """Largest singular value via power iteration on M^T M.
-
-    Deterministic: the start vector comes from `rng` (a fixed default
-    stream when omitted). Raises ConvergenceError carrying the best
-    estimate if the relative change never drops below `tol`.
-    """
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value of a matrix, exactly, by LAPACK's SVD. The top
+    two singular values of an orthogonally initialized RNN's early Jacobians
+    nearly tie, which an iterative estimate resolves slowly or not at all."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"spectral_norm: expected a matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NumericError("spectral_norm: input contains non-finite entries")
-    if tol <= 0:
-        raise ArgumentError(f"spectral_norm: tol must be > 0, got {tol}")
     if m.size == 0:
         return 0.0
-    rng = rng or RngState(0x5eed)
-    v = gaussian(rng, m.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        sigma_new = float(np.linalg.norm(w))
-        if sigma_new == 0.0:
-            return 0.0
-        v = m.T @ w
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            return 0.0
-        v /= vnorm
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    raise ConvergenceError(
-        f"spectral_norm: no convergence after {max_iter} iterations", best=sigma)
+    return float(np.linalg.norm(m, 2))
 
 
 def pca_project(points, k: int) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -121,6 +121,29 @@ def test_checkpoint_with_unreadable_array_record_is_corrupt(tmp_path, record):
     assert code == cli.EXIT_CONFIG
 
 
+def test_checkpoint_with_an_array_stored_twice_is_corrupt(tmp_path):
+    # a second, re-signed h0 record of sevens after the saved ones: the
+    # layout's set of names still matches, so only the parser can refuse it
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+    body = bytearray(path.read_bytes()[:-8])
+    # magic, version, kind (u16 length + text), meta (u32 length + text), count
+    (kind_len,) = struct.unpack_from("<H", body, 8)
+    (meta_len,) = struct.unpack_from("<I", body, 10 + kind_len)
+    count_at = 14 + kind_len + meta_len
+    assert struct.unpack_from("<I", body, count_at) == (3,)
+    struct.pack_into("<I", body, count_at, 4)
+    body += struct.pack("<H", 2) + b"h0" + struct.pack("<BQ", 1, 6) \
+        + np.full(6, 7.0).astype("<f8").tobytes()
+    path.write_bytes(bytes(body) + hashlib.blake2b(bytes(body), digest_size=8).digest())
+    with pytest.raises(CorruptionError, match="stored twice"):
+        load_checkpoint(path)
+    config = tmp_path / "horizon.ini"
+    config.write_text(f"[horizon]\nt_max = 5\npoints = 2\ncheckpoint = {path}\n")
+    code = cli.main(["horizon", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+
+
 def run_under_file_limit(script: str, limit: int) -> None:
     """Run `script` in a fresh interpreter whose files may not grow past
     `limit` bytes, so a write past it fails midway (EFBIG), as on a full

@@ -84,6 +84,27 @@ def test_non_finite_operators_exit_numeric(tmp_path, command):
     assert code == cli.EXIT_NUMERIC
 
 
+def test_horizon_of_a_briefly_trained_rnn_exits_ok_and_its_methods_agree(tmp_path):
+    # two steps leave w_rec near its orthogonal init, so J(1)'s top two
+    # singular values nearly tie: a power iteration there did not converge
+    ckpt = tmp_path / "out" / "train" / "seed0" / "model.ckpt"
+    config = tmp_path / "rnn.ini"
+    config.write_text(f"[model]\nkind = rnn\n[train]\nsteps = 2\n"
+                      f"[horizon]\nt_max = 500\ncheckpoint = {ckpt}\n")
+    argv = ["--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(["train", *argv]) in (cli.EXIT_OK, cli.EXIT_NONCONVERGENCE)
+    assert cli.main(["horizon", *argv]) == cli.EXIT_OK
+    run = tmp_path / "out" / "horizon" / "seed0"
+    curves = [[float(r["J"]) for r in csv.DictReader((run / name).read_text().splitlines())]
+              for name in ("curve.csv", "curve_autodiff.csv")]
+    assert len(curves[0]) == len(curves[1]) > 1 and curves[0][0] <= 1.0
+    # J is written to ten significant digits, the largest gap in full
+    assert all(abs(a / b - 1.0) <= 1e-9 for a, b in zip(*curves))
+    (gap,) = [float(line.split(":")[1]) for line in (run / "summary.txt").read_text().splitlines()
+              if line.startswith("method_disagreement_max:")]
+    assert gap <= 1e-12
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

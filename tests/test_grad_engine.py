@@ -10,35 +10,29 @@ from holonet.errors import ArgumentError, DimensionError, NumericError
 
 
 def softplus_sum(var):
-    """Scalar log(1 + e^|s|), s the sum of a Var's entries, from the model
-    graphs' own primitives: the entries reduce by matvecs against ones to s,
-    which a readout gather turns into a (1, 2) logit row [s, 0], scored by
-    cross-entropy against its smaller logit. The loss is at least log 2, so it
-    keeps its relative precision (log(1 + e^s) at s << 0 would not)."""
-    t = var.tape
-    v = var.value
-    if v.ndim == 0:
-        return var
-    if v.ndim == 3:     # (Q, C, d): each d-row summed by a readout gather
-        var = ge.gather_readout(var, t.leaf(np.ones((v.shape[0], v.shape[2]))),
-                                np.arange(v.shape[0]))
-    if var.value.ndim == 2:     # row sums
-        var = ge.matvec(var, t.leaf(np.ones(var.value.shape[1])))
-    total = ge.matvec(t.leaf(np.ones((1, var.value.shape[0]))), var)
-    pair = ge.gather_readout(t.leaf(np.array([[[1.0], [0.0]]])),
-                             total + t.leaf(np.zeros((1, 1))), [0])
+    """Scalar log(1 + e^|s|), s the sum of a (R, C) Var's entries, from the
+    model graphs' own primitives: a segment pool takes the mean of the rows,
+    which a readout gather sums and scales by R into a (1, 2) logit row
+    [s, 0], scored by cross-entropy against its smaller logit. The loss is at
+    least log 2, so it keeps its relative precision (log(1 + e^s) at s << 0
+    would not). The rows are summed before the nonlinearity: a mean of
+    per-row losses has gradients R times smaller against the same rounding
+    noise."""
+    rows, cols = var.value.shape
+    bank = np.zeros((1, 2, cols))
+    bank[0, 0] = rows
+    pair = ge.gather_readout(var.tape.leaf(bank), ge.segment_pool(var, [rows], [0], mean=True),
+                             [0])
     return ge.softmax_xent_mean(pair, [int(pair.value[0, 0] >= 0)])
 
 
 def wsum(var, seed=0):
-    """softplus_sum of a seeded random linear function of a Var's entries, so
-    gradients are direction-sensitive. A row block is weighted row by row by
-    a readout gather; a (Q, C, d) stack is first read out along d random
+    """softplus_sum of a seeded random linear function of each row of a Var,
+    so gradients are direction-sensitive. A row block is weighted row by row
+    by a readout gather; a (Q, C, d) stack is first read out along d random
     directions per matrix, so each matrix's weights have full rank."""
     gen = tc.RngState(seed).generator()
     t = var.tape
-    if var.value.ndim == 1:
-        var = var + t.leaf(np.zeros((1, var.value.shape[0])))
     if var.value.ndim == 3:
         q, _, d = var.value.shape
         var = ge.gather_readout(var, t.leaf(gen.standard_normal((q * d, d))),
@@ -49,8 +43,9 @@ def wsum(var, seed=0):
 
 
 def dot(x, y):
-    """x . y of two (n,) Vars, a matvec of x as a (1, n) row."""
-    return ge.matvec(x + x.tape.leaf(np.zeros((1, x.value.shape[0]))), y)
+    """x . y of two (1, n) Vars as a (1, 1) Var: a readout gather of x's
+    row, looked up as a one-matrix bank, against y."""
+    return ge.gather_readout(ge.embed_lookup(x, [[0]]), y, [0])
 
 
 # the module constants that force each skew_exp algorithm onto any stack
@@ -77,18 +72,6 @@ def algorithm_of(node):
 # ---------------------------------------------------------------- forward values
 
 
-def test_matvec_identity():
-    t = ge.Tape()
-    v = t.leaf(np.array([1.0, -2.0, 3.0]))
-    out = ge.matvec(t.leaf(np.eye(3)), v)
-    assert np.array_equal(out.value, v.value)
-
-
-def test_tanh_zero():
-    t = ge.Tape()
-    assert ge.tanh(t.leaf(np.zeros(4))).value.sum() == 0.0
-
-
 def test_cross_entropy_uniform_logits():
     t = ge.Tape()
     loss = ge.softmax_xent_mean(t.leaf(np.zeros((2, 6))), [3, 0])
@@ -98,8 +81,8 @@ def test_cross_entropy_uniform_logits():
 def test_inner_product_grad_is_other_factor():
     # d softplus(w . x) / dw = sigmoid(w . x) x, and w . x = 1.5 here
     t = ge.Tape()
-    x = np.array([0.5, -1.0, 2.0])
-    w = t.leaf(np.array([1.0, 1.0, 1.0]))
+    x = np.array([[0.5, -1.0, 2.0]])
+    w = t.leaf(np.array([[1.0, 1.0, 1.0]]))
     loss = softplus_sum(dot(t.leaf(x), w))
     assert float(loss.value) == pytest.approx(math.log1p(math.exp(1.5)), abs=1e-15)
     t.backward(loss)
@@ -108,17 +91,18 @@ def test_inner_product_grad_is_other_factor():
 
 def test_backward_requires_scalar():
     t = ge.Tape()
-    v = t.leaf(np.ones(3))
+    v = t.leaf(np.ones((2, 3)))
     with pytest.raises(ArgumentError):
-        t.backward(ge.tanh(v))
+        t.backward(ge.add(v, v))
 
 
 def test_shape_errors():
     t = ge.Tape()
     with pytest.raises(DimensionError):
-        ge.matvec(t.leaf(np.ones((2, 3))), t.leaf(np.ones(2)))
-    with pytest.raises(DimensionError):
         ge.add(t.leaf(np.ones(3)), t.leaf(np.ones(4)))
+    # add does not broadcast: no model graph adds unequal shapes
+    with pytest.raises(DimensionError):
+        ge.add(t.leaf(np.ones((3, 4))), t.leaf(np.ones(4)))
 
 
 # ---------------------------------------------------------------- exp(A)v oracle
@@ -160,28 +144,10 @@ def case(name):
     return reg
 
 
-@case("matvec")
-def _c_matvec(gen):
-    return {"a": gen.standard_normal((3, 4)), "v": gen.standard_normal(4)}, \
-        lambda t, lv: wsum(ge.matvec(lv["a"], lv["v"]))
-
-
-@case("add_broadcast")
+@case("add")
 def _c_add(gen):
-    return {"x": gen.standard_normal((3, 4)), "b": gen.standard_normal(4)}, \
+    return {"x": gen.standard_normal((3, 4)), "b": gen.standard_normal((3, 4))}, \
         lambda t, lv: wsum(ge.add(lv["x"], lv["b"]))
-
-
-@case("tanh")
-def _c_tanh(gen):
-    return {"x": gen.standard_normal((3, 4))}, \
-        lambda t, lv: wsum(ge.tanh(lv["x"]))
-
-
-@case("unit")
-def _c_unit(gen):
-    return {"x": gen.standard_normal(5)}, \
-        lambda t, lv: wsum(ge.unit(lv["x"]))
 
 
 @case("layer_norm")
@@ -286,12 +252,6 @@ def _c_gather_readout(gen):
 def _c_softmax_xent_mean(gen):
     return {"z": gen.standard_normal((5, 6))}, \
         lambda t, lv: ge.softmax_xent_mean(lv["z"], [0, 3, 5, 1, 3])
-
-
-@case("unit_rows")
-def _c_unit_rows(gen):
-    return {"x": gen.standard_normal((4, 5))}, \
-        lambda t, lv: wsum(ge.unit(lv["x"]))
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
@@ -414,86 +374,32 @@ def test_segment_pool_rejects_lengths_or_rows_that_do_not_pool_the_stream():
 
 
 def test_embed_backward_is_the_scatter_add():
-    # the one-hot GEMM against np.add.at, repeated ids, single and block
-    # cotangents, one id and an id block
+    # the one-hot GEMM against np.add.at, repeated ids, an id vector and an
+    # id block
     gen = tc.RngState(16).generator()
-    for ids, k in ((gen.integers(0, 45, 64), 0), (gen.integers(0, 45, (8, 50)), 0),
-                   (7, 0), (gen.integers(0, 45, 64), 3), (7, 2)):
+    for ids in (gen.integers(0, 45, 64), gen.integers(0, 45, (8, 50))):
         t = ge.Tape()
         table = t.leaf(gen.standard_normal((45, 16)))
         out = ge.embed_lookup(table, ids)
-        g = gen.standard_normal(((k,) if k else ()) + out.value.shape)
-        ref = np.zeros(g.shape[:g.ndim - out.value.ndim] + table.value.shape)
-        np.add.at(ref, (slice(None),) * (g.ndim - out.value.ndim) + (ids,), g)
+        g = gen.standard_normal(out.value.shape)
+        ref = np.zeros(table.value.shape)
+        np.add.at(ref, ids, g)
         got = t.vjp(out, g)[table.idx]
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-# ---------------------------------------------------------------- block cotangents, wrt
-
-
-def block_graph(tape, gen):
-    """Every rule in _BLOCK_RULES, with broadcasting adds and row-wise units;
-    the output is (3, 4)."""
-    table = tape.leaf(gen.standard_normal((5, 4)))
-    bias = tape.leaf(gen.standard_normal(4))
-    w = tape.leaf(gen.standard_normal((4, 4)))
-    rows = ge.unit(ge.tanh(ge.embed_lookup(table, [0, 3, 3]) + bias))
-    h = ge.matvec(w, ge.unit(ge.embed_lookup(table, 2)))
-    return ge.unit(rows + h), (table, bias, w)
-
-
-def test_block_vjp_is_the_stack_of_single_vjps_through_every_block_rule():
-    gen = tc.RngState(12).generator()
-    t = ge.Tape()
-    out, leaves = block_graph(t, gen)
-    assert set(t.ops) - {"leaf"} == ge._BLOCK_RULES
-    block = gen.standard_normal((4, 3, 4))
-    grads = t.vjp(out, block)
-    singles = [t.vjp(out, row) for row in block]
-    assert set(grads) == {v.idx for v in leaves}
-    for i, g in grads.items():
-        stacked = np.stack([single[i] for single in singles])
-        assert g.shape == stacked.shape
-        assert np.max(np.abs(g - stacked)) <= 1e-15
-
-
 def test_block_cotangent_rejected_by_rules_that_cannot_carry_it():
+    # no rule carries a block of cotangents, (k, *shape): a cotangent must
+    # have its node's shape
     gen = tc.RngState(13).generator()
     t = ge.Tape()
     x = t.leaf(gen.standard_normal((2, 3, 4)))
     out = ge.layer_norm(x, t.leaf(np.ones(4)), t.leaf(np.zeros(4)))
     with pytest.raises(DimensionError):
         t.vjp(out, np.ones((5, 2, 3, 4)))
-    # neither the node's shape nor (k, *shape)
     with pytest.raises(DimensionError):
         t.vjp(out, np.ones((2, 3, 5)))
-
-
-def test_wrt_returns_only_requested_leaves_bit_for_bit():
-    gen = tc.RngState(14).generator()
-    t = ge.Tape()
-    out, (table, bias, w) = block_graph(t, gen)
-    loss = wsum(out)
-    full = t.backward(loss)
-    for wanted in ([bias], [table, w]):
-        pruned = t.backward(loss, wrt=wanted)
-        assert set(pruned) == {v.idx for v in wanted}
-        assert all(np.array_equal(pruned[i], full[i]) for i in pruned)
-    # a pruned leaf keeps no gradient, and nothing is swept for an empty set
-    assert table.grad is not None and bias.grad is None
-    assert t.backward(loss, wrt=[]) == {}
-
-
-def test_wrt_must_name_leaves_of_the_same_tape():
-    t = ge.Tape()
-    x = t.leaf(np.ones(3))
-    y = ge.tanh(x)
-    with pytest.raises(ArgumentError):
-        t.vjp(y, np.ones(3), wrt=[y])
-    with pytest.raises(ArgumentError):
-        t.vjp(y, np.ones(3), wrt=[ge.Tape().leaf(np.ones(3))])
 
 
 # ---------------------------------------------------------------- skew_exp, holonomic_scan
@@ -717,6 +623,49 @@ def test_rnn_scan_rejects_tokens_outside_vocabulary_and_bad_shapes():
         ge.rnn_scan(w_rec, w_in, t.leaf(np.asarray(1.0)), [[0, 1]], True)
 
 
+def per_column_bptt(t, node, g):
+    """Gradients of an rnn_scan node's (w_rec, w_in, bias) for the cotangent
+    g, by the per-column backpropagation through time the node's backward
+    ran inline before it called `rnn_step_adjoint`."""
+    iw, ii, _ = t.inputs[node.idx]
+    cols, rows, bounds, tokens, states, acts, normalized = t.aux[node.idx]
+    w_rec = t.values[iw]
+    g = np.array(g, dtype=np.float64)
+    dpre = np.empty(acts.shape)
+    for step in range(len(bounds) - 2, -1, -1):
+        lo, hi = bounds[step], bounds[step + 1]
+        live, a = rows[lo:hi], acts[lo:hi]
+        d = ge._unit_dx(g[live], *ge.unit_kernel(a)) if normalized else g[live]
+        d *= 1.0 - a * a
+        dpre[lo:hi] = d
+        g[live] = d @ w_rec
+    onehot = np.equal.outer(np.arange(t.values[ii].shape[0]), tokens).astype(np.float64)
+    return dpre.T @ states[cols, rows], onehot @ dpre, dpre.sum(axis=0)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("n, vocab", [(32, 6), (128, 45)], ids=["s3", "binding"])
+def test_rnn_scan_backward_steps_through_rnn_step_adjoint_bit_for_bit(normalized, n, vocab,
+                                                                      monkeypatch):
+    gen = tc.RngState(17).generator()
+    lengths = np.concatenate([[1, 30], gen.integers(1, 31, 14)])
+    ids = np.full((16, 30), ge.IDENTITY_STEP)
+    for row, length in enumerate(lengths):
+        ids[row, 30 - length:] = gen.integers(0, vocab, length)
+    calls = []
+    adjoint = ge.rnn_step_adjoint
+    monkeypatch.setattr(ge, "rnn_step_adjoint", lambda *a: calls.append(1) or adjoint(*a))
+    t = ge.Tape()
+    w_rec = t.leaf(tc.mat_exp(tc.skew(0.2 * gen.standard_normal((n, n)))))
+    w_in, bias = t.leaf(gen.standard_normal((vocab, n))), t.leaf(0.1 * gen.standard_normal(n))
+    out = ge.rnn_scan(w_rec, w_in, bias, ids, normalized)
+    g = gen.standard_normal(out.value.shape)
+    grads = t.vjp(out, g)
+    assert len(calls) == 30     # one step adjoint per column
+    for leaf, ref in zip((w_rec, w_in, bias), per_column_bptt(t, out, g)):
+        assert np.array_equal(grads[leaf.idx], ref)
+
+
 # ---------------------------------------------------------------- grad_check harness
 
 
@@ -724,7 +673,7 @@ def test_grad_check_quadratic_is_exact():
     def build(tape, lv):
         return softplus_sum(dot(lv["x"], lv["x"]))
 
-    err = ge.grad_check(build, ge.ParamStore({"x": np.arange(1.0, 10.0)}), eps=1e-5)
+    err = ge.grad_check(build, ge.ParamStore({"x": np.arange(1.0, 10.0)[None]}), eps=1e-5)
     assert err < 1e-9
 
 
@@ -732,7 +681,7 @@ def test_grad_check_floor_passes_exact_zero_but_not_a_wrong_gradient():
     # z enters the loss as a constant leaf, so its tape gradient is exactly 0;
     # its true derivative is c. Below the noise floor that agrees, above not.
     def store():
-        return ge.ParamStore({"w": np.array([1.0, -0.5]), "z": np.array([0.25])})
+        return ge.ParamStore({"w": np.array([[1.0, -0.5]]), "z": np.array([[0.25]])})
 
     # The loss is softplus(w . w) + softplus(c z): z's true derivative is
     # c sigmoid(c z), about c / 2.
@@ -740,7 +689,7 @@ def test_grad_check_floor_passes_exact_zero_but_not_a_wrong_gradient():
         def build(tape, lv):
             detached = tape.leaf(lv["z"].value.copy())
             return softplus_sum(dot(lv["w"], lv["w"])) \
-                + softplus_sum(dot(detached, tape.leaf(np.array([c]))))
+                + softplus_sum(dot(detached, tape.leaf(np.array([[c]]))))
         return ge.grad_check(build, store(), eps=1e-6)
 
     loss = math.log1p(math.exp(1.25)) + math.log(2.0)
@@ -752,7 +701,7 @@ def test_grad_check_floor_passes_exact_zero_but_not_a_wrong_gradient():
 
 def test_grad_check_eps_bounds():
     with pytest.raises(ArgumentError):
-        ge.grad_check(lambda t, lv: softplus_sum(lv["x"]), ge.ParamStore({"x": np.ones(3)}),
+        ge.grad_check(lambda t, lv: softplus_sum(lv["x"]), ge.ParamStore({"x": np.ones((1, 3))}),
                       eps=1e-3)
 
 

@@ -433,22 +433,16 @@ def test_batched_tape_loss_matches_per_episode_reference(kind):
         assert np.max(np.abs(g - mean)) <= 1e-12, name
 
 
-@pytest.mark.parametrize("kind", md.MODEL_KINDS)
-def test_backward_wrt_parameters_skips_constants_and_keeps_every_bit(kind):
-    # what train does: a sinusoidal table is a leaf of the graph but gets no
-    # gradient
-    params = binding_params(kind, 33, pos_mode="sinusoidal") if kind == md.TRANSFORMER \
-        else binding_params(kind, 33)
+def test_training_graphs_build_every_primitive():
+    # no dead primitives: each backward rule serves some model's training
+    # graph, and each node a graph builds has a rule
     batch = binding_batch(34, [1, 7, 3, 7, 12, 2])
-    tape = ge.Tape()
-    leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    loss = md.tape_batch_loss(kind, tape, leaves, batch, params)
-    full = tape.backward(loss)
-    pruned = tape.backward(loss, wrt=leaves.values())
-    assert set(pruned) == set(full) & {v.idx for v in leaves.values()}
-    assert all(np.array_equal(pruned[i], full[i]) for i in pruned)
-    # only the transformer's sinusoidal table is a constant leaf
-    assert (len(full) > len(pruned)) == (kind == md.TRANSFORMER)
+    built = set()
+    for kind, kw in [(md.HOLONOMIC, {}), (md.RNN, {}), (md.NORMALIZED_RNN, {}),
+                     (md.TRANSFORMER, {"pos_mode": "learned"}),
+                     (md.TRANSFORMER, {"pos_mode": "sinusoidal"})]:
+        built.update(tape_ops(kind, binding_params(kind, 33, **kw), batch))
+    assert built - {"leaf"} == set(ge._BACKWARD)
 
 
 @pytest.mark.parametrize("kind", md.MODEL_KINDS)

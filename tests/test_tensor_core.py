@@ -6,7 +6,6 @@ import pytest
 from holonet.errors import ArgumentError, ConvergenceError, DimensionError, NumericError
 from holonet.tensor_core import (
     RngState,
-    gaussian,
     mat_exp,
     mat_exp_frechet,
     pca_project,
@@ -53,25 +52,21 @@ def jacobi_svd_max(m, sweeps=60):
 # ---------------------------------------------------------------- rng
 
 
-def test_gaussian_same_seed_identical():
-    a = gaussian(RngState(7), 32)
-    b = gaussian(RngState(7), 32)
-    assert np.array_equal(a, b)
+def normals(rng, n):
+    return rng.generator().standard_normal(n)
 
 
-def test_gaussian_different_seed_differs():
-    assert not np.array_equal(gaussian(RngState(7), 32), gaussian(RngState(8), 32))
+def test_rng_same_seed_identical():
+    assert np.array_equal(normals(RngState(7), 32), normals(RngState(7), 32))
 
 
-def test_gaussian_child_streams_differ():
+def test_rng_different_seed_differs():
+    assert not np.array_equal(normals(RngState(7), 32), normals(RngState(8), 32))
+
+
+def test_rng_child_streams_differ():
     rng = RngState(123)
-    assert not np.array_equal(gaussian(rng.child(0), 16), gaussian(rng.child(1), 16))
-
-
-def test_gaussian_moments():
-    x = gaussian(RngState(2024), 1_000_000)
-    assert abs(x.mean()) < 0.01
-    assert abs(x.var() - 1.0) < 0.01
+    assert not np.array_equal(normals(rng.child(0), 16), normals(rng.child(1), 16))
 
 
 # ---------------------------------------------------------------- skew
@@ -288,7 +283,7 @@ def test_spectral_norm_diag():
 
 def test_spectral_norm_matches_jacobi_oracle():
     m = RngState(21).generator().standard_normal((16, 16))
-    mine = spectral_norm(m, tol=1e-12)
+    mine = spectral_norm(m)
     oracle = jacobi_svd_max(m)
     assert abs(mine - oracle) / oracle < 1e-8
 
@@ -297,14 +292,27 @@ def test_spectral_norm_unitary_invariance():
     gen = RngState(22).generator()
     m = gen.standard_normal((12, 12))
     q = mat_exp(skew(gen.standard_normal((12, 12))))
-    a = spectral_norm(m, tol=1e-12)
-    b = spectral_norm(q @ m, tol=1e-12)
+    a = spectral_norm(m)
+    b = spectral_norm(q @ m)
     assert abs(a - b) < 1e-9 * a
 
 
-def test_spectral_norm_bad_tol():
-    with pytest.raises(ArgumentError):
-        spectral_norm(np.eye(2), tol=0.0)
+def test_spectral_norm_resolves_near_tied_singular_values():
+    # sigma_2 / sigma_1 = 0.9996, as in an orthogonally initialized RNN's
+    # first Jacobian: a power iteration creeps, and one stopped by its
+    # relative change read 6e-8 low here
+    gen = RngState(23).generator()
+    q1 = mat_exp(skew(gen.standard_normal((12, 12))))
+    q2 = mat_exp(skew(gen.standard_normal((12, 12))))
+    m = q1 @ np.diag(np.r_[1.0, np.linspace(0.9996, 0.5, 11)]) @ q2
+    assert abs(spectral_norm(m) - 1.0) <= 1e-14
+
+
+def test_spectral_norm_rejects_bad_input():
+    with pytest.raises(DimensionError):
+        spectral_norm(np.ones(3))
+    with pytest.raises(NumericError):
+        spectral_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------- pca
