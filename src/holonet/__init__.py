@@ -7,7 +7,7 @@ Modules:
     group_tasks   S3 composition and variable-binding episode generators
     models        the four sequence classifiers and the noise hook
     scan_engine   sequential and tree holonomy products
-    experiments   training plus the four experiment pipelines
+    experiments   training plus the six experiment pipelines
     config        run configuration parsing and validation
     checkpoint    binary parameter persistence
     cli           command-line entry point

@@ -2,11 +2,15 @@
 
 Subcommands: train, sweep, scaling, genlen, horizon, massgap, pca,
 scan-bench, report, verify. Every run reads one INI config (see config.py
-for the grammar), optionally overridden by --seed/--out/--precision,
-writes `config.snapshot`, `curve.csv` and `summary.txt` under
-`<out>/<experiment>/seed<seed>/`, and exits 0 on success, 2 on
-configuration errors, 3 on numeric failures, 4 on training
-non-convergence.
+for the grammar), optionally overridden by --seed/--out/--precision, and
+exits 0 on success, 2 on configuration errors, 3 on numeric failures, 4 on
+training non-convergence.
+
+A run is data: each command hands `write_run` raw rows and a summary dict,
+and it writes `config.snapshot`, the curve CSVs and `summary.txt` under
+`<out>/<experiment>/seed<seed>/`, numbers in full precision. `summary.txt`
+holds one `key: value` line per entry, the value in JSON (NaN as `NaN`,
+None as `null`), and `read_summary` returns the dict that was written.
 
 The models' matrices are small (n <= 128), so BLAS runs one thread unless
 the environment says otherwise: parallel runs then do not oversubscribe the
@@ -17,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -31,16 +37,13 @@ from . import experiments as ex
 from . import models as md
 from . import scan_engine as se
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .config import RunConfig, parse_config, render_config
+from .config import RunConfig, parse_config, render_config, validate_config
 from .errors import (
-    ArgumentError,
-    CapacityError,
     ConfigError,
     ConvergenceError,
     CorruptionError,
-    DimensionError,
+    HolonetError,
     NumericError,
-    VersionError,
 )
 from .tensor_core import RngState
 
@@ -63,37 +66,47 @@ def run_dir(cfg: RunConfig, experiment: str) -> Path:
     return d
 
 
-def write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def write_run(cfg: RunConfig, experiment: str, header: list[str],
-              rows: list[dict], summary_lines: list[str]) -> Path:
-    """Config snapshot, curve and summary, each replaced whole (`atomic_open`)."""
+def write_run(cfg: RunConfig, experiment: str, curves: dict[str, list[dict]],
+              summary: dict) -> Path:
+    """Config snapshot, curves and summary, in that order, each replaced whole
+    (`atomic_open`). `curves` maps a file name to its rows; a CSV's header is
+    its first row's keys."""
     d = run_dir(cfg, experiment)
     with atomic_open(d / "config.snapshot") as fh:
         fh.write(render_config(cfg))
-    write_csv(d / "curve.csv", header, rows)
-    stamp = time.strftime("%Y-%m-%d %H:%M:%S")
+    for name, rows in curves.items():
+        with atomic_open(d / name, newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    for stale in d.glob("*.csv"):   # written by the run this one replaces
+        if stale.name not in curves:
+            stale.unlink()
+    entries = {"experiment": experiment,
+               "written": time.strftime("%Y-%m-%d %H:%M:%S"), **summary}
     with atomic_open(d / "summary.txt") as fh:
-        fh.write("\n".join([f"experiment: {experiment}", f"written: {stamp}"]
-                           + summary_lines) + "\n")
+        fh.writelines(f"{key}: {json.dumps(value)}\n" for key, value in entries.items())
     return d
 
 
-def _load_params(path: str, expect_kind: str | None = None):
+def read_summary(path) -> dict:
+    """A `summary.txt` as the dict written, `experiment` and `written` first."""
+    out = {}
+    for line in Path(path).read_text().splitlines():
+        key, _, value = line.partition(": ")
+        try:
+            out[key] = json.loads(value)
+        except ValueError as err:   # a summary in the text format before JSON values
+            raise CorruptionError(f"{path}: not a `key: JSON` line: {line!r}") from err
+    return out
+
+
+def _load_params(path: str):
     if not path:
         raise ConfigError("no checkpoint path configured")
     if not Path(path).exists():
         raise ConfigError(f"checkpoint not found: {path}")
-    kind, params = load_checkpoint(path)
-    if expect_kind and kind != expect_kind:
-        raise ConfigError(f"checkpoint holds a {kind} model, expected {expect_kind}")
-    return kind, params
+    return load_checkpoint(path)
 
 
 # ------------------------------------------------------------------ commands
@@ -102,25 +115,14 @@ def _load_params(path: str, expect_kind: str | None = None):
 def cmd_train(cfg: RunConfig) -> int:
     rng = RngState(cfg.seed).child(0)
     result = ex.train(cfg.model, cfg.task, cfg.curriculum, cfg.train, rng)
-    rows = [{"step": r["step"], "max_len": r["max_len"],
-             "loss": f"{r['loss']:.6f}", "grad_norm": f"{r['grad_norm']:.6f}",
-             "accuracy": f"{r['accuracy']:.6f}"}
-            for r in result.log]
-    d = run_dir(cfg, "train")
-    ckpt = Path(cfg.save) if cfg.save else d / "model.ckpt"
+    ckpt = Path(cfg.save) if cfg.save else run_dir(cfg, "train") / "model.ckpt"
     save_checkpoint(ckpt, cfg.model.kind, result.params)
     total, items = md.param_count(result.params)
-    summary = [
-        f"model: {cfg.model.kind}",
-        f"task: {cfg.task.kind}",
-        f"converged: {result.converged}",
-        f"steps_used: {result.steps_used}",
-        f"final_accuracy: {result.final_accuracy:.6f}",
-        f"checkpoint: {ckpt}",
-        f"parameters: {total}",
-    ] + [f"  {k}: {v}" for k, v in sorted(items.items())]
-    write_run(cfg, "train", ["step", "max_len", "loss", "grad_norm", "accuracy"],
-              rows, summary)
+    write_run(cfg, "train", {"curve.csv": result.log}, {
+        "model": cfg.model.kind, "task": cfg.task.kind,
+        "converged": result.converged, "steps_used": result.steps_used,
+        "final_accuracy": result.final_accuracy, "checkpoint": str(ckpt),
+        "parameters": total, "parameters_per_component": dict(sorted(items.items()))})
     if not result.converged:
         raise NonConvergence(
             f"training ended at accuracy {result.final_accuracy:.4f} "
@@ -135,50 +137,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
                            cfg.sweep.episodes, rng, cfg.sweep.length)
     chance = cfg.task.trivial_accuracy(cfg.sweep.length)
     tc = ex.estimate_tc(sweep, cfg.sweep.threshold, rng.child(99), chance=chance)
-    rows = [{"T": f"{t:.6f}", "acc_mean": f"{m:.6f}", "acc_lo": f"{lo:.6f}",
-             "acc_hi": f"{hi:.6f}", "episodes": sweep.episodes}
-            for t, m, lo, hi in zip(sweep.grid, sweep.acc_mean,
-                                    sweep.acc_lo, sweep.acc_hi)]
-    summary = [
-        f"model: {kind}",
-        f"threshold: {cfg.sweep.threshold}",
-        f"chance: {chance:.6f}",
-        f"Tc: {tc.value:.6f}",
-        f"Tc_ci: [{tc.lo:.6f}, {tc.hi:.6f}]",
-        f"censored: {tc.censored or 'no'}",
-    ]
-    write_run(cfg, "sweep", ["T", "acc_mean", "acc_lo", "acc_hi", "episodes"],
-              rows, summary)
+    rows = [{"T": t, "acc_mean": m, "acc_lo": lo, "acc_hi": hi, "episodes": sweep.episodes}
+            for t, m, lo, hi in zip(sweep.grid, sweep.acc_mean, sweep.acc_lo, sweep.acc_hi)]
+    write_run(cfg, "sweep", {"curve.csv": rows}, {
+        "model": kind, "threshold": cfg.sweep.threshold, "chance": chance,
+        "Tc": tc.value, "Tc_ci": [tc.lo, tc.hi], "censored": tc.censored})
     return EXIT_OK
 
 
 def cmd_scaling(cfg: RunConfig) -> int:
     rng = RngState(cfg.seed).child(2)
-    results = ex.finite_size_scan(cfg.scaling.widths, cfg.task, cfg.curriculum,
-                                  cfg.train, cfg.sweep.grid(),
-                                  cfg.sweep.episodes, rng, cfg.sweep.threshold,
-                                  cfg.model, cfg.sweep.length)
-    rows = []
-    points = []
-    flagged = []
-    for r in results:
-        if r["converged"]:
-            tc = r["tc"]
-            rows.append({"N": r["N"], "Tc": f"{tc.value:.6f}",
-                         "Tc_lo": f"{tc.lo:.6f}", "Tc_hi": f"{tc.hi:.6f}"})
-            points.append((r["N"], tc.value))
-        else:
-            flagged.append(r["N"])
-    summary = [f"widths: {','.join(str(n) for n in cfg.scaling.widths)}"]
-    if flagged:
-        summary.append(f"excluded (non-converged): {flagged}")
-    if len(points) >= 3:
-        fit = ex.fit_log_scaling(points)
-        summary += [f"alpha: {fit.alpha:.6f}", f"beta: {fit.beta:.6f}",
-                    f"r_squared: {fit.r_squared:.6f}"]
-    else:
-        summary.append("fit refused: fewer than 3 converged widths")
-    write_run(cfg, "scaling", ["N", "Tc", "Tc_lo", "Tc_hi"], rows, summary)
+    rows = ex.finite_size_scan(cfg.scaling.widths, cfg.task, cfg.curriculum,
+                               cfg.train, cfg.sweep.grid(),
+                               cfg.sweep.episodes, rng, cfg.sweep.threshold,
+                               cfg.model, cfg.sweep.length)
+    points = [(r["N"], r["Tc"]) for r in rows if r["converged"]]
+    fitted = len(points) >= 3
+    nan = float("nan")
+    fit = ex.fit_log_scaling(points) if fitted else ex.ScalingFit(points, nan, nan, nan)
+    write_run(cfg, "scaling", {"curve.csv": rows}, {
+        "widths": list(cfg.scaling.widths),
+        "excluded": [r["N"] for r in rows if not r["converged"]],
+        "fit": "ok" if fitted else "refused: fewer than 3 converged widths",
+        "alpha": fit.alpha, "beta": fit.beta, "r_squared": fit.r_squared})
     return EXIT_OK
 
 
@@ -188,20 +169,12 @@ def cmd_genlen(cfg: RunConfig) -> int:
     rows = ex.length_generalization_eval(kind, params, cfg.task,
                                          cfg.genlen.lengths,
                                          cfg.genlen.episodes, cfg.precision, rng)
-    out_rows = [{"L": r["L"],
-                 "acc": "nan" if np.isnan(r["acc"]) else f"{r['acc']:.6f}",
-                 "episodes": r["episodes"], "precision": r["precision"]}
-                for r in rows]
     scored = [r["acc"] for r in rows if not np.isnan(r["acc"])]
-    below = [str(r["L"]) for r in rows   # NaN compares False
-             if r["acc"] <= cfg.task.trivial_accuracy(r["L"])]
-    summary = [f"model: {kind}",
-               f"acc_min: {min(scored, default=float('nan')):.6f}",
-               f"acc_max: {max(scored, default=float('nan')):.6f}",
-               f"below_chance: {','.join(below) or 'none'}"] \
-        + [f"L={r['L']}: {r['note']}" for r in rows if r["note"]]
-    write_run(cfg, "genlen", ["L", "acc", "episodes", "precision"],
-              out_rows, summary)
+    write_run(cfg, "genlen", {"curve.csv": rows}, {
+        "model": kind, "acc_min": min(scored, default=float("nan")),
+        "acc_max": max(scored, default=float("nan")),
+        "below_chance": [r["L"] for r in rows   # NaN compares False
+                         if r["acc"] <= cfg.task.trivial_accuracy(r["L"])]})
     return EXIT_OK
 
 
@@ -211,25 +184,17 @@ def cmd_horizon(cfg: RunConfig) -> int:
     grid = cfg.horizon.grid()
     methods = (["operator-norm", "autodiff"] if cfg.horizon.method == "both"
                else [cfg.horizon.method])
-    curves = {m: ex.jacobian_horizon(kind, params, grid, m, rng,
-                                     cfg.horizon.fit_min_t) for m in methods}
-    primary = curves[methods[0]]
-    rows = [{"t": int(t), "J": f"{j:.9e}"}
-            for t, j in zip(primary.t_grid, primary.j_values)]
-    d = run_dir(cfg, "horizon")
-    summary = [f"model: {kind}", f"method: {methods[0]}",
-               f"lambda_max: {primary.lambda_max:.6e}",
-               f"fit_r_squared: {primary.fit_r_squared:.6f}"]
-    if primary.note:
-        summary.append(f"fit_note: {primary.note}")
-    if len(methods) == 2:
-        other = curves[methods[1]]
-        write_csv(d / "curve_autodiff.csv", ["t", "J"],
-                  [{"t": int(t), "J": f"{j:.9e}"}
-                   for t, j in zip(other.t_grid, other.j_values)])
-        gap = float(np.max(np.abs(primary.j_values - other.j_values)))
-        summary.append(f"method_disagreement_max: {gap:.3e}")
-    write_run(cfg, "horizon", ["t", "J"], rows, summary)
+    curves = [ex.jacobian_horizon(kind, params, grid, m, rng, cfg.horizon.fit_min_t)
+              for m in methods]
+    primary = curves[0]
+    summary = {"model": kind, "method": methods[0], "lambda_max": primary.lambda_max,
+               "fit_r_squared": primary.fit_r_squared, "fit_note": primary.note or None}
+    if len(curves) == 2:
+        summary["method_disagreement_max"] = float(
+            np.max(np.abs(primary.j_values - curves[1].j_values)))
+    files = {name: [{"t": int(t), "J": j} for t, j in zip(c.t_grid, c.j_values)]
+             for name, c in zip(["curve.csv", "curve_autodiff.csv"], curves)}
+    write_run(cfg, "horizon", files, summary)
     return EXIT_OK
 
 
@@ -238,18 +203,10 @@ def cmd_massgap(cfg: RunConfig) -> int:
     rng = RngState(cfg.seed).child(5)
     result = ex.mass_gap(kind, params, cfg.task, rng,
                          cfg.massgap.episodes_per_class, cfg.massgap.length)
-    labels = sorted(result.centroids)
-    rows = []
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            cosang = float(np.clip(result.centroids[a] @ result.centroids[b],
-                                   -1.0, 1.0))
-            rows.append({"class_a": a, "class_b": b,
-                         "geodesic": f"{np.arccos(cosang):.6f}"})
-    summary = [f"model: {kind}", f"classes: {len(labels)}",
-               f"delta: {result.delta:.6f}"] + \
-              [f"  count[{k}]: {v}" for k, v in sorted(result.counts.items())]
-    write_run(cfg, "massgap", ["class_a", "class_b", "geodesic"], rows, summary)
+    rows = [{"class_a": a, "class_b": b, "geodesic": g} for a, b, g in result.geodesics]
+    write_run(cfg, "massgap", {"curve.csv": rows}, {
+        "model": kind, "classes": len(result.centroids), "delta": result.delta,
+        "counts": {str(k): v for k, v in sorted(result.counts.items())}})
     return EXIT_OK
 
 
@@ -257,29 +214,18 @@ def cmd_pca(cfg: RunConfig) -> int:
     if not cfg.pca.checkpoints:
         raise ConfigError("pca needs at least one checkpoint")
     tags = cfg.pca.tags or tuple(f"model{i}" for i in range(len(cfg.pca.checkpoints)))
-    entries = []
-    for tag, path in zip(tags, cfg.pca.checkpoints):
-        kind, params = _load_params(path)
-        entries.append((tag, kind, params))
+    entries = [(tag, *_load_params(path)) for tag, path in zip(tags, cfg.pca.checkpoints)]
     rng = RngState(cfg.seed).child(6)
     snap = ex.pca_snapshot(entries, cfg.task, cfg.pca.temperature,
                            cfg.pca.episodes, rng, cfg.pca.length)
-    rows = []
-    summary = [f"temperature: {cfg.pca.temperature}"]
-    for tag in tags:
-        entry = snap[tag]
-        for label, p2, p3 in zip(entry["labels"], entry["k2"], entry["k3"]):
-            rows.append({"model": tag, "class": int(label),
-                         "k2_x": f"{p2[0]:.6e}", "k2_y": f"{p2[1]:.6e}",
-                         "k3_x": f"{p3[0]:.6e}", "k3_y": f"{p3[1]:.6e}",
-                         "k3_z": f"{p3[2]:.6e}"})
-        sil = entry["silhouette"]
-        summary.append(f"silhouette[{tag}]: "
-                       + ("undefined" if sil is None else f"{sil:.4f}"))
-        if entry.get("note"):
-            summary.append(f"note[{tag}]: {entry['note']}")
-    write_run(cfg, "pca", ["model", "class", "k2_x", "k2_y", "k3_x", "k3_y", "k3_z"],
-              rows, summary)
+    rows = [{"model": tag, "class": int(label), "k2_x": p2[0], "k2_y": p2[1],
+             "k3_x": p3[0], "k3_y": p3[1], "k3_z": p3[2]}
+            for tag in tags
+            for label, p2, p3 in zip(snap[tag]["labels"], snap[tag]["k2"], snap[tag]["k3"])]
+    write_run(cfg, "pca", {"curve.csv": rows}, {
+        "temperature": cfg.pca.temperature,
+        "silhouette": {tag: snap[tag]["silhouette"] for tag in tags},
+        "notes": {tag: snap[tag]["note"] for tag in tags if "note" in snap[tag]}})
     return EXIT_OK
 
 
@@ -288,12 +234,8 @@ def cmd_scan_bench(cfg: RunConfig) -> int:
     params = md.init_holonomic(rng.child(0), cfg.bench.n, cfg.bench.vocab, 6)
     rows = se.bench_scan(params, cfg.bench.lengths, cfg.workers, rng.child(1),
                          se.ScanPlan(precision=cfg.precision))
-    out_rows = [{"mode": r["mode"], "N": r["N"], "L": r["L"],
-                 "workers": r["workers"], "wall_ms": f"{r['wall_ms']:.3f}",
-                 "ortho_drift": f"{r['ortho_drift']:.3e}"} for r in rows]
-    write_run(cfg, "scan-bench",
-              ["mode", "N", "L", "workers", "wall_ms", "ortho_drift"],
-              out_rows, [f"n: {cfg.bench.n}", f"workers: {cfg.workers}"])
+    write_run(cfg, "scan-bench", {"curve.csv": rows},
+              {"n": cfg.bench.n, "workers": cfg.workers})
     return EXIT_OK
 
 
@@ -309,15 +251,12 @@ def cmd_report(cfg: RunConfig) -> int:
         lines.append(f"## {exp_dir.name}")
         for run in runs:
             lines.append(f"### {run.name}")
-            for raw in (run / "summary.txt").read_text().splitlines():
-                if raw.startswith("written:"):
-                    continue
-                lines.append(f"    {raw}")
-            curve = run / "curve.csv"
-            if curve.exists():
+            summary = read_summary(run / "summary.txt")
+            del summary["written"]
+            lines += [f"    {key}: {json.dumps(value)}" for key, value in summary.items()]
+            for curve in sorted(run.glob("*.csv")):
                 body = curve.read_text().splitlines()
-                lines.append(f"    curve.csv: {max(len(body) - 1, 0)} rows "
-                             f"({body[0] if body else 'empty'})")
+                lines.append(f"    {curve.name}: {len(body) - 1} rows ({body[0]})")
             lines.append("")
     report = "\n".join(lines) + "\n"
     with atomic_open(root / "report.md") as fh:
@@ -364,22 +303,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    from dataclasses import replace
-
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {args.config}")
-        cfg = parse_config(path.read_text())
-    else:
-        cfg = RunConfig()
-    overrides = {}
-    for name in ("seed", "out", "precision"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    if args.config and not Path(args.config).exists():
+        raise ConfigError(f"config file not found: {args.config}")
+    cfg = parse_config(Path(args.config).read_text()) if args.config else RunConfig()
+    overrides = {name: getattr(args, name) for name in ("seed", "out", "precision")
+                 if getattr(args, name) is not None}
     cfg = replace(cfg, experiment=args.command, **overrides)
-    from .config import validate_config
     validate_config(cfg)
     return cfg
 
@@ -389,13 +318,12 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, ArgumentError, DimensionError, CapacityError,
-            CorruptionError, VersionError) as err:
-        print(f"error (config/input): {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except (NumericError, ConvergenceError) as err:
         print(f"error (numeric): {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except HolonetError as err:     # every other package error: config or input
+        print(f"error (config/input): {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except NonConvergence as err:
         print(f"error (non-convergence): {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

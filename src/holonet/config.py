@@ -231,12 +231,20 @@ def validate_config(cfg: RunConfig) -> None:
                           f"expected one of {', '.join(EXPERIMENTS)}")
     if cfg.precision not in (32, 64):
         raise ConfigError("precision must be 32 or 64")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     if cfg.seed < 0 or cfg.seed >= 2 ** 64:
         raise ConfigError("seed must fit in 64 bits")
     if cfg.model.kind not in md.MODEL_KINDS:
         raise ConfigError(f"unknown model kind '{cfg.model.kind}'")
+    counts = {"[run] workers": cfg.workers, "[model] n": cfg.model.n,
+              "[train] steps": cfg.train.steps, "[train] batch": cfg.train.batch,
+              "[train] eval_interval": cfg.train.eval_interval,
+              "[horizon] t_max": cfg.horizon.t_max, "[horizon] points": cfg.horizon.points,
+              "[bench] n": cfg.bench.n, "[bench] vocab": cfg.bench.vocab}
+    if cfg.model.kind == md.TRANSFORMER:
+        counts["[model] heads"] = cfg.model.heads
+    for key, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
     if cfg.task.kind not in (S3, BINDING):
         raise ConfigError(f"unknown task kind '{cfg.task.kind}'")
     if cfg.task.kind == BINDING and cfg.task.variables < 2:
@@ -252,8 +260,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"learned positional table (max_len={cfg.model.max_len}) smaller "
             f"than curriculum maximum length {cfg.curriculum.l_max}")
-    if cfg.train.eval_interval < 1:
-        raise ConfigError("train eval_interval must be >= 1")
     if cfg.train.lr_schedule not in ("constant", "cosine"):
         raise ConfigError("train lr_schedule must be constant or cosine")
     if cfg.sweep.points < 2:
@@ -264,12 +270,13 @@ def validate_config(cfg: RunConfig) -> None:
     if not chance < cfg.sweep.threshold <= 1:
         raise ConfigError(f"sweep threshold must lie in ({chance:.6g}, 1], above the "
                           f"trivial accuracy at [noise] length {cfg.sweep.length}")
-    if cfg.horizon.t_max < 1 or cfg.horizon.points < 1:
-        raise ConfigError("horizon t_max and points must be >= 1")
     if cfg.horizon.method not in ("autodiff", "operator-norm", "both"):
         raise ConfigError("horizon method must be autodiff, operator-norm or both")
-    if not cfg.genlen.lengths or not cfg.scaling.widths:
-        raise ConfigError("genlen lengths and scaling widths must not be empty")
+    lists = {"[genlen] lengths": cfg.genlen.lengths, "[scaling] widths": cfg.scaling.widths,
+             "[bench] lengths": cfg.bench.lengths}
+    for key, value in lists.items():
+        if not value:
+            raise ConfigError(f"{key} must not be empty")
     if cfg.experiment == "genlen" and cfg.precision != 64 \
             and any(length > 50 for length in cfg.genlen.lengths):
         raise ConfigError("genlen beyond L=50 requires precision = 64")

@@ -1,4 +1,5 @@
-"""Experiment pipelines: training plus the four paper-scale studies.
+"""Training plus six experiment pipelines: noise sweep and T_c, finite-size
+scaling, length generalization, Jacobian horizon, mass gap and PCA.
 
 Every pipeline is a pure function of (config, RngState) and is therefore
 bit-reproducible: the same seed and call give the same bits. Randomness
@@ -197,6 +198,7 @@ class MassGapResult:
     delta: float
     centroids: dict
     counts: dict
+    geodesics: list     # (class_a, class_b, angle) per pair, a < b
 
 
 # ===================================================================== evaluation
@@ -421,6 +423,16 @@ def estimate_tc(sweep: SweepResult, threshold: float = 0.99,
 # ===================================================================== scaling
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least squares of y on x: (slope, intercept, R^2), R^2 = 0 for constant y."""
+    design = np.stack([x, np.ones_like(x)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 0.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    return float(coef[0]), float(coef[1]), r2
+
+
 def fit_log_scaling(points) -> ScalingFit:
     """Least squares of T_c on ln N; returns alpha, beta, R^2."""
     pts = [(int(n), float(t)) for n, t in points]
@@ -431,15 +443,7 @@ def fit_log_scaling(points) -> ScalingFit:
         raise ArgumentError("duplicate N in scaling points")
     if len(set(ns)) < 2:
         raise ArgumentError("degenerate design: all N equal")
-    x = np.log([n for n, _ in pts])
-    y = np.array([t for _, t in pts])
-    design = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    alpha, beta = float(coef[0]), float(coef[1])
-    resid = y - design @ coef
-    ss_res = float(resid @ resid)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    alpha, beta, r2 = _line_fit(np.log(ns), np.array([t for _, t in pts]))
     return ScalingFit(pts, alpha, beta, r2)
 
 
@@ -448,8 +452,9 @@ def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
                      rng: tc.RngState, threshold: float = 0.99,
                      model: ModelConfig = ModelConfig(), length: int = 5) -> list[dict]:
     """Independent train + sweep (at episode length `length`) + T_c per width,
-    each width trained as `model` with its `n` replaced; non-converged widths
-    are flagged and excluded from downstream fits."""
+    each width trained as `model` with its `n` replaced. One row per width;
+    a width that did not converge is flagged, with NaN T_c, and is left out
+    of downstream fits."""
     ns = [int(n) for n in n_grid]
     if len(set(ns)) != len(ns):
         raise ArgumentError("duplicate N in width grid")
@@ -457,14 +462,14 @@ def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
     for n in ns:
         nrng = rng.child(n)
         result = train(replace(model, n=n), task, curriculum, train_cfg, nrng.child(0))
-        row = {"N": n, "converged": result.converged, "tc": None}
+        est = TcEstimate(math.nan, math.nan, math.nan)
         if result.converged:
             sweep = noise_sweep(model.kind, result.params, task, sweep_grid,
                                 sweep_episodes, nrng.child(1), length)
-            row["tc"] = estimate_tc(sweep, threshold, nrng.child(2),
-                                    chance=task.trivial_accuracy(length))
-            row["sweep"] = sweep
-        rows.append(row)
+            est = estimate_tc(sweep, threshold, nrng.child(2),
+                              chance=task.trivial_accuracy(length))
+        rows.append({"N": n, "Tc": est.value, "Tc_lo": est.lo, "Tc_hi": est.hi,
+                     "converged": result.converged})
     return rows
 
 
@@ -502,9 +507,10 @@ def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
 
 
 # The rounding floor of the horizon fit: J(t) whose log spreads less than
-# this over the fitted points is flat (lambda_max 0, no r^2). curve.csv
-# writes J to ten significant digits, so no smaller spread shows there; a
-# trained S3 model's J(t) = 1 spreads 1.5e-14-4.8e-14 in log up to t = 5000.
+# this over the fitted points is flat (lambda_max 0, no r^2). A trained S3
+# model's J(t) = 1 spreads 1.5e-14-4.8e-14 in log up to t = 5000, rounding
+# alone. A decay whose log J moves less than 1e-9 by t = 5000 has a rate
+# below 2e-13 per step: a horizon past 5e12 steps, beyond any run's lengths.
 HORIZON_FLAT_SPREAD = 1e-9
 
 
@@ -574,12 +580,7 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
         if np.ptp(y) < HORIZON_FLAT_SPREAD:
             lam, note = 0.0, "flat"
         else:
-            design = np.stack([x, np.ones_like(x)], axis=1)
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-            lam = float(coef[0])
-            resid = y - design @ coef
-            ss_tot = float(np.sum((y - y.mean()) ** 2))
-            r2 = 1.0 - float(resid @ resid) / ss_tot
+            lam, _, r2 = _line_fit(x, y)
     return HorizonCurve(model_tag or kind, np.asarray(t_grid), j_values, lam, r2, note)
 
 
@@ -596,7 +597,7 @@ def final_states(kind: str, params, batch: Batch, temperature: float = 0.0,
 def mass_gap(kind: str, params, task: TaskConfig, rng: tc.RngState,
              episodes_per_class: int = 200, length: int = 5) -> MassGapResult:
     """Minimum geodesic separation between unit-normalized class centroids of
-    zero-noise final states."""
+    zero-noise final states, and the separation of every pair."""
     budget = episodes_per_class * task.n_classes * 2
     batch = task.sample_batch(rng.child(0).generator(), np.full(budget, length))
     states = final_states(kind, params, batch)
@@ -611,12 +612,10 @@ def mass_gap(kind: str, params, task: TaskConfig, rng: tc.RngState,
         if norm == 0:
             raise ArgumentError(f"class {label} centroid degenerate (zero vector)")
         centroids[label] = c / norm
-    delta = math.pi
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            cosang = float(np.clip(centroids[a] @ centroids[b], -1.0, 1.0))
-            delta = min(delta, math.acos(cosang))
-    return MassGapResult(delta, centroids, dict(zip(labels, counts.tolist())))
+    geodesics = [(a, b, math.acos(float(np.clip(centroids[a] @ centroids[b], -1.0, 1.0))))
+                 for i, a in enumerate(labels) for b in labels[i + 1:]]
+    return MassGapResult(min(g for _, _, g in geodesics), centroids,
+                         dict(zip(labels, counts.tolist())), geodesics)
 
 
 def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels used by every model and experiment.
 
 Everything here is a pure function of its inputs. Matrices and vectors are
-plain float64 ndarrays (float32 only as an opt-in training mode elsewhere);
-randomness flows through :class:`RngState`, a counter-based stream that can
-be split hierarchically so parallel sweeps stay bit-reproducible.
+plain float64 ndarrays (float32 only as the opt-in inference precision of
+`genlen` and `scan-bench`); randomness flows through :class:`RngState`, a
+counter-based stream split into one child stream per batch.
 """
 
 from __future__ import annotations

@@ -32,15 +32,20 @@ from .group_tasks import (
 from .tensor_core import RngState
 
 
+def _skew_exp(m, algorithm):
+    """skew_exp_kernel on one matrix, which must go by `algorithm`."""
+    out, saved = ge.skew_exp_kernel(m[None])
+    assert saved[0].__name__ == f"_{algorithm}_adjoint", \
+        f"n={len(m)} took {saved[0].__name__}, not {algorithm}"
+    return out[0]
+
+
 def check_orthogonality(seed):
     # one matrix at n = 8 and 32 is small enough for skew_exp's Taylor
     # algorithm, at n = 128 it goes by eigh
     for n, algorithm in ((8, "taylor"), (32, "taylor"), (128, "eigh")):
         m = RngState(seed).child(n).generator().standard_normal((n, n))
-        out, saved = ge.skew_exp_kernel(m[None])
-        assert saved[0].__name__ == f"_{algorithm}_adjoint", \
-            f"n={n} took {saved[0].__name__}, not {algorithm}"
-        pade, u = tc.mat_exp(tc.skew(m)), out[0]
+        pade, u = tc.mat_exp(tc.skew(m)), _skew_exp(m, algorithm)
         gap = np.max(np.abs(u - pade))
         assert gap < 1e-13, f"n={n} skew_exp differs from mat_exp by {gap:.3e}"
         for route, x in (("mat_exp", pade), ("skew_exp", u)):
@@ -55,9 +60,16 @@ def check_orthogonality(seed):
 
 
 def check_exp_inverse(seed):
+    # the Pade oracle's own, then the kernel that runs, by either algorithm:
+    # U(M^T) = exp(-(M - M^T)) inverts U(M)
     a = tc.skew(RngState(seed).generator().standard_normal((10, 10)))
     gap = np.linalg.norm(tc.mat_exp(a) @ tc.mat_exp(-a) - np.eye(10), "fro")
     assert gap < 1e-11, f"exp(A) exp(-A) defect {gap:.3e}"
+    for n, algorithm in ((10, "taylor"), (128, "eigh")):
+        m = RngState(seed).child(n).generator().standard_normal((n, n))
+        gap = np.linalg.norm(_skew_exp(m, algorithm) @ _skew_exp(m.T, algorithm)
+                             - np.eye(n), "fro")
+        assert gap < 1e-11, f"n={n} skew_exp U(M) U(M^T) defect {gap:.3e}"
 
 
 def check_frechet_linearity(seed):
@@ -78,15 +90,18 @@ def check_adjoint_pairing(seed):
     _, adj = tc.mat_exp_frechet(a.T, gbar)
     gap = abs(np.sum(l * gbar) - np.sum(e * adj))
     assert gap < 1e-10, f"adjoint pairing defect {gap:.3e}"
-    # skew_exp's adjoint (its Taylor algorithm at n = 8) against the block
-    # Frechet derivative
-    m, e, gbar = gen.standard_normal((3, 8, 8))
-    tape = ge.Tape()
-    leaf = tape.leaf(m[None])
-    grads = tape.vjp(ge.skew_exp(leaf), gbar[None])
-    _, l = tc.mat_exp_frechet(tc.skew(m), tc.skew(e))
-    gap = abs(np.sum(l * gbar) - np.sum(e * grads[leaf.idx][0]))
-    assert gap < 1e-10, f"skew_exp adjoint pairing defect {gap:.3e}"
+    # skew_exp's adjoint against the block Frechet derivative: its Taylor
+    # algorithm at n = 8, and eigh on a (1, 96, 96) stack, past
+    # TAYLOR_MAX_ENTRIES as binding's generators are
+    for n, algorithm in ((8, "taylor"), (96, "eigh")):
+        m, e, gbar = gen.standard_normal((3, n, n))
+        _skew_exp(m, algorithm)
+        tape = ge.Tape()
+        leaf = tape.leaf(m[None])
+        grads = tape.vjp(ge.skew_exp(leaf), gbar[None])
+        _, l = tc.mat_exp_frechet(tc.skew(m), tc.skew(e))
+        gap = abs(np.sum(l * gbar) - np.sum(e * grads[leaf.idx][0]))
+        assert gap < 1e-10, f"skew_exp {algorithm} adjoint pairing defect {gap:.3e}"
 
 
 def check_gradients(seed):

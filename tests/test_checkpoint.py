@@ -205,7 +205,7 @@ def test_a_run_artifact_write_failing_midway_keeps_the_previous_files(tmp_path, 
     pytest.importorskip("resource")
     cfg = dataclasses.replace(cli.RunConfig(), out=str(tmp_path))
     rows = [{"step": i, "loss": 1.0 / (i + 1)} for i in range(3)]
-    run = cli.write_run(cfg, "train", ["step", "loss"], rows, ["converged: no"])
+    run = cli.write_run(cfg, "train", {"curve.csv": rows}, {"converged": False})
     before = snapshot(run)
     limit = len(before["config.snapshot"]) + 1000
     if artifact == "config.snapshot":
@@ -217,8 +217,8 @@ import dataclasses
 from holonet import cli
 cfg = dataclasses.replace(cli.RunConfig(), out={str(tmp_path)!r})
 rows = [{{"step": i, "loss": 1.0 / (i + 1)}} for i in range({limit} if {many} else 3)]
-summary = ["x" * {limit}] if {long} else ["converged: no"]
-cli.write_run(cfg, "train", ["step", "loss"], rows, summary)
+summary = {{"note": "x" * {limit}}} if {long} else {{"converged": False}}
+cli.write_run(cfg, "train", {{"curve.csv": rows}}, summary)
 """, limit)
     assert snapshot(run) == before
     assert sorted(before) == ["config.snapshot", "curve.csv", "summary.txt"]

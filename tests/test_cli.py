@@ -98,11 +98,23 @@ def test_horizon_of_a_briefly_trained_rnn_exits_ok_and_its_methods_agree(tmp_pat
     curves = [[float(r["J"]) for r in csv.DictReader((run / name).read_text().splitlines())]
               for name in ("curve.csv", "curve_autodiff.csv")]
     assert len(curves[0]) == len(curves[1]) > 1 and curves[0][0] <= 1.0
-    # J is written to ten significant digits, the largest gap in full
+    # J and the largest gap are both written in full precision
     assert all(abs(a / b - 1.0) <= 1e-9 for a, b in zip(*curves))
-    (gap,) = [float(line.split(":")[1]) for line in (run / "summary.txt").read_text().splitlines()
-              if line.startswith("method_disagreement_max:")]
-    assert gap <= 1e-12
+    assert cli.read_summary(run / "summary.txt")["method_disagreement_max"] <= 1e-12
+
+
+def test_a_rerun_leaves_no_curve_of_the_run_it_replaces(tmp_path):
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(ckpt, md.HOLONOMIC, md.init_holonomic(RngState(8), 8, 6, 6))
+    config = tmp_path / "horizon.ini"
+    out = tmp_path / "out"
+    for method in ("both", "operator-norm"):
+        config.write_text(f"[horizon]\nt_max = 5\npoints = 2\nmethod = {method}\n"
+                          f"checkpoint = {ckpt}\n")
+        assert cli.main(["horizon", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    run = out / "horizon" / "seed0"
+    assert sorted(p.name for p in run.iterdir()) == ["config.snapshot", "curve.csv",
+                                                     "summary.txt"]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -134,15 +146,14 @@ def test_genlen_summary_states_accuracy_range_and_lengths_below_chance(tmp_path,
     assert cli.main(["genlen", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
     run = out / "genlen" / "seed0"
     with open(run / "curve.csv") as fh:
-        acc = {int(r["L"]): float(r["acc"]) for r in csv.DictReader(fh)}
-    summary = dict(line.split(": ", 1) for line in
-                   (run / "summary.txt").read_text().splitlines())
+        rows = {int(r["L"]): r for r in csv.DictReader(fh)}
+    acc = {n: float(r["acc"]) for n, r in rows.items()}
+    summary = cli.read_summary(run / "summary.txt")
     scored = [a for a in acc.values() if not math.isnan(a)]
-    assert float(summary["acc_min"]) == pytest.approx(min(scored), abs=1e-6)
-    assert float(summary["acc_max"]) == pytest.approx(max(scored), abs=1e-6)
-    below = [str(n) for n, a in acc.items() if a <= round(1 / 6, 6)]   # csv has 6 digits
-    assert summary["below_chance"] == (",".join(below) or "none")
-    assert ("L=20" in summary) == (kind == md.TRANSFORMER)
+    assert summary["acc_min"] == min(scored)
+    assert summary["acc_max"] == max(scored)
+    assert summary["below_chance"] == [n for n, a in acc.items() if a <= 1 / 6]
+    assert (rows[20]["note"] == "capacity-exceeded") == (kind == md.TRANSFORMER)
     assert np.isnan(acc[20]) == (kind == md.TRANSFORMER)
 
 
@@ -160,12 +171,10 @@ def test_genlen_below_chance_takes_the_binding_baseline_per_length(tmp_path):
     run = out / "genlen" / "seed0"
     with open(run / "curve.csv") as fh:
         acc = {int(r["L"]): float(r["acc"]) for r in csv.DictReader(fh)}
-    summary = dict(line.split(": ", 1) for line in
-                   (run / "summary.txt").read_text().splitlines())
-    below = [str(n) for n, a in acc.items() if a <= task.trivial_accuracy(n)]
-    assert summary["below_chance"] == (",".join(below) or "none")
+    below = [n for n, a in acc.items() if a <= task.trivial_accuracy(n)]
+    assert cli.read_summary(run / "summary.txt")["below_chance"] == below
     # this random model beats 1/4 at L = 1 but not the baseline 0.5 there
-    assert acc[1] > 0.25 and below == ["1", "20"]
+    assert acc[1] > 0.25 and below == [1, 20]
 
 
 def binding_sweep_config(tmp_path, noise=""):
@@ -182,11 +191,10 @@ def test_binding_sweep_summary_states_its_chance_baseline(tmp_path):
     out = tmp_path / "out"
     config = binding_sweep_config(tmp_path)
     assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
-    summary = dict(line.split(": ", 1) for line in
-                   (out / "sweep" / "seed0" / "summary.txt").read_text().splitlines())
+    chance = cli.read_summary(out / "sweep" / "seed0" / "summary.txt")["chance"]
     # v = 10 at the default [noise] length 5: 1/10 + 9/10 (7/9)^5
-    assert float(summary["chance"]) == pytest.approx(0.1 + 0.9 * (7 / 9) ** 5, abs=1e-6)
-    assert round(float(summary["chance"]), 2) == 0.36
+    assert chance == pytest.approx(0.1 + 0.9 * (7 / 9) ** 5, abs=1e-6)
+    assert round(chance, 2) == 0.36
 
 
 @pytest.mark.parametrize("threshold", [0.3, ex.TaskConfig(ex.BINDING).trivial_accuracy(5)],
@@ -237,6 +245,15 @@ def test_scaling_trains_every_width_with_the_configured_model(tmp_path, monkeypa
     assert code == cli.EXIT_OK
     model = parse_config(text).model
     assert seen == [dataclasses.replace(model, n=8), dataclasses.replace(model, n=16)]
+    # a width that did not converge keeps its row, with no T_c, and no fit
+    run = tmp_path / "out" / "scaling" / "seed0"
+    with open(run / "curve.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["N"], r["converged"]) for r in rows] == [("8", "False"), ("16", "False")]
+    assert all(math.isnan(float(r[k])) for r in rows for k in ("Tc", "Tc_lo", "Tc_hi"))
+    summary = cli.read_summary(run / "summary.txt")
+    assert summary["excluded"] == [8, 16] and summary["fit"].startswith("refused")
+    assert math.isnan(summary["alpha"])
 
 
 def test_no_subcommand_takes_workers_on_the_command_line():
@@ -246,3 +263,93 @@ def test_no_subcommand_takes_workers_on_the_command_line():
         with pytest.raises(SystemExit) as err:
             parser.parse_args([command, "--workers", "2"])
         assert err.value.code == 2
+
+
+EVERY_RUN = """[model]
+n = 8
+[curriculum]
+l_max = 2
+[train]
+steps = 3
+batch = 4
+eval_interval = 1
+gate_episodes = 8
+val_episodes = 8
+[noise]
+points = 2
+episodes = 8
+checkpoint = {ckpt}
+[scaling]
+widths = 8,16
+[genlen]
+lengths = 1,3
+episodes = 8
+checkpoint = {ckpt}
+[horizon]
+t_max = 5
+points = 3
+checkpoint = {ckpt}
+[massgap]
+episodes_per_class = 4
+checkpoint = {ckpt}
+[pca]
+episodes = 24
+checkpoints = {ckpt},{ckpt}
+tags = a,b
+[bench]
+lengths = 8
+n = 8
+"""
+RUNS = ("train", "sweep", "scaling", "genlen", "horizon", "massgap", "pca", "scan-bench")
+
+
+def same_data(a, b) -> bool:
+    """Equal as data, keys in order: NaN equals NaN, and a float only a float."""
+    if isinstance(a, dict):
+        return type(b) is dict and list(a) == list(b) and all(same_data(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return type(b) is list and len(a) == len(b) and all(map(same_data, a, b))
+    if isinstance(a, float):
+        return isinstance(b, float) and (a == b or math.isnan(a) and math.isnan(b))
+    return type(a) is type(b) and a == b
+
+
+def test_every_run_reads_back_the_summary_it_wrote_and_report_lists_it(
+        tmp_path, monkeypatch, capsys):
+    given = {}
+    real_write_run = cli.write_run
+
+    def spy(cfg, experiment, curves, summary):
+        given[experiment] = summary
+        return real_write_run(cfg, experiment, curves, summary)
+
+    monkeypatch.setattr(cli, "write_run", spy)
+    out = tmp_path / "out"
+    config = tmp_path / "every.ini"
+    config.write_text(EVERY_RUN.format(ckpt=out / "train" / "seed0" / "model.ckpt"))
+    for command in RUNS:
+        code = cli.main([command, "--config", str(config), "--out", str(out)])
+        assert code in ((cli.EXIT_OK, cli.EXIT_NONCONVERGENCE) if command == "train"
+                        else (cli.EXIT_OK,)), command
+    assert sorted(given) == sorted(RUNS)
+    for command in RUNS:
+        summary = cli.read_summary(out / command / "seed0" / "summary.txt")
+        assert (summary.pop("experiment"), list(summary)[0]) == (command, "written")
+        del summary["written"]
+        assert same_data(given[command], summary), command
+    # a width that did not train leaves no T_c to fit: NaN survives the trip
+    assert math.isnan(cli.read_summary(out / "scaling" / "seed0" / "summary.txt")["alpha"])
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out)]) == cli.EXIT_OK
+    report = capsys.readouterr().out
+    assert report == (out / "report.md").read_text()
+    for command in RUNS:
+        assert f"## {command}\n### seed0\n    experiment: \"{command}\"\n" in report
+    assert "curve_autodiff.csv: 3 rows (t,J)" in report
+
+
+def test_report_on_a_summary_in_the_old_text_format_exits_config(tmp_path):
+    run = tmp_path / "genlen" / "seed0"
+    run.mkdir(parents=True)
+    (run / "summary.txt").write_text("experiment: genlen\nmodel: holonomic\nbelow_chance: none\n")
+    assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_CONFIG

@@ -201,9 +201,20 @@ def test_default_section_is_rejected(text):
     ("horizon", "[horizon]\nt_max = 0\n", "t_max"),
     ("genlen", "[genlen]\nlengths =\n", "lengths"),
     ("scaling", "[scaling]\nwidths =\n", "widths"),
+    # each below once ended in a traceback, or in a header-only curve
+    ("train", "[model]\nn = 0\n", r"\[model\] n "),
+    ("train", "[model]\nn = -1\n", r"\[model\] n "),
+    ("train", "[model]\nkind = transformer\nheads = 0\n", r"\[model\] heads"),
+    ("train", "[train]\nbatch = -1\n", r"\[train\] batch"),
+    ("train", "[train]\nsteps = 0\n", r"\[train\] steps"),
+    ("scan-bench", "[bench]\nn = 0\n", r"\[bench\] n "),
+    ("scan-bench", "[bench]\nvocab = 0\n", r"\[bench\] vocab"),
+    ("scan-bench", "[bench]\nlengths =\n", r"\[bench\] lengths"),
 ], ids=["eval-interval-zero", "eval-interval-negative", "one-point", "lr-schedule",
         "horizon-no-points", "horizon-zero-t-max", "genlen-no-lengths",
-        "scaling-no-widths"])
+        "scaling-no-widths", "model-n-zero", "model-n-negative", "transformer-heads-zero",
+        "batch-negative", "steps-zero", "bench-n-zero", "bench-vocab-zero",
+        "bench-no-lengths"])
 def test_counts_and_schedule_are_validated(tmp_path, command, text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
