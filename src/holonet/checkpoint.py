@@ -5,17 +5,19 @@ Layout (all integers little-endian):
     magic   4 bytes  b"HLNT"
     version u32      currently 1
     kind    u16 length + utf8 model kind
-    meta    u32 length + utf8 JSON (dims, vocab, structural fields)
+    meta    u32 length + utf8 JSON: the params class's header fields
     count   u32 number of arrays
     arrays  repeated: name (u16+utf8), ndim u8, shape (u64 each),
             float64 little-endian payload
     digest  8 bytes  BLAKE2b-64 of everything above
 
-Loading verifies the digest before touching the payload, checks the array
-names (each stored once) and shapes against the kind and meta, and
-reconstructs the parameter dataclass for the stored kind. A human-readable
-sidecar (`<path>.meta.txt`) summarizes the contents; it is informational
-only.
+Every kind takes one path, shaped by its params class (`models.PARAMS`): the
+meta is the class's header fields and the arrays its `to_dict()`. Loading
+verifies the digest before touching the payload, checks each header field
+against the class's rule before use, checks the array names (each stored
+once) and shapes against the `layout` of the header, and rebuilds the params.
+A human-readable sidecar (`<path>.meta.txt`) summarizes the contents; it is
+informational only.
 """
 
 from __future__ import annotations
@@ -31,101 +33,26 @@ from pathlib import Path
 import numpy as np
 
 from . import models as md
-from .errors import ArgumentError, CorruptionError, VersionError
+from .errors import ArgumentError, CorruptionError, DimensionError, VersionError
 
 MAGIC = b"HLNT"
 VERSION = 1
 
 
-def _meta_for(kind: str, params) -> dict:
-    if kind == md.HOLONOMIC:
-        return {"n": params.n, "vocab": params.vocab}
-    if kind in (md.RNN, md.NORMALIZED_RNN):
-        return {"n": params.n, "vocab": params.vocab}
-    if kind == md.TRANSFORMER:
-        return {"d_model": params.d_model, "n_layers": params.n_layers,
-                "n_heads": params.n_heads, "d_ff": params.d_ff,
-                "vocab": params.vocab, "pos_mode": params.pos_mode,
-                "max_len": params.max_len, "pool": params.pool}
-    raise ArgumentError(f"unknown model kind: {kind}")
-
-
-def _layout(kind: str, meta: dict, path) -> dict:
-    """Array name -> shape a checkpoint of `kind` must hold. None matches any
-    extent: meta does not record the readout's query and class counts."""
-
-    def dim(key, least=0):
-        value = meta.get(key)
-        if type(value) is not int or value < least:
-            raise CorruptionError(f"{path}: metadata field {key!r} is {value!r}")
-        return value
-
-    if kind in (md.HOLONOMIC, md.RNN, md.NORMALIZED_RNN):
-        n, vocab = dim("n"), dim("vocab")
-        if kind == md.HOLONOMIC:
-            shapes = {"generators": (vocab, n, n), "h0": (n,)}
-        else:
-            shapes = {"w_rec": (n, n), "w_in": (vocab, n), "bias": (n,)}
-        shapes["readout"] = (None, None, n)
-        return shapes
-    if kind == md.TRANSFORMER:
-        dim("n_heads", least=1)
-        for key in ("pos_mode", "pool"):
-            if not isinstance(meta.get(key), str):
-                raise CorruptionError(
-                    f"{path}: metadata field {key!r} is {meta.get(key)!r}")
-        d, d_ff = dim("d_model"), dim("d_ff")
-        shapes = {"embed": (dim("vocab"), d), "ln_f_g": (d,), "ln_f_b": (d,),
-                  "readout": (None, None, d)}
-        if meta.get("pos_mode") == "learned":
-            shapes["pos"] = (dim("max_len"), d)
-        for i in range(dim("n_layers")):
-            pre = f"layer{i}."
-            for name in ("wq", "wk", "wv", "wo"):
-                shapes[pre + name] = (d, d)
-            for name in ("bq", "bk", "bv", "bo", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "b2"):
-                shapes[pre + name] = (d,)
-            shapes.update({pre + "w1": (d, d_ff), pre + "b1": (d_ff,),
-                           pre + "w2": (d_ff, d)})
-        return shapes
-    raise ArgumentError(f"unknown model kind: {kind}")
-
-
-def _check_layout(kind: str, meta: dict, arrays: dict, path) -> None:
-    expected = _layout(kind, meta, path)
-    missing = sorted(set(expected) - set(arrays))
-    extra = sorted(set(arrays) - set(expected))
-    if missing or extra:
-        raise CorruptionError(
-            f"{path}: {kind} checkpoint lacks arrays {missing} or has "
-            f"unexpected arrays {extra}")
+def _check_layout(kind: str, expected: dict, arrays: dict, path) -> None:
+    if set(arrays) != set(expected):
+        raise CorruptionError(f"{path}: {kind} checkpoint holds arrays {sorted(arrays)}, "
+                              f"expected {sorted(expected)}")
     for name, shape in expected.items():
         got = arrays[name].shape
-        if len(got) != len(shape) or any(e is not None and e != g
-                                         for e, g in zip(shape, got)):
-            raise CorruptionError(
-                f"{path}: array {name} has shape {got}, expected {shape}")
-
-
-def _rebuild(kind: str, meta: dict, arrays: dict):
-    if kind == md.HOLONOMIC:
-        return md.HolonomicParams(meta["n"], meta["vocab"], arrays["generators"],
-                                  arrays["h0"], arrays["readout"])
-    if kind in (md.RNN, md.NORMALIZED_RNN):
-        return md.RnnParams(meta["n"], meta["vocab"], arrays["w_rec"],
-                            arrays["w_in"], arrays["bias"], arrays["readout"])
-    if kind == md.TRANSFORMER:
-        return md.TransformerParams(meta["d_model"], meta["n_layers"],
-                                    meta["n_heads"], meta["d_ff"], meta["vocab"],
-                                    meta["pos_mode"], meta["max_len"],
-                                    meta["pool"], arrays)
-    raise ArgumentError(f"unknown model kind: {kind}")
+        if len(got) != len(shape) or any(e not in (None, g) for e, g in zip(shape, got)):
+            raise CorruptionError(f"{path}: array {name} has shape {got}, expected {shape}")
 
 
 def _write_body(out, kind: str, params) -> None:
     """Write everything the digest covers to `out(chunk)`, one chunk at a
     time; each array's payload goes out as a view of its buffer."""
-    meta = json.dumps(_meta_for(kind, params), sort_keys=True).encode()
+    meta = json.dumps(md.header(params), sort_keys=True).encode()
     kind_b = kind.encode()
     for chunk in (MAGIC, struct.pack("<I", VERSION), struct.pack("<H", len(kind_b)),
                   kind_b, struct.pack("<I", len(meta)), meta):
@@ -160,8 +87,8 @@ def atomic_open(path, mode: str = "w", **kwargs):
 def save_checkpoint(path, kind: str, params) -> None:
     """Write the checkpoint, its body hashed as it streams out, and then its
     sidecar, each through `atomic_open`."""
-    if kind not in md.MODEL_KINDS:
-        raise ArgumentError(f"unknown model kind: {kind}")
+    if not isinstance(params, md.PARAMS.get(kind, ())):
+        raise ArgumentError(f"cannot save {type(params).__name__} as model kind {kind!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.blake2b(digest_size=8)
@@ -175,7 +102,7 @@ def save_checkpoint(path, kind: str, params) -> None:
         f.write(digest.digest())
     total, items = md.param_count(params)
     lines = [f"model: {kind}"]
-    lines += [f"{k}: {v}" for k, v in sorted(_meta_for(kind, params).items())]
+    lines += [f"{k}: {v}" for k, v in sorted(md.header(params).items())]
     lines.append(f"parameters: {total}")
     lines += [f"  {name}: {count}" for name, count in sorted(items.items())]
     with atomic_open(str(path) + ".meta.txt") as f:
@@ -234,5 +161,11 @@ def load_checkpoint(path):
         arrays[key] = arr
     if off != len(view):
         raise CorruptionError(f"{path}: trailing bytes after payload")
-    _check_layout(kind, meta, arrays, path)
-    return kind, _rebuild(kind, meta, arrays)
+    if kind not in md.PARAMS:
+        raise CorruptionError(f"{path}: unknown model kind {kind!r}")
+    try:    # a header field of the wrong type, or one no model takes
+        header = md.check_header(md.PARAMS[kind], meta)
+        _check_layout(kind, md.PARAMS[kind].layout(**header), arrays, path)
+        return kind, md.rebuild(kind, header, arrays)
+    except (ArgumentError, DimensionError) as err:
+        raise CorruptionError(f"{path}: {err}") from err

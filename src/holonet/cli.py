@@ -154,7 +154,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
     points = [(r["N"], r["Tc"]) for r in rows if r["converged"]]
     fitted = len(points) >= 3
     nan = float("nan")
-    fit = ex.fit_log_scaling(points) if fitted else ex.ScalingFit(points, nan, nan, nan)
+    fit = ex.fit_log_scaling(points) if fitted else ex.ScalingFit(nan, nan, nan)
     write_run(cfg, "scaling", {"curve.csv": rows}, {
         "widths": list(cfg.scaling.widths),
         "excluded": [r["N"] for r in rows if not r["converged"]],

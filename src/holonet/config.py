@@ -242,6 +242,9 @@ def validate_config(cfg: RunConfig) -> None:
               "[bench] n": cfg.bench.n, "[bench] vocab": cfg.bench.vocab}
     if cfg.model.kind == md.TRANSFORMER:
         counts["[model] heads"] = cfg.model.heads
+        counts["[model] layers"] = cfg.model.layers
+        if cfg.model.d_ff < 0:
+            raise ConfigError(f"[model] d_ff must be >= 0 (0: 2 n), got {cfg.model.d_ff}")
     for key, value in counts.items():
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")

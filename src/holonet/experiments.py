@@ -138,7 +138,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    kind: str
     params: object
     converged: bool
     steps_used: int
@@ -148,7 +147,6 @@ class TrainResult:
 
 @dataclass
 class SweepResult:
-    model_tag: str
     grid: np.ndarray
     acc_mean: np.ndarray
     acc_lo: np.ndarray
@@ -173,7 +171,6 @@ class TcEstimate:
 
 @dataclass
 class ScalingFit:
-    points: list
     alpha: float
     beta: float
     r_squared: float
@@ -181,7 +178,6 @@ class ScalingFit:
 
 @dataclass
 class HorizonCurve:
-    model_tag: str
     t_grid: np.ndarray
     j_values: np.ndarray
     lambda_max: float
@@ -294,9 +290,9 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
     """Curriculum training to the task's convergence target.
 
     Stepwise curricula gate on perfect accuracy at the current length; ramp
-    curricula advance with the step fraction. Returns a non-convergence
-    result (converged=False) carrying the best parameters if the step budget
-    runs out. A non-finite loss or pre-clip gradient norm raises
+    curricula advance with the step fraction. Returns the model it built,
+    trained in place, and a non-convergence result (converged=False) if the
+    step budget runs out. A non-finite loss or pre-clip gradient norm raises
     NumericError before the update, so the parameters are never poisoned.
     Each log entry carries that step's pre-clip gradient norm.
     """
@@ -304,7 +300,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
             and curriculum.l_max > model_cfg.max_len:
         raise ArgumentError("learned positional table smaller than curriculum l_max")
     params = model_cfg.build(rng.child(0), task)
-    store = ge.ParamStore(params.to_dict())
+    store = ge.ParamStore(params.to_dict())     # params' own arrays: Adam updates them
     log: list[dict] = []
     converged = False
     accuracy = 0.0
@@ -319,7 +315,6 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
         if model_cfg.kind == md.HOLONOMIC:
             store.params["h0"] /= np.linalg.norm(store.params["h0"])
         if step % cfg.eval_interval == 0 or step == cfg.steps:
-            params = params.replace_from(store.params)
             ops, ops_step = _operators(model_cfg.kind, params), step
             gate_len = curriculum.max_len
             gate_acc = evaluate_accuracy(model_cfg.kind, params, task, gate_len,
@@ -340,21 +335,20 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
                     converged = True
                     if cfg.early_stop:
                         break
-    params = params.replace_from(store.params)
     if not (cfg.early_stop and converged):
         # convergence must describe the returned parameters
         accuracy = validation_accuracy(model_cfg.kind, params, task, curriculum,
                                        cfg.val_episodes, rng.child(4),
                                        ops if ops_step == step else None)
         converged = accuracy >= cfg.target_accuracy
-    return TrainResult(model_cfg.kind, params, converged, step, accuracy, log)
+    return TrainResult(params, converged, step, accuracy, log)
 
 
 # ===================================================================== noise sweep
 
 
 def noise_sweep(kind: str, params, task: TaskConfig, t_grid, episodes: int,
-                rng: tc.RngState, length: int = 5, model_tag: str | None = None,
+                rng: tc.RngState, length: int = 5,
                 bootstrap: int = 1000) -> SweepResult:
     """Accuracy versus noise temperature over fresh length-`length` episodes;
     noise level i draws its episodes from rng.child(0, i) and its noise from
@@ -374,7 +368,7 @@ def noise_sweep(kind: str, params, task: TaskConfig, t_grid, episodes: int,
         draws = boot_gen.integers(0, episodes, size=(bootstrap, episodes))
         means = outcomes[ti][draws].mean(axis=1)
         lo[ti], hi[ti] = np.percentile(means, [2.5, 97.5])
-    return SweepResult(model_tag or kind, t_grid, acc, lo, hi, episodes, outcomes)
+    return SweepResult(t_grid, acc, lo, hi, episodes, outcomes)
 
 
 def _plugin_tc(grid: np.ndarray, acc: np.ndarray, qualifies: np.ndarray,
@@ -444,7 +438,7 @@ def fit_log_scaling(points) -> ScalingFit:
     if len(set(ns)) < 2:
         raise ArgumentError("degenerate design: all N equal")
     alpha, beta, r2 = _line_fit(np.log(ns), np.array([t for _, t in pts]))
-    return ScalingFit(pts, alpha, beta, r2)
+    return ScalingFit(alpha, beta, r2)
 
 
 def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
@@ -515,7 +509,7 @@ HORIZON_FLAT_SPREAD = 1e-9
 
 
 def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
-                     fit_min_t: int = 5, model_tag: str | None = None) -> HorizonCurve:
+                     fit_min_t: int = 5) -> HorizonCurve:
     """J(t) = ||dh_t / dh_0||_2 along one random episode.
 
     An RNN's trajectory is one pass of its step kernel, `grad_engine.rnn_step`,
@@ -581,7 +575,7 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
             lam, note = 0.0, "flat"
         else:
             lam, _, r2 = _line_fit(x, y)
-    return HorizonCurve(model_tag or kind, np.asarray(t_grid), j_values, lam, r2, note)
+    return HorizonCurve(np.asarray(t_grid), j_values, lam, r2, note)
 
 
 # ===================================================================== diagnostics

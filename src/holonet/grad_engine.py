@@ -533,7 +533,8 @@ def _eigh_adjoint(g: np.ndarray, v, av, theta) -> np.ndarray:
     return np.matmul(gv, vt, out=x)
 
 
-# Id of the identity step in holonomic_scan; left-pads rows shorter than L.
+# Id of the identity step in holonomic_scan and rnn_scan: the samplers
+# (group_tasks) left-pad rows shorter than L with it.
 IDENTITY_STEP = -1
 
 # What one numpy GEMM call is worth in multiply-adds of padding: a block takes
@@ -789,9 +790,19 @@ def _rnn_scan_bwd(t: Tape, idx: int, g):
     t._accum(ib, dpre.sum(axis=0))
 
 
-# The 16 weights of one pre-LN encoder layer, in the order of the node's inputs.
-ENCODER_WEIGHTS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                   "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
+# The 16 weights of one pre-LN encoder layer, in the order of the node's inputs
+# and of `models.init_transformer`'s draws.
+ENCODER_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                   "ln1_g", "ln1_b", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
+
+
+def encoder_shapes(d: int, d_ff: int) -> dict:
+    """Each ENCODER_WEIGHTS entry's shape in a layer of width d and
+    feed-forward width d_ff, in that order."""
+    shapes = dict.fromkeys(ENCODER_WEIGHTS, (d,))
+    shapes.update(wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d), w1=(d, d_ff), b1=(d_ff,),
+                  w2=(d_ff, d))
+    return shapes
 
 
 def _qkv_weights(w: dict) -> np.ndarray:
@@ -875,10 +886,8 @@ def encoder_layer(x: Var, segments, weights: dict, n_heads: int) -> Var:
     if d % n_heads:
         raise DimensionError(f"encoder_layer: d={d} not divisible by {n_heads} heads")
     w = {name: weights[name].value for name in ENCODER_WEIGHTS}
-    d_ff = w["w1"].shape[-1]
-    shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
-              "w1": (d, d_ff), "b1": (d_ff,), "w2": (d_ff, d)}
-    bad = [name for name, arr in w.items() if arr.shape != shapes.get(name, (d,))]
+    shapes = encoder_shapes(d, w["w1"].shape[-1])
+    bad = [name for name, arr in w.items() if arr.shape != shapes[name]]
     if bad:
         raise DimensionError(f"encoder_layer: bad weight shapes for {bad} at d={d}")
     out, saved = encoder_layer_kernel(xv, segments, w, n_heads)
@@ -1035,7 +1044,9 @@ _BACKWARD = {
 
 
 class ParamStore:
-    """Named parameter tensors plus per-tensor Adam state."""
+    """Named parameter tensors plus per-tensor Adam state. Float64 arrays are
+    kept as given, not copied, so `adam_step` updates the caller's arrays in
+    place: `experiments.train` relies on that to train the model it built."""
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}

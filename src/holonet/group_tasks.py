@@ -24,11 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError
+from .grad_engine import IDENTITY_STEP
 from .tensor_core import RngState
-
-# Left padding in a batch's id block: an identity step, the same id as
-# grad_engine.IDENTITY_STEP, so every episode ends at the last column.
-PAD_ID = -1
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,8 @@ class Episode:
 class Batch:
     """B episodes as arrays; `queries` is None for the S3 task.
 
-    Row i of `ids` is episode i left-padded with PAD_ID to the longest
-    length, so all episodes end at the last column.
+    Row i of `ids` is episode i left-padded with IDENTITY_STEP to the
+    longest length, so all episodes end at the last column.
     """
 
     ids: np.ndarray       # (B, L_max)
@@ -116,7 +113,7 @@ def _token_block(gen: np.random.Generator, vocab: int, lengths) -> tuple:
     if not shift.any():
         return lengths, raw
     src = np.arange(width) - shift[:, None]
-    ids = np.where(src >= 0, np.take_along_axis(raw, np.maximum(src, 0), axis=1), PAD_ID)
+    ids = np.where(src >= 0, np.take_along_axis(raw, np.maximum(src, 0), axis=1), IDENTITY_STEP)
     return lengths, ids
 
 
@@ -127,7 +124,7 @@ def s3_targets(ids: np.ndarray) -> np.ndarray:
     """Product class id per row of a left-padded id block, folding the Cayley
     table column by column."""
     acc = np.zeros(ids.shape[0], dtype=np.intp)
-    for col in np.where(ids == PAD_ID, 0, ids).T:   # id 0 is the identity
+    for col in np.where(ids == IDENTITY_STEP, 0, ids).T:   # id 0 is the identity
         acc = S3_CAYLEY[col, acc]
     return acc
 
@@ -177,7 +174,7 @@ def swap_token(v: int, i: int, j: int) -> int:
 def binding_targets(ids: np.ndarray, v: int, queries: np.ndarray) -> np.ndarray:
     """Replay each row's swaps on the identity assignment, then read the row's
     query slot; ids is a left-padded block."""
-    # the appended last pair, which PAD_ID = -1 picks, swaps slot 0 with itself
+    # the appended last pair, which IDENTITY_STEP (-1) picks, swaps slot 0 with itself
     pairs = np.concatenate([swap_vocabulary(v), [(0, 0)]])
     base = v * np.arange(ids.shape[0])[:, None]
     values = np.tile(np.arange(v), ids.shape[0])   # row r holds slots v*r .. v*r + v-1

@@ -32,10 +32,12 @@ FlashAttention (Dao et al., 2022) that packs sequences without
 cross-contamination (Krell et al., 2021): no pad token costs attention's L^2
 and no key mask is needed.
 
-Parameters are small dataclasses convertible to/from flat name->array dicts
-so the optimizer and checkpoints share one representation. Readouts are
-stored as (n_queries, n_classes, n): the S3 task uses a single map
-(n_queries=1), the binding task one map per queried variable.
+Each kind's parameter dataclass (`PARAMS`) is its one description: `HEADER`
+names its structural fields and the rule each meets, `layout` derives every
+array's name and shape from them, and `to_dict` gives the arrays, the ones
+the optimizer updates in place, so training updates the model it built.
+Readouts are stored as (n_queries, n_classes, n): the S3 task uses a single
+map (n_queries=1), the binding task one map per queried variable.
 """
 
 from __future__ import annotations
@@ -89,6 +91,23 @@ def _checked_block(ids, queries, vocab: int, n_queries: int) -> tuple:
     return ids, queries
 
 
+def header(params) -> dict:
+    """The structural fields of a model, by name: its class's HEADER."""
+    return {key: getattr(params, key) for key in params.HEADER}
+
+
+def check_header(cls, fields: dict) -> dict:
+    """`cls`'s HEADER fields of `fields`, each checked against its rule: an
+    int at least the rule's value, or one of the rule's strings. Raises
+    ArgumentError."""
+    for key, rule in cls.HEADER.items():
+        value = fields.get(key)
+        if not (value in rule if isinstance(rule, tuple)
+                else type(value) is int and value >= rule):
+            raise ArgumentError(f"{cls.__name__} field {key!r} is {value!r}")
+    return {key: fields[key] for key in cls.HEADER}
+
+
 # ===================================================================== holonomic
 
 
@@ -100,6 +119,14 @@ class HolonomicParams:
     h0: np.ndarray             # (n,) unit norm
     readout: np.ndarray        # (n_queries, n_classes, n)
 
+    HEADER = {"n": 0, "vocab": 0}   # field -> its rule (see check_header)
+
+    @staticmethod
+    def layout(n: int, vocab: int) -> dict:
+        """Array name -> shape; None matches any extent (the header does not
+        record the readout's query and class counts)."""
+        return {"generators": (vocab, n, n), "h0": (n,), "readout": (None, None, n)}
+
     def operators(self) -> np.ndarray:
         """exp(M - M^T) per vocabulary token, stacked (vocab, n, n) in float64
         by the training graph's `skew_exp` kernel, which picks its algorithm
@@ -108,9 +135,6 @@ class HolonomicParams:
 
     def to_dict(self):
         return {"generators": self.generators, "h0": self.h0, "readout": self.readout}
-
-    def replace_from(self, d):
-        return HolonomicParams(self.n, self.vocab, d["generators"], d["h0"], d["readout"])
 
 
 def init_holonomic(rng: tc.RngState, n: int, vocab: int, n_classes: int,
@@ -153,13 +177,15 @@ class RnnParams:
     bias: np.ndarray    # (n,)
     readout: np.ndarray  # (n_queries, n_classes, n)
 
+    HEADER = {"n": 0, "vocab": 0}
+
+    @staticmethod
+    def layout(n: int, vocab: int) -> dict:
+        return {"w_rec": (n, n), "w_in": (vocab, n), "bias": (n,), "readout": (None, None, n)}
+
     def to_dict(self):
         return {"w_rec": self.w_rec, "w_in": self.w_in, "bias": self.bias,
                 "readout": self.readout}
-
-    def replace_from(self, d):
-        return RnnParams(self.n, self.vocab, d["w_rec"], d["w_in"], d["bias"],
-                         d["readout"])
 
 
 def init_rnn(rng: tc.RngState, n: int, vocab: int, n_classes: int,
@@ -204,23 +230,41 @@ class TransformerParams:
     pool: str                # "final" | "mean"
     weights: dict = field(default_factory=dict)  # flat name -> array
 
+    HEADER = {"d_model": 0, "n_layers": 0, "n_heads": 1, "d_ff": 0, "vocab": 0,
+              "pos_mode": ("learned", "sinusoidal"), "max_len": 0, "pool": ("final", "mean")}
+
     def __post_init__(self):
+        check_header(TransformerParams, vars(self))
         if self.d_model % self.n_heads != 0:
             raise DimensionError(
                 f"d_model {self.d_model} not divisible by {self.n_heads} heads")
-        if self.pos_mode not in ("learned", "sinusoidal"):
-            raise ArgumentError(f"unknown positional mode: {self.pos_mode}")
-        if self.pool not in ("final", "mean"):
-            raise ArgumentError(f"unknown pooling mode: {self.pool}")
+
+    @staticmethod
+    def layout(d_model, n_layers, d_ff, vocab, pos_mode, max_len, **_) -> dict:
+        """Array name -> shape, in `init_transformer`'s draw order: layer i's
+        arrays are `layer{i}.<name>`, shaped by grad_engine.encoder_shapes."""
+        d = d_model
+        shapes = {"embed": (vocab, d)}
+        if pos_mode == "learned":
+            shapes["pos"] = (max_len, d)
+        for i in range(n_layers):
+            shapes.update({f"layer{i}.{k}": v for k, v in ge.encoder_shapes(d, d_ff).items()})
+        return {**shapes, "ln_f_g": (d,), "ln_f_b": (d,), "readout": (None, None, d)}
 
     def to_dict(self):
         return self.weights
 
-    def replace_from(self, d):
-        out = TransformerParams(self.d_model, self.n_layers, self.n_heads,
-                                self.d_ff, self.vocab, self.pos_mode,
-                                self.max_len, self.pool, dict(d))
-        return out
+
+PARAMS = {HOLONOMIC: HolonomicParams, RNN: RnnParams, NORMALIZED_RNN: RnnParams,
+          TRANSFORMER: TransformerParams}
+
+
+def rebuild(kind: str, fields: dict, arrays: dict):
+    """The `kind` model of its header fields and its arrays by name: the
+    inverse of `header` and `to_dict`."""
+    cls = PARAMS[kind]
+    return cls(**fields, weights=arrays) if cls is TransformerParams \
+        else cls(**fields, **arrays)
 
 
 def sinusoidal_table(length: int, d_model: int) -> np.ndarray:
@@ -237,29 +281,21 @@ def init_transformer(rng: tc.RngState, d_model: int, n_layers: int, n_heads: int
                      d_ff: int, vocab: int, n_classes: int, n_queries: int = 1,
                      pos_mode: str = "learned", max_len: int = 64,
                      pool: str = "final") -> TransformerParams:
+    p = TransformerParams(d_model, n_layers, n_heads, d_ff, vocab, pos_mode, max_len, pool)
     gen = rng.generator()
     s = 1.0 / math.sqrt(d_model)
-    w = {"embed": s * gen.standard_normal((vocab, d_model))}
-    if pos_mode == "learned":
-        w["pos"] = s * gen.standard_normal((max_len, d_model))
-    for i in range(n_layers):
-        pre = f"layer{i}."
-        for name in ("wq", "wk", "wv", "wo"):
-            w[pre + name] = s * gen.standard_normal((d_model, d_model))
-            w[pre + name.replace("w", "b")] = np.zeros(d_model)
-        w[pre + "ln1_g"] = np.ones(d_model)
-        w[pre + "ln1_b"] = np.zeros(d_model)
-        w[pre + "ln2_g"] = np.ones(d_model)
-        w[pre + "ln2_b"] = np.zeros(d_model)
-        w[pre + "w1"] = s * gen.standard_normal((d_model, d_ff))
-        w[pre + "b1"] = np.zeros(d_ff)
-        w[pre + "w2"] = gen.standard_normal((d_ff, d_model)) / math.sqrt(d_ff)
-        w[pre + "b2"] = np.zeros(d_model)
-    w["ln_f_g"] = np.ones(d_model)
-    w["ln_f_b"] = np.zeros(d_model)
-    w["readout"] = s * gen.standard_normal((n_queries, n_classes, d_model))
-    return TransformerParams(d_model, n_layers, n_heads, d_ff, vocab,
-                             pos_mode, max_len, pool, w)
+    for name, shape in p.layout(**header(p)).items():
+        leaf = name.rpartition(".")[2]
+        if leaf == "readout":
+            shape = (n_queries, n_classes, d_model)
+        if leaf == "w2":
+            arr = gen.standard_normal(shape) / math.sqrt(d_ff)
+        elif leaf in ("embed", "pos", "readout") or leaf[0] == "w":
+            arr = s * gen.standard_normal(shape)
+        else:   # biases and LayerNorm shifts 0, LayerNorm gains 1
+            arr = np.ones(shape) if leaf.endswith("_g") else np.zeros(shape)
+        p.weights[name] = arr
+    return p
 
 
 def _pack(p: TransformerParams, ids: np.ndarray) -> tuple:
@@ -396,7 +432,7 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     """
     if kind not in MODEL_KINDS:
         raise ArgumentError(f"unknown model kind: {kind}")
-    readout = params.weights["readout"] if kind == TRANSFORMER else params.readout
+    readout = params.to_dict()["readout"]
     ids, queries = _checked_block(ids, queries, params.vocab, readout.shape[0])
     if temperature < 0:
         raise ArgumentError("noise temperature must be >= 0")
@@ -414,23 +450,15 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     return h, logits
 
 
-# the leaf whose first axis is the vocabulary, per model kind
-_VOCAB_LEAF = {HOLONOMIC: "generators", RNN: "w_in", NORMALIZED_RNN: "w_in",
-               TRANSFORMER: "embed"}
-
-
 def tape_batch_loss(kind: str, tape: ge.Tape, leaves: dict, batch: Batch,
-                    params=None) -> ge.Var:
+                    params) -> ge.Var:
     """Mean cross-entropy of a sampler `Batch`: each row's target against the
     queried readout of its final state (the transformer's pooled encoding).
-    The batch is checked as `forward_batch` checks its block; `params` is read
-    by the transformer only."""
+    `leaves` are tape leaves of the arrays of the model `params`, and the
+    batch is checked against them as `forward_batch` checks its block."""
     if kind not in MODEL_KINDS:
         raise ArgumentError(f"unknown model kind: {kind}")
-    if kind == TRANSFORMER and params is None:
-        raise ArgumentError("tape_batch_loss: the transformer graph needs params")
-    ids, queries = _checked_block(batch.ids, batch.queries,
-                                  leaves[_VOCAB_LEAF[kind]].value.shape[0],
+    ids, queries = _checked_block(batch.ids, batch.queries, params.vocab,
                                   leaves["readout"].value.shape[0])
     if kind == TRANSFORMER:
         h = _transformer_tape_states(tape, leaves, ids, params)
@@ -443,13 +471,10 @@ def tape_batch_loss(kind: str, tape: ge.Tape, leaves: dict, batch: Batch,
 
 
 def param_count(params) -> tuple[int, dict]:
-    """Exact trainable-scalar count, itemized per component."""
+    """Exact trainable-scalar count, itemized per component: the array name
+    before its first "." (a transformer layer counts as one)."""
     items = {}
-    if isinstance(params, TransformerParams):
-        for name, arr in params.weights.items():
-            comp = name.split(".")[0]
-            items[comp] = items.get(comp, 0) + arr.size
-    else:
-        for name, arr in params.to_dict().items():
-            items[name] = arr.size
+    for name, arr in params.to_dict().items():
+        comp = name.split(".")[0]
+        items[comp] = items.get(comp, 0) + arr.size
     return sum(items.values()), items

@@ -18,6 +18,7 @@ from . import scan_engine as se
 from . import tensor_core as tc
 from .experiments import SweepResult, estimate_tc, fit_log_scaling
 from .group_tasks import (
+    S3_CAYLEY,
     S3_ELEMENTS,
     naive_binding_target,
     naive_s3_target,
@@ -73,6 +74,9 @@ def check_exp_inverse(seed):
 
 
 def check_frechet_linearity(seed):
+    # the Pade oracle's own, then the skew_exp adjoint that training runs: its
+    # VJP is linear in the cotangent, by Taylor at n = 8 and by eigh on a
+    # (1, 96, 96) stack
     gen = RngState(seed).generator()
     a = gen.standard_normal((5, 5))
     e1, e2 = gen.standard_normal((2, 5, 5))
@@ -81,6 +85,15 @@ def check_frechet_linearity(seed):
     _, lmix = tc.mat_exp_frechet(a, 1.5 * e1 - 0.5 * e2)
     gap = np.linalg.norm(lmix - (1.5 * l1 - 0.5 * l2), "fro")
     assert gap < 1e-10, f"linearity defect {gap:.3e}"
+    for n, algorithm in ((8, "taylor"), (96, "eigh")):
+        m, g1, g2 = gen.standard_normal((3, 1, n, n))
+        _skew_exp(m[0], algorithm)
+        tape = ge.Tape()
+        leaf = tape.leaf(m)
+        out = ge.skew_exp(leaf)
+        v1, v2, vmix = (tape.vjp(out, g)[leaf.idx] for g in (g1, g2, 1.5 * g1 - 0.5 * g2))
+        gap = np.linalg.norm(vmix - (1.5 * v1 - 0.5 * v2))
+        assert gap < 1e-10, f"skew_exp {algorithm} VJP linearity defect {gap:.3e}"
 
 
 def check_adjoint_pairing(seed):
@@ -126,14 +139,16 @@ def check_gradients(seed):
 
 
 def check_cayley_table(_seed):
-    ids = range(6)
+    # S3_CAYLEY, the table s3_targets folds, composes the permutations and is
+    # a group table: id 0 a two-sided identity, each row and column a
+    # permutation, and associative
+    t, ids = S3_CAYLEY, np.arange(6)
     for a, b in itertools.product(ids, ids):
-        composed = s3_id(perm_compose(S3_ELEMENTS[a], S3_ELEMENTS[b]))
-        assert 0 <= composed < 6
-    for a in ids:
-        row = {s3_id(perm_compose(S3_ELEMENTS[a], S3_ELEMENTS[b])) for b in ids}
-        col = {s3_id(perm_compose(S3_ELEMENTS[b], S3_ELEMENTS[a])) for b in ids}
-        assert row == set(ids) and col == set(ids), "Cayley table not a latin square"
+        assert t[a, b] == s3_id(perm_compose(S3_ELEMENTS[a], S3_ELEMENTS[b])), (a, b)
+    assert np.array_equal(t[0], ids) and np.array_equal(t[:, 0], ids), "id 0 is not the identity"
+    assert (np.sort(t, axis=0).T == ids).all() and (np.sort(t, axis=1) == ids).all(), \
+        "Cayley table not a latin square"
+    assert np.array_equal(t[t], t[:, t]), "Cayley table not associative"
 
 
 def check_episode_oracles(seed):
@@ -221,8 +236,7 @@ def check_tc_estimator(_seed):
     outcomes = np.tile(step[:, None], (1, 400)) > RngState(1).generator().random((11, 400))
     acc = outcomes.mean(axis=1)
     lo = np.where(acc >= 1.0, 1.0, acc - 0.02)  # degenerate CI at perfect accuracy
-    sweep = SweepResult("synthetic", grid, acc, lo, np.minimum(acc + 0.02, 1.0),
-                        400, outcomes)
+    sweep = SweepResult(grid, acc, lo, np.minimum(acc + 0.02, 1.0), 400, outcomes)
     tc_est = estimate_tc(sweep, threshold=0.99, rng=RngState(2))
     assert abs(tc_est.value - 0.3) <= 0.1 + 1e-9, f"step-curve Tc {tc_est.value}"
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import struct
 import subprocess
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 import holonet
-from holonet import checkpoint, cli
+from holonet import cli
 from holonet import models as md
 from holonet.checkpoint import load_checkpoint, save_checkpoint
-from holonet.errors import CorruptionError
+from holonet.errors import ArgumentError, CorruptionError
 from holonet.tensor_core import RngState
 
 
@@ -76,19 +77,101 @@ def test_transformer_checkpoint_with_stray_positional_table_is_corrupt(tmp_path)
     save_checkpoint(path, md.TRANSFORMER, p)
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
+    config = tmp_path / "massgap.ini"
+    config.write_text(f"[massgap]\ncheckpoint = {path}\n")
+    code = cli.main(["massgap", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("field, value", [("n_heads", 0), ("pool", None), ("vocab", "6")])
+@pytest.mark.parametrize("field, value", [
+    ("n_heads", 0), ("pool", None), ("vocab", "6"), ("n_heads", "2"), ("pos_mode", 1),
+    ("n_heads", 3), ("pos_mode", "spiral"), ("kind", "lstm")])
 def test_checkpoint_with_bad_metadata_is_corrupt(tmp_path, monkeypatch, field, value):
+    # a header field of the wrong type, one no model takes (d_model = 8 over 3
+    # heads, an unknown positional mode), or an unknown model kind
     p = md.init_transformer(RngState(7), d_model=8, n_layers=1, n_heads=2, d_ff=12,
                             vocab=6, n_classes=6)
-    meta = checkpoint._meta_for(md.TRANSFORMER, p)
-    meta[field] = value
-    monkeypatch.setattr(checkpoint, "_meta_for", lambda kind, params: meta)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, md.TRANSFORMER, p)
+    if field == "kind":
+        monkeypatch.setitem(md.PARAMS, value, md.TransformerParams)
+        save_checkpoint(path, value, p)
+        monkeypatch.delitem(md.PARAMS, value)
+    else:
+        meta = md.header(p)
+        meta[field] = value
+        monkeypatch.setattr(md, "header", lambda params: meta)
+        save_checkpoint(path, md.TRANSFORMER, p)
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
+    config = tmp_path / "genlen.ini"
+    config.write_text(f"[genlen]\ncheckpoint = {path}\nlengths = 5\n")
+    code = cli.main(["genlen", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_saving_a_model_under_another_kind_is_refused(tmp_path):
+    with pytest.raises(ArgumentError):
+        save_checkpoint(tmp_path / "model.ckpt", md.TRANSFORMER,
+                        md.init_rnn(RngState(7), 6, 6, 6))
+    with pytest.raises(ArgumentError):
+        save_checkpoint(tmp_path / "model.ckpt", "lstm", md.init_rnn(RngState(7), 6, 6, 6))
+    assert list(tmp_path.iterdir()) == []
+
+
+def tiny_model(kind: str, pos_mode: str | None):
+    """A hand-built model of `kind`: its arrays, in name order, count up from
+    0 in steps of 1/4, and each readout has 2 queries of 2 classes."""
+    header = {"n": 2, "vocab": 3} if kind != md.TRANSFORMER else {
+        "d_model": 4, "n_layers": 1, "n_heads": 2, "d_ff": 3, "vocab": 3,
+        "pos_mode": pos_mode, "max_len": 5, "pool": "final"}
+    shapes = md.PARAMS[kind].layout(**header)
+    arrays, start = {}, 0
+    for name in sorted(shapes):
+        shape = tuple(2 if e is None else e for e in shapes[name])
+        size = math.prod(shape)
+        arrays[name] = np.arange(start, start + size, dtype=np.float64).reshape(shape) / 4
+        start += size
+    return md.rebuild(kind, header, arrays)
+
+
+# SHA-256 of the checkpoint and the sidecar text of each tiny model in format
+# version 1: any change to the bytes written must change VERSION
+PINNED_FORMAT = {
+    (md.HOLONOMIC, None): (
+        "9b907b34f549d79629ab6466c973003a9ddd0cbf79491efb50445bcb309d13bd",
+        "model: holonomic\nn: 2\nvocab: 3\nparameters: 22\n  generators: 12\n  h0: 2\n"
+        "  readout: 8\n"),
+    (md.RNN, None): (
+        "683d3257b438b155d21e67fdc17f292c816ab444654f35f59957c236335d4c33",
+        "model: rnn\nn: 2\nvocab: 3\nparameters: 20\n  bias: 2\n  readout: 8\n  w_in: 6\n"
+        "  w_rec: 4\n"),
+    (md.NORMALIZED_RNN, None): (
+        "0df1789a82d4d05546d4537ec93d2f39c5317e9183287f6fe3e0df7b43e5eeb2",
+        "model: normalized-rnn\nn: 2\nvocab: 3\nparameters: 20\n  bias: 2\n  readout: 8\n"
+        "  w_in: 6\n  w_rec: 4\n"),
+    (md.TRANSFORMER, "learned"): (
+        "5f9b1ca9d54229927caf65f19803fc275bf07437301c4fefa7dc0763a28dd4a1",
+        "model: transformer\nd_ff: 3\nd_model: 4\nmax_len: 5\nn_heads: 2\nn_layers: 1\n"
+        "pool: final\npos_mode: learned\nvocab: 3\nparameters: 183\n  embed: 12\n"
+        "  layer0: 127\n  ln_f_b: 4\n  ln_f_g: 4\n  pos: 20\n  readout: 16\n"),
+    (md.TRANSFORMER, "sinusoidal"): (
+        "ba67bb20c437c2cec2610c8e677958e7e7306c6fcef48d3b49fda6f2f1121fe9",
+        "model: transformer\nd_ff: 3\nd_model: 4\nmax_len: 5\nn_heads: 2\nn_layers: 1\n"
+        "pool: final\npos_mode: sinusoidal\nvocab: 3\nparameters: 163\n  embed: 12\n"
+        "  layer0: 127\n  ln_f_b: 4\n  ln_f_g: 4\n  readout: 16\n"),
+}
+
+
+@pytest.mark.parametrize("kind, pos_mode", list(PINNED_FORMAT))
+def test_the_on_disk_format_is_pinned(tmp_path, kind, pos_mode):
+    params = tiny_model(kind, pos_mode)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, kind, params)
+    digest, sidecar = PINNED_FORMAT[kind, pos_mode]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert Path(f"{path}.meta.txt").read_text() == sidecar
+    loaded_kind, loaded = load_checkpoint(path)
+    assert loaded_kind == kind and md.header(loaded) == md.header(params)
 
 
 def rewrite_h0_record(path, record: bytes) -> None:

@@ -215,7 +215,7 @@ def test_scaling_sweeps_at_the_configured_noise_length(tmp_path, monkeypatch):
 
     def converged(model_cfg, task, curriculum, train_cfg, rng):
         params = md.init_holonomic(rng, model_cfg.n, task.vocab, task.n_classes)
-        return ex.TrainResult(model_cfg.kind, params, True, 1, 1.0)
+        return ex.TrainResult(params, True, 1, 1.0)
 
     monkeypatch.setattr(ex, "noise_sweep", spy)
     monkeypatch.setattr(ex, "train", converged)
@@ -233,7 +233,7 @@ def test_scaling_trains_every_width_with_the_configured_model(tmp_path, monkeypa
 
     def not_converged(model_cfg, task, curriculum, train_cfg, rng):
         seen.append(model_cfg)
-        return ex.TrainResult(model_cfg.kind, model_cfg.build(rng, task), False, 1, 0.0)
+        return ex.TrainResult(model_cfg.build(rng, task), False, 1, 0.0)
 
     monkeypatch.setattr(ex, "train", not_converged)
     text = ("[model]\nkind = transformer\nn = 12\nlayers = 1\nheads = 2\nd_ff = 10\n"

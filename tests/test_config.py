@@ -205,6 +205,8 @@ def test_default_section_is_rejected(text):
     ("train", "[model]\nn = 0\n", r"\[model\] n "),
     ("train", "[model]\nn = -1\n", r"\[model\] n "),
     ("train", "[model]\nkind = transformer\nheads = 0\n", r"\[model\] heads"),
+    ("train", "[model]\nkind = transformer\nlayers = 0\n", r"\[model\] layers"),
+    ("train", "[model]\nkind = transformer\nd_ff = -4\n", r"\[model\] d_ff"),
     ("train", "[train]\nbatch = -1\n", r"\[train\] batch"),
     ("train", "[train]\nsteps = 0\n", r"\[train\] steps"),
     ("scan-bench", "[bench]\nn = 0\n", r"\[bench\] n "),
@@ -213,6 +215,7 @@ def test_default_section_is_rejected(text):
 ], ids=["eval-interval-zero", "eval-interval-negative", "one-point", "lr-schedule",
         "horizon-no-points", "horizon-zero-t-max", "genlen-no-lengths",
         "scaling-no-widths", "model-n-zero", "model-n-negative", "transformer-heads-zero",
+        "transformer-layers-zero", "transformer-d-ff-negative",
         "batch-negative", "steps-zero", "bench-n-zero", "bench-vocab-zero",
         "bench-no-lengths"])
 def test_counts_and_schedule_are_validated(tmp_path, command, text, message):

@@ -28,7 +28,7 @@ def synthetic_sweep(acc_per_t, episodes=400, seed=0):
     acc = outcomes.mean(axis=1)
     lo = np.where(acc >= 1.0, 1.0, np.maximum(acc - 0.02, 0.0))
     hi = np.minimum(acc + 0.02, 1.0)
-    return ex.SweepResult("synthetic", grid, acc, lo, hi, episodes, outcomes)
+    return ex.SweepResult(grid, acc, lo, hi, episodes, outcomes)
 
 
 # ---------------------------------------------------------------- estimate_tc
@@ -62,7 +62,7 @@ def test_tc_monotone_in_pointwise_accuracy():
     flip = RngState(6).generator().random(better_outcomes.shape) < 0.3
     better_outcomes |= flip  # only adds successes
     acc = better_outcomes.mean(axis=1)
-    better = ex.SweepResult("better", base.grid, acc,
+    better = ex.SweepResult(base.grid, acc,
                             np.where(acc >= 1.0, 1.0, acc - 0.02),
                             np.minimum(acc + 0.02, 1.0),
                             base.episodes, better_outcomes)
@@ -127,7 +127,7 @@ def test_tc_threshold_validation():
 
 def test_sweep_result_validation():
     with pytest.raises(ArgumentError):
-        ex.SweepResult("bad", np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+        ex.SweepResult(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
                        np.array([1.0, 1.0]), np.array([1.0, 1.0]), 4)
 
 
@@ -631,6 +631,27 @@ def test_train_holds_one_tape_at_a_time(monkeypatch, kind):
     ex.train(ex.ModelConfig(kind=kind, n=8, layers=1, heads=2),
              ex.TaskConfig(kind="binding", variables=4), cur, cfg, RngState(35))
     assert alive_at_build == [0, 0, 0]
+
+
+@pytest.mark.parametrize("kind", [md.HOLONOMIC, md.RNN, md.TRANSFORMER])
+def test_train_returns_the_model_it_built_trained_in_place(monkeypatch, kind):
+    built = []
+    build = ex.ModelConfig.build
+
+    def recording_build(self, rng, task):
+        params = build(self, rng, task)
+        built.append((params, {k: v.copy() for k, v in params.to_dict().items()}))
+        return params
+
+    monkeypatch.setattr(ex.ModelConfig, "build", recording_build)
+    cur = Curriculum(kind="ramp", l_min=5, l_max=8, ramp_fraction=0.001)
+    cfg = ex.TrainConfig(steps=3, batch=8, eval_interval=2, gate_episodes=8,
+                         val_episodes=8)
+    res = ex.train(ex.ModelConfig(kind=kind, n=8, layers=1, heads=2),
+                   ex.TaskConfig(kind="binding", variables=4), cur, cfg, RngState(35))
+    [(params, initial)] = built
+    assert res.params is params
+    assert not np.array_equal(params.to_dict()["readout"], initial["readout"])
 
 
 def binding_train_peak(steps):

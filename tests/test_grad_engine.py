@@ -723,6 +723,14 @@ def test_adam_first_step_is_signed_lr():
     assert np.allclose(store.params["w"], expected, rtol=0, atol=1e-9)
 
 
+def test_adam_updates_the_arrays_the_store_was_given():
+    # experiments.train reads the trained model back from its own arrays
+    w = np.zeros(3)
+    store = ge.ParamStore({"w": w})
+    ge.adam_step(store, {"w": np.ones(3)}, lr=0.1)
+    assert store.params["w"] is w and np.all(w < 0)
+
+
 def test_adam_quadratic_descent():
     store = ge.ParamStore({"p": np.array([0.0])})
     losses = []

@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from holonet import grad_engine as ge
 from holonet.errors import ArgumentError
 from holonet.group_tasks import (
-    PAD_ID,
+    IDENTITY_STEP,
     S3_CAYLEY,
     S3_ELEMENTS,
     Curriculum,
@@ -123,10 +122,6 @@ def test_per_episode_samplers_keep_their_bits():
     assert all(type(t) is int for t in ep.tokens) and type(ep.target) is int
 
 
-def test_pad_id_is_the_training_graph_identity_step():
-    assert PAD_ID == ge.IDENTITY_STEP
-
-
 def test_cayley_table_matches_perm_composition():
     for a, b in itertools.product(range(6), range(6)):
         assert S3_CAYLEY[a, b] == s3_id(perm_compose(S3_ELEMENTS[a], S3_ELEMENTS[b]))
@@ -140,7 +135,7 @@ def test_batch_sampler_matches_naive_oracles(lengths):
         eps = list(batch)
         assert [e.length for e in eps] == list(lengths)
         for row, e in zip(batch.ids, eps):
-            assert np.all(row[:max(lengths) - e.length] == PAD_ID)
+            assert np.all(row[:max(lengths) - e.length] == IDENTITY_STEP)
             assert e.target == naive_s3_target(e.tokens)
         batch = sv_sample_batch(RngState(seed).child(1).generator(), 6, lengths)
         for e in batch:

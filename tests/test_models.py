@@ -253,7 +253,7 @@ def test_rnn_training_node_runs_the_inference_step_bit_for_bit(kind, n, vocab):
                          n_queries=1 if vocab == 6 else 10)
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    md.tape_batch_loss(kind, tape, leaves, batch)
+    md.tape_batch_loss(kind, tape, leaves, batch, params)
     (scanned,) = [tape.values[i] for i, op in enumerate(tape.ops) if op == "rnn_scan"]
     h, _ = md.forward_batch(kind, params, batch.ids, batch.queries)
     assert np.array_equal(scanned, h)
@@ -379,13 +379,6 @@ def test_forward_batch_rejects_bad_input():
                           None if queries is None else np.array(queries))
             with pytest.raises(ArgumentError):
                 md.tape_batch_loss(kind, tape, leaves, batch, params)
-    # the transformer graph reads its positional mode and pooling from params
-    params = binding_params(md.TRANSFORMER, 83)
-    tape = ge.Tape()
-    leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    batch = Batch(np.array([[-1, 0]]), np.array([1]), np.array([0]), np.array([0]))
-    with pytest.raises(ArgumentError):
-        md.tape_batch_loss(md.TRANSFORMER, tape, leaves, batch)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -471,7 +464,7 @@ def test_mixed_length_holonomic_loss_matches_numpy_forward():
     batch = binding_batch(36, [1, 7, 3, 7, 12, 2])
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    loss = md.tape_batch_loss(md.HOLONOMIC, tape, leaves, batch)
+    loss = md.tape_batch_loss(md.HOLONOMIC, tape, leaves, batch, params)
     expected = np.mean([ce_from_logits(md.holonomic_forward(params, e)[1], e.target)
                         for e in batch])
     assert float(loss.value) == pytest.approx(expected, rel=1e-12)
@@ -587,7 +580,7 @@ def test_holonomic_tape_loss_rejects_token_outside_vocabulary():
     for ids in ([[0, 6]], [[0, -1]], [[0, -2]]):
         with pytest.raises(ArgumentError):
             md.tape_batch_loss(md.HOLONOMIC, tape, leaves,
-                               Batch(np.array(ids), np.array([2]), np.array([0])))
+                               Batch(np.array(ids), np.array([2]), np.array([0])), params)
 
 
 # ---------------------------------------------------------------- gradient fidelity
