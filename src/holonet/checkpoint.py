@@ -12,10 +12,11 @@ Layout (all integers little-endian):
     digest  8 bytes  BLAKE2b-64 of everything above
 
 Every kind takes one path, shaped by its params class (`models.PARAMS`): the
-meta is the class's header fields and the arrays its `to_dict()`. Loading
-verifies the digest before touching the payload, checks each header field
-against the class's rule before use, checks the array names (each stored
-once) and shapes against the `layout` of the header, and rebuilds the params.
+kind is the class's `kind`, the meta its header fields and the arrays its
+`to_dict()`. Loading verifies the digest before touching the payload, checks
+each header field against the class's rule before use, checks the array names
+(each stored once) and shapes against the `layout` of the header, and
+rebuilds the params; `load_checkpoint` returns the pair (kind, params).
 A human-readable sidecar (`<path>.meta.txt`) summarizes the contents; it is
 informational only.
 """
@@ -49,11 +50,11 @@ def _check_layout(kind: str, expected: dict, arrays: dict, path) -> None:
             raise CorruptionError(f"{path}: array {name} has shape {got}, expected {shape}")
 
 
-def _write_body(out, kind: str, params) -> None:
+def _write_body(out, params) -> None:
     """Write everything the digest covers to `out(chunk)`, one chunk at a
     time; each array's payload goes out as a view of its buffer."""
     meta = json.dumps(md.header(params), sort_keys=True).encode()
-    kind_b = kind.encode()
+    kind_b = params.kind.encode()
     for chunk in (MAGIC, struct.pack("<I", VERSION), struct.pack("<H", len(kind_b)),
                   kind_b, struct.pack("<I", len(meta)), meta):
         out(chunk)
@@ -84,11 +85,9 @@ def atomic_open(path, mode: str = "w", **kwargs):
         tmp.unlink(missing_ok=True)     # gone already once replaced
 
 
-def save_checkpoint(path, kind: str, params) -> None:
+def save_checkpoint(path, params) -> None:
     """Write the checkpoint, its body hashed as it streams out, and then its
     sidecar, each through `atomic_open`."""
-    if not isinstance(params, md.PARAMS.get(kind, ())):
-        raise ArgumentError(f"cannot save {type(params).__name__} as model kind {kind!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.blake2b(digest_size=8)
@@ -98,10 +97,10 @@ def save_checkpoint(path, kind: str, params) -> None:
             digest.update(chunk)
             f.write(chunk)
 
-        _write_body(out, kind, params)
+        _write_body(out, params)
         f.write(digest.digest())
     total, items = md.param_count(params)
-    lines = [f"model: {kind}"]
+    lines = [f"model: {params.kind}"]
     lines += [f"{k}: {v}" for k, v in sorted(md.header(params).items())]
     lines.append(f"parameters: {total}")
     lines += [f"  {name}: {count}" for name, count in sorted(items.items())]

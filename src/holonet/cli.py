@@ -106,7 +106,7 @@ def _load_params(path: str):
         raise ConfigError("no checkpoint path configured")
     if not Path(path).exists():
         raise ConfigError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
+    return load_checkpoint(path)[1]
 
 
 # ------------------------------------------------------------------ commands
@@ -116,7 +116,7 @@ def cmd_train(cfg: RunConfig) -> int:
     rng = RngState(cfg.seed).child(0)
     result = ex.train(cfg.model, cfg.task, cfg.curriculum, cfg.train, rng)
     ckpt = Path(cfg.save) if cfg.save else run_dir(cfg, "train") / "model.ckpt"
-    save_checkpoint(ckpt, cfg.model.kind, result.params)
+    save_checkpoint(ckpt, result.params)
     total, items = md.param_count(result.params)
     write_run(cfg, "train", {"curve.csv": result.log}, {
         "model": cfg.model.kind, "task": cfg.task.kind,
@@ -131,16 +131,16 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    kind, params = _load_params(cfg.sweep.checkpoint)
+    params = _load_params(cfg.sweep.checkpoint)
     rng = RngState(cfg.seed).child(1)
-    sweep = ex.noise_sweep(kind, params, cfg.task, cfg.sweep.grid(),
+    sweep = ex.noise_sweep(params, cfg.task, cfg.sweep.grid(),
                            cfg.sweep.episodes, rng, cfg.sweep.length)
     chance = cfg.task.trivial_accuracy(cfg.sweep.length)
     tc = ex.estimate_tc(sweep, cfg.sweep.threshold, rng.child(99), chance=chance)
     rows = [{"T": t, "acc_mean": m, "acc_lo": lo, "acc_hi": hi, "episodes": sweep.episodes}
             for t, m, lo, hi in zip(sweep.grid, sweep.acc_mean, sweep.acc_lo, sweep.acc_hi)]
     write_run(cfg, "sweep", {"curve.csv": rows}, {
-        "model": kind, "threshold": cfg.sweep.threshold, "chance": chance,
+        "model": params.kind, "threshold": cfg.sweep.threshold, "chance": chance,
         "Tc": tc.value, "Tc_ci": [tc.lo, tc.hi], "censored": tc.censored})
     return EXIT_OK
 
@@ -164,14 +164,14 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 
 def cmd_genlen(cfg: RunConfig) -> int:
-    kind, params = _load_params(cfg.genlen.checkpoint)
+    params = _load_params(cfg.genlen.checkpoint)
     rng = RngState(cfg.seed).child(3)
-    rows = ex.length_generalization_eval(kind, params, cfg.task,
+    rows = ex.length_generalization_eval(params, cfg.task,
                                          cfg.genlen.lengths,
                                          cfg.genlen.episodes, cfg.precision, rng)
     scored = [r["acc"] for r in rows if not np.isnan(r["acc"])]
     write_run(cfg, "genlen", {"curve.csv": rows}, {
-        "model": kind, "acc_min": min(scored, default=float("nan")),
+        "model": params.kind, "acc_min": min(scored, default=float("nan")),
         "acc_max": max(scored, default=float("nan")),
         "below_chance": [r["L"] for r in rows   # NaN compares False
                          if r["acc"] <= cfg.task.trivial_accuracy(r["L"])]})
@@ -179,15 +179,15 @@ def cmd_genlen(cfg: RunConfig) -> int:
 
 
 def cmd_horizon(cfg: RunConfig) -> int:
-    kind, params = _load_params(cfg.horizon.checkpoint)
+    params = _load_params(cfg.horizon.checkpoint)
     rng = RngState(cfg.seed).child(4)
     grid = cfg.horizon.grid()
     methods = (["operator-norm", "autodiff"] if cfg.horizon.method == "both"
                else [cfg.horizon.method])
-    curves = [ex.jacobian_horizon(kind, params, grid, m, rng, cfg.horizon.fit_min_t)
+    curves = [ex.jacobian_horizon(params, grid, m, rng, cfg.horizon.fit_min_t)
               for m in methods]
     primary = curves[0]
-    summary = {"model": kind, "method": methods[0], "lambda_max": primary.lambda_max,
+    summary = {"model": params.kind, "method": methods[0], "lambda_max": primary.lambda_max,
                "fit_r_squared": primary.fit_r_squared, "fit_note": primary.note or None}
     if len(curves) == 2:
         summary["method_disagreement_max"] = float(
@@ -199,13 +199,13 @@ def cmd_horizon(cfg: RunConfig) -> int:
 
 
 def cmd_massgap(cfg: RunConfig) -> int:
-    kind, params = _load_params(cfg.massgap.checkpoint)
+    params = _load_params(cfg.massgap.checkpoint)
     rng = RngState(cfg.seed).child(5)
-    result = ex.mass_gap(kind, params, cfg.task, rng,
+    result = ex.mass_gap(params, cfg.task, rng,
                          cfg.massgap.episodes_per_class, cfg.massgap.length)
     rows = [{"class_a": a, "class_b": b, "geodesic": g} for a, b, g in result.geodesics]
     write_run(cfg, "massgap", {"curve.csv": rows}, {
-        "model": kind, "classes": len(result.centroids), "delta": result.delta,
+        "model": params.kind, "classes": len(result.centroids), "delta": result.delta,
         "counts": {str(k): v for k, v in sorted(result.counts.items())}})
     return EXIT_OK
 
@@ -214,7 +214,7 @@ def cmd_pca(cfg: RunConfig) -> int:
     if not cfg.pca.checkpoints:
         raise ConfigError("pca needs at least one checkpoint")
     tags = cfg.pca.tags or tuple(f"model{i}" for i in range(len(cfg.pca.checkpoints)))
-    entries = [(tag, *_load_params(path)) for tag, path in zip(tags, cfg.pca.checkpoints)]
+    entries = [(tag, _load_params(path)) for tag, path in zip(tags, cfg.pca.checkpoints)]
     rng = RngState(cfg.seed).child(6)
     snap = ex.pca_snapshot(entries, cfg.task, cfg.pca.temperature,
                            cfg.pca.episodes, rng, cfg.pca.length)

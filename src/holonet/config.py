@@ -233,13 +233,20 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("precision must be 32 or 64")
     if cfg.seed < 0 or cfg.seed >= 2 ** 64:
         raise ConfigError("seed must fit in 64 bits")
-    if cfg.model.kind not in md.MODEL_KINDS:
+    if cfg.model.kind not in md.PARAMS:
         raise ConfigError(f"unknown model kind '{cfg.model.kind}'")
     counts = {"[run] workers": cfg.workers, "[model] n": cfg.model.n,
               "[train] steps": cfg.train.steps, "[train] batch": cfg.train.batch,
               "[train] eval_interval": cfg.train.eval_interval,
+              "[noise] episodes": cfg.sweep.episodes, "[noise] length": cfg.sweep.length,
+              "[genlen] episodes": cfg.genlen.episodes,
+              "each [genlen] lengths entry": min(cfg.genlen.lengths, default=1),
               "[horizon] t_max": cfg.horizon.t_max, "[horizon] points": cfg.horizon.points,
-              "[bench] n": cfg.bench.n, "[bench] vocab": cfg.bench.vocab}
+              "[massgap] episodes_per_class": cfg.massgap.episodes_per_class,
+              "[massgap] length": cfg.massgap.length, "[pca] length": cfg.pca.length,
+              "each [scaling] widths entry": min(cfg.scaling.widths, default=1),
+              "[bench] n": cfg.bench.n, "[bench] vocab": cfg.bench.vocab,
+              "each [bench] lengths entry": min(cfg.bench.lengths, default=1)}
     if cfg.model.kind == md.TRANSFORMER:
         counts["[model] heads"] = cfg.model.heads
         counts["[model] layers"] = cfg.model.layers
@@ -248,6 +255,12 @@ def validate_config(cfg: RunConfig) -> None:
     for key, value in counts.items():
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
+    for key, value in {"[noise] points": cfg.sweep.points,
+                       "[pca] episodes": cfg.pca.episodes}.items():
+        if value < 2:
+            raise ConfigError(f"{key} must be >= 2, got {value}")
+    if not cfg.sweep.t_max > 0:
+        raise ConfigError(f"[noise] t_max must be > 0, got {cfg.sweep.t_max}")
     if cfg.task.kind not in (S3, BINDING):
         raise ConfigError(f"unknown task kind '{cfg.task.kind}'")
     if cfg.task.kind == BINDING and cfg.task.variables < 2:
@@ -265,8 +278,6 @@ def validate_config(cfg: RunConfig) -> None:
             f"than curriculum maximum length {cfg.curriculum.l_max}")
     if cfg.train.lr_schedule not in ("constant", "cosine"):
         raise ConfigError("train lr_schedule must be constant or cosine")
-    if cfg.sweep.points < 2:
-        raise ConfigError("noise points must be >= 2")
     # a T_c threshold at or below the token-blind accuracy would measure nothing
     chance = cfg.task.trivial_accuracy(cfg.sweep.length) \
         if cfg.experiment in ("sweep", "scaling") else 0.0

@@ -8,6 +8,7 @@ each training step draws its lengths and episodes from one generator, each
 evaluation its episodes from one, and each noise level of a sweep its
 episodes from one and its noise from another. Bootstrap resamples have their
 own streams.
+Every probe takes a model as one value, its params, which carry its kind.
 Inference for all four model kinds runs through `models.forward_batch`, so
 a batch's noise, recurrent-state or residual-stream, comes from one stream.
 """
@@ -99,7 +100,7 @@ class ModelConfig:
                                      task.n_queries, gen_scale=scale)
         if self.kind in (md.RNN, md.NORMALIZED_RNN):
             return md.init_rnn(rng, self.n, task.vocab, task.n_classes,
-                               task.n_queries)
+                               task.n_queries, self.kind == md.NORMALIZED_RNN)
         if self.kind == md.TRANSFORMER:
             d_ff = self.d_ff if self.d_ff > 0 else 2 * self.n
             pool = self.pool if task.kind == S3 else "mean"
@@ -200,22 +201,21 @@ class MassGapResult:
 # ===================================================================== evaluation
 
 
-def _operators(kind: str, params) -> np.ndarray | None:
+def _operators(params) -> np.ndarray | None:
     """The holonomic operators, for an evaluation that runs many batches."""
-    return params.operators() if kind == md.HOLONOMIC else None
+    return params.operators() if params.kind == md.HOLONOMIC else None
 
 
-def predictions(kind: str, params, batch: Batch, temperature: float = 0.0,
-                rng: tc.RngState | None = None,
-                operators: np.ndarray | None = None) -> np.ndarray:
-    """Predicted labels, one per episode; the batch's noise comes from `rng`.
-    Holonomic `operators` built once by the caller skip their rebuild."""
-    _, logits = md.forward_batch(kind, params, batch.ids, batch.queries, temperature, rng,
+def _hits(params, batch: Batch, temperature: float = 0.0, rng: tc.RngState | None = None,
+          operators: np.ndarray | None = None) -> np.ndarray:
+    """Whether each episode's predicted label is its target, the noise from
+    `rng`. Holonomic `operators` built once by the caller skip their rebuild."""
+    _, logits = md.forward_batch(params, batch.ids, batch.queries, temperature, rng,
                                  operators=operators)
-    return np.argmax(logits, axis=1)
+    return np.argmax(logits, axis=1) == batch.targets
 
 
-def evaluate_accuracy(kind: str, params, task: TaskConfig, lengths,
+def evaluate_accuracy(params, task: TaskConfig, lengths,
                       episodes: int, rng: tc.RngState,
                       operators: np.ndarray | None = None) -> float:
     """Accuracy on `episodes` fresh episodes drawn from one stream; episode i
@@ -224,35 +224,33 @@ def evaluate_accuracy(kind: str, params, task: TaskConfig, lengths,
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
     batch = task.sample_batch(rng.child(0).generator(),
                               lengths[np.arange(episodes) % lengths.size])
-    preds = predictions(kind, params, batch, operators=operators)
-    return float(np.mean(preds == batch.targets))
+    return float(np.mean(_hits(params, batch, operators=operators)))
 
 
-def exhaustive_s3_accuracy(kind: str, params, length: int,
+def exhaustive_s3_accuracy(params, length: int,
                            operators: np.ndarray | None = None) -> float:
     """Accuracy over every S3 sequence of `length`, scored in blocks."""
     ids = np.indices((6,) * length).reshape(length, -1).T
-    ops = _operators(kind, params) if operators is None else operators
+    ops = _operators(params) if operators is None else operators
     correct = 0
     for lo in range(0, ids.shape[0], SCORE_BLOCK):
         block = ids[lo:lo + SCORE_BLOCK]
         batch = Batch(block, np.full(block.shape[0], length), s3_targets(block))
-        correct += int(np.sum(predictions(kind, params, batch, operators=ops)
-                              == batch.targets))
+        correct += int(np.sum(_hits(params, batch, operators=ops)))
     return correct / ids.shape[0]
 
 
-def validation_accuracy(kind: str, params, task: TaskConfig, curriculum: Curriculum,
+def validation_accuracy(params, task: TaskConfig, curriculum: Curriculum,
                         episodes: int, rng: tc.RngState,
                         operators: np.ndarray | None = None) -> float:
     """The accuracy `train` calls converged at; see TrainConfig."""
     if task.kind == S3:
         if 6 ** curriculum.l_max <= EXHAUSTIVE_S3_LIMIT:
-            return exhaustive_s3_accuracy(kind, params, curriculum.l_max, operators)
+            return exhaustive_s3_accuracy(params, curriculum.l_max, operators)
         lengths = curriculum.l_max
     else:
         lengths = list(range(curriculum.l_min, curriculum.l_max + 1))
-    return evaluate_accuracy(kind, params, task, lengths, episodes, rng, operators)
+    return evaluate_accuracy(params, task, lengths, episodes, rng, operators)
 
 
 # ===================================================================== training
@@ -265,15 +263,15 @@ def _lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.lr
 
 
-def _train_step(kind: str, store: ge.ParamStore, batch: Batch, params,
-                cfg: TrainConfig, step: int) -> tuple[float, float]:
+def _train_step(params, store: ge.ParamStore, batch: Batch, cfg: TrainConfig,
+                step: int) -> tuple[float, float]:
     """One optimizer step on `batch`; returns (loss, pre-clip gradient norm).
     The step's tape, loss Var and gradients are locals of this frame, so they
     are freed on return: one tape is alive at a time, never the last step's
     beside the next one's."""
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in store.params.items()}
-    loss = md.tape_batch_loss(kind, tape, leaves, batch, params)
+    loss = md.tape_batch_loss(params, tape, leaves, batch)
     if not np.isfinite(loss.value):
         raise NumericError(f"training loss is {float(loss.value)} at step {step}")
     tape.backward(loss)
@@ -311,13 +309,13 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
             curriculum = curriculum_advance(curriculum, step / cfg.steps)
         gen = rng.child(1, step).generator()
         batch = task.sample_batch(gen, sample_lengths(curriculum, gen, cfg.batch))
-        loss, grad_norm = _train_step(model_cfg.kind, store, batch, params, cfg, step)
-        if model_cfg.kind == md.HOLONOMIC:
+        loss, grad_norm = _train_step(params, store, batch, cfg, step)
+        if params.kind == md.HOLONOMIC:
             store.params["h0"] /= np.linalg.norm(store.params["h0"])
         if step % cfg.eval_interval == 0 or step == cfg.steps:
-            ops, ops_step = _operators(model_cfg.kind, params), step
+            ops, ops_step = _operators(params), step
             gate_len = curriculum.max_len
-            gate_acc = evaluate_accuracy(model_cfg.kind, params, task, gate_len,
+            gate_acc = evaluate_accuracy(params, task, gate_len,
                                          cfg.gate_episodes, rng.child(2, step), ops)
             log.append({"step": step, "max_len": curriculum.max_len,
                         "loss": loss, "grad_norm": float(grad_norm),
@@ -329,7 +327,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
             else:
                 at_top = curriculum.progress >= curriculum.ramp_fraction
             if at_top and gate_acc >= cfg.target_accuracy:
-                accuracy = validation_accuracy(model_cfg.kind, params, task, curriculum,
+                accuracy = validation_accuracy(params, task, curriculum,
                                                cfg.val_episodes, rng.child(3, step), ops)
                 if accuracy >= cfg.target_accuracy:
                     converged = True
@@ -337,7 +335,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
                         break
     if not (cfg.early_stop and converged):
         # convergence must describe the returned parameters
-        accuracy = validation_accuracy(model_cfg.kind, params, task, curriculum,
+        accuracy = validation_accuracy(params, task, curriculum,
                                        cfg.val_episodes, rng.child(4),
                                        ops if ops_step == step else None)
         converged = accuracy >= cfg.target_accuracy
@@ -347,7 +345,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
 # ===================================================================== noise sweep
 
 
-def noise_sweep(kind: str, params, task: TaskConfig, t_grid, episodes: int,
+def noise_sweep(params, task: TaskConfig, t_grid, episodes: int,
                 rng: tc.RngState, length: int = 5,
                 bootstrap: int = 1000) -> SweepResult:
     """Accuracy versus noise temperature over fresh length-`length` episodes;
@@ -355,11 +353,10 @@ def noise_sweep(kind: str, params, task: TaskConfig, t_grid, episodes: int,
     rng.child(1, i)."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     outcomes = np.zeros((t_grid.size, episodes), dtype=bool)
-    ops = _operators(kind, params)
+    ops = _operators(params)
     for ti, temp in enumerate(t_grid):
         batch = task.sample_batch(rng.child(0, ti).generator(), np.full(episodes, length))
-        outcomes[ti] = predictions(kind, params, batch, float(temp), rng.child(1, ti),
-                                   ops) == batch.targets
+        outcomes[ti] = _hits(params, batch, float(temp), rng.child(1, ti), ops)
     acc = outcomes.mean(axis=1)
     lo = np.empty_like(acc)
     hi = np.empty_like(acc)
@@ -393,13 +390,13 @@ def _plugin_tc(grid: np.ndarray, acc: np.ndarray, qualifies: np.ndarray,
 def estimate_tc(sweep: SweepResult, threshold: float = 0.99,
                 rng: tc.RngState | None = None, bootstrap: int = 1000,
                 chance: float = 0.0) -> TcEstimate:
-    """Largest noise level whose CI lower bound clears the fidelity threshold,
-    refined by linear interpolation toward the crossing. The CI resamples
-    the episodes `bootstrap` times (one draw of n indices each) and takes
-    every resample's plug-in T_c at once."""
+    """Largest noise level whose mean accuracy clears the fidelity threshold,
+    refined by linear interpolation toward the crossing. The CI resamples the
+    episodes `bootstrap` times (one draw of n indices each) and takes every
+    resample's T_c by the same rule, all at once: the CI measures the value."""
     if not chance < threshold <= 1.0:
         raise ArgumentError(f"threshold must lie in ({chance}, 1]")
-    qualifies = sweep.acc_lo >= threshold
+    qualifies = sweep.acc_mean >= threshold
     value = float(_plugin_tc(sweep.grid, sweep.acc_mean[None], qualifies[None],
                              threshold)[0])
     censored = "all-fail" if not qualifies.any() else "right" if qualifies[-1] else None
@@ -458,7 +455,7 @@ def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
         result = train(replace(model, n=n), task, curriculum, train_cfg, nrng.child(0))
         est = TcEstimate(math.nan, math.nan, math.nan)
         if result.converged:
-            sweep = noise_sweep(model.kind, result.params, task, sweep_grid,
+            sweep = noise_sweep(result.params, task, sweep_grid,
                                 sweep_episodes, nrng.child(1), length)
             est = estimate_tc(sweep, threshold, nrng.child(2),
                               chance=task.trivial_accuracy(length))
@@ -470,7 +467,7 @@ def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
 # ===================================================================== generalization
 
 
-def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
+def length_generalization_eval(params, task: TaskConfig, lengths,
                                episodes: int, precision: int,
                                rng: tc.RngState) -> list[dict]:
     """Accuracy per length on fresh episodes; learned-positional overflow is
@@ -480,18 +477,16 @@ def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
     if precision != 64 and any(length > 50 for length in lengths):
         raise ArgumentError("lengths beyond 50 require 64-bit inference")
     rows = []
-    operators = se.build_operators(params, precision) if kind == md.HOLONOMIC else None
+    operators = se.build_operators(params, precision) if params.kind == md.HOLONOMIC else None
     for li, length in enumerate(lengths):
-        if kind == md.TRANSFORMER and params.pos_mode == "learned" \
+        if params.kind == md.TRANSFORMER and params.pos_mode == "learned" \
                 and length > params.max_len:
             rows.append({"L": int(length), "acc": float("nan"),
                          "episodes": episodes, "precision": precision,
                          "note": "capacity-exceeded"})
             continue
         batch = task.sample_batch(rng.child(li).generator(), np.full(episodes, length))
-        _, logits = md.forward_batch(kind, params, batch.ids, batch.queries,
-                                     operators=operators)
-        acc = float(np.mean(np.argmax(logits, axis=1) == batch.targets))
+        acc = float(np.mean(_hits(params, batch, operators=operators)))
         rows.append({"L": int(length), "acc": acc, "episodes": episodes,
                      "precision": precision, "note": ""})
     return rows
@@ -508,7 +503,7 @@ def length_generalization_eval(kind: str, params, task: TaskConfig, lengths,
 HORIZON_FLAT_SPREAD = 1e-9
 
 
-def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
+def jacobian_horizon(params, t_grid, method: str, rng: tc.RngState,
                      fit_min_t: int = 5) -> HorizonCurve:
     """J(t) = ||dh_t / dh_0||_2 along one random episode.
 
@@ -526,7 +521,7 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
     """
     if method not in ("autodiff", "operator-norm"):
         raise ArgumentError(f"unknown method: {method}")
-    if kind == md.TRANSFORMER:
+    if params.kind == md.TRANSFORMER:
         raise ArgumentError("memory horizon needs trajectory access; "
                             "transformer has no recurrent state")
     t_grid = sorted(int(t) for t in t_grid)
@@ -534,8 +529,8 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
         raise ArgumentError("t grid must start at 1 or later")
     horizon = t_grid[-1]
     tokens = rng.child(0).generator().integers(0, params.vocab, size=horizon)
-    ops = _operators(kind, params)
-    normalized = kind == md.NORMALIZED_RNN
+    ops = _operators(params)
+    normalized = params.kind == md.NORMALIZED_RNN
     if ops is None:
         acts = np.empty((horizon, params.n))
         h = np.zeros((1, params.n))
@@ -581,20 +576,13 @@ def jacobian_horizon(kind: str, params, t_grid, method: str, rng: tc.RngState,
 # ===================================================================== diagnostics
 
 
-def final_states(kind: str, params, batch: Batch, temperature: float = 0.0,
-                 rng: tc.RngState | None = None) -> np.ndarray:
-    """Final hidden representation per episode (the transformer's pooled
-    encoding); noise as in `predictions`."""
-    return md.forward_batch(kind, params, batch.ids, batch.queries, temperature, rng)[0]
-
-
-def mass_gap(kind: str, params, task: TaskConfig, rng: tc.RngState,
+def mass_gap(params, task: TaskConfig, rng: tc.RngState,
              episodes_per_class: int = 200, length: int = 5) -> MassGapResult:
     """Minimum geodesic separation between unit-normalized class centroids of
     zero-noise final states, and the separation of every pair."""
     budget = episodes_per_class * task.n_classes * 2
     batch = task.sample_batch(rng.child(0).generator(), np.full(budget, length))
-    states = final_states(kind, params, batch)
+    states = md.forward_batch(params, batch.ids, batch.queries)[0]
     found, counts = np.unique(batch.targets, return_counts=True)
     if found.size < 2:
         raise ArgumentError("fewer than 2 classes reached; cannot measure a gap")
@@ -634,14 +622,15 @@ def pca_snapshot(entries, task: TaskConfig, temperature: float, episodes: int,
                  rng: tc.RngState, length: int = 5) -> dict:
     """Final-state PCA per model at one noise level.
 
-    entries: list of (tag, kind, params). Returns per-model projected points
+    entries: list of (tag, params). Returns per-model projected points
     (k=2 and k=3), class labels, and silhouette on the k=3 projection.
     """
     result = {}
-    for mi, (tag, kind, params) in enumerate(entries):
+    for mi, (tag, params) in enumerate(entries):
         mrng = rng.child(mi)
         batch = task.sample_batch(mrng.child(0).generator(), np.full(episodes, length))
-        states = final_states(kind, params, batch, temperature, mrng.child(1))
+        states = md.forward_batch(params, batch.ids, batch.queries, temperature,
+                                  mrng.child(1))[0]
         labels = batch.targets
         _, proj2 = tc.pca_project(states, 2)
         _, proj3 = tc.pca_project(states, 3)

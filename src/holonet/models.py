@@ -32,10 +32,12 @@ FlashAttention (Dao et al., 2022) that packs sequences without
 cross-contamination (Krell et al., 2021): no pad token costs attention's L^2
 and no key mask is needed.
 
-Each kind's parameter dataclass (`PARAMS`) is its one description: `HEADER`
-names its structural fields and the rule each meets, `layout` derives every
-array's name and shape from them, and `to_dict` gives the arrays, the ones
-the optimizer updates in place, so training updates the model it built.
+A model is one value, its params, and each kind's parameter dataclass
+(`PARAMS`) is its one description: `kind` names it (`NormalizedRnnParams` is
+the RNN's arrays under their own kind), `HEADER` names its structural fields
+and the rule each meets, `layout` derives every array's name and shape from
+them, and `to_dict` gives the arrays, the ones the optimizer updates in
+place, so training updates the model it built.
 Readouts are stored as (n_queries, n_classes, n): the S3 task uses a single
 map (n_queries=1), the binding task one map per queried variable.
 """
@@ -56,7 +58,6 @@ HOLONOMIC = "holonomic"
 RNN = "rnn"
 NORMALIZED_RNN = "normalized-rnn"
 TRANSFORMER = "transformer"
-MODEL_KINDS = (HOLONOMIC, RNN, NORMALIZED_RNN, TRANSFORMER)
 
 
 def inject_noise(x: np.ndarray, temperature: float, g: np.ndarray) -> np.ndarray:
@@ -119,6 +120,7 @@ class HolonomicParams:
     h0: np.ndarray             # (n,) unit norm
     readout: np.ndarray        # (n_queries, n_classes, n)
 
+    kind = HOLONOMIC
     HEADER = {"n": 0, "vocab": 0}   # field -> its rule (see check_header)
 
     @staticmethod
@@ -177,6 +179,7 @@ class RnnParams:
     bias: np.ndarray    # (n,)
     readout: np.ndarray  # (n_queries, n_classes, n)
 
+    kind = RNN
     HEADER = {"n": 0, "vocab": 0}
 
     @staticmethod
@@ -188,28 +191,33 @@ class RnnParams:
                 "readout": self.readout}
 
 
+class NormalizedRnnParams(RnnParams):
+    kind = NORMALIZED_RNN   # the state is projected onto the unit sphere every step
+
+
 def init_rnn(rng: tc.RngState, n: int, vocab: int, n_classes: int,
-             n_queries: int = 1) -> RnnParams:
+             n_queries: int = 1, normalized: bool = False) -> RnnParams:
     gen = rng.generator()
     # orthogonal recurrent init keeps early tanh dynamics near-isometric
     w_rec = tc.mat_exp(tc.skew(gen.standard_normal((n, n)) / math.sqrt(n)))
     w_in = 0.5 * gen.standard_normal((vocab, n))
     bias = np.zeros(n)
     readout = gen.standard_normal((n_queries, n_classes, n)) / math.sqrt(n)
-    return RnnParams(n, vocab, w_rec, w_in, bias, readout)
+    cls = NormalizedRnnParams if normalized else RnnParams
+    return cls(n, vocab, w_rec, w_in, bias, readout)
 
 
-def rnn_forward(p: RnnParams, episode: Episode, normalized: bool = False):
+def rnn_forward(p: RnnParams, episode: Episode):
     """tanh recurrence, the noiseless per-episode reference for
-    `forward_batch`; the normalized variant projects onto the unit sphere
-    after every timestep."""
+    `forward_batch`; the normalized RNN projects onto the unit sphere after
+    every timestep."""
     ids, queries = _checked_block([episode.tokens], [episode.query or 0], p.vocab,
                                   p.readout.shape[0])
     h = np.zeros(p.n)
     trajectory = [h]
     for tok in ids[ids != ge.IDENTITY_STEP]:
         h = np.tanh(p.w_rec @ h + p.w_in[tok] + p.bias)
-        if normalized:
+        if p.kind == NORMALIZED_RNN:
             h = ge.unit_kernel(h)[0]
         trajectory.append(h)
     return trajectory, p.readout[queries[0]] @ h
@@ -230,6 +238,7 @@ class TransformerParams:
     pool: str                # "final" | "mean"
     weights: dict = field(default_factory=dict)  # flat name -> array
 
+    kind = TRANSFORMER
     HEADER = {"d_model": 0, "n_layers": 0, "n_heads": 1, "d_ff": 0, "vocab": 0,
               "pos_mode": ("learned", "sinusoidal"), "max_len": 0, "pool": ("final", "mean")}
 
@@ -255,8 +264,8 @@ class TransformerParams:
         return self.weights
 
 
-PARAMS = {HOLONOMIC: HolonomicParams, RNN: RnnParams, NORMALIZED_RNN: RnnParams,
-          TRANSFORMER: TransformerParams}
+PARAMS = {cls.kind: cls for cls in (HolonomicParams, RnnParams, NormalizedRnnParams,
+                                     TransformerParams)}
 
 
 def rebuild(kind: str, fields: dict, arrays: dict):
@@ -384,14 +393,14 @@ def _transformer_tape_states(tape: ge.Tape, leaves: dict, ids: np.ndarray,
 # ===================================================================== dispatch
 
 
-def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
+def _recurrent_states(params, ids: np.ndarray, temperature: float,
                       gen: np.random.Generator | None,
                       operators: np.ndarray | None) -> np.ndarray:
     """Final states of the holonomic model or an RNN, one column at a time,
     by the step kernels of their training nodes: `grad_engine.token_step` over
     the block's token schedule, in the layout it picked (`holonomic_scan`),
     or `grad_engine.rnn_step` over the column's live rows (`rnn_scan`)."""
-    b = ids.shape[0]
+    b, kind = ids.shape[0], params.kind
     if kind == HOLONOMIC:
         ops = params.operators() if operators is None else operators
         mats = ops.transpose(0, 2, 1)   # row states: (U h)^T = h^T U^T
@@ -414,10 +423,10 @@ def _recurrent_states(kind: str, params, ids: np.ndarray, temperature: float,
     return h
 
 
-def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0,
+def forward_batch(params, ids, queries=None, temperature: float = 0.0,
                   rng: tc.RngState | None = None, *,
                   operators: np.ndarray | None = None):
-    """Final states (B, n) and logits (B, C) of any model kind over a (B, L)
+    """Final states (B, n) and logits (B, C) of any model over a (B, L)
     id block left-padded with IDENTITY_STEP (see `_checked_block`); the
     transformer's state is its pooled encoding.
 
@@ -430,8 +439,6 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     take precomputed `operators` (float32 for low-precision runs). Raises
     NumericError on non-finite logits.
     """
-    if kind not in MODEL_KINDS:
-        raise ArgumentError(f"unknown model kind: {kind}")
     readout = params.to_dict()["readout"]
     ids, queries = _checked_block(ids, queries, params.vocab, readout.shape[0])
     if temperature < 0:
@@ -439,10 +446,10 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     if temperature > 0 and rng is None:
         raise ArgumentError("noise temperature > 0 but no rng supplied")
     gen = rng.generator() if temperature > 0 else None
-    if kind == TRANSFORMER:
+    if params.kind == TRANSFORMER:
         h = transformer_forward_batch(params, ids, temperature, gen)
     else:
-        h = _recurrent_states(kind, params, ids, temperature, gen, operators)
+        h = _recurrent_states(params, ids, temperature, gen, operators)
     # a row's logits do not depend on the other rows, bit for bit
     logits = np.einsum("bn,bcn->bc", h, readout[queries])
     if not np.all(np.isfinite(logits)):
@@ -450,23 +457,20 @@ def forward_batch(kind: str, params, ids, queries=None, temperature: float = 0.0
     return h, logits
 
 
-def tape_batch_loss(kind: str, tape: ge.Tape, leaves: dict, batch: Batch,
-                    params) -> ge.Var:
+def tape_batch_loss(params, tape: ge.Tape, leaves: dict, batch: Batch) -> ge.Var:
     """Mean cross-entropy of a sampler `Batch`: each row's target against the
     queried readout of its final state (the transformer's pooled encoding).
     `leaves` are tape leaves of the arrays of the model `params`, and the
     batch is checked against them as `forward_batch` checks its block."""
-    if kind not in MODEL_KINDS:
-        raise ArgumentError(f"unknown model kind: {kind}")
     ids, queries = _checked_block(batch.ids, batch.queries, params.vocab,
                                   leaves["readout"].value.shape[0])
-    if kind == TRANSFORMER:
+    if params.kind == TRANSFORMER:
         h = _transformer_tape_states(tape, leaves, ids, params)
-    elif kind == HOLONOMIC:
+    elif params.kind == HOLONOMIC:
         h = ge.holonomic_scan(ge.skew_exp(leaves["generators"]), ids, leaves["h0"])
     else:
         h = ge.rnn_scan(leaves["w_rec"], leaves["w_in"], leaves["bias"], ids,
-                        kind == NORMALIZED_RNN)
+                        params.kind == NORMALIZED_RNN)
     return _readout_loss(leaves, h, queries, batch.targets)
 
 

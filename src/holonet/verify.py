@@ -121,21 +121,19 @@ def check_gradients(seed):
     # the training graphs on one mixed-length batch: padded rows, both
     # branches of rnn_scan, the transformer's packed stream of four segments
     mixed = s3_sample_batch(RngState(seed).child(10).generator(), [1, 2, 3, 4])
-    for kind, params in (
-            (md.HOLONOMIC, md.init_holonomic(RngState(seed), 6, 6, 6)),
-            (md.RNN, md.init_rnn(RngState(seed + 3), 6, 6, 6)),
-            (md.NORMALIZED_RNN, md.init_rnn(RngState(seed + 1), 6, 6, 6)),
-            (md.TRANSFORMER, md.init_transformer(RngState(seed + 2), 8, 2, 2, 8, 6, 6,
-                                                 max_len=8))):
+    for params in (md.init_holonomic(RngState(seed), 6, 6, 6),
+                   md.init_rnn(RngState(seed + 3), 6, 6, 6),
+                   md.init_rnn(RngState(seed + 1), 6, 6, 6, normalized=True),
+                   md.init_transformer(RngState(seed + 2), 8, 2, 2, 8, 6, 6, max_len=8)):
         # a key bias's exact gradient is 0 (a softmax row does not move under
         # a shift): grad_check's noise floor passes it
         def build(tape, leaves):
-            return md.tape_batch_loss(kind, tape, leaves, mixed, params)
+            return md.tape_batch_loss(params, tape, leaves, mixed)
 
         # central differences round off by ~eps_mach |loss| / eps: over seeds
         # 0-9 the error read up to 8.1e-6 at eps = 1e-6, 1.4e-6 at 1e-5
         err = ge.grad_check(build, ge.ParamStore(params.to_dict()), eps=1e-5)
-        assert err < 1e-5, f"{kind} training-graph grad error {err:.3e}"
+        assert err < 1e-5, f"{params.kind} training-graph grad error {err:.3e}"
 
 
 def check_cayley_table(_seed):
@@ -175,20 +173,22 @@ def check_isometry(seed):
     # every 10th prefix of the episode, left-padded into one (200, 2000) block
     padded = np.concatenate([np.full(2000, ge.IDENTITY_STEP), ep.tokens])
     ids = np.lib.stride_tricks.sliding_window_view(padded, 2000)[10::10]
-    h, _ = md.forward_batch(md.HOLONOMIC, p, ids)
+    h, _ = md.forward_batch(p, ids)
     worst = np.max(np.abs(np.linalg.norm(h, axis=1) / np.linalg.norm(p.h0) - 1.0))
     assert worst < 1e-9, f"isometry drift {worst:.3e}"
 
 
 def check_noise_silence(seed):
-    # T = 0 with an rng draws nothing, on a block with a padded row
+    # T = 0 with an rng draws nothing, for every kind, on a block with a padded row
     ep = s3_sample_episode(RngState(seed).child(4), 5)
     ids = np.array([(ge.IDENTITY_STEP, ge.IDENTITY_STEP) + ep.tokens[:3], ep.tokens])
-    for kind, params in ((md.HOLONOMIC, md.init_holonomic(RngState(seed), 8, 6, 6)),
-                         (md.RNN, md.init_rnn(RngState(seed), 8, 6, 6))):
-        _, c = md.forward_batch(kind, params, ids)
-        _, d = md.forward_batch(kind, params, ids, None, 0.0, RngState(12345))
-        assert np.array_equal(c, d), f"{kind} batched noise hook fired while disabled"
+    for params in (md.init_holonomic(RngState(seed), 8, 6, 6),
+                   md.init_rnn(RngState(seed), 8, 6, 6),
+                   md.init_rnn(RngState(seed), 8, 6, 6, normalized=True),
+                   md.init_transformer(RngState(seed), 8, 2, 2, 8, 6, 6, max_len=8)):
+        _, c = md.forward_batch(params, ids)
+        _, d = md.forward_batch(params, ids, None, 0.0, RngState(12345))
+        assert np.array_equal(c, d), f"{params.kind} batched noise hook fired while disabled"
 
 
 def check_param_counts(seed):
@@ -206,7 +206,7 @@ def check_scan_equivalence(seed):
     h_seq = se.sequential_holonomy(p, tokens)
     h_tree = se.tree_scan_holonomy(p, tokens, workers=2)
     assert np.linalg.norm(h_seq - h_tree, "fro") < 1e-9, "tree != sequential"
-    h_state, _ = md.forward_batch(md.HOLONOMIC, p, tokens[None])
+    h_state, _ = md.forward_batch(p, tokens[None])
     assert np.max(np.abs(h_state[0] - h_seq @ p.h0)) < 1e-9, \
         "forward_batch != sequential"
     # each layout of the holonomic step on a mixed-length block: every row
@@ -221,7 +221,7 @@ def check_scan_equivalence(seed):
         ops = params.operators()
         layout = "padded" if padded else "grouped"
         assert ge.token_schedule(ids, ops).padded == padded, f"n={n} not {layout}"
-        h_batch, _ = md.forward_batch(md.HOLONOMIC, params, ids, operators=ops)
+        h_batch, _ = md.forward_batch(params, ids, operators=ops)
         for row, h in zip(ids, h_batch):
             h_seq = se.sequential_holonomy(params, row[row != ge.IDENTITY_STEP]) @ params.h0
             assert np.max(np.abs(h - h_seq)) < 1e-9, f"{layout} forward_batch != sequential"

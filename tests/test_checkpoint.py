@@ -14,27 +14,27 @@ import holonet
 from holonet import cli
 from holonet import models as md
 from holonet.checkpoint import load_checkpoint, save_checkpoint
-from holonet.errors import ArgumentError, CorruptionError
+from holonet.errors import CorruptionError
 from holonet.tensor_core import RngState
 
 
 def all_kinds():
-    yield md.HOLONOMIC, md.init_holonomic(RngState(0), 6, 6, 6)
-    yield md.RNN, md.init_rnn(RngState(1), 6, 45, 10, n_queries=10)
-    yield md.NORMALIZED_RNN, md.init_rnn(RngState(2), 6, 6, 6)
+    yield md.init_holonomic(RngState(0), 6, 6, 6)
+    yield md.init_rnn(RngState(1), 6, 45, 10, n_queries=10)
+    yield md.init_rnn(RngState(2), 6, 6, 6, normalized=True)
     for pos_mode in ("learned", "sinusoidal"):
-        yield md.TRANSFORMER, md.init_transformer(
+        yield md.init_transformer(
             RngState(3), d_model=8, n_layers=2, n_heads=2, d_ff=12, vocab=6,
             n_classes=6, pos_mode=pos_mode, max_len=16)
 
 
 @pytest.mark.parametrize("index", range(5))
 def test_round_trip_every_kind(tmp_path, index):
-    kind, params = list(all_kinds())[index]
+    params = list(all_kinds())[index]
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, kind, params)
-    loaded_kind, loaded = load_checkpoint(path)
-    assert loaded_kind == kind
+    save_checkpoint(path, params)
+    kind, loaded = load_checkpoint(path)
+    assert kind == params.kind and type(loaded) is type(params)
     for name, arr in params.to_dict().items():
         assert np.array_equal(loaded.to_dict()[name], arr), name
 
@@ -47,14 +47,13 @@ class WithoutH0(md.HolonomicParams):
 
 def save_without_h0(path):
     p = md.init_holonomic(RngState(4), 6, 6, 6)
-    save_checkpoint(path, md.HOLONOMIC,
-                    WithoutH0(p.n, p.vocab, p.generators, p.h0, p.readout))
+    save_checkpoint(path, WithoutH0(p.n, p.vocab, p.generators, p.h0, p.readout))
 
 
 def save_wrong_shape(path):
     p = md.init_holonomic(RngState(5), 6, 6, 6)
     p.h0 = np.ones(7)
-    save_checkpoint(path, md.HOLONOMIC, p)
+    save_checkpoint(path, p)
 
 
 @pytest.mark.parametrize("write", [save_without_h0, save_wrong_shape])
@@ -74,7 +73,7 @@ def test_transformer_checkpoint_with_stray_positional_table_is_corrupt(tmp_path)
                             vocab=6, n_classes=6, pos_mode="sinusoidal")
     p.weights["pos"] = np.zeros((64, 8))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, md.TRANSFORMER, p)
+    save_checkpoint(path, p)
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
     config = tmp_path / "massgap.ini"
@@ -93,29 +92,18 @@ def test_checkpoint_with_bad_metadata_is_corrupt(tmp_path, monkeypatch, field, v
                             vocab=6, n_classes=6)
     path = tmp_path / "model.ckpt"
     if field == "kind":
-        monkeypatch.setitem(md.PARAMS, value, md.TransformerParams)
-        save_checkpoint(path, value, p)
-        monkeypatch.delitem(md.PARAMS, value)
+        monkeypatch.setattr(p, "kind", value)
     else:
         meta = md.header(p)
         meta[field] = value
         monkeypatch.setattr(md, "header", lambda params: meta)
-        save_checkpoint(path, md.TRANSFORMER, p)
+    save_checkpoint(path, p)
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
     config = tmp_path / "genlen.ini"
     config.write_text(f"[genlen]\ncheckpoint = {path}\nlengths = 5\n")
     code = cli.main(["genlen", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
-
-
-def test_saving_a_model_under_another_kind_is_refused(tmp_path):
-    with pytest.raises(ArgumentError):
-        save_checkpoint(tmp_path / "model.ckpt", md.TRANSFORMER,
-                        md.init_rnn(RngState(7), 6, 6, 6))
-    with pytest.raises(ArgumentError):
-        save_checkpoint(tmp_path / "model.ckpt", "lstm", md.init_rnn(RngState(7), 6, 6, 6))
-    assert list(tmp_path.iterdir()) == []
 
 
 def tiny_model(kind: str, pos_mode: str | None):
@@ -166,7 +154,7 @@ PINNED_FORMAT = {
 def test_the_on_disk_format_is_pinned(tmp_path, kind, pos_mode):
     params = tiny_model(kind, pos_mode)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, kind, params)
+    save_checkpoint(path, params)
     digest, sidecar = PINNED_FORMAT[kind, pos_mode]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert Path(f"{path}.meta.txt").read_text() == sidecar
@@ -194,7 +182,7 @@ def test_checkpoint_with_unreadable_array_record_is_corrupt(tmp_path, record):
     # a 2^64-element shape wraps to 0 in int64 arithmetic, and an extent of
     # 2^63 exceeds the largest array numpy can describe
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+    save_checkpoint(path, md.init_holonomic(RngState(8), 6, 6, 6))
     rewrite_h0_record(path, record)
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
@@ -208,7 +196,7 @@ def test_checkpoint_with_an_array_stored_twice_is_corrupt(tmp_path):
     # a second, re-signed h0 record of sevens after the saved ones: the
     # layout's set of names still matches, so only the parser can refuse it
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+    save_checkpoint(path, md.init_holonomic(RngState(8), 6, 6, 6))
     body = bytearray(path.read_bytes()[:-8])
     # magic, version, kind (u16 length + text), meta (u32 length + text), count
     (kind_len,) = struct.unpack_from("<H", body, 8)
@@ -250,14 +238,14 @@ def snapshot(directory: Path) -> dict:
 def test_a_write_failing_midway_keeps_the_previous_checkpoint(tmp_path):
     pytest.importorskip("resource")
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+    save_checkpoint(path, md.init_holonomic(RngState(8), 6, 6, 6))
     before = snapshot(tmp_path)
     # the next save may not grow a file past half a checkpoint
     run_under_file_limit(f"""
 from holonet import models as md
 from holonet.checkpoint import save_checkpoint
 from holonet.tensor_core import RngState
-save_checkpoint({str(path)!r}, md.HOLONOMIC, md.init_holonomic(RngState(9), 6, 6, 6))
+save_checkpoint({str(path)!r}, md.init_holonomic(RngState(9), 6, 6, 6))
 """, len(before["model.ckpt"]) // 2)
     assert snapshot(tmp_path) == before
     load_checkpoint(path)
@@ -267,7 +255,7 @@ save_checkpoint({str(path)!r}, md.HOLONOMIC, md.init_holonomic(RngState(9), 6, 6
 def test_a_sidecar_write_failing_midway_keeps_the_previous_sidecar(tmp_path):
     pytest.importorskip("resource")
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+    save_checkpoint(path, md.init_holonomic(RngState(8), 6, 6, 6))
     before = snapshot(tmp_path)
     # the same body again, then a sidecar itemizing past the file limit
     run_under_file_limit(f"""
@@ -275,7 +263,7 @@ from holonet import models as md
 from holonet.checkpoint import save_checkpoint
 from holonet.tensor_core import RngState
 md.param_count = lambda params: (1, {{"x" * 100000: 1}})
-save_checkpoint({str(path)!r}, md.HOLONOMIC, md.init_holonomic(RngState(8), 6, 6, 6))
+save_checkpoint({str(path)!r}, md.init_holonomic(RngState(8), 6, 6, 6))
 """, len(before["model.ckpt"]) + 1000)
     assert snapshot(tmp_path) == before
 

@@ -74,7 +74,7 @@ def test_non_finite_operators_exit_numeric(tmp_path, command):
     params = md.init_holonomic(RngState(8), 8, 6, 6)
     params.generators *= 1e300
     ckpt = tmp_path / "huge.ckpt"
-    save_checkpoint(ckpt, md.HOLONOMIC, params)
+    save_checkpoint(ckpt, params)
     config = tmp_path / "probe.ini"
     config.write_text(f"[noise]\npoints = 2\nepisodes = 4\ncheckpoint = {ckpt}\n"
                       f"[genlen]\nlengths = 5\nepisodes = 4\ncheckpoint = {ckpt}\n"
@@ -105,7 +105,7 @@ def test_horizon_of_a_briefly_trained_rnn_exits_ok_and_its_methods_agree(tmp_pat
 
 def test_a_rerun_leaves_no_curve_of_the_run_it_replaces(tmp_path):
     ckpt = tmp_path / "tiny.ckpt"
-    save_checkpoint(ckpt, md.HOLONOMIC, md.init_holonomic(RngState(8), 8, 6, 6))
+    save_checkpoint(ckpt, md.init_holonomic(RngState(8), 8, 6, 6))
     config = tmp_path / "horizon.ini"
     out = tmp_path / "out"
     for method in ("both", "operator-norm"):
@@ -139,7 +139,7 @@ def test_genlen_summary_states_accuracy_range_and_lengths_below_chance(tmp_path,
     else:   # a learned table of 8 positions cannot score L = 20
         params = md.init_transformer(RngState(9), 8, 1, 2, 8, 6, 6, max_len=8)
     ckpt = tmp_path / "tiny.ckpt"
-    save_checkpoint(ckpt, kind, params)
+    save_checkpoint(ckpt, params)
     config = tmp_path / "genlen.ini"
     config.write_text(f"[genlen]\nlengths = 1,3,20\nepisodes = 24\ncheckpoint = {ckpt}\n")
     out = tmp_path / "out"
@@ -162,7 +162,7 @@ def test_genlen_below_chance_takes_the_binding_baseline_per_length(tmp_path):
     # L = 3 and ~0.25 at L = 20, not 1/4 everywhere
     task = ex.TaskConfig(kind=ex.BINDING, variables=4)
     ckpt = tmp_path / "tiny.ckpt"
-    save_checkpoint(ckpt, md.HOLONOMIC, md.init_holonomic(RngState(2), 8, 6, 4, 4))
+    save_checkpoint(ckpt, md.init_holonomic(RngState(2), 8, 6, 4, 4))
     config = tmp_path / "genlen.ini"
     config.write_text(f"[task]\nkind = binding\nvariables = 4\n[model]\nn = 8\n"
                       f"[genlen]\nlengths = 1,3,20\nepisodes = 48\ncheckpoint = {ckpt}\n")
@@ -180,7 +180,7 @@ def test_genlen_below_chance_takes_the_binding_baseline_per_length(tmp_path):
 def binding_sweep_config(tmp_path, noise=""):
     """A sweep config over a random 10-variable binding checkpoint."""
     ckpt = tmp_path / "binding.ckpt"
-    save_checkpoint(ckpt, md.HOLONOMIC, md.init_holonomic(RngState(3), 10, 45, 10, 10))
+    save_checkpoint(ckpt, md.init_holonomic(RngState(3), 10, 45, 10, 10))
     config = tmp_path / "sweep.ini"
     config.write_text(f"[task]\nkind = binding\n[model]\nn = 10\n"
                       f"[noise]\npoints = 2\nepisodes = 8\ncheckpoint = {ckpt}\n{noise}")
@@ -209,9 +209,9 @@ def test_scaling_sweeps_at_the_configured_noise_length(tmp_path, monkeypatch):
     lengths = []
     real_sweep = ex.noise_sweep
 
-    def spy(kind, params, task, grid, episodes, rng, length=5, **kw):
+    def spy(params, task, grid, episodes, rng, length=5, **kw):
         lengths.append(length)
-        return real_sweep(kind, params, task, grid, episodes, rng, length, **kw)
+        return real_sweep(params, task, grid, episodes, rng, length, **kw)
 
     def converged(model_cfg, task, curriculum, train_cfg, rng):
         params = md.init_holonomic(rng, model_cfg.n, task.vocab, task.n_classes)

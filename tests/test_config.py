@@ -212,12 +212,27 @@ def test_default_section_is_rejected(text):
     ("scan-bench", "[bench]\nn = 0\n", r"\[bench\] n "),
     ("scan-bench", "[bench]\nvocab = 0\n", r"\[bench\] vocab"),
     ("scan-bench", "[bench]\nlengths =\n", r"\[bench\] lengths"),
+    # each below once failed only after the work began, naming no key
+    ("scaling", "[noise]\nt_max = 0\n", r"\[noise\] t_max"),
+    ("sweep", "[noise]\nepisodes = 0\n", r"\[noise\] episodes"),
+    ("sweep", "[noise]\nlength = 0\n", r"\[noise\] length"),
+    ("genlen", "[genlen]\nepisodes = 0\n", r"\[genlen\] episodes"),
+    ("genlen", "[genlen]\nlengths = 5,0\n", r"\[genlen\] lengths"),
+    ("massgap", "[massgap]\nepisodes_per_class = 0\n", r"\[massgap\] episodes_per_class"),
+    ("massgap", "[massgap]\nlength = 0\n", r"\[massgap\] length"),
+    ("pca", "[pca]\nlength = 0\n", r"\[pca\] length"),
+    ("pca", "[pca]\nepisodes = 1\n", r"\[pca\] episodes"),
+    ("scaling", "[scaling]\nwidths = 8,0\n", r"\[scaling\] widths"),   # was a traceback
+    ("scan-bench", "[bench]\nlengths = 0\n", r"\[bench\] lengths"),
 ], ids=["eval-interval-zero", "eval-interval-negative", "one-point", "lr-schedule",
         "horizon-no-points", "horizon-zero-t-max", "genlen-no-lengths",
         "scaling-no-widths", "model-n-zero", "model-n-negative", "transformer-heads-zero",
         "transformer-layers-zero", "transformer-d-ff-negative",
         "batch-negative", "steps-zero", "bench-n-zero", "bench-vocab-zero",
-        "bench-no-lengths"])
+        "bench-no-lengths", "noise-zero-t-max", "noise-no-episodes", "noise-zero-length",
+        "genlen-no-episodes", "genlen-zero-length", "massgap-no-episodes",
+        "massgap-zero-length", "pca-zero-length", "pca-one-episode", "scaling-zero-width",
+        "bench-zero-length"])
 def test_counts_and_schedule_are_validated(tmp_path, command, text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)

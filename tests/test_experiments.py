@@ -15,9 +15,9 @@ from holonet.group_tasks import Curriculum, naive_binding_target, naive_s3_targe
 from holonet.tensor_core import RngState, mat_exp, skew
 
 
-def row_label(kind, params, tokens):
+def row_label(params, tokens):
     """Predicted label of one S3 token sequence, a one-row forward_batch."""
-    return int(np.argmax(md.forward_batch(kind, params, [tokens])[1][0]))
+    return int(np.argmax(md.forward_batch(params, [tokens])[1][0]))
 
 
 def synthetic_sweep(acc_per_t, episodes=400, seed=0):
@@ -72,8 +72,9 @@ def test_tc_monotone_in_pointwise_accuracy():
 
 
 def loop_tc(sweep, threshold, rng, bootstrap=1000):
-    """(value, censored, lo, hi) as estimate_tc once computed them, one
-    bootstrap sample per loop step: the oracle for its vectorized form."""
+    """(value, censored, lo, hi) by estimate_tc's rule, the value and every
+    bootstrap sample the largest level whose mean clears the threshold, one
+    sample per loop step: the oracle for its vectorized form."""
     grid = sweep.grid
 
     def plugin(acc, qualifies):
@@ -89,7 +90,7 @@ def loop_tc(sweep, threshold, rng, bootstrap=1000):
         frac = (acc[i] - threshold) / (acc[i] - acc[i + 1])
         return float(grid[i] + frac * (grid[i + 1] - grid[i])), None
 
-    value, censored = plugin(sweep.acc_mean, sweep.acc_lo >= threshold)
+    value, censored = plugin(sweep.acc_mean, sweep.acc_mean >= threshold)
     gen = rng.generator()
     n = sweep.outcomes.shape[1]
     samples = np.empty(bootstrap)
@@ -117,6 +118,16 @@ def test_tc_bootstrap_matches_the_per_sample_loop_bit_for_bit(name, threshold):
     sweep = synthetic_sweep(probs, episodes=episodes, seed=len(name))
     tc = ex.estimate_tc(sweep, threshold, RngState(8))
     assert (tc.value, tc.censored, tc.lo, tc.hi) == loop_tc(sweep, threshold, RngState(8))
+
+
+@pytest.mark.parametrize("name", sorted(TC_SWEEPS))
+@pytest.mark.parametrize("threshold", [0.9, 0.99, 1.0])
+def test_tc_ci_holds_its_value(name, threshold):
+    # the value and every bootstrap resample take one rule
+    probs, episodes = TC_SWEEPS[name]
+    sweep = synthetic_sweep(probs, episodes=episodes, seed=len(name))
+    tc = ex.estimate_tc(sweep, threshold, RngState(8))
+    assert tc.lo <= tc.value <= tc.hi
 
 
 def test_tc_threshold_validation():
@@ -191,7 +202,7 @@ def test_horizon_contractive_linear_rnn_is_exact():
     p = md.RnnParams(n, 6, 0.5 * np.eye(n), np.zeros((6, n)), np.zeros(n),
                      np.zeros((1, 6, n)))
     for method in ("operator-norm", "autodiff"):
-        curve = ex.jacobian_horizon(md.RNN, p, [1, 2, 5, 10, 20], method,
+        curve = ex.jacobian_horizon(p, [1, 2, 5, 10, 20], method,
                                     RngState(9))
         expected = 0.5 ** curve.t_grid
         assert np.allclose(curve.j_values, expected, rtol=1e-9)
@@ -202,8 +213,8 @@ def test_horizon_contractive_linear_rnn_is_exact():
 def test_horizon_holonomic_unity_both_methods():
     p = md.init_holonomic(RngState(10), 12, 6, 6)
     grid = [1, 5, 20, 100, 400]
-    op = ex.jacobian_horizon(md.HOLONOMIC, p, grid, "operator-norm", RngState(11))
-    ad = ex.jacobian_horizon(md.HOLONOMIC, p, grid, "autodiff", RngState(11))
+    op = ex.jacobian_horizon(p, grid, "operator-norm", RngState(11))
+    ad = ex.jacobian_horizon(p, grid, "autodiff", RngState(11))
     assert np.all(np.abs(op.j_values - 1.0) < 1e-6)
     assert np.all(np.abs(ad.j_values - 1.0) < 1e-6)
     assert np.max(np.abs(op.j_values - ad.j_values)) < 1e-6
@@ -219,7 +230,7 @@ def test_horizon_fit_ignores_rounding_in_orthogonal_operators(method, monkeypatc
 
     def summary(operators):
         monkeypatch.setattr(md.HolonomicParams, "operators", lambda self: operators)
-        curve = ex.jacobian_horizon(md.HOLONOMIC, p, grid, method, RngState(11))
+        curve = ex.jacobian_horizon(p, grid, method, RngState(11))
         return curve.lambda_max, curve.fit_r_squared, curve.note, curve.j_values
 
     lam, r2, note, j = summary(ops)
@@ -259,7 +270,7 @@ def test_horizon_autodiff_reproduces_generator_graph_without_mat_exp(monkeypatch
     monkeypatch.setattr(ge, "Tape", RecordingTape)
     p = md.init_holonomic(RngState(10), 12, 6, 6)
     p.generators *= 3.0
-    curve = ex.jacobian_horizon(md.HOLONOMIC, p, [1, 5, 20, 100, 400], "autodiff",
+    curve = ex.jacobian_horizon(p, [1, 5, 20, 100, 400], "autodiff",
                                 RngState(11))
     assert np.max(np.abs(curve.j_values - PARENT_AUTODIFF_J)) <= 1e-12
     assert tapes == []      # the sweep runs the step adjoints, on no tape
@@ -271,7 +282,7 @@ def random_recurrent(kind, seed, n=12):
         p = md.init_holonomic(RngState(seed), n, 6, 6)
         p.generators *= 3.0
         return p
-    p = md.init_rnn(RngState(seed), n, 6, 6)
+    p = md.init_rnn(RngState(seed), n, 6, 6, normalized=kind == md.NORMALIZED_RNN)
     p.bias = 0.3 * RngState(seed + 1).generator().standard_normal(n)
     return p
 
@@ -283,7 +294,7 @@ def test_horizon_autodiff_matches_the_tape_jacobians(kind, monkeypatch):
     calls = []
     adjoint = ge.rnn_step_adjoint
     monkeypatch.setattr(ge, "rnn_step_adjoint", lambda *a: calls.append(1) or adjoint(*a))
-    curve = ex.jacobian_horizon(kind, random_recurrent(kind, 0), [1, 2, 5, 20, 60],
+    curve = ex.jacobian_horizon(random_recurrent(kind, 0), [1, 2, 5, 20, 60],
                                 "autodiff", RngState(2))
     assert len(calls) == 1 + 2 + 5 + 20 + 60
     assert np.max(np.abs(curve.j_values / TAPE_AUTODIFF_J[kind] - 1.0)) <= 1e-12
@@ -293,10 +304,10 @@ def test_horizon_autodiff_matches_the_tape_jacobians(kind, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_horizon_runs_on_orthogonally_initialized_rnns(kind, seed):
     # init_rnn's orthogonal w_rec: J(1) has near-tied top singular values
-    p = md.init_rnn(RngState(seed), 32, 6, 6)
+    p = md.init_rnn(RngState(seed), 32, 6, 6, normalized=kind == md.NORMALIZED_RNN)
     grid = np.unique(np.geomspace(1, 300, 12).astype(int))
-    op = ex.jacobian_horizon(kind, p, grid, "operator-norm", RngState(seed + 10))
-    ad = ex.jacobian_horizon(kind, p, grid, "autodiff", RngState(seed + 10))
+    op = ex.jacobian_horizon(p, grid, "operator-norm", RngState(seed + 10))
+    ad = ex.jacobian_horizon(p, grid, "autodiff", RngState(seed + 10))
     assert np.all(op.j_values > 0)
     assert np.max(np.abs(ad.j_values / op.j_values - 1.0)) <= 1e-12
 
@@ -307,8 +318,8 @@ def test_horizon_methods_agree_on_random_rnn_with_inputs(kind):
     # contractive linear case above
     p = random_recurrent(kind, 63)
     grid = [1, 2, 5, 10, 30, 60]
-    op = ex.jacobian_horizon(kind, p, grid, "operator-norm", RngState(64))
-    ad = ex.jacobian_horizon(kind, p, grid, "autodiff", RngState(64))
+    op = ex.jacobian_horizon(p, grid, "operator-norm", RngState(64))
+    ad = ex.jacobian_horizon(p, grid, "autodiff", RngState(64))
     assert np.all(op.j_values < 1.0) and op.j_values[-1] < 1e-6 * op.j_values[0]
     assert np.max(np.abs(ad.j_values / op.j_values - 1.0)) <= 1e-12
 
@@ -316,7 +327,7 @@ def test_horizon_methods_agree_on_random_rnn_with_inputs(kind):
 def test_horizon_rejects_transformer():
     p = md.init_transformer(RngState(12), 8, 1, 2, 8, 6, 6)
     with pytest.raises(ArgumentError):
-        ex.jacobian_horizon(md.TRANSFORMER, p, [1, 2], "autodiff", RngState(13))
+        ex.jacobian_horizon(p, [1, 2], "autodiff", RngState(13))
 
 
 # ---------------------------------------------------------------- mass gap / pca
@@ -359,7 +370,7 @@ def test_mass_gap_rotation_invariance():
 
 def test_mass_gap_on_random_model_reaches_all_classes():
     p = md.init_holonomic(RngState(16), 16, 6, 6)
-    result = ex.mass_gap(md.HOLONOMIC, p, ex.TaskConfig(), RngState(17),
+    result = ex.mass_gap(p, ex.TaskConfig(), RngState(17),
                          episodes_per_class=40)
     assert len(result.centroids) == 6
     assert sum(result.counts.values()) == 40 * 6 * 2
@@ -377,7 +388,7 @@ def test_silhouette_requires_two_clusters():
 def test_pca_snapshot_shapes_and_silhouette():
     p = md.init_holonomic(RngState(19), 12, 6, 6)
     r = md.init_rnn(RngState(20), 12, 6, 6)
-    snap = ex.pca_snapshot([("hol", md.HOLONOMIC, p), ("rnn", md.RNN, r)],
+    snap = ex.pca_snapshot([("hol", p), ("rnn", r)],
                            ex.TaskConfig(), temperature=0.2, episodes=120,
                            rng=RngState(21))
     for tag in ("hol", "rnn"):
@@ -391,7 +402,7 @@ def test_pca_snapshot_shapes_and_silhouette():
 def test_pca_snapshot_noise_reaches_the_transformer():
     # the transformer's residual stream takes the noise; the batch is the same
     p = md.init_transformer(RngState(22), 16, 1, 2, 16, 6, 6)
-    points = [ex.pca_snapshot([("tr", md.TRANSFORMER, p)], ex.TaskConfig(), temp, 60,
+    points = [ex.pca_snapshot([("tr", p)], ex.TaskConfig(), temp, 60,
                               RngState(21))["tr"] for temp in (0.0, 5.0)]
     assert np.array_equal(points[0]["labels"], points[1]["labels"])
     assert not np.allclose(points[0]["k3"], points[1]["k3"])
@@ -402,7 +413,7 @@ def test_pca_snapshot_noise_reaches_the_transformer():
 
 def test_untrained_model_is_chance_level_at_all_temperatures():
     p = md.init_holonomic(RngState(22), 8, 6, 6)
-    sweep = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), [0.0, 0.5, 1.0],
+    sweep = ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.5, 1.0],
                            256, RngState(23))
     for acc in sweep.acc_mean:
         assert 0.04 < acc < 0.42  # wide band around 1/6
@@ -410,8 +421,8 @@ def test_untrained_model_is_chance_level_at_all_temperatures():
 
 def test_noise_sweep_bit_reproducible():
     p = md.init_rnn(RngState(24), 8, 6, 6)
-    a = ex.noise_sweep(md.RNN, p, ex.TaskConfig(), [0.0, 0.3], 64, RngState(25))
-    b = ex.noise_sweep(md.RNN, p, ex.TaskConfig(), [0.0, 0.3], 64, RngState(25))
+    a = ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.3], 64, RngState(25))
+    b = ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.3], 64, RngState(25))
     assert np.array_equal(a.outcomes, b.outcomes)
     assert np.array_equal(a.acc_lo, b.acc_lo)
 
@@ -432,18 +443,19 @@ def test_noise_sweep_holonomic_same_seed_same_bits_and_noise_matters(monkeypatch
     p = md.init_holonomic(RngState(24), 8, 6, 6)
     grid = [0.0, 0.4, 3.0]
     builds = count_operator_builds(monkeypatch)
-    a = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), grid, 96, RngState(25))
+    a = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(25))
     assert len(builds) == 1     # once per sweep, not once per noise level
-    b = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), grid, 96, RngState(25))
-    c = ex.noise_sweep(md.HOLONOMIC, p, ex.TaskConfig(), grid, 96, RngState(26))
+    b = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(25))
+    c = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(26))
     assert np.array_equal(a.outcomes, b.outcomes) and np.array_equal(a.acc_hi, b.acc_hi)
     assert not np.array_equal(a.outcomes, c.outcomes)
     # level i scores its batch from rng.child(0, i) with noise from rng.child(1, i)
     for ti, temp in enumerate(grid):
         batch = ex.TaskConfig().sample_batch(RngState(25).child(0, ti).generator(),
                                              np.full(96, 5))
-        preds = ex.predictions(md.HOLONOMIC, p, batch, temp, RngState(25).child(1, ti))
-        assert np.array_equal(a.outcomes[ti], preds == batch.targets)
+        _, logits = md.forward_batch(p, batch.ids, batch.queries, temp,
+                                     RngState(25).child(1, ti))
+        assert np.array_equal(a.outcomes[ti], np.argmax(logits, axis=1) == batch.targets)
 
 
 @pytest.mark.parametrize("precision", [64, 32])
@@ -452,9 +464,9 @@ def test_length_generalization_matches_per_episode_loop(precision, task):
     p = md.init_holonomic(RngState(40), 8, task.vocab, task.n_classes,
                           n_queries=task.n_queries)
     lengths = [3, 40] if precision == 32 else [3, 40, 300]
-    rows = ex.length_generalization_eval(md.HOLONOMIC, p, task, lengths, 32,
+    rows = ex.length_generalization_eval(p, task, lengths, 32,
                                          precision, RngState(41))
-    again = ex.length_generalization_eval(md.HOLONOMIC, p, task, lengths, 32,
+    again = ex.length_generalization_eval(p, task, lengths, 32,
                                           precision, RngState(41))
     assert rows == again
     ops = p.operators().astype(np.float32 if precision == 32 else np.float64)
@@ -473,13 +485,13 @@ def test_length_generalization_rnn_and_transformer_score_the_same_batch():
     task = ex.TaskConfig()
     rnn = md.init_rnn(RngState(42), 8, 6, 6)
     tr = md.init_transformer(RngState(43), 8, 1, 2, 8, 6, 6, pos_mode="sinusoidal")
-    for kind, params in ((md.RNN, rnn), (md.TRANSFORMER, tr)):
-        rows = ex.length_generalization_eval(kind, params, task, [4, 9], 24, 64,
+    for params in (rnn, tr):
+        rows = ex.length_generalization_eval(params, task, [4, 9], 24, 64,
                                              RngState(44))
         for li, row in enumerate(rows):
             batch = task.sample_batch(RngState(44).child(li).generator(),
                                       np.full(24, row["L"]))
-            expected = np.mean([row_label(kind, params, e.tokens) == e.target
+            expected = np.mean([row_label(params, e.tokens) == e.target
                                 for e in batch])
             assert row["acc"] == expected
 
@@ -490,13 +502,13 @@ def test_exhaustive_s3_accuracy_scores_every_sequence(kind, monkeypatch):
         p = md.init_transformer(RngState(45), 8, 1, 2, 8, 6, 6)
     else:
         p = md.init_holonomic(RngState(45), 8, 6, 6) if kind == md.HOLONOMIC \
-            else md.init_rnn(RngState(45), 8, 6, 6)
+            else md.init_rnn(RngState(45), 8, 6, 6, normalized=True)
     monkeypatch.setattr(ex, "SCORE_BLOCK", 50)   # several blocks, one ragged
     correct = 0
     for tokens in itertools.product(range(6), repeat=3):
-        correct += int(row_label(kind, p, tokens) == naive_s3_target(tokens))
+        correct += int(row_label(p, tokens) == naive_s3_target(tokens))
     builds = count_operator_builds(monkeypatch)
-    assert ex.exhaustive_s3_accuracy(kind, p, 3) == correct / 216
+    assert ex.exhaustive_s3_accuracy(p, 3) == correct / 216
     assert len(builds) == (kind == md.HOLONOMIC)    # once, not once per block
 
 
@@ -505,24 +517,24 @@ def test_validation_is_exhaustive_for_small_s3_and_sampled_otherwise():
     s3 = ex.TaskConfig()
     for l_max in (1, 5):
         cur = Curriculum(kind="stepwise", l_min=1, l_max=l_max)
-        assert ex.validation_accuracy(md.HOLONOMIC, p, s3, cur, 16, RngState(47)) == \
-            ex.exhaustive_s3_accuracy(md.HOLONOMIC, p, l_max)
+        assert ex.validation_accuracy(p, s3, cur, 16, RngState(47)) == \
+            ex.exhaustive_s3_accuracy(p, l_max)
     cur = Curriculum(kind="stepwise", l_min=1, l_max=6)   # 6^6 > 8192 sequences
-    assert ex.validation_accuracy(md.HOLONOMIC, p, s3, cur, 16, RngState(47)) == \
-        ex.evaluate_accuracy(md.HOLONOMIC, p, s3, 6, 16, RngState(47))
+    assert ex.validation_accuracy(p, s3, cur, 16, RngState(47)) == \
+        ex.evaluate_accuracy(p, s3, 6, 16, RngState(47))
     binding = ex.TaskConfig(kind="binding", variables=4)
     pb = md.init_holonomic(RngState(48), 8, 6, 4, n_queries=4)
     cur = Curriculum(kind="stepwise", l_min=2, l_max=3)
-    assert ex.validation_accuracy(md.HOLONOMIC, pb, binding, cur, 16, RngState(49)) == \
-        ex.evaluate_accuracy(md.HOLONOMIC, pb, binding, [2, 3], 16, RngState(49))
+    assert ex.validation_accuracy(pb, binding, cur, 16, RngState(49)) == \
+        ex.evaluate_accuracy(pb, binding, [2, 3], 16, RngState(49))
 
 
 def test_evaluate_accuracy_cycles_lengths_from_one_stream():
     p = md.init_rnn(RngState(50), 8, 6, 6)
     task = ex.TaskConfig()
-    acc = ex.evaluate_accuracy(md.RNN, p, task, [2, 5, 3], 30, RngState(51))
+    acc = ex.evaluate_accuracy(p, task, [2, 5, 3], 30, RngState(51))
     batch = task.sample_batch(RngState(51).child(0).generator(), [2, 5, 3] * 10)
-    expected = np.mean([row_label(md.RNN, p, e.tokens) == e.target for e in batch])
+    expected = np.mean([row_label(p, e.tokens) == e.target for e in batch])
     assert acc == expected
 
 
@@ -545,14 +557,14 @@ def test_trivial_accuracy_is_the_best_token_blind_answer():
 def test_length_generalization_guards():
     p = md.init_holonomic(RngState(26), 8, 6, 6)
     with pytest.raises(ArgumentError):
-        ex.length_generalization_eval(md.HOLONOMIC, p, ex.TaskConfig(),
+        ex.length_generalization_eval(p, ex.TaskConfig(),
                                       [100], 16, 32, RngState(27))
 
 
 def test_length_generalization_capacity_note_for_learned_positions():
     p = md.init_transformer(RngState(28), 16, 1, 2, 16, 6, 6,
                             pos_mode="learned", max_len=8)
-    rows = ex.length_generalization_eval(md.TRANSFORMER, p, ex.TaskConfig(),
+    rows = ex.length_generalization_eval(p, ex.TaskConfig(),
                                          [4, 16], 8, 64, RngState(29))
     assert rows[0]["note"] == ""
     assert rows[1]["note"] == "capacity-exceeded"

@@ -29,9 +29,9 @@ def one_row(e):
                  None if e.query is None else np.array([e.query]))
 
 
-def row_logits(kind, params, tokens):
+def row_logits(params, tokens):
     """Noiseless logits of one token sequence, a one-row forward_batch."""
-    return md.forward_batch(kind, params, [tokens])[1][0]
+    return md.forward_batch(params, [tokens])[1][0]
 
 
 # ---------------------------------------------------------------- noise hook
@@ -64,10 +64,10 @@ def test_inject_noise_energy_scaling():
 def test_noise_config_validation():
     # noise is one temperature; T > 0 needs an rng
     ids = np.array([[0, 1]])
-    for kind in md.MODEL_KINDS:
+    for kind in md.PARAMS:
         for temp, rng in ((-0.1, RngState(1)), (0.1, None)):
             with pytest.raises(ArgumentError):
-                md.forward_batch(kind, binding_params(kind, 0), ids, None, temp, rng)
+                md.forward_batch(binding_params(kind, 0), ids, None, temp, rng)
 
 
 # ---------------------------------------------------------------- holonomic
@@ -113,15 +113,15 @@ def test_operators_are_the_training_graphs_bits(n, vocab, n_queries, gen_scale):
 def test_holonomic_noise_renormalizes_to_unit():
     p = md.init_holonomic(RngState(7), 12, 6, 6)
     batch = s3_sample_batch(RngState(8).generator(), MIXED)
-    states, _ = md.forward_batch(md.HOLONOMIC, p, batch.ids, None, 0.8, RngState(9))
+    states, _ = md.forward_batch(p, batch.ids, None, 0.8, RngState(9))
     assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_holonomic_noise_hook_silent_when_disabled():
     p = md.init_holonomic(RngState(10), 8, 6, 6)
     ids = s3_sample_batch(RngState(11).generator(), MIXED).ids
-    a = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.0, None)
-    b = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.0, RngState(99))
+    a = md.forward_batch(p, ids, None, 0.0, None)
+    b = md.forward_batch(p, ids, None, 0.0, RngState(99))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -134,9 +134,9 @@ def test_holonomic_vocabulary_overflow():
 def test_holonomic_noisy_forward_deterministic_per_seed():
     p = md.init_holonomic(RngState(13), 8, 6, 6)
     ids = s3_sample_batch(RngState(14).generator(), MIXED).ids
-    _, a = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.5, RngState(1).child(3))
-    _, b = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.5, RngState(1).child(3))
-    _, c = md.forward_batch(md.HOLONOMIC, p, ids, None, 0.5, RngState(1).child(4))
+    _, a = md.forward_batch(p, ids, None, 0.5, RngState(1).child(3))
+    _, b = md.forward_batch(p, ids, None, 0.5, RngState(1).child(3))
+    _, c = md.forward_batch(p, ids, None, 0.5, RngState(1).child(4))
     assert np.array_equal(a, b)
     assert not np.any(np.all(a == c, axis=1))
 
@@ -155,10 +155,10 @@ def test_rnn_zero_weights_zero_trajectory():
 
 def test_normalized_rnn_unit_sphere_under_noise():
     # every prefix of one episode ends on the unit sphere, noise or not
-    p = md.init_rnn(RngState(17), 16, 6, 6)
+    p = md.init_rnn(RngState(17), 16, 6, 6, normalized=True)
     tokens = s3_episode(18, 10).tokens
     for t in range(1, len(tokens) + 1):
-        h, _ = md.forward_batch(md.NORMALIZED_RNN, p, np.array([tokens[:t]]), None,
+        h, _ = md.forward_batch(p, np.array([tokens[:t]]), None,
                                 2.0, RngState(19))
         assert np.linalg.norm(h[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -177,8 +177,8 @@ def test_transformer_zero_weights_constant_logits():
     p = small_transformer(n_layers=1)
     for arr in p.weights.values():
         arr[:] = 0.0
-    a = row_logits(md.TRANSFORMER, p, s3_episode(21).tokens)
-    b = row_logits(md.TRANSFORMER, p, s3_episode(22).tokens)
+    a = row_logits(p, s3_episode(21).tokens)
+    b = row_logits(p, s3_episode(22).tokens)
     assert np.array_equal(a, b)
 
 
@@ -186,7 +186,7 @@ def test_transformer_capacity_error_on_learned_positions():
     p = small_transformer()
     long_ep = s3_sample_episode(RngState(23), 13)
     with pytest.raises(CapacityError):
-        row_logits(md.TRANSFORMER, p, long_ep.tokens)
+        row_logits(p, long_ep.tokens)
 
 
 def test_transformer_head_divisibility():
@@ -198,13 +198,13 @@ def test_transformer_permutation_invariance_without_positions():
     p = small_transformer(pool="mean")
     p.weights["pos"][:] = 0.0
     tokens, perm = (0, 1, 2, 3, 4, 5), (5, 3, 1, 0, 4, 2)
-    a = row_logits(md.TRANSFORMER, p, tokens)
-    b = row_logits(md.TRANSFORMER, p, perm)
+    a = row_logits(p, tokens)
+    b = row_logits(p, perm)
     assert np.allclose(a, b, rtol=0, atol=1e-10)
     # restoring the positional table breaks the symmetry
     p2 = small_transformer(pool="mean")
-    assert not np.allclose(row_logits(md.TRANSFORMER, p2, tokens),
-                           row_logits(md.TRANSFORMER, p2, perm), atol=1e-6)
+    assert not np.allclose(row_logits(p2, tokens),
+                           row_logits(p2, perm), atol=1e-6)
 
 
 def test_transformer_batch_matches_single():
@@ -212,15 +212,15 @@ def test_transformer_batch_matches_single():
     # length's unpadded block, and each row those of its episode alone
     p = small_transformer(vocab=10, n_classes=5, n_queries=5)
     batch = sv_sample_batch(RngState(29).generator(), 5, MIXED)
-    _, logits = md.forward_batch(md.TRANSFORMER, p, batch.ids, batch.queries)
+    _, logits = md.forward_batch(p, batch.ids, batch.queries)
     width = batch.ids.shape[1]
     for length in set(MIXED):
         rows = batch.lengths == length
-        _, alone = md.forward_batch(md.TRANSFORMER, p, batch.ids[rows, width - length:],
+        _, alone = md.forward_batch(p, batch.ids[rows, width - length:],
                                     batch.queries[rows])
         assert np.array_equal(logits[rows], alone)
     for i, e in enumerate(batch):
-        _, alone = md.forward_batch(md.TRANSFORMER, p, [e.tokens], [e.query])
+        _, alone = md.forward_batch(p, [e.tokens], [e.query])
         assert np.allclose(logits[i], alone[0], rtol=0, atol=1e-12)
 
 
@@ -233,10 +233,10 @@ def test_transformer_training_graph_runs_the_inference_layers_bit_for_bit(pool):
     batch = binding_batch(42, [1, 7, 3, 7, 12, 2])
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in p.to_dict().items()}
-    md.tape_batch_loss(md.TRANSFORMER, tape, leaves, batch, p)
+    md.tape_batch_loss(p, tape, leaves, batch)
     assert tape.ops.count("encoder_layer") == p.n_layers
     (pooled,) = [tape.values[i] for i, op in enumerate(tape.ops) if op == "segment_pool"]
-    h, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids, batch.queries)
+    h, _ = md.forward_batch(p, batch.ids, batch.queries)
     assert pooled.shape == h.shape and np.array_equal(pooled, h)
 
 
@@ -250,22 +250,23 @@ def test_rnn_training_node_runs_the_inference_step_bit_for_bit(kind, n, vocab):
     batch = s3_sample_batch(gen, lengths) if vocab == 6 \
         else sv_sample_batch(gen, 10, lengths)
     params = md.init_rnn(RngState(44), n, vocab, 6 if vocab == 6 else 10,
-                         n_queries=1 if vocab == 6 else 10)
+                         n_queries=1 if vocab == 6 else 10,
+                         normalized=kind == md.NORMALIZED_RNN)
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    md.tape_batch_loss(kind, tape, leaves, batch, params)
+    md.tape_batch_loss(params, tape, leaves, batch)
     (scanned,) = [tape.values[i] for i, op in enumerate(tape.ops) if op == "rnn_scan"]
-    h, _ = md.forward_batch(kind, params, batch.ids, batch.queries)
+    h, _ = md.forward_batch(params, batch.ids, batch.queries)
     assert np.array_equal(scanned, h)
 
 
 def test_transformer_residual_noise_deterministic():
     p = small_transformer()
     batch = s3_sample_batch(RngState(30).generator(), MIXED)
-    clean, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids)
-    a, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids, None, 0.4, RngState(7))
-    b, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids, None, 0.4, RngState(7))
-    c, _ = md.forward_batch(md.TRANSFORMER, p, batch.ids, None, 0.4, RngState(8))
+    clean, _ = md.forward_batch(p, batch.ids)
+    a, _ = md.forward_batch(p, batch.ids, None, 0.4, RngState(7))
+    b, _ = md.forward_batch(p, batch.ids, None, 0.4, RngState(7))
+    c, _ = md.forward_batch(p, batch.ids, None, 0.4, RngState(8))
     assert np.array_equal(a, b)
     assert not np.any(np.all(a == c, axis=1)) and not np.any(np.all(a == clean, axis=1))
 
@@ -278,7 +279,8 @@ MIXED = [3, 1, 7, 1, 12, 5, 7, 2]
 def recurrent_params(kind, seed, n=10, vocab=6, classes=6, queries=1):
     if kind == md.HOLONOMIC:
         return md.init_holonomic(RngState(seed), n, vocab, classes, n_queries=queries)
-    return md.init_rnn(RngState(seed), n, vocab, classes, n_queries=queries)
+    return md.init_rnn(RngState(seed), n, vocab, classes, n_queries=queries,
+                       normalized=kind == md.NORMALIZED_RNN)
 
 
 @pytest.mark.parametrize("kind", [md.HOLONOMIC, md.RNN, md.NORMALIZED_RNN])
@@ -290,12 +292,12 @@ def test_forward_batch_matches_per_episode_forward(kind, task):
     else:
         params = recurrent_params(kind, 72, vocab=10, classes=5, queries=5)
         batch = sv_sample_batch(RngState(73).generator(), 5, MIXED)
-    states, logits = md.forward_batch(kind, params, batch.ids, batch.queries)
+    states, logits = md.forward_batch(params, batch.ids, batch.queries)
     for i, e in enumerate(batch):
         if kind == md.HOLONOMIC:
             traj, ref = md.holonomic_forward(params, e)
         else:
-            traj, ref = md.rnn_forward(params, e, normalized=kind == md.NORMALIZED_RNN)
+            traj, ref = md.rnn_forward(params, e)
         assert np.max(np.abs(states[i] - traj[-1])) <= 1e-12
         assert np.max(np.abs(logits[i] - ref)) <= 1e-12
 
@@ -306,7 +308,7 @@ def test_forward_batch_float32_matches_per_episode_loop():
     params = md.init_holonomic(RngState(74), 16, 6, 6)
     ops = params.operators().astype(np.float32)
     batch = s3_sample_batch(RngState(75).generator(), [200, 37, 130, 1, 200])
-    states, logits = md.forward_batch(md.HOLONOMIC, params, batch.ids, operators=ops)
+    states, logits = md.forward_batch(params, batch.ids, operators=ops)
     assert states.dtype == np.float32
     for i, e in enumerate(batch):
         h = params.h0.astype(np.float32, copy=True)
@@ -322,13 +324,13 @@ def test_forward_batch_noise_touches_only_live_steps():
     params = md.init_holonomic(RngState(76), 8, 6, 6)
     ids = np.array([[-1, -1, -1, 4], [0, 1, 2, 3]])
     temp = 0.6
-    states, _ = md.forward_batch(md.HOLONOMIC, params, ids, None, temp, RngState(77))
+    states, _ = md.forward_batch(params, ids, None, temp, RngState(77))
     gen = RngState(77).generator()
     g = [gen.standard_normal((2, 8)) for _ in range(4)][-1][0]
     h = params.operators()[4] @ params.h0
     h = h + g * temp / math.sqrt(8) * np.linalg.norm(h)
     assert np.allclose(states[0], h / np.linalg.norm(h), rtol=0, atol=1e-13)
-    again, _ = md.forward_batch(md.HOLONOMIC, params, ids, None, temp, RngState(77))
+    again, _ = md.forward_batch(params, ids, None, temp, RngState(77))
     assert np.array_equal(states, again)
 
 
@@ -337,17 +339,17 @@ def test_forward_batch_noise_energy_scaling():
     n, temp, b = 16, 0.7, 6000
     params = md.init_rnn(RngState(78), n, 6, 6)
     ids = np.full((b, 1), 2)
-    clean, _ = md.forward_batch(md.RNN, params, ids)
-    noisy, _ = md.forward_batch(md.RNN, params, ids, None, temp, RngState(79))
+    clean, _ = md.forward_batch(params, ids)
+    noisy, _ = md.forward_batch(params, ids, None, temp, RngState(79))
     base = np.linalg.norm(clean[0]) ** 2
     measured = np.mean(np.sum((noisy - clean) ** 2, axis=1))
     assert abs(measured - temp ** 2 * base) / (temp ** 2 * base) < 0.03
 
 
 def test_forward_batch_normalized_rnn_stays_on_sphere_under_noise():
-    params = md.init_rnn(RngState(80), 12, 6, 6)
+    params = md.init_rnn(RngState(80), 12, 6, 6, normalized=True)
     batch = s3_sample_batch(RngState(81).generator(), MIXED)
-    states, _ = md.forward_batch(md.NORMALIZED_RNN, params, batch.ids, None, 2.0,
+    states, _ = md.forward_batch(params, batch.ids, None, 2.0,
                                  RngState(82))
     assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -355,30 +357,28 @@ def test_forward_batch_normalized_rnn_stays_on_sphere_under_noise():
 def test_forward_batch_rejects_bad_input():
     params = md.init_holonomic(RngState(83), 8, 6, 6, n_queries=2)
     with pytest.raises(ArgumentError):
-        md.forward_batch(md.HOLONOMIC, params, np.array([[0, 6]]))
+        md.forward_batch(params, np.array([[0, 6]]))
     with pytest.raises(ArgumentError):
-        md.forward_batch(md.HOLONOMIC, params, np.array([[-2, 0]]))
+        md.forward_batch(params, np.array([[-2, 0]]))
     with pytest.raises(ArgumentError):
-        md.forward_batch(md.HOLONOMIC, params, np.array([[0, 1]]), np.array([2]))
+        md.forward_batch(params, np.array([[0, 1]]), np.array([2]))
     with pytest.raises(DimensionError):
-        md.forward_batch(md.HOLONOMIC, params, np.array([0, 1]))
-    with pytest.raises(ArgumentError):
-        md.forward_batch("lstm", params, np.array([[0, 1]]))
+        md.forward_batch(params, np.array([0, 1]))
     # one rule for every kind, at inference and in training: a row is padded
     # on the left only and holds a token, and its query indexes the bank
     bad = [(ids, None) for ids in ([[0, -1, 1]], [[0, 1, -1]], [[-1, -1]])] \
         + [([[-1, 0]], [4]), ([[-1, 0]], [-1])]
-    for kind in md.MODEL_KINDS:
+    for kind in md.PARAMS:
         params = binding_params(kind, 83)
         tape = ge.Tape()
         leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
         for ids, queries in bad:
             with pytest.raises(ArgumentError):
-                md.forward_batch(kind, params, np.array(ids), queries)
+                md.forward_batch(params, np.array(ids), queries)
             batch = Batch(np.array(ids), np.array([1]), np.array([0]),
                           None if queries is None else np.array(queries))
             with pytest.raises(ArgumentError):
-                md.tape_batch_loss(kind, tape, leaves, batch, params)
+                md.tape_batch_loss(params, tape, leaves, batch)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -386,7 +386,7 @@ def test_forward_batch_raises_on_non_finite_logits():
     params = md.init_rnn(RngState(84), 8, 6, 6)
     params.readout[0, 0, 0] = np.inf
     with pytest.raises(NumericError):
-        md.forward_batch(md.RNN, params, np.array([[0, 1, 2]]))
+        md.forward_batch(params, np.array([[0, 1, 2]]))
 
 
 # ---------------------------------------------------------------- tape vs numpy
@@ -404,22 +404,22 @@ def binding_params(kind, seed, n=10, **transformer_kw):
     return recurrent_params(kind, seed, n=n, classes=4, queries=4)
 
 
-def loss_and_grads(kind, params, batch):
+def loss_and_grads(params, batch):
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    loss = md.tape_batch_loss(kind, tape, leaves, batch, params)
+    loss = md.tape_batch_loss(params, tape, leaves, batch)
     tape.backward(loss)
     return float(loss.value), ge.collect_grads(tape, leaves)
 
 
-@pytest.mark.parametrize("kind", md.MODEL_KINDS)
+@pytest.mark.parametrize("kind", list(md.PARAMS))
 def test_batched_tape_loss_matches_per_episode_reference(kind):
     # the reference is each episode as a batch of one: padding (or grouping)
     # must not leak into any row's loss or gradient
     params = binding_params(kind, 33)
     batch = binding_batch(34, [1, 7, 3, 7, 12, 2])
-    loss, grads = loss_and_grads(kind, params, batch)
-    singles = [loss_and_grads(kind, params, one_row(e)) for e in batch]
+    loss, grads = loss_and_grads(params, batch)
+    singles = [loss_and_grads(params, one_row(e)) for e in batch]
     assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-12
     for name, g in grads.items():
         mean = np.mean([s[1][name] for s in singles], axis=0)
@@ -434,23 +434,23 @@ def test_training_graphs_build_every_primitive():
     for kind, kw in [(md.HOLONOMIC, {}), (md.RNN, {}), (md.NORMALIZED_RNN, {}),
                      (md.TRANSFORMER, {"pos_mode": "learned"}),
                      (md.TRANSFORMER, {"pos_mode": "sinusoidal"})]:
-        built.update(tape_ops(kind, binding_params(kind, 33, **kw), batch))
+        built.update(tape_ops(binding_params(kind, 33, **kw), batch))
     assert built - {"leaf"} == set(ge._BACKWARD)
 
 
-@pytest.mark.parametrize("kind", md.MODEL_KINDS)
+@pytest.mark.parametrize("kind", list(md.PARAMS))
 def test_tape_loss_matches_numpy_forward(kind):
     if kind == md.TRANSFORMER:
         params = small_transformer()
     elif kind == md.HOLONOMIC:
         params = md.init_holonomic(RngState(31), 10, 6, 6)
     else:
-        params = md.init_rnn(RngState(32), 10, 6, 6)
+        params = md.init_rnn(RngState(32), 10, 6, 6, normalized=kind == md.NORMALIZED_RNN)
     batch = s3_sample_batch(RngState(40).generator(), [5, 5, 5])
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    loss = md.tape_batch_loss(kind, tape, leaves, batch, params)
-    _, logits = md.forward_batch(kind, params, batch.ids)
+    loss = md.tape_batch_loss(params, tape, leaves, batch)
+    _, logits = md.forward_batch(params, batch.ids)
     expected = np.mean([ce_from_logits(z, y) for z, y in zip(logits, batch.targets)])
     assert float(loss.value) == pytest.approx(expected, rel=1e-12)
 
@@ -464,7 +464,7 @@ def test_mixed_length_holonomic_loss_matches_numpy_forward():
     batch = binding_batch(36, [1, 7, 3, 7, 12, 2])
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    loss = md.tape_batch_loss(md.HOLONOMIC, tape, leaves, batch, params)
+    loss = md.tape_batch_loss(params, tape, leaves, batch)
     expected = np.mean([ce_from_logits(md.holonomic_forward(params, e)[1], e.target)
                         for e in batch])
     assert float(loss.value) == pytest.approx(expected, rel=1e-12)
@@ -474,7 +474,7 @@ def test_mixed_length_holonomic_loss_matches_numpy_forward():
                  constant_values=ge.IDENTITY_STEP)
     ops = ge.skew_exp(tape.leaf(params.generators))
     scanned = ge.holonomic_scan(ops, ids, tape.leaf(params.h0)).value
-    states, _ = md.forward_batch(md.HOLONOMIC, params, ids, operators=ops.value)
+    states, _ = md.forward_batch(params, ids, operators=ops.value)
     assert np.array_equal(scanned, states)
 
 
@@ -492,7 +492,7 @@ LAYOUT_IDS = np.array([[-1, -1, -1, -1, -1, -1, 2],
 def test_both_holonomic_step_layouts_match_the_per_episode_oracle(n, vocab, padded):
     params = md.init_holonomic(RngState(81), n, vocab, 6)
     assert ge.token_schedule(LAYOUT_IDS, params.operators()).padded is padded
-    states, logits = md.forward_batch(md.HOLONOMIC, params, LAYOUT_IDS)
+    states, logits = md.forward_batch(params, LAYOUT_IDS)
     for b, row in enumerate(LAYOUT_IDS):
         tokens = tuple(int(t) for t in row[row != ge.IDENTITY_STEP])
         trajectory, ref = md.holonomic_forward(params, Episode(tokens, 0, len(tokens)))
@@ -504,7 +504,7 @@ def test_both_holonomic_step_layouts_match_the_per_episode_oracle(n, vocab, padd
                                 tape.leaf(params.h0)).value
     assert np.array_equal(scanned, states)
     # float32 operators keep their dtype in either layout
-    single, _ = md.forward_batch(md.HOLONOMIC, params, LAYOUT_IDS,
+    single, _ = md.forward_batch(params, LAYOUT_IDS,
                                  operators=params.operators().astype(np.float32))
     assert single.dtype == np.float32
     assert np.max(np.abs(single - states)) < 1e-5
@@ -536,30 +536,30 @@ def test_each_benchmark_block_shape_takes_its_layout():
         assert len(held) == 1, name
 
 
-def tape_ops(kind, params, batch):
+def tape_ops(params, batch):
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
-    md.tape_batch_loss(kind, tape, leaves, batch, params)
+    md.tape_batch_loss(params, tape, leaves, batch)
     return tape.ops
 
 
-def tape_size(kind, params, batch):
-    return len(tape_ops(kind, params, batch))
+def tape_size(params, batch):
+    return len(tape_ops(params, batch))
 
 
 def test_holonomic_tape_size_does_not_depend_on_lengths():
     # not even on L_max: one skew_exp and one holonomic_scan node
     params = binding_params(md.HOLONOMIC, 37)
-    assert tape_size(md.HOLONOMIC, params, binding_batch(38, [1, 4, 9, 16, 25])) \
-        == tape_size(md.HOLONOMIC, params, binding_batch(39, [9] * 5))
+    assert tape_size(params, binding_batch(38, [1, 4, 9, 16, 25])) \
+        == tape_size(params, binding_batch(39, [9] * 5))
 
 
 @pytest.mark.parametrize("kind", [md.RNN, md.NORMALIZED_RNN])
 def test_rnn_tape_size_does_not_depend_on_length_mix(kind):
     # not even on L_max: one rnn_scan node
     params = binding_params(kind, 37)
-    ops = tape_ops(kind, params, binding_batch(38, [1, 4, 9, 16, 25]))
-    assert ops == tape_ops(kind, params, binding_batch(39, [3] * 5))
+    ops = tape_ops(params, binding_batch(38, [1, 4, 9, 16, 25]))
+    assert ops == tape_ops(params, binding_batch(39, [3] * 5))
     assert ops.count("rnn_scan") == 1 and len(ops) == 7
 
 
@@ -567,8 +567,8 @@ def test_rnn_tape_size_does_not_depend_on_length_mix(kind):
 def test_transformer_tape_size_does_not_depend_on_length_mix(pos_mode):
     # one packed graph: every row at one length, or every row at its own
     params = binding_params(md.TRANSFORMER, 37, pos_mode=pos_mode)
-    equal = tape_ops(md.TRANSFORMER, params, binding_batch(38, [9] * 6))
-    distinct = tape_ops(md.TRANSFORMER, params, binding_batch(39, [1, 2, 4, 7, 9, 12]))
+    equal = tape_ops(params, binding_batch(38, [9] * 6))
+    distinct = tape_ops(params, binding_batch(39, [1, 2, 4, 7, 9, 12]))
     assert equal == distinct
     assert distinct.count("encoder_layer") == params.n_layers
 
@@ -579,8 +579,8 @@ def test_holonomic_tape_loss_rejects_token_outside_vocabulary():
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
     for ids in ([[0, 6]], [[0, -1]], [[0, -2]]):
         with pytest.raises(ArgumentError):
-            md.tape_batch_loss(md.HOLONOMIC, tape, leaves,
-                               Batch(np.array(ids), np.array([2]), np.array([0])), params)
+            md.tape_batch_loss(params, tape, leaves,
+                               Batch(np.array(ids), np.array([2]), np.array([0])))
 
 
 # ---------------------------------------------------------------- gradient fidelity
@@ -590,7 +590,7 @@ def training_graph_grad_error(kind, seed):
     """grad_check of tape_batch_loss on one mixed-length batch (L = 1..5)."""
     params = binding_params(kind, seed, n=6, d_model=8, n_layers=1, n_heads=2, d_ff=12)
     batch = binding_batch(seed + 1, [1, 2, 3, 4, 5])
-    return ge.grad_check(lambda t, lv: md.tape_batch_loss(kind, t, lv, batch, params),
+    return ge.grad_check(lambda t, lv: md.tape_batch_loss(params, t, lv, batch),
                          ge.ParamStore(params.to_dict()), eps=1e-6)
 
 

@@ -105,14 +105,14 @@ def test_tree_operand_order_matters():
 def test_forward_batch_zero_generator_keeps_h0():
     p = make_params(14)
     fixed = md.HolonomicParams(p.n, 1, np.zeros((1, p.n, p.n)), p.h0, p.readout)
-    h, _ = md.forward_batch(md.HOLONOMIC, fixed, np.zeros((1, 50), dtype=int))
+    h, _ = md.forward_batch(fixed, np.zeros((1, 50), dtype=int))
     assert np.allclose(h[0], p.h0, rtol=0, atol=1e-14)
 
 
 def test_forward_batch_matches_sequential_at_5000():
     p = make_params(15, n=16)
     tokens = random_tokens(16, 5000)
-    h_state, _ = md.forward_batch(md.HOLONOMIC, p, tokens[None])
+    h_state, _ = md.forward_batch(p, tokens[None])
     h_op = se.sequential_holonomy(p, tokens) @ p.h0
     assert np.max(np.abs(h_state[0] - h_op)) < 1e-9
 

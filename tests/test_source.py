@@ -69,6 +69,29 @@ def test_foreign_import_check_sees_nested_scipy(tmp_path):
     assert foreign_imports(module) == ["scipy.linalg (line 5)", "mpmath (line 6)"]
 
 
+# a model's params carry its kind: no function takes the kind beside them
+MODEL_PARAMETERS = {"params", "p", "model"}
+
+
+def kind_beside_model(package: Path) -> list[str]:
+    """Functions and methods of `package` (lambdas too) that take a `kind`
+    parameter beside a model parameter."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if "kind" in names and names & MODEL_PARAMETERS:
+                    found.append(f"{path.name}:{getattr(node, 'name', 'lambda')} "
+                                 f"(line {node.lineno})")
+    return found
+
+
+def test_no_function_takes_a_kind_beside_a_model():
+    assert kind_beside_model(PACKAGE) == []
+
+
 def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """Identifiers a parsed file reads: names, attributes, imported names and
     string constants (perfbench wraps functions by their names as strings),
