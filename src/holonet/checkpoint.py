@@ -162,9 +162,12 @@ def load_checkpoint(path):
         raise CorruptionError(f"{path}: trailing bytes after payload")
     if kind not in md.PARAMS:
         raise CorruptionError(f"{path}: unknown model kind {kind!r}")
+    cls = md.PARAMS[kind]
     try:    # a header field of the wrong type, or one no model takes
-        header = md.check_header(md.PARAMS[kind], meta)
-        _check_layout(kind, md.PARAMS[kind].layout(**header), arrays, path)
+        for key, rule in cls.HEADER.items():
+            md.check(f"{cls.__name__} field {key!r}", rule, meta.get(key))
+        header = {key: meta[key] for key in cls.HEADER}
+        _check_layout(kind, cls.layout(**header), arrays, path)
         return kind, md.rebuild(kind, header, arrays)
     except (ArgumentError, DimensionError) as err:
         raise CorruptionError(f"{path}: {err}") from err

@@ -8,10 +8,7 @@ a documented default, so a minimal config like
     experiment = train
 
 describes a complete S3 holonomic training run (N=32, stepwise curriculum to
-L=5). All randomness derives from [run] seed. Cross-field constraints are
-checked before any compute: the binding task requires a state dimension of
-at least the variable count, and learned positional tables must cover the
-curriculum's maximum length.
+L=5). All randomness derives from [run] seed.
 
 The keys are derived from the dataclasses: each section fills one RunConfig
 attribute (`_SECTIONS`), and each field of that attribute's dataclass is a
@@ -19,6 +16,18 @@ key, parsed by its type hint. A new setting is added to its dataclass only.
 Two fields are exceptions: `Curriculum.max_len` and `Curriculum.progress`
 are training state and are rejected as keys, and `RunConfig.save` is read
 and written under [train].
+
+Each key's rule sits on its field as `Annotated` metadata, such as
+`lr: Annotated[float, "(0, inf)"]`, in the form that `models.check` reads
+for config keys and checkpoint headers alike (an int bound, a tuple of
+choices, an interval string, or a list or set of one rule for a tuple).
+Paths, the pca tags and `early_stop` have none. A value is checked as it is
+read and by `validate_config`, each error naming the key as the file writes
+it. The other checks there relate keys: n >= [task] variables for binding
+and n divisible by [model] heads for a transformer, for [model] n and each
+[scaling] widths entry of a scaling run; a learned positional table as long
+as [curriculum] l_max when training; a [noise] threshold above chance;
+64-bit genlen past L = 50; and distinct [pca] tags, one per checkpoint.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 from . import models as md
 from .errors import ArgumentError, ConfigError
@@ -39,11 +48,11 @@ EXPERIMENTS = ("train", "sweep", "scaling", "genlen", "horizon", "massgap",
 
 @dataclass(frozen=True)
 class SweepSpec:
-    t_max: float = 2.0
-    points: int = 41
-    episodes: int = 512
-    threshold: float = 0.99
-    length: int = 5
+    t_max: Annotated[float, "(0, inf)"] = 2.0
+    points: Annotated[int, 2] = 41
+    episodes: Annotated[int, 1] = 512
+    threshold: Annotated[float, "(0, 1]"] = 0.99
+    length: Annotated[int, 1] = 5
     checkpoint: str = ""
 
     def grid(self):
@@ -52,22 +61,22 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScalingSpec:
-    widths: tuple[int, ...] = (8, 16, 32, 64, 128)
+    widths: Annotated[tuple[int, ...], {1}] = (8, 16, 32, 64, 128)
 
 
 @dataclass(frozen=True)
 class GenlenSpec:
-    lengths: tuple[int, ...] = (50, 100, 200, 500, 1000, 2000, 5000)
-    episodes: int = 512
+    lengths: Annotated[tuple[int, ...], [1]] = (50, 100, 200, 500, 1000, 2000, 5000)
+    episodes: Annotated[int, 1] = 512
     checkpoint: str = ""
 
 
 @dataclass(frozen=True)
 class HorizonSpec:
-    t_max: int = 5000
-    points: int = 24
-    method: str = "both"   # autodiff | operator-norm | both
-    fit_min_t: int = 5
+    t_max: Annotated[int, 1] = 5000
+    points: Annotated[int, 1] = 24
+    method: Annotated[str, ("autodiff", "operator-norm", "both")] = "both"
+    fit_min_t: Annotated[int, 1] = 5
     checkpoint: str = ""
 
     def grid(self):
@@ -78,25 +87,25 @@ class HorizonSpec:
 
 @dataclass(frozen=True)
 class MassGapSpec:
-    episodes_per_class: int = 200
-    length: int = 5
+    episodes_per_class: Annotated[int, 1] = 200
+    length: Annotated[int, 1] = 5
     checkpoint: str = ""
 
 
 @dataclass(frozen=True)
 class PcaSpec:
-    temperature: float = 0.0
-    episodes: int = 1200
-    length: int = 5
+    temperature: Annotated[float, "[0, inf)"] = 0.0
+    episodes: Annotated[int, 2] = 1200
+    length: Annotated[int, 1] = 5
     checkpoints: tuple[str, ...] = ()
     tags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class BenchSpec:
-    lengths: tuple[int, ...] = (256, 1024, 4096, 16384)
-    n: int = 32
-    vocab: int = 6
+    lengths: Annotated[tuple[int, ...], [1]] = (256, 1024, 4096, 16384)
+    n: Annotated[int, 1] = 32
+    vocab: Annotated[int, 1] = 6
 
 
 # Curriculum defaults by task kind, where the config leaves them unset; a
@@ -109,11 +118,11 @@ _CURRICULUM_DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    experiment: str = "train"
-    seed: int = 0
+    experiment: Annotated[str, EXPERIMENTS] = "train"
+    seed: Annotated[int, f"[0, {2 ** 64})"] = 0
     out: str = "results"
-    workers: int = 1
-    precision: int = 64
+    workers: Annotated[int, 1] = 1
+    precision: Annotated[int, (32, 64)] = 64
     model: ModelConfig = ModelConfig()
     task: TaskConfig = TaskConfig()
     curriculum: Curriculum = Curriculum(**_CURRICULUM_DEFAULTS[S3])
@@ -161,19 +170,22 @@ def _parser(hint):
 
 
 def _key_table() -> dict:
-    """section -> INI key -> (RunConfig attribute, field name, parser)."""
+    """section -> INI key -> (RunConfig attribute, field name, parser, rule):
+    the rule is the Annotated metadata of the field's type (None: none)."""
     table = {section: {} for section in _SECTIONS}
     for section, attr in _SECTIONS.items():
         cls = _SPECS[attr] if attr else RunConfig
-        hints = get_type_hints(cls)
+        hints = get_type_hints(cls, include_extras=True)
         for f in fields(cls):
-            if (section, f.name) in _STATE or is_dataclass(hints[f.name]) \
+            hint, rule = get_args(hints[f.name]) if get_origin(hints[f.name]) is Annotated \
+                else (hints[f.name], None)
+            if (section, f.name) in _STATE or is_dataclass(hint) \
                     or (not attr and f.name in _MOVED):
                 continue
             key = _RENAMED.get((section, f.name), f.name)
-            table[section][key] = (attr, f.name, _parser(hints[f.name]))
+            table[section][key] = (attr, f.name, _parser(hint), rule)
     for name, section in _MOVED.items():
-        table[section][name] = ("", name, _parser(_SPECS[name]))
+        table[section][name] = ("", name, _parser(_SPECS[name]), None)
     return table
 
 
@@ -181,7 +193,8 @@ _KEYS = _key_table()
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate the INI config text into a fully-defaulted RunConfig."""
+    """Parse and validate the INI config text into a fully-defaulted RunConfig.
+    Each value meets its key's rule as it is read, before any spec is built."""
     if not text.strip():
         raise ConfigError("empty configuration")
     # default_section="" makes [DEFAULT] an ordinary, and so unknown, section
@@ -199,7 +212,7 @@ def parse_config(text: str) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            attr, name, cast = _KEYS[section][key]
+            attr, name, cast, rule = _KEYS[section][key]
             try:
                 values[attr][name] = cast(raw)
             except ConfigError:
@@ -207,8 +220,10 @@ def parse_config(text: str) -> RunConfig:
             except (TypeError, ValueError) as err:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {raw!r} ({err})") from err
+            if rule is not None:
+                md.check(f"[{section}] {key}", rule, values[attr][name], ConfigError)
     task_kind = values["task"].get("kind", S3)
-    defaults = _CURRICULUM_DEFAULTS.get(task_kind, _CURRICULUM_DEFAULTS[S3])
+    defaults = _CURRICULUM_DEFAULTS[task_kind]
     curriculum = {**defaults, **values["curriculum"]}
     if "ramp_start" in defaults and "ramp_start" not in values["curriculum"]:
         curriculum["ramp_start"] = min(defaults["ramp_start"], curriculum["l_max"])
@@ -226,77 +241,42 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment '{cfg.experiment}'; "
-                          f"expected one of {', '.join(EXPERIMENTS)}")
-    if cfg.precision not in (32, 64):
-        raise ConfigError("precision must be 32 or 64")
-    if cfg.seed < 0 or cfg.seed >= 2 ** 64:
-        raise ConfigError("seed must fit in 64 bits")
-    if cfg.model.kind not in md.PARAMS:
-        raise ConfigError(f"unknown model kind '{cfg.model.kind}'")
-    counts = {"[run] workers": cfg.workers, "[model] n": cfg.model.n,
-              "[train] steps": cfg.train.steps, "[train] batch": cfg.train.batch,
-              "[train] eval_interval": cfg.train.eval_interval,
-              "[noise] episodes": cfg.sweep.episodes, "[noise] length": cfg.sweep.length,
-              "[genlen] episodes": cfg.genlen.episodes,
-              "each [genlen] lengths entry": min(cfg.genlen.lengths, default=1),
-              "[horizon] t_max": cfg.horizon.t_max, "[horizon] points": cfg.horizon.points,
-              "[massgap] episodes_per_class": cfg.massgap.episodes_per_class,
-              "[massgap] length": cfg.massgap.length, "[pca] length": cfg.pca.length,
-              "each [scaling] widths entry": min(cfg.scaling.widths, default=1),
-              "[bench] n": cfg.bench.n, "[bench] vocab": cfg.bench.vocab,
-              "each [bench] lengths entry": min(cfg.bench.lengths, default=1)}
-    if cfg.model.kind == md.TRANSFORMER:
-        counts["[model] heads"] = cfg.model.heads
-        counts["[model] layers"] = cfg.model.layers
-        if cfg.model.d_ff < 0:
-            raise ConfigError(f"[model] d_ff must be >= 0 (0: 2 n), got {cfg.model.d_ff}")
-    for key, value in counts.items():
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}")
-    for key, value in {"[noise] points": cfg.sweep.points,
-                       "[pca] episodes": cfg.pca.episodes}.items():
-        if value < 2:
-            raise ConfigError(f"{key} must be >= 2, got {value}")
-    if not cfg.sweep.t_max > 0:
-        raise ConfigError(f"[noise] t_max must be > 0, got {cfg.sweep.t_max}")
-    if cfg.task.kind not in (S3, BINDING):
-        raise ConfigError(f"unknown task kind '{cfg.task.kind}'")
-    if cfg.task.kind == BINDING and cfg.task.variables < 2:
-        raise ConfigError("binding task needs at least 2 variables")
-    if cfg.task.kind == BINDING and cfg.model.n < cfg.task.variables:
+    """Every key's rule, then the constraints that relate two or more keys."""
+    for section, keys in _KEYS.items():
+        for key, (attr, name, _, rule) in keys.items():
+            if rule is not None:
+                md.check(f"[{section}] {key}", rule,
+                         getattr(getattr(cfg, attr) if attr else cfg, name), ConfigError)
+    model, task = cfg.model, cfg.task
+    # the state dimensions: [model] n, and each width a scaling run trains
+    widths = [(f"[model] n = {model.n}", model.n)]
+    if cfg.experiment == "scaling":
+        widths += [(f"[scaling] widths entry {n}", n) for n in cfg.scaling.widths]
+    for named, n in widths:
+        if task.kind == BINDING and n < task.variables:
+            raise ConfigError(f"{named} violates the faithfulness condition n >= "
+                              f"[task] variables ({task.variables}) for the binding task")
+        if model.kind == md.TRANSFORMER and n % model.heads:
+            raise ConfigError(f"{named} is not divisible by [model] heads ({model.heads})")
+    if model.kind == md.TRANSFORMER and model.pos_mode == "learned" \
+            and cfg.experiment in ("train", "scaling") \
+            and model.max_len < cfg.curriculum.l_max:
         raise ConfigError(
-            f"state dimension n={cfg.model.n} violates the faithfulness "
-            f"condition n >= variables ({cfg.task.variables}) for the "
-            "binding task")
-    if cfg.model.kind == md.TRANSFORMER and cfg.model.pos_mode == "learned" \
-            and cfg.experiment == "train" \
-            and cfg.model.max_len < cfg.curriculum.l_max:
-        raise ConfigError(
-            f"learned positional table (max_len={cfg.model.max_len}) smaller "
-            f"than curriculum maximum length {cfg.curriculum.l_max}")
-    if cfg.train.lr_schedule not in ("constant", "cosine"):
-        raise ConfigError("train lr_schedule must be constant or cosine")
+            f"learned positional table ([model] max_len = {model.max_len}) smaller "
+            f"than [curriculum] l_max = {cfg.curriculum.l_max}")
     # a T_c threshold at or below the token-blind accuracy would measure nothing
-    chance = cfg.task.trivial_accuracy(cfg.sweep.length) \
-        if cfg.experiment in ("sweep", "scaling") else 0.0
-    if not chance < cfg.sweep.threshold <= 1:
-        raise ConfigError(f"sweep threshold must lie in ({chance:.6g}, 1], above the "
-                          f"trivial accuracy at [noise] length {cfg.sweep.length}")
-    if cfg.horizon.method not in ("autodiff", "operator-norm", "both"):
-        raise ConfigError("horizon method must be autodiff, operator-norm or both")
-    lists = {"[genlen] lengths": cfg.genlen.lengths, "[scaling] widths": cfg.scaling.widths,
-             "[bench] lengths": cfg.bench.lengths}
-    for key, value in lists.items():
-        if not value:
-            raise ConfigError(f"{key} must not be empty")
+    if cfg.experiment in ("sweep", "scaling"):
+        chance = task.trivial_accuracy(cfg.sweep.length)
+        if cfg.sweep.threshold <= chance:
+            raise ConfigError(f"[noise] threshold must lie in ({chance:.6g}, 1], above "
+                              f"the trivial accuracy at [noise] length {cfg.sweep.length}")
     if cfg.experiment == "genlen" and cfg.precision != 64 \
             and any(length > 50 for length in cfg.genlen.lengths):
         raise ConfigError("genlen beyond L=50 requires precision = 64")
-    if cfg.pca.checkpoints and cfg.pca.tags \
-            and len(cfg.pca.checkpoints) != len(cfg.pca.tags):
-        raise ConfigError("pca checkpoints and tags must have equal length")
+    # tags name the checkpoints one to one
+    tags = cfg.pca.tags
+    if tags and (len(tags) != len(cfg.pca.checkpoints) or len(set(tags)) != len(tags)):
+        raise ConfigError("[pca] tags must be distinct, one per [pca] checkpoints entry")
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -304,7 +284,7 @@ def render_config(cfg: RunConfig) -> str:
     parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _KEYS.items():
         parser[section] = {}
-        for key, (attr, name, _) in keys.items():
+        for key, (attr, name, _, _) in keys.items():
             value = getattr(getattr(cfg, attr) if attr else cfg, name)
             parser[section][key] = ",".join(map(str, value)) if isinstance(value, tuple) \
                 else str(value)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -46,8 +47,8 @@ SCORE_BLOCK = 1024      # rows per forward when scoring every sequence
 
 @dataclass(frozen=True)
 class TaskConfig:
-    kind: str = S3
-    variables: int = 10  # binding only
+    kind: Annotated[str, (S3, BINDING)] = S3
+    variables: Annotated[int, 2] = 10  # binding only
 
     @property
     def vocab(self) -> int:
@@ -83,15 +84,15 @@ class TaskConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    kind: str = md.HOLONOMIC
-    n: int = 32                 # hidden dim / d_model
-    layers: int = 3
-    heads: int = 8
-    d_ff: int = 0               # 0 -> 2 * d_model
-    pos_mode: str = "learned"
-    max_len: int = 64
-    pool: str = "final"
-    gen_scale: float = 0.0      # 0 -> default holonomic init scale
+    kind: Annotated[str, tuple(md.PARAMS)] = md.HOLONOMIC
+    n: Annotated[int, 1] = 32                   # hidden dim / d_model
+    layers: Annotated[int, 1] = 3
+    heads: Annotated[int, 1] = 8
+    d_ff: Annotated[int, 0] = 0                 # 0 -> 2 * d_model
+    pos_mode: Annotated[str, md.TransformerParams.HEADER["pos_mode"]] = "learned"
+    max_len: Annotated[int, 1] = 64
+    pool: Annotated[str, md.TransformerParams.HEADER["pool"]] = "final"
+    gen_scale: Annotated[float, "[0, inf)"] = 0.0   # 0 -> default holonomic init scale
 
     def build(self, rng: tc.RngState, task: TaskConfig):
         if self.kind == md.HOLONOMIC:
@@ -118,22 +119,23 @@ class TrainConfig:
     and the final `converged` evaluation) scores fresh episodes: S3 at l_max,
     binding across [l_min, l_max], `val_episodes` of them. On S3 with
     6^l_max <= EXHAUSTIVE_S3_LIMIT it instead scores every length-l_max
-    sequence once, so "converged" is exact there.
+    sequence once, so "converged" is exact there. `clip` bounds the global
+    gradient norm before each update; `clip = 0` turns clipping off.
     """
 
-    steps: int = 3000
-    batch: int = 64
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip: float = 1.0
-    eval_interval: int = 25
-    gate_episodes: int = 256
-    val_episodes: int = 512
-    target_accuracy: float = 1.0
-    lr_schedule: str = "constant"   # constant | cosine
-    lr_floor: float = 1e-4
+    steps: Annotated[int, 1] = 3000
+    batch: Annotated[int, 1] = 64
+    lr: Annotated[float, "(0, inf)"] = 1e-3
+    beta1: Annotated[float, "[0, 1)"] = 0.9
+    beta2: Annotated[float, "[0, 1)"] = 0.999
+    eps: Annotated[float, "(0, inf)"] = 1e-8
+    clip: Annotated[float, "[0, inf)"] = 1.0
+    eval_interval: Annotated[int, 1] = 25
+    gate_episodes: Annotated[int, 1] = 256
+    val_episodes: Annotated[int, 1] = 512
+    target_accuracy: Annotated[float, "(0, 1]"] = 1.0
+    lr_schedule: Annotated[str, ("constant", "cosine")] = "constant"
+    lr_floor: Annotated[float, "[0, inf)"] = 1e-4
     early_stop: bool = True
 
 

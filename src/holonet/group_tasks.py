@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -218,31 +219,27 @@ class Curriculum:
     """Length scheduler: stepwise accuracy gate or linear ramp with end bias.
 
     `ramp_start` is where the ramp begins, in [l_min, l_max] (0: l_min), and
-    `ramp_fraction`, in (0, 1], the share of training it takes; sampling is
-    uniform on [l_min, max_len] until the ramp completes, after which the
-    maximum length is drawn with probability `max_bias`.
+    `ramp_fraction` the share of training it takes; sampling is uniform on
+    [l_min, max_len] until the ramp completes, after which the maximum length
+    is drawn with probability `max_bias`. Each setting's rule is on its type.
     """
 
-    kind: str  # "stepwise" | "ramp"
-    l_min: int
-    l_max: int
+    kind: Annotated[str, ("stepwise", "ramp")]
+    l_min: Annotated[int, 1]
+    l_max: Annotated[int, 1]
     max_len: int = 0
-    gate_threshold: float = 1.0
+    gate_threshold: Annotated[float, "(0, 1]"] = 1.0
     progress: float = 0.0
-    ramp_start: int = 0
-    ramp_fraction: float = 0.7
-    max_bias: float = 0.5
+    ramp_start: Annotated[int, 0] = 0
+    ramp_fraction: Annotated[float, "(0, 1]"] = 0.7
+    max_bias: Annotated[float, "[0, 1]"] = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("stepwise", "ramp"):
-            raise ArgumentError(f"unknown curriculum kind: {self.kind}")
-        if not 1 <= self.l_min <= self.l_max:
+        if not self.l_min <= self.l_max:
             raise ArgumentError(f"bad length range [{self.l_min}, {self.l_max}]")
         if self.ramp_start and not self.l_min <= self.ramp_start <= self.l_max:
             raise ArgumentError(f"ramp_start {self.ramp_start} outside "
                                 f"[{self.l_min}, {self.l_max}]")
-        if not 0 < self.ramp_fraction <= 1:
-            raise ArgumentError(f"ramp_fraction {self.ramp_fraction} outside (0, 1]")
         if self.max_len == 0:
             start = self.ramp_start or self.l_min
             object.__setattr__(self, "max_len", self.l_min if self.kind == "stepwise" else start)

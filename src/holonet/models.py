@@ -97,16 +97,32 @@ def header(params) -> dict:
     return {key: getattr(params, key) for key in params.HEADER}
 
 
-def check_header(cls, fields: dict) -> dict:
-    """`cls`'s HEADER fields of `fields`, each checked against its rule: an
-    int at least the rule's value, or one of the rule's strings. Raises
-    ArgumentError."""
-    for key, rule in cls.HEADER.items():
-        value = fields.get(key)
-        if not (value in rule if isinstance(rule, tuple)
-                else type(value) is int and value >= rule):
-            raise ArgumentError(f"{cls.__name__} field {key!r} is {value!r}")
-    return {key: fields[key] for key in cls.HEADER}
+def check(name: str, rule, value, error=ArgumentError) -> None:
+    """Raise `error` naming `name` unless `value` meets `rule`, in the one
+    form of every field rule (a params class's HEADER, a config field's type):
+    an int k (an int, not a bool, at least k); a tuple (one of its values);
+    an interval string such as "(0, 1]" or "[0, inf)" (an int or a float in
+    it, each end open or closed); or a list or a set of one rule (a non-empty
+    tuple whose every entry meets that rule, no entry twice for a set)."""
+    if isinstance(rule, (list, set)):
+        if not (isinstance(value, tuple) and value) \
+                or isinstance(rule, set) and len(set(value)) < len(value):
+            distinct = " of distinct entries" if isinstance(rule, set) else ""
+            raise error(f"{name} must be a non-empty list{distinct}, got {value!r}")
+        for entry in value:
+            check(f"each {name} entry", next(iter(rule)), entry, error)
+        return
+    if isinstance(rule, tuple):
+        ok, text = value in rule, "one of " + ", ".join(map(str, rule))
+    elif isinstance(rule, int):
+        ok, text = type(value) is int and value >= rule, f"an int >= {rule}"
+    else:
+        lo, hi = (float(end) for end in rule[1:-1].split(","))
+        ok = type(value) in (int, float) and (lo < value if rule[0] == "(" else lo <= value) \
+            and (value < hi if rule[-1] == ")" else value <= hi)
+        text = f"a number in {rule}"
+    if not ok:
+        raise error(f"{name} must be {text}, got {value!r}")
 
 
 # ===================================================================== holonomic
@@ -121,7 +137,7 @@ class HolonomicParams:
     readout: np.ndarray        # (n_queries, n_classes, n)
 
     kind = HOLONOMIC
-    HEADER = {"n": 0, "vocab": 0}   # field -> its rule (see check_header)
+    HEADER = {"n": 0, "vocab": 0}   # field -> its rule (see check)
 
     @staticmethod
     def layout(n: int, vocab: int) -> dict:
@@ -243,7 +259,8 @@ class TransformerParams:
               "pos_mode": ("learned", "sinusoidal"), "max_len": 0, "pool": ("final", "mean")}
 
     def __post_init__(self):
-        check_header(TransformerParams, vars(self))
+        for key, rule in self.HEADER.items():
+            check(f"TransformerParams field {key!r}", rule, getattr(self, key))
         if self.d_model % self.n_heads != 0:
             raise DimensionError(
                 f"d_model {self.d_model} not divisible by {self.n_heads} heads")

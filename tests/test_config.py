@@ -1,11 +1,19 @@
 import configparser
+import importlib.util
+import math
+import re
+import sys
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
-from holonet import cli
-from holonet.config import RunConfig, parse_config, render_config
-from holonet.errors import ConfigError
+from holonet import cli, config
+from holonet import models as md
+from holonet.config import EXPERIMENTS, RunConfig, parse_config, render_config
+from holonet.errors import ArgumentError, ConfigError
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Every (section, key) the INI grammar accepts, with its rendered default.
 DEFAULT_SNAPSHOT = {
@@ -239,3 +247,129 @@ def test_counts_and_schedule_are_validated(tmp_path, command, text, message):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+# keys whose value may be any string or boolean: paths, names and one switch
+UNRULED = {("run", "out"), ("train", "save"), ("train", "early_stop"),
+           ("noise", "checkpoint"), ("genlen", "checkpoint"), ("horizon", "checkpoint"),
+           ("massgap", "checkpoint"), ("pca", "checkpoints"), ("pca", "tags")}
+
+
+def test_every_other_key_has_a_rule():
+    unruled = {(section, key) for section, keys in config._KEYS.items()
+               for key, (_, _, _, rule) in keys.items() if rule is None}
+    assert unruled == UNRULED
+
+
+def ini_number(value: float) -> str:
+    return str(int(value)) if value == int(value) else str(value)
+
+
+def violations(rule) -> list[str]:
+    """INI values that break `rule` (the forms of `models.check`), one for
+    each way to break it."""
+    if isinstance(rule, (list, set)):
+        (entry,) = rule
+        bad = ["", *violations(entry)]
+        return bad + [f"{entry},{entry}"] if isinstance(rule, set) else bad
+    if isinstance(rule, tuple):
+        return [str(max(rule) + 1)] if all(type(v) is int for v in rule) else ["nope"]
+    if isinstance(rule, int):
+        return [str(rule - 1)]
+    lo, hi = (float(end) for end in rule[1:-1].split(","))
+    bad = []
+    if math.isfinite(lo):
+        bad.append(ini_number(lo if rule[0] == "(" else lo - 1))
+    if math.isfinite(hi):
+        bad.append(ini_number(hi if rule[-1] == ")" else hi + 1))
+    return bad
+
+
+@pytest.mark.parametrize("rule,value", [
+    (1, True), ("[0, 1]", False), ("(0, inf)", math.nan), ("(0, inf)", math.inf),
+    ("[0, 1]", "0.5"), (0, 2.0), (("a", "b"), "c"), ([1], [1]), ([1], ()), ({1}, (2, 2))])
+def test_check_refuses_values_of_the_wrong_kind(rule, value):
+    with pytest.raises(ArgumentError, match="x must be"):
+        md.check("x", rule, value)
+
+
+RULE_VIOLATIONS = [(section, key, value) for section, keys in config._KEYS.items()
+                   for key, (_, _, _, rule) in keys.items() if rule is not None
+                   for value in violations(rule)]
+
+
+def refused_before_compute(tmp_path, monkeypatch, command: str, text: str) -> int:
+    """`holonet <command>`'s exit code on `text`, with every command's body
+    replaced by a failing one: a config refused before any compute exits 2."""
+    def compute(cfg):
+        raise AssertionError(f"{command} started with a config that should be refused")
+    monkeypatch.setattr(cli, "_COMMANDS", {name: compute for name in cli._COMMANDS})
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    return cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("section,key,value", RULE_VIOLATIONS,
+                         ids=[f"{s}-{k}-{v or 'empty'}" for s, k, v in RULE_VIOLATIONS])
+def test_each_rule_refuses_a_value_naming_its_key(tmp_path, monkeypatch, section, key,
+                                                  value):
+    text = f"[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} ")):
+        parse_config(text)
+    assert refused_before_compute(tmp_path, monkeypatch, "train", text) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("pca", "[pca]\ncheckpoints = a.ckpt,b.ckpt\ntags = a,a\n", r"\[pca\] tags"),
+    ("scaling", "[scaling]\nwidths = 8,16,8\n", r"\[scaling\] widths"),
+    ("scaling", "[task]\nkind = binding\n[scaling]\nwidths = 4,8,16\n",
+     r"\[scaling\] widths entry 4 .*\[task\] variables"),
+    ("scaling", "[model]\nkind = transformer\nmax_len = 4\n",
+     r"\[model\] max_len = 4.*\[curriculum\] l_max = 5"),
+    ("train", "[model]\nkind = transformer\nn = 30\n", r"\[model\] n = 30 .*\[model\] heads"),
+    ("scaling", "[model]\nkind = transformer\nn = 8\nheads = 4\n[scaling]\nwidths = 8,10\n",
+     r"\[scaling\] widths entry 10 .*\[model\] heads"),
+], ids=["pca-duplicate-tags", "scaling-duplicate-widths", "scaling-width-below-variables",
+        "scaling-learned-table", "transformer-heads", "scaling-transformer-heads"])
+def test_cross_field_checks_cover_every_trained_model(tmp_path, monkeypatch, command, text,
+                                                      message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"[run]\nexperiment = {command}\n{text}")
+    assert refused_before_compute(tmp_path, monkeypatch, command, text) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("task", ["s3", "binding"])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_default_config_holds_for_every_experiment_and_task(experiment, task):
+    text = f"[run]\nexperiment = {experiment}\n[task]\nkind = {task}\n"
+    if (experiment, task) == ("scaling", "binding"):
+        # the default widths start at 8, below the default 10 variables
+        with pytest.raises(ConfigError, match=r"\[scaling\] widths entry 8 "):
+            parse_config(text)
+    else:
+        assert parse_config(text).experiment == experiment
+
+
+def benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its file beside the modules it
+    imports; its dataclasses look their module up while loading."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("benchmark_workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+def test_the_benchmark_configs_stay_valid(tmp_path, monkeypatch, tiny):
+    wl = benchmark_workloads(monkeypatch)
+    runs = [(wl.S3_TINY if tiny else wl.S3_DEFAULT, "train")]
+    runs += [(wl.BINDING.format(kind=kind, n=n, steps=steps), "train")
+             for kind, n, steps in (wl.BINDING_TINY if tiny else wl.BINDING_MODELS)]
+    probe = (wl.PROBE_TINY if tiny else wl.PROBE).format(ckpt=tmp_path / "model.ckpt")
+    runs += [(probe, command) for command in wl.PROBES]
+    for text, command in runs:
+        assert f"experiment = {command}\n" in wl.resolved_config(text, command, 0, tmp_path)
+    wl.ScanLong(0, tiny, tmp_path).setup()
