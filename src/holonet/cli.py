@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: train, sweep, scaling, genlen, horizon, massgap, pca,
-scan-bench, report, verify. Every run reads one INI config (see config.py
-for the grammar), optionally overridden by --seed/--out/--precision, and
-exits 0 on success, 2 on configuration errors, 3 on numeric failures, 4 on
-training non-convergence.
+Commands: train, sweep, scaling, genlen, horizon, massgap, pca,
+scan-bench, report, verify, each with the same options. Every run reads one
+INI config (see config.py for the grammar), optionally overridden by
+--seed/--out/--precision, and exits 0 on success, 2 on configuration errors
+(and on an unknown command or option), 3 on numeric failures, 4 on training
+non-convergence.
 
 A run is data: each command hands `write_run` raw rows and a summary dict,
 and it writes `config.snapshot`, the curve CSVs and `summary.txt` under
@@ -164,6 +165,9 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 
 def cmd_genlen(cfg: RunConfig) -> int:
+    """Accuracy per configured length. The lengths are prefixes of one batch
+    of episodes at the longest length, so the rows of curve.csv share their
+    episodes: they are correlated, not independent samples."""
     params = _load_params(cfg.genlen.checkpoint)
     rng = RngState(cfg.seed).child(3)
     rows = ex.length_generalization_eval(params, cfg.task,
@@ -288,17 +292,16 @@ _COMMANDS = {
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """One parser: every command takes the same four options."""
     parser = argparse.ArgumentParser(
         prog="holonet",
         description="gauge-constrained sequence models: training and experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default="",
-                       help="path to an INI run configuration")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--precision", type=int, default=None, choices=(32, 64))
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", type=str, default="",
+                        help="path to an INI run configuration")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--precision", type=int, default=None, choices=(32, 64))
     return parser
 
 

@@ -26,8 +26,9 @@ read and by `validate_config`, each error naming the key as the file writes
 it. The other checks there relate keys: n >= [task] variables for binding
 and n divisible by [model] heads for a transformer, for [model] n and each
 [scaling] widths entry of a scaling run; a learned positional table as long
-as [curriculum] l_max when training; a [noise] threshold above chance;
-64-bit genlen past L = 50; and distinct [pca] tags, one per checkpoint.
+as [curriculum] l_max when training; a cosine schedule's [train] lr_floor at
+most [train] lr when training; a [noise] threshold above chance; 64-bit
+genlen past L = 50; and distinct [pca] tags, one per checkpoint.
 """
 
 from __future__ import annotations
@@ -270,6 +271,11 @@ def validate_config(cfg: RunConfig) -> None:
         if cfg.sweep.threshold <= chance:
             raise ConfigError(f"[noise] threshold must lie in ({chance:.6g}, 1], above "
                               f"the trivial accuracy at [noise] length {cfg.sweep.length}")
+    # a cosine schedule decays from lr to lr_floor; a floor above lr would rise
+    if cfg.experiment in ("train", "scaling") and cfg.train.lr_schedule == "cosine" \
+            and cfg.train.lr_floor > cfg.train.lr:
+        raise ConfigError(f"[train] lr_floor = {cfg.train.lr_floor} lies above [train] lr = "
+                          f"{cfg.train.lr}: the cosine schedule would rise")
     if cfg.experiment == "genlen" and cfg.precision != 64 \
             and any(length > 50 for length in cfg.genlen.lengths):
         raise ConfigError("genlen beyond L=50 requires precision = 64")

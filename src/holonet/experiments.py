@@ -29,7 +29,9 @@ from .errors import ArgumentError, NumericError
 from .group_tasks import (
     Batch,
     Curriculum,
+    binding_prefix_targets,
     curriculum_advance,
+    s3_prefix_targets,
     s3_sample_batch,
     s3_targets,
     sample_lengths,
@@ -43,6 +45,7 @@ BINDING = "binding"
 # S3 validation scores every length-l_max sequence when there are at most this many
 EXHAUSTIVE_S3_LIMIT = 8192
 SCORE_BLOCK = 1024      # rows per forward when scoring every sequence
+STACK_FLOATS = 2 ** 17  # state entries per forward of a sweep's stacked levels
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,12 @@ class TaskConfig:
         if self.kind == S3:
             return s3_sample_batch(gen, lengths)
         return sv_sample_batch(gen, self.variables, lengths)
+
+    def prefix_targets(self, batch: Batch):
+        """Each row's target after each column of the batch, column by column."""
+        if self.kind == S3:
+            return s3_prefix_targets(batch.ids)
+        return binding_prefix_targets(batch.ids, self.variables, batch.queries)
 
 
 @dataclass(frozen=True)
@@ -208,10 +217,11 @@ def _operators(params) -> np.ndarray | None:
     return params.operators() if params.kind == md.HOLONOMIC else None
 
 
-def _hits(params, batch: Batch, temperature: float = 0.0, rng: tc.RngState | None = None,
+def _hits(params, batch: Batch, temperature=0.0, rng=None,
           operators: np.ndarray | None = None) -> np.ndarray:
-    """Whether each episode's predicted label is its target, the noise from
-    `rng`. Holonomic `operators` built once by the caller skip their rebuild."""
+    """Whether each episode's predicted label is its target, the noise as
+    `models.forward_batch` takes it. Holonomic `operators` built once by the
+    caller skip their rebuild."""
     _, logits = md.forward_batch(params, batch.ids, batch.queries, temperature, rng,
                                  operators=operators)
     return np.argmax(logits, axis=1) == batch.targets
@@ -352,22 +362,29 @@ def noise_sweep(params, task: TaskConfig, t_grid, episodes: int,
                 bootstrap: int = 1000) -> SweepResult:
     """Accuracy versus noise temperature over fresh length-`length` episodes;
     noise level i draws its episodes from rng.child(0, i) and its noise from
-    rng.child(1, i)."""
+    rng.child(1, i). The levels' batches run stacked, each level's rows at
+    its own temperature, as many levels per forward as keep its (rows, n)
+    state within STACK_FLOATS."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
-    outcomes = np.zeros((t_grid.size, episodes), dtype=bool)
+    outcomes = np.empty((t_grid.size, episodes), dtype=bool)
     ops = _operators(params)
-    for ti, temp in enumerate(t_grid):
-        batch = task.sample_batch(rng.child(0, ti).generator(), np.full(episodes, length))
-        outcomes[ti] = _hits(params, batch, float(temp), rng.child(1, ti), ops)
-    acc = outcomes.mean(axis=1)
-    lo = np.empty_like(acc)
-    hi = np.empty_like(acc)
+    group = max(1, STACK_FLOATS // (episodes * params.to_dict()["readout"].shape[-1]))
+    for first in range(0, t_grid.size, group):
+        block = slice(first, first + group)
+        levels = range(t_grid.size)[block]
+        batches = [task.sample_batch(rng.child(0, ti).generator(), np.full(episodes, length))
+                   for ti in levels]
+        queries = None if task.kind == S3 else np.concatenate([b.queries for b in batches])
+        stacked = Batch(np.concatenate([b.ids for b in batches]),
+                        np.full(len(levels) * episodes, length),
+                        np.concatenate([b.targets for b in batches]), queries)
+        hits = _hits(params, stacked, t_grid[block], [rng.child(1, ti) for ti in levels], ops)
+        outcomes[block] = hits.reshape(len(levels), episodes)
     boot_gen = rng.child(2).generator()
-    for ti in range(t_grid.size):
-        draws = boot_gen.integers(0, episodes, size=(bootstrap, episodes))
-        means = outcomes[ti][draws].mean(axis=1)
-        lo[ti], hi[ti] = np.percentile(means, [2.5, 97.5])
-    return SweepResult(t_grid, acc, lo, hi, episodes, outcomes)
+    means = np.stack([level[boot_gen.integers(0, episodes, size=(bootstrap, episodes))]
+                      .mean(axis=1) for level in outcomes])
+    lo, hi = np.percentile(means, [2.5, 97.5], axis=1)
+    return SweepResult(t_grid, outcomes.mean(axis=1), lo, hi, episodes, outcomes)
 
 
 def _plugin_tc(grid: np.ndarray, acc: np.ndarray, qualifies: np.ndarray,
@@ -394,8 +411,10 @@ def estimate_tc(sweep: SweepResult, threshold: float = 0.99,
                 chance: float = 0.0) -> TcEstimate:
     """Largest noise level whose mean accuracy clears the fidelity threshold,
     refined by linear interpolation toward the crossing. The CI resamples the
-    episodes `bootstrap` times (one draw of n indices each) and takes every
-    resample's T_c by the same rule, all at once: the CI measures the value."""
+    episodes `bootstrap` times (one (bootstrap, n) draw of indices) and takes
+    every resample's T_c by the same rule, all at once: the CI measures the
+    value. A resample's accuracies are its index counts against the outcomes,
+    sums of integers and so exact."""
     if not chance < threshold <= 1.0:
         raise ArgumentError(f"threshold must lie in ({chance}, 1]")
     qualifies = sweep.acc_mean >= threshold
@@ -406,8 +425,10 @@ def estimate_tc(sweep: SweepResult, threshold: float = 0.99,
         return TcEstimate(value, value, value, censored)
     gen = (rng or tc.RngState(0)).generator()
     n = sweep.outcomes.shape[1]
-    idx = np.stack([gen.integers(0, n, size=n) for _ in range(bootstrap)])
-    acc = sweep.outcomes[:, idx].mean(axis=2).T     # (bootstrap, G)
+    idx = gen.integers(0, n, size=(bootstrap, n))
+    idx += n * np.arange(bootstrap)[:, None]
+    counts = np.bincount(idx.ravel(), minlength=bootstrap * n).reshape(bootstrap, n)
+    acc = counts @ sweep.outcomes.T.astype(np.float64) / n     # (bootstrap, G)
     samples = _plugin_tc(sweep.grid, acc, acc >= threshold, threshold)
     lo, hi = np.percentile(samples, [2.5, 97.5])
     return TcEstimate(value, float(lo), float(hi), censored)
@@ -472,25 +493,37 @@ def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
 def length_generalization_eval(params, task: TaskConfig, lengths,
                                episodes: int, precision: int,
                                rng: tc.RngState) -> list[dict]:
-    """Accuracy per length on fresh episodes; learned-positional overflow is
-    recorded explicitly instead of silently scored."""
-    if precision not in (32, 64):
-        raise ArgumentError("precision must be 32 or 64")
-    if precision != 64 and any(length > 50 for length in lengths):
-        raise ArgumentError("lengths beyond 50 require 64-bit inference")
+    """Accuracy at each length on the length-L prefixes of one batch of
+    `episodes` fresh episodes of length max(lengths), drawn from
+    rng.child(0). A uniformly random prefix is itself a uniformly random
+    episode, but the lengths share their episodes, so their rows are
+    correlated, not independent samples. The targets come from one fold of
+    the task's simulator over the columns. A recurrent model scores every
+    length from one pass, the transformer runs each prefix on its own, and a
+    prefix past its learned positional table is recorded as
+    capacity-exceeded instead of silently scored."""
+    lengths = [int(length) for length in lengths]
+    longest = max(lengths)
+    batch = task.sample_batch(rng.child(0).generator(), np.full(episodes, longest))
+    # the sampler labelled the longest prefix; the fold stops at the next one
+    shorter = max((length for length in lengths if length < longest), default=0)
+    targets = {length: y for length, y in
+               zip(range(1, shorter + 1), task.prefix_targets(batch)) if length in lengths}
+    targets[longest] = batch.targets
+    if params.kind == md.TRANSFORMER:
+        logits = [None if params.pos_mode == "learned" and length > params.max_len
+                  else md.forward_batch(params, batch.ids[:, :length], batch.queries)[1]
+                  for length in lengths]
+    else:
+        ops = se.build_operators(params, precision) if params.kind == md.HOLONOMIC else None
+        logits = md.forward_batch(params, batch.ids, batch.queries, operators=ops,
+                                  columns=[length - 1 for length in lengths])[1]
     rows = []
-    operators = se.build_operators(params, precision) if params.kind == md.HOLONOMIC else None
-    for li, length in enumerate(lengths):
-        if params.kind == md.TRANSFORMER and params.pos_mode == "learned" \
-                and length > params.max_len:
-            rows.append({"L": int(length), "acc": float("nan"),
-                         "episodes": episodes, "precision": precision,
-                         "note": "capacity-exceeded"})
-            continue
-        batch = task.sample_batch(rng.child(li).generator(), np.full(episodes, length))
-        acc = float(np.mean(_hits(params, batch, operators=operators)))
-        rows.append({"L": int(length), "acc": acc, "episodes": episodes,
-                     "precision": precision, "note": ""})
+    for length, scored in zip(lengths, logits):
+        acc = float("nan") if scored is None \
+            else float(np.mean(np.argmax(scored, axis=1) == targets[length]))
+        rows.append({"L": length, "acc": acc, "episodes": episodes, "precision": precision,
+                     "note": "capacity-exceeded" if scored is None else ""})
     return rows
 
 

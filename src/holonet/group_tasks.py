@@ -19,6 +19,7 @@ episode's product is g_L . ... . g_1 applied left-to-right onto a point.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Annotated
 
@@ -121,13 +122,19 @@ def _token_block(gen: np.random.Generator, vocab: int, lengths) -> tuple:
 # ------------------------------------------------------------------ S3 task
 
 
-def s3_targets(ids: np.ndarray) -> np.ndarray:
-    """Product class id per row of a left-padded id block, folding the Cayley
-    table column by column."""
+def s3_prefix_targets(ids: np.ndarray):
+    """Product class id per row of a left-padded id block after each column,
+    folding the Cayley table column by column: a generator of (B,) arrays."""
     acc = np.zeros(ids.shape[0], dtype=np.intp)
     for col in np.where(ids == IDENTITY_STEP, 0, ids).T:   # id 0 is the identity
         acc = S3_CAYLEY[col, acc]
-    return acc
+        yield acc
+
+
+def s3_targets(ids: np.ndarray) -> np.ndarray:
+    """Product class id per row of a left-padded id block: the last value of
+    `s3_prefix_targets`."""
+    return deque(s3_prefix_targets(ids), maxlen=1)[0]
 
 
 def naive_s3_target(tokens) -> int:
@@ -172,16 +179,24 @@ def swap_token(v: int, i: int, j: int) -> int:
     return i * (2 * v - i - 1) // 2 + (j - i - 1)
 
 
-def binding_targets(ids: np.ndarray, v: int, queries: np.ndarray) -> np.ndarray:
-    """Replay each row's swaps on the identity assignment, then read the row's
-    query slot; ids is a left-padded block."""
+def binding_prefix_targets(ids: np.ndarray, v: int, queries: np.ndarray):
+    """Replay each row's swaps on the identity assignment column by column,
+    reading the row's query slot after each column: a generator of (B,)
+    arrays; ids is a left-padded block."""
     # the appended last pair, which IDENTITY_STEP (-1) picks, swaps slot 0 with itself
     pairs = np.concatenate([swap_vocabulary(v), [(0, 0)]])
     base = v * np.arange(ids.shape[0])[:, None]
     values = np.tile(np.arange(v), ids.shape[0])   # row r holds slots v*r .. v*r + v-1
+    read = base[:, 0] + queries
     for i, j in zip((base + pairs[ids, 0]).T, (base + pairs[ids, 1]).T):
         values[i], values[j] = values[j], values[i]
-    return values[base[:, 0] + queries]
+        yield values[read]
+
+
+def binding_targets(ids: np.ndarray, v: int, queries: np.ndarray) -> np.ndarray:
+    """Each row's query slot after its swaps: the last value of
+    `binding_prefix_targets`."""
+    return deque(binding_prefix_targets(ids, v, queries), maxlen=1)[0]
 
 
 def naive_binding_target(tokens, v: int, query: int) -> int:

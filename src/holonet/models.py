@@ -4,10 +4,12 @@ Each model has one numpy inference forward (`forward_batch`) and one training
 graph on a grad_engine.Tape (`tape_batch_loss`). Both read a batch as the
 sampler holds it: a (B, L) id block left-padded with IDENTITY_STEP and one
 readout id per row (None: readout 0), under one row-layout rule
-(`_checked_block`). Noise is one temperature T and one function,
-`inject_noise`: the energy-normalized update x + g * (T / sqrt(N)) * ||x||
-hits the recurrent state of the holonomic model and the RNNs and the residual
-stream of the transformer.
+(`_checked_block`). Noise is a temperature T, one per block of rows when a
+probe stacks several batches, and one function, `inject_noise`: the
+energy-normalized update x + g * (T / sqrt(N)) * ||x|| hits the recurrent
+state of the holonomic model and the RNNs and the residual stream of the
+transformer. A recurrent forward can also return the states after chosen
+columns, so one pass scores every prefix of a block.
 
 At inference each model runs its training nodes' kernels, so the two agree
 bit for bit. The holonomic operators are `HolonomicParams.operators`, the
@@ -353,25 +355,35 @@ def _layer_weights(source: dict, i: int) -> dict:
 
 
 def transformer_forward_batch(p: TransformerParams, ids: np.ndarray,
-                              temperature: float = 0.0,
-                              gen: np.random.Generator | None = None) -> np.ndarray:
+                              noise: tuple = ((), None)) -> np.ndarray:
     """Pooled (B, d) encodings of a checked left-padded (B, L) id block,
     packed once (`_pack`): each layer is one `encoder_layer_kernel` call over
     the (T, d) token stream.
 
-    With temperature > 0, each layer's output x then takes `inject_noise`
-    per token, g one (T, d) Gaussian block drawn from `gen`.
+    With `noise` (the blocks and per-row temperatures of `forward_batch`),
+    each layer's output x then takes `inject_noise` per token: each noised
+    block draws one Gaussian block over its own tokens, in the order they
+    would pack alone (the packing sort is stable).
     """
     w = p.weights
     tokens, positions, segments, lengths, rows = _pack(p, ids)
     table = w["pos"] if p.pos_mode == "learned" \
         else sinusoidal_table(ids.shape[1], p.d_model)
     x = w["embed"][tokens] + table[positions]
+    blocks, scale = noise
+    if blocks:
+        owner = np.repeat(rows, lengths)    # the block row of each stream token
+        streams = [(np.flatnonzero((owner >= block.start) & (owner < block.stop)), gen)
+                   for block, gen in blocks]
+        noised = _rows(scale[owner, 0] > 0)
+        g = np.empty(x.shape)
     for i in range(p.n_layers):
         x = ge.encoder_layer_kernel(x, segments, _layer_weights(w, i),
                                     p.n_heads)[0]
-        if temperature > 0:
-            x = inject_noise(x, temperature, gen.standard_normal(x.shape))
+        if blocks:
+            for stream, gen in streams:
+                g[stream] = gen.standard_normal((stream.size, p.d_model))
+            x[noised] = inject_noise(x[noised], scale[owner[noised]], g[noised])
     x = ge.layer_norm_kernel(x, w["ln_f_g"], w["ln_f_b"])[0]
     return ge.segment_pool_kernel(x, lengths, rows, p.pool == "mean")
 
@@ -410,13 +422,46 @@ def _transformer_tape_states(tape: ge.Tape, leaves: dict, ids: np.ndarray,
 # ===================================================================== dispatch
 
 
-def _recurrent_states(params, ids: np.ndarray, temperature: float,
-                      gen: np.random.Generator | None,
-                      operators: np.ndarray | None) -> np.ndarray:
-    """Final states of the holonomic model or an RNN, one column at a time,
-    by the step kernels of their training nodes: `grad_engine.token_step` over
-    the block's token schedule, in the layout it picked (`holonomic_scan`),
-    or `grad_engine.rnn_step` over the column's live rows (`rnn_scan`)."""
+def _rows(mask: np.ndarray):
+    """The rows a (B,) mask holds: a slice when they are one run, so that
+    indexing them takes a view, not a copy; else their indices."""
+    idx = np.flatnonzero(mask)
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _noise_blocks(b: int, temperature, rng) -> tuple:
+    """(blocks, scale) of a B-row batch's noise. One temperature and one
+    RngState noise every row; G temperatures and G RngStates split the rows
+    into G equal blocks, block k at temperature[k] from rng[k]. `blocks`
+    holds (rows, generator) of each block above temperature 0, `scale` each
+    row's temperature as a (B, 1) column."""
+    temps = np.atleast_1d(np.asarray(temperature, dtype=np.float64))
+    rngs = [rng] if rng is None or isinstance(rng, tc.RngState) else list(rng)
+    if temps.ndim != 1 or len(rngs) != temps.size or b % temps.size:
+        raise ArgumentError(f"need one rng per temperature, the {b} rows split "
+                            f"evenly among the {temps.size} temperatures")
+    if np.any(temps < 0):
+        raise ArgumentError("noise temperature must be >= 0")
+    size, blocks = b // temps.size, []
+    for k, (temp, r) in enumerate(zip(temps.tolist(), rngs)):
+        if temp > 0:
+            if r is None:
+                raise ArgumentError("noise temperature > 0 but no rng supplied")
+            blocks.append((slice(k * size, (k + 1) * size), r.generator()))
+    return blocks, np.repeat(temps, size)[:, None]
+
+
+def _recurrent_states(params, ids: np.ndarray, noise: tuple,
+                      operators: np.ndarray | None, columns) -> np.ndarray:
+    """States of the holonomic model or an RNN, one column at a time, by the
+    step kernels of their training nodes: `grad_engine.token_step` over the
+    block's token schedule, in the layout it picked (`holonomic_scan`), or
+    `grad_engine.rnn_step` over the column's live rows (`rnn_scan`). Returns
+    the final states (B, n), or with `columns` the states after each listed
+    column (K, B, n). Each noised block draws its (rows, n) Gaussian block per
+    column into one preallocated (B, n) block."""
     b, kind = ids.shape[0], params.kind
     if kind == HOLONOMIC:
         ops = params.operators() if operators is None else operators
@@ -426,23 +471,36 @@ def _recurrent_states(params, ids: np.ndarray, temperature: float,
     else:
         h = np.zeros((b, params.n))
         w_rec_t = params.w_rec.T
+    blocks, scale = noise
+    if blocks:
+        g = np.empty(h.shape)
+        hot = scale[:, 0] > 0
+    if columns is not None:
+        columns = np.asarray(columns, dtype=np.intp)
+        if not columns.size or columns.min() < 0 or columns.max() >= ids.shape[1]:
+            raise ArgumentError(f"need columns among the block's {ids.shape[1]}")
+        out = np.empty((columns.size,) + h.shape, h.dtype)
+        ids, wanted = ids[:, :columns.max() + 1], set(columns.tolist())
     for t, col in enumerate(ids.T):
         if kind == HOLONOMIC:
             ge.token_step(h, schedule, t, mats)
         else:
-            live = np.flatnonzero(col != ge.IDENTITY_STEP)
-            h[live] = ge.rnn_step(h, live, col[live], w_rec_t, params.w_in, params.bias,
+            rows = _rows(col != ge.IDENTITY_STEP)
+            h[rows] = ge.rnn_step(h, rows, col[rows], w_rec_t, params.w_in, params.bias,
                                   kind == NORMALIZED_RNN)[0]
-        if gen is not None:
-            live = np.flatnonzero(col != ge.IDENTITY_STEP)
-            hl = inject_noise(h[live], temperature, gen.standard_normal(h.shape)[live])
-            h[live] = hl if kind == RNN else ge.unit_kernel(hl)[0]
-    return h
+        if blocks:
+            for block, gen in blocks:
+                gen.standard_normal(out=g[block])
+            rows = _rows((col != ge.IDENTITY_STEP) & hot)
+            hl = inject_noise(h[rows], scale[rows], g[rows])
+            h[rows] = hl if kind == RNN else ge.unit_kernel(hl)[0]
+        if columns is not None and t in wanted:
+            out[columns == t] = h
+    return h if columns is None else out
 
 
-def forward_batch(params, ids, queries=None, temperature: float = 0.0,
-                  rng: tc.RngState | None = None, *,
-                  operators: np.ndarray | None = None):
+def forward_batch(params, ids, queries=None, temperature=0.0, rng=None, *,
+                  operators: np.ndarray | None = None, columns=None):
     """Final states (B, n) and logits (B, C) of any model over a (B, L)
     id block left-padded with IDENTITY_STEP (see `_checked_block`); the
     transformer's state is its pooled encoding.
@@ -451,24 +509,32 @@ def forward_batch(params, ids, queries=None, temperature: float = 0.0,
     its per-episode forward. With temperature > 0 all noise comes from the
     single generator of `rng`: for recurrent models one (B, n) Gaussian block
     per column, of which only live steps get `inject_noise`, for the
-    transformer one (T, d) block per layer over the T live tokens. `queries`
-    selects each row's readout (None: readout 0). Holonomic inference may
-    take precomputed `operators` (float32 for low-precision runs). Raises
+    transformer one (T, d) block per layer over the T live tokens. G
+    temperatures and G RngStates run G equal blocks of rows as one forward,
+    block k with the noise that forward_batch(block k, ..., temperature[k],
+    rng[k]) draws. A recurrent model given `columns` returns the states
+    (K, B, n) and logits (K, B, C) after each listed column from one pass: on
+    a block of equal-length rows, those of ids[:, :c + 1]. Both agree with
+    the separate forwards bit for bit wherever each column's products hold
+    two or more rows both ways (numpy multiplies a lone row by a
+    matrix-vector routine, which rounds differently). `queries` selects each
+    row's readout (None: readout 0). Holonomic inference may take
+    precomputed `operators` (float32 for low-precision runs). Raises
     NumericError on non-finite logits.
     """
     readout = params.to_dict()["readout"]
     ids, queries = _checked_block(ids, queries, params.vocab, readout.shape[0])
-    if temperature < 0:
-        raise ArgumentError("noise temperature must be >= 0")
-    if temperature > 0 and rng is None:
-        raise ArgumentError("noise temperature > 0 but no rng supplied")
-    gen = rng.generator() if temperature > 0 else None
+    noise = _noise_blocks(ids.shape[0], temperature, rng)
     if params.kind == TRANSFORMER:
-        h = transformer_forward_batch(params, ids, temperature, gen)
+        if columns is not None:
+            raise ArgumentError("the transformer has no state after a column")
+        h = transformer_forward_batch(params, ids, noise)
     else:
-        h = _recurrent_states(params, ids, temperature, gen, operators)
+        h = _recurrent_states(params, ids, noise, operators, columns)
     # a row's logits do not depend on the other rows, bit for bit
-    logits = np.einsum("bn,bcn->bc", h, readout[queries])
+    weights = readout[queries]
+    logits = np.einsum("bn,bcn->bc", h, weights) if columns is None \
+        else np.stack([np.einsum("bn,bcn->bc", hk, weights) for hk in h])
     if not np.all(np.isfinite(logits)):
         raise NumericError("forward_batch: non-finite logits")
     return h, logits

@@ -329,13 +329,30 @@ def test_each_rule_refuses_a_value_naming_its_key(tmp_path, monkeypatch, section
     ("train", "[model]\nkind = transformer\nn = 30\n", r"\[model\] n = 30 .*\[model\] heads"),
     ("scaling", "[model]\nkind = transformer\nn = 8\nheads = 4\n[scaling]\nwidths = 8,10\n",
      r"\[scaling\] widths entry 10 .*\[model\] heads"),
+    # the default lr_floor of 1e-4 lies above this lr: the schedule would rise
+    ("train", "[train]\nlr = 1e-5\nlr_schedule = cosine\n",
+     r"\[train\] lr_floor = 0.0001 lies above \[train\] lr = 1e-05"),
+    ("scaling", "[train]\nlr = 0.01\nlr_schedule = cosine\nlr_floor = 0.02\n",
+     r"\[train\] lr_floor = 0.02 lies above"),
 ], ids=["pca-duplicate-tags", "scaling-duplicate-widths", "scaling-width-below-variables",
-        "scaling-learned-table", "transformer-heads", "scaling-transformer-heads"])
+        "scaling-learned-table", "transformer-heads", "scaling-transformer-heads",
+        "train-cosine-floor-above-lr", "scaling-cosine-floor-above-lr"])
 def test_cross_field_checks_cover_every_trained_model(tmp_path, monkeypatch, command, text,
                                                       message):
     with pytest.raises(ConfigError, match=message):
         parse_config(f"[run]\nexperiment = {command}\n{text}")
     assert refused_before_compute(tmp_path, monkeypatch, command, text) == cli.EXIT_CONFIG
+
+
+def test_genlen_past_length_50_needs_64_bit_inference(tmp_path, monkeypatch):
+    # the one guard of genlen's precision: length_generalization_eval trusts it
+    run = "[run]\nexperiment = genlen\nprecision = 32\n"
+    assert parse_config(run + "[genlen]\nlengths = 20,50\n").precision == 32
+    with pytest.raises(ConfigError, match="genlen beyond L=50 requires precision = 64"):
+        parse_config(run + "[genlen]\nlengths = 50,51\n")
+    assert refused_before_compute(tmp_path, monkeypatch, "genlen",
+                                  "[run]\nprecision = 32\n[genlen]\nlengths = 51\n") \
+        == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("task", ["s3", "binding"])

@@ -439,12 +439,22 @@ def count_operator_builds(monkeypatch):
     return builds
 
 
-def test_noise_sweep_holonomic_same_seed_same_bits_and_noise_matters(monkeypatch):
-    p = md.init_holonomic(RngState(24), 8, 6, 6)
+def sweep_params(kind, seed):
+    """An untrained S3 model of each kind, n = d_model = 8."""
+    if kind == md.HOLONOMIC:
+        return md.init_holonomic(RngState(seed), 8, 6, 6)
+    if kind == md.TRANSFORMER:
+        return md.init_transformer(RngState(seed), 8, 1, 2, 8, 6, 6)
+    return md.init_rnn(RngState(seed), 8, 6, 6, normalized=kind == md.NORMALIZED_RNN)
+
+
+@pytest.mark.parametrize("kind", list(md.PARAMS))
+def test_noise_sweep_same_seed_same_bits_and_noise_matters(kind, monkeypatch):
+    p = sweep_params(kind, 24)
     grid = [0.0, 0.4, 3.0]
     builds = count_operator_builds(monkeypatch)
     a = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(25))
-    assert len(builds) == 1     # once per sweep, not once per noise level
+    assert len(builds) == (kind == md.HOLONOMIC)   # once per sweep, not per level
     b = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(25))
     c = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(26))
     assert np.array_equal(a.outcomes, b.outcomes) and np.array_equal(a.acc_hi, b.acc_hi)
@@ -458,26 +468,57 @@ def test_noise_sweep_holonomic_same_seed_same_bits_and_noise_matters(monkeypatch
         assert np.array_equal(a.outcomes[ti], np.argmax(logits, axis=1) == batch.targets)
 
 
+def count_step_calls(monkeypatch, kind):
+    """The calls of the recurrent step kernel that `kind` runs at inference."""
+    name = "token_step" if kind == md.HOLONOMIC else "rnn_step"
+    calls = []
+    step = getattr(ge, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(ge, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [md.HOLONOMIC, md.RNN, md.NORMALIZED_RNN])
+def test_sweep_and_genlen_step_each_column_once(kind, monkeypatch):
+    # the sweep's levels run as one block: L steps, not G L; genlen scores
+    # every length from one pass: max(lengths) steps, not their sum
+    p = sweep_params(kind, 30)
+    calls = count_step_calls(monkeypatch, kind)
+    ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.2, 0.5, 1.0], 16, RngState(31), length=7)
+    assert len(calls) == 7
+    calls.clear()
+    ex.length_generalization_eval(p, ex.TaskConfig(), [5, 60, 20], 8, 64, RngState(32))
+    assert len(calls) == 60
+
+
 @pytest.mark.parametrize("precision", [64, 32])
 @pytest.mark.parametrize("task", [ex.TaskConfig(), ex.TaskConfig(kind="binding", variables=4)])
 def test_length_generalization_matches_per_episode_loop(precision, task):
     p = md.init_holonomic(RngState(40), 8, task.vocab, task.n_classes,
                           n_queries=task.n_queries)
-    lengths = [3, 40] if precision == 32 else [3, 40, 300]
+    lengths = [3, 40] if precision == 32 else [3, 300, 40]
     rows = ex.length_generalization_eval(p, task, lengths, 32,
                                          precision, RngState(41))
     again = ex.length_generalization_eval(p, task, lengths, 32,
                                           precision, RngState(41))
     assert rows == again
     ops = p.operators().astype(np.float32 if precision == 32 else np.float64)
-    for li, (length, row) in enumerate(zip(lengths, rows)):
-        batch = task.sample_batch(RngState(41).child(li).generator(), np.full(32, length))
+    # every length scores a prefix of one batch at the longest length
+    batch = task.sample_batch(RngState(41).child(0).generator(), np.full(32, max(lengths)))
+    for length, row in zip(lengths, rows):
         correct = 0
-        for e in batch:   # the loop the experiment ran before batching
+        for e in batch:   # the loop the experiment ran before batching, on the prefix
+            prefix = e.tokens[:length]
             h = p.h0.astype(ops.dtype, copy=True)
-            for tok in e.tokens:
+            for tok in prefix:
                 h = ops[tok] @ h
-            correct += int(np.argmax(p.readout[e.query or 0] @ h) == e.target)
+            target = naive_s3_target(prefix) if e.query is None \
+                else naive_binding_target(prefix, task.variables, e.query)
+            correct += int(np.argmax(p.readout[e.query or 0] @ h) == target)
         assert row["acc"] == correct / 32
 
 
@@ -485,14 +526,14 @@ def test_length_generalization_rnn_and_transformer_score_the_same_batch():
     task = ex.TaskConfig()
     rnn = md.init_rnn(RngState(42), 8, 6, 6)
     tr = md.init_transformer(RngState(43), 8, 1, 2, 8, 6, 6, pos_mode="sinusoidal")
+    batch = task.sample_batch(RngState(44).child(0).generator(), np.full(24, 9))
     for params in (rnn, tr):
         rows = ex.length_generalization_eval(params, task, [4, 9], 24, 64,
                                              RngState(44))
-        for li, row in enumerate(rows):
-            batch = task.sample_batch(RngState(44).child(li).generator(),
-                                      np.full(24, row["L"]))
-            expected = np.mean([row_label(params, e.tokens) == e.target
-                                for e in batch])
+        for row in rows:
+            prefixes = [e.tokens[:row["L"]] for e in batch]
+            expected = np.mean([row_label(params, tokens) == naive_s3_target(tokens)
+                                for tokens in prefixes])
             assert row["acc"] == expected
 
 
@@ -552,13 +593,6 @@ def test_trivial_accuracy_is_the_best_token_blind_answer():
     assert ten.trivial_accuracy(1) == pytest.approx(0.8, abs=1e-12)
     assert ten.trivial_accuracy(5) == pytest.approx(0.356, abs=1e-3)
     assert ten.trivial_accuracy(50) == pytest.approx(0.1, abs=1e-5)
-
-
-def test_length_generalization_guards():
-    p = md.init_holonomic(RngState(26), 8, 6, 6)
-    with pytest.raises(ArgumentError):
-        ex.length_generalization_eval(p, ex.TaskConfig(),
-                                      [100], 16, 32, RngState(27))
 
 
 def test_length_generalization_capacity_note_for_learned_positions():

@@ -334,6 +334,63 @@ def test_forward_batch_noise_touches_only_live_steps():
     assert np.array_equal(states, again)
 
 
+@pytest.mark.parametrize("kind", list(md.PARAMS))
+def test_stacked_blocks_take_the_noise_and_bits_of_their_own_forwards(kind):
+    # G temperatures and G rngs run G equal blocks as one forward, each block
+    # as it runs alone; a block at T = 0 draws nothing, so the noised rows are
+    # not one run, and neither are the live rows of the early columns. Every
+    # column's products keep two or more rows, alone and stacked.
+    params = binding_params(kind, 80, pos_mode="sinusoidal") if kind == md.TRANSFORMER \
+        else binding_params(kind, 80)
+    temps = [0.5, 0.0, 1.5]
+    rngs = [RngState(81).child(k) for k in range(3)]
+    lengths = [7] * 9 + [3, 5, 2]
+    blocks = [binding_batch(82 + k, lengths) for k in range(3)]
+    ids = np.concatenate([b.ids for b in blocks])
+    queries = np.concatenate([b.queries for b in blocks])
+    states, logits = md.forward_batch(params, ids, queries, temps, rngs)
+    rows = len(lengths)
+    for k, (b, temp, rng) in enumerate(zip(blocks, temps, rngs)):
+        alone_states, alone = md.forward_batch(params, b.ids, b.queries, temp, rng)
+        assert np.array_equal(states[k * rows:(k + 1) * rows], alone_states)
+        assert np.array_equal(logits[k * rows:(k + 1) * rows], alone)
+    with pytest.raises(ArgumentError):
+        md.forward_batch(params, ids, queries, temps, rngs[:2])
+
+
+@pytest.mark.parametrize("kind, precision",
+                         [(md.HOLONOMIC, 64), (md.HOLONOMIC, 32), (md.RNN, 64),
+                          (md.NORMALIZED_RNN, 64)])
+@pytest.mark.parametrize("task", ["s3", "binding"])
+def test_states_after_each_column_are_the_prefix_forwards_bit_for_bit(kind, precision,
+                                                                      task):
+    # one pass over a block of equal-length rows reads, after column c, the
+    # states and logits of the block's length-(c + 1) prefix run alone
+    if task == "s3":
+        params = recurrent_params(kind, 84)
+        batch = s3_sample_batch(RngState(85).generator(), np.full(24, 60))
+    else:
+        params = binding_params(kind, 86)
+        batch = binding_batch(87, np.full(24, 60))
+    ops = se.build_operators(params, precision) if kind == md.HOLONOMIC else None
+    columns = [59, 0, 9, 9, 40]
+    states, logits = md.forward_batch(params, batch.ids, batch.queries, operators=ops,
+                                      columns=columns)
+    assert states.shape == (5, 24, params.n) and logits.shape[:2] == (5, 24)
+    for k, c in enumerate(columns):
+        alone_states, alone = md.forward_batch(params, batch.ids[:, :c + 1],
+                                               batch.queries, operators=ops)
+        assert states.dtype == alone_states.dtype
+        assert np.array_equal(states[k], alone_states)
+        assert np.array_equal(logits[k], alone)
+    for bad in ([60], [-1], []):
+        with pytest.raises(ArgumentError):
+            md.forward_batch(params, batch.ids, batch.queries, operators=ops, columns=bad)
+    with pytest.raises(ArgumentError):
+        md.forward_batch(binding_params(md.TRANSFORMER, 88), batch.ids[:, :5],
+                         batch.queries, columns=[2])
+
+
 def test_forward_batch_noise_energy_scaling():
     # one step from h0 on a batch: E ||eta||^2 = T^2 ||h||^2, as for inject_noise
     n, temp, b = 16, 0.7, 6000
