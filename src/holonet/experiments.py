@@ -494,37 +494,38 @@ def length_generalization_eval(params, task: TaskConfig, lengths,
                                episodes: int, precision: int,
                                rng: tc.RngState) -> list[dict]:
     """Accuracy at each length on the length-L prefixes of one batch of
-    `episodes` fresh episodes of length max(lengths), drawn from
-    rng.child(0). A uniformly random prefix is itself a uniformly random
+    `episodes` fresh episodes, drawn from rng.child(0) at the longest length
+    the model scores. A uniformly random prefix is itself a uniformly random
     episode, but the lengths share their episodes, so their rows are
     correlated, not independent samples. The targets come from one fold of
     the task's simulator over the columns. A recurrent model scores every
     length from one pass, the transformer runs each prefix on its own, and a
-    prefix past its learned positional table is recorded as
-    capacity-exceeded instead of silently scored."""
+    length past its learned positional table is recorded as
+    capacity-exceeded instead of silently scored; no episode is sampled for it."""
     lengths = [int(length) for length in lengths]
-    longest = max(lengths)
-    batch = task.sample_batch(rng.child(0).generator(), np.full(episodes, longest))
-    # the sampler labelled the longest prefix; the fold stops at the next one
-    shorter = max((length for length in lengths if length < longest), default=0)
-    targets = {length: y for length, y in
-               zip(range(1, shorter + 1), task.prefix_targets(batch)) if length in lengths}
-    targets[longest] = batch.targets
-    if params.kind == md.TRANSFORMER:
-        logits = [None if params.pos_mode == "learned" and length > params.max_len
-                  else md.forward_batch(params, batch.ids[:, :length], batch.queries)[1]
-                  for length in lengths]
-    else:
-        ops = se.build_operators(params, precision) if params.kind == md.HOLONOMIC else None
-        logits = md.forward_batch(params, batch.ids, batch.queries, operators=ops,
-                                  columns=[length - 1 for length in lengths])[1]
-    rows = []
-    for length, scored in zip(lengths, logits):
-        acc = float("nan") if scored is None \
-            else float(np.mean(np.argmax(scored, axis=1) == targets[length]))
-        rows.append({"L": length, "acc": acc, "episodes": episodes, "precision": precision,
-                     "note": "capacity-exceeded" if scored is None else ""})
-    return rows
+    scored = [length for length in lengths if params.kind != md.TRANSFORMER
+              or params.pos_mode != "learned" or length <= params.max_len]
+    acc = {}
+    if scored:
+        longest = max(scored)
+        batch = task.sample_batch(rng.child(0).generator(), np.full(episodes, longest))
+        # the sampler labelled the longest prefix; the fold stops at the next one
+        shorter = max((length for length in scored if length < longest), default=0)
+        targets = {length: y for length, y in
+                   zip(range(1, shorter + 1), task.prefix_targets(batch)) if length in scored}
+        targets[longest] = batch.targets
+        if params.kind == md.TRANSFORMER:
+            logits = [md.forward_batch(params, batch.ids[:, :length], batch.queries)[1]
+                      for length in scored]
+        else:
+            ops = se.build_operators(params, precision) if params.kind == md.HOLONOMIC else None
+            logits = md.forward_batch(params, batch.ids, batch.queries, operators=ops,
+                                      columns=[length - 1 for length in scored])[1]
+        acc = {length: float(np.mean(np.argmax(x, axis=1) == targets[length]))
+               for length, x in zip(scored, logits)}
+    return [{"L": length, "acc": acc.get(length, float("nan")), "episodes": episodes,
+             "precision": precision, "note": "" if length in acc else "capacity-exceeded"}
+            for length in lengths]
 
 
 # ===================================================================== memory horizon

@@ -605,6 +605,22 @@ def test_length_generalization_capacity_note_for_learned_positions():
     assert math.isnan(rows[1]["acc"])
 
 
+def test_genlen_samples_no_column_past_a_learned_positional_table(monkeypatch):
+    p = md.init_transformer(RngState(28), 16, 1, 2, 16, 6, 6,
+                            pos_mode="learned", max_len=8)
+    sample = ex.TaskConfig.sample_batch
+    shapes = []
+    monkeypatch.setattr(ex.TaskConfig, "sample_batch", lambda self, gen, lengths:
+                        shapes.append(np.shape(lengths) + (max(lengths),))
+                        or sample(self, gen, lengths))
+    rows = ex.length_generalization_eval(p, ex.TaskConfig(), [4, 16, 6], 8, 64, RngState(29))
+    assert shapes == [(8, 6)]     # one batch at the longest scored length
+    assert [row["note"] for row in rows] == ["", "capacity-exceeded", ""]
+    shapes.clear()
+    rows = ex.length_generalization_eval(p, ex.TaskConfig(), [16, 5000], 8, 64, RngState(29))
+    assert shapes == [] and all(math.isnan(row["acc"]) for row in rows)
+
+
 def test_train_smoke_converges_tiny_holonomic():
     cur = Curriculum(kind="stepwise", l_min=1, l_max=2)
     cfg = ex.TrainConfig(steps=900, batch=32, eval_interval=20,
