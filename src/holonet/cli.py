@@ -132,16 +132,19 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """Accuracy per noise level and T_c. Each level's band (acc_lo, acc_hi)
+    and T_c's CI come from one paired resample of the episodes, the same
+    indices at every level, so the levels' bands are correlated."""
     params = _load_params(cfg.sweep.checkpoint)
     rng = RngState(cfg.seed).child(1)
     sweep = ex.noise_sweep(params, cfg.task, cfg.sweep.grid(),
                            cfg.sweep.episodes, rng, cfg.sweep.length)
-    chance = cfg.task.trivial_accuracy(cfg.sweep.length)
-    tc = ex.estimate_tc(sweep, cfg.sweep.threshold, rng.child(99), chance=chance)
+    tc = ex.estimate_tc(sweep, cfg.sweep.threshold, rng.child(99))
     rows = [{"T": t, "acc_mean": m, "acc_lo": lo, "acc_hi": hi, "episodes": sweep.episodes}
-            for t, m, lo, hi in zip(sweep.grid, sweep.acc_mean, sweep.acc_lo, sweep.acc_hi)]
+            for t, m, lo, hi in zip(sweep.grid, sweep.acc_mean, tc.acc_lo, tc.acc_hi)]
     write_run(cfg, "sweep", {"curve.csv": rows}, {
-        "model": params.kind, "threshold": cfg.sweep.threshold, "chance": chance,
+        "model": params.kind, "threshold": cfg.sweep.threshold,
+        "chance": cfg.task.trivial_accuracy(cfg.sweep.length),
         "Tc": tc.value, "Tc_ci": [tc.lo, tc.hi], "censored": tc.censored})
     return EXIT_OK
 

@@ -160,17 +160,19 @@ class TrainResult:
 @dataclass
 class SweepResult:
     grid: np.ndarray
-    acc_mean: np.ndarray
-    acc_lo: np.ndarray
-    acc_hi: np.ndarray
-    episodes: int
-    outcomes: np.ndarray | None = None  # (len(grid), episodes) bools
+    outcomes: np.ndarray    # (len(grid), episodes) bools: whether each episode was right
 
     def __post_init__(self):
         if np.any(np.diff(self.grid) <= 0):
             raise ArgumentError("noise grid must be strictly increasing")
-        if np.any((self.acc_mean < 0) | (self.acc_mean > 1)):
-            raise ArgumentError("accuracies must lie in [0, 1]")
+
+    @property
+    def acc_mean(self) -> np.ndarray:
+        return self.outcomes.mean(axis=1)
+
+    @property
+    def episodes(self) -> int:
+        return self.outcomes.shape[1]
 
 
 @dataclass
@@ -179,6 +181,8 @@ class TcEstimate:
     lo: float
     hi: float
     censored: str | None = None  # None | "right" | "all-fail"
+    acc_lo: np.ndarray | None = None    # each level's 2.5-97.5% accuracy band
+    acc_hi: np.ndarray | None = None
 
 
 @dataclass
@@ -304,11 +308,10 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
     trained in place, and a non-convergence result (converged=False) if the
     step budget runs out. A non-finite loss or pre-clip gradient norm raises
     NumericError before the update, so the parameters are never poisoned.
-    Each log entry carries that step's pre-clip gradient norm.
+    Each log entry carries that step's pre-clip gradient norm. A learned
+    positional table shorter than a batch stops the run with CapacityError
+    (`models._pack`).
     """
-    if model_cfg.kind == md.TRANSFORMER and model_cfg.pos_mode == "learned" \
-            and curriculum.l_max > model_cfg.max_len:
-        raise ArgumentError("learned positional table smaller than curriculum l_max")
     params = model_cfg.build(rng.child(0), task)
     store = ge.ParamStore(params.to_dict())     # params' own arrays: Adam updates them
     log: list[dict] = []
@@ -358,8 +361,7 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
 
 
 def noise_sweep(params, task: TaskConfig, t_grid, episodes: int,
-                rng: tc.RngState, length: int = 5,
-                bootstrap: int = 1000) -> SweepResult:
+                rng: tc.RngState, length: int = 5) -> SweepResult:
     """Accuracy versus noise temperature over fresh length-`length` episodes;
     noise level i draws its episodes from rng.child(0, i) and its noise from
     rng.child(1, i). The levels' batches run stacked, each level's rows at
@@ -380,11 +382,7 @@ def noise_sweep(params, task: TaskConfig, t_grid, episodes: int,
                         np.concatenate([b.targets for b in batches]), queries)
         hits = _hits(params, stacked, t_grid[block], [rng.child(1, ti) for ti in levels], ops)
         outcomes[block] = hits.reshape(len(levels), episodes)
-    boot_gen = rng.child(2).generator()
-    means = np.stack([level[boot_gen.integers(0, episodes, size=(bootstrap, episodes))]
-                      .mean(axis=1) for level in outcomes])
-    lo, hi = np.percentile(means, [2.5, 97.5], axis=1)
-    return SweepResult(t_grid, outcomes.mean(axis=1), lo, hi, episodes, outcomes)
+    return SweepResult(t_grid, outcomes)
 
 
 def _plugin_tc(grid: np.ndarray, acc: np.ndarray, qualifies: np.ndarray,
@@ -407,31 +405,32 @@ def _plugin_tc(grid: np.ndarray, acc: np.ndarray, qualifies: np.ndarray,
 
 
 def estimate_tc(sweep: SweepResult, threshold: float = 0.99,
-                rng: tc.RngState | None = None, bootstrap: int = 1000,
-                chance: float = 0.0) -> TcEstimate:
+                rng: tc.RngState | None = None, bootstrap: int = 1000) -> TcEstimate:
     """Largest noise level whose mean accuracy clears the fidelity threshold,
-    refined by linear interpolation toward the crossing. The CI resamples the
-    episodes `bootstrap` times (one (bootstrap, n) draw of indices) and takes
-    every resample's T_c by the same rule, all at once: the CI measures the
-    value. A resample's accuracies are its index counts against the outcomes,
-    sums of integers and so exact."""
-    if not chance < threshold <= 1.0:
-        raise ArgumentError(f"threshold must lie in ({chance}, 1]")
-    qualifies = sweep.acc_mean >= threshold
-    value = float(_plugin_tc(sweep.grid, sweep.acc_mean[None], qualifies[None],
-                             threshold)[0])
+    refined by linear interpolation toward the crossing, with every level's
+    accuracy band and T_c's CI from one paired resample. The resample draws
+    the episodes `bootstrap` times (one (bootstrap, n) draw of indices, the
+    same indices at every level) and takes every resample's T_c by the same
+    rule, all at once: the CI measures the value. A resample's accuracies are
+    its index counts against the outcomes, sums of integers and so exact; the
+    2.5-97.5% percentiles of each level's column are its band."""
+    if not 0.0 < threshold <= 1.0:
+        raise ArgumentError("threshold must lie in (0, 1]")
+    mean = sweep.acc_mean
+    qualifies = mean >= threshold
+    value = float(_plugin_tc(sweep.grid, mean[None], qualifies[None], threshold)[0])
     censored = "all-fail" if not qualifies.any() else "right" if qualifies[-1] else None
-    if sweep.outcomes is None:
-        return TcEstimate(value, value, value, censored)
     gen = (rng or tc.RngState(0)).generator()
-    n = sweep.outcomes.shape[1]
+    n = sweep.episodes
     idx = gen.integers(0, n, size=(bootstrap, n))
     idx += n * np.arange(bootstrap)[:, None]
     counts = np.bincount(idx.ravel(), minlength=bootstrap * n).reshape(bootstrap, n)
     acc = counts @ sweep.outcomes.T.astype(np.float64) / n     # (bootstrap, G)
     samples = _plugin_tc(sweep.grid, acc, acc >= threshold, threshold)
     lo, hi = np.percentile(samples, [2.5, 97.5])
-    return TcEstimate(value, float(lo), float(hi), censored)
+    # nothing reads acc after this: its columns are partitioned in place
+    acc_lo, acc_hi = np.percentile(acc, [2.5, 97.5], axis=0, overwrite_input=True)
+    return TcEstimate(value, float(lo), float(hi), censored, acc_lo, acc_hi)
 
 
 # ===================================================================== scaling
@@ -455,8 +454,6 @@ def fit_log_scaling(points) -> ScalingFit:
         raise ArgumentError("need at least 3 (N, T_c) points")
     if len(set(ns)) != len(ns):
         raise ArgumentError("duplicate N in scaling points")
-    if len(set(ns)) < 2:
-        raise ArgumentError("degenerate design: all N equal")
     alpha, beta, r2 = _line_fit(np.log(ns), np.array([t for _, t in pts]))
     return ScalingFit(alpha, beta, r2)
 
@@ -469,19 +466,15 @@ def finite_size_scan(n_grid, task: TaskConfig, curriculum: Curriculum,
     each width trained as `model` with its `n` replaced. One row per width;
     a width that did not converge is flagged, with NaN T_c, and is left out
     of downstream fits."""
-    ns = [int(n) for n in n_grid]
-    if len(set(ns)) != len(ns):
-        raise ArgumentError("duplicate N in width grid")
     rows = []
-    for n in ns:
+    for n in map(int, n_grid):
         nrng = rng.child(n)
         result = train(replace(model, n=n), task, curriculum, train_cfg, nrng.child(0))
         est = TcEstimate(math.nan, math.nan, math.nan)
         if result.converged:
             sweep = noise_sweep(result.params, task, sweep_grid,
                                 sweep_episodes, nrng.child(1), length)
-            est = estimate_tc(sweep, threshold, nrng.child(2),
-                              chance=task.trivial_accuracy(length))
+            est = estimate_tc(sweep, threshold, nrng.child(2))
         rows.append({"N": n, "Tc": est.value, "Tc_lo": est.lo, "Tc_hi": est.hi,
                      "converged": result.converged})
     return rows

@@ -30,39 +30,21 @@ from .grad_engine import IDENTITY_STEP
 from .tensor_core import RngState
 
 
-@dataclass(frozen=True)
-class Perm:
-    """A permutation of [0, V) stored as its image array."""
-
-    image: tuple
-
-    def __post_init__(self):
-        v = len(self.image)
-        if sorted(self.image) != list(range(v)):
-            raise ArgumentError(f"not a permutation image: {self.image}")
-
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
-    def __call__(self, point: int) -> int:
-        return self.image[point]
+def perm_compose(a: tuple, b: tuple) -> tuple:
+    """The permutation a . b of [0, V), each as its image tuple:
+    (a . b)[i] = a[b[i]]  (b acts first)."""
+    if len(a) != len(b):
+        raise ArgumentError(f"perm_compose: size mismatch {len(a)} vs {len(b)}")
+    return tuple(a[i] for i in b)
 
 
-def perm_compose(a: Perm, b: Perm) -> Perm:
-    """(a . b).image[i] = a.image[b.image[i]]  (b acts first)."""
-    if a.size != b.size:
-        raise ArgumentError(f"perm_compose: size mismatch {a.size} vs {b.size}")
-    return Perm(tuple(a.image[b.image[i]] for i in range(a.size)))
+# S3 elements as image tuples in lexicographic order; ids are indices into this list.
+S3_ELEMENTS = tuple(itertools.permutations(range(3)))
+S3_INDEX = {p: i for i, p in enumerate(S3_ELEMENTS)}
 
 
-# S3 elements in lexicographic image order; ids are indices into this list.
-S3_ELEMENTS = tuple(Perm(p) for p in itertools.permutations(range(3)))
-S3_INDEX = {p.image: i for i, p in enumerate(S3_ELEMENTS)}
-
-
-def s3_id(p: Perm) -> int:
-    return S3_INDEX[p.image]
+def s3_id(p: tuple) -> int:
+    return S3_INDEX[p]
 
 
 # S3_CAYLEY[a, b] is the id of a . b (b acts first)
@@ -143,7 +125,7 @@ def naive_s3_target(tokens) -> int:
     for start in range(3):
         w = start
         for tok in tokens:
-            w = S3_ELEMENTS[tok].image[w]
+            w = S3_ELEMENTS[tok][w]
         image.append(w)
     return S3_INDEX[tuple(image)]
 

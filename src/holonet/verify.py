@@ -234,11 +234,14 @@ def check_tc_estimator(_seed):
     grid = np.linspace(0, 1.0, 11)
     step = np.where(grid < 0.3, 1.0, 1.0 / 6.0)
     outcomes = np.tile(step[:, None], (1, 400)) > RngState(1).generator().random((11, 400))
-    acc = outcomes.mean(axis=1)
-    lo = np.where(acc >= 1.0, 1.0, acc - 0.02)  # degenerate CI at perfect accuracy
-    sweep = SweepResult(grid, acc, lo, np.minimum(acc + 0.02, 1.0), 400, outcomes)
+    sweep = SweepResult(grid, outcomes)
     tc_est = estimate_tc(sweep, threshold=0.99, rng=RngState(2))
     assert abs(tc_est.value - 0.3) <= 0.1 + 1e-9, f"step-curve Tc {tc_est.value}"
+    assert tc_est.lo <= tc_est.value <= tc_est.hi, f"Tc CI {tc_est.lo, tc_est.hi}"
+    # every level's band holds its mean, and a perfect level's band is the point 1
+    acc = sweep.acc_mean
+    assert np.all((tc_est.acc_lo <= acc) & (acc <= tc_est.acc_hi)), "a band misses its mean"
+    assert np.all(tc_est.acc_lo[acc == 1.0] == 1.0), "a perfect level's band is not [1, 1]"
 
 
 def check_scaling_fit(_seed):

@@ -117,6 +117,37 @@ def test_a_rerun_leaves_no_curve_of_the_run_it_replaces(tmp_path):
                                                      "summary.txt"]
 
 
+# A tiny S3 model (n = 8, trained to l_max = 2) swept at length 2: every
+# value the sweep writes except the resampled bands
+PINNED_SWEEP_CURVE = [
+    ("0.0", "1.0"), ("0.25", "0.96875"), ("0.5", "0.859375"), ("0.75", "0.59375"),
+    ("1.0", "0.546875"), ("1.25", "0.46875"), ("1.5", "0.234375"), ("1.75", "0.328125"),
+    ("2.0", "0.3125")]
+PINNED_SWEEP_SUMMARY = {"Tc": 0.08000000000000007,
+                        "Tc_ci": [0.03200000000000003, 0.27285714285714285],
+                        "censored": None}
+
+
+def test_sweep_of_a_tiny_checkpoint_writes_its_pinned_values(tmp_path):
+    config = tmp_path / "tiny.ini"
+    out = tmp_path / "out"
+    config.write_text("[model]\nn = 8\n[curriculum]\nl_max = 2\n"
+                      "[noise]\nlength = 2\npoints = 9\nt_max = 2.0\nepisodes = 64\n"
+                      f"checkpoint = {out / 'train' / 'seed0' / 'model.ckpt'}\n")
+    for command in ("train", "sweep"):
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    with open(out / "sweep" / "seed0" / "curve.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["T"], r["acc_mean"]) for r in rows] == PINNED_SWEEP_CURVE
+    assert all(r["episodes"] == "64" for r in rows)
+    summary = cli.read_summary(out / "sweep" / "seed0" / "summary.txt")
+    assert {key: summary[key] for key in PINNED_SWEEP_SUMMARY} == PINNED_SWEEP_SUMMARY
+    # every level's band holds its mean; the perfect level's is the point 1
+    for r in rows:
+        assert float(r["acc_lo"]) <= float(r["acc_mean"]) <= float(r["acc_hi"]), r
+    assert (rows[0]["acc_lo"], rows[0]["acc_hi"]) == ("1.0", "1.0")
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -10,7 +10,7 @@ from holonet import experiments as ex
 from holonet import grad_engine as ge
 from holonet import models as md
 from holonet.config import parse_config
-from holonet.errors import ArgumentError
+from holonet.errors import ArgumentError, CapacityError, ConfigError
 from holonet.group_tasks import Curriculum, naive_binding_target, naive_s3_target
 from holonet.tensor_core import RngState, mat_exp, skew
 
@@ -24,11 +24,7 @@ def synthetic_sweep(acc_per_t, episodes=400, seed=0):
     grid = np.linspace(0, 1.0, len(acc_per_t))
     probs = np.asarray(acc_per_t, dtype=float)
     draws = RngState(seed).generator().random((len(acc_per_t), episodes))
-    outcomes = draws < probs[:, None]
-    acc = outcomes.mean(axis=1)
-    lo = np.where(acc >= 1.0, 1.0, np.maximum(acc - 0.02, 0.0))
-    hi = np.minimum(acc + 0.02, 1.0)
-    return ex.SweepResult(grid, acc, lo, hi, episodes, outcomes)
+    return ex.SweepResult(grid, draws < probs[:, None])
 
 
 # ---------------------------------------------------------------- estimate_tc
@@ -61,20 +57,17 @@ def test_tc_monotone_in_pointwise_accuracy():
     better_outcomes = base.outcomes.copy()
     flip = RngState(6).generator().random(better_outcomes.shape) < 0.3
     better_outcomes |= flip  # only adds successes
-    acc = better_outcomes.mean(axis=1)
-    better = ex.SweepResult(base.grid, acc,
-                            np.where(acc >= 1.0, 1.0, acc - 0.02),
-                            np.minimum(acc + 0.02, 1.0),
-                            base.episodes, better_outcomes)
+    better = ex.SweepResult(base.grid, better_outcomes)
     t_base = ex.estimate_tc(base, 0.99, RngState(7)).value
     t_better = ex.estimate_tc(better, 0.99, RngState(7)).value
     assert t_better >= t_base
 
 
 def loop_tc(sweep, threshold, rng, bootstrap=1000):
-    """(value, censored, lo, hi) by estimate_tc's rule, the value and every
-    bootstrap sample the largest level whose mean clears the threshold, one
-    sample per loop step: the oracle for its vectorized form."""
+    """(value, censored, lo, hi, acc_lo, acc_hi) by estimate_tc's rule, the
+    value and every bootstrap sample the largest level whose mean clears the
+    threshold, and each level's band the percentiles of its resampled means,
+    one sample per loop step: the oracle for its vectorized form."""
     grid = sweep.grid
 
     def plugin(acc, qualifies):
@@ -94,11 +87,14 @@ def loop_tc(sweep, threshold, rng, bootstrap=1000):
     gen = rng.generator()
     n = sweep.outcomes.shape[1]
     samples = np.empty(bootstrap)
+    means = np.empty((sweep.grid.size, bootstrap))
     for b in range(bootstrap):
         acc = sweep.outcomes[:, gen.integers(0, n, size=n)].mean(axis=1)
         samples[b], _ = plugin(acc, acc >= threshold)
+        means[:, b] = acc
     lo, hi = np.percentile(samples, [2.5, 97.5])
-    return value, censored, float(lo), float(hi)
+    acc_lo, acc_hi = np.array([np.percentile(level, [2.5, 97.5]) for level in means]).T
+    return value, censored, float(lo), float(hi), acc_lo, acc_hi
 
 
 TC_SWEEPS = {
@@ -117,7 +113,9 @@ def test_tc_bootstrap_matches_the_per_sample_loop_bit_for_bit(name, threshold):
     probs, episodes = TC_SWEEPS[name]
     sweep = synthetic_sweep(probs, episodes=episodes, seed=len(name))
     tc = ex.estimate_tc(sweep, threshold, RngState(8))
-    assert (tc.value, tc.censored, tc.lo, tc.hi) == loop_tc(sweep, threshold, RngState(8))
+    value, censored, lo, hi, acc_lo, acc_hi = loop_tc(sweep, threshold, RngState(8))
+    assert (tc.value, tc.censored, tc.lo, tc.hi) == (value, censored, lo, hi)
+    assert np.array_equal(tc.acc_lo, acc_lo) and np.array_equal(tc.acc_hi, acc_hi)
 
 
 @pytest.mark.parametrize("name", sorted(TC_SWEEPS))
@@ -128,18 +126,25 @@ def test_tc_ci_holds_its_value(name, threshold):
     sweep = synthetic_sweep(probs, episodes=episodes, seed=len(name))
     tc = ex.estimate_tc(sweep, threshold, RngState(8))
     assert tc.lo <= tc.value <= tc.hi
+    assert np.all((tc.acc_lo <= sweep.acc_mean) & (sweep.acc_mean <= tc.acc_hi))
 
 
 def test_tc_threshold_validation():
     sweep = synthetic_sweep([1.0, 0.5])
-    with pytest.raises(ArgumentError):
-        ex.estimate_tc(sweep, 1.5)
+    for threshold in (1.5, 0.0, -0.1):
+        with pytest.raises(ArgumentError, match=r"threshold must lie in \(0, 1\]"):
+            ex.estimate_tc(sweep, threshold)
 
 
 def test_sweep_result_validation():
     with pytest.raises(ArgumentError):
-        ex.SweepResult(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-                       np.array([1.0, 1.0]), np.array([1.0, 1.0]), 4)
+        ex.SweepResult(np.array([0.0, 0.0]), np.ones((2, 4), dtype=bool))
+
+
+def test_sweep_result_derives_its_means_and_episodes_from_its_outcomes():
+    sweep = synthetic_sweep([1.0, 0.5, 0.1], episodes=40)
+    assert sweep.episodes == 40
+    assert np.array_equal(sweep.acc_mean, np.count_nonzero(sweep.outcomes, axis=1) / 40)
 
 
 # ---------------------------------------------------------------- scaling fit
@@ -186,11 +191,13 @@ def test_fit_rejects_bad_designs():
         ex.fit_log_scaling([(8, 0.1), (8, 0.2), (16, 0.3)])
 
 
-def test_finite_size_scan_rejects_duplicates():
-    with pytest.raises(ArgumentError):
-        ex.finite_size_scan([8, 8, 16], ex.TaskConfig(),
-                            Curriculum(kind="stepwise", l_min=1, l_max=2),
-                            ex.TrainConfig(steps=1), [0.0, 0.5], 8, RngState(0))
+def test_duplicate_widths_are_refused_by_the_widths_rule_and_the_fit():
+    # finite_size_scan takes its widths as given: a scaling config's widths
+    # rule refuses a repeat, and the fit refuses a repeated N from code
+    with pytest.raises(ConfigError, match=r"\[scaling\] widths"):
+        parse_config("[scaling]\nwidths = 8,16,8\n")
+    with pytest.raises(ArgumentError, match="duplicate N"):
+        ex.fit_log_scaling([(8, 0.1), (16, 0.2), (8, 0.3)])
 
 
 # ---------------------------------------------------------------- horizon
@@ -424,7 +431,8 @@ def test_noise_sweep_bit_reproducible():
     a = ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.3], 64, RngState(25))
     b = ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.3], 64, RngState(25))
     assert np.array_equal(a.outcomes, b.outcomes)
-    assert np.array_equal(a.acc_lo, b.acc_lo)
+    bands = [ex.estimate_tc(s, 0.99, RngState(25).child(99)) for s in (a, b)]
+    assert np.array_equal(bands[0].acc_lo, bands[1].acc_lo)
 
 
 def count_operator_builds(monkeypatch):
@@ -457,7 +465,9 @@ def test_noise_sweep_same_seed_same_bits_and_noise_matters(kind, monkeypatch):
     assert len(builds) == (kind == md.HOLONOMIC)   # once per sweep, not per level
     b = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(25))
     c = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(26))
-    assert np.array_equal(a.outcomes, b.outcomes) and np.array_equal(a.acc_hi, b.acc_hi)
+    bands = [ex.estimate_tc(s, 0.99, RngState(25).child(99)) for s in (a, b)]
+    assert np.array_equal(a.outcomes, b.outcomes)
+    assert np.array_equal(bands[0].acc_hi, bands[1].acc_hi)
     assert not np.array_equal(a.outcomes, c.outcomes)
     # level i scores its batch from rng.child(0, i) with noise from rng.child(1, i)
     for ti, temp in enumerate(grid):
@@ -746,3 +756,17 @@ def test_train_nonconvergence_carries_params():
     assert not res.converged
     assert res.params is not None
     assert res.steps_used == 8
+
+
+def test_train_past_a_learned_positional_table_stops_at_the_first_batch():
+    # built in code, no config rule sees it: the packed stream refuses the batch
+    model = ex.ModelConfig(kind=md.TRANSFORMER, n=8, layers=1, heads=2, max_len=2)
+    cur = Curriculum(kind="stepwise", l_min=3, l_max=3)
+    with pytest.raises(CapacityError, match="exceeds learned positional table of 2"):
+        ex.train(model, ex.TaskConfig(), cur, ex.TrainConfig(steps=4, batch=4), RngState(32))
+
+
+def test_model_config_built_in_code_refuses_an_unknown_kind():
+    # a config file's kind is checked as it is read; one built in code is not
+    with pytest.raises(ArgumentError, match="unknown model kind: lstm"):
+        ex.ModelConfig(kind="lstm").build(RngState(33), ex.TaskConfig())

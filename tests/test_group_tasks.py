@@ -10,7 +10,6 @@ from holonet.group_tasks import (
     S3_ELEMENTS,
     Curriculum,
     Episode,
-    Perm,
     binding_targets,
     curriculum_advance,
     naive_binding_target,
@@ -28,7 +27,7 @@ from holonet.group_tasks import (
 )
 from holonet.tensor_core import RngState
 
-IDENTITY = Perm((0, 1, 2))
+IDENTITY = (0, 1, 2)
 
 
 def binding_target(tokens, v, query):
@@ -47,10 +46,7 @@ def test_identity_law_all_s3():
 
 def test_transposition_composition_witness():
     # cycle notation: (01).(12) = (012), while (12).(01) = (021)
-    t01 = Perm((1, 0, 2))
-    t12 = Perm((0, 2, 1))
-    c012 = Perm((1, 2, 0))
-    c021 = Perm((2, 0, 1))
+    t01, t12, c012, c021 = (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)
     assert perm_compose(t01, t12) == c012
     assert perm_compose(t12, t01) == c021
     assert perm_compose(t01, t12) != perm_compose(t12, t01)
@@ -66,11 +62,16 @@ def test_cayley_table_is_latin_square():
         assert sorted(col) == ids
 
 
-def test_perm_rejects_non_bijection():
-    with pytest.raises(ArgumentError):
-        Perm((0, 0, 2))
-    with pytest.raises(ArgumentError):
-        perm_compose(Perm((0, 1)), Perm((0, 1, 2)))
+def test_perm_compose_rejects_a_size_mismatch():
+    with pytest.raises(ArgumentError, match="size mismatch 2 vs 3"):
+        perm_compose((0, 1), (0, 1, 2))
+
+
+def test_s3_elements_ids_and_cayley_table_are_pinned():
+    assert S3_ELEMENTS == ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    assert [s3_id(p) for p in S3_ELEMENTS] == list(range(6))
+    assert S3_CAYLEY.tolist() == [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+                                  [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]
 
 
 # ---------------------------------------------------------------- s3 episodes
