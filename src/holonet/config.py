@@ -8,7 +8,9 @@ a documented default, so a minimal config like
     experiment = train
 
 describes a complete S3 holonomic training run (N=32, stepwise curriculum to
-L=5). All randomness derives from [run] seed.
+L=5). A few defaults follow [task] kind (`_TASK_DEFAULTS`): the curriculum,
+and for binding the [scaling] widths and the transformer's [model] pool.
+All randomness derives from [run] seed.
 
 The keys are derived from the dataclasses: each section fills one RunConfig
 attribute (`_SECTIONS`), and each field of that attribute's dataclass is a
@@ -40,8 +42,8 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 from . import models as md
 from .errors import ArgumentError, ConfigError
-from .experiments import BINDING, S3, ModelConfig, TaskConfig, TrainConfig
-from .group_tasks import Curriculum
+from .experiments import ModelConfig, TrainConfig
+from .group_tasks import BINDING, S3, Curriculum, TaskConfig
 
 EXPERIMENTS = ("train", "sweep", "scaling", "genlen", "horizon", "massgap",
                "pca", "scan-bench", "verify", "report")
@@ -109,11 +111,14 @@ class BenchSpec:
     vocab: Annotated[int, 1] = 6
 
 
-# Curriculum defaults by task kind, where the config leaves them unset; a
-# default ramp_start is capped at the resolved l_max.
-_CURRICULUM_DEFAULTS = {
-    S3: {"kind": "stepwise", "l_min": 1, "l_max": 5},
-    BINDING: {"kind": "ramp", "l_min": 5, "l_max": 50, "ramp_start": 10},
+# Section defaults by task kind, where the config leaves them unset; a
+# default ramp_start is capped at the resolved l_max. Binding's widths are at
+# least its default 10 variables, and its transformer pools by the mean.
+_TASK_DEFAULTS = {
+    S3: {"curriculum": {"kind": "stepwise", "l_min": 1, "l_max": 5}},
+    BINDING: {"curriculum": {"kind": "ramp", "l_min": 5, "l_max": 50, "ramp_start": 10},
+              "scaling": {"widths": (16, 32, 64, 128)},
+              "model": {"pool": "mean"}},
 }
 
 
@@ -126,7 +131,7 @@ class RunConfig:
     precision: Annotated[int, (32, 64)] = 64
     model: ModelConfig = ModelConfig()
     task: TaskConfig = TaskConfig()
-    curriculum: Curriculum = Curriculum(**_CURRICULUM_DEFAULTS[S3])
+    curriculum: Curriculum = Curriculum(**_TASK_DEFAULTS[S3]["curriculum"])
     train: TrainConfig = TrainConfig()
     save: str = ""
     sweep: SweepSpec = SweepSpec()
@@ -223,12 +228,12 @@ def parse_config(text: str) -> RunConfig:
                     f"bad value for [{section}] {key}: {raw!r} ({err})") from err
             if rule is not None:
                 md.check(f"[{section}] {key}", rule, values[attr][name], ConfigError)
-    task_kind = values["task"].get("kind", S3)
-    defaults = _CURRICULUM_DEFAULTS[task_kind]
-    curriculum = {**defaults, **values["curriculum"]}
-    if "ramp_start" in defaults and "ramp_start" not in values["curriculum"]:
-        curriculum["ramp_start"] = min(defaults["ramp_start"], curriculum["l_max"])
-    values["curriculum"] = curriculum
+    ramp_set = "ramp_start" in values["curriculum"]
+    for attr, defaults in _TASK_DEFAULTS[values["task"].get("kind", S3)].items():
+        values[attr] = {**defaults, **values[attr]}
+    curriculum = values["curriculum"]
+    if "ramp_start" in curriculum and not ramp_set:
+        curriculum["ramp_start"] = min(curriculum["ramp_start"], curriculum["l_max"])
     specs = {}
     for section, attr in _SECTIONS.items():
         if attr:

@@ -8,7 +8,9 @@ each training step draws its lengths and episodes from one generator, each
 evaluation its episodes from one, and each noise level of a sweep its
 episodes from one and its noise from another. Bootstrap resamples have their
 own streams.
-Every probe takes a model as one value, its params, which carry its kind.
+Every probe takes a model as one value, its params, which carry its kind,
+and a task as one value, a `group_tasks.TaskConfig`: the task draws, labels
+and picks the validation episodes, so nothing here tests a task's kind.
 Inference for all four model kinds runs through `models.forward_batch`, so
 a batch's noise, recurrent-state or residual-stream, comes from one stream.
 """
@@ -26,69 +28,12 @@ from . import models as md
 from . import scan_engine as se
 from . import tensor_core as tc
 from .errors import ArgumentError, NumericError
-from .group_tasks import (
-    Batch,
-    Curriculum,
-    binding_prefix_targets,
-    curriculum_advance,
-    s3_prefix_targets,
-    s3_sample_batch,
-    s3_targets,
-    sample_lengths,
-    sv_sample_batch,
-)
+from .group_tasks import Batch, Curriculum, TaskConfig, curriculum_advance, sample_lengths
 # perfbench/tracing.py wraps the per-episode samplers under these names here
 from .group_tasks import s3_sample_episode, sample_length, sv_sample_episode  # noqa: F401
 
-S3 = "s3"
-BINDING = "binding"
-# S3 validation scores every length-l_max sequence when there are at most this many
-EXHAUSTIVE_S3_LIMIT = 8192
-SCORE_BLOCK = 1024      # rows per forward when scoring every sequence
+SCORE_BLOCK = 1024      # rows per forward when scoring a validation batch
 STACK_FLOATS = 2 ** 17  # state entries per forward of a sweep's stacked levels
-
-
-@dataclass(frozen=True)
-class TaskConfig:
-    kind: Annotated[str, (S3, BINDING)] = S3
-    variables: Annotated[int, 2] = 10  # binding only
-
-    @property
-    def vocab(self) -> int:
-        return 6 if self.kind == S3 else self.variables * (self.variables - 1) // 2
-
-    @property
-    def n_classes(self) -> int:
-        return 6 if self.kind == S3 else self.variables
-
-    @property
-    def n_queries(self) -> int:
-        return 1 if self.kind == S3 else self.variables
-
-    def trivial_accuracy(self, length: int) -> float:
-        """Accuracy at one length of the best answer that ignores the tokens.
-
-        S3: 1/6. Binding: one swap moves the queried slot's own value with
-        probability 2/v, to a uniform other slot, so it is back home after L
-        swaps with probability p = 1/v + (1 - 1/v)(1 - 2/(v - 1))^L, and every
-        other value with (1 - p)/(v - 1); p is the larger one for v >= 3.
-        """
-        if self.kind == S3:
-            return 1.0 / 6.0
-        v = self.variables
-        home = 1.0 / v + (1.0 - 1.0 / v) * (1.0 - 2.0 / (v - 1)) ** length
-        return max(home, (1.0 - home) / (v - 1))
-
-    def sample_batch(self, gen: np.random.Generator, lengths) -> Batch:
-        if self.kind == S3:
-            return s3_sample_batch(gen, lengths)
-        return sv_sample_batch(gen, self.variables, lengths)
-
-    def prefix_targets(self, batch: Batch):
-        """Each row's target after each column of the batch, column by column."""
-        if self.kind == S3:
-            return s3_prefix_targets(batch.ids)
-        return binding_prefix_targets(batch.ids, self.variables, batch.queries)
 
 
 @dataclass(frozen=True)
@@ -113,10 +58,9 @@ class ModelConfig:
                                task.n_queries, self.kind == md.NORMALIZED_RNN)
         if self.kind == md.TRANSFORMER:
             d_ff = self.d_ff if self.d_ff > 0 else 2 * self.n
-            pool = self.pool if task.kind == S3 else "mean"
             return md.init_transformer(
                 rng, self.n, self.layers, self.heads, d_ff, task.vocab,
-                task.n_classes, task.n_queries, self.pos_mode, self.max_len, pool)
+                task.n_classes, task.n_queries, self.pos_mode, self.max_len, self.pool)
         raise ArgumentError(f"unknown model kind: {self.kind}")
 
 
@@ -125,10 +69,10 @@ class TrainConfig:
     """Optimizer, evaluation and stopping settings.
 
     Validation (the early-stop check once the gate passes at the top length,
-    and the final `converged` evaluation) scores fresh episodes: S3 at l_max,
-    binding across [l_min, l_max], `val_episodes` of them. On S3 with
-    6^l_max <= EXHAUSTIVE_S3_LIMIT it instead scores every length-l_max
-    sequence once, so "converged" is exact there. `clip` bounds the global
+    and the final `converged` evaluation) scores the task's validation batch,
+    `TaskConfig.validation_batch`: `val_episodes` fresh episodes, or every
+    length-l_max S3 sequence once where there are few enough, so "converged"
+    is exact there. `clip` bounds the global
     gradient norm before each update; `clip = 0` turns clipping off.
     """
 
@@ -243,30 +187,17 @@ def evaluate_accuracy(params, task: TaskConfig, lengths,
     return float(np.mean(_hits(params, batch, operators=operators)))
 
 
-def exhaustive_s3_accuracy(params, length: int,
-                           operators: np.ndarray | None = None) -> float:
-    """Accuracy over every S3 sequence of `length`, scored in blocks."""
-    ids = np.indices((6,) * length).reshape(length, -1).T
-    ops = _operators(params) if operators is None else operators
-    correct = 0
-    for lo in range(0, ids.shape[0], SCORE_BLOCK):
-        block = ids[lo:lo + SCORE_BLOCK]
-        batch = Batch(block, np.full(block.shape[0], length), s3_targets(block))
-        correct += int(np.sum(_hits(params, batch, operators=ops)))
-    return correct / ids.shape[0]
-
-
 def validation_accuracy(params, task: TaskConfig, curriculum: Curriculum,
                         episodes: int, rng: tc.RngState,
                         operators: np.ndarray | None = None) -> float:
-    """The accuracy `train` calls converged at; see TrainConfig."""
-    if task.kind == S3:
-        if 6 ** curriculum.l_max <= EXHAUSTIVE_S3_LIMIT:
-            return exhaustive_s3_accuracy(params, curriculum.l_max, operators)
-        lengths = curriculum.l_max
-    else:
-        lengths = list(range(curriculum.l_min, curriculum.l_max + 1))
-    return evaluate_accuracy(params, task, lengths, episodes, rng, operators)
+    """The accuracy `train` calls converged at: the task's validation batch
+    (`TaskConfig.validation_batch`, drawn from rng.child(0)), scored
+    SCORE_BLOCK rows per forward with the holonomic operators built once."""
+    batch = task.validation_batch(curriculum, episodes, rng.child(0))
+    ops = _operators(params) if operators is None else operators
+    correct = sum(int(np.sum(_hits(params, batch[lo:lo + SCORE_BLOCK], operators=ops)))
+                  for lo in range(0, len(batch), SCORE_BLOCK))
+    return correct / len(batch)
 
 
 # ===================================================================== training
@@ -374,12 +305,8 @@ def noise_sweep(params, task: TaskConfig, t_grid, episodes: int,
     for first in range(0, t_grid.size, group):
         block = slice(first, first + group)
         levels = range(t_grid.size)[block]
-        batches = [task.sample_batch(rng.child(0, ti).generator(), np.full(episodes, length))
-                   for ti in levels]
-        queries = None if task.kind == S3 else np.concatenate([b.queries for b in batches])
-        stacked = Batch(np.concatenate([b.ids for b in batches]),
-                        np.full(len(levels) * episodes, length),
-                        np.concatenate([b.targets for b in batches]), queries)
+        stacked = Batch.stack([task.sample_batch(rng.child(0, ti).generator(),
+                                                 np.full(episodes, length)) for ti in levels])
         hits = _hits(params, stacked, t_grid[block], [rng.child(1, ti) for ti in levels], ops)
         outcomes[block] = hits.reshape(len(levels), episodes)
     return SweepResult(t_grid, outcomes)
@@ -490,8 +417,8 @@ def length_generalization_eval(params, task: TaskConfig, lengths,
     `episodes` fresh episodes, drawn from rng.child(0) at the longest length
     the model scores. A uniformly random prefix is itself a uniformly random
     episode, but the lengths share their episodes, so their rows are
-    correlated, not independent samples. The targets come from one fold of
-    the task's simulator over the columns. A recurrent model scores every
+    correlated, not independent samples. Every scored length's targets come
+    from one pass of `TaskConfig.prefix_targets` over the columns. A recurrent model scores every
     length from one pass, the transformer runs each prefix on its own, and a
     length past its learned positional table is recorded as
     capacity-exceeded instead of silently scored; no episode is sampled for it."""
@@ -501,18 +428,16 @@ def length_generalization_eval(params, task: TaskConfig, lengths,
     acc = {}
     if scored:
         longest = max(scored)
-        batch = task.sample_batch(rng.child(0).generator(), np.full(episodes, longest))
-        # the sampler labelled the longest prefix; the fold stops at the next one
-        shorter = max((length for length in scored if length < longest), default=0)
+        ids, queries = task.draw(rng.child(0).generator(), np.full(episodes, longest))
         targets = {length: y for length, y in
-                   zip(range(1, shorter + 1), task.prefix_targets(batch)) if length in scored}
-        targets[longest] = batch.targets
+                   zip(range(1, longest + 1), task.prefix_targets(ids, queries))
+                   if length in scored}
         if params.kind == md.TRANSFORMER:
-            logits = [md.forward_batch(params, batch.ids[:, :length], batch.queries)[1]
+            logits = [md.forward_batch(params, ids[:, :length], queries)[1]
                       for length in scored]
         else:
             ops = se.build_operators(params, precision) if params.kind == md.HOLONOMIC else None
-            logits = md.forward_batch(params, batch.ids, batch.queries, operators=ops,
+            logits = md.forward_batch(params, ids, queries, operators=ops,
                                       columns=[length - 1 for length in scored])[1]
         acc = {length: float(np.mean(np.argmax(x, axis=1) == targets[length]))
                for length, x in zip(scored, logits)}
@@ -661,11 +586,10 @@ def pca_snapshot(entries, task: TaskConfig, temperature: float, episodes: int,
         states = md.forward_batch(params, batch.ids, batch.queries, temperature,
                                   mrng.child(1))[0]
         labels = batch.targets
-        _, proj2 = tc.pca_project(states, 2)
-        _, proj3 = tc.pca_project(states, 3)
-        entry = {"labels": labels, "k2": np.asarray(proj2), "k3": np.asarray(proj3)}
+        proj3 = np.asarray(tc.pca_project(states, 3)[1])   # k = 2 is its first two columns
+        entry = {"labels": labels, "k2": proj3[:, :2], "k3": proj3}
         if np.unique(labels).size >= 2:
-            entry["silhouette"] = silhouette_score(np.asarray(proj3), labels)
+            entry["silhouette"] = silhouette_score(proj3, labels)
         else:
             entry["silhouette"] = None
             entry["note"] = "single-class sample; between-class measures undefined"

@@ -1,16 +1,22 @@
-"""Sequence-task generators: S3 composition and variable binding.
+"""Sequence tasks: S3 composition and variable binding.
 
-Both tasks are exactly solvable, so every episode carries a ground-truth
-label computed by construction, and an independent naive simulator is
-provided for each task to cross-check the generators (the simulators follow
-a different route: point tracking instead of table folding / array replay).
+A task is one value, `TaskConfig`: its kind (and, for binding, its number of
+variables) fixes the vocabulary, the classes and the queries, and its
+methods draw episodes, label them and pick the episodes that validation
+scores. Both tasks are exactly solvable, so every episode carries a
+ground-truth label computed by construction, and an independent naive
+simulator is provided for each task to cross-check the labeller (the
+simulators follow a different route: point tracking instead of table
+folding / array replay).
 
-Episodes are sampled a batch at a time from one generator: a (B, L_max)
-token block, of which row i keeps its first lengths[i] tokens, then (binding)
-a (B,) query vector. That `Batch` is the one batch format from sampling to
-the loss: training and inference read its arrays, and iterating it yields
-its rows as `Episode`s for the oracles. The per-episode samplers are the
-B = 1 case.
+Episodes are drawn a batch at a time from one generator: a (B, L_max) token
+block, of which row i keeps its first lengths[i] tokens, then (binding) a
+(B,) query vector. `TaskConfig.prefix_targets` labels the block column by
+column, giving each row's target after every column; a sampled batch's
+targets are its last column's. That `Batch` is the one batch format from
+sampling to the loss: training and inference read its arrays, and iterating
+it yields its rows as `Episode`s for the oracles. The per-episode samplers,
+`s3_sample_episode` and `sv_sample_episode`, are a task's B = 1 rows.
 
 Composition convention: later sequence elements act on the left, so an
 episode's product is g_L . ... . g_1 applied left-to-right onto a point.
@@ -67,27 +73,43 @@ class Batch:
     """B episodes as arrays; `queries` is None for the S3 task.
 
     Row i of `ids` is episode i left-padded with IDENTITY_STEP to the
-    longest length, so all episodes end at the last column.
+    longest length, so all episodes end at the last column; its length is
+    the number of its columns that hold a token.
     """
 
     ids: np.ndarray       # (B, L_max)
-    lengths: np.ndarray   # (B,)
     targets: np.ndarray   # (B,)
     queries: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, rows) -> Batch:
+        """The batch of the selected rows (a slice or an index array)."""
+        return Batch(self.ids[rows], self.targets[rows],
+                     None if self.queries is None else self.queries[rows])
+
+    @staticmethod
+    def stack(batches) -> Batch:
+        """The rows of equally wide batches of one task as one batch, in order."""
+        queries = [b.queries for b in batches]
+        return Batch(np.concatenate([b.ids for b in batches]),
+                     np.concatenate([b.targets for b in batches]),
+                     None if queries[0] is None else np.concatenate(queries))
 
     def __iter__(self):
         """The rows as `Episode`s, in order."""
         width = self.ids.shape[1]
-        queries = [None] * len(self.targets) if self.queries is None \
-            else self.queries.tolist()
-        for row, n, target, q in zip(self.ids.tolist(), self.lengths.tolist(),
-                                     self.targets.tolist(), queries):
-            yield Episode(tuple(row[width - n:]), target, n, q)
+        pads = np.count_nonzero(self.ids == IDENTITY_STEP, axis=1)
+        queries = [None] * len(self) if self.queries is None else self.queries.tolist()
+        for row, pad, target, q in zip(self.ids.tolist(), pads.tolist(),
+                                       self.targets.tolist(), queries):
+            yield Episode(tuple(row[pad:]), target, width - pad, q)
 
 
-def _token_block(gen: np.random.Generator, vocab: int, lengths) -> tuple:
-    """Lengths as an array and a left-padded id block whose row i holds the
-    first lengths[i] tokens of row i of one (B, L_max) draw."""
+def _token_block(gen: np.random.Generator, vocab: int, lengths) -> np.ndarray:
+    """A left-padded id block whose row i holds the first lengths[i] tokens
+    of row i of one (B, L_max) draw."""
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
         raise ArgumentError(f"need a non-empty vector of lengths >= 1, got {lengths}")
@@ -95,28 +117,12 @@ def _token_block(gen: np.random.Generator, vocab: int, lengths) -> tuple:
     raw = gen.integers(0, vocab, size=(lengths.size, width))
     shift = width - lengths
     if not shift.any():
-        return lengths, raw
+        return raw
     src = np.arange(width) - shift[:, None]
-    ids = np.where(src >= 0, np.take_along_axis(raw, np.maximum(src, 0), axis=1), IDENTITY_STEP)
-    return lengths, ids
+    return np.where(src >= 0, np.take_along_axis(raw, np.maximum(src, 0), axis=1), IDENTITY_STEP)
 
 
-# ------------------------------------------------------------------ S3 task
-
-
-def s3_prefix_targets(ids: np.ndarray):
-    """Product class id per row of a left-padded id block after each column,
-    folding the Cayley table column by column: a generator of (B,) arrays."""
-    acc = np.zeros(ids.shape[0], dtype=np.intp)
-    for col in np.where(ids == IDENTITY_STEP, 0, ids).T:   # id 0 is the identity
-        acc = S3_CAYLEY[col, acc]
-        yield acc
-
-
-def s3_targets(ids: np.ndarray) -> np.ndarray:
-    """Product class id per row of a left-padded id block: the last value of
-    `s3_prefix_targets`."""
-    return deque(s3_prefix_targets(ids), maxlen=1)[0]
+# ------------------------------------------------------------------ oracles
 
 
 def naive_s3_target(tokens) -> int:
@@ -128,20 +134,6 @@ def naive_s3_target(tokens) -> int:
             w = S3_ELEMENTS[tok][w]
         image.append(w)
     return S3_INDEX[tuple(image)]
-
-
-def s3_sample_batch(gen: np.random.Generator, lengths) -> Batch:
-    lengths, ids = _token_block(gen, 6, lengths)
-    return Batch(ids, lengths, s3_targets(ids))
-
-
-def s3_sample_episode(rng: RngState, length: int) -> Episode:
-    if length < 1:
-        raise ArgumentError(f"episode length must be >= 1, got {length}")
-    return next(iter(s3_sample_batch(rng.generator(), [length])))
-
-
-# ------------------------------------------------------------------ binding task
 
 
 def swap_vocabulary(v: int) -> list[tuple]:
@@ -161,26 +153,6 @@ def swap_token(v: int, i: int, j: int) -> int:
     return i * (2 * v - i - 1) // 2 + (j - i - 1)
 
 
-def binding_prefix_targets(ids: np.ndarray, v: int, queries: np.ndarray):
-    """Replay each row's swaps on the identity assignment column by column,
-    reading the row's query slot after each column: a generator of (B,)
-    arrays; ids is a left-padded block."""
-    # the appended last pair, which IDENTITY_STEP (-1) picks, swaps slot 0 with itself
-    pairs = np.concatenate([swap_vocabulary(v), [(0, 0)]])
-    base = v * np.arange(ids.shape[0])[:, None]
-    values = np.tile(np.arange(v), ids.shape[0])   # row r holds slots v*r .. v*r + v-1
-    read = base[:, 0] + queries
-    for i, j in zip((base + pairs[ids, 0]).T, (base + pairs[ids, 1]).T):
-        values[i], values[j] = values[j], values[i]
-        yield values[read]
-
-
-def binding_targets(ids: np.ndarray, v: int, queries: np.ndarray) -> np.ndarray:
-    """Each row's query slot after its swaps: the last value of
-    `binding_prefix_targets`."""
-    return deque(binding_prefix_targets(ids, v, queries), maxlen=1)[0]
-
-
 def naive_binding_target(tokens, v: int, query: int) -> int:
     """Independent oracle: trace the query slot backwards through the swaps."""
     pairs = swap_vocabulary(v)
@@ -194,18 +166,110 @@ def naive_binding_target(tokens, v: int, query: int) -> int:
     return w
 
 
-def sv_sample_batch(gen: np.random.Generator, v: int, lengths) -> Batch:
-    if v < 2:
-        raise ArgumentError(f"need at least 2 variables, got {v}")
-    lengths, ids = _token_block(gen, v * (v - 1) // 2, lengths)
-    queries = gen.integers(0, v, size=ids.shape[0])
-    return Batch(ids, lengths, binding_targets(ids, v, queries), queries)
+# ------------------------------------------------------------------ tasks
+
+
+S3 = "s3"
+BINDING = "binding"
+# S3 validation scores every length-l_max sequence when there are at most this many
+EXHAUSTIVE_S3_LIMIT = 8192
+
+
+@dataclass(frozen=True)
+class TaskConfig:
+    """A task: S3 composition, or binding over `variables` slots."""
+
+    kind: Annotated[str, (S3, BINDING)] = S3
+    variables: Annotated[int, 2] = 10  # binding only
+
+    def __post_init__(self):
+        if self.variables < 2:
+            raise ArgumentError(f"need at least 2 variables, got {self.variables}")
+
+    @property
+    def vocab(self) -> int:
+        return 6 if self.kind == S3 else self.variables * (self.variables - 1) // 2
+
+    @property
+    def n_classes(self) -> int:
+        return 6 if self.kind == S3 else self.variables
+
+    @property
+    def n_queries(self) -> int:
+        return 1 if self.kind == S3 else self.variables
+
+    def trivial_accuracy(self, length: int) -> float:
+        """Accuracy at one length of the best answer that ignores the tokens.
+
+        S3: 1/6. Binding: one swap moves the queried slot's own value with
+        probability 2/v, to a uniform other slot, so it is back home after L
+        swaps with probability p = 1/v + (1 - 1/v)(1 - 2/(v - 1))^L, and every
+        other value with (1 - p)/(v - 1); p is the larger one for v >= 3.
+        """
+        if self.kind == S3:
+            return 1.0 / 6.0
+        v = self.variables
+        home = 1.0 / v + (1.0 - 1.0 / v) * (1.0 - 2.0 / (v - 1)) ** length
+        return max(home, (1.0 - home) / (v - 1))
+
+    def draw(self, gen: np.random.Generator, lengths) -> tuple:
+        """Unlabelled episodes from one generator: the left-padded id block
+        (`_token_block`), then for binding a query per row (None for S3)."""
+        ids = _token_block(gen, self.vocab, lengths)
+        queries = None if self.kind == S3 else gen.integers(0, self.variables, size=ids.shape[0])
+        return ids, queries
+
+    def prefix_targets(self, ids: np.ndarray, queries: np.ndarray | None = None):
+        """Each row's target after each column of a left-padded id block, one
+        (B,) array per column. S3 folds the Cayley table; binding replays
+        each row's swaps on the identity assignment and reads the row's query
+        slot."""
+        if self.kind == S3:
+            acc = np.zeros(ids.shape[0], dtype=np.intp)
+            for col in np.where(ids == IDENTITY_STEP, 0, ids).T:   # id 0 is the identity
+                acc = S3_CAYLEY[col, acc]
+                yield acc
+            return
+        v = self.variables
+        # the appended last pair, which IDENTITY_STEP (-1) picks, swaps slot 0 with itself
+        pairs = np.concatenate([swap_vocabulary(v), [(0, 0)]])
+        base = v * np.arange(ids.shape[0])[:, None]
+        values = np.tile(np.arange(v), ids.shape[0])   # row r holds slots v*r .. v*r + v-1
+        read = base[:, 0] + queries
+        for i, j in zip((base + pairs[ids, 0]).T, (base + pairs[ids, 1]).T):
+            values[i], values[j] = values[j], values[i]
+            yield values[read]
+
+    def label(self, ids: np.ndarray, queries: np.ndarray | None = None) -> Batch:
+        """The batch of these episodes, each row's target the last value of
+        `prefix_targets`."""
+        return Batch(ids, deque(self.prefix_targets(ids, queries), maxlen=1)[0], queries)
+
+    def sample_batch(self, gen: np.random.Generator, lengths) -> Batch:
+        """`draw`, labelled."""
+        return self.label(*self.draw(gen, lengths))
+
+    def validation_batch(self, curriculum: Curriculum, episodes: int,
+                         rng: RngState) -> Batch:
+        """The episodes that decide convergence: every length-l_max S3
+        sequence when there are at most EXHAUSTIVE_S3_LIMIT of them, else
+        `episodes` drawn from `rng`, S3 at l_max and binding cycling through
+        [l_min, l_max]."""
+        top = curriculum.l_max
+        if self.kind == S3 and 6 ** top <= EXHAUSTIVE_S3_LIMIT:
+            return self.label(np.indices((6,) * top).reshape(top, -1).T)
+        low = top if self.kind == S3 else curriculum.l_min
+        return self.sample_batch(rng.generator(), low + np.arange(episodes) % (top - low + 1))
+
+
+def s3_sample_episode(rng: RngState, length: int) -> Episode:
+    """The B = 1 row of an S3 batch."""
+    return next(iter(TaskConfig(S3).sample_batch(rng.generator(), [length])))
 
 
 def sv_sample_episode(rng: RngState, v: int, length: int) -> Episode:
-    if v < 2 or length < 1:
-        raise ArgumentError(f"need v >= 2 and length >= 1, got v={v}, L={length}")
-    return next(iter(sv_sample_batch(rng.generator(), v, [length])))
+    """The B = 1 row of a binding batch over v variables."""
+    return next(iter(TaskConfig(BINDING, v).sample_batch(rng.generator(), [length])))
 
 
 # ------------------------------------------------------------------ curricula

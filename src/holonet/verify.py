@@ -18,15 +18,16 @@ from . import scan_engine as se
 from . import tensor_core as tc
 from .experiments import SweepResult, estimate_tc, fit_log_scaling
 from .group_tasks import (
+    BINDING,
+    S3,
     S3_CAYLEY,
     S3_ELEMENTS,
+    TaskConfig,
     naive_binding_target,
     naive_s3_target,
     perm_compose,
     s3_id,
-    s3_sample_batch,
     s3_sample_episode,
-    sv_sample_batch,
     swap_token,
     swap_vocabulary,
 )
@@ -120,7 +121,7 @@ def check_adjoint_pairing(seed):
 def check_gradients(seed):
     # the training graphs on one mixed-length batch: padded rows, both
     # branches of rnn_scan, the transformer's packed stream of four segments
-    mixed = s3_sample_batch(RngState(seed).child(10).generator(), [1, 2, 3, 4])
+    mixed = TaskConfig().sample_batch(RngState(seed).child(10).generator(), [1, 2, 3, 4])
     for params in (md.init_holonomic(RngState(seed), 6, 6, 6),
                    md.init_rnn(RngState(seed + 3), 6, 6, 6),
                    md.init_rnn(RngState(seed + 1), 6, 6, 6, normalized=True),
@@ -137,7 +138,7 @@ def check_gradients(seed):
 
 
 def check_cayley_table(_seed):
-    # S3_CAYLEY, the table s3_targets folds, composes the permutations and is
+    # S3_CAYLEY, the table an S3 task's prefix_targets folds, composes the permutations and is
     # a group table: id 0 a two-sided identity, each row and column a
     # permutation, and associative
     t, ids = S3_CAYLEY, np.arange(6)
@@ -151,12 +152,13 @@ def check_cayley_table(_seed):
 
 def check_episode_oracles(seed):
     # 10 batches of 1000 per task, lengths mixed within each batch
+    s3, binding = TaskConfig(), TaskConfig(BINDING, 10)
     for b in range(10):
         mix = np.arange(1000) + 7 * b
-        batch = s3_sample_batch(RngState(seed).child(0, b).generator(), 1 + mix % 8)
+        batch = s3.sample_batch(RngState(seed).child(0, b).generator(), 1 + mix % 8)
         for i, ep in enumerate(batch):
             assert ep.target == naive_s3_target(ep.tokens), f"s3 mismatch at {b}/{i}"
-        batch = sv_sample_batch(RngState(seed).child(1, b).generator(), 10, 1 + mix % 60)
+        batch = binding.sample_batch(RngState(seed).child(1, b).generator(), 1 + mix % 60)
         for i, ep in enumerate(batch):
             assert ep.target == naive_binding_target(ep.tokens, 10, ep.query), \
                 f"binding mismatch at {b}/{i}"
@@ -215,8 +217,7 @@ def check_scan_equivalence(seed):
     lengths = [1, 40, 17, 64]
     for n, vocab, padded in ((16, 6, True), (64, 45, False)):
         gen = RngState(seed).child(6, n).generator()
-        ids = s3_sample_batch(gen, lengths).ids if vocab == 6 \
-            else sv_sample_batch(gen, 10, lengths).ids
+        ids = TaskConfig(S3 if vocab == 6 else BINDING, 10).draw(gen, lengths)[0]
         params = md.init_holonomic(RngState(seed).child(7, n), n, vocab, 6)
         ops = params.operators()
         layout = "padded" if padded else "grouped"

@@ -12,10 +12,10 @@ import pytest
 from holonet import cli
 from holonet import experiments as ex
 from holonet import models as md
-from holonet.checkpoint import save_checkpoint
+from holonet.checkpoint import load_checkpoint, save_checkpoint
 from holonet.config import parse_config
 from holonet.errors import NumericError
-from holonet.group_tasks import Curriculum
+from holonet.group_tasks import BINDING, Curriculum, TaskConfig
 from holonet.tensor_core import RngState
 
 TINY_TRAIN = """[model]
@@ -63,7 +63,7 @@ def test_train_raises_on_non_finite_loss_or_gradient(kind):
     # the holonomic run overflows its gradient norm, the transformer its loss
     cfg = ex.TrainConfig(steps=3, batch=4, lr=1e300, eval_interval=10)
     with pytest.raises(NumericError):
-        ex.train(ex.ModelConfig(kind=kind, n=8, layers=1, heads=2), ex.TaskConfig(),
+        ex.train(ex.ModelConfig(kind=kind, n=8, layers=1, heads=2), TaskConfig(),
                  Curriculum(kind="stepwise", l_min=1, l_max=2), cfg, RngState(7))
 
 
@@ -191,7 +191,7 @@ def test_genlen_summary_states_accuracy_range_and_lengths_below_chance(tmp_path,
 def test_genlen_below_chance_takes_the_binding_baseline_per_length(tmp_path):
     # 4-variable binding: the token-blind baseline is 0.5 at L = 1, ~0.28 at
     # L = 3 and ~0.25 at L = 20, not 1/4 everywhere
-    task = ex.TaskConfig(kind=ex.BINDING, variables=4)
+    task = TaskConfig(kind=BINDING, variables=4)
     ckpt = tmp_path / "tiny.ckpt"
     save_checkpoint(ckpt, md.init_holonomic(RngState(2), 8, 6, 4, 4))
     config = tmp_path / "genlen.ini"
@@ -207,6 +207,23 @@ def test_genlen_below_chance_takes_the_binding_baseline_per_length(tmp_path):
     # this random model beats 1/4 at L = 1 and L = 3 but not their baselines
     # 0.5 and ~0.28 there
     assert acc[1] > 0.25 and acc[3] > 0.25 and below == [1, 3, 20]
+
+
+@pytest.mark.parametrize("pool", ["", "final"], ids=["default", "final"])
+def test_binding_transformer_checkpoint_pools_as_its_snapshot_says(tmp_path, pool):
+    # binding's default pool is mean; an explicit final is kept, not replaced
+    config = tmp_path / "train.ini"
+    config.write_text("[task]\nkind = binding\nvariables = 4\n"
+                      "[model]\nkind = transformer\nn = 16\nheads = 2\n"
+                      + (f"pool = {pool}\n" if pool else "")
+                      + "[curriculum]\nl_max = 8\n[train]\nsteps = 2\n")
+    out = tmp_path / "out"
+    code = cli.main(["train", "--config", str(config), "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NONCONVERGENCE)
+    run = out / "train" / "seed0"
+    snapshot = parse_config((run / "config.snapshot").read_text())
+    assert snapshot.model.pool == (pool or "mean")
+    assert load_checkpoint(run / "model.ckpt")[1].pool == snapshot.model.pool
 
 
 def binding_sweep_config(tmp_path, noise=""):
@@ -229,7 +246,7 @@ def test_binding_sweep_summary_states_its_chance_baseline(tmp_path):
     assert round(chance, 2) == 0.36
 
 
-@pytest.mark.parametrize("threshold", [0.3, ex.TaskConfig(ex.BINDING).trivial_accuracy(5)],
+@pytest.mark.parametrize("threshold", [0.3, TaskConfig(BINDING).trivial_accuracy(5)],
                          ids=["below", "at"])
 def test_sweep_threshold_not_above_chance_exits_config(tmp_path, threshold):
     config = binding_sweep_config(tmp_path, f"threshold = {threshold!r}\n")

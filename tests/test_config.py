@@ -359,12 +359,7 @@ def test_genlen_past_length_50_needs_64_bit_inference(tmp_path, monkeypatch):
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_default_config_holds_for_every_experiment_and_task(experiment, task):
     text = f"[run]\nexperiment = {experiment}\n[task]\nkind = {task}\n"
-    if (experiment, task) == ("scaling", "binding"):
-        # the default widths start at 8, below the default 10 variables
-        with pytest.raises(ConfigError, match=r"\[scaling\] widths entry 8 "):
-            parse_config(text)
-    else:
-        assert parse_config(text).experiment == experiment
+    assert parse_config(text).experiment == experiment
 
 
 def benchmark_workloads(monkeypatch):

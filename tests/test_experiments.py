@@ -11,7 +11,13 @@ from holonet import grad_engine as ge
 from holonet import models as md
 from holonet.config import parse_config
 from holonet.errors import ArgumentError, CapacityError, ConfigError
-from holonet.group_tasks import Curriculum, naive_binding_target, naive_s3_target
+from holonet.group_tasks import (
+    BINDING,
+    Curriculum,
+    TaskConfig,
+    naive_binding_target,
+    naive_s3_target,
+)
 from holonet.tensor_core import RngState, mat_exp, skew
 
 
@@ -377,7 +383,7 @@ def test_mass_gap_rotation_invariance():
 
 def test_mass_gap_on_random_model_reaches_all_classes():
     p = md.init_holonomic(RngState(16), 16, 6, 6)
-    result = ex.mass_gap(p, ex.TaskConfig(), RngState(17),
+    result = ex.mass_gap(p, TaskConfig(), RngState(17),
                          episodes_per_class=40)
     assert len(result.centroids) == 6
     assert sum(result.counts.values()) == 40 * 6 * 2
@@ -396,7 +402,7 @@ def test_pca_snapshot_shapes_and_silhouette():
     p = md.init_holonomic(RngState(19), 12, 6, 6)
     r = md.init_rnn(RngState(20), 12, 6, 6)
     snap = ex.pca_snapshot([("hol", p), ("rnn", r)],
-                           ex.TaskConfig(), temperature=0.2, episodes=120,
+                           TaskConfig(), temperature=0.2, episodes=120,
                            rng=RngState(21))
     for tag in ("hol", "rnn"):
         entry = snap[tag]
@@ -409,7 +415,7 @@ def test_pca_snapshot_shapes_and_silhouette():
 def test_pca_snapshot_noise_reaches_the_transformer():
     # the transformer's residual stream takes the noise; the batch is the same
     p = md.init_transformer(RngState(22), 16, 1, 2, 16, 6, 6)
-    points = [ex.pca_snapshot([("tr", p)], ex.TaskConfig(), temp, 60,
+    points = [ex.pca_snapshot([("tr", p)], TaskConfig(), temp, 60,
                               RngState(21))["tr"] for temp in (0.0, 5.0)]
     assert np.array_equal(points[0]["labels"], points[1]["labels"])
     assert not np.allclose(points[0]["k3"], points[1]["k3"])
@@ -420,7 +426,7 @@ def test_pca_snapshot_noise_reaches_the_transformer():
 
 def test_untrained_model_is_chance_level_at_all_temperatures():
     p = md.init_holonomic(RngState(22), 8, 6, 6)
-    sweep = ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.5, 1.0],
+    sweep = ex.noise_sweep(p, TaskConfig(), [0.0, 0.5, 1.0],
                            256, RngState(23))
     for acc in sweep.acc_mean:
         assert 0.04 < acc < 0.42  # wide band around 1/6
@@ -428,8 +434,8 @@ def test_untrained_model_is_chance_level_at_all_temperatures():
 
 def test_noise_sweep_bit_reproducible():
     p = md.init_rnn(RngState(24), 8, 6, 6)
-    a = ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.3], 64, RngState(25))
-    b = ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.3], 64, RngState(25))
+    a = ex.noise_sweep(p, TaskConfig(), [0.0, 0.3], 64, RngState(25))
+    b = ex.noise_sweep(p, TaskConfig(), [0.0, 0.3], 64, RngState(25))
     assert np.array_equal(a.outcomes, b.outcomes)
     bands = [ex.estimate_tc(s, 0.99, RngState(25).child(99)) for s in (a, b)]
     assert np.array_equal(bands[0].acc_lo, bands[1].acc_lo)
@@ -461,18 +467,18 @@ def test_noise_sweep_same_seed_same_bits_and_noise_matters(kind, monkeypatch):
     p = sweep_params(kind, 24)
     grid = [0.0, 0.4, 3.0]
     builds = count_operator_builds(monkeypatch)
-    a = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(25))
+    a = ex.noise_sweep(p, TaskConfig(), grid, 96, RngState(25))
     assert len(builds) == (kind == md.HOLONOMIC)   # once per sweep, not per level
-    b = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(25))
-    c = ex.noise_sweep(p, ex.TaskConfig(), grid, 96, RngState(26))
+    b = ex.noise_sweep(p, TaskConfig(), grid, 96, RngState(25))
+    c = ex.noise_sweep(p, TaskConfig(), grid, 96, RngState(26))
     bands = [ex.estimate_tc(s, 0.99, RngState(25).child(99)) for s in (a, b)]
     assert np.array_equal(a.outcomes, b.outcomes)
     assert np.array_equal(bands[0].acc_hi, bands[1].acc_hi)
     assert not np.array_equal(a.outcomes, c.outcomes)
     # level i scores its batch from rng.child(0, i) with noise from rng.child(1, i)
     for ti, temp in enumerate(grid):
-        batch = ex.TaskConfig().sample_batch(RngState(25).child(0, ti).generator(),
-                                             np.full(96, 5))
+        batch = TaskConfig().sample_batch(RngState(25).child(0, ti).generator(),
+                                          np.full(96, 5))
         _, logits = md.forward_batch(p, batch.ids, batch.queries, temp,
                                      RngState(25).child(1, ti))
         assert np.array_equal(a.outcomes[ti], np.argmax(logits, axis=1) == batch.targets)
@@ -498,15 +504,15 @@ def test_sweep_and_genlen_step_each_column_once(kind, monkeypatch):
     # every length from one pass: max(lengths) steps, not their sum
     p = sweep_params(kind, 30)
     calls = count_step_calls(monkeypatch, kind)
-    ex.noise_sweep(p, ex.TaskConfig(), [0.0, 0.2, 0.5, 1.0], 16, RngState(31), length=7)
+    ex.noise_sweep(p, TaskConfig(), [0.0, 0.2, 0.5, 1.0], 16, RngState(31), length=7)
     assert len(calls) == 7
     calls.clear()
-    ex.length_generalization_eval(p, ex.TaskConfig(), [5, 60, 20], 8, 64, RngState(32))
+    ex.length_generalization_eval(p, TaskConfig(), [5, 60, 20], 8, 64, RngState(32))
     assert len(calls) == 60
 
 
 @pytest.mark.parametrize("precision", [64, 32])
-@pytest.mark.parametrize("task", [ex.TaskConfig(), ex.TaskConfig(kind="binding", variables=4)])
+@pytest.mark.parametrize("task", [TaskConfig(), TaskConfig(kind=BINDING, variables=4)])
 def test_length_generalization_matches_per_episode_loop(precision, task):
     p = md.init_holonomic(RngState(40), 8, task.vocab, task.n_classes,
                           n_queries=task.n_queries)
@@ -533,7 +539,7 @@ def test_length_generalization_matches_per_episode_loop(precision, task):
 
 
 def test_length_generalization_rnn_and_transformer_score_the_same_batch():
-    task = ex.TaskConfig()
+    task = TaskConfig()
     rnn = md.init_rnn(RngState(42), 8, 6, 6)
     tr = md.init_transformer(RngState(43), 8, 1, 2, 8, 6, 6, pos_mode="sinusoidal")
     batch = task.sample_batch(RngState(44).child(0).generator(), np.full(24, 9))
@@ -559,21 +565,26 @@ def test_exhaustive_s3_accuracy_scores_every_sequence(kind, monkeypatch):
     for tokens in itertools.product(range(6), repeat=3):
         correct += int(row_label(p, tokens) == naive_s3_target(tokens))
     builds = count_operator_builds(monkeypatch)
-    assert ex.exhaustive_s3_accuracy(p, 3) == correct / 216
+    cur = Curriculum(kind="stepwise", l_min=1, l_max=3)
+    assert ex.validation_accuracy(p, TaskConfig(), cur, 16, RngState(47)) == correct / 216
     assert len(builds) == (kind == md.HOLONOMIC)    # once, not once per block
 
 
 def test_validation_is_exhaustive_for_small_s3_and_sampled_otherwise():
     p = md.init_holonomic(RngState(46), 8, 6, 6)
-    s3 = ex.TaskConfig()
+    s3 = TaskConfig()
     for l_max in (1, 5):
         cur = Curriculum(kind="stepwise", l_min=1, l_max=l_max)
-        assert ex.validation_accuracy(p, s3, cur, 16, RngState(47)) == \
-            ex.exhaustive_s3_accuracy(p, l_max)
+        batch = s3.validation_batch(cur, 16, RngState(47))
+        assert len(batch) == 6 ** l_max
+        assert len({e.tokens for e in batch}) == 6 ** l_max
+        assert all(e.length == l_max and e.target == naive_s3_target(e.tokens) for e in batch)
+        hits = np.argmax(md.forward_batch(p, batch.ids)[1], axis=1) == batch.targets
+        assert ex.validation_accuracy(p, s3, cur, 16, RngState(47)) == np.mean(hits)
     cur = Curriculum(kind="stepwise", l_min=1, l_max=6)   # 6^6 > 8192 sequences
     assert ex.validation_accuracy(p, s3, cur, 16, RngState(47)) == \
         ex.evaluate_accuracy(p, s3, 6, 16, RngState(47))
-    binding = ex.TaskConfig(kind="binding", variables=4)
+    binding = TaskConfig(kind=BINDING, variables=4)
     pb = md.init_holonomic(RngState(48), 8, 6, 4, n_queries=4)
     cur = Curriculum(kind="stepwise", l_min=2, l_max=3)
     assert ex.validation_accuracy(pb, binding, cur, 16, RngState(49)) == \
@@ -582,7 +593,7 @@ def test_validation_is_exhaustive_for_small_s3_and_sampled_otherwise():
 
 def test_evaluate_accuracy_cycles_lengths_from_one_stream():
     p = md.init_rnn(RngState(50), 8, 6, 6)
-    task = ex.TaskConfig()
+    task = TaskConfig()
     acc = ex.evaluate_accuracy(p, task, [2, 5, 3], 30, RngState(51))
     batch = task.sample_batch(RngState(51).child(0).generator(), [2, 5, 3] * 10)
     expected = np.mean([row_label(p, e.tokens) == e.target for e in batch])
@@ -592,14 +603,14 @@ def test_evaluate_accuracy_cycles_lengths_from_one_stream():
 def test_trivial_accuracy_is_the_best_token_blind_answer():
     # brute force over all 6^L swap sequences of v = 4: the share of the most
     # frequent answer to each query, whatever the tokens
-    task = ex.TaskConfig(kind=ex.BINDING, variables=4)
+    task = TaskConfig(kind=BINDING, variables=4)
     for length in range(5):
         seqs = list(itertools.product(range(task.vocab), repeat=length))
         best = [max(np.bincount([naive_binding_target(s, 4, q) for s in seqs],
                                 minlength=4)) / len(seqs) for q in range(4)]
         assert np.allclose(best, task.trivial_accuracy(length), rtol=0, atol=1e-12)
-        assert ex.TaskConfig().trivial_accuracy(length) == 1 / 6
-    ten = ex.TaskConfig(kind=ex.BINDING, variables=10)
+        assert TaskConfig().trivial_accuracy(length) == 1 / 6
+    ten = TaskConfig(kind=BINDING, variables=10)
     assert ten.trivial_accuracy(1) == pytest.approx(0.8, abs=1e-12)
     assert ten.trivial_accuracy(5) == pytest.approx(0.356, abs=1e-3)
     assert ten.trivial_accuracy(50) == pytest.approx(0.1, abs=1e-5)
@@ -608,7 +619,7 @@ def test_trivial_accuracy_is_the_best_token_blind_answer():
 def test_length_generalization_capacity_note_for_learned_positions():
     p = md.init_transformer(RngState(28), 16, 1, 2, 16, 6, 6,
                             pos_mode="learned", max_len=8)
-    rows = ex.length_generalization_eval(p, ex.TaskConfig(),
+    rows = ex.length_generalization_eval(p, TaskConfig(),
                                          [4, 16], 8, 64, RngState(29))
     assert rows[0]["note"] == ""
     assert rows[1]["note"] == "capacity-exceeded"
@@ -618,24 +629,41 @@ def test_length_generalization_capacity_note_for_learned_positions():
 def test_genlen_samples_no_column_past_a_learned_positional_table(monkeypatch):
     p = md.init_transformer(RngState(28), 16, 1, 2, 16, 6, 6,
                             pos_mode="learned", max_len=8)
-    sample = ex.TaskConfig.sample_batch
+    draw = TaskConfig.draw
     shapes = []
-    monkeypatch.setattr(ex.TaskConfig, "sample_batch", lambda self, gen, lengths:
+    monkeypatch.setattr(TaskConfig, "draw", lambda self, gen, lengths:
                         shapes.append(np.shape(lengths) + (max(lengths),))
-                        or sample(self, gen, lengths))
-    rows = ex.length_generalization_eval(p, ex.TaskConfig(), [4, 16, 6], 8, 64, RngState(29))
+                        or draw(self, gen, lengths))
+    rows = ex.length_generalization_eval(p, TaskConfig(), [4, 16, 6], 8, 64, RngState(29))
     assert shapes == [(8, 6)]     # one batch at the longest scored length
     assert [row["note"] for row in rows] == ["", "capacity-exceeded", ""]
     shapes.clear()
-    rows = ex.length_generalization_eval(p, ex.TaskConfig(), [16, 5000], 8, 64, RngState(29))
+    rows = ex.length_generalization_eval(p, TaskConfig(), [16, 5000], 8, 64, RngState(29))
     assert shapes == [] and all(math.isnan(row["acc"]) for row in rows)
+
+
+def test_genlen_labels_each_column_once(monkeypatch):
+    # one fold to the longest length labels every scored length
+    fold = TaskConfig.prefix_targets
+    steps = []
+
+    def counted(self, ids, queries=None):
+        for targets in fold(self, ids, queries):
+            steps.append(targets.shape)
+            yield targets
+
+    monkeypatch.setattr(TaskConfig, "prefix_targets", counted)
+    p = md.init_holonomic(RngState(52), 8, 6, 6)
+    ex.length_generalization_eval(p, TaskConfig(), [50, 100, 200, 500, 1000, 2000, 5000],
+                                  4, 64, RngState(53))
+    assert len(steps) == 5000 and set(steps) == {(4,)}
 
 
 def test_train_smoke_converges_tiny_holonomic():
     cur = Curriculum(kind="stepwise", l_min=1, l_max=2)
     cfg = ex.TrainConfig(steps=900, batch=32, eval_interval=20,
                          gate_episodes=64, val_episodes=128)
-    res = ex.train(ex.ModelConfig(kind=md.HOLONOMIC, n=8), ex.TaskConfig(),
+    res = ex.train(ex.ModelConfig(kind=md.HOLONOMIC, n=8), TaskConfig(),
                    cur, cfg, RngState(30))
     assert res.converged
     assert res.final_accuracy == 1.0
@@ -661,7 +689,7 @@ def test_train_same_seed_same_bits():
 
     def run(seed):
         return ex.train(ex.ModelConfig(kind=md.HOLONOMIC, n=8),
-                        ex.TaskConfig(kind="binding", variables=4), cur, cfg,
+                        TaskConfig(kind=BINDING, variables=4), cur, cfg,
                         RngState(seed))
 
     a, b, c = run(32), run(32), run(33)
@@ -680,7 +708,7 @@ def test_train_builds_the_operators_once_per_eval_point(monkeypatch):
     cur = Curriculum(kind="ramp", l_min=5, l_max=8, ramp_fraction=0.001)
     cfg = ex.TrainConfig(steps=2, batch=8, gate_episodes=16, val_episodes=16)
     res = ex.train(ex.ModelConfig(kind=md.HOLONOMIC, n=8),
-                   ex.TaskConfig(kind="binding", variables=4), cur, cfg, RngState(34))
+                   TaskConfig(kind=BINDING, variables=4), cur, cfg, RngState(34))
     assert res.steps_used == 2 and len(res.log) == 1
     assert len(calls) == 1
 
@@ -701,7 +729,7 @@ def test_train_holds_one_tape_at_a_time(monkeypatch, kind):
     cfg = ex.TrainConfig(steps=3, batch=8, eval_interval=2, gate_episodes=8,
                          val_episodes=8)
     ex.train(ex.ModelConfig(kind=kind, n=8, layers=1, heads=2),
-             ex.TaskConfig(kind="binding", variables=4), cur, cfg, RngState(35))
+             TaskConfig(kind=BINDING, variables=4), cur, cfg, RngState(35))
     assert alive_at_build == [0, 0, 0]
 
 
@@ -720,7 +748,7 @@ def test_train_returns_the_model_it_built_trained_in_place(monkeypatch, kind):
     cfg = ex.TrainConfig(steps=3, batch=8, eval_interval=2, gate_episodes=8,
                          val_episodes=8)
     res = ex.train(ex.ModelConfig(kind=kind, n=8, layers=1, heads=2),
-                   ex.TaskConfig(kind="binding", variables=4), cur, cfg, RngState(35))
+                   TaskConfig(kind=BINDING, variables=4), cur, cfg, RngState(35))
     [(params, initial)] = built
     assert res.params is params
     assert not np.array_equal(params.to_dict()["readout"], initial["readout"])
@@ -734,7 +762,7 @@ def binding_train_peak(steps):
     tracemalloc.start()
     try:
         ex.train(ex.ModelConfig(kind=md.TRANSFORMER, n=16, layers=2, heads=4),
-                 ex.TaskConfig(kind="binding", variables=10), cur, cfg, RngState(36))
+                 TaskConfig(kind=BINDING, variables=10), cur, cfg, RngState(36))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -751,7 +779,7 @@ def test_train_nonconvergence_carries_params():
     cur = Curriculum(kind="stepwise", l_min=1, l_max=5)
     cfg = ex.TrainConfig(steps=8, batch=8, eval_interval=4, gate_episodes=16,
                          val_episodes=16)
-    res = ex.train(ex.ModelConfig(kind=md.RNN, n=8), ex.TaskConfig(), cur,
+    res = ex.train(ex.ModelConfig(kind=md.RNN, n=8), TaskConfig(), cur,
                    cfg, RngState(31))
     assert not res.converged
     assert res.params is not None
@@ -763,10 +791,10 @@ def test_train_past_a_learned_positional_table_stops_at_the_first_batch():
     model = ex.ModelConfig(kind=md.TRANSFORMER, n=8, layers=1, heads=2, max_len=2)
     cur = Curriculum(kind="stepwise", l_min=3, l_max=3)
     with pytest.raises(CapacityError, match="exceeds learned positional table of 2"):
-        ex.train(model, ex.TaskConfig(), cur, ex.TrainConfig(steps=4, batch=4), RngState(32))
+        ex.train(model, TaskConfig(), cur, ex.TrainConfig(steps=4, batch=4), RngState(32))
 
 
 def test_model_config_built_in_code_refuses_an_unknown_kind():
     # a config file's kind is checked as it is read; one built in code is not
     with pytest.raises(ArgumentError, match="unknown model kind: lstm"):
-        ex.ModelConfig(kind="lstm").build(RngState(33), ex.TaskConfig())
+        ex.ModelConfig(kind="lstm").build(RngState(33), TaskConfig())

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,22 +6,20 @@ import pytest
 
 from holonet.errors import ArgumentError
 from holonet.group_tasks import (
+    BINDING,
     IDENTITY_STEP,
     S3_CAYLEY,
     S3_ELEMENTS,
     Curriculum,
     Episode,
-    binding_targets,
+    TaskConfig,
     curriculum_advance,
     naive_binding_target,
     naive_s3_target,
     perm_compose,
     s3_id,
-    s3_sample_batch,
     s3_sample_episode,
-    s3_targets,
     sample_lengths,
-    sv_sample_batch,
     sv_sample_episode,
     swap_token,
     swap_vocabulary,
@@ -28,11 +27,12 @@ from holonet.group_tasks import (
 from holonet.tensor_core import RngState
 
 IDENTITY = (0, 1, 2)
+S3_TASK = TaskConfig()
 
 
 def binding_target(tokens, v, query):
-    """The answer of one episode: binding_targets on a one-row block."""
-    return int(binding_targets(np.array([tokens]), v, np.array([query]))[0])
+    """The answer of one episode: the binding task's label of a one-row block."""
+    return int(TaskConfig(BINDING, v).label(np.array([tokens]), np.array([query])).targets[0])
 
 
 # ---------------------------------------------------------------- permutations
@@ -79,13 +79,13 @@ def test_s3_elements_ids_and_cayley_table_are_pinned():
 
 def test_s3_single_token_is_its_own_target():
     for g in range(6):
-        assert s3_targets(np.array([[g]]))[0] == g
+        assert S3_TASK.label(np.array([[g]])).targets[0] == g
 
 
 def test_s3_pairs_match_cayley_table():
     for g1, g2 in itertools.product(range(6), range(6)):
         expected = s3_id(perm_compose(S3_ELEMENTS[g2], S3_ELEMENTS[g1]))
-        assert s3_targets(np.array([[g1, g2]]))[0] == expected
+        assert S3_TASK.label(np.array([[g1, g2]])).targets[0] == expected
 
 
 def test_s3_random_episodes_match_fold_and_naive_oracle():
@@ -123,6 +123,33 @@ def test_per_episode_samplers_keep_their_bits():
     assert all(type(t) is int for t in ep.tokens) and type(ep.target) is int
 
 
+# SHA-256 of the draws at seed 41, as the samplers made them before one
+# TaskConfig held both tasks: a batch's ids, targets and (binding) queries as
+# int64 bytes, at mixed lengths 1..12; and the per-episode samplers' episodes
+# at lengths 1..12, each from its own child stream.
+MIXED = [3, 12, 1, 7, 12, 5, 2, 9, 1, 11, 4, 6, 8, 10, 12, 2]
+PINNED_BATCHES = {
+    "s3": "85ff505c83a84a17bb0b38d6460fe4e56f7f42a90cba33db2fba9e65da901ecf",
+    "binding": "353366a8163f7629cf1c0a3feee837c72788f11e820e93ad739d20f49a84ba3d"}
+PINNED_EPISODES = {
+    "s3": "947d36f564908e2873e1937b6254847cbbd34577c646d9c9d35433b9ecad4ff8",
+    "binding": "943f345a4ee50c4e5377317cafc22f30bdcf4937ff2d95e993caabf6078dd899"}
+
+
+@pytest.mark.parametrize("task", [S3_TASK, TaskConfig(BINDING, 10)], ids=["s3", "binding"])
+def test_batches_and_episodes_keep_their_pinned_draws(task):
+    batch = task.sample_batch(RngState(41).generator(), MIXED)
+    digest = hashlib.sha256()
+    for array in (batch.ids, batch.targets) + (() if batch.queries is None else (batch.queries,)):
+        digest.update(np.asarray(array, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == PINNED_BATCHES[task.kind]
+    assert [e.length for e in batch] == MIXED
+    eps = [s3_sample_episode(RngState(41).child(n), n) if task.kind == "s3"
+           else sv_sample_episode(RngState(41).child(n), 10, n) for n in range(1, 13)]
+    rows = repr([(e.tokens, e.target, e.length, e.query) for e in eps]).encode()
+    assert hashlib.sha256(rows).hexdigest() == PINNED_EPISODES[task.kind]
+
+
 def test_cayley_table_matches_perm_composition():
     for a, b in itertools.product(range(6), range(6)):
         assert S3_CAYLEY[a, b] == s3_id(perm_compose(S3_ELEMENTS[a], S3_ELEMENTS[b]))
@@ -131,14 +158,14 @@ def test_cayley_table_matches_perm_composition():
 @pytest.mark.parametrize("lengths", [[1], [1, 1, 1], [3, 1, 7, 1, 12, 5, 7], [2] * 5])
 def test_batch_sampler_matches_naive_oracles(lengths):
     for seed in range(20):
-        batch = s3_sample_batch(RngState(seed).generator(), lengths)
+        batch = S3_TASK.sample_batch(RngState(seed).generator(), lengths)
         assert batch.ids.shape == (len(lengths), max(lengths))
         eps = list(batch)
         assert [e.length for e in eps] == list(lengths)
         for row, e in zip(batch.ids, eps):
             assert np.all(row[:max(lengths) - e.length] == IDENTITY_STEP)
             assert e.target == naive_s3_target(e.tokens)
-        batch = sv_sample_batch(RngState(seed).child(1).generator(), 6, lengths)
+        batch = TaskConfig(BINDING, 6).sample_batch(RngState(seed).child(1).generator(), lengths)
         for e in batch:
             assert 0 <= e.query < 6 and e.query is not None
             assert e.target == naive_binding_target(e.tokens, 6, e.query)
@@ -148,7 +175,7 @@ def test_batch_row_keeps_the_first_tokens_of_its_draw():
     # row i uses the first lengths[i] tokens of row i of one (B, L_max) draw
     lengths = [4, 1, 6]
     raw = RngState(3).generator().integers(0, 6, size=(3, 6))
-    eps = s3_sample_batch(RngState(3).generator(), lengths)
+    eps = S3_TASK.sample_batch(RngState(3).generator(), lengths)
     for row, e in zip(raw, eps):
         assert e.tokens == tuple(row[:e.length])
 
@@ -156,9 +183,12 @@ def test_batch_row_keeps_the_first_tokens_of_its_draw():
 def test_batch_sampler_rejects_bad_lengths():
     for lengths in ([], [0, 3], [[2, 3]]):
         with pytest.raises(ArgumentError):
-            s3_sample_batch(RngState(0).generator(), lengths)
-    with pytest.raises(ArgumentError):
-        sv_sample_batch(RngState(0).generator(), 1, [3])
+            S3_TASK.sample_batch(RngState(0).generator(), lengths)
+    for v in (1, 0):    # a task built in code is refused as the config key is
+        with pytest.raises(ArgumentError, match="at least 2 variables"):
+            TaskConfig(BINDING, v)
+        with pytest.raises(ArgumentError, match="at least 2 variables"):
+            sv_sample_episode(RngState(0), v, 3)
 
 
 # ---------------------------------------------------------------- binding episodes

@@ -8,13 +8,14 @@ from holonet import models as md
 from holonet import scan_engine as se
 from holonet.errors import ArgumentError, CapacityError, DimensionError, NumericError
 from holonet.group_tasks import (
+    BINDING,
+    S3,
     Batch,
     Curriculum,
     Episode,
-    s3_sample_batch,
+    TaskConfig,
     s3_sample_episode,
     sample_lengths,
-    sv_sample_batch,
 )
 from holonet.tensor_core import RngState
 
@@ -25,7 +26,7 @@ def s3_episode(seed, length=5):
 
 def one_row(e):
     """Episode e as a batch of one."""
-    return Batch(np.array([e.tokens]), np.array([e.length]), np.array([e.target]),
+    return Batch(np.array([e.tokens]), np.array([e.target]),
                  None if e.query is None else np.array([e.query]))
 
 
@@ -112,14 +113,14 @@ def test_operators_are_the_training_graphs_bits(n, vocab, n_queries, gen_scale):
 
 def test_holonomic_noise_renormalizes_to_unit():
     p = md.init_holonomic(RngState(7), 12, 6, 6)
-    batch = s3_sample_batch(RngState(8).generator(), MIXED)
+    batch = TaskConfig().sample_batch(RngState(8).generator(), MIXED)
     states, _ = md.forward_batch(p, batch.ids, None, 0.8, RngState(9))
     assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_holonomic_noise_hook_silent_when_disabled():
     p = md.init_holonomic(RngState(10), 8, 6, 6)
-    ids = s3_sample_batch(RngState(11).generator(), MIXED).ids
+    ids = TaskConfig().sample_batch(RngState(11).generator(), MIXED).ids
     a = md.forward_batch(p, ids, None, 0.0, None)
     b = md.forward_batch(p, ids, None, 0.0, RngState(99))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -133,7 +134,7 @@ def test_holonomic_vocabulary_overflow():
 
 def test_holonomic_noisy_forward_deterministic_per_seed():
     p = md.init_holonomic(RngState(13), 8, 6, 6)
-    ids = s3_sample_batch(RngState(14).generator(), MIXED).ids
+    ids = TaskConfig().sample_batch(RngState(14).generator(), MIXED).ids
     _, a = md.forward_batch(p, ids, None, 0.5, RngState(1).child(3))
     _, b = md.forward_batch(p, ids, None, 0.5, RngState(1).child(3))
     _, c = md.forward_batch(p, ids, None, 0.5, RngState(1).child(4))
@@ -211,11 +212,11 @@ def test_transformer_batch_matches_single():
     # a left-padded mixed-length block gives, bit for bit, the logits of each
     # length's unpadded block, and each row those of its episode alone
     p = small_transformer(vocab=10, n_classes=5, n_queries=5)
-    batch = sv_sample_batch(RngState(29).generator(), 5, MIXED)
+    batch = TaskConfig(BINDING, 5).sample_batch(RngState(29).generator(), MIXED)
     _, logits = md.forward_batch(p, batch.ids, batch.queries)
     width = batch.ids.shape[1]
     for length in set(MIXED):
-        rows = batch.lengths == length
+        rows = np.array([e.length for e in batch]) == length
         _, alone = md.forward_batch(p, batch.ids[rows, width - length:],
                                     batch.queries[rows])
         assert np.array_equal(logits[rows], alone)
@@ -247,8 +248,7 @@ def test_rnn_training_node_runs_the_inference_step_bit_for_bit(kind, n, vocab):
     # equal forward_batch's on the same block: the two share rnn_step
     gen = RngState(43).generator()
     lengths = np.concatenate([[1, 50], gen.integers(1, 51, 62)])
-    batch = s3_sample_batch(gen, lengths) if vocab == 6 \
-        else sv_sample_batch(gen, 10, lengths)
+    batch = TaskConfig(S3 if vocab == 6 else BINDING, 10).sample_batch(gen, lengths)
     params = md.init_rnn(RngState(44), n, vocab, 6 if vocab == 6 else 10,
                          n_queries=1 if vocab == 6 else 10,
                          normalized=kind == md.NORMALIZED_RNN)
@@ -262,7 +262,7 @@ def test_rnn_training_node_runs_the_inference_step_bit_for_bit(kind, n, vocab):
 
 def test_transformer_residual_noise_deterministic():
     p = small_transformer()
-    batch = s3_sample_batch(RngState(30).generator(), MIXED)
+    batch = TaskConfig().sample_batch(RngState(30).generator(), MIXED)
     clean, _ = md.forward_batch(p, batch.ids)
     a, _ = md.forward_batch(p, batch.ids, None, 0.4, RngState(7))
     b, _ = md.forward_batch(p, batch.ids, None, 0.4, RngState(7))
@@ -288,10 +288,10 @@ def recurrent_params(kind, seed, n=10, vocab=6, classes=6, queries=1):
 def test_forward_batch_matches_per_episode_forward(kind, task):
     if task == "s3":
         params = recurrent_params(kind, 70)
-        batch = s3_sample_batch(RngState(71).generator(), MIXED)
+        batch = TaskConfig().sample_batch(RngState(71).generator(), MIXED)
     else:
         params = recurrent_params(kind, 72, vocab=10, classes=5, queries=5)
-        batch = sv_sample_batch(RngState(73).generator(), 5, MIXED)
+        batch = TaskConfig(BINDING, 5).sample_batch(RngState(73).generator(), MIXED)
     states, logits = md.forward_batch(params, batch.ids, batch.queries)
     for i, e in enumerate(batch):
         if kind == md.HOLONOMIC:
@@ -307,7 +307,7 @@ def test_forward_batch_float32_matches_per_episode_loop():
     # on float32 operators over long rows of mixed lengths
     params = md.init_holonomic(RngState(74), 16, 6, 6)
     ops = params.operators().astype(np.float32)
-    batch = s3_sample_batch(RngState(75).generator(), [200, 37, 130, 1, 200])
+    batch = TaskConfig().sample_batch(RngState(75).generator(), [200, 37, 130, 1, 200])
     states, logits = md.forward_batch(params, batch.ids, operators=ops)
     assert states.dtype == np.float32
     for i, e in enumerate(batch):
@@ -368,7 +368,7 @@ def test_states_after_each_column_are_the_prefix_forwards_bit_for_bit(kind, prec
     # states and logits of the block's length-(c + 1) prefix run alone
     if task == "s3":
         params = recurrent_params(kind, 84)
-        batch = s3_sample_batch(RngState(85).generator(), np.full(24, 60))
+        batch = TaskConfig().sample_batch(RngState(85).generator(), np.full(24, 60))
     else:
         params = binding_params(kind, 86)
         batch = binding_batch(87, np.full(24, 60))
@@ -405,7 +405,7 @@ def test_forward_batch_noise_energy_scaling():
 
 def test_forward_batch_normalized_rnn_stays_on_sphere_under_noise():
     params = md.init_rnn(RngState(80), 12, 6, 6, normalized=True)
-    batch = s3_sample_batch(RngState(81).generator(), MIXED)
+    batch = TaskConfig().sample_batch(RngState(81).generator(), MIXED)
     states, _ = md.forward_batch(params, batch.ids, None, 2.0,
                                  RngState(82))
     assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
@@ -432,7 +432,7 @@ def test_forward_batch_rejects_bad_input():
         for ids, queries in bad:
             with pytest.raises(ArgumentError):
                 md.forward_batch(params, np.array(ids), queries)
-            batch = Batch(np.array(ids), np.array([1]), np.array([0]),
+            batch = Batch(np.array(ids), np.array([0]),
                           None if queries is None else np.array(queries))
             with pytest.raises(ArgumentError):
                 md.tape_batch_loss(params, tape, leaves, batch)
@@ -503,7 +503,7 @@ def test_tape_loss_matches_numpy_forward(kind):
         params = md.init_holonomic(RngState(31), 10, 6, 6)
     else:
         params = md.init_rnn(RngState(32), 10, 6, 6, normalized=kind == md.NORMALIZED_RNN)
-    batch = s3_sample_batch(RngState(40).generator(), [5, 5, 5])
+    batch = TaskConfig().sample_batch(RngState(40).generator(), [5, 5, 5])
     tape = ge.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.to_dict().items()}
     loss = md.tape_batch_loss(params, tape, leaves, batch)
@@ -513,7 +513,7 @@ def test_tape_loss_matches_numpy_forward(kind):
 
 
 def binding_batch(seed, lengths):
-    return sv_sample_batch(RngState(seed).generator(), 4, lengths)
+    return TaskConfig(BINDING, 4).sample_batch(RngState(seed).generator(), lengths)
 
 
 def test_mixed_length_holonomic_loss_matches_numpy_forward():
@@ -571,7 +571,7 @@ def test_each_benchmark_block_shape_takes_its_layout():
     gen = RngState(82).generator()
 
     def s3(lengths):
-        return s3_sample_batch(gen, lengths).ids
+        return TaskConfig().draw(gen, lengths)[0]
 
     s3_top = Curriculum("stepwise", 1, 5, max_len=5)
     binding_top = Curriculum("ramp", 5, 50, ramp_start=10, progress=1.0, max_len=50)
@@ -581,7 +581,7 @@ def test_each_benchmark_block_shape_takes_its_layout():
         "sweep": (s3(np.full(64, 5)), 6, 32, True),
         "massgap": (s3(np.full(600, 5)), 6, 32, True),
         "s3 training": (s3(sample_lengths(s3_top, gen, 64)), 6, 32, True),
-        "binding training": (sv_sample_batch(gen, 10, sample_lengths(binding_top, gen, 64)).ids,
+        "binding training": (TaskConfig(BINDING).draw(gen, sample_lengths(binding_top, gen, 64))[0],
                              45, 128, False),
     }
     for name, (ids, vocab, n, padded) in blocks.items():
@@ -637,7 +637,7 @@ def test_holonomic_tape_loss_rejects_token_outside_vocabulary():
     for ids in ([[0, 6]], [[0, -1]], [[0, -2]]):
         with pytest.raises(ArgumentError):
             md.tape_batch_loss(params, tape, leaves,
-                               Batch(np.array(ids), np.array([2]), np.array([0])))
+                               Batch(np.array(ids), np.array([0])))
 
 
 # ---------------------------------------------------------------- gradient fidelity
