@@ -15,9 +15,7 @@ All randomness derives from [run] seed.
 The keys are derived from the dataclasses: each section fills one RunConfig
 attribute (`_SECTIONS`), and each field of that attribute's dataclass is a
 key, parsed by its type hint. A new setting is added to its dataclass only.
-Two fields are exceptions: `Curriculum.max_len` and `Curriculum.progress`
-are training state and are rejected as keys, and `RunConfig.save` is read
-and written under [train].
+One field is an exception: `RunConfig.save` is read and written under [train].
 
 Each key's rule sits on its field as `Annotated` metadata, such as
 `lr: Annotated[float, "(0, inf)"]`, in the form that `models.check` reads
@@ -154,14 +152,12 @@ def _parse_bool(text: str) -> bool:
 
 # INI section -> the RunConfig attribute it fills ("" for RunConfig's own
 # fields); a key is named as its field unless _RENAMED says otherwise.
-# Exceptions: Curriculum.max_len and .progress are training state, not
-# settings (_STATE); RunConfig.save lives under [train] (_MOVED).
+# RunConfig.save lives under [train] (_MOVED).
 _SECTIONS = {"run": "", "model": "model", "task": "task", "curriculum": "curriculum",
              "train": "train", "noise": "sweep", "scaling": "scaling",
              "genlen": "genlen", "horizon": "horizon", "massgap": "massgap",
              "pca": "pca", "bench": "bench"}
 _RENAMED = {("model", "pos_mode"): "positional"}
-_STATE = {("curriculum", "max_len"), ("curriculum", "progress")}
 _MOVED = {"save": "train"}
 _SPECS = get_type_hints(RunConfig)   # field -> type; a section's type is its dataclass
 
@@ -185,8 +181,7 @@ def _key_table() -> dict:
         for f in fields(cls):
             hint, rule = get_args(hints[f.name]) if get_origin(hints[f.name]) is Annotated \
                 else (hints[f.name], None)
-            if (section, f.name) in _STATE or is_dataclass(hint) \
-                    or (not attr and f.name in _MOVED):
+            if is_dataclass(hint) or (not attr and f.name in _MOVED):
                 continue
             key = _RENAMED.get((section, f.name), f.name)
             table[section][key] = (attr, f.name, _parser(hint), rule)

@@ -11,6 +11,8 @@ own streams.
 Every probe takes a model as one value, its params, which carry its kind,
 and a task as one value, a `group_tasks.TaskConfig`: the task draws, labels
 and picks the validation episodes, so nothing here tests a task's kind.
+`train` holds its place in a curriculum as two numbers and asks the
+`Curriculum` for the top length, so nothing tests a curriculum's kind either.
 Inference for all four model kinds runs through `models.forward_batch`, so
 a batch's noise, recurrent-state or residual-stream, comes from one stream.
 """
@@ -28,7 +30,7 @@ from . import models as md
 from . import scan_engine as se
 from . import tensor_core as tc
 from .errors import ArgumentError, NumericError
-from .group_tasks import Batch, Curriculum, TaskConfig, curriculum_advance, sample_lengths
+from .group_tasks import Batch, Curriculum, TaskConfig, sample_lengths
 # perfbench/tracing.py wraps the per-episode samplers under these names here
 from .group_tasks import s3_sample_episode, sample_length, sv_sample_episode  # noqa: F401
 
@@ -144,10 +146,6 @@ class HorizonCurve:
     fit_r_squared: float
     note: str = ""      # "flat": log J spread below HORIZON_FLAT_SPREAD, nothing fit
 
-    def __post_init__(self):
-        if np.any(self.j_values < 0):
-            raise ArgumentError("J(t) must be nonnegative")
-
 
 @dataclass
 class MassGapResult:
@@ -234,44 +232,42 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
           cfg: TrainConfig, rng: tc.RngState) -> TrainResult:
     """Curriculum training to the task's convergence target.
 
-    Stepwise curricula gate on perfect accuracy at the current length; ramp
-    curricula advance with the step fraction. Returns the model it built,
-    trained in place, and a non-convergence result (converged=False) if the
-    step budget runs out. A non-finite loss or pre-clip gradient norm raises
-    NumericError before the update, so the parameters are never poisoned.
-    Each log entry carries that step's pre-clip gradient norm. A learned
-    positional table shorter than a batch stops the run with CapacityError
-    (`models._pack`).
+    The run's place in the curriculum is the share of training done, step /
+    steps, and the number of gates cleared: an eval point clears one when its
+    gate accuracy, at the current top length, reaches the curriculum's
+    gate_threshold. Validation runs once the top is l_max and no ramp is
+    rising, and the gate accuracy has reached the target. Returns the model
+    it built, trained in place, and a non-convergence result
+    (converged=False) if the step budget runs out. A non-finite loss or
+    pre-clip gradient norm raises NumericError before the update, so the
+    parameters are never poisoned. Each log entry carries that step's
+    pre-clip gradient norm. A learned positional table shorter than a batch
+    stops the run with CapacityError (`models._pack`).
     """
     params = model_cfg.build(rng.child(0), task)
     store = ge.ParamStore(params.to_dict())     # params' own arrays: Adam updates them
     log: list[dict] = []
     converged = False
-    accuracy = 0.0
-    step = 0
-    ops, ops_step = None, -1    # holonomic operators of the last eval point
+    gates = step = 0
+    ops = None      # holonomic operators of the last eval point
     for step in range(1, cfg.steps + 1):
-        if curriculum.kind == "ramp":
-            curriculum = curriculum_advance(curriculum, step / cfg.steps)
+        fraction = step / cfg.steps
         gen = rng.child(1, step).generator()
-        batch = task.sample_batch(gen, sample_lengths(curriculum, gen, cfg.batch))
+        batch = task.sample_batch(gen, sample_lengths(curriculum, gen, cfg.batch,
+                                                      fraction, gates))
         loss, grad_norm = _train_step(params, store, batch, cfg, step)
         if params.kind == md.HOLONOMIC:
             store.params["h0"] /= np.linalg.norm(store.params["h0"])
         if step % cfg.eval_interval == 0 or step == cfg.steps:
-            ops, ops_step = _operators(params), step
-            gate_len = curriculum.max_len
-            gate_acc = evaluate_accuracy(params, task, gate_len,
+            ops = _operators(params)
+            top = curriculum.top(fraction, gates)
+            gate_acc = evaluate_accuracy(params, task, top,
                                          cfg.gate_episodes, rng.child(2, step), ops)
-            log.append({"step": step, "max_len": curriculum.max_len,
+            log.append({"step": step, "max_len": top,
                         "loss": loss, "grad_norm": float(grad_norm),
                         "accuracy": gate_acc})
-            if curriculum.kind == "stepwise":
-                before = curriculum.max_len
-                curriculum = curriculum_advance(curriculum, gate_acc)
-                at_top = before == curriculum.l_max
-            else:
-                at_top = curriculum.progress >= curriculum.ramp_fraction
+            gates += gate_acc >= curriculum.gate_threshold
+            at_top = top == curriculum.l_max and not curriculum.ramping(fraction)
             if at_top and gate_acc >= cfg.target_accuracy:
                 accuracy = validation_accuracy(params, task, curriculum,
                                                cfg.val_episodes, rng.child(3, step), ops)
@@ -280,10 +276,10 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
                     if cfg.early_stop:
                         break
     if not (cfg.early_stop and converged):
-        # convergence must describe the returned parameters
+        # convergence must describe the returned parameters; the loop ended on
+        # an eval step, whose operators these are
         accuracy = validation_accuracy(params, task, curriculum,
-                                       cfg.val_episodes, rng.child(4),
-                                       ops if ops_step == step else None)
+                                       cfg.val_episodes, rng.child(4), ops)
         converged = accuracy >= cfg.target_accuracy
     return TrainResult(params, converged, step, accuracy, log)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -277,20 +277,24 @@ def sv_sample_episode(rng: RngState, v: int, length: int) -> Episode:
 
 @dataclass(frozen=True)
 class Curriculum:
-    """Length scheduler: stepwise accuracy gate or linear ramp with end bias.
+    """Length scheduler settings: stepwise accuracy gate or linear ramp with
+    end bias. Each setting's rule is on its type.
 
-    `ramp_start` is where the ramp begins, in [l_min, l_max] (0: l_min), and
-    `ramp_fraction` the share of training it takes; sampling is uniform on
-    [l_min, max_len] until the ramp completes, after which the maximum length
-    is drawn with probability `max_bias`. Each setting's rule is on its type.
+    A run's place in the curriculum is two numbers the trainer holds: the
+    share of training done, `fraction`, and the number of gates cleared,
+    `gates` (eval points whose gate accuracy reached `gate_threshold`). A
+    stepwise curriculum's top length is l_min plus the gates cleared, up to
+    l_max. A ramp's rises linearly from `ramp_start` (in
+    [l_min, l_max]; 0: l_min) to l_max over the first `ramp_fraction` of
+    training. Sampling is uniform on [l_min, top] while the ramp ramps; after
+    it, and throughout a stepwise curriculum, the top length is drawn with
+    probability `max_bias` and the rest uniformly up to it.
     """
 
     kind: Annotated[str, ("stepwise", "ramp")]
     l_min: Annotated[int, 1]
     l_max: Annotated[int, 1]
-    max_len: int = 0
     gate_threshold: Annotated[float, "(0, 1]"] = 1.0
-    progress: float = 0.0
     ramp_start: Annotated[int, 0] = 0
     ramp_fraction: Annotated[float, "(0, 1]"] = 0.7
     max_bias: Annotated[float, "[0, 1]"] = 0.5
@@ -301,38 +305,35 @@ class Curriculum:
         if self.ramp_start and not self.l_min <= self.ramp_start <= self.l_max:
             raise ArgumentError(f"ramp_start {self.ramp_start} outside "
                                 f"[{self.l_min}, {self.l_max}]")
-        if self.max_len == 0:
-            start = self.ramp_start or self.l_min
-            object.__setattr__(self, "max_len", self.l_min if self.kind == "stepwise" else start)
         if self.ramp_start == 0:
             object.__setattr__(self, "ramp_start", self.l_min)
 
+    def top(self, fraction: float, gates: int) -> int:
+        """The longest length trained after `fraction` of training with
+        `gates` gates cleared."""
+        if self.kind == "stepwise":
+            return min(self.l_min + gates, self.l_max)
+        rise = min(fraction / self.ramp_fraction, 1.0)
+        return int(round(self.ramp_start + (self.l_max - self.ramp_start) * rise))
 
-def curriculum_advance(c: Curriculum, metric: float) -> Curriculum:
-    """Advance with a gate accuracy (stepwise) or a step fraction (ramp)."""
-    if c.kind == "stepwise":
-        if metric >= c.gate_threshold and c.max_len < c.l_max:
-            return replace(c, max_len=c.max_len + 1)
-        return c
-    frac = min(metric / c.ramp_fraction, 1.0)
-    new_max = int(round(c.ramp_start + (c.l_max - c.ramp_start) * frac))
-    return replace(c, progress=metric, max_len=max(c.max_len, new_max))
+    def ramping(self, fraction: float) -> bool:
+        """Whether a ramp is still rising after `fraction` of training."""
+        return self.kind == "ramp" and fraction < self.ramp_fraction
 
 
-def sample_lengths(c: Curriculum, gen: np.random.Generator, size: int) -> np.ndarray:
-    """`size` episode lengths from the curriculum's current distribution.
-
-    A ramp still ramping draws uniformly on [l_min, max_len]. Otherwise the
-    top length (l_max for a finished ramp; the gated max_len for stepwise,
-    which rehearses shorter ones) is drawn with probability max_bias and the
-    rest uniformly up to it.
-    """
-    if c.kind == "ramp" and c.progress < c.ramp_fraction:
-        return gen.integers(c.l_min, c.max_len + 1, size=size)
-    top = c.l_max if c.kind == "ramp" else c.max_len
+def sample_lengths(c: Curriculum, gen: np.random.Generator, size: int,
+                   fraction: float, gates: int) -> np.ndarray:
+    """`size` episode lengths from the curriculum's distribution after
+    `fraction` of training with `gates` gates cleared: uniform on
+    [l_min, top] while a ramp ramps, else the top length with probability
+    max_bias and the rest uniform up to it (stepwise rehearses the shorter
+    ones)."""
+    top = c.top(fraction, gates)
+    if c.ramping(fraction):
+        return gen.integers(c.l_min, top + 1, size=size)
     biased = gen.random(size) < c.max_bias
     return np.where(biased, top, gen.integers(c.l_min, top + 1, size=size))
 
 
-def sample_length(c: Curriculum, rng: RngState) -> int:
-    return int(sample_lengths(c, rng.generator(), 1)[0])
+def sample_length(c: Curriculum, rng: RngState, fraction: float, gates: int) -> int:
+    return int(sample_lengths(c, rng.generator(), 1, fraction, gates)[0])

@@ -217,7 +217,7 @@ def init_rnn(rng: tc.RngState, n: int, vocab: int, n_classes: int,
              n_queries: int = 1, normalized: bool = False) -> RnnParams:
     gen = rng.generator()
     # orthogonal recurrent init keeps early tanh dynamics near-isometric
-    w_rec = tc.mat_exp(tc.skew(gen.standard_normal((n, n)) / math.sqrt(n)))
+    w_rec = ge.skew_exp_kernel(gen.standard_normal((1, n, n)) / math.sqrt(n))[0][0]
     w_in = 0.5 * gen.standard_normal((vocab, n))
     bias = np.zeros(n)
     readout = gen.standard_normal((n_queries, n_classes, n)) / math.sqrt(n)

@@ -15,26 +15,13 @@ import numpy as np
 
 from .errors import ArgumentError, ConvergenceError, DimensionError, NumericError
 
-# Pade approximant coefficients and 1-norm switch points for the matrix
-# exponential, double precision (Higham's scaling-and-squaring ladder).
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0),
-}
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 5.371920351148152,
-}
+# Degree-13 diagonal Pade coefficients and its 1-norm bound for the matrix
+# exponential, double precision (Higham's scaling and squaring).
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+            960960.0, 16380.0, 182.0, 1.0)
+_THETA_13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -72,33 +59,24 @@ def skew(m: np.ndarray) -> np.ndarray:
     return m - m.T
 
 
-def _pade(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """U, V of the degree-m diagonal Pade approximant to exp(a)."""
-    b = _PADE_COEFFS[degree]
-    n = a.shape[0]
-    ident = np.eye(n, dtype=a.dtype)
-    powers = {0: ident, 2: a @ a}
-    top = 6 if degree == 13 else degree - 1
-    for p in range(4, top + 1, 2):
-        powers[p] = powers[p - 2] @ powers[2]
-    if degree == 13:
-        a2, a4, a6 = powers[2], powers[4], powers[6]
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-        return u, v
-    u = b[1] * ident
-    v = b[0] * ident
-    for p in range(2, degree + 1, 2):
-        v = v + b[p] * powers[p]
-    for p in range(2, degree, 2):
-        u = u + b[p + 1] * powers[p]
-    return a @ u, v
+def _pade13(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U, V of the degree-13 diagonal Pade approximant to exp(a)."""
+    b = _PADE_13
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    return u, v
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Pade core.
+    """Matrix exponential by scaling and squaring with a degree-13 Pade core:
+    the independent oracle that the production kernel,
+    `grad_engine.skew_exp_kernel`, and the tape's adjoint are checked against.
 
     For skew-symmetric input the diagonal Pade approximant is orthogonal up
     to roundoff, so exp(A) lands on SO(N) to ~1e-14 Frobenius. Raises
@@ -113,9 +91,8 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     norm1 = float(np.max(np.sum(np.abs(a), axis=0)))
     if not np.isfinite(norm1):
         raise NumericError("mat_exp: 1-norm overflowed")
-    degree = next((d for d in (3, 5, 7, 9) if norm1 <= _PADE_THETA[d]), 13)
-    squarings = 0 if degree < 13 else max(0, int(np.ceil(np.log2(norm1 / _PADE_THETA[13]))))
-    u, v = _pade(a / (2.0 ** squarings), degree)
+    squarings = 0 if norm1 <= _THETA_13 else int(np.ceil(np.log2(norm1 / _THETA_13)))
+    u, v = _pade13(a / (2.0 ** squarings))
     # the squarings may overflow; the result check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.linalg.solve(v - u, v + u)

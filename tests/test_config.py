@@ -146,7 +146,7 @@ def test_render_parse_round_trip(snapshot):
 def test_binding_round_trip_keeps_its_fields():
     cfg = parse_config(as_ini(BINDING_EVERY_KEY))
     assert cfg.task.variables == 4 and cfg.model.pos_mode == "sinusoidal"
-    assert cfg.curriculum.ramp_start == 4 and cfg.curriculum.max_len == 4
+    assert cfg.curriculum.ramp_start == 4 and cfg.curriculum.top(0, 0) == 4
     assert cfg.save == "binding.npz" and cfg.sweep.points == 3
     assert cfg.genlen.lengths == (20, 30, 40) and cfg.pca.tags == ("only",)
     assert cfg.train.early_stop is False and cfg.train.eps == 1e-7

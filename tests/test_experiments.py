@@ -699,6 +699,70 @@ def test_train_same_seed_same_bits():
     assert not np.array_equal(a.params.generators, c.params.generators)
 
 
+# Training runs at fixed seeds: [train] config text, seed, then each log row's
+# (step, max_len, accuracy, loss) and (converged, steps_used). They cover the
+# stepwise gate on S3 and on binding (gate_threshold 0.9, so a gate passes
+# below perfect accuracy), a ramp whose start is its top, and one that ramps.
+BINDING_V4 = "[task]\nkind = binding\nvariables = 4\n[model]\nn = 16\n"
+PINNED_TRAINING = {
+    "s3": ("", 0, [
+        (25, 1, 1.0, 1.1783732577798915), (50, 2, 0.3359375, 1.5569186219929558),
+        (75, 2, 0.45703125, 1.2453869182814548), (100, 2, 1.0, 1.0506714935912331),
+        (125, 3, 0.89453125, 1.1449595430447717), (150, 3, 1.0, 0.947220315348725),
+        (175, 4, 1.0, 0.8450032472794071), (200, 5, 1.0, 0.7434176391305808)],
+        (True, 200)),
+    "binding-stepwise": (
+        BINDING_V4 + "[curriculum]\nkind = stepwise\nl_min = 1\nl_max = 6\n"
+        "gate_threshold = 0.9\n[train]\nlr = 0.01\n", 4, [
+            (25, 1, 1.0, 0.7549859083117393), (50, 2, 0.8125, 0.8289178078384252),
+            (75, 2, 0.890625, 0.5942927512719047), (100, 2, 0.99609375, 0.4617399802869846),
+            (125, 3, 0.8671875, 0.546069971519048), (150, 3, 0.96484375, 0.3609276159714957),
+            (175, 4, 1.0, 0.3255609330666748), (200, 5, 1.0, 0.2658718602727792),
+            (225, 6, 1.0, 0.1945474460527268)],
+        (True, 225)),
+    "binding-ramp": (BINDING_V4 + "[curriculum]\nl_max = 8\n[train]\nsteps = 60\n", 0, [
+        (25, 8, 0.234375, 1.3993645083806554), (50, 8, 0.2734375, 1.405075412356451),
+        (60, 8, 0.30859375, 1.3981258644929366)],
+        (False, 60)),
+    "binding-ramp-from-5": (
+        BINDING_V4 + "[curriculum]\nl_max = 8\nramp_start = 5\n"
+        "[train]\nsteps = 60\neval_interval = 10\n", 0, [
+            (10, 6, 0.24609375, 1.4170633036175637), (20, 6, 0.21875, 1.4047995175155208),
+            (30, 7, 0.2265625, 1.4504441168305475), (40, 8, 0.21484375, 1.3920690505994795),
+            (50, 8, 0.24609375, 1.4125018565275025), (60, 8, 0.29296875, 1.3888265445482149)],
+        (False, 60)),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TRAINING)
+def test_training_runs_keep_their_pinned_logs(name):
+    text, seed, rows, outcome = PINNED_TRAINING[name]
+    cfg = parse_config("[run]\nexperiment = train\n" + text)
+    res = ex.train(cfg.model, cfg.task, cfg.curriculum, cfg.train, RngState(seed).child(0))
+    assert [(e["step"], e["max_len"], e["accuracy"]) for e in res.log] == \
+        [row[:3] for row in rows]
+    # the loss goes through BLAS, whose summation order may vary with its threads
+    assert [e["loss"] for e in res.log] == pytest.approx([row[3] for row in rows],
+                                                         rel=1e-9, abs=0)
+    assert (res.converged, res.steps_used) == outcome
+
+
+def test_train_clears_a_gate_when_the_gate_accuracy_reaches_the_threshold(monkeypatch):
+    scripted = iter([0.89, 0.9, 1.0, 0.5, 0.95])
+    gated = []
+
+    def evaluate(params, task, length, *args):
+        gated.append(length)
+        return next(scripted)
+
+    monkeypatch.setattr(ex, "evaluate_accuracy", evaluate)
+    cur = Curriculum(kind="stepwise", l_min=1, l_max=3, gate_threshold=0.9)
+    cfg = ex.TrainConfig(steps=5, batch=4, eval_interval=1, val_episodes=8)
+    res = ex.train(ex.ModelConfig(kind=md.HOLONOMIC, n=8), TaskConfig(), cur, cfg,
+                   RngState(37))
+    assert [e["max_len"] for e in res.log] == gated == [1, 1, 2, 3, 3]
+
+
 def test_train_builds_the_operators_once_per_eval_point(monkeypatch):
     # the last step is an eval step: the final validation reuses its operators
     calls = []

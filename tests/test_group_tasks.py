@@ -13,7 +13,6 @@ from holonet.group_tasks import (
     Curriculum,
     Episode,
     TaskConfig,
-    curriculum_advance,
     naive_binding_target,
     naive_s3_target,
     perm_compose,
@@ -258,28 +257,26 @@ def test_token_marginals_stationary():
 # ---------------------------------------------------------------- curricula
 
 
-def test_stepwise_gate_requires_perfect_accuracy():
-    c = Curriculum(kind="stepwise", l_min=1, l_max=5, max_len=3)
-    assert curriculum_advance(c, 0.99).max_len == 3
-    assert curriculum_advance(c, 1.0).max_len == 4
-
-
 def test_stepwise_caps_at_l_max():
-    c = Curriculum(kind="stepwise", l_min=1, l_max=5, max_len=5)
-    assert curriculum_advance(c, 1.0).max_len == 5
+    # l_min plus the gates cleared up to l_max, whatever the share of training
+    # done; the trainer counts the gates (test_experiments)
+    c = Curriculum(kind="stepwise", l_min=1, l_max=5)
+    assert [c.top(0.5, gates) for gates in range(7)] == [1, 2, 3, 4, 5, 5, 5]
+    assert c.top(0.0, 2) == c.top(1.0, 2) == 3 and c.top(1.0, 50) == 5
+    assert not c.ramping(0.0) and not c.ramping(0.5)
 
 
 def test_ramp_interpolation():
     c = Curriculum(kind="ramp", l_min=10, l_max=50)
-    assert curriculum_advance(c, 0.35).max_len == 30
-    assert curriculum_advance(c, 0.0).max_len == 10
-    assert curriculum_advance(c, 0.7).max_len == 50
-    assert curriculum_advance(c, 0.9).max_len == 50
+    assert [c.top(f, 0) for f in (0.35, 0.0, 0.7, 0.9)] == [30, 10, 50, 50]
+    # gates do not move a ramp
+    assert c.top(0.35, 7) == 30
+    assert [c.ramping(f) for f in (0.0, 0.35, 0.7, 0.9)] == [True, True, False, False]
 
 
 def test_ramp_terminal_bias_frequency():
-    c = curriculum_advance(Curriculum(kind="ramp", l_min=10, l_max=50), 0.9)
-    draws = sample_lengths(c, RngState(5).generator(), 10_000)
+    c = Curriculum(kind="ramp", l_min=10, l_max=50)
+    draws = sample_lengths(c, RngState(5).generator(), 10_000, 0.9, 0)
     assert np.all((draws >= 10) & (draws <= 50))
     # P(50) = 0.5 + 0.5 / 41; the rest uniform on [10, 50]
     assert abs(np.mean(draws == 50) - (0.5 + 0.5 / 41)) < 0.02
@@ -288,16 +285,16 @@ def test_ramp_terminal_bias_frequency():
 
 
 def test_ramp_sampling_respects_cap_mid_ramp():
-    c = curriculum_advance(Curriculum(kind="ramp", l_min=10, l_max=50), 0.35)
-    draws = sample_lengths(c, RngState(6).generator(), 2000)
+    c = Curriculum(kind="ramp", l_min=10, l_max=50)
+    draws = sample_lengths(c, RngState(6).generator(), 2000, 0.35, 0)
     assert draws.max() == 30 and draws.min() == 10
     counts = np.bincount(draws - 10)
     assert np.all(np.abs(counts - 2000 / 21) < 4 * np.sqrt(2000 / 21))
 
 
 def test_stepwise_sampling_concentrates_on_gated_length():
-    c = Curriculum(kind="stepwise", l_min=1, l_max=5, max_len=3)
-    draws = sample_lengths(c, RngState(8).generator(), 20_000)
+    c = Curriculum(kind="stepwise", l_min=1, l_max=5)
+    draws = sample_lengths(c, RngState(8).generator(), 20_000, 0.0, 2)
     assert set(np.unique(draws).tolist()) == {1, 2, 3}
     # max_bias 0.5 on the gated length, the other half uniform on [1, 3]
     freq = np.bincount(draws, minlength=4)[1:] / draws.size
@@ -305,16 +302,17 @@ def test_stepwise_sampling_concentrates_on_gated_length():
 
 
 def test_curriculum_max_len_monotone():
-    c = Curriculum(kind="ramp", l_min=10, l_max=50)
-    prev = c.max_len
-    for step in range(100):
-        c = curriculum_advance(c, step / 99)
-        assert c.max_len >= prev
-        prev = c.max_len
+    # top is the length train logs as max_len
+    ramp = Curriculum(kind="ramp", l_min=10, l_max=50)
+    tops = [ramp.top(step / 99, 0) for step in range(100)]
+    assert tops == sorted(tops) and tops[0] == 10 and tops[-1] == 50
+    stepwise = Curriculum(kind="stepwise", l_min=1, l_max=5)
+    tops = [stepwise.top(0.0, gates) for gates in range(10)]
+    assert tops == sorted(tops) and tops[0] == 1 and tops[-1] == 5
 
 
 def test_sample_floor_allows_shorter_than_ramp_start():
     c = Curriculum(kind="ramp", l_min=5, l_max=50, ramp_start=10)
-    assert c.max_len == 10
-    draws = sample_lengths(c, RngState(7).generator(), 500)
+    assert c.top(0.0, 0) == 10
+    draws = sample_lengths(c, RngState(7).generator(), 500, 0.0, 0)
     assert draws.min() == 5 and draws.max() <= 10

@@ -573,16 +573,16 @@ def test_each_benchmark_block_shape_takes_its_layout():
     def s3(lengths):
         return TaskConfig().draw(gen, lengths)[0]
 
-    s3_top = Curriculum("stepwise", 1, 5, max_len=5)
-    binding_top = Curriculum("ramp", 5, 50, ramp_start=10, progress=1.0, max_len=50)
+    s3_top = Curriculum("stepwise", 1, 5)           # at its top after 4 gates
+    binding_top = Curriculum("ramp", 5, 50, ramp_start=10)   # at its top once ramped
     blocks = {   # (ids, vocab, n, padded)
         "genlen L=50": (s3(np.full(16, 50)), 6, 32, True),
         "genlen L=5000": (s3(np.full(16, 5000)), 6, 32, True),
         "sweep": (s3(np.full(64, 5)), 6, 32, True),
         "massgap": (s3(np.full(600, 5)), 6, 32, True),
-        "s3 training": (s3(sample_lengths(s3_top, gen, 64)), 6, 32, True),
-        "binding training": (TaskConfig(BINDING).draw(gen, sample_lengths(binding_top, gen, 64))[0],
-                             45, 128, False),
+        "s3 training": (s3(sample_lengths(s3_top, gen, 64, 1.0, 4)), 6, 32, True),
+        "binding training": (TaskConfig(BINDING).draw(
+            gen, sample_lengths(binding_top, gen, 64, 1.0, 0))[0], 45, 128, False),
     }
     for name, (ids, vocab, n, padded) in blocks.items():
         schedule = ge.token_schedule(ids, np.empty((vocab, n, n)))

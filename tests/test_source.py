@@ -92,6 +92,43 @@ def test_no_function_takes_a_kind_beside_a_model():
     assert kind_beside_model(PACKAGE) == []
 
 
+# a task and a curriculum answer for their kind: the pipelines never test it
+KIND_OWNERS = {"TaskConfig", "Curriculum"}
+
+
+def kind_reads_off_tasks_and_curricula(path: Path) -> list[str]:
+    """`.kind` reads in a module off a task or curriculum: a value named
+    `task` or `curriculum` (as a name or an attribute), or a parameter
+    annotated with one of KIND_OWNERS."""
+    tree = ast.parse(path.read_text())
+    owners = {"task", "curriculum"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and isinstance(node.annotation, ast.Name) \
+                and node.annotation.id in KIND_OWNERS:
+            owners.add(node.arg)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "kind":
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) \
+                else owner.attr if isinstance(owner, ast.Attribute) else None
+            if name in owners:
+                found.append(f"{name}.kind (line {node.lineno})")
+    return found
+
+
+def test_experiments_reads_no_task_or_curriculum_kind():
+    assert kind_reads_off_tasks_and_curricula(PACKAGE / "experiments.py") == []
+
+
+def test_kind_read_check_sees_tasks_and_curricula(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("def f(task, c: Curriculum, params, cfg):\n"
+                      "    return task.kind, c.kind, cfg.curriculum.kind, params.kind\n")
+    assert kind_reads_off_tasks_and_curricula(module) == [
+        "task.kind (line 2)", "c.kind (line 2)", "curriculum.kind (line 2)"]
+
+
 def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """Identifiers a parsed file reads: names, attributes, imported names and
     string constants (perfbench wraps functions by their names as strings),
