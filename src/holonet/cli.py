@@ -168,9 +168,10 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 
 def cmd_genlen(cfg: RunConfig) -> int:
-    """Accuracy per configured length. The lengths are prefixes of one batch
-    of episodes at the longest length, so the rows of curve.csv share their
-    episodes: they are correlated, not independent samples."""
+    """Accuracy per configured length, every length read off one
+    `experiments.prefix_pass` over one batch of episodes at the longest
+    length. The rows of curve.csv share their episodes: they are correlated,
+    not independent samples."""
     params = _load_params(cfg.genlen.checkpoint)
     rng = RngState(cfg.seed).child(3)
     rows = ex.length_generalization_eval(params, cfg.task,

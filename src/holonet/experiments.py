@@ -13,8 +13,10 @@ and a task as one value, a `group_tasks.TaskConfig`: the task draws, labels
 and picks the validation episodes, so nothing here tests a task's kind.
 `train` holds its place in a curriculum as two numbers and asks the
 `Curriculum` for the top length, so nothing tests a curriculum's kind either.
-Inference for all four model kinds runs through `models.forward_batch`, so
-a batch's noise, recurrent-state or residual-stream, comes from one stream.
+Every evaluation reduces one pass over an unlabelled draw, `prefix_pass`:
+one `models.forward_batch` for all four model kinds, so a batch's noise comes
+from one stream, and one fold of `TaskConfig.prefix_targets`, so each episode
+is labelled once.
 """
 
 from __future__ import annotations
@@ -163,14 +165,22 @@ def _operators(params) -> np.ndarray | None:
     return params.operators() if params.kind == md.HOLONOMIC else None
 
 
-def _hits(params, batch: Batch, temperature=0.0, rng=None,
-          operators: np.ndarray | None = None) -> np.ndarray:
-    """Whether each episode's predicted label is its target, the noise as
-    `models.forward_batch` takes it. Holonomic `operators` built once by the
-    caller skip their rebuild."""
-    _, logits = md.forward_batch(params, batch.ids, batch.queries, temperature, rng,
-                                 operators=operators)
-    return np.argmax(logits, axis=1) == batch.targets
+def prefix_pass(params, task: TaskConfig, ids, queries, lengths, temperature=0.0,
+                rng=None, operators: np.ndarray | None = None) -> tuple:
+    """The states (K, B, n), logits (K, B, C) and targets (K, B) after the
+    first L columns of a draw (`TaskConfig.draw`), for each L of `lengths`:
+    one `models.forward_batch` over the block, the noise as it takes it, and
+    one fold of `TaskConfig.prefix_targets` to the longest, keeping only the
+    wanted columns. Rows of mixed lengths all end at the last column, so
+    each row's own target is at L = ids.shape[1]. Holonomic `operators`
+    built once by the caller skip their rebuild."""
+    columns = [int(length) - 1 for length in lengths]
+    states, logits = md.forward_batch(params, ids, queries, temperature, rng,
+                                      operators=operators, columns=columns)
+    wanted = set(columns)
+    kept = {c: y for c, y in zip(range(max(columns) + 1), task.prefix_targets(ids, queries))
+            if c in wanted}
+    return states, logits, np.stack([kept[c] for c in columns])
 
 
 def evaluate_accuracy(params, task: TaskConfig, lengths,
@@ -180,9 +190,11 @@ def evaluate_accuracy(params, task: TaskConfig, lengths,
     has length lengths[i % len(lengths)] (lengths: an int or a list).
     Holonomic `operators` built once by the caller skip their rebuild."""
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
-    batch = task.sample_batch(rng.child(0).generator(),
-                              lengths[np.arange(episodes) % lengths.size])
-    return float(np.mean(_hits(params, batch, operators=operators)))
+    ids, queries = task.draw(rng.child(0).generator(),
+                             lengths[np.arange(episodes) % lengths.size])
+    _, logits, targets = prefix_pass(params, task, ids, queries, [ids.shape[1]],
+                                     operators=operators)
+    return float(np.mean(np.argmax(logits, axis=-1) == targets))
 
 
 def validation_accuracy(params, task: TaskConfig, curriculum: Curriculum,
@@ -190,12 +202,17 @@ def validation_accuracy(params, task: TaskConfig, curriculum: Curriculum,
                         operators: np.ndarray | None = None) -> float:
     """The accuracy `train` calls converged at: the task's validation batch
     (`TaskConfig.validation_batch`, drawn from rng.child(0)), scored
-    SCORE_BLOCK rows per forward with the holonomic operators built once."""
-    batch = task.validation_batch(curriculum, episodes, rng.child(0))
+    SCORE_BLOCK rows per pass with the holonomic operators built once."""
+    ids, queries = task.validation_batch(curriculum, episodes, rng.child(0))
     ops = _operators(params) if operators is None else operators
-    correct = sum(int(np.sum(_hits(params, batch[lo:lo + SCORE_BLOCK], operators=ops)))
-                  for lo in range(0, len(batch), SCORE_BLOCK))
-    return correct / len(batch)
+    correct = 0
+    for lo in range(0, len(ids), SCORE_BLOCK):
+        rows = slice(lo, lo + SCORE_BLOCK)
+        _, logits, targets = prefix_pass(params, task, ids[rows],
+                                         None if queries is None else queries[rows],
+                                         [ids.shape[1]], operators=ops)
+        correct += int(np.sum(np.argmax(logits, axis=-1) == targets))
+    return correct / len(ids)
 
 
 # ===================================================================== training
@@ -301,10 +318,13 @@ def noise_sweep(params, task: TaskConfig, t_grid, episodes: int,
     for first in range(0, t_grid.size, group):
         block = slice(first, first + group)
         levels = range(t_grid.size)[block]
-        stacked = Batch.stack([task.sample_batch(rng.child(0, ti).generator(),
-                                                 np.full(episodes, length)) for ti in levels])
-        hits = _hits(params, stacked, t_grid[block], [rng.child(1, ti) for ti in levels], ops)
-        outcomes[block] = hits.reshape(len(levels), episodes)
+        ids, queries = zip(*(task.draw(rng.child(0, ti).generator(), np.full(episodes, length))
+                             for ti in levels))
+        _, [logits], [targets] = prefix_pass(
+            params, task, np.concatenate(ids),
+            None if queries[0] is None else np.concatenate(queries), [length],
+            t_grid[block], [rng.child(1, ti) for ti in levels], ops)
+        outcomes[block] = (np.argmax(logits, axis=-1) == targets).reshape(len(levels), -1)
     return SweepResult(t_grid, outcomes)
 
 
@@ -413,30 +433,19 @@ def length_generalization_eval(params, task: TaskConfig, lengths,
     `episodes` fresh episodes, drawn from rng.child(0) at the longest length
     the model scores. A uniformly random prefix is itself a uniformly random
     episode, but the lengths share their episodes, so their rows are
-    correlated, not independent samples. Every scored length's targets come
-    from one pass of `TaskConfig.prefix_targets` over the columns. A recurrent model scores every
-    length from one pass, the transformer runs each prefix on its own, and a
-    length past its learned positional table is recorded as
+    correlated, not independent samples. Every scored length comes from one
+    `prefix_pass`. A length past a learned positional table is recorded as
     capacity-exceeded instead of silently scored; no episode is sampled for it."""
     lengths = [int(length) for length in lengths]
     scored = [length for length in lengths if params.kind != md.TRANSFORMER
               or params.pos_mode != "learned" or length <= params.max_len]
     acc = {}
     if scored:
-        longest = max(scored)
-        ids, queries = task.draw(rng.child(0).generator(), np.full(episodes, longest))
-        targets = {length: y for length, y in
-                   zip(range(1, longest + 1), task.prefix_targets(ids, queries))
-                   if length in scored}
-        if params.kind == md.TRANSFORMER:
-            logits = [md.forward_batch(params, ids[:, :length], queries)[1]
-                      for length in scored]
-        else:
-            ops = se.build_operators(params, precision) if params.kind == md.HOLONOMIC else None
-            logits = md.forward_batch(params, ids, queries, operators=ops,
-                                      columns=[length - 1 for length in scored])[1]
-        acc = {length: float(np.mean(np.argmax(x, axis=1) == targets[length]))
-               for length, x in zip(scored, logits)}
+        ids, queries = task.draw(rng.child(0).generator(), np.full(episodes, max(scored)))
+        ops = se.build_operators(params, precision) if params.kind == md.HOLONOMIC else None
+        _, logits, targets = prefix_pass(params, task, ids, queries, scored, operators=ops)
+        hits = np.argmax(logits, axis=-1) == targets
+        acc = dict(zip(scored, hits.mean(axis=1).tolist()))
     return [{"L": length, "acc": acc.get(length, float("nan")), "episodes": episodes,
              "precision": precision, "note": "" if length in acc else "capacity-exceeded"}
             for length in lengths]
@@ -531,15 +540,15 @@ def mass_gap(params, task: TaskConfig, rng: tc.RngState,
     """Minimum geodesic separation between unit-normalized class centroids of
     zero-noise final states, and the separation of every pair."""
     budget = episodes_per_class * task.n_classes * 2
-    batch = task.sample_batch(rng.child(0).generator(), np.full(budget, length))
-    states = md.forward_batch(params, batch.ids, batch.queries)[0]
-    found, counts = np.unique(batch.targets, return_counts=True)
+    ids, queries = task.draw(rng.child(0).generator(), np.full(budget, length))
+    [states], _, [targets] = prefix_pass(params, task, ids, queries, [length])
+    found, counts = np.unique(targets, return_counts=True)
     if found.size < 2:
         raise ArgumentError("fewer than 2 classes reached; cannot measure a gap")
     labels = found.tolist()
     centroids = {}
     for label in labels:
-        c = states[batch.targets == label].mean(axis=0)
+        c = states[targets == label].mean(axis=0)
         norm = np.linalg.norm(c)
         if norm == 0:
             raise ArgumentError(f"class {label} centroid degenerate (zero vector)")
@@ -578,10 +587,9 @@ def pca_snapshot(entries, task: TaskConfig, temperature: float, episodes: int,
     result = {}
     for mi, (tag, params) in enumerate(entries):
         mrng = rng.child(mi)
-        batch = task.sample_batch(mrng.child(0).generator(), np.full(episodes, length))
-        states = md.forward_batch(params, batch.ids, batch.queries, temperature,
-                                  mrng.child(1))[0]
-        labels = batch.targets
+        ids, queries = task.draw(mrng.child(0).generator(), np.full(episodes, length))
+        [states], _, [labels] = prefix_pass(params, task, ids, queries, [length],
+                                            temperature, mrng.child(1))
         proj3 = np.asarray(tc.pca_project(states, 3)[1])   # k = 2 is its first two columns
         entry = {"labels": labels, "k2": proj3[:, :2], "k3": proj3}
         if np.unique(labels).size >= 2:

@@ -12,10 +12,10 @@ folding / array replay).
 Episodes are drawn a batch at a time from one generator: a (B, L_max) token
 block, of which row i keeps its first lengths[i] tokens, then (binding) a
 (B,) query vector. `TaskConfig.prefix_targets` labels the block column by
-column, giving each row's target after every column; a sampled batch's
-targets are its last column's. That `Batch` is the one batch format from
-sampling to the loss: training and inference read its arrays, and iterating
-it yields its rows as `Episode`s for the oracles. The per-episode samplers,
+column, giving each row's target after every column. Training reads a
+`Batch`, whose targets are its last column's, and iterating it yields its
+rows as `Episode`s for the oracles; the probes read a draw unlabelled and
+label the columns they score. The per-episode samplers,
 `s3_sample_episode` and `sv_sample_episode`, are a task's B = 1 rows.
 
 Composition convention: later sequence elements act on the left, so an
@@ -83,19 +83,6 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def __getitem__(self, rows) -> Batch:
-        """The batch of the selected rows (a slice or an index array)."""
-        return Batch(self.ids[rows], self.targets[rows],
-                     None if self.queries is None else self.queries[rows])
-
-    @staticmethod
-    def stack(batches) -> Batch:
-        """The rows of equally wide batches of one task as one batch, in order."""
-        queries = [b.queries for b in batches]
-        return Batch(np.concatenate([b.ids for b in batches]),
-                     np.concatenate([b.targets for b in batches]),
-                     None if queries[0] is None else np.concatenate(queries))
 
     def __iter__(self):
         """The rows as `Episode`s, in order."""
@@ -240,26 +227,22 @@ class TaskConfig:
             values[i], values[j] = values[j], values[i]
             yield values[read]
 
-    def label(self, ids: np.ndarray, queries: np.ndarray | None = None) -> Batch:
-        """The batch of these episodes, each row's target the last value of
-        `prefix_targets`."""
+    def sample_batch(self, gen: np.random.Generator, lengths) -> Batch:
+        """`draw`, labelled: each row's target is its last `prefix_targets`."""
+        ids, queries = self.draw(gen, lengths)
         return Batch(ids, deque(self.prefix_targets(ids, queries), maxlen=1)[0], queries)
 
-    def sample_batch(self, gen: np.random.Generator, lengths) -> Batch:
-        """`draw`, labelled."""
-        return self.label(*self.draw(gen, lengths))
-
     def validation_batch(self, curriculum: Curriculum, episodes: int,
-                         rng: RngState) -> Batch:
-        """The episodes that decide convergence: every length-l_max S3
-        sequence when there are at most EXHAUSTIVE_S3_LIMIT of them, else
-        `episodes` drawn from `rng`, S3 at l_max and binding cycling through
-        [l_min, l_max]."""
+                         rng: RngState) -> tuple:
+        """The episodes that decide convergence, unlabelled as `draw` gives
+        them: every length-l_max S3 sequence when there are at most
+        EXHAUSTIVE_S3_LIMIT of them, else `episodes` drawn from `rng`, S3 at
+        l_max and binding cycling through [l_min, l_max]."""
         top = curriculum.l_max
         if self.kind == S3 and 6 ** top <= EXHAUSTIVE_S3_LIMIT:
-            return self.label(np.indices((6,) * top).reshape(top, -1).T)
+            return np.indices((6,) * top).reshape(top, -1).T, None
         low = top if self.kind == S3 else curriculum.l_min
-        return self.sample_batch(rng.generator(), low + np.arange(episodes) % (top - low + 1))
+        return self.draw(rng.generator(), low + np.arange(episodes) % (top - low + 1))
 
 
 def s3_sample_episode(rng: RngState, length: int) -> Episode:

@@ -8,8 +8,9 @@ readout id per row (None: readout 0), under one row-layout rule
 probe stacks several batches, and one function, `inject_noise`: the
 energy-normalized update x + g * (T / sqrt(N)) * ||x|| hits the recurrent
 state of the holonomic model and the RNNs and the residual stream of the
-transformer. A recurrent forward can also return the states after chosen
-columns, so one pass scores every prefix of a block.
+transformer. A forward can also return the states after chosen columns: a
+recurrent one reads every prefix of a block off one pass, and the
+transformer runs each prefix alone.
 
 At inference each model runs its training nodes' kernels, so the two agree
 bit for bit. The holonomic operators are `HolonomicParams.operators`, the
@@ -476,9 +477,6 @@ def _recurrent_states(params, ids: np.ndarray, noise: tuple,
         g = np.empty(h.shape)
         hot = scale[:, 0] > 0
     if columns is not None:
-        columns = np.asarray(columns, dtype=np.intp)
-        if not columns.size or columns.min() < 0 or columns.max() >= ids.shape[1]:
-            raise ArgumentError(f"need columns among the block's {ids.shape[1]}")
         out = np.empty((columns.size,) + h.shape, h.dtype)
         ids, wanted = ids[:, :columns.max() + 1], set(columns.tolist())
     for t, col in enumerate(ids.T):
@@ -512,22 +510,29 @@ def forward_batch(params, ids, queries=None, temperature=0.0, rng=None, *,
     transformer one (T, d) block per layer over the T live tokens. G
     temperatures and G RngStates run G equal blocks of rows as one forward,
     block k with the noise that forward_batch(block k, ..., temperature[k],
-    rng[k]) draws. A recurrent model given `columns` returns the states
-    (K, B, n) and logits (K, B, C) after each listed column from one pass: on
-    a block of equal-length rows, those of ids[:, :c + 1]. Both agree with
-    the separate forwards bit for bit wherever each column's products hold
-    two or more rows both ways (numpy multiplies a lone row by a
-    matrix-vector routine, which rounds differently). `queries` selects each
-    row's readout (None: readout 0). Holonomic inference may take
-    precomputed `operators` (float32 for low-precision runs). Raises
+    rng[k]) draws. Given `columns`, any model returns the states (K, B, n)
+    and logits (K, B, C) after each listed column c, on equal-length rows
+    those of forward_batch(ids[:, :c + 1], ...): a recurrent model from one
+    pass, bit for bit wherever each column's products hold two or more rows
+    both ways (numpy multiplies a lone row by a matrix-vector routine, which
+    rounds differently); the transformer by running each prefix alone, so a
+    prefix with a row that holds no token raises ArgumentError. `queries`
+    selects each row's readout (None: readout 0). Holonomic inference may
+    take precomputed `operators` (float32 for low-precision runs). Raises
     NumericError on non-finite logits.
     """
     readout = params.to_dict()["readout"]
     ids, queries = _checked_block(ids, queries, params.vocab, readout.shape[0])
+    if columns is not None:
+        columns = np.asarray(columns, dtype=np.intp)
+        if not columns.size or columns.min() < 0 or columns.max() >= ids.shape[1]:
+            raise ArgumentError(f"need columns among the block's {ids.shape[1]}")
+        if params.kind == TRANSFORMER:
+            prefixes = [forward_batch(params, ids[:, :c + 1], queries, temperature, rng)
+                        for c in columns.tolist()]
+            return tuple(np.stack(parts) for parts in zip(*prefixes))
     noise = _noise_blocks(ids.shape[0], temperature, rng)
     if params.kind == TRANSFORMER:
-        if columns is not None:
-            raise ArgumentError("the transformer has no state after a column")
         h = transformer_forward_batch(params, ids, noise)
     else:
         h = _recurrent_states(params, ids, noise, operators, columns)

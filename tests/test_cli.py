@@ -148,6 +148,65 @@ def test_sweep_of_a_tiny_checkpoint_writes_its_pinned_values(tmp_path):
     assert (rows[0]["acc_lo"], rows[0]["acc_hi"]) == ("1.0", "1.0")
 
 
+# The same tiny S3 model's genlen, massgap and pca runs: every value they write
+PINNED_GENLEN_CURVE = [("20", "0.1875"), ("2", "1.0"), ("5", "0.125")]
+PINNED_GENLEN_SUMMARY = {"acc_min": 0.125, "acc_max": 1.0, "below_chance": [5]}
+PINNED_MASSGAP_CURVE = [
+    ("0", "1", "1.8408412262646754"), ("0", "2", "1.8967694178887597"),
+    ("0", "3", "1.7403949328695627"), ("0", "4", "1.6918672534646884"),
+    ("0", "5", "1.6075051970214151"), ("1", "2", "2.0135753214805856"),
+    ("1", "3", "1.9631001641240713"), ("1", "4", "1.345850452033279"),
+    ("1", "5", "1.8180069120732798"), ("2", "3", "1.7657873078460147"),
+    ("2", "4", "1.3761339231996663"), ("2", "5", "1.621681038215757"),
+    ("3", "4", "1.6706416731078724"), ("3", "5", "0.8884051796109301"),
+    ("4", "5", "1.5988647207999644")]
+PINNED_MASSGAP_SUMMARY = {"classes": 6, "delta": 0.8884051796109301,
+                          "counts": {"0": 6, "1": 8, "2": 14, "3": 6, "4": 6, "5": 8}}
+PINNED_PCA_CURVE = [   # (class, k3_x, k3_y, k3_z); k2 is k3's first two
+    ("4", "0.583629269631699", "0.11335396757489916", "0.2616499986129762"),
+    ("4", "0.6741412619329654", "-0.12709896172573104", "0.022668918932129477"),
+    ("5", "-0.8146631089944619", "0.3648369647322193", "-0.21834339433887925"),
+    ("3", "-0.4389048949002382", "0.5927593947564581", "0.19880341750035907"),
+    ("4", "-0.6284242607532207", "-0.9308956542757567", "0.07450500605063218"),
+    ("4", "0.6242217330832561", "-0.012955711062089082", "-0.33928394675721757")]
+PINNED_PCA_SUMMARY = {"temperature": 0.3, "silhouette": {"tiny": 0.4789121094243483},
+                      "notes": {}}
+
+
+def test_probes_of_a_tiny_checkpoint_write_their_pinned_values(tmp_path):
+    config = tmp_path / "tiny.ini"
+    out = tmp_path / "out"
+    ckpt = out / "train" / "seed0" / "model.ckpt"
+    config.write_text("[model]\nn = 8\n[curriculum]\nl_max = 2\n"
+                      f"[genlen]\nlengths = 20, 2, 5\nepisodes = 32\ncheckpoint = {ckpt}\n"
+                      f"[massgap]\nepisodes_per_class = 4\nlength = 3\ncheckpoint = {ckpt}\n"
+                      "[pca]\ntemperature = 0.3\nepisodes = 6\nlength = 3\n"
+                      f"checkpoints = {ckpt}\ntags = tiny\n")
+    for command in ("train", "genlen", "massgap", "pca"):
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+
+    def written(experiment):
+        run = out / experiment / "seed0"
+        with open(run / "curve.csv", newline="") as fh:
+            return list(csv.DictReader(fh)), cli.read_summary(run / "summary.txt")
+
+    def pinned(summary, expected):
+        return {key: summary[key] for key in expected}
+
+    rows, summary = written("genlen")
+    assert [(r["L"], r["acc"]) for r in rows] == PINNED_GENLEN_CURVE
+    assert all((r["episodes"], r["precision"], r["note"]) == ("32", "64", "") for r in rows)
+    assert pinned(summary, PINNED_GENLEN_SUMMARY) == PINNED_GENLEN_SUMMARY
+    rows, summary = written("massgap")
+    assert [(r["class_a"], r["class_b"], r["geodesic"]) for r in rows] == PINNED_MASSGAP_CURVE
+    assert pinned(summary, PINNED_MASSGAP_SUMMARY) == PINNED_MASSGAP_SUMMARY
+    rows, summary = written("pca")
+    assert [(r["class"], r["k3_x"], r["k3_y"], r["k3_z"]) for r in rows] == PINNED_PCA_CURVE
+    assert all(r["model"] == "tiny" and (r["k2_x"], r["k2_y"]) == (r["k3_x"], r["k3_y"])
+               for r in rows)
+    assert pinned(summary, PINNED_PCA_SUMMARY) == PINNED_PCA_SUMMARY
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

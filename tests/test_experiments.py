@@ -13,6 +13,7 @@ from holonet.config import parse_config
 from holonet.errors import ArgumentError, CapacityError, ConfigError
 from holonet.group_tasks import (
     BINDING,
+    Batch,
     Curriculum,
     TaskConfig,
     naive_binding_target,
@@ -575,7 +576,9 @@ def test_validation_is_exhaustive_for_small_s3_and_sampled_otherwise():
     s3 = TaskConfig()
     for l_max in (1, 5):
         cur = Curriculum(kind="stepwise", l_min=1, l_max=l_max)
-        batch = s3.validation_batch(cur, 16, RngState(47))
+        ids, queries = s3.validation_batch(cur, 16, RngState(47))
+        assert queries is None
+        batch = Batch(ids, list(s3.prefix_targets(ids))[-1])
         assert len(batch) == 6 ** l_max
         assert len({e.tokens for e in batch}) == 6 ** l_max
         assert all(e.length == l_max and e.target == naive_s3_target(e.tokens) for e in batch)

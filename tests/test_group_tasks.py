@@ -31,7 +31,13 @@ S3_TASK = TaskConfig()
 
 def binding_target(tokens, v, query):
     """The answer of one episode: the binding task's label of a one-row block."""
-    return int(TaskConfig(BINDING, v).label(np.array([tokens]), np.array([query])).targets[0])
+    return int(final_targets(TaskConfig(BINDING, v), [tokens], [query])[0])
+
+
+def final_targets(task, ids, queries=None):
+    """Each row's target after the last column of an id block."""
+    return list(task.prefix_targets(np.array(ids), None if queries is None
+                                    else np.array(queries)))[-1]
 
 
 # ---------------------------------------------------------------- permutations
@@ -78,13 +84,13 @@ def test_s3_elements_ids_and_cayley_table_are_pinned():
 
 def test_s3_single_token_is_its_own_target():
     for g in range(6):
-        assert S3_TASK.label(np.array([[g]])).targets[0] == g
+        assert final_targets(S3_TASK, [[g]])[0] == g
 
 
 def test_s3_pairs_match_cayley_table():
     for g1, g2 in itertools.product(range(6), range(6)):
         expected = s3_id(perm_compose(S3_ELEMENTS[g2], S3_ELEMENTS[g1]))
-        assert S3_TASK.label(np.array([[g1, g2]])).targets[0] == expected
+        assert final_targets(S3_TASK, [[g1, g2]])[0] == expected
 
 
 def test_s3_random_episodes_match_fold_and_naive_oracle():

@@ -360,35 +360,44 @@ def test_stacked_blocks_take_the_noise_and_bits_of_their_own_forwards(kind):
 
 @pytest.mark.parametrize("kind, precision",
                          [(md.HOLONOMIC, 64), (md.HOLONOMIC, 32), (md.RNN, 64),
-                          (md.NORMALIZED_RNN, 64)])
+                          (md.NORMALIZED_RNN, 64), (md.TRANSFORMER, 64)])
 @pytest.mark.parametrize("task", ["s3", "binding"])
 def test_states_after_each_column_are_the_prefix_forwards_bit_for_bit(kind, precision,
                                                                       task):
-    # one pass over a block of equal-length rows reads, after column c, the
-    # states and logits of the block's length-(c + 1) prefix run alone
+    # one call over a block of equal-length rows reads, after column c, the
+    # states and logits of the block's length-(c + 1) prefix run alone, noise
+    # and all: a recurrent model from one pass, the transformer from each
+    # prefix's own forward
+    positions = {"pos_mode": "sinusoidal"} if kind == md.TRANSFORMER else {}
     if task == "s3":
-        params = recurrent_params(kind, 84)
+        params = small_transformer(84, **positions) if kind == md.TRANSFORMER \
+            else recurrent_params(kind, 84)
         batch = TaskConfig().sample_batch(RngState(85).generator(), np.full(24, 60))
     else:
-        params = binding_params(kind, 86)
+        params = binding_params(kind, 86, **positions)
         batch = binding_batch(87, np.full(24, 60))
     ops = se.build_operators(params, precision) if kind == md.HOLONOMIC else None
+    width = params.to_dict()["readout"].shape[-1]
     columns = [59, 0, 9, 9, 40]
-    states, logits = md.forward_batch(params, batch.ids, batch.queries, operators=ops,
-                                      columns=columns)
-    assert states.shape == (5, 24, params.n) and logits.shape[:2] == (5, 24)
-    for k, c in enumerate(columns):
-        alone_states, alone = md.forward_batch(params, batch.ids[:, :c + 1],
-                                               batch.queries, operators=ops)
-        assert states.dtype == alone_states.dtype
-        assert np.array_equal(states[k], alone_states)
-        assert np.array_equal(logits[k], alone)
+    for temp, rng in ((0.0, None), (0.4, RngState(88))):
+        states, logits = md.forward_batch(params, batch.ids, batch.queries, temp, rng,
+                                          operators=ops, columns=columns)
+        assert states.shape == (5, 24, width) and logits.shape[:2] == (5, 24)
+        for k, c in enumerate(columns):
+            alone_states, alone = md.forward_batch(params, batch.ids[:, :c + 1],
+                                                   batch.queries, temp, rng, operators=ops)
+            assert states.dtype == alone_states.dtype
+            assert np.array_equal(states[k], alone_states)
+            assert np.array_equal(logits[k], alone)
     for bad in ([60], [-1], []):
         with pytest.raises(ArgumentError):
             md.forward_batch(params, batch.ids, batch.queries, operators=ops, columns=bad)
-    with pytest.raises(ArgumentError):
-        md.forward_batch(binding_params(md.TRANSFORMER, 88), batch.ids[:, :5],
-                         batch.queries, columns=[2])
+    if kind == md.TRANSFORMER:
+        # a row of 5 tokens holds none in the first 10 columns of a 60-wide block
+        mixed = TaskConfig().sample_batch(RngState(89).generator(), [60, 5, 60])
+        md.forward_batch(params, mixed.ids, columns=[59, 55])
+        with pytest.raises(ArgumentError):
+            md.forward_batch(params, mixed.ids, columns=[59, 9])
 
 
 def test_forward_batch_noise_energy_scaling():

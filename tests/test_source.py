@@ -129,6 +129,35 @@ def test_kind_read_check_sees_tasks_and_curricula(tmp_path):
         "task.kind (line 2)", "c.kind (line 2)", "curriculum.kind (line 2)"]
 
 
+def call_sites(path: Path, method: str) -> list[str]:
+    """The top-level functions of a module that call `<anything>.<method>(...)`,
+    once per call; a call outside every function is listed as <module>."""
+    tree = ast.parse(path.read_text())
+    owners = {id(node): top.name for top in tree.body
+              if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+              for node in ast.walk(top)}
+    return sorted(owners.get(id(node), "<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == method)
+
+
+def test_experiments_runs_one_forward_and_samples_labelled_batches_only_to_train():
+    # every probe is a reduction of prefix_pass; training alone needs a
+    # labelled `Batch`, evaluation labels the columns it scores
+    path = PACKAGE / "experiments.py"
+    assert call_sites(path, "forward_batch") == ["prefix_pass"]
+    assert set(call_sites(path, "sample_batch")) == {"train"}
+
+
+def test_call_site_check_names_the_calling_function(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("x = md.forward_batch()\n\ndef f():\n    def g():\n"
+                      "        md.forward_batch(task.sample_batch())\n    return g\n\n"
+                      "class C:\n    def h(self):\n        return md.forward_batch()\n")
+    assert call_sites(module, "forward_batch") == ["<module>", "C", "f"]
+    assert call_sites(module, "sample_batch") == ["f"]
+
+
 def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """Identifiers a parsed file reads: names, attributes, imported names and
     string constants (perfbench wraps functions by their names as strings),
