@@ -116,7 +116,7 @@ def _load_params(path: str):
 def cmd_train(cfg: RunConfig) -> int:
     rng = RngState(cfg.seed).child(0)
     result = ex.train(cfg.model, cfg.task, cfg.curriculum, cfg.train, rng)
-    ckpt = Path(cfg.save) if cfg.save else run_dir(cfg, "train") / "model.ckpt"
+    ckpt = Path(cfg.train.save) if cfg.train.save else run_dir(cfg, "train") / "model.ckpt"
     save_checkpoint(ckpt, result.params)
     total, items = md.param_count(result.params)
     write_run(cfg, "train", {"curve.csv": result.log}, {

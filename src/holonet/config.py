@@ -14,8 +14,9 @@ All randomness derives from [run] seed.
 
 The keys are derived from the dataclasses: each section fills one RunConfig
 attribute (`_SECTIONS`), and each field of that attribute's dataclass is a
-key, parsed by its type hint. A new setting is added to its dataclass only.
-One field is an exception: `RunConfig.save` is read and written under [train].
+key of the same name, parsed by its type hint, with no exception. A new
+setting is added to its dataclass only. [model] is `models.ModelConfig`,
+[task] `group_tasks.TaskConfig` and [train] `experiments.TrainConfig`.
 
 Each key's rule sits on its field as `Annotated` metadata, such as
 `lr: Annotated[float, "(0, inf)"]`, in the form that `models.check` reads
@@ -40,8 +41,9 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 from . import models as md
 from .errors import ArgumentError, ConfigError
-from .experiments import ModelConfig, TrainConfig
+from .experiments import TrainConfig
 from .group_tasks import BINDING, S3, Curriculum, TaskConfig
+from .models import ModelConfig
 
 EXPERIMENTS = ("train", "sweep", "scaling", "genlen", "horizon", "massgap",
                "pca", "scan-bench", "verify", "report")
@@ -131,7 +133,6 @@ class RunConfig:
     task: TaskConfig = TaskConfig()
     curriculum: Curriculum = Curriculum(**_TASK_DEFAULTS[S3]["curriculum"])
     train: TrainConfig = TrainConfig()
-    save: str = ""
     sweep: SweepSpec = SweepSpec()
     scaling: ScalingSpec = ScalingSpec()
     genlen: GenlenSpec = GenlenSpec()
@@ -151,14 +152,11 @@ def _parse_bool(text: str) -> bool:
 
 
 # INI section -> the RunConfig attribute it fills ("" for RunConfig's own
-# fields); a key is named as its field unless _RENAMED says otherwise.
-# RunConfig.save lives under [train] (_MOVED).
+# fields); a key is named as its field.
 _SECTIONS = {"run": "", "model": "model", "task": "task", "curriculum": "curriculum",
              "train": "train", "noise": "sweep", "scaling": "scaling",
              "genlen": "genlen", "horizon": "horizon", "massgap": "massgap",
              "pca": "pca", "bench": "bench"}
-_RENAMED = {("model", "pos_mode"): "positional"}
-_MOVED = {"save": "train"}
 _SPECS = get_type_hints(RunConfig)   # field -> type; a section's type is its dataclass
 
 
@@ -172,8 +170,8 @@ def _parser(hint):
 
 
 def _key_table() -> dict:
-    """section -> INI key -> (RunConfig attribute, field name, parser, rule):
-    the rule is the Annotated metadata of the field's type (None: none)."""
+    """section -> INI key, the field's name -> (RunConfig attribute, parser,
+    rule): the rule is the Annotated metadata of the field's type (None: none)."""
     table = {section: {} for section in _SECTIONS}
     for section, attr in _SECTIONS.items():
         cls = _SPECS[attr] if attr else RunConfig
@@ -181,12 +179,8 @@ def _key_table() -> dict:
         for f in fields(cls):
             hint, rule = get_args(hints[f.name]) if get_origin(hints[f.name]) is Annotated \
                 else (hints[f.name], None)
-            if is_dataclass(hint) or (not attr and f.name in _MOVED):
-                continue
-            key = _RENAMED.get((section, f.name), f.name)
-            table[section][key] = (attr, f.name, _parser(hint), rule)
-    for name, section in _MOVED.items():
-        table[section][name] = ("", name, _parser(_SPECS[name]), None)
+            if not is_dataclass(hint):
+                table[section][f.name] = (attr, _parser(hint), rule)
     return table
 
 
@@ -213,16 +207,16 @@ def parse_config(text: str) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            attr, name, cast, rule = _KEYS[section][key]
+            attr, cast, rule = _KEYS[section][key]
             try:
-                values[attr][name] = cast(raw)
+                values[attr][key] = cast(raw)
             except ConfigError:
                 raise
             except (TypeError, ValueError) as err:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {raw!r} ({err})") from err
             if rule is not None:
-                md.check(f"[{section}] {key}", rule, values[attr][name], ConfigError)
+                md.check(f"[{section}] {key}", rule, values[attr][key], ConfigError)
     ramp_set = "ramp_start" in values["curriculum"]
     for attr, defaults in _TASK_DEFAULTS[values["task"].get("kind", S3)].items():
         values[attr] = {**defaults, **values[attr]}
@@ -244,10 +238,10 @@ def parse_config(text: str) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """Every key's rule, then the constraints that relate two or more keys."""
     for section, keys in _KEYS.items():
-        for key, (attr, name, _, rule) in keys.items():
+        for key, (attr, _, rule) in keys.items():
             if rule is not None:
                 md.check(f"[{section}] {key}", rule,
-                         getattr(getattr(cfg, attr) if attr else cfg, name), ConfigError)
+                         getattr(getattr(cfg, attr) if attr else cfg, key), ConfigError)
     model, task = cfg.model, cfg.task
     # the state dimensions: [model] n, and each width a scaling run trains
     widths = [(f"[model] n = {model.n}", model.n)]
@@ -259,7 +253,7 @@ def validate_config(cfg: RunConfig) -> None:
                               f"[task] variables ({task.variables}) for the binding task")
         if model.kind == md.TRANSFORMER and n % model.heads:
             raise ConfigError(f"{named} is not divisible by [model] heads ({model.heads})")
-    if model.kind == md.TRANSFORMER and model.pos_mode == "learned" \
+    if model.kind == md.TRANSFORMER and model.positional == "learned" \
             and cfg.experiment in ("train", "scaling") \
             and model.max_len < cfg.curriculum.l_max:
         raise ConfigError(
@@ -290,8 +284,8 @@ def render_config(cfg: RunConfig) -> str:
     parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _KEYS.items():
         parser[section] = {}
-        for key, (attr, name, _, _) in keys.items():
-            value = getattr(getattr(cfg, attr) if attr else cfg, name)
+        for key, (attr, _, _) in keys.items():
+            value = getattr(getattr(cfg, attr) if attr else cfg, key)
             parser[section][key] = ",".join(map(str, value)) if isinstance(value, tuple) \
                 else str(value)
     out = io.StringIO()

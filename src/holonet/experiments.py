@@ -8,9 +8,12 @@ each training step draws its lengths and episodes from one generator, each
 evaluation its episodes from one, and each noise level of a sweep its
 episodes from one and its noise from another. Bootstrap resamples have their
 own streams.
-Every probe takes a model as one value, its params, which carry its kind,
-and a task as one value, a `group_tasks.TaskConfig`: the task draws, labels
-and picks the validation episodes, so nothing here tests a task's kind.
+Every probe takes a model as one value, its params, and `models` answers
+each per-kind question (`ModelConfig.build`, `operators`, `project`,
+`capacity`), so nothing here tests a model's kind but `jacobian_horizon`,
+which steps a recurrence by hand. A task is one value too, a
+`group_tasks.TaskConfig`: it draws, labels and picks the validation
+episodes, so nothing here tests a task's kind.
 `train` holds its place in a curriculum as two numbers and asks the
 `Curriculum` for the top length, so nothing tests a curriculum's kind either.
 Every evaluation reduces one pass over an unlabelled draw, `prefix_pass`:
@@ -29,48 +32,21 @@ import numpy as np
 
 from . import grad_engine as ge
 from . import models as md
-from . import scan_engine as se
 from . import tensor_core as tc
 from .errors import ArgumentError, NumericError
 from .group_tasks import Batch, Curriculum, TaskConfig, sample_lengths
+from .models import ModelConfig
 # perfbench/tracing.py wraps the per-episode samplers under these names here
 from .group_tasks import s3_sample_episode, sample_length, sv_sample_episode  # noqa: F401
 
-SCORE_BLOCK = 1024      # rows per forward when scoring a validation batch
+SCORE_BLOCK = 1024      # rows per forward when scoring a draw
 STACK_FLOATS = 2 ** 17  # state entries per forward of a sweep's stacked levels
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    kind: Annotated[str, tuple(md.PARAMS)] = md.HOLONOMIC
-    n: Annotated[int, 1] = 32                   # hidden dim / d_model
-    layers: Annotated[int, 1] = 3
-    heads: Annotated[int, 1] = 8
-    d_ff: Annotated[int, 0] = 0                 # 0 -> 2 * d_model
-    pos_mode: Annotated[str, md.TransformerParams.HEADER["pos_mode"]] = "learned"
-    max_len: Annotated[int, 1] = 64
-    pool: Annotated[str, md.TransformerParams.HEADER["pool"]] = "final"
-    gen_scale: Annotated[float, "[0, inf)"] = 0.0   # 0 -> default holonomic init scale
-
-    def build(self, rng: tc.RngState, task: TaskConfig):
-        if self.kind == md.HOLONOMIC:
-            scale = self.gen_scale if self.gen_scale > 0 else None
-            return md.init_holonomic(rng, self.n, task.vocab, task.n_classes,
-                                     task.n_queries, gen_scale=scale)
-        if self.kind in (md.RNN, md.NORMALIZED_RNN):
-            return md.init_rnn(rng, self.n, task.vocab, task.n_classes,
-                               task.n_queries, self.kind == md.NORMALIZED_RNN)
-        if self.kind == md.TRANSFORMER:
-            d_ff = self.d_ff if self.d_ff > 0 else 2 * self.n
-            return md.init_transformer(
-                rng, self.n, self.layers, self.heads, d_ff, task.vocab,
-                task.n_classes, task.n_queries, self.pos_mode, self.max_len, self.pool)
-        raise ArgumentError(f"unknown model kind: {self.kind}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer, evaluation and stopping settings.
+    """Optimizer, evaluation and stopping settings, and where the trained
+    model is saved (`save`; empty: in the run directory).
 
     Validation (the early-stop check once the gate passes at the top length,
     and the final `converged` evaluation) scores the task's validation batch,
@@ -94,6 +70,7 @@ class TrainConfig:
     lr_schedule: Annotated[str, ("constant", "cosine")] = "constant"
     lr_floor: Annotated[float, "[0, inf)"] = 1e-4
     early_stop: bool = True
+    save: str = ""
 
 
 @dataclass
@@ -160,11 +137,6 @@ class MassGapResult:
 # ===================================================================== evaluation
 
 
-def _operators(params) -> np.ndarray | None:
-    """The holonomic operators, for an evaluation that runs many batches."""
-    return params.operators() if params.kind == md.HOLONOMIC else None
-
-
 def prefix_pass(params, task: TaskConfig, ids, queries, lengths, temperature=0.0,
                 rng=None, operators: np.ndarray | None = None) -> tuple:
     """The states (K, B, n), logits (K, B, C) and targets (K, B) after the
@@ -183,34 +155,18 @@ def prefix_pass(params, task: TaskConfig, ids, queries, lengths, temperature=0.0
     return states, logits, np.stack([kept[c] for c in columns])
 
 
-def evaluate_accuracy(params, task: TaskConfig, lengths,
-                      episodes: int, rng: tc.RngState,
+def evaluate_accuracy(params, task: TaskConfig, ids, queries,
                       operators: np.ndarray | None = None) -> float:
-    """Accuracy on `episodes` fresh episodes drawn from one stream; episode i
-    has length lengths[i % len(lengths)] (lengths: an int or a list).
-    Holonomic `operators` built once by the caller skip their rebuild."""
-    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
-    ids, queries = task.draw(rng.child(0).generator(),
-                             lengths[np.arange(episodes) % lengths.size])
-    _, logits, targets = prefix_pass(params, task, ids, queries, [ids.shape[1]],
-                                     operators=operators)
-    return float(np.mean(np.argmax(logits, axis=-1) == targets))
-
-
-def validation_accuracy(params, task: TaskConfig, curriculum: Curriculum,
-                        episodes: int, rng: tc.RngState,
-                        operators: np.ndarray | None = None) -> float:
-    """The accuracy `train` calls converged at: the task's validation batch
-    (`TaskConfig.validation_batch`, drawn from rng.child(0)), scored
-    SCORE_BLOCK rows per pass with the holonomic operators built once."""
-    ids, queries = task.validation_batch(curriculum, episodes, rng.child(0))
-    ops = _operators(params) if operators is None else operators
+    """Accuracy on a draw (`TaskConfig.draw`), scored SCORE_BLOCK rows per
+    `prefix_pass` on holonomic operators built once: each row's target is at
+    its last column. `operators` built by the caller skip that build."""
+    operators = md.operators(params) if operators is None else operators
     correct = 0
     for lo in range(0, len(ids), SCORE_BLOCK):
         rows = slice(lo, lo + SCORE_BLOCK)
-        _, logits, targets = prefix_pass(params, task, ids[rows],
-                                         None if queries is None else queries[rows],
-                                         [ids.shape[1]], operators=ops)
+        _, [logits], [targets] = prefix_pass(params, task, ids[rows],
+                                             None if queries is None else queries[rows],
+                                             [ids.shape[1]], operators=operators)
         correct += int(np.sum(np.argmax(logits, axis=-1) == targets))
     return correct / len(ids)
 
@@ -220,7 +176,7 @@ def validation_accuracy(params, task: TaskConfig, curriculum: Curriculum,
 
 def _lr_at(cfg: TrainConfig, step: int) -> float:
     if cfg.lr_schedule == "cosine":
-        frac = step / max(cfg.steps - 1, 1)
+        frac = (step - 1) / max(cfg.steps - 1, 1)
         return cfg.lr_floor + 0.5 * (cfg.lr - cfg.lr_floor) * (1 + math.cos(math.pi * frac))
     return cfg.lr
 
@@ -251,15 +207,17 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
 
     The run's place in the curriculum is the share of training done, step /
     steps, and the number of gates cleared: an eval point clears one when its
-    gate accuracy, at the current top length, reaches the curriculum's
-    gate_threshold. Validation runs once the top is l_max and no ramp is
-    rising, and the gate accuracy has reached the target. Returns the model
-    it built, trained in place, and a non-convergence result
-    (converged=False) if the step budget runs out. A non-finite loss or
-    pre-clip gradient norm raises NumericError before the update, so the
-    parameters are never poisoned. Each log entry carries that step's
-    pre-clip gradient norm. A learned positional table shorter than a batch
-    stops the run with CapacityError (`models._pack`).
+    gate accuracy, on a fresh draw at the current top length, reaches the
+    curriculum's gate_threshold. Validation, on the task's validation batch,
+    runs once the top is l_max and no ramp is rising, and the gate accuracy
+    has reached the target; both checks are `evaluate_accuracy` on the
+    operators built once for the eval point. Returns the model it built,
+    trained in place, and a non-convergence result (converged=False) if the
+    step budget runs out. A non-finite loss or pre-clip gradient norm raises
+    NumericError before the update, so the parameters are never poisoned.
+    Each log entry carries that step's pre-clip gradient norm. A learned
+    positional table shorter than a batch stops the run with CapacityError
+    (`models._pack`).
     """
     params = model_cfg.build(rng.child(0), task)
     store = ge.ParamStore(params.to_dict())     # params' own arrays: Adam updates them
@@ -273,21 +231,20 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
         batch = task.sample_batch(gen, sample_lengths(curriculum, gen, cfg.batch,
                                                       fraction, gates))
         loss, grad_norm = _train_step(params, store, batch, cfg, step)
-        if params.kind == md.HOLONOMIC:
-            store.params["h0"] /= np.linalg.norm(store.params["h0"])
+        md.project(params)
         if step % cfg.eval_interval == 0 or step == cfg.steps:
-            ops = _operators(params)
+            ops = md.operators(params)
             top = curriculum.top(fraction, gates)
-            gate_acc = evaluate_accuracy(params, task, top,
-                                         cfg.gate_episodes, rng.child(2, step), ops)
+            gate_acc = evaluate_accuracy(params, task, *task.draw(
+                rng.child(2, step, 0).generator(), np.full(cfg.gate_episodes, top)), ops)
             log.append({"step": step, "max_len": top,
                         "loss": loss, "grad_norm": float(grad_norm),
                         "accuracy": gate_acc})
             gates += gate_acc >= curriculum.gate_threshold
             at_top = top == curriculum.l_max and not curriculum.ramping(fraction)
             if at_top and gate_acc >= cfg.target_accuracy:
-                accuracy = validation_accuracy(params, task, curriculum,
-                                               cfg.val_episodes, rng.child(3, step), ops)
+                accuracy = evaluate_accuracy(params, task, *task.validation_batch(
+                    curriculum, cfg.val_episodes, rng.child(3, step, 0)), ops)
                 if accuracy >= cfg.target_accuracy:
                     converged = True
                     if cfg.early_stop:
@@ -295,8 +252,8 @@ def train(model_cfg: ModelConfig, task: TaskConfig, curriculum: Curriculum,
     if not (cfg.early_stop and converged):
         # convergence must describe the returned parameters; the loop ended on
         # an eval step, whose operators these are
-        accuracy = validation_accuracy(params, task, curriculum,
-                                       cfg.val_episodes, rng.child(4), ops)
+        accuracy = evaluate_accuracy(params, task, *task.validation_batch(
+            curriculum, cfg.val_episodes, rng.child(4, 0)), ops)
         converged = accuracy >= cfg.target_accuracy
     return TrainResult(params, converged, step, accuracy, log)
 
@@ -313,7 +270,7 @@ def noise_sweep(params, task: TaskConfig, t_grid, episodes: int,
     state within STACK_FLOATS."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     outcomes = np.empty((t_grid.size, episodes), dtype=bool)
-    ops = _operators(params)
+    ops = md.operators(params)
     group = max(1, STACK_FLOATS // (episodes * params.to_dict()["readout"].shape[-1]))
     for first in range(0, t_grid.size, group):
         block = slice(first, first + group)
@@ -437,13 +394,13 @@ def length_generalization_eval(params, task: TaskConfig, lengths,
     `prefix_pass`. A length past a learned positional table is recorded as
     capacity-exceeded instead of silently scored; no episode is sampled for it."""
     lengths = [int(length) for length in lengths]
-    scored = [length for length in lengths if params.kind != md.TRANSFORMER
-              or params.pos_mode != "learned" or length <= params.max_len]
+    limit = md.capacity(params)
+    scored = [length for length in lengths if limit is None or length <= limit]
     acc = {}
     if scored:
         ids, queries = task.draw(rng.child(0).generator(), np.full(episodes, max(scored)))
-        ops = se.build_operators(params, precision) if params.kind == md.HOLONOMIC else None
-        _, logits, targets = prefix_pass(params, task, ids, queries, scored, operators=ops)
+        _, logits, targets = prefix_pass(params, task, ids, queries, scored,
+                                         operators=md.operators(params, precision))
         hits = np.argmax(logits, axis=-1) == targets
         acc = dict(zip(scored, hits.mean(axis=1).tolist()))
     return [{"L": length, "acc": acc.get(length, float("nan")), "episodes": episodes,
@@ -488,7 +445,7 @@ def jacobian_horizon(params, t_grid, method: str, rng: tc.RngState,
         raise ArgumentError("t grid must start at 1 or later")
     horizon = t_grid[-1]
     tokens = rng.child(0).generator().integers(0, params.vocab, size=horizon)
-    ops = _operators(params)
+    ops = md.operators(params)
     normalized = params.kind == md.NORMALIZED_RNN
     if ops is None:
         acts = np.empty((horizon, params.n))

@@ -130,16 +130,6 @@ def swap_vocabulary(v: int) -> list[tuple]:
     return [(i, j) for i in range(v) for j in range(i + 1, v)]
 
 
-def swap_token(v: int, i: int, j: int) -> int:
-    """Vocabulary id of SWAP(i, j); insensitive to argument order."""
-    if i == j or not (0 <= i < v and 0 <= j < v):
-        raise ArgumentError(f"invalid swap ({i}, {j}) for {v} variables")
-    if i > j:
-        i, j = j, i
-    # triangular index of (i, j) in the lexicographic pair list
-    return i * (2 * v - i - 1) // 2 + (j - i - 1)
-
-
 def naive_binding_target(tokens, v: int, query: int) -> int:
     """Independent oracle: trace the query slot backwards through the swaps."""
     pairs = swap_vocabulary(v)

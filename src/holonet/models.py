@@ -40,7 +40,9 @@ A model is one value, its params, and each kind's parameter dataclass
 the RNN's arrays under their own kind), `HEADER` names its structural fields
 and the rule each meets, `layout` derives every array's name and shape from
 them, and `to_dict` gives the arrays, the ones the optimizer updates in
-place, so training updates the model it built.
+place, so training updates the model it built. `ModelConfig.build` makes
+one, and `operators`, `project` and `capacity` answer the other per-kind
+questions of training and the probes, so their callers test no kind.
 Readouts are stored as (n_queries, n_classes, n): the S3 task uses a single
 map (n_queries=1), the binding task one map per queried variable.
 """
@@ -49,13 +51,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from . import grad_engine as ge
 from . import tensor_core as tc
 from .errors import ArgumentError, CapacityError, DimensionError, NumericError
-from .group_tasks import Batch, Episode
+from .group_tasks import Batch, Episode, TaskConfig
 
 HOLONOMIC = "holonomic"
 RNN = "rnn"
@@ -327,6 +330,62 @@ def init_transformer(rng: tc.RngState, d_model: int, n_layers: int, n_heads: int
     return p
 
 
+# ===================================================================== per-kind answers
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """A model's settings, the [model] section: `build` makes the model."""
+
+    kind: Annotated[str, tuple(PARAMS)] = HOLONOMIC
+    n: Annotated[int, 1] = 32                   # hidden dim / d_model
+    layers: Annotated[int, 1] = 3
+    heads: Annotated[int, 1] = 8
+    d_ff: Annotated[int, 0] = 0                 # 0 -> 2 * d_model
+    positional: Annotated[str, TransformerParams.HEADER["pos_mode"]] = "learned"
+    max_len: Annotated[int, 1] = 64
+    pool: Annotated[str, TransformerParams.HEADER["pool"]] = "final"
+    gen_scale: Annotated[float, "[0, inf)"] = 0.0   # 0 -> default holonomic init scale
+
+    def build(self, rng: tc.RngState, task: TaskConfig):
+        """The untrained model, shaped for `task`'s vocabulary and readouts."""
+        shape = (task.vocab, task.n_classes, task.n_queries)
+        if self.kind == HOLONOMIC:
+            return init_holonomic(rng, self.n, *shape, gen_scale=self.gen_scale or None)
+        if self.kind in (RNN, NORMALIZED_RNN):
+            return init_rnn(rng, self.n, *shape, self.kind == NORMALIZED_RNN)
+        if self.kind == TRANSFORMER:
+            return init_transformer(rng, self.n, self.layers, self.heads,
+                                    self.d_ff or 2 * self.n, *shape, self.positional,
+                                    self.max_len, self.pool)
+        raise ArgumentError(f"unknown model kind: {self.kind}")
+
+
+def operators(params, precision: int = 64) -> np.ndarray | None:
+    """The holonomic operators (`HolonomicParams.operators`) in `precision`,
+    built once for a probe or an eval point that runs many batches; None for
+    the other kinds."""
+    if params.kind != HOLONOMIC:
+        return None
+    ops = params.operators()
+    return ops.astype(np.float32) if precision == 32 else ops
+
+
+def project(params) -> None:
+    """Put the holonomic h0 back on the unit sphere, in place, after an
+    optimizer step; the other kinds have no constrained array."""
+    if params.kind == HOLONOMIC:
+        params.h0 /= np.linalg.norm(params.h0)
+
+
+def capacity(params) -> int | None:
+    """The longest row a model can read: a learned positional table's
+    length, else None (no limit)."""
+    if params.kind == TRANSFORMER and params.pos_mode == "learned":
+        return params.max_len
+    return None
+
+
 def _pack(p: TransformerParams, ids: np.ndarray) -> tuple:
     """A checked left-padded block's live tokens as one stream, the layout of
     `grad_engine.encoder_layer_kernel`, its rows sorted by length, stably:
@@ -334,10 +393,10 @@ def _pack(p: TransformerParams, ids: np.ndarray) -> tuple:
     row's length and its block row). Raises CapacityError for a row longer
     than a learned positional table."""
     lengths = (ids != ge.IDENTITY_STEP).sum(axis=1)
-    if p.pos_mode == "learned" and lengths.max(initial=0) > p.max_len:
+    limit = capacity(p)
+    if limit is not None and lengths.max(initial=0) > limit:
         raise CapacityError(
-            f"sequence length {lengths.max()} exceeds learned positional table "
-            f"of {p.max_len}")
+            f"sequence length {lengths.max()} exceeds learned positional table of {limit}")
     rows = np.argsort(lengths, kind="stable")
     lengths, block = lengths[rows], ids[rows]
     live = block != ge.IDENTITY_STEP

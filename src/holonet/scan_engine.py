@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import models as md
 from . import tensor_core as tc
 from .errors import ArgumentError
 from .models import HolonomicParams
@@ -38,8 +39,7 @@ class ScanPlan:
 
 def build_operators(p: HolonomicParams, precision: int = 64) -> np.ndarray:
     """`HolonomicParams.operators`, in the requested precision."""
-    ops = p.operators()
-    return ops.astype(np.float32) if precision == 32 else ops
+    return md.operators(p, precision)
 
 
 def _check_vocabulary(tokens, vocab: int) -> np.ndarray:

@@ -28,8 +28,6 @@ from .group_tasks import (
     perm_compose,
     s3_id,
     s3_sample_episode,
-    swap_token,
-    swap_vocabulary,
 )
 from .tensor_core import RngState
 
@@ -164,11 +162,6 @@ def check_episode_oracles(seed):
                 f"binding mismatch at {b}/{i}"
 
 
-def check_swap_symmetry(_seed):
-    for i, j in swap_vocabulary(10):
-        assert swap_token(10, i, j) == swap_token(10, j, i)
-
-
 def check_isometry(seed):
     p = md.init_holonomic(RngState(seed), 32, 6, 6)
     ep = s3_sample_episode(RngState(seed).child(3), 2000)
@@ -260,7 +253,6 @@ CHECKS = [
     ("grad-engine/model-gradients", check_gradients),
     ("group-tasks/cayley-table", check_cayley_table),
     ("group-tasks/episode-oracles", check_episode_oracles),
-    ("group-tasks/swap-symmetry", check_swap_symmetry),
     ("models/isometry", check_isometry),
     ("models/noise-silence", check_noise_silence),
     ("models/param-counts", check_param_counts),

@@ -14,7 +14,7 @@ import holonet
 from holonet import cli
 from holonet import models as md
 from holonet.checkpoint import load_checkpoint, save_checkpoint
-from holonet.errors import CorruptionError
+from holonet.errors import CorruptionError, VersionError
 from holonet.tensor_core import RngState
 
 
@@ -160,6 +160,65 @@ def test_the_on_disk_format_is_pinned(tmp_path, kind, pos_mode):
     assert Path(f"{path}.meta.txt").read_text() == sidecar
     loaded_kind, loaded = load_checkpoint(path)
     assert loaded_kind == kind and md.header(loaded) == md.header(params)
+
+
+def signed(edit):
+    """A change to a checkpoint's body with its digest recomputed, so that
+    the check under test is the one that refuses the file."""
+    def apply(raw: bytes) -> bytes:
+        body = edit(raw[:-8])
+        return body + hashlib.blake2b(body, digest_size=8).digest()
+    return apply
+
+
+def with_meta(meta: bytes):
+    """The body with `meta` in place of its metadata text."""
+    def edit(body: bytes) -> bytes:
+        (kind_len,) = struct.unpack_from("<H", body, 8)
+        at = 10 + kind_len      # magic, version, kind (u16 length + text)
+        (meta_len,) = struct.unpack_from("<I", body, at)
+        return body[:at] + struct.pack("<I", len(meta)) + meta + body[at + 4 + meta_len:]
+    return signed(edit)
+
+
+# each malformed file: the edit of its bytes, the error and its message
+REFUSALS = {
+    "shorter-than-16-bytes": (lambda raw: raw[:15], CorruptionError, "truncated"),
+    "payload-byte-flipped": (lambda raw: raw[:-9] + bytes([raw[-9] ^ 1]) + raw[-8:],
+                             CorruptionError, "checksum mismatch"),
+    "wrong-magic": (signed(lambda body: b"HLNX" + body[4:]), CorruptionError, "bad magic"),
+    "version-2": (signed(lambda body: body[:4] + struct.pack("<I", 2) + body[8:]),
+                  VersionError, "format version 2 needs migration"),
+    "metadata-not-json": (with_meta(b"{n: 6"), CorruptionError, "unreadable metadata"),
+    "metadata-a-list": (with_meta(b"[6, 6]"), CorruptionError, "not a JSON object"),
+    "cut-inside-an-array": (signed(lambda body: body[:-4]), CorruptionError,
+                            "unexpected end of data"),
+    "byte-after-the-last-array": (signed(lambda body: body + b"\0"), CorruptionError,
+                                  "trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_load_checkpoint_refuses_each_malformed_file(tmp_path, case):
+    edit, error, message = REFUSALS[case]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, md.init_holonomic(RngState(8), 6, 6, 6))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(error, match=message):
+        load_checkpoint(path)
+
+
+def test_sweep_on_a_checkpoint_of_another_version_exits_2_without_a_traceback(
+        tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, md.init_holonomic(RngState(8), 6, 6, 6))
+    path.write_bytes(REFUSALS["version-2"][0](path.read_bytes()))
+    config = tmp_path / "sweep.ini"
+    config.write_text(f"[noise]\ncheckpoint = {path}\n")
+    code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error (config/input): {path}: format version 2 "
+                                       "needs migration (supported: 1)\n")
 
 
 def rewrite_h0_record(path, record: bytes) -> None:

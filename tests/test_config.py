@@ -145,9 +145,9 @@ def test_render_parse_round_trip(snapshot):
 
 def test_binding_round_trip_keeps_its_fields():
     cfg = parse_config(as_ini(BINDING_EVERY_KEY))
-    assert cfg.task.variables == 4 and cfg.model.pos_mode == "sinusoidal"
+    assert cfg.task.variables == 4 and cfg.model.positional == "sinusoidal"
     assert cfg.curriculum.ramp_start == 4 and cfg.curriculum.top(0, 0) == 4
-    assert cfg.save == "binding.npz" and cfg.sweep.points == 3
+    assert cfg.train.save == "binding.npz" and cfg.sweep.points == 3
     assert cfg.genlen.lengths == (20, 30, 40) and cfg.pca.tags == ("only",)
     assert cfg.train.early_stop is False and cfg.train.eps == 1e-7
 
@@ -257,7 +257,7 @@ UNRULED = {("run", "out"), ("train", "save"), ("train", "early_stop"),
 
 def test_every_other_key_has_a_rule():
     unruled = {(section, key) for section, keys in config._KEYS.items()
-               for key, (_, _, _, rule) in keys.items() if rule is None}
+               for key, (_, _, rule) in keys.items() if rule is None}
     assert unruled == UNRULED
 
 
@@ -294,7 +294,7 @@ def test_check_refuses_values_of_the_wrong_kind(rule, value):
 
 
 RULE_VIOLATIONS = [(section, key, value) for section, keys in config._KEYS.items()
-                   for key, (_, _, _, rule) in keys.items() if rule is not None
+                   for key, (_, _, rule) in keys.items() if rule is not None
                    for value in violations(rule)]
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from holonet import experiments as ex
 from holonet import models as md
+from holonet.config import SweepSpec
 from holonet.group_tasks import BINDING, S3_CAYLEY, S3_ELEMENTS, TaskConfig, swap_vocabulary
 from holonet.tensor_core import RngState, mat_exp, skew
 
@@ -147,3 +148,23 @@ def test_exact_s3_classes_sit_at_right_angles():
     assert result.delta == pytest.approx(math.pi / 2, rel=0, abs=1e-12)
     assert all(g == pytest.approx(math.pi / 2, rel=0, abs=1e-12)
                for _, _, g in result.geodesics)
+
+
+# (T_c, its CI, censored) of `holonet sweep` at the default [noise] settings
+# (41 levels on [0, 2], 512 episodes of L = 5, threshold 0.99) and seed 0:
+# the null that a trained model's T_c is read against
+PINNED_NULL_TC = {
+    (S3_TASK, 8): (0.312, 0.30046153846153845, 0.32844444444444443, None),
+    (S3_TASK, 32): (0.5046666666666667, 0.48200000000000004, 0.5196923076923077, None),
+    (BINDING_TASK, 16): (0.21866666666666676, 0.18200000000000005, 0.25481960227272726, None),
+}
+
+
+@pytest.mark.parametrize("task, n", PINNED_NULL_TC, ids=["s3-8", "s3-32", "binding-16"])
+def test_exact_checkpoints_keep_their_pinned_noise_threshold(task, n):
+    spec = SweepSpec()
+    rng = RngState(0).child(1)     # the streams `holonet sweep` takes at seed 0
+    sweep = ex.noise_sweep(exact_checkpoint(task, n), task, spec.grid(), spec.episodes,
+                           rng, spec.length)
+    est = ex.estimate_tc(sweep, spec.threshold, rng.child(99))
+    assert (est.value, est.lo, est.hi, est.censored) == PINNED_NULL_TC[task, n]

@@ -567,7 +567,8 @@ def test_exhaustive_s3_accuracy_scores_every_sequence(kind, monkeypatch):
         correct += int(row_label(p, tokens) == naive_s3_target(tokens))
     builds = count_operator_builds(monkeypatch)
     cur = Curriculum(kind="stepwise", l_min=1, l_max=3)
-    assert ex.validation_accuracy(p, TaskConfig(), cur, 16, RngState(47)) == correct / 216
+    draw = TaskConfig().validation_batch(cur, 16, RngState(47))
+    assert ex.evaluate_accuracy(p, TaskConfig(), *draw) == correct / 216
     assert len(builds) == (kind == md.HOLONOMIC)    # once, not once per block
 
 
@@ -583,24 +584,27 @@ def test_validation_is_exhaustive_for_small_s3_and_sampled_otherwise():
         assert len({e.tokens for e in batch}) == 6 ** l_max
         assert all(e.length == l_max and e.target == naive_s3_target(e.tokens) for e in batch)
         hits = np.argmax(md.forward_batch(p, batch.ids)[1], axis=1) == batch.targets
-        assert ex.validation_accuracy(p, s3, cur, 16, RngState(47)) == np.mean(hits)
-    cur = Curriculum(kind="stepwise", l_min=1, l_max=6)   # 6^6 > 8192 sequences
-    assert ex.validation_accuracy(p, s3, cur, 16, RngState(47)) == \
-        ex.evaluate_accuracy(p, s3, 6, 16, RngState(47))
+        assert ex.evaluate_accuracy(p, s3, ids, queries) == np.mean(hits)
+    # 6^6 > 8192 sequences: the episodes are drawn from the stream given
+    cur = Curriculum(kind="stepwise", l_min=1, l_max=6)
+    ids, queries = s3.validation_batch(cur, 16, RngState(47))
+    assert queries is None
+    assert np.array_equal(ids, s3.draw(RngState(47).generator(), np.full(16, 6))[0])
     binding = TaskConfig(kind=BINDING, variables=4)
-    pb = md.init_holonomic(RngState(48), 8, 6, 4, n_queries=4)
     cur = Curriculum(kind="stepwise", l_min=2, l_max=3)
-    assert ex.validation_accuracy(pb, binding, cur, 16, RngState(49)) == \
-        ex.evaluate_accuracy(pb, binding, [2, 3], 16, RngState(49))
+    drawn = binding.draw(RngState(49).generator(), [2, 3] * 8)
+    for got, expected in zip(binding.validation_batch(cur, 16, RngState(49)), drawn):
+        assert np.array_equal(got, expected)
 
 
-def test_evaluate_accuracy_cycles_lengths_from_one_stream():
-    p = md.init_rnn(RngState(50), 8, 6, 6)
+def test_evaluate_accuracy_scores_a_mixed_length_draw_block_by_block(monkeypatch):
+    monkeypatch.setattr(ex, "SCORE_BLOCK", 7)   # several blocks, one ragged
     task = TaskConfig()
-    acc = ex.evaluate_accuracy(p, task, [2, 5, 3], 30, RngState(51))
-    batch = task.sample_batch(RngState(51).child(0).generator(), [2, 5, 3] * 10)
-    expected = np.mean([row_label(p, e.tokens) == e.target for e in batch])
-    assert acc == expected
+    draw = task.draw(RngState(51).generator(), [2, 5, 3] * 10)
+    batch = Batch(draw[0], list(task.prefix_targets(draw[0]))[-1])
+    for p in (md.init_rnn(RngState(50), 8, 6, 6), md.init_holonomic(RngState(50), 8, 6, 6)):
+        expected = np.mean([row_label(p, e.tokens) == e.target for e in batch])
+        assert ex.evaluate_accuracy(p, task, *draw) == expected
 
 
 def test_trivial_accuracy_is_the_best_token_blind_answer():
@@ -754,16 +758,31 @@ def test_train_clears_a_gate_when_the_gate_accuracy_reaches_the_threshold(monkey
     scripted = iter([0.89, 0.9, 1.0, 0.5, 0.95])
     gated = []
 
-    def evaluate(params, task, length, *args):
-        gated.append(length)
-        return next(scripted)
+    def evaluate(params, task, ids, *args):
+        gated.append(ids.shape[1])
+        return next(scripted, 0.0)     # then the final validation
 
     monkeypatch.setattr(ex, "evaluate_accuracy", evaluate)
     cur = Curriculum(kind="stepwise", l_min=1, l_max=3, gate_threshold=0.9)
     cfg = ex.TrainConfig(steps=5, batch=4, eval_interval=1, val_episodes=8)
     res = ex.train(ex.ModelConfig(kind=md.HOLONOMIC, n=8), TaskConfig(), cur, cfg,
                    RngState(37))
-    assert [e["max_len"] for e in res.log] == gated == [1, 1, 2, 3, 3]
+    assert [e["max_len"] for e in res.log] == gated[:5] == [1, 1, 2, 3, 3]
+    assert gated[5:] == [3] and not res.converged
+
+
+@pytest.mark.parametrize("steps, expected", [
+    (1, [1e-2]), (2, [1e-2, 1e-4]), (3, [1e-2, 1e-4 + 0.5 * (1e-2 - 1e-4), 1e-4])])
+def test_cosine_schedule_runs_from_lr_at_the_first_step_to_the_floor_at_the_last(
+        steps, expected):
+    cfg = ex.TrainConfig(steps=steps, lr=1e-2, lr_floor=1e-4, lr_schedule="cosine")
+    assert [ex._lr_at(cfg, step) for step in range(1, steps + 1)] == expected
+
+
+def test_cosine_schedule_never_rises():
+    cfg = ex.TrainConfig(steps=3000, lr=1e-2, lr_floor=1e-4, lr_schedule="cosine")
+    rates = np.array([ex._lr_at(cfg, step) for step in range(1, 3001)])
+    assert rates[0] == 1e-2 and rates[-1] == 1e-4 and np.all(np.diff(rates) <= 0)
 
 
 def test_train_builds_the_operators_once_per_eval_point(monkeypatch):

@@ -20,7 +20,6 @@ from holonet.group_tasks import (
     s3_sample_episode,
     sample_lengths,
     sv_sample_episode,
-    swap_token,
     swap_vocabulary,
 )
 from holonet.tensor_core import RngState
@@ -199,28 +198,31 @@ def test_batch_sampler_rejects_bad_lengths():
 # ---------------------------------------------------------------- binding episodes
 
 
-def test_swap_vocabulary_size_and_order_insensitivity():
+def swap_token(i: int, j: int) -> int:
+    """The id of SWAP(i, j), i < j, among 10 variables."""
+    return swap_vocabulary(10).index((i, j))
+
+
+def test_swap_vocabulary_lists_each_unordered_pair_once_in_order():
     vocab = swap_vocabulary(10)
-    assert len(vocab) == 45
-    for tok, (i, j) in enumerate(vocab):
-        assert swap_token(10, i, j) == tok
-        assert swap_token(10, j, i) == tok
+    assert len(vocab) == 45 == len(set(vocab))
+    assert vocab == sorted(vocab) and all(i < j < 10 for i, j in vocab)
 
 
 def test_binding_worked_example():
-    tokens = [swap_token(10, 0, 1), swap_token(10, 1, 2)]
+    tokens = [swap_token(0, 1), swap_token(1, 2)]
     assert binding_target(tokens, 10, query=2) == 0
     assert naive_binding_target(tokens, 10, query=2) == 0
 
 
 def test_binding_untouched_query_is_identity():
-    tokens = [swap_token(10, 3, 4)] * 5
+    tokens = [swap_token(3, 4)] * 5
     for q in (0, 1, 2, 9):
         assert binding_target(tokens, 10, q) == q
 
 
 def test_binding_double_swap_is_identity():
-    tok = swap_token(10, 2, 7)
+    tok = swap_token(2, 7)
     for q in range(10):
         assert binding_target([tok, tok], 10, q) == q
 

@@ -57,9 +57,10 @@ def test_tree_single_leaf_equals_sequential():
 
 
 # vocab 45 repeats too few adjacent pairs to share, so those cases take the
-# plain blocked path, odd carries and several blocks included
+# plain blocked path, odd carries and several blocks included; at vocab 6,
+# 1001 and 2049 carry an odd sub-product up a shared level
 @pytest.mark.parametrize("length,vocab", [
-    *(pytest.param(length, 6, id=str(length)) for length in (2, 3, 17, 1024)),
+    *(pytest.param(length, 6, id=str(length)) for length in (2, 3, 17, 1024, 1001, 2049)),
     *(pytest.param(length, 45, id=f"{length}-vocab45") for length in (3, 257, 4097)),
 ])
 def test_tree_matches_sequential(length, vocab):

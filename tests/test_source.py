@@ -129,6 +129,38 @@ def test_kind_read_check_sees_tasks_and_curricula(tmp_path):
         "task.kind (line 2)", "c.kind (line 2)", "curriculum.kind (line 2)"]
 
 
+# models.py answers every per-kind question of training and the prefix-pass
+# probes; jacobian_horizon alone steps a recurrence by hand
+MODEL_KIND_READERS = {"jacobian_horizon"}
+
+
+def model_kind_reads(path: Path, allowed=frozenset()) -> list[str]:
+    """`.kind` reads off a model (a name in MODEL_PARAMETERS) anywhere in a
+    module outside its top-level functions and classes named in `allowed`."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        if getattr(top, "name", None) in allowed:
+            continue
+        found += [f"{node.value.id}.kind (line {node.lineno})" for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "kind"
+                  and isinstance(node.value, ast.Name) and node.value.id in MODEL_PARAMETERS]
+    return found
+
+
+def test_experiments_reads_no_model_kind_outside_the_horizon():
+    assert model_kind_reads(PACKAGE / "experiments.py", MODEL_KIND_READERS) == []
+
+
+def test_model_kind_read_check_sees_reads_outside_the_allowed_functions(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("def f(params, model, task):\n"
+                      "    return params.kind, model.kind, task.kind\n\n\n"
+                      "def g(p):\n    return p.kind\n\n\nK = params.kind\n")
+    assert model_kind_reads(module, {"g"}) == [
+        "params.kind (line 2)", "model.kind (line 2)", "params.kind (line 9)"]
+    assert model_kind_reads(module)[2] == "p.kind (line 6)"
+
+
 def call_sites(path: Path, method: str) -> list[str]:
     """The top-level functions of a module that call `<anything>.<method>(...)`,
     once per call; a call outside every function is listed as <module>."""
